@@ -679,8 +679,8 @@ func BenchmarkExpandAbstract(b *testing.B) {
 	}
 }
 
-// BenchmarkDatalogFixpoint measures the Datalog engine on ancestor
-// closure over a chain.
+// BenchmarkDatalogFixpoint measures a Datalog program end to end —
+// lowering to ARC plus evaluation — on ancestor closure over a chain.
 func BenchmarkDatalogFixpoint(b *testing.B) {
 	prog := datalog.MustParse("A(x,y) :- P(x,y). A(x,y) :- P(x,z), A(z,y).")
 	p := workload.Chain(30)

@@ -44,7 +44,7 @@ func main() {
 	r1, _ := core.Eval(fromDL, cat, core.Souffle())
 	r2, _ := core.Eval(arcDirect, cat, core.Souffle())
 	fmt.Println("— intent 1: ancestors —")
-	fmt.Printf("Datalog engine: %d facts; Datalog→ARC: %d; ARC (16): %d; all equal: %v\n\n",
+	fmt.Printf("Datalog statement: %d facts; Datalog→ARC: %d; ARC (16): %d; all equal: %v\n\n",
 		dlRes.Card(), r1.Card(), r2.Card(), r1.EqualSet(dlRes) && r2.EqualSet(dlRes))
 
 	// ---- Intent 2: filtered join, four surface syntaxes ------------------

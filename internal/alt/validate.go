@@ -187,37 +187,38 @@ func (v *validator) checkCleanHead(c *Collection) {
 
 func (v *validator) checkRecursion(c *Collection) {
 	// Recursive definitions follow Datalog LFP semantics (Section 2.9):
-	// the recursive reference must not occur under negation, and the
-	// defining collection must not aggregate (no grouping operators).
-	var walk func(f Formula, negDepth int)
-	walk = func(f Formula, negDepth int) {
+	// the recursive reference must occur where the body is monotone in
+	// it — not under negation and not inside a grouping scope (the same
+	// collection may still aggregate over other relations).
+	var walk func(f Formula, guard string)
+	walk = func(f Formula, guard string) {
 		switch x := f.(type) {
 		case *And:
 			for _, k := range x.Kids {
-				walk(k, negDepth)
+				walk(k, guard)
 			}
 		case *Or:
 			for _, k := range x.Kids {
-				walk(k, negDepth)
+				walk(k, guard)
 			}
 		case *Not:
-			walk(x.Kid, negDepth+1)
+			walk(x.Kid, "under negation")
 		case *Quantifier:
-			if x.Grouping != nil {
-				v.errorf("recursive collection %s may not contain grouping scopes", c.Head.Rel)
+			if x.Grouping != nil && guard == "" {
+				guard = "inside a grouping scope"
 			}
 			for _, b := range x.Bindings {
-				if v.link.RecursiveBindings[b] == c && negDepth > 0 {
-					v.errorf("recursive reference %s ∈ %s occurs under negation (unstratified)", b.Var, b.Rel)
+				if v.link.RecursiveBindings[b] == c && guard != "" {
+					v.errorf("recursive reference %s ∈ %s occurs %s (unstratified)", b.Var, b.Rel, guard)
 				}
 				if b.Sub != nil {
-					walk(b.Sub.Body, negDepth)
+					walk(b.Sub.Body, guard)
 				}
 			}
-			walk(x.Body, negDepth)
+			walk(x.Body, guard)
 		}
 	}
-	walk(c.Body, 0)
+	walk(c.Body, "")
 }
 
 func (v *validator) formula(f Formula, col *Collection, depth int) {

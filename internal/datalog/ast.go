@@ -1,10 +1,12 @@
-// Package datalog implements the Datalog substrate the paper compares
-// against (Sections 2.5, 2.6, 2.9): a parser for rules with negation,
-// comparisons, arithmetic assignment, and Soufflé-style aggregates
-// ("sm = sum b : {S(a,b), a < ak}"), a stratified fixpoint evaluator with
-// Soufflé's conventions (no NULL, sum over the empty set is 0), and a
-// translator into ARC (package-level Datalog → ARC embedding lives in
-// translate.go).
+// Package datalog is the Datalog modality over the ARC core (Sections
+// 2.5, 2.6, 2.9): a parser for rules with negation, comparisons,
+// arithmetic assignment, and Soufflé-style aggregates
+// ("sm = sum b : {S(a,b), a < ak}"), and the translation of programs into
+// ARC (translate.go). There is no Datalog executor: EvalPredicate lowers
+// the program (Lower: one collection per derived predicate, after the
+// arity, EDB/IDB-clash and stratification checks) and internal/eval runs
+// it under Soufflé's conventions (no NULL, sum over the empty set is 0),
+// recursion included.
 package datalog
 
 import (
@@ -145,7 +147,9 @@ func (e BinExpr) String() string {
 	return "(" + e.L.String() + string(e.Op) + e.R.String() + ")"
 }
 
-// Cmp is a comparison literal "x < y".
+// Cmp is a comparison literal "x < y". An equality whose one side is a
+// lone variable nothing else grounds is an assignment ("y = x*2+1"); the
+// translator decides.
 type Cmp struct {
 	Op   value.CmpOp
 	L, R Expr
@@ -161,19 +165,6 @@ func (c Cmp) String() string {
 	}
 	return c.L.String() + " " + op + " " + c.R.String()
 }
-
-// Assign is "x = expr" where expr computes a value (distinct from a
-// comparison by the left side being an unbound variable at eval time; the
-// parser emits Cmp and the evaluator decides).
-type Assign struct {
-	Var  string
-	Expr Expr
-}
-
-func (Assign) isLiteral() {}
-
-// String renders "x = expr".
-func (a Assign) String() string { return a.Var + " = " + a.Expr.String() }
 
 // AggLiteral is Soufflé's aggregate: "res = func expr : {body}". Per the
 // Soufflé documentation quoted in Section 2.5, variables grounded inside

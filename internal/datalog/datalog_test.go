@@ -218,9 +218,196 @@ func TestFacts(t *testing.T) {
 	}
 }
 
+func TestMutualRecursion(t *testing.T) {
+	p := MustParse(`
+		Even(x) :- Zero(x).
+		Even(y) :- Succ(x,y), Odd(x).
+		Odd(y) :- Succ(x,y), Even(x).
+	`)
+	succ := relation.New("Succ", "a", "b")
+	for i := 0; i < 7; i++ {
+		succ.Add(i, i+1)
+	}
+	edb := EDB{"Succ": succ, "Zero": relation.New("Zero", "n").Add(0)}
+	out, err := EvalProgram(p, edb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := relation.New("W", "n").Add(0).Add(2).Add(4).Add(6); !out["Even"].EqualSet(want) {
+		t.Fatalf("Even:\n%s", out["Even"])
+	}
+	if want := relation.New("W", "n").Add(1).Add(3).Add(5).Add(7); !out["Odd"].EqualSet(want) {
+		t.Fatalf("Odd:\n%s", out["Odd"])
+	}
+}
+
+func TestNonLinearRecursion(t *testing.T) {
+	p := MustParse(`
+		A(x,y) :- P(x,y).
+		A(x,y) :- A(x,z), A(z,y).
+	`)
+	edb := EDB{"P": relation.New("P", "s", "t").Add(1, 2).Add(2, 3).Add(3, 4).Add(4, 5)}
+	got, err := EvalPredicate(p, edb, "A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := relation.New("W", "s", "t")
+	for i := 1; i <= 5; i++ {
+		for j := i + 1; j <= 5; j++ {
+			want.Add(i, j)
+		}
+	}
+	if !got.EqualSet(want) {
+		t.Fatalf("non-linear TC:\n%s", got)
+	}
+}
+
+func TestAggregateBesideRecursion(t *testing.T) {
+	// An aggregate over a lower stratum inside a recursive rule is
+	// stratified; one over the rule's own stratum is not.
+	p := MustParse(`Reach(x,c) :- Start(x), c = count : {P(x,_)}.
+		Reach(y,c) :- Reach(x,_), P(x,y), c = count : {P(y,_)}.`)
+	edb := EDB{
+		"P":     relation.New("P", "s", "t").Add(1, 2).Add(1, 3).Add(2, 3),
+		"Start": relation.New("Start", "n").Add(1),
+	}
+	got, err := EvalPredicate(p, edb, "Reach")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := relation.New("W", "x", "c").Add(1, 2).Add(2, 1).Add(3, 0); !got.EqualSet(want) {
+		t.Fatalf("out-degree of reachable nodes:\n%s", got)
+	}
+	bad := MustParse(`N(x) :- Start(x). N(c) :- Start(_), c = count : {N(_)}.`)
+	if _, err := EvalPredicate(bad, edb, "N"); err == nil || !strings.Contains(err.Error(), "stratifiable") {
+		t.Fatalf("aggregation through recursion: got %v", err)
+	}
+}
+
+func TestNestedAggregate(t *testing.T) {
+	// The largest per-group sum: an aggregate whose body aggregates.
+	p := MustParse(`Top(m) :- m = max s : {R(a,_), s = sum b : {R(a,b)}}.`)
+	edb := EDB{"R": relation.New("R", "a", "b").Add(1, 10).Add(1, 20).Add(2, 25)}
+	got, err := EvalPredicate(p, edb, "Top")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := relation.New("W", "m").Add(30); !got.EqualSet(want) {
+		t.Fatalf("nested aggregate:\n%s", got)
+	}
+}
+
+func TestProgramChecks(t *testing.T) {
+	r := relation.New("R", "a", "b").Add(1, 2)
+	for src, want := range map[string]string{
+		`R(x,y) :- R(y,x).`:                 "both extensional and derived",
+		`Q(x) :- R(x,_). Q(x,y) :- R(x,y).`: "arities",
+		`Q(x) :- R(x).`:                     "used with 1 arguments",
+		`V(x) :- R(x,_). Q(x) :- V(x,_).`:   "used with 2 arguments",
+		`Q(x) :- R(x,_), !R(x,y).`:          "not grounded",
+		`Q(x) :- R(x,_), y > 1.`:            "not grounded",
+		`Q(x,y) :- R(x,_).`:                 "not grounded",
+		`Q(_) :- R(_,_).`:                   "wildcard in head",
+		`Q(c) :- c = count : {1 < 2}.`:      "no positive atom",
+	} {
+		if _, err := EvalPredicate(MustParse(src), EDB{"R": r}, "Q"); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: got %v, want an error mentioning %q", src, err, want)
+		}
+	}
+	if _, err := EvalPredicate(MustParse(`Q(x) :- R(x,_).`), EDB{"R": r}, "Nope"); err == nil {
+		t.Error("selecting an underived predicate should fail")
+	}
+}
+
+func TestNamesDoNotCapture(t *testing.T) {
+	// Predicates named like the translator's range variables and nested
+	// heads: ARC resolves a name to a range variable before a relation.
+	p := MustParse(`
+		t1(x) :- x2(x,_).
+		Xagg3(x,c) :- t1(x), c = count : {x2(x,_)}.
+	`)
+	edb := EDB{"x2": relation.New("x2", "a", "b").Add(1, 10).Add(1, 20).Add(2, 5)}
+	got, err := EvalPredicate(p, edb, "Xagg3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := relation.New("W", "x", "c").Add(1, 2).Add(2, 1); !got.EqualSet(want) {
+		t.Fatalf("generated names captured a predicate:\n%s", got)
+	}
+}
+
 // --- Datalog → ARC -------------------------------------------------------
 
-func TestToARCAncestorMatchesDatalog(t *testing.T) {
+// evalARC runs a translated collection under Soufflé conventions.
+func evalARC(t *testing.T, col *alt.Collection, rels ...*relation.Relation) *relation.Relation {
+	t.Helper()
+	cat := eval.NewCatalog()
+	for _, r := range rels {
+		cat.AddRelation(r)
+	}
+	got, err := eval.Eval(col, cat, convention.Souffle())
+	if err != nil {
+		t.Fatalf("%v\n%s", err, alt.PrintTree(col))
+	}
+	return got
+}
+
+func TestToARCEmptyMinDerivesNothing(t *testing.T) {
+	// γ∅ over zero rows yields one group whose min is NULL; Soufflé's min
+	// over an empty body fails. The translation guards the head.
+	p := MustParse(`
+		Mn(m) :- m = min b : {R(_,b)}.
+		Me(m) :- m = mean b : {R(_,b)}.
+		Sm(m) :- m = sum b : {R(_,b)}.
+	`)
+	schemas := map[string][]string{"R": {"a", "b"}}
+	empty := relation.New("R", "a", "b")
+	full := relation.New("R", "a", "b").Add(1, 4).Add(2, 8)
+	for pred, want := range map[string][2]*relation.Relation{
+		"Mn": {relation.New("W", "m"), relation.New("W", "m").Add(4)},
+		"Me": {relation.New("W", "m"), relation.New("W", "m").Add(6.0)},
+		"Sm": {relation.New("W", "m").Add(0), relation.New("W", "m").Add(12)},
+	} {
+		col, err := ToARC(p, schemas, pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := evalARC(t, col, empty); !got.EqualSet(want[0]) {
+			t.Errorf("%s over empty R:\n%s", pred, got)
+		}
+		if got := evalARC(t, col, full); !got.EqualSet(want[1]) {
+			t.Errorf("%s over R:\n%s", pred, got)
+		}
+	}
+}
+
+func TestToARCAssignmentAndFacts(t *testing.T) {
+	p := MustParse(`
+		Q(x,y) :- R(x), y = x * 2 + 1.
+		Chain(z) :- R(x), z = y + 1, y = x * 10.
+		F(1,2).
+		F(2,3).
+		One(y) :- y = 1, y < 2.
+	`)
+	schemas := map[string][]string{"R": {"v"}}
+	r := relation.New("R", "v").Add(3)
+	for pred, want := range map[string]*relation.Relation{
+		"Q":     relation.New("W", "x", "y").Add(3, 7),
+		"Chain": relation.New("W", "z").Add(31),
+		"F":     relation.New("W", "a", "b").Add(1, 2).Add(2, 3),
+		"One":   relation.New("W", "y").Add(1),
+	} {
+		col, err := ToARC(p, schemas, pred)
+		if err != nil {
+			t.Fatalf("%s: %v", pred, err)
+		}
+		if got := evalARC(t, col, r); !got.EqualSet(want) {
+			t.Errorf("%s:\n%s", pred, got)
+		}
+	}
+}
+
+func TestToARCAncestor(t *testing.T) {
 	p := MustParse(`
 		A(x,y) :- P(x,y).
 		A(x,y) :- P(x,z), A(z,y).
@@ -237,22 +424,16 @@ func TestToARCAncestorMatchesDatalog(t *testing.T) {
 	if !link.RecursiveCols[col] {
 		t.Fatal("translation must preserve recursion")
 	}
-	cat := eval.NewCatalog().AddRelation(pRel)
-	arcRes, err := eval.Eval(col, cat, convention.Souffle())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dlRes, err := EvalPredicate(p, EDB{"P": pRel}, "A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !arcRes.EqualSet(dlRes) {
-		t.Fatalf("ARC and Datalog disagree:\n%s\n%s", arcRes, dlRes)
+	arcRes := evalARC(t, col, pRel)
+	want := relation.New("W", "s", "t").
+		Add(1, 2).Add(2, 3).Add(3, 4).Add(1, 3).Add(2, 4).Add(1, 4).Add(10, 11)
+	if !arcRes.EqualSet(want) {
+		t.Fatalf("translated ancestor:\n%s", arcRes)
 	}
 }
 
-func TestToARCAggregateMatchesDatalog(t *testing.T) {
-	// Query (15) under Soufflé conventions through both engines.
+func TestToARCAggregate(t *testing.T) {
+	// Query (15) under Soufflé conventions.
 	p := MustParse(`Q(ak,sm) :- R(ak,_), sm = sum b : {S(a,b), a < ak}.`)
 	rRel := relation.New("R", "ak", "b").Add(1, 2).Add(5, 9)
 	sRel := relation.New("S", "a", "b").Add(2, 100).Add(3, 50)
@@ -261,24 +442,13 @@ func TestToARCAggregateMatchesDatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat := eval.NewCatalog().AddRelation(rRel).AddRelation(sRel)
-	arcRes, err := eval.Eval(col, cat, convention.Souffle())
-	if err != nil {
-		t.Fatalf("%v\n%s", err, alt.PrintTree(col))
-	}
-	dlRes, err := EvalPredicate(p, EDB{"R": rRel, "S": sRel}, "Q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !arcRes.EqualSet(dlRes) {
-		t.Fatalf("ARC and Datalog disagree:\narc %s\ndl  %s", arcRes, dlRes)
+	arcRes := evalARC(t, col, rRel, sRel)
+	want := relation.New("W", "ak", "sm").Add(1, 0).Add(5, 150)
+	if !arcRes.EqualSet(want) {
+		t.Fatalf("translated aggregate:\n%s", arcRes)
 	}
 	// The empty-S instance shows the convention: Q(1,0) and Q(5,0).
-	cat2 := eval.NewCatalog().AddRelation(rRel).AddRelation(relation.New("S", "a", "b"))
-	arc2, err := eval.Eval(col, cat2, convention.Souffle())
-	if err != nil {
-		t.Fatal(err)
-	}
+	arc2 := evalARC(t, col, rRel, relation.New("S", "a", "b"))
 	if !arc2.Contains(relation.Tuple{value.Int(1), value.Int(0)}) {
 		t.Fatalf("Soufflé convention lost in ARC:\n%s", arc2)
 	}
@@ -292,17 +462,10 @@ func TestToARCNegation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat := eval.NewCatalog().AddRelation(n).AddRelation(m)
-	arcRes, err := eval.Eval(col, cat, convention.Souffle())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dlRes, err := EvalPredicate(p, EDB{"N": n, "M": m}, "Only")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !arcRes.EqualSet(dlRes) {
-		t.Fatalf("negation translation:\n%s\n%s", arcRes, dlRes)
+	arcRes := evalARC(t, col, n, m)
+	want := relation.New("W", "v").Add(1).Add(3)
+	if !arcRes.EqualSet(want) {
+		t.Fatalf("negation translation:\n%s", arcRes)
 	}
 }
 
@@ -313,11 +476,7 @@ func TestToARCConstantsInHeadAndBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat := eval.NewCatalog().AddRelation(r)
-	got, err := eval.Eval(col, cat, convention.Souffle())
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := evalARC(t, col, r)
 	want := relation.New("W", "x", "c").Add(7, 99)
 	if !got.EqualSet(want) {
 		t.Fatalf("constants:\n%s", got)

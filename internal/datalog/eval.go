@@ -2,12 +2,12 @@ package datalog
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/exec"
+	"repro/internal/alt"
+	"repro/internal/convention"
+	"repro/internal/eval"
 	"repro/internal/fixpoint"
 	"repro/internal/relation"
-	"repro/internal/value"
 )
 
 // EDB maps extensional predicate names to relations.
@@ -17,640 +17,120 @@ type EDB map[string]*relation.Relation
 // returns every IDB relation. Semantics follow Soufflé's conventions
 // (Section 2.6): no NULLs, two-valued logic, sum/count over an empty
 // aggregate body yield 0, min/max/mean over an empty body fail (derive
-// nothing).
+// nothing). It is one EvalPredicate per derived predicate — a convenience
+// for tests and tools, not a serving path.
 func EvalProgram(p *Program, edb EDB) (map[string]*relation.Relation, error) {
-	return EvalProgramWith(p, edb, nil)
-}
-
-// EvalProgramWith is EvalProgram with an optional cancellation check,
-// polled each stratum fixpoint round (the engine layer wires context
-// cancellation through it).
-func EvalProgramWith(p *Program, edb EDB, check func() error) (map[string]*relation.Relation, error) {
-	e := &dlEval{edb: edb, idb: map[string]*relation.Relation{}, check: check}
-	if err := e.prepare(p); err != nil {
-		return nil, err
-	}
-	strata, err := stratify(p)
-	if err != nil {
-		return nil, err
-	}
-	for _, rules := range strata {
-		if err := e.fixpoint(rules); err != nil {
+	out := map[string]*relation.Relation{}
+	for _, r := range p.Rules {
+		if out[r.Head.Pred] != nil {
+			continue
+		}
+		rel, err := EvalPredicate(p, edb, r.Head.Pred)
+		if err != nil {
 			return nil, err
 		}
-	}
-	return e.idb, nil
-}
-
-// EvalPredicate evaluates the program and returns one predicate.
-func EvalPredicate(p *Program, edb EDB, pred string) (*relation.Relation, error) {
-	return EvalPredicateWith(p, edb, pred, nil)
-}
-
-// EvalPredicateWith is EvalPredicate with an optional cancellation check
-// polled each fixpoint round.
-func EvalPredicateWith(p *Program, edb EDB, pred string, check func() error) (*relation.Relation, error) {
-	out, err := EvalProgramWith(p, edb, check)
-	if err != nil {
-		return nil, err
-	}
-	rel, ok := out[pred]
-	if !ok {
-		return nil, fmt.Errorf("datalog: predicate %q is not derived by the program", pred)
-	}
-	return rel, nil
-}
-
-type dlEval struct {
-	edb   EDB
-	idb   map[string]*relation.Relation
-	check func() error
-}
-
-// prepare creates empty IDB relations with positional attribute names and
-// checks arity consistency.
-func (e *dlEval) prepare(p *Program) error {
-	arity := map[string]int{}
-	for _, r := range p.Rules {
-		if prev, ok := arity[r.Head.Pred]; ok && prev != len(r.Head.Args) {
-			return fmt.Errorf("datalog: predicate %s used with arities %d and %d", r.Head.Pred, prev, len(r.Head.Args))
-		}
-		arity[r.Head.Pred] = len(r.Head.Args)
-		if _, isEDB := e.edb[r.Head.Pred]; isEDB {
-			return fmt.Errorf("datalog: predicate %s is both extensional and derived", r.Head.Pred)
-		}
-	}
-	for pred, k := range arity {
-		attrs := make([]string, k)
-		for i := range attrs {
-			attrs[i] = fmt.Sprintf("x%d", i+1)
-		}
-		e.idb[pred] = relation.New(pred, attrs...)
-	}
-	return nil
-}
-
-func (e *dlEval) rel(pred string) *relation.Relation {
-	if r, ok := e.idb[pred]; ok {
-		return r
-	}
-	return e.edb[pred]
-}
-
-// stratify orders rules into strata such that negated and aggregated
-// dependencies are fully computed in earlier strata, delegating the
-// layering itself to the generic fixpoint.Stratify.
-func stratify(p *Program) ([][]*Rule, error) {
-	idb := map[string]bool{}
-	for _, r := range p.Rules {
-		idb[r.Head.Pred] = true
-	}
-	var deps []fixpoint.Dep
-	for _, r := range p.Rules {
-		h := r.Head.Pred
-		for _, l := range r.Body {
-			switch x := l.(type) {
-			case PosAtom:
-				deps = append(deps, fixpoint.Dep{Head: h, Dep: x.Atom.Pred})
-			case NegAtom:
-				deps = append(deps, fixpoint.Dep{Head: h, Dep: x.Atom.Pred, Strict: true})
-			case AggLiteral:
-				// Everything inside an aggregate body must be complete
-				// before the aggregate is taken.
-				for _, bl := range x.Body {
-					switch y := bl.(type) {
-					case PosAtom:
-						deps = append(deps, fixpoint.Dep{Head: h, Dep: y.Atom.Pred, Strict: true})
-					case NegAtom:
-						deps = append(deps, fixpoint.Dep{Head: h, Dep: y.Atom.Pred, Strict: true})
-					}
-				}
-			}
-		}
-	}
-	stratum, n, err := fixpoint.Stratify(idb, deps)
-	if err != nil {
-		return nil, fmt.Errorf("datalog: program is not stratifiable (negation or aggregation through recursion)")
-	}
-	out := make([][]*Rule, n)
-	for _, r := range p.Rules {
-		s := stratum[r.Head.Pred]
-		out[s] = append(out[s], r)
+		out[r.Head.Pred] = rel
 	}
 	return out, nil
 }
 
-// deltaAtom is an internal literal used only by the semi-naive fixpoint:
-// a positive atom constrained to read from the previous round's delta
-// relation instead of the full predicate extent.
-type deltaAtom struct {
-	Atom Atom
-	rel  *relation.Relation
-}
-
-func (deltaAtom) isLiteral() {}
-
-// String renders "Δatom".
-func (l deltaAtom) String() string { return "Δ" + l.Atom.String() }
-
-// fixpoint runs one stratum's rules to their least fixed point through
-// the shared semi-naive engine: each rule becomes a fixpoint.Rule whose
-// delta variants substitute a deltaAtom for one stratum-local body
-// occurrence, so that occurrence reads just the tuples added in the
-// previous round while the remaining literals read the full (current)
-// extents. Stratification guarantees negated and aggregated dependencies
-// live in earlier strata, so only positive atoms need delta versions.
-func (e *dlEval) fixpoint(rules []*Rule) error {
-	local := map[string]bool{}
-	for _, r := range rules {
-		local[r.Head.Pred] = true
+// EvalPredicate evaluates the program and returns one predicate: the
+// program is lowered to ARC and run by internal/eval under Soufflé
+// conventions, with the EDB bound through the evaluator's input slot.
+func EvalPredicate(p *Program, edb EDB, pred string) (*relation.Relation, error) {
+	schemas := make(map[string][]string, len(edb))
+	for name, r := range edb {
+		schemas[name] = r.Attrs()
 	}
-	frules := make([]fixpoint.Rule, 0, len(rules))
-	for _, r := range rules {
-		r := r
-		var occIdx []int
-		var occs []string
-		for j, l := range r.Body {
-			if pa, ok := l.(PosAtom); ok && local[pa.Atom.Pred] {
-				occIdx = append(occIdx, j)
-				occs = append(occs, pa.Atom.Pred)
-			}
-		}
-		kind := fixpoint.Seed
-		if len(occs) > 0 {
-			kind = fixpoint.Delta
-		}
-		frules = append(frules, fixpoint.Rule{
-			Target: r.Head.Pred,
-			Kind:   kind,
-			Occs:   occs,
-			Eval: func(occ int, delta *relation.Relation, emit fixpoint.Emit) error {
-				body := r.Body
-				if occ >= 0 {
-					j := occIdx[occ]
-					body = make([]Literal, len(r.Body))
-					copy(body, r.Body)
-					body[j] = deltaAtom{Atom: r.Body[j].(PosAtom).Atom, rel: delta}
-				}
-				return e.applyRule(r, body, emit)
-			},
-		})
-	}
-	name := "datalog stratum"
-	if len(rules) > 0 {
-		name = "datalog stratum of " + rules[0].Head.Pred
-	}
-	return fixpoint.Run(e.idb, frules, fixpoint.Options{Name: name, Check: e.check})
-}
-
-type bindings map[string]value.Value
-
-func (b bindings) clone() bindings {
-	nb := make(bindings, len(b)+1)
-	for k, v := range b {
-		nb[k] = v
-	}
-	return nb
-}
-
-// applyRule derives all consequences of one rule-body variant, handing
-// each head tuple to the engine's emit (which deduplicates against the
-// IDB total and feeds the next semi-naive round's delta).
-func (e *dlEval) applyRule(r *Rule, body []Literal, emit fixpoint.Emit) error {
-	return e.solve(body, bindings{}, func(b bindings) error {
-		t := make(relation.Tuple, len(r.Head.Args))
-		for i, a := range r.Head.Args {
-			switch x := a.(type) {
-			case Var:
-				v, ok := b[x.Name]
-				if !ok {
-					return fmt.Errorf("datalog: head variable %q of %s is not grounded", x.Name, r.Head.Pred)
-				}
-				t[i] = v
-			case Const:
-				t[i] = x.Val
-			case Wildcard:
-				return fmt.Errorf("datalog: wildcard in rule head of %s", r.Head.Pred)
-			}
-		}
-		return emit(t)
-	})
-}
-
-// solve enumerates all groundings of body, calling emit per solution. It
-// greedily picks the next evaluable literal (positive atoms always;
-// comparisons/negation/aggregates once their inputs are bound; an
-// equality with exactly one unbound side acts as an assignment).
-func (e *dlEval) solve(body []Literal, b bindings, emit func(bindings) error) error {
-	if len(body) == 0 {
-		return emit(b)
-	}
-	pick := -1
-	for i, l := range body {
-		if e.ready(l, b) {
-			pick = i
-			break
-		}
-	}
-	if pick < 0 {
-		return fmt.Errorf("datalog: no literal evaluable in %v with bindings %v (ungroundable rule)", body, b)
-	}
-	l := body[pick]
-	rest := make([]Literal, 0, len(body)-1)
-	rest = append(rest, body[:pick]...)
-	rest = append(rest, body[pick+1:]...)
-	return e.eachSolution(l, b, func(nb bindings) error {
-		return e.solve(rest, nb, emit)
-	})
-}
-
-func (e *dlEval) ready(l Literal, b bindings) bool {
-	switch x := l.(type) {
-	case PosAtom:
-		return e.rel(x.Atom.Pred) != nil
-	case deltaAtom:
-		return true
-	case NegAtom:
-		if e.rel(x.Atom.Pred) == nil {
-			return false
-		}
-		for _, a := range x.Atom.Args {
-			if v, ok := a.(Var); ok {
-				if _, bound := b[v.Name]; !bound {
-					return false
-				}
-			}
-		}
-		return true
-	case Cmp:
-		lOK := exprBound(x.L, b)
-		rOK := exprBound(x.R, b)
-		if lOK && rOK {
-			return true
-		}
-		// Assignment form: single unbound variable on one side of "=".
-		if x.Op == value.Eq {
-			if lv, ok := soleVar(x.L); ok && !lOK && rOK {
-				_ = lv
-				return true
-			}
-			if rv, ok := soleVar(x.R); ok && !rOK && lOK {
-				_ = rv
-				return true
-			}
-		}
-		return false
-	case AggLiteral:
-		// Parameters (variables of the body that are bound outside) must
-		// be bound; local variables ground inside.
-		for _, v := range aggParams(x, b) {
-			if _, ok := b[v]; !ok {
-				return false
-			}
-		}
-		return true
-	}
-	return false
-}
-
-// aggParams lists body variables of an aggregate that are already bound
-// in the outer scope (the correlation parameters).
-func aggParams(a AggLiteral, b bindings) []string {
-	seen := map[string]bool{}
-	var out []string
-	var walkExpr func(Expr)
-	walkExpr = func(e Expr) {
-		switch x := e.(type) {
-		case TermExpr:
-			if v, ok := x.T.(Var); ok && !seen[v.Name] {
-				seen[v.Name] = true
-				if _, bound := b[v.Name]; bound {
-					out = append(out, v.Name)
-				}
-			}
-		case BinExpr:
-			walkExpr(x.L)
-			walkExpr(x.R)
-		}
-	}
-	var walkLits func([]Literal)
-	walkLits = func(ls []Literal) {
-		for _, l := range ls {
-			switch x := l.(type) {
-			case PosAtom:
-				for _, t := range x.Atom.Args {
-					if v, ok := t.(Var); ok && !seen[v.Name] {
-						seen[v.Name] = true
-						if _, bound := b[v.Name]; bound {
-							out = append(out, v.Name)
-						}
-					}
-				}
-			case NegAtom:
-				for _, t := range x.Atom.Args {
-					if v, ok := t.(Var); ok && !seen[v.Name] {
-						seen[v.Name] = true
-						if _, bound := b[v.Name]; bound {
-							out = append(out, v.Name)
-						}
-					}
-				}
-			case Cmp:
-				walkExpr(x.L)
-				walkExpr(x.R)
-			case AggLiteral:
-				walkLits(x.Body)
-			}
-		}
-	}
-	walkLits(a.Body)
-	sort.Strings(out)
-	return out
-}
-
-func exprBound(e Expr, b bindings) bool {
-	switch x := e.(type) {
-	case TermExpr:
-		if v, ok := x.T.(Var); ok {
-			_, bound := b[v.Name]
-			return bound
-		}
-		return true
-	case BinExpr:
-		return exprBound(x.L, b) && exprBound(x.R, b)
-	}
-	return false
-}
-
-func soleVar(e Expr) (string, bool) {
-	t, ok := e.(TermExpr)
-	if !ok {
-		return "", false
-	}
-	v, ok := t.T.(Var)
-	return v.Name, ok
-}
-
-func evalExpr(e Expr, b bindings) (value.Value, error) {
-	switch x := e.(type) {
-	case TermExpr:
-		switch t := x.T.(type) {
-		case Var:
-			v, ok := b[t.Name]
-			if !ok {
-				return value.Null(), fmt.Errorf("datalog: unbound variable %q", t.Name)
-			}
-			return v, nil
-		case Const:
-			return t.Val, nil
-		}
-		return value.Null(), fmt.Errorf("datalog: wildcard in expression")
-	case BinExpr:
-		l, err := evalExpr(x.L, b)
-		if err != nil {
-			return value.Null(), err
-		}
-		r, err := evalExpr(x.R, b)
-		if err != nil {
-			return value.Null(), err
-		}
-		var out value.Value
-		var ok bool
-		switch x.Op {
-		case '+':
-			out, ok = value.Add(l, r)
-		case '-':
-			out, ok = value.Sub(l, r)
-		case '*':
-			out, ok = value.Mul(l, r)
-		case '/':
-			out, ok = value.Div(l, r)
-		}
-		if !ok {
-			return value.Null(), fmt.Errorf("datalog: type error in %s", x)
-		}
-		return out, nil
-	}
-	return value.Null(), fmt.Errorf("datalog: unknown expression %T", e)
-}
-
-func (e *dlEval) eachSolution(l Literal, b bindings, k func(bindings) error) error {
-	switch x := l.(type) {
-	case PosAtom:
-		rel := e.rel(x.Atom.Pred)
-		if rel == nil {
-			return fmt.Errorf("datalog: unknown predicate %q", x.Atom.Pred)
-		}
-		if rel.Arity() != len(x.Atom.Args) {
-			return fmt.Errorf("datalog: %s used with arity %d, has %d", x.Atom.Pred, len(x.Atom.Args), rel.Arity())
-		}
-		return solveAtom(x.Atom, rel, b, k)
-	case deltaAtom:
-		return solveAtom(x.Atom, x.rel, b, k)
-	case NegAtom:
-		rel := e.rel(x.Atom.Pred)
-		if rel == nil {
-			return fmt.Errorf("datalog: unknown predicate %q", x.Atom.Pred)
-		}
-		cols, vals := boundArgCols(x.Atom, b)
-		found := false
-		for t := range exec.Probe(rel, cols, vals) {
-			if _, ok := unify(x.Atom, t, b); ok {
-				found = true // a match exists: negation fails
-				break
-			}
-		}
-		if found {
-			return nil
-		}
-		return k(b)
-	case Cmp:
-		lOK := exprBound(x.L, b)
-		rOK := exprBound(x.R, b)
-		if lOK && rOK {
-			l, err := evalExpr(x.L, b)
-			if err != nil {
-				return err
-			}
-			r, err := evalExpr(x.R, b)
-			if err != nil {
-				return err
-			}
-			if x.Op.Apply(l, r) == value.True {
-				return k(b)
-			}
-			return nil
-		}
-		// Assignment.
-		var name string
-		var src Expr
-		if v, ok := soleVar(x.L); ok && !lOK {
-			name, src = v, x.R
-		} else if v, ok := soleVar(x.R); ok && !rOK {
-			name, src = v, x.L
-		} else {
-			return fmt.Errorf("datalog: comparison %s is not evaluable", x)
-		}
-		v, err := evalExpr(src, b)
-		if err != nil {
-			return err
-		}
-		nb := b.clone()
-		nb[name] = v
-		return k(nb)
-	case AggLiteral:
-		v, ok, err := e.aggregate(x, b)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil // min/max/mean over empty body derives nothing
-		}
-		if prev, bound := b[x.Result]; bound {
-			if value.Eq.Apply(prev, v) == value.True {
-				return k(b)
-			}
-			return nil
-		}
-		nb := b.clone()
-		nb[x.Result] = v
-		return k(nb)
-	}
-	return fmt.Errorf("datalog: unknown literal %T", l)
-}
-
-// aggregate evaluates a Soufflé aggregate: local variables ground inside
-// the body and do not export (Section 2.5's FOI discussion); outer
-// bindings parameterize the body.
-func (e *dlEval) aggregate(a AggLiteral, b bindings) (value.Value, bool, error) {
-	var vals []value.Value
-	err := e.solve(a.Body, b, func(nb bindings) error {
-		if a.Expr == nil {
-			vals = append(vals, value.Int(1))
-			return nil
-		}
-		v, err := evalExpr(a.Expr, nb)
-		if err != nil {
-			return err
-		}
-		vals = append(vals, v)
-		return nil
-	})
+	cat := eval.NewCatalog()
+	col, link, err := Lower(p, schemas, pred, cat)
 	if err != nil {
-		return value.Null(), false, err
+		return nil, err
 	}
-	switch a.Func {
-	case "count":
-		return value.Int(int64(len(vals))), true, nil
-	case "sum":
-		// Soufflé convention: sum over the empty set is 0 (Section 2.6).
-		out := value.Int(0)
-		for _, v := range vals {
-			s, ok := value.Add(out, v)
-			if !ok {
-				return value.Null(), false, fmt.Errorf("datalog: sum over non-numeric %v", v)
-			}
-			out = s
-		}
-		return out, true, nil
-	case "min", "max":
-		if len(vals) == 0 {
-			return value.Null(), false, nil
-		}
-		out := vals[0]
-		for _, v := range vals[1:] {
-			c, ok := v.Compare(out)
-			if !ok {
-				return value.Null(), false, fmt.Errorf("datalog: incomparable values in %s", a.Func)
-			}
-			if (a.Func == "min" && c < 0) || (a.Func == "max" && c > 0) {
-				out = v
-			}
-		}
-		return out, true, nil
-	case "mean":
-		if len(vals) == 0 {
-			return value.Null(), false, nil
-		}
-		sum := 0.0
-		for _, v := range vals {
-			if !v.IsNumeric() {
-				return value.Null(), false, fmt.Errorf("datalog: mean over non-numeric %v", v)
-			}
-			sum += v.AsFloat()
-		}
-		return value.Float(sum / float64(len(vals))), true, nil
-	}
-	return value.Null(), false, fmt.Errorf("datalog: unknown aggregate %q", a.Func)
+	return eval.EvalPrepared(col, link, cat, convention.Souffle(), edb, nil, nil)
 }
 
-// solveAtom enumerates the tuples of rel compatible with the atom's
-// already-bound arguments via a hash-index probe, unifying each candidate
-// with b (the probe restricts to key-equal tuples on the bound positions;
-// unify re-checks everything, including repeated variables).
-func solveAtom(a Atom, rel *relation.Relation, b bindings, k func(bindings) error) error {
-	cols, vals := boundArgCols(a, b)
-	var failure error
-	for t := range exec.Probe(rel, cols, vals) {
-		nb, ok := unify(a, t, b)
-		if !ok {
+// Lower prepares a program for internal/eval: every derived predicate
+// becomes an ARC collection (ToARC, with positional attributes x1..xk);
+// pred's collection is returned with its link as the query and the
+// others are registered as views of cat, so mutually recursive
+// predicates run as one fixpoint there. schemas names the attributes of
+// the extensional predicates — atoms are positional, ARC is named.
+// Programs that define an extensional predicate, use a predicate at two
+// arities, or recurse through negation or aggregation are rejected.
+func Lower(p *Program, schemas map[string][]string, pred string, cat *eval.Catalog) (*alt.Collection, *alt.Link, error) {
+	full := make(map[string][]string, len(schemas))
+	for name, attrs := range schemas {
+		full[name] = attrs
+	}
+	idb := map[string]bool{}
+	var derived []string // in program order
+	for _, r := range p.Rules {
+		name := r.Head.Pred
+		if _, isEDB := schemas[name]; isEDB {
+			return nil, nil, fmt.Errorf("datalog: predicate %s is both extensional and derived", name)
+		}
+		if !idb[name] {
+			idb[name] = true
+			derived = append(derived, name)
+			full[name] = schemaFor(nil, name, len(r.Head.Args))
+		}
+	}
+	if !idb[pred] {
+		return nil, nil, fmt.Errorf("datalog: predicate %q is not derived by the program", pred)
+	}
+	if err := checkStratified(p, idb); err != nil {
+		return nil, nil, err
+	}
+	var target *alt.Collection
+	for _, name := range derived {
+		col, err := ToARC(p, full, name)
+		if err != nil {
+			return nil, nil, err
+		}
+		if name == pred {
+			target = col
 			continue
 		}
-		if err := k(nb); err != nil {
-			failure = err
-			break
+		if err := cat.DefineView(col); err != nil {
+			return nil, nil, fmt.Errorf("datalog: %w", err)
 		}
 	}
-	return failure
+	link, err := alt.ValidateCollection(target)
+	if err != nil {
+		return nil, nil, fmt.Errorf("datalog: %s: %w", pred, err)
+	}
+	return target, link, nil
 }
 
-// boundArgCols lists the argument positions of a whose value is already
-// determined — constants and bound variables — with those values, giving
-// the probe key for an index lookup. Values whose key identity is weaker
-// than Eq (integral numerics beyond 2^53) are left to unify's re-check.
-func boundArgCols(a Atom, b bindings) ([]int, []value.Value) {
-	var cols []int
-	var vals []value.Value
-	for i, arg := range a.Args {
-		switch x := arg.(type) {
-		case Const:
-			if x.Val.Indexable() {
-				cols = append(cols, i)
-				vals = append(vals, x.Val)
-			}
-		case Var:
-			if v, ok := b[x.Name]; ok && v.Indexable() {
-				cols = append(cols, i)
-				vals = append(vals, v)
-			}
-		}
+// checkStratified rejects programs in which a predicate depends on its
+// own stratum through negation or aggregation: everything negated or
+// inside an aggregate body must be complete before it is read.
+func checkStratified(p *Program, idb map[string]bool) error {
+	var deps []fixpoint.Dep
+	for _, r := range p.Rules {
+		walkAtoms(r.Body, false, func(a Atom, strict bool) {
+			deps = append(deps, fixpoint.Dep{Head: r.Head.Pred, Dep: a.Pred, Strict: strict})
+		})
 	}
-	return cols, vals
+	if _, _, err := fixpoint.Stratify(idb, deps); err != nil {
+		return fmt.Errorf("datalog: program is not stratifiable (negation or aggregation through recursion)")
+	}
+	return nil
 }
 
-func unify(a Atom, t relation.Tuple, b bindings) (bindings, bool) {
-	nb := b
-	cloned := false
-	for i, arg := range a.Args {
-		switch x := arg.(type) {
-		case Wildcard:
-		case Const:
-			if value.Eq.Apply(x.Val, t[i]) != value.True {
-				return nil, false
-			}
-		case Var:
-			if v, ok := nb[x.Name]; ok {
-				if value.Eq.Apply(v, t[i]) != value.True {
-					return nil, false
-				}
-				continue
-			}
-			if !cloned {
-				nb = b.clone()
-				cloned = true
-			}
-			nb[x.Name] = t[i]
+// walkAtoms visits every atom of a body, descending into aggregate
+// bodies; strict marks an occurrence under negation or inside an
+// aggregate.
+func walkAtoms(body []Literal, strict bool, visit func(a Atom, strict bool)) {
+	for _, l := range body {
+		switch x := l.(type) {
+		case PosAtom:
+			visit(x.Atom, strict)
+		case NegAtom:
+			visit(x.Atom, true)
+		case AggLiteral:
+			walkAtoms(x.Body, true, visit)
 		}
 	}
-	return nb, true
 }

@@ -11,25 +11,32 @@ import (
 // (Section 2.9: multiple rules with the same head become one definition
 // with a disjunction; recursion stays a reference to the head relation;
 // Soufflé aggregates become the FOI pattern of Fig 5c — a correlated
-// nested collection with γ∅).
+// nested collection with γ∅). It is also how programs execute: Lower
+// translates every derived predicate and internal/eval runs the result.
 //
 // schemas supplies named attributes for every predicate used (the named
 // perspective needs them); IDB predicates default to x1..xk.
 func ToARC(p *Program, schemas map[string][]string, pred string) (*alt.Collection, error) {
 	var rules []*Rule
-	arity := -1
+	tr := &arcTranslator{schemas: schemas, preds: map[string]bool{}}
 	for _, r := range p.Rules {
+		tr.preds[r.Head.Pred] = true
+		walkAtoms(r.Body, false, func(a Atom, _ bool) { tr.preds[a.Pred] = true })
 		if r.Head.Pred != pred {
 			continue
 		}
+		if len(rules) > 0 && len(r.Head.Args) != len(rules[0].Head.Args) {
+			return nil, fmt.Errorf("datalog: predicate %s used with arities %d and %d", pred, len(rules[0].Head.Args), len(r.Head.Args))
+		}
 		rules = append(rules, r)
-		arity = len(r.Head.Args)
 	}
 	if len(rules) == 0 {
 		return nil, fmt.Errorf("datalog: no rules define %q", pred)
 	}
-	attrs := schemaFor(schemas, pred, arity)
-	tr := &arcTranslator{schemas: schemas}
+	attrs := schemaFor(schemas, pred, len(rules[0].Head.Args))
+	if len(attrs) != len(rules[0].Head.Args) {
+		return nil, fmt.Errorf("datalog: %s has %d attributes, defined with %d arguments", pred, len(attrs), len(rules[0].Head.Args))
+	}
 	var branches []alt.Formula
 	for _, r := range rules {
 		br, err := tr.rule(r, pred, attrs)
@@ -60,66 +67,47 @@ func schemaFor(schemas map[string][]string, pred string, arity int) []string {
 
 type arcTranslator struct {
 	schemas map[string][]string
-	fresh   int
+	// preds holds every predicate name of the program. Range variables
+	// and nested collection heads must avoid them: ARC resolves a name to
+	// the innermost range variable or head before any relation.
+	preds map[string]bool
+	fresh int
 }
 
 func (tr *arcTranslator) gensym(prefix string) string {
-	tr.fresh++
-	return fmt.Sprintf("%s%d", prefix, tr.fresh)
+	for {
+		tr.fresh++
+		name := fmt.Sprintf("%s%d", prefix, tr.fresh)
+		if !tr.preds[name] {
+			return name
+		}
+	}
 }
 
-// siteMap tracks, for each Datalog variable, the ARC attribute reference
-// of its first (binding) occurrence.
-type siteMap map[string]*alt.AttrRef
+// siteMap tracks, for each grounded Datalog variable, the ARC term that
+// computes it: the attribute reference of its first positive occurrence,
+// the right-hand side of an assignment-form equality, or an aggregate's
+// result. Uses clone the term, so the ALT stays a tree.
+type siteMap map[string]alt.Term
+
+// scoped returns a copy for a nested scope: what the scope grounds
+// locally must not leak out ("you cannot export information from within
+// the body of an aggregate"), while outer sites stay visible as
+// correlated references.
+func (s siteMap) scoped() siteMap {
+	inner := make(siteMap, len(s))
+	for k, v := range s {
+		inner[k] = v
+	}
+	return inner
+}
 
 func (tr *arcTranslator) rule(r *Rule, pred string, headAttrs []string) (alt.Formula, error) {
 	sites := siteMap{}
-	var bindings []*alt.Binding
-	var conjs []alt.Formula
-	// Positive atoms first: they ground variables.
-	var rest []Literal
-	for _, l := range r.Body {
-		if pa, ok := l.(PosAtom); ok {
-			b, preds, err := tr.atomBinding(pa.Atom, sites)
-			if err != nil {
-				return nil, err
-			}
-			bindings = append(bindings, b)
-			conjs = append(conjs, preds...)
-			continue
-		}
-		rest = append(rest, l)
+	bindings, conjs, err := tr.body(r.Body, sites)
+	if err != nil {
+		return nil, err
 	}
-	for _, l := range rest {
-		switch x := l.(type) {
-		case NegAtom:
-			f, err := tr.negAtom(x.Atom, sites)
-			if err != nil {
-				return nil, err
-			}
-			conjs = append(conjs, f)
-		case Cmp:
-			l2, err := tr.expr(x.L, sites)
-			if err != nil {
-				return nil, err
-			}
-			r2, err := tr.expr(x.R, sites)
-			if err != nil {
-				return nil, err
-			}
-			conjs = append(conjs, &alt.Pred{Left: l2, Op: x.Op, Right: r2})
-		case AggLiteral:
-			b, ref, err := tr.aggregate(x, sites)
-			if err != nil {
-				return nil, err
-			}
-			bindings = append(bindings, b)
-			sites[x.Result] = ref
-		default:
-			return nil, fmt.Errorf("datalog: cannot translate literal %T", l)
-		}
-	}
-	// Head assignments.
 	for i, a := range r.Head.Args {
 		headRef := alt.Ref(pred, headAttrs[i])
 		switch x := a.(type) {
@@ -128,7 +116,7 @@ func (tr *arcTranslator) rule(r *Rule, pred string, headAttrs []string) (alt.For
 			if !ok {
 				return nil, fmt.Errorf("datalog: head variable %q of %s not grounded in body", x.Name, pred)
 			}
-			conjs = append(conjs, alt.Eq(headRef, site))
+			conjs = append(conjs, alt.Eq(headRef, alt.CloneTerm(site)))
 		case Const:
 			conjs = append(conjs, alt.Eq(headRef, alt.CVal(x.Val)))
 		case Wildcard:
@@ -136,18 +124,131 @@ func (tr *arcTranslator) rule(r *Rule, pred string, headAttrs []string) (alt.For
 		}
 	}
 	if len(bindings) == 0 {
-		return nil, fmt.Errorf("datalog: rule for %s has no positive atoms", pred)
+		// A fact, or a body of comparisons only: nothing to range over,
+		// the head assignments stand on their own.
+		return alt.AndF(conjs...), nil
 	}
 	return alt.Exists(bindings, alt.AndF(conjs...)), nil
 }
 
-// atomBinding introduces a range variable for one positive atom and the
-// equality predicates tying argument occurrences together.
-func (tr *arcTranslator) atomBinding(a Atom, sites siteMap) (*alt.Binding, []alt.Formula, error) {
-	attrs := tr.schemas[a.Pred]
-	if attrs == nil {
-		attrs = schemaFor(tr.schemas, a.Pred, len(a.Args))
+// body translates a rule or aggregate body into the bindings and
+// conjuncts of one ARC scope, extending sites with what the body
+// grounds. Positive atoms ground first; then assignment-form equalities
+// ("y = x*2+1" with y not yet grounded) and aggregate results, an
+// aggregate only once no equality can make progress, so every outer
+// variable it can correlate on already has a site; what is left filters.
+func (tr *arcTranslator) body(lits []Literal, sites siteMap) ([]*alt.Binding, []alt.Formula, error) {
+	var bindings []*alt.Binding
+	var conjs []alt.Formula
+	var pending []Literal
+	for _, l := range lits {
+		pa, ok := l.(PosAtom)
+		if !ok {
+			pending = append(pending, l)
+			continue
+		}
+		b, preds, err := tr.atomBinding(pa.Atom, sites, true)
+		if err != nil {
+			return nil, nil, err
+		}
+		bindings = append(bindings, b)
+		conjs = append(conjs, preds...)
 	}
+	for progress := true; progress; {
+		progress = false
+		var rest []Literal
+		for _, l := range pending {
+			if c, ok := l.(Cmp); ok && c.Op == value.Eq && tr.assign(c, sites) {
+				progress = true
+				continue
+			}
+			rest = append(rest, l)
+		}
+		pending = rest
+		if progress {
+			continue
+		}
+		for i, l := range pending {
+			agg, ok := l.(AggLiteral)
+			if !ok {
+				continue
+			}
+			b, res, err := tr.aggregate(agg, sites)
+			if err != nil {
+				return nil, nil, err
+			}
+			bindings = append(bindings, b)
+			if agg.Func == "min" || agg.Func == "max" || agg.Func == "mean" {
+				// Over an empty body these derive nothing; ARC's γ∅
+				// yields one group with a NULL result instead.
+				conjs = append(conjs, alt.NotNull(alt.CloneTerm(res)))
+			}
+			if site, grounded := sites[agg.Result]; grounded {
+				conjs = append(conjs, alt.Eq(alt.CloneTerm(site), alt.CloneTerm(res)))
+			} else {
+				sites[agg.Result] = res
+			}
+			pending = append(pending[:i:i], pending[i+1:]...)
+			progress = true
+			break
+		}
+	}
+	for _, l := range pending {
+		switch x := l.(type) {
+		case NegAtom:
+			b, preds, err := tr.atomBinding(x.Atom, sites, false)
+			if err != nil {
+				return nil, nil, err
+			}
+			conjs = append(conjs, alt.NotF(alt.Exists([]*alt.Binding{b}, alt.AndF(preds...))))
+		case Cmp:
+			l2, err := tr.expr(x.L, sites)
+			if err != nil {
+				return nil, nil, err
+			}
+			r2, err := tr.expr(x.R, sites)
+			if err != nil {
+				return nil, nil, err
+			}
+			conjs = append(conjs, &alt.Pred{Left: l2, Op: x.Op, Right: r2})
+		default:
+			return nil, nil, fmt.Errorf("datalog: cannot translate literal %T", l)
+		}
+	}
+	return bindings, conjs, nil
+}
+
+// assign treats "v = expr" (either way round) as the definition of v when
+// v has no site yet and expr is fully grounded.
+func (tr *arcTranslator) assign(c Cmp, sites siteMap) bool {
+	for _, side := range [2][2]Expr{{c.L, c.R}, {c.R, c.L}} {
+		t, ok := side[0].(TermExpr)
+		if !ok {
+			continue
+		}
+		v, ok := t.T.(Var)
+		if !ok {
+			continue
+		}
+		if _, grounded := sites[v.Name]; grounded {
+			continue
+		}
+		def, err := tr.expr(side[1], sites)
+		if err != nil {
+			continue // not grounded yet; a later pass may get there
+		}
+		sites[v.Name] = def
+		return true
+	}
+	return false
+}
+
+// atomBinding introduces a range variable for one atom and the equality
+// predicates tying its arguments to constants and grounded variables. A
+// positive atom (grounds) gives the variables it meets first their site;
+// a negated atom grounds nothing, so every variable must have one.
+func (tr *arcTranslator) atomBinding(a Atom, sites siteMap, grounds bool) (*alt.Binding, []alt.Formula, error) {
+	attrs := schemaFor(tr.schemas, a.Pred, len(a.Args))
 	if len(attrs) != len(a.Args) {
 		return nil, nil, fmt.Errorf("datalog: %s has %d attributes, used with %d arguments", a.Pred, len(attrs), len(a.Args))
 	}
@@ -161,30 +262,21 @@ func (tr *arcTranslator) atomBinding(a Atom, sites siteMap) (*alt.Binding, []alt
 			preds = append(preds, alt.Eq(ref, alt.CVal(x.Val)))
 		case Var:
 			if site, ok := sites[x.Name]; ok {
-				preds = append(preds, alt.Eq(ref, site))
-			} else {
+				preds = append(preds, alt.Eq(ref, alt.CloneTerm(site)))
+			} else if grounds {
 				sites[x.Name] = ref
+			} else {
+				return nil, nil, fmt.Errorf("datalog: variable %q of !%s not grounded by a positive atom", x.Name, a)
 			}
 		}
 	}
 	return alt.Bind(v, a.Pred), preds, nil
 }
 
-// negAtom translates "!P(…)" into ¬∃.
-func (tr *arcTranslator) negAtom(a Atom, sites siteMap) (alt.Formula, error) {
-	inner := siteMap{}
-	for k, v := range sites {
-		inner[k] = v
-	}
-	b, preds, err := tr.atomBinding(a, inner)
-	if err != nil {
-		return nil, err
-	}
-	return alt.NotF(alt.Exists([]*alt.Binding{b}, alt.AndF(preds...))), nil
-}
-
 // aggregate translates "res = sum e : {body}" into the FOI pattern: a
-// correlated nested collection with γ∅ (Fig 5c / query (7)).
+// correlated nested collection with γ∅ (Fig 5c / query (7)). It returns
+// the binding ranging over that collection and the reference to its
+// single result attribute.
 func (tr *arcTranslator) aggregate(a AggLiteral, sites siteMap) (*alt.Binding, *alt.AttrRef, error) {
 	var fn alt.AggFunc
 	switch a.Func {
@@ -201,57 +293,23 @@ func (tr *arcTranslator) aggregate(a AggLiteral, sites siteMap) (*alt.Binding, *
 	default:
 		return nil, nil, fmt.Errorf("datalog: unknown aggregate %q", a.Func)
 	}
-	name := "X" + tr.gensym("agg")
-	// The aggregate body grounds its local variables in a private scope;
-	// variables already bound outside become correlated references.
-	inner := siteMap{}
-	for k, v := range sites {
-		inner[k] = v
+	inner := sites.scoped()
+	bindings, conjs, err := tr.body(a.Body, inner)
+	if err != nil {
+		return nil, nil, err
 	}
-	var bindings []*alt.Binding
-	var conjs []alt.Formula
-	for _, l := range a.Body {
-		switch x := l.(type) {
-		case PosAtom:
-			b, preds, err := tr.atomBinding(x.Atom, inner)
-			if err != nil {
-				return nil, nil, err
-			}
-			bindings = append(bindings, b)
-			conjs = append(conjs, preds...)
-		case NegAtom:
-			f, err := tr.negAtom(x.Atom, inner)
-			if err != nil {
-				return nil, nil, err
-			}
-			conjs = append(conjs, f)
-		case Cmp:
-			l2, err := tr.expr(x.L, inner)
-			if err != nil {
-				return nil, nil, err
-			}
-			r2, err := tr.expr(x.R, inner)
-			if err != nil {
-				return nil, nil, err
-			}
-			conjs = append(conjs, &alt.Pred{Left: l2, Op: x.Op, Right: r2})
-		default:
-			return nil, nil, fmt.Errorf("datalog: nested aggregates are not supported")
-		}
+	if len(bindings) == 0 {
+		return nil, nil, fmt.Errorf("datalog: the body of %s has no positive atom to aggregate over", a)
 	}
-	var arg alt.Term
-	if a.Expr == nil {
-		arg = alt.CInt(1)
-	} else {
-		t, err := tr.expr(a.Expr, inner)
-		if err != nil {
+	var arg alt.Term = alt.CInt(1)
+	if a.Expr != nil {
+		if arg, err = tr.expr(a.Expr, inner); err != nil {
 			return nil, nil, err
 		}
-		arg = t
 	}
+	name := tr.gensym("Xagg")
 	conjs = append(conjs, alt.Eq(alt.Ref(name, "res"), &alt.Agg{Func: fn, Arg: arg}))
-	col := alt.Col(name, []string{"res"},
-		alt.ExistsG(bindings, nil, alt.AndF(conjs...)))
+	col := alt.Col(name, []string{"res"}, alt.ExistsG(bindings, nil, alt.AndF(conjs...)))
 	v := tr.gensym("x")
 	return alt.BindSub(v, col), alt.Ref(v, "res"), nil
 }
@@ -265,7 +323,7 @@ func (tr *arcTranslator) expr(e Expr, sites siteMap) (alt.Term, error) {
 			if !ok {
 				return nil, fmt.Errorf("datalog: variable %q not grounded by a positive atom", t.Name)
 			}
-			return site, nil
+			return alt.CloneTerm(site), nil
 		case Const:
 			return alt.CVal(t.Val), nil
 		}
@@ -294,5 +352,3 @@ func (tr *arcTranslator) expr(e Expr, sites siteMap) (alt.Term, error) {
 	}
 	return nil, fmt.Errorf("datalog: unknown expression %T", e)
 }
-
-var _ = value.Null

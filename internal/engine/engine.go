@@ -17,7 +17,8 @@
 // Prepare parses, validates, and plans ONCE; Query binds arguments and
 // executes without re-planning — SQL placeholders ($1, $2, …) are
 // plan-time leaves resolved at bind time, and ARC/Datalog statements bind
-// named input relations through the evaluator override / EDB slots.
+// named input relations through the evaluator's override slot (a Datalog
+// program is lowered to ARC at Prepare and runs on the same evaluator).
 // Query returns a streaming cursor driven directly off the internal/exec
 // iterator tree (no forced materialization for planner-compiled SQL),
 // with context cancellation checked in the operator pull loop and in
@@ -43,10 +44,8 @@ import (
 
 	"repro/internal/alt"
 	"repro/internal/convention"
-	"repro/internal/datalog"
 	"repro/internal/eval"
 	"repro/internal/relation"
-	"repro/internal/sql"
 	"repro/internal/storage"
 )
 
@@ -360,77 +359,4 @@ func checkFromCtx(ctx context.Context) func() error {
 		return nil
 	}
 	return ctx.Err
-}
-
-// referencedSQL lists the base tables a SQL query reads.
-func referencedSQL(q sql.Query) []string { return sql.Tables(q) }
-
-// referencedARC lists the relation names an ARC collection binds,
-// including nested comprehension sources.
-func referencedARC(col *alt.Collection) []string {
-	var out []string
-	seen := map[string]bool{}
-	var walkF func(alt.Formula)
-	var walkC func(*alt.Collection)
-	walkF = func(f alt.Formula) {
-		switch x := f.(type) {
-		case *alt.And:
-			for _, k := range x.Kids {
-				walkF(k)
-			}
-		case *alt.Or:
-			for _, k := range x.Kids {
-				walkF(k)
-			}
-		case *alt.Not:
-			walkF(x.Kid)
-		case *alt.Quantifier:
-			for _, b := range x.Bindings {
-				if b.Sub != nil {
-					walkC(b.Sub)
-					continue
-				}
-				if !seen[b.Rel] {
-					seen[b.Rel] = true
-					out = append(out, b.Rel)
-				}
-			}
-			walkF(x.Body)
-		}
-	}
-	walkC = func(c *alt.Collection) { walkF(c.Body) }
-	walkC(col)
-	return out
-}
-
-// referencedDatalog lists the predicates a program reads or derives.
-func referencedDatalog(p *datalog.Program) []string {
-	var out []string
-	seen := map[string]bool{}
-	add := func(name string) {
-		if !seen[name] {
-			seen[name] = true
-			out = append(out, name)
-		}
-	}
-	var addLit func(l datalog.Literal)
-	addLit = func(l datalog.Literal) {
-		switch x := l.(type) {
-		case datalog.PosAtom:
-			add(x.Atom.Pred)
-		case datalog.NegAtom:
-			add(x.Atom.Pred)
-		case datalog.AggLiteral:
-			for _, bl := range x.Body {
-				addLit(bl)
-			}
-		}
-	}
-	for _, r := range p.Rules {
-		add(r.Head.Pred)
-		for _, l := range r.Body {
-			addLit(l)
-		}
-	}
-	return out
 }

@@ -160,6 +160,111 @@ func TestDatalogPreparedWithBinding(t *testing.T) {
 	if rel.Distinct() != 3 {
 		t.Fatalf("TC over bound chain(2) has %d pairs, want 3", rel.Distinct())
 	}
+	// Atoms are positional: a binding with other attribute names works.
+	renamed := chain(2).Rename("Edges", []string{"from", "to"})
+	rel, err = stmt.QueryAll(context.Background(), In("P", renamed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel.Distinct() != 3 {
+		t.Fatalf("TC over a renamed binding has %d pairs, want 3", rel.Distinct())
+	}
+	if _, err := stmt.QueryAll(context.Background(), In("P", relation.New("P", "only").Add(1))); err == nil {
+		t.Fatal("binding P at the wrong arity should fail")
+	}
+	// A predicate that exists only as a binding: Prepare succeeds without
+	// it, execution needs it.
+	stmt, err = Open().Prepare(LangDatalog, "A(x,y) :- P(x,y). A(x,y) :- P(x,z), A(z,y).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stmt.QueryAll(context.Background()); err == nil {
+		t.Fatal("running without the binding should fail")
+	}
+	for _, p := range []*relation.Relation{chain(3), renamed} {
+		rel, err = stmt.QueryAll(context.Background(), In("P", p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := p.Distinct() * (p.Distinct() + 1) / 2; rel.Distinct() != want {
+			t.Fatalf("TC over a binding-only P has %d pairs, want %d", rel.Distinct(), want)
+		}
+	}
+}
+
+// TestDatalogRunsUnderSouffleConventions: a Datalog statement is ARC
+// under Soufflé conventions whatever the DB's ARC conventions are — sum
+// over an empty body is 0 (not NULL) and the output is a set.
+func TestDatalogRunsUnderSouffleConventions(t *testing.T) {
+	r := relation.New("R", "ak", "b").Add(1, 2).Add(1, 2).Add(1, 3)
+	s := relation.New("S", "a", "b")
+	want := relation.New("W", "ak", "sm").Add(1, 0)
+	for _, conv := range []convention.Conventions{convention.SetLogic(), convention.SQL()} {
+		db := Open(r, s).SetConventions(conv)
+		got, err := db.QueryAll(context.Background(), LangDatalog,
+			"Q(ak,sm) :- R(ak,_), sm = sum b : {S(a,b), a < ak}.")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.EqualBag(want) {
+			t.Fatalf("under %s ARC conventions:\n%s", conv, got)
+		}
+	}
+}
+
+func TestDatalogUnstratifiableRejected(t *testing.T) {
+	db := Open(relation.New("N", "v").Add(1))
+	_, err := db.Prepare(LangDatalog, "A(x) :- N(x), !B(x). B(x) :- N(x), !A(x).")
+	if err == nil || !strings.Contains(err.Error(), "stratifiable") {
+		t.Fatalf("want the stratification error at Prepare, got %v", err)
+	}
+}
+
+// TestDatalogExplainGolden pins EXPLAIN for a Datalog statement: the
+// per-scope plans of the collections the program lowers to — the target
+// first, then the predicates it reads as views — and, under ANALYZE, the
+// fixpoint round history.
+func TestDatalogExplainGolden(t *testing.T) {
+	db := Open(chain(3), relation.New("N", "v").Add(0).Add(1))
+	stmt, err := db.Prepare(LangDatalog, `
+		R(x,y) :- P(x,y).
+		R(x,y) :- P(x,z), R(z,y).
+		Un(x,y) :- N(x), N(y), !R(x,y).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := stmt.Explain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `scope ∃t1 ∈ N, t2 ∈ N:
+  (environment enumeration: boolean subformulas need environments)
+scope ∃t3 ∈ R:
+  IndexJoin R [t3] probe(t3.x1 = t1.v, t3.x2 = t2.v)
+view R:
+Fixpoint R (semi-naive, ΔR per round):
+  rule 1 [seed]:
+    scope ∃t1 ∈ P:
+      Scan P [t1]
+      Produce {x1 = t1.s, x2 = t1.t}
+  rule 2 [delta (semi-naive)]:
+    scope ∃t2 ∈ P, t3 ∈ R:
+      Scan P [t2]
+      IndexJoin R [t3] probe(t3.x1 = t2.t)
+      Produce {x1 = t2.s, x2 = t3.x2}
+`
+	if got != want {
+		t.Fatalf("datalog explain mismatch\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	text, err := stmt.ExplainAnalyze(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{want, "Fixpoint R: rounds=3 deltas=[5 1 0]", "Total: rows=3"} {
+		if !strings.Contains(text, line) {
+			t.Errorf("analyze output lacks %q:\n%s", line, text)
+		}
+	}
 }
 
 func TestThreeLanguageAgreement(t *testing.T) {

@@ -111,7 +111,7 @@ func (s *Stmt) autocommit(vals []value.Value, check func() error) (Result, int, 
 		ws := db.store.Begin()
 		cur := s
 		if s.q != nil && s.gen != ws.Base().Gen() {
-			fresh, err := compileStmt(db, s.lang, s.src, s.pred, copyRels(ws.Base().Rels()), db.catalogAt(ws.Base()), s.conv)
+			fresh, err := compileStmt(db, s.lang, s.src, "", copyRels(ws.Base().Rels()), db.catalogAt(ws.Base()), s.conv)
 			if err != nil {
 				return Result{}, attempt, err
 			}

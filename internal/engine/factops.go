@@ -34,8 +34,6 @@ func compileFactOps(db *DB, lang Lang, src string, rels map[string]*relation.Rel
 	if err != nil {
 		return nil, err
 	}
-	refs := make([]string, 0, 1)
-	seen := map[string]bool{}
 	for _, op := range ops {
 		target, ok := rels[op.rel]
 		if !ok {
@@ -44,12 +42,8 @@ func compileFactOps(db *DB, lang Lang, src string, rels map[string]*relation.Rel
 		if len(op.tuple) != target.Arity() {
 			return nil, fmt.Errorf("engine: %s takes %d argument(s), got %d", op.rel, target.Arity(), len(op.tuple))
 		}
-		if !seen[op.rel] {
-			seen[op.rel] = true
-			refs = append(refs, op.rel)
-		}
 	}
-	return &Stmt{db: db, lang: lang, kind: KindDML, src: src, ops: ops, refs: refs}, nil
+	return &Stmt{db: db, lang: lang, kind: KindDML, src: src, ops: ops}, nil
 }
 
 // parseFactOps parses "+Rel(lit, …)" / "-Rel(lit, …)" sequences.

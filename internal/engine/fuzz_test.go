@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"testing"
+	"time"
 
 	"repro/internal/relation"
 )
@@ -58,14 +59,28 @@ func FuzzPrepareARC(f *testing.F) {
 	})
 }
 
-// FuzzPrepareDatalog asserts Datalog program parsing never panics on
-// arbitrary bytes.
+// FuzzPrepareDatalog asserts that no Datalog source panics anywhere on
+// its way through parsing, lowering to ARC, and evaluation: whatever
+// prepares is also executed. The deadline cuts programs that diverge
+// (arithmetic recursion keeps deriving new values) at the fixpoint's
+// per-round cancellation poll.
 func FuzzPrepareDatalog(f *testing.F) {
 	for _, seed := range []string{
 		"A(x,y) :- P(x,y). A(x,y) :- P(x,z), A(z,y).",
 		"A(x) :- P(x, _), !Q(x).",
 		"A(s) :- s = sum x : { P(x, y) }.",
 		"A(x :-", ":-", "A().", "A(x) :- A(x).", "%comment only", "\x00.",
+		// Facts, assignment form, aggregate-only bodies, mutual and
+		// non-linear recursion, and recursion that never converges.
+		"F(1,2). F(2,3). G(x) :- F(x,_).",
+		"Q(x,y) :- R(x,_), y = x * 2 + 1.",
+		"Q(z) :- R(x,_), z = y / 0, y = x - 1.",
+		"M(m) :- m = min b : {R(_,b)}. C(c) :- c = count : {R(_,_)}.",
+		"T(m) :- m = max s : {R(a,_), s = sum b : {R(a,b)}}.",
+		"E(x) :- R(x,_). E(y) :- P(x,y), O(x). O(y) :- P(x,y), E(x).",
+		"A(x,y) :- P(x,y). A(x,y) :- A(x,z), A(z,y).",
+		"N(0). N(y) :- N(x), y = x + 1.",
+		"t1(x) :- P(x,_). x2(x) :- t1(x), !P(_,x).",
 	} {
 		f.Add(seed)
 	}
@@ -73,7 +88,13 @@ func FuzzPrepareDatalog(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		stmt, err := db.Prepare(LangDatalog, src)
 		assertNoPanicError(t, err)
-		_ = stmt
+		if err != nil || stmt.Kind() != KindQuery {
+			return
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		defer cancel()
+		_, err = stmt.QueryAll(ctx)
+		assertNoPanicError(t, err)
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -22,11 +23,12 @@ import (
 )
 
 // Binding names an input relation for ARC and Datalog statement
-// execution: ARC statements read it through the evaluator's override
-// slot (shadowing a catalog relation of the same name for that execution
-// only), Datalog statements through an EDB slot. Bindings are a
-// query-only affordance — binding a relation to a DML statement is
-// ErrDMLBinding.
+// execution: both read it through the evaluator's override slot
+// (shadowing a catalog relation of the same name for that execution
+// only). ARC names attributes, so the bound relation must carry the ones
+// the query reads; Datalog atoms are positional, so only its arity
+// matters. Bindings are a query-only affordance — binding a relation to
+// a DML statement is ErrDMLBinding.
 type Binding struct {
 	Name string
 	Rel  *relation.Relation
@@ -99,10 +101,9 @@ type Stmt struct {
 	src     string
 	cols    []string
 	nparams int
-	refs    []string // referenced relation names (diagnostics)
-	gen     uint64   // store commit generation the snapshot compiled under
-	ver     uint64   // write-set version, for transaction-owned statements
-	tx      *Tx      // non-nil when prepared inside a transaction
+	gen     uint64 // store commit generation the snapshot compiled under
+	ver     uint64 // write-set version, for transaction-owned statements
+	tx      *Tx    // non-nil when prepared inside a transaction
 
 	// SQL query machinery — also the embedded query of INSERT … SELECT
 	// and the synthetic full-row SELECT of DELETE … WHERE.
@@ -118,15 +119,12 @@ type Stmt struct {
 	// ARC / Datalog fact ops
 	ops []factOp
 
-	// ARC
+	// ARC, and Datalog lowered to ARC (the target predicate's collection;
+	// the program's other predicates are views of cat)
 	col  *alt.Collection
 	link *alt.Link
 	cat  *eval.Catalog
 	conv convention.Conventions
-
-	// Datalog
-	prog *datalog.Program
-	pred string
 
 	// lastTrace holds the trace of the most recent traced execution
 	// through this handle (QueryTraced / ExplainAnalyze), for callers
@@ -144,7 +142,7 @@ func compileStmt(db *DB, lang Lang, src, pred string, rels map[string]*relation.
 			return compileFactOps(db, lang, src, rels)
 		}
 		if lang == LangDatalog {
-			return compileDatalog(db, src, pred, rels)
+			return compileDatalog(db, src, pred, rels, nil)
 		}
 		col, err := arc.ParseCollection(src)
 		if err != nil {
@@ -177,12 +175,12 @@ func compileSQL(db *DB, src string, rels map[string]*relation.Relation) (*Stmt, 
 			}
 			seen[c] = true
 		}
-		return &Stmt{db: db, lang: LangSQL, kind: KindDDL, src: src, st: x, refs: []string{x.Name}}, nil
+		return &Stmt{db: db, lang: LangSQL, kind: KindDDL, src: src, st: x}, nil
 	case *sql.DropTable:
 		if _, ok := rels[x.Name]; !ok {
 			return nil, fmt.Errorf("engine: DROP TABLE %s: unknown relation", x.Name)
 		}
-		return &Stmt{db: db, lang: LangSQL, kind: KindDDL, src: src, st: x, refs: []string{x.Name}}, nil
+		return &Stmt{db: db, lang: LangSQL, kind: KindDDL, src: src, st: x}, nil
 	case *sql.BeginStmt:
 		return &Stmt{db: db, lang: LangSQL, kind: KindBegin, src: src}, nil
 	case *sql.CommitStmt:
@@ -201,7 +199,6 @@ func compileSQLQuery(db *DB, src string, q sql.Query, rels map[string]*relation.
 		src:     src,
 		q:       q,
 		nparams: sql.MaxParam(q),
-		refs:    referencedSQL(q),
 		rels:    rels,
 	}
 	if p, err := plan.Compile(q, rels); err == nil {
@@ -234,7 +231,6 @@ func compileInsert(db *DB, src string, ins *sql.Insert, rels map[string]*relatio
 		src:     src,
 		st:      ins,
 		nparams: sql.MaxParamStmt(ins),
-		refs:    append([]string{ins.Table}, insertQueryRefs(ins)...),
 		rels:    rels,
 	}
 	width := target.Arity()
@@ -285,13 +281,6 @@ func compileInsert(db *DB, src string, ins *sql.Insert, rels map[string]*relatio
 	return s, nil
 }
 
-func insertQueryRefs(ins *sql.Insert) []string {
-	if ins.Query == nil {
-		return nil
-	}
-	return referencedSQL(ins.Query)
-}
-
 // compileDelete lowers DELETE FROM t [alias] WHERE cond into a synthetic
 // full-row SELECT over the target (so the WHERE runs through the planner
 // like any query), executed at Exec time to enumerate the tuples to
@@ -319,7 +308,6 @@ func compileDelete(db *DB, src string, del *sql.Delete, rels map[string]*relatio
 		st:      del,
 		q:       q,
 		nparams: sql.MaxParamStmt(del),
-		refs:    referencedSQL(q),
 		rels:    rels,
 	}
 	if p, err := plan.Compile(q, rels); err == nil {
@@ -378,7 +366,6 @@ func compileUpdate(db *DB, src string, up *sql.Update, rels map[string]*relation
 		q:       q,
 		insPos:  pos,
 		nparams: sql.MaxParamStmt(up),
-		refs:    referencedSQL(q),
 		rels:    rels,
 	}
 	if p, err := plan.Compile(q, rels); err == nil {
@@ -458,7 +445,6 @@ func compileARC(db *DB, col *alt.Collection, src string, cat *eval.Catalog, conv
 		kind: KindQuery,
 		src:  src,
 		cols: col.Head.Attrs,
-		refs: referencedARC(col),
 		col:  col,
 		link: link,
 		cat:  cat,
@@ -466,7 +452,11 @@ func compileARC(db *DB, col *alt.Collection, src string, cat *eval.Catalog, conv
 	}, nil
 }
 
-func compileDatalog(db *DB, src, pred string, rels map[string]*relation.Relation) (*Stmt, error) {
+// compileDatalog lowers a program to ARC once: Datalog is ARC under
+// Soufflé conventions, whatever conventions the DB's ARC statements use.
+// bound holds the input relations of one execution whose schemas take
+// precedence over rels' (see forInputs); nil at Prepare.
+func compileDatalog(db *DB, src, pred string, rels, bound map[string]*relation.Relation) (*Stmt, error) {
 	prog, err := datalog.Parse(src)
 	if err != nil {
 		return nil, err
@@ -477,35 +467,60 @@ func compileDatalog(db *DB, src, pred string, rels map[string]*relation.Relation
 	if pred == "" {
 		pred = prog.Rules[len(prog.Rules)-1].Head.Pred
 	}
-	arity := -1
-	for _, r := range prog.Rules {
-		if r.Head.Pred == pred {
-			arity = len(r.Head.Args)
-			break
-		}
-	}
-	if arity < 0 {
-		return nil, fmt.Errorf("engine: predicate %q is not derived by the program", pred)
-	}
-	cols := make([]string, arity)
-	for i := range cols {
-		cols[i] = fmt.Sprintf("x%d", i+1)
-	}
-	edb := sqleval.DB{}
+	schemas := make(map[string][]string, len(rels)+len(bound))
 	for name, r := range rels {
-		edb[name] = r
+		schemas[name] = r.Attrs()
+	}
+	for name, r := range bound {
+		schemas[name] = r.Attrs()
+	}
+	cat := eval.NewCatalog().CloneWithBase(rels)
+	col, link, err := datalog.Lower(prog, schemas, pred, cat)
+	if err != nil {
+		return nil, err
 	}
 	return &Stmt{
 		db:   db,
 		lang: LangDatalog,
 		kind: KindQuery,
 		src:  src,
-		cols: cols,
-		refs: referencedDatalog(prog),
-		prog: prog,
-		pred: pred,
-		rels: edb,
+		cols: col.Head.Attrs,
+		col:  col,
+		link: link,
+		cat:  cat,
+		conv: convention.Souffle(),
 	}, nil
+}
+
+// forInputs returns the statement to run with these bindings. Datalog
+// atoms are positional but the lowering names attributes, so a binding
+// whose attribute names differ from the ones the program was lowered
+// against — or whose predicate was unknown then — gets a fresh lowering
+// for this execution. ARC statements name their attributes themselves.
+func (s *Stmt) forInputs(inputs map[string]*relation.Relation) (*Stmt, error) {
+	if s.lang != LangDatalog {
+		return s, nil
+	}
+	for name, rel := range inputs {
+		if base := s.cat.Relation(name); base != nil && slices.Equal(base.Attrs(), rel.Attrs()) {
+			continue
+		}
+		rels := map[string]*relation.Relation{}
+		for _, r := range s.cat.BaseRelations() {
+			rels[r.Name()] = r
+		}
+		return compileDatalog(s.db, s.src, s.pred(), rels, inputs)
+	}
+	return s, nil
+}
+
+// pred names the predicate a Datalog query returns: the head of the
+// collection it lowered to ("" for every other statement).
+func (s *Stmt) pred() string {
+	if s.lang == LangDatalog && s.col != nil {
+		return s.col.Head.Rel
+	}
+	return ""
 }
 
 // Lang returns the statement's language.
@@ -527,9 +542,9 @@ func (s *Stmt) NumParams() int { return s.nparams }
 
 // Explain renders the compiled physical plan of a SQL statement — for
 // DELETE and UPDATE, the plan of the synthetic matching-rows query — or
-// the reason
-// it executes on the reference enumeration path; ARC statements render
-// their per-scope plans.
+// returns the reason it executes on the reference enumeration path. ARC
+// statements render their per-scope plans, and so do Datalog statements:
+// the plans of the ARC collections the program lowers to.
 func (s *Stmt) Explain() (string, error) {
 	switch s.lang {
 	case LangSQL:
@@ -540,13 +555,13 @@ func (s *Stmt) Explain() (string, error) {
 			return "", s.planErr
 		}
 		return "", fmt.Errorf("engine: no plan for %s statements", s.kind)
-	case LangARC:
+	case LangARC, LangDatalog:
 		if s.kind != KindQuery {
 			return "", fmt.Errorf("engine: no plan rendering for %s statements", s.kind)
 		}
 		return eval.ExplainCollection(s.col, s.cat, s.conv)
 	}
-	return "", fmt.Errorf("engine: no plan rendering for %v statements", s.lang)
+	return "", fmt.Errorf("engine: unknown language %v", s.lang)
 }
 
 // current resolves the statement to its freshest compilation: statements
@@ -664,7 +679,7 @@ func (s *Stmt) Query(ctx context.Context, args ...any) (rows *Rows, err error) {
 		seq, errFn := s.plan.Stream(vals, check)
 		rows = newRows(s.cols, seq, errFn, check)
 	} else {
-		rel, err := s.execMaterialized(vals, inputs, check)
+		rel, err := s.execMaterialized(vals, inputs, check, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -721,7 +736,7 @@ func (s *Stmt) QueryAll(ctx context.Context, args ...any) (rel *relation.Relatio
 	if s.lang == LangSQL && s.plan != nil {
 		rel, err = s.plan.ExecuteWith(vals, check)
 	} else {
-		rel, err = s.execMaterialized(vals, inputs, check)
+		rel, err = s.execMaterialized(vals, inputs, check, nil)
 	}
 	if err == nil && !start.IsZero() {
 		s.db.observeSlow(s.lang, s.kind, s.src, time.Since(start), int64(rel.Card()), 0, nil)
@@ -779,7 +794,9 @@ func (s *Stmt) queryTraced(ctx context.Context, tr *trace.Trace, args []any) (*R
 		seq, errFn := cur.plan.StreamTraced(vals, check, tr)
 		rows = newRows(cur.cols, seq, errFn, check)
 	} else {
-		rel, err := cur.execTracedMaterialized(vals, inputs, check, tr)
+		rel, err := cur.execMaterialized(vals, inputs, check, func(name string) func(delta int, elapsed time.Duration) {
+			return tr.Fixpoint("arc:"+name, name).Observe
+		})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -803,8 +820,7 @@ func (s *Stmt) queryTraced(ctx context.Context, tr *trace.Trace, args []any) (*R
 // per-operator timings, join build/probe statistics, and — for
 // recursive queries — per-round fixpoint delta sizes. SQL statements
 // outside the planner fragment return the planner's bailout reason
-// (there is no operator tree to annotate); Datalog statements have no
-// plan rendering.
+// (there is no operator tree to annotate).
 func (s *Stmt) ExplainAnalyze(ctx context.Context, args ...any) (text string, err error) {
 	defer recoverTo(&err, "analyze")
 	if s.kind != KindQuery {
@@ -837,7 +853,7 @@ func (s *Stmt) renderAnalyze(tr *trace.Trace) (string, error) {
 			return "", fmt.Errorf("engine: no plan for %s statements", s.kind)
 		}
 		b.WriteString(s.plan.ExplainAnalyze(tr))
-	case LangARC:
+	case LangARC, LangDatalog:
 		text, err := eval.ExplainCollection(s.col, s.cat, s.conv)
 		if err != nil {
 			return "", err
@@ -857,47 +873,27 @@ func (s *Stmt) renderAnalyze(tr *trace.Trace) (string, error) {
 				fp.Name, len(fp.Rounds), strings.Join(deltas, " "), trace.FormatDuration(total))
 		})
 	default:
-		return "", fmt.Errorf("engine: no plan rendering for %v statements", s.lang)
+		return "", fmt.Errorf("engine: unknown language %v", s.lang)
 	}
 	fmt.Fprintf(&b, "Total: rows=%d time=%s\n", tr.Rows, trace.FormatDuration(tr.Elapsed.Nanoseconds()))
 	return b.String(), nil
 }
 
-// execTracedMaterialized is execMaterialized with fixpoint round
-// observation wired through the evaluators that support it.
-func (s *Stmt) execTracedMaterialized(vals []value.Value, inputs map[string]*relation.Relation, check func() error, tr *trace.Trace) (*relation.Relation, error) {
-	if s.lang == LangARC {
-		obs := func(name string) func(delta int, elapsed time.Duration) {
-			return tr.Fixpoint("arc:"+name, name).Observe
-		}
-		return eval.EvalPreparedObserved(s.col, s.link, s.cat, s.conv, inputs, check, obs)
-	}
-	return s.execMaterialized(vals, inputs, check)
-}
-
-// execMaterialized runs the non-streaming paths.
-func (s *Stmt) execMaterialized(vals []value.Value, inputs map[string]*relation.Relation, check func() error) (*relation.Relation, error) {
-	switch s.lang {
-	case LangSQL:
+// execMaterialized runs the non-streaming paths: fallback SQL on the
+// reference enumeration evaluator, and ARC statements — or Datalog ones
+// through their lowering — on internal/eval, where obs (when non-nil)
+// observes fixpoint rounds.
+func (s *Stmt) execMaterialized(vals []value.Value, inputs map[string]*relation.Relation, check func() error, obs eval.RoundObserver) (*relation.Relation, error) {
+	if s.lang == LangSQL {
 		// The statement fell outside the planner fragment at Prepare:
 		// run the reference enumeration path (never re-plan per call).
 		return sqleval.EvalWith(s.q, s.rels, sqleval.PlanOff, vals, check)
-	case LangARC:
-		return eval.EvalPrepared(s.col, s.link, s.cat, s.conv, inputs, check)
-	case LangDatalog:
-		edb := s.rels
-		if len(inputs) > 0 {
-			edb = make(sqleval.DB, len(s.rels)+len(inputs))
-			for k, v := range s.rels {
-				edb[k] = v
-			}
-			for k, v := range inputs {
-				edb[k] = v
-			}
-		}
-		return datalog.EvalPredicateWith(s.prog, datalog.EDB(edb), s.pred, check)
 	}
-	return nil, fmt.Errorf("engine: unknown language %v", s.lang)
+	s, err := s.forInputs(inputs)
+	if err != nil {
+		return nil, err
+	}
+	return eval.EvalPrepared(s.col, s.link, s.cat, s.conv, inputs, check, obs)
 }
 
 // evalDMLQuery materializes the embedded query of a DML statement

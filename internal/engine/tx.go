@@ -107,7 +107,7 @@ func (tx *Tx) resolve(s *Stmt) (*Stmt, error) {
 		// a recompile per write-set version.
 		return s, nil
 	}
-	return tx.prepare(s.lang, s.src, s.pred)
+	return tx.prepare(s.lang, s.src, s.pred())
 }
 
 // exec applies a DML/DDL statement to the transaction's write set.

@@ -797,61 +797,104 @@ func (sp *scopePlan) produceGrouped(ev *evaluator, e *env) ([]prodRow, error) {
 // ExplainCollection validates col and renders the tuple-level
 // compilation of every quantifier scope reachable in its body: the
 // physical pipeline for compiled scopes, or the reason a scope stays on
-// environment enumeration. Scopes of nested collection sources are
-// summarized by their own evaluation and not expanded.
+// environment enumeration. Recursive definitions render as one fixpoint
+// with their whole group; the views a definition reads follow it, each
+// once. Scopes of nested collection sources are summarized by their own
+// evaluation and not expanded.
 func ExplainCollection(col *alt.Collection, cat *Catalog, conv convention.Conventions) (string, error) {
 	link, err := alt.ValidateCollection(col)
 	if err != nil {
 		return "", err
 	}
 	ev := newEvaluator(cat, conv)
-	ev.pushLink(link)
-	defer ev.popLink()
 	var b strings.Builder
-	if link.RecursiveCols[col] {
-		// Recursive collections render their fixpoint rules (with the
-		// per-round delta pipelines) instead of the flat scope walk.
-		if err := ev.explainRecursive(col, &b); err != nil {
-			return "", err
-		}
-		return b.String(), nil
-	}
-	var walk func(f alt.Formula) error
-	walk = func(f alt.Formula) error {
-		switch x := f.(type) {
-		case *alt.Quantifier:
-			si, err := ev.scopeInfoFor(x)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(&b, "scope %s:\n", quantHeader(x))
-			if sp := ev.scopePlanFor(si); sp != nil {
-				sp.explain(&b, 1)
-			} else {
-				fmt.Fprintf(&b, "  (environment enumeration: %s)\n", si.planReason)
-			}
-			return walk(x.Body)
-		case *alt.And:
-			for _, k := range x.Kids {
-				if err := walk(k); err != nil {
-					return err
-				}
-			}
-		case *alt.Or:
-			for _, k := range x.Kids {
-				if err := walk(k); err != nil {
-					return err
-				}
-			}
-		case *alt.Not:
-			return walk(x.Kid)
-		}
-		return nil
-	}
-	if err := walk(col.Body); err != nil {
+	if err := ev.explain(recDef{col, link}, &b, map[string]bool{}); err != nil {
 		return "", err
 	}
 	return b.String(), nil
+}
+
+// explain renders one definition and then, under a "view" header, every
+// view it reads that done does not list yet.
+func (ev *evaluator) explain(d recDef, b *strings.Builder, done map[string]bool) error {
+	defs := ev.recursiveGroup(d.col, d.link)
+	if defs != nil {
+		// Recursive definitions render their fixpoint rules (with the
+		// per-round delta pipelines) instead of the flat scope walk.
+		if err := ev.explainRecursive(defs, b); err != nil {
+			return err
+		}
+	} else {
+		defs = []recDef{d}
+		ev.pushLink(d.link)
+		err := ev.explainScopes(d.col.Body, b)
+		ev.popLink()
+		if err != nil {
+			return err
+		}
+	}
+	for _, m := range defs {
+		done[m.col.Head.Rel] = true
+	}
+	for _, m := range defs {
+		var err error
+		eachBoundRel(m.col.Body, false, func(rel string, _ bool) {
+			v, isView := ev.viewDef(rel)
+			if err != nil || done[rel] || !isView {
+				return
+			}
+			fmt.Fprintf(b, "view %s:\n", rel)
+			err = ev.explain(v, b, done)
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// explainScopes renders every quantifier scope of f under the current
+// link.
+func (ev *evaluator) explainScopes(f alt.Formula, b *strings.Builder) error {
+	switch x := f.(type) {
+	case *alt.Quantifier:
+		if err := ev.explainScope(x, b, 0); err != nil {
+			return err
+		}
+		return ev.explainScopes(x.Body, b)
+	case *alt.And:
+		for _, k := range x.Kids {
+			if err := ev.explainScopes(k, b); err != nil {
+				return err
+			}
+		}
+	case *alt.Or:
+		for _, k := range x.Kids {
+			if err := ev.explainScopes(k, b); err != nil {
+				return err
+			}
+		}
+	case *alt.Not:
+		return ev.explainScopes(x.Kid, b)
+	}
+	return nil
+}
+
+// explainScope renders one scope: its compiled pipeline, or why it stays
+// on environment enumeration.
+func (ev *evaluator) explainScope(q *alt.Quantifier, b *strings.Builder, depth int) error {
+	si, err := ev.scopeInfoFor(q)
+	if err != nil {
+		return err
+	}
+	pad := strings.Repeat("  ", depth)
+	fmt.Fprintf(b, "%sscope %s:\n", pad, quantHeader(q))
+	if sp := ev.scopePlanFor(si); sp != nil {
+		sp.explain(b, depth+1)
+	} else {
+		fmt.Fprintf(b, "%s  (environment enumeration: %s)\n", pad, si.planReason)
+	}
+	return nil
 }
 
 // quantHeader renders a quantifier without its body.

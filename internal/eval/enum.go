@@ -693,25 +693,19 @@ func (ev *evaluator) bindRelation(b *alt.Binding, rel *relation.Relation, e *env
 func (ev *evaluator) evalSubCollection(c *alt.Collection, e *env) (*relation.Relation, error) {
 	link := ev.curLink()
 	if link.RecursiveCols[c] {
-		return ev.evalRecursive(c, e)
+		totals, err := ev.evalRecursive([]recDef{{c, link}}, e)
+		return totals[c.Head.Rel], err
 	}
 	return ev.evalOnce(c, e)
 }
 
 // evalView evaluates an intensional relation (view/CTE) once per
-// evaluation, with cycle detection; views may themselves be recursive.
+// evaluation; views may be recursive, on their own or mutually.
 func (ev *evaluator) evalView(name string) (*relation.Relation, error) {
 	if rel, ok := ev.viewCache[name]; ok {
 		return rel, nil
 	}
-	if ev.inProgress[name] {
-		return nil, fmt.Errorf("cyclic view definition involving %q (mutual recursion between views is not supported; use a single recursive collection)", name)
-	}
-	ev.inProgress[name] = true
-	defer delete(ev.inProgress, name)
-	col := ev.cat.views[name]
-	link := ev.cat.viewLinks[name]
-	rel, err := ev.evalCollection(col, link, newEnv())
+	rel, err := ev.evalCollection(ev.cat.views[name], ev.cat.viewLinks[name], newEnv())
 	if err != nil {
 		return nil, fmt.Errorf("view %s: %w", name, err)
 	}

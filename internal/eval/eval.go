@@ -25,32 +25,22 @@ func Eval(col *alt.Collection, cat *Catalog, conv convention.Conventions) (*rela
 	return ev.evalCollection(col, link, newEnv())
 }
 
+// RoundObserver supplies the per-round callback for one named recursive
+// computation: it is called once per fixpoint (with the head names of the
+// recursive group) and its result — which may be nil — observes each
+// round's new tuple count and derivation time. A callback factory rather
+// than a trace type keeps this package free of observability
+// dependencies.
+type RoundObserver func(name string) func(delta int, elapsed time.Duration)
+
 // EvalPrepared evaluates an already-validated collection with its link —
 // the prepared-statement entry point, which skips per-execution
 // re-validation. inputs are named input relations bound through the
 // evaluator's override slot (they shadow catalog relations of the same
 // name for this execution only); check, when non-nil, is polled each
-// fixpoint round so long recursions honour context cancellation.
-func EvalPrepared(col *alt.Collection, link *alt.Link, cat *Catalog, conv convention.Conventions, inputs map[string]*relation.Relation, check func() error) (*relation.Relation, error) {
-	ev := newEvaluator(cat, conv)
-	ev.check = check
-	for name, rel := range inputs {
-		ev.overrides[name] = rel
-	}
-	return ev.evalCollection(col, link, newEnv())
-}
-
-// RoundObserver supplies the per-round callback for one named recursive
-// computation: it is called once per fixpoint (with the collection head's
-// name) and its result — which may be nil — observes each round's new
-// tuple count and derivation time. A callback factory rather than a trace
-// type keeps this package free of observability dependencies.
-type RoundObserver func(name string) func(delta int, elapsed time.Duration)
-
-// EvalPreparedObserved is EvalPrepared with fixpoint round observation:
-// each recursive collection's rounds are reported through obs. It is the
-// EXPLAIN ANALYZE execution path for ARC statements.
-func EvalPreparedObserved(col *alt.Collection, link *alt.Link, cat *Catalog, conv convention.Conventions, inputs map[string]*relation.Relation, check func() error, obs RoundObserver) (*relation.Relation, error) {
+// fixpoint round so long recursions honour context cancellation; obs,
+// when non-nil, observes the rounds of every fixpoint (EXPLAIN ANALYZE).
+func EvalPrepared(col *alt.Collection, link *alt.Link, cat *Catalog, conv convention.Conventions, inputs map[string]*relation.Relation, check func() error, obs RoundObserver) (*relation.Relation, error) {
 	ev := newEvaluator(cat, conv)
 	ev.check = check
 	ev.onRound = obs
@@ -84,7 +74,6 @@ type evaluator struct {
 	links      []*alt.Link
 	overrides  map[string]*relation.Relation
 	viewCache  map[string]*relation.Relation
-	inProgress map[string]bool
 	scopeCache map[*alt.Quantifier]*scopeInfo
 	check      func() error  // optional cancellation poll (fixpoint rounds)
 	onRound    RoundObserver // optional fixpoint round observation
@@ -105,7 +94,6 @@ func newEvaluator(cat *Catalog, conv convention.Conventions) *evaluator {
 		conv:       conv,
 		overrides:  map[string]*relation.Relation{},
 		viewCache:  map[string]*relation.Relation{},
-		inProgress: map[string]bool{},
 		scopeCache: map[*alt.Quantifier]*scopeInfo{},
 	}
 }
@@ -122,14 +110,24 @@ type prodRow struct {
 }
 
 // evalCollection evaluates a top-level or view collection under its own
-// link, handling recursion by least fixed point.
+// link. A recursive one is computed by least fixed point together with
+// the views it is mutually recursive with, whose results are cached on
+// the way.
 func (ev *evaluator) evalCollection(col *alt.Collection, link *alt.Link, e *env) (*relation.Relation, error) {
-	ev.pushLink(link)
-	defer ev.popLink()
-	if link.RecursiveCols[col] {
-		return ev.evalRecursive(col, e)
+	group := ev.recursiveGroup(col, link)
+	if group == nil {
+		ev.pushLink(link)
+		defer ev.popLink()
+		return ev.evalOnce(col, e)
 	}
-	return ev.evalOnce(col, e)
+	totals, err := ev.evalRecursive(group, e)
+	if err != nil {
+		return nil, err
+	}
+	for _, d := range group[1:] {
+		ev.viewCache[d.col.Head.Rel] = totals[d.col.Head.Rel]
+	}
+	return totals[col.Head.Rel], nil
 }
 
 // evalOnce evaluates a collection body once, producing its relation.

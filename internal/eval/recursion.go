@@ -10,29 +10,39 @@ import (
 )
 
 // This file lowers recursive ARC collections onto the shared semi-naive
-// engine in internal/fixpoint. The collection body's top-level disjuncts
-// become the rules of a single-relation fixpoint:
+// engine in internal/fixpoint. A recursive group is one collection that
+// references its own head, or several definitions on a dependency cycle
+// (a query and the catalog views it is mutually recursive with — how
+// Datalog's mutually recursive predicates arrive here). The top-level
+// disjuncts of every member's body become the rules of one fixpoint over
+// the group's relations:
 //
-//   - disjuncts that never reference the head relation are seed rules,
+//   - disjuncts that never reference a group relation are seed rules,
 //     derived once in round 0;
-//   - a disjunct that references the head exactly once, as a plain
+//   - a disjunct that references the group exactly once, as a plain
 //     binding of its own inner-join scope, is linear: each round it
 //     re-derives only through the previous round's delta, bound to the
-//     recursive name via the evaluator's override slot (which the
+//     referenced name via the evaluator's override slot (which the
 //     compiled scope pipeline of compile.go resolves at run time, so the
 //     body compiles once and probes the rotating delta);
 //   - everything else (non-linear recursion, references through nested
-//     scopes or negation, grouped or outer-join scopes) falls back to
-//     naive re-derivation from the full total each round, which is sound
-//     because accumulation is set-monotone.
-//
-// This replaces the seed evaluator's iterate-evalOnce-and-union loop,
-// which re-derived every tuple of every round from scratch.
+//     scopes, outer-join scopes) falls back to naive re-derivation from
+//     the full totals each round, which is sound because accumulation is
+//     set-monotone.
 
-// arcRule is one classified disjunct of a recursive collection body.
+// recDef is one member of a recursive group: a collection and the link
+// it was validated under.
+type recDef struct {
+	col  *alt.Collection
+	link *alt.Link
+}
+
+// arcRule is one classified disjunct of a group member's body.
 type arcRule struct {
-	f    alt.Formula
-	kind fixpoint.RuleKind
+	recDef // the member the rule derives into
+	f      alt.Formula
+	kind   fixpoint.RuleKind
+	occ    string // Delta rules: the group relation read through its delta
 }
 
 // kindString names a rule kind for EXPLAIN output.
@@ -48,122 +58,236 @@ func kindString(k fixpoint.RuleKind) string {
 	return "?"
 }
 
-// recursiveRules splits the body into disjunct rules and classifies each.
-func (ev *evaluator) recursiveRules(col *alt.Collection) []arcRule {
-	var disjuncts []alt.Formula
-	if or, ok := col.Body.(*alt.Or); ok {
-		disjuncts = or.Kids
-	} else {
-		disjuncts = []alt.Formula{col.Body}
+// eachBoundRel visits the relation name of every binding in f, at any
+// quantifier depth and inside nested collection sources. guarded marks a
+// position under negation or inside a grouping scope, where reading a
+// relation that is still growing is not monotone. A nested collection's
+// references to its own head are its own recursion and are not reported.
+func eachBoundRel(f alt.Formula, guarded bool, visit func(rel string, guarded bool)) {
+	switch x := f.(type) {
+	case *alt.And:
+		for _, k := range x.Kids {
+			eachBoundRel(k, guarded, visit)
+		}
+	case *alt.Or:
+		for _, k := range x.Kids {
+			eachBoundRel(k, guarded, visit)
+		}
+	case *alt.Not:
+		eachBoundRel(x.Kid, true, visit)
+	case *alt.Quantifier:
+		g := guarded || x.Grouping != nil
+		for _, b := range x.Bindings {
+			if b.Sub == nil {
+				visit(b.Rel, g)
+				continue
+			}
+			own := b.Sub.Head.Rel
+			eachBoundRel(b.Sub.Body, g, func(rel string, g bool) {
+				if rel != own {
+					visit(rel, g)
+				}
+			})
+		}
+		eachBoundRel(x.Body, g, visit)
 	}
-	rules := make([]arcRule, len(disjuncts))
-	for i, f := range disjuncts {
-		rules[i] = arcRule{f: f, kind: ev.classifyDisjunct(f, col.Head.Rel)}
+}
+
+// viewDef resolves a bound relation name to the view that computes it.
+// Names are resolved the way enumerateLeaf does: inputs and base
+// relations shadow views.
+func (ev *evaluator) viewDef(rel string) (recDef, bool) {
+	if _, ok := ev.overrides[rel]; ok || ev.cat.Relation(rel) != nil {
+		return recDef{}, false
 	}
-	return rules
+	v, ok := ev.cat.views[rel]
+	return recDef{v, ev.cat.viewLinks[rel]}, ok
+}
+
+// recursiveGroup returns the definitions that have to be computed
+// together with col: col itself when it references its own head, plus
+// every catalog view on a dependency cycle through col — col's strongly
+// connected component in the graph of definitions. col comes first. The
+// result is nil when col is not recursive at all.
+func (ev *evaluator) recursiveGroup(col *alt.Collection, link *alt.Link) []recDef {
+	root := col.Head.Rel
+	// Forward: every definition col reaches.
+	reach := map[string]recDef{root: {col, link}}
+	order := []string{root}
+	for i := 0; i < len(order); i++ {
+		eachBoundRel(reach[order[i]].col.Body, false, func(rel string, _ bool) {
+			if _, seen := reach[rel]; seen {
+				return
+			}
+			if v, ok := ev.viewDef(rel); ok {
+				reach[rel] = v
+				order = append(order, rel)
+			}
+		})
+	}
+	// Backward: of those, the ones that lead back to col.
+	cyclic := map[string]bool{}
+	for changed := true; changed; {
+		changed = false
+		for _, name := range order {
+			if cyclic[name] {
+				continue
+			}
+			eachBoundRel(reach[name].col.Body, false, func(rel string, _ bool) {
+				if !cyclic[name] && (rel == root || cyclic[rel]) {
+					cyclic[name] = true
+					changed = true
+				}
+			})
+		}
+	}
+	if !cyclic[root] {
+		return nil
+	}
+	var group []recDef
+	for _, name := range order {
+		if cyclic[name] {
+			group = append(group, reach[name])
+		}
+	}
+	return group
+}
+
+// groupNames lists a group's head names for messages.
+func groupNames(group []recDef) string {
+	names := make([]string, len(group))
+	for i, d := range group {
+		names[i] = d.col.Head.Rel
+	}
+	return strings.Join(names, ", ")
+}
+
+// saveOverrides returns the function that puts the override slots of
+// the group's names back the way they are now (slots never hold nil).
+func (ev *evaluator) saveOverrides(group []recDef) func() {
+	saved := make(map[string]*relation.Relation, len(group))
+	for _, d := range group {
+		saved[d.col.Head.Rel] = ev.overrides[d.col.Head.Rel]
+	}
+	return func() {
+		for name, rel := range saved {
+			if rel == nil {
+				delete(ev.overrides, name)
+			} else {
+				ev.overrides[name] = rel
+			}
+		}
+	}
+}
+
+// recursiveRules splits every member's body into its top-level disjuncts
+// and classifies each as a rule, member by member. It refuses a group
+// whose recursion is not monotone: between views nothing else checks
+// that (within one collection the validator already has).
+func (ev *evaluator) recursiveRules(group []recDef) ([]arcRule, error) {
+	names := make(map[string]bool, len(group))
+	for _, d := range group {
+		names[d.col.Head.Rel] = true
+	}
+	var rules []arcRule
+	for _, d := range group {
+		unsound := false
+		eachBoundRel(d.col.Body, false, func(rel string, guarded bool) {
+			unsound = unsound || (guarded && names[rel])
+		})
+		if unsound {
+			return nil, fmt.Errorf("recursion among %s passes through negation or grouping (not stratifiable)", groupNames(group))
+		}
+		disjuncts := []alt.Formula{d.col.Body}
+		if or, ok := d.col.Body.(*alt.Or); ok {
+			disjuncts = or.Kids
+		}
+		ev.pushLink(d.link) // scope analysis resolves names through it
+		for _, f := range disjuncts {
+			kind, occ := ev.classifyDisjunct(f, names)
+			rules = append(rules, arcRule{recDef: d, f: f, kind: kind, occ: occ})
+		}
+		ev.popLink()
+	}
+	return rules, nil
 }
 
 // classifyDisjunct decides the round discipline for one disjunct. Delta
 // rotation is only sound when the single recursive occurrence is a plain
-// binding of the disjunct's own scope, joined monotonically: no grouping
-// (an aggregate over a partial extent is not a partial aggregate), no
-// outer joins (null-extension of the delta differs from null-extension
-// of the total), and no further references through nested scopes,
-// filters, or negation.
-func (ev *evaluator) classifyDisjunct(f alt.Formula, name string) fixpoint.RuleKind {
-	total := countRecRefs(f, name)
+// binding of the disjunct's own scope, joined monotonically: no outer
+// joins (null-extension of the delta differs from null-extension of the
+// total), and no further references through nested scopes or filters.
+// For a Delta rule it also returns the group relation read.
+func (ev *evaluator) classifyDisjunct(f alt.Formula, names map[string]bool) (fixpoint.RuleKind, string) {
+	total, occ := 0, ""
+	eachBoundRel(f, false, func(rel string, _ bool) {
+		if names[rel] {
+			total++
+			occ = rel
+		}
+	})
 	if total == 0 {
-		return fixpoint.Seed
+		return fixpoint.Seed, ""
 	}
 	q, ok := f.(*alt.Quantifier)
-	if !ok {
-		return fixpoint.Naive
+	if !ok || total != 1 {
+		return fixpoint.Naive, ""
 	}
-	direct := 0
+	direct := false
 	for _, b := range q.Bindings {
-		if b.Sub == nil && b.Rel == name {
-			direct++
-		}
+		direct = direct || (b.Sub == nil && b.Rel == occ)
 	}
-	if total != 1 || direct != 1 || q.Grouping != nil {
-		return fixpoint.Naive
+	if !direct {
+		return fixpoint.Naive, ""
 	}
 	si, err := ev.scopeInfoFor(q)
-	if err != nil || treeHasOuter(si.tree) || len(si.aggTerms) > 0 {
-		return fixpoint.Naive
+	if err != nil || treeHasOuter(si.tree) {
+		return fixpoint.Naive, ""
 	}
-	return fixpoint.Delta
+	return fixpoint.Delta, occ
 }
 
-// countRecRefs counts every reference to the recursive relation within f:
-// binding leaves at any quantifier depth, including nested collection
-// sources' bodies.
-func countRecRefs(f alt.Formula, name string) int {
-	n := 0
-	switch x := f.(type) {
-	case *alt.And:
-		for _, k := range x.Kids {
-			n += countRecRefs(k, name)
-		}
-	case *alt.Or:
-		for _, k := range x.Kids {
-			n += countRecRefs(k, name)
-		}
-	case *alt.Not:
-		n += countRecRefs(x.Kid, name)
-	case *alt.Quantifier:
-		for _, b := range x.Bindings {
-			if b.Sub != nil {
-				n += countRecRefs(b.Sub.Body, name)
-				continue
-			}
-			if b.Rel == name {
-				n++
-			}
-		}
-		n += countRecRefs(x.Body, name)
+// evalRecursive computes a recursive group by semi-naive least fixed
+// point through internal/fixpoint and returns each member's relation by
+// head name. Before every rule the group's names are bound in the
+// override slot — to the running totals, except that a linear rule's one
+// occurrence reads the round's delta — so the same compiled scope
+// pipelines serve every variant.
+func (ev *evaluator) evalRecursive(group []recDef, e *env) (map[string]*relation.Relation, error) {
+	defer ev.saveOverrides(group)()
+	rules, err := ev.recursiveRules(group)
+	if err != nil {
+		return nil, err
 	}
-	return n
-}
-
-// evalRecursive computes a recursive collection by semi-naive least
-// fixed point through internal/fixpoint, rotating the head-name override
-// between the round's delta (linear rules) and the running total (naive
-// rules) so the same compiled scope pipelines serve every variant.
-func (ev *evaluator) evalRecursive(col *alt.Collection, e *env) (*relation.Relation, error) {
-	name := col.Head.Rel
-	saved, hadSaved := ev.overrides[name]
-	defer func() {
-		if hadSaved {
-			ev.overrides[name] = saved
-		} else {
-			delete(ev.overrides, name)
-		}
-	}()
-	total := relation.New(name, col.Head.Attrs...)
-	rules := ev.recursiveRules(col)
+	totals := make(map[string]*relation.Relation, len(group))
+	for _, d := range group {
+		totals[d.col.Head.Rel] = relation.New(d.col.Head.Rel, d.col.Head.Attrs...)
+	}
 	frules := make([]fixpoint.Rule, len(rules))
-	for i := range rules {
-		r := rules[i]
+	for i, r := range rules {
 		var occs []string
 		if r.kind == fixpoint.Delta {
-			occs = []string{name}
+			occs = []string{r.occ}
 		}
 		frules[i] = fixpoint.Rule{
-			Target: name,
+			Target: r.col.Head.Rel,
 			Kind:   r.kind,
 			Occs:   occs,
 			Eval: func(occ int, delta *relation.Relation, emit fixpoint.Emit) error {
-				rel := total
-				if occ >= 0 {
-					rel = delta
+				for name, total := range totals {
+					ev.overrides[name] = total
 				}
-				ev.overrides[name] = rel
-				return ev.deriveDisjunct(col, r.f, e, emit)
+				if occ >= 0 {
+					ev.overrides[r.occ] = delta
+				}
+				ev.pushLink(r.link)
+				defer ev.popLink()
+				return ev.deriveDisjunct(r.col, r.f, e, emit)
 			},
 		}
 	}
-	err := fixpoint.Run(map[string]*relation.Relation{name: total}, frules, fixpoint.Options{
+	name := groupNames(group)
+	err = fixpoint.Run(totals, frules, fixpoint.Options{
 		Name:          "recursive collection " + name,
 		MaxIterations: maxLFPIterations,
 		Check:         ev.check,
@@ -172,7 +296,7 @@ func (ev *evaluator) evalRecursive(col *alt.Collection, e *env) (*relation.Relat
 	if err != nil {
 		return nil, err
 	}
-	return total, nil
+	return totals, nil
 }
 
 // deriveDisjunct derives one rule's head tuples for the current variant.
@@ -265,39 +389,39 @@ func (sp *scopePlan) emitHeadTuples(ev *evaluator, e *env, cols []int, emit fixp
 	})
 }
 
-// explainRecursive renders the fixpoint plan of a recursive collection:
-// one rule per disjunct with its round discipline and, for compiled
-// scopes, the per-round delta pipeline.
-func (ev *evaluator) explainRecursive(col *alt.Collection, b *strings.Builder) error {
-	name := col.Head.Rel
-	saved, hadSaved := ev.overrides[name]
-	defer func() {
-		if hadSaved {
-			ev.overrides[name] = saved
-		} else {
-			delete(ev.overrides, name)
+// explainRecursive renders the fixpoint plan of a recursive group: one
+// rule per disjunct with its round discipline and, for compiled scopes,
+// the per-round delta pipeline.
+func (ev *evaluator) explainRecursive(group []recDef, b *strings.Builder) error {
+	defer ev.saveOverrides(group)()
+	deltas := make([]string, len(group))
+	for i, d := range group {
+		// Scope compilation resolves the recursive names through the
+		// override slot, exactly as evalRecursive binds them per round.
+		ev.overrides[d.col.Head.Rel] = relation.New(d.col.Head.Rel, d.col.Head.Attrs...)
+		deltas[i] = "Δ" + d.col.Head.Rel
+	}
+	rules, err := ev.recursiveRules(group)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(b, "Fixpoint %s (semi-naive, %s per round):\n", groupNames(group), strings.Join(deltas, ", "))
+	for i, r := range rules {
+		into := ""
+		if len(group) > 1 {
+			into = " into " + r.col.Head.Rel
 		}
-	}()
-	// Scope compilation resolves the recursive name through the override
-	// slot, exactly as evalRecursive binds it per round.
-	ev.overrides[name] = relation.New(name, col.Head.Attrs...)
-	fmt.Fprintf(b, "Fixpoint %s (semi-naive, Δ%s per round):\n", name, name)
-	for i, r := range ev.recursiveRules(col) {
-		fmt.Fprintf(b, "  rule %d [%s]:\n", i+1, kindString(r.kind))
+		fmt.Fprintf(b, "  rule %d%s [%s]:\n", i+1, into, kindString(r.kind))
 		q, ok := r.f.(*alt.Quantifier)
 		if !ok {
 			fmt.Fprintf(b, "    (production %s)\n", r.f)
 			continue
 		}
-		si, err := ev.scopeInfoFor(q)
+		ev.pushLink(r.link)
+		err := ev.explainScope(q, b, 2)
+		ev.popLink()
 		if err != nil {
 			return err
-		}
-		fmt.Fprintf(b, "    scope %s:\n", quantHeader(q))
-		if sp := ev.scopePlanFor(si); sp != nil {
-			sp.explain(b, 3)
-		} else {
-			fmt.Fprintf(b, "      (environment enumeration: %s)\n", si.planReason)
 		}
 	}
 	return nil

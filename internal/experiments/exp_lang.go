@@ -26,8 +26,12 @@ func init() {
 	register("E16", e16)
 }
 
-// e09 — Fig 10 / (16): ARC recursion with named LFP semantics agrees with
-// the Datalog two-rule program and with its ARC translation.
+// e09 — Fig 10 / (16): ARC recursion with named LFP semantics computes
+// the transitive closure, and so does the Datalog two-rule program, which
+// runs as its ARC translation under Soufflé conventions. The expected
+// closures are written out (chain, cycle) or come from SQL's WITH
+// RECURSIVE working-table loop (random), so nothing here is compared
+// with itself.
 func e09() Report {
 	const claim = "recursive definition (16) ≡ Datalog ancestor (LFP), also via Datalog→ARC translation"
 	rep := Report{Figure: "Fig 10 / (16)", Title: "Recursion", PaperClaim: claim}
@@ -37,28 +41,49 @@ func e09() Report {
 	if err != nil {
 		return fail(rep.Figure, rep.Title, claim, err)
 	}
+	chainTC := relation.New("W", "s", "t")
+	for i := 0; i < 15; i++ {
+		for j := i + 1; j < 15; j++ {
+			chainTC.Add(i, j)
+		}
+	}
+	cycleTC := relation.New("W", "s", "t")
+	for i := 1; i <= 3; i++ {
+		for j := 1; j <= 3; j++ {
+			cycleTC.Add(i, j)
+		}
+	}
+	random := workload.RandomParent(workload.Rand(909), 20, 30)
+	randomTC, err := evalSQL(`with recursive A (s, t) as (select P.s, P.t from P union
+		select P.s, A.t from P, A where P.t = A.s) select A.s, A.t from A`, random)
+	if err != nil {
+		return fail(rep.Figure, rep.Title, claim, err)
+	}
 	allOK := true
 	detail := ""
-	for name, p := range map[string]*relation.Relation{
-		"chain":  workload.Chain(15),
-		"random": workload.RandomParent(workload.Rand(909), 20, 30),
-		"cycle":  relation.New("P", "s", "t").Add(1, 2).Add(2, 3).Add(3, 1),
+	for _, c := range []struct {
+		name    string
+		p, want *relation.Relation
+	}{
+		{"chain", workload.Chain(15), chainTC},
+		{"random", random, randomTC},
+		{"cycle", relation.New("P", "s", "t").Add(1, 2).Add(2, 3).Add(3, 1), cycleTC},
 	} {
-		dl, err := datalog.EvalPredicate(prog, datalog.EDB{"P": p}, "A")
+		dl, err := datalog.EvalPredicate(prog, datalog.EDB{"P": c.p}, "A")
 		if err != nil {
 			return fail(rep.Figure, rep.Title, claim, err)
 		}
-		arcRes, err := evalARC(q16(), convention.SetLogic(), p)
+		arcRes, err := evalARC(q16(), convention.SetLogic(), c.p)
 		if err != nil {
 			return fail(rep.Figure, rep.Title, claim, err)
 		}
-		trRes, err := evalARC(translated, convention.Souffle(), p)
+		trRes, err := evalARC(translated, convention.Souffle(), c.p)
 		if err != nil {
 			return fail(rep.Figure, rep.Title, claim, err)
 		}
-		ok := arcRes.EqualSet(dl) && trRes.EqualSet(dl)
+		ok := arcRes.EqualSet(c.want) && trRes.EqualSet(c.want) && dl.EqualSet(c.want)
 		allOK = allOK && ok
-		detail += fmt.Sprintf("%s: |A|=%d agree=%v; ", name, dl.Card(), ok)
+		detail += fmt.Sprintf("%s: |A|=%d agree=%v; ", c.name, c.want.Card(), ok)
 	}
 	rep.Pass = allOK
 	rep.Measured = detail

@@ -28,13 +28,14 @@ func init() {
 
 // e17 — Section 2.6 / (15): conventions. The same relational pattern
 // yields Q(1,0) under Soufflé conventions and (1,NULL) under SQL
-// conventions; the Datalog engine and the ARC evaluator agree per
+// conventions; the Soufflé rule (run as its ARC translation), the ARC
+// query and the SQL engine each meet the relation written out for their
 // convention.
 func e17() Report {
 	const claim = "on R={(1,2)}, S=∅: Soufflé derives Q(1,0); SQL returns (1,NULL); the relational pattern is unchanged"
 	rep := Report{Figure: "§2.6 / (15)", Title: "Conventions, not languages", PaperClaim: claim}
 	r, s := workload.ConventionInstance()
-	// Soufflé engine.
+	// The Soufflé rule.
 	prog := datalog.MustParse(datalogQ15)
 	dl, err := datalog.EvalPredicate(prog, datalog.EDB{"R": r, "S": s}, "Q")
 	if err != nil {
@@ -61,7 +62,7 @@ func e17() Report {
 	okSouffle := souffle.EqualSet(wantZero) && dl.EqualSet(wantZero)
 	okSQL := sqlConv.EqualSet(wantNull) && sqlRes.EqualSet(wantNull)
 	rep.Pass = okSouffle && okSQL
-	rep.Measured = fmt.Sprintf("Soufflé conventions → Q(1,0)=%v (Datalog engine agrees=%v); SQL conventions → (1,NULL)=%v (SQL engine agrees=%v); same ARC query text in both runs",
+	rep.Measured = fmt.Sprintf("Soufflé conventions → Q(1,0)=%v (Datalog rule agrees=%v); SQL conventions → (1,NULL)=%v (SQL engine agrees=%v); same ARC query text in both runs",
 		souffle.EqualSet(wantZero), dl.EqualSet(wantZero), sqlConv.EqualSet(wantNull), sqlRes.EqualSet(wantNull))
 	return rep
 }

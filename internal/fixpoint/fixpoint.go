@@ -6,13 +6,14 @@
 // rotating the deltas until nothing new appears (or the iteration cap
 // trips).
 //
-//   - internal/datalog compiles each stratum's rules into Rule values
-//     whose delta variants substitute the rotated delta relation for one
-//     body occurrence (the classic per-occurrence semi-naive rewrite).
-//   - internal/eval runs recursive ARC collections through the same Run
-//     loop: each disjunct becomes a rule, with linear disjuncts reading
-//     the delta through the evaluator's override slot and non-linear ones
-//     falling back to naive re-derivation per round.
+//   - internal/eval runs recursive ARC collections through Run: each
+//     disjunct becomes a rule, with linear disjuncts reading the delta
+//     through the evaluator's override slot and non-linear ones falling
+//     back to naive re-derivation per round. Mutually recursive
+//     definitions (a query and catalog views) form one multi-target Run.
+//     Datalog programs arrive the same way, lowered to ARC by
+//     internal/datalog, which uses Stratify to reject recursion through
+//     negation or aggregation.
 //   - internal/plan executes SQL WITH RECURSIVE through CTE.Run, the
 //     working-table variant of the loop (the SQL-standard semantics where
 //     the step sees only the previous round's rows), with the step's

@@ -313,6 +313,21 @@ func TestAnalyzeOverWire(t *testing.T) {
 	if len(rows) != 1 {
 		t.Fatalf("rows after analyze = %v", rows)
 	}
+	// A Datalog statement analyzes like the ARC it lowers to: per-scope
+	// plans plus the fixpoint's round history.
+	dl, err := c.Prepare(client.LangDatalog, "A(x,y) :- P(x,y). A(x,y) :- P(x,z), A(z,y).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err = dl.ExplainAnalyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"Fixpoint A (semi-naive, ΔA per round):", "IndexJoin A", "Fixpoint A: rounds=", "Total: rows="} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("datalog analyze output lacks %q:\n%s", want, text)
+		}
+	}
 	ins, err := c.Prepare(client.LangSQL, "insert into R values (7, 70)")
 	if err != nil {
 		t.Fatal(err)

@@ -45,12 +45,9 @@ const (
 	PlanForce
 )
 
-// DefaultPlanMode is the mode Eval uses; tests flip it to pin a path.
-var DefaultPlanMode = PlanAuto
-
-// Eval evaluates a parsed query against db under DefaultPlanMode.
+// Eval evaluates a parsed query against db under PlanAuto.
 func Eval(q sql.Query, db DB) (*relation.Relation, error) {
-	return EvalMode(q, db, DefaultPlanMode)
+	return EvalMode(q, db, PlanAuto)
 }
 
 // EvalMode evaluates a parsed query under an explicit plan mode.
