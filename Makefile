@@ -11,7 +11,7 @@ BENCH_FAIL ?= 50
 FUZZ_TIME ?= 20s
 ENGINE_FUZZ_TARGETS ?= FuzzPrepareSQL FuzzPrepareARC FuzzPrepareDatalog FuzzExecSQL FuzzExecFactOps
 
-.PHONY: all build test bench lint arcvet fuzz-smoke benchdiff bench-baseline
+.PHONY: all build test bench lint arcvet fuzz-smoke arcbench-quick benchdiff bench-baseline
 
 all: lint build test
 
@@ -56,6 +56,13 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$${t}\$$" -fuzztime $(FUZZ_TIME) ./internal/engine || exit 1; \
 	done
 	$(GO) test -run '^$$' -fuzz '^FuzzServerFrames$$' -fuzztime $(FUZZ_TIME) ./internal/server
+
+# The repository benchmark's smoke pass (BENCHMARK.json runs the full
+# one): every workload for a moment, every reply checked against its
+# oracle — so a change that breaks a pinned entry point of
+# arcbench/layers.go or an answer fails here, not in the driver.
+arcbench-quick:
+	bash arcbench/run.sh -quick
 
 # Run the gated benchmarks and compare against the committed baseline —
 # the local twin of CI's bench-regression job.

@@ -394,10 +394,10 @@ func BenchmarkInsertThroughput(b *testing.B) {
 }
 
 // BenchmarkSnapshotReadUnderWrites measures a prepared point query while
-// a background writer commits continuously: every commit moves the
-// store generation, so each read pays the statement-cache revalidation
-// (and usually a re-prepare) against the new snapshot — the worst case
-// for the snapshot indirection the MVCC layer added.
+// a background writer commits continuously: every read is a statement-
+// cache hit (commits invalidate nothing) executed on whatever snapshot
+// is the head by then — the cost of the snapshot indirection the MVCC
+// layer added.
 func BenchmarkSnapshotReadUnderWrites(b *testing.B) {
 	ctx := context.Background()
 	rng := workload.Rand(23)

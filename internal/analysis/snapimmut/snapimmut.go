@@ -10,7 +10,7 @@
 // Every write must go through a WriteSet, whose working() clones the
 // base relation copy-on-write. Calling Insert (or any other mutating
 // method) on a relation reached from Store.Head, Snapshot.Relation/
-// Rels, WriteSet.Base/Relation/Rels, or engine DB.Relation therefore
+// Rels, WriteSet.Base/Relation/Rels, or engine DB.Relation/relsIn therefore
 // corrupts data under concurrent readers — a data race the type system
 // cannot see, because the mutable and immutable views share one type.
 //
@@ -66,6 +66,7 @@ var sources = []struct{ pkg, recv, name string }{
 	{"internal/relation", "WriteSet", "Relation"},
 	{"internal/relation", "WriteSet", "Rels"},
 	{"internal/engine", "DB", "Relation"},
+	{"internal/engine", "DB", "relsIn"}, // the relation map of one execution
 }
 
 // fresheners return a new private relation; applying one launders the

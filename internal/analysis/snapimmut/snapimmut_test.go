@@ -9,6 +9,7 @@ import (
 
 func TestSnapimmut(t *testing.T) {
 	atest.Run(t, "testdata", snapimmut.Analyzer, "repro/internal/app")
+	atest.Run(t, "testdata", snapimmut.Analyzer, "repro/internal/engine")
 }
 
 // TestExemptInRelationPkg checks the analyzer is silent inside

@@ -166,7 +166,7 @@ func Validate(col *Collection) (*alt.Link, error) { return alt.ValidateCollectio
 // ExplainARC renders the tuple-level query plan of every quantifier
 // scope in col (or why a scope stays on environment enumeration).
 func ExplainARC(col *Collection, cat *Catalog, conv Conventions) (string, error) {
-	return eval.ExplainCollection(col, cat, conv)
+	return eval.ExplainCollection(col, cat, conv, nil)
 }
 
 // ExplainSQL renders the physical plan the SQL planner compiles src

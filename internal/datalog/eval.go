@@ -2,6 +2,8 @@ package datalog
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/alt"
 	"repro/internal/convention"
@@ -47,7 +49,7 @@ func EvalPredicate(p *Program, edb EDB, pred string) (*relation.Relation, error)
 	if err != nil {
 		return nil, err
 	}
-	return eval.EvalPrepared(col, link, cat, convention.Souffle(), edb, nil, nil)
+	return eval.EvalPrepared(col, link, cat, convention.Souffle(), nil, edb, nil, nil)
 }
 
 // Lower prepares a program for internal/eval: every derived predicate
@@ -117,6 +119,18 @@ func checkStratified(p *Program, idb map[string]bool) error {
 		return fmt.Errorf("datalog: program is not stratifiable (negation or aggregation through recursion)")
 	}
 	return nil
+}
+
+// Predicates lists every predicate name the program mentions, rule heads
+// and body atoms alike (order unspecified) — the names whose presence
+// and schema in the database a lowering (Lower) depends on.
+func (p *Program) Predicates() []string {
+	seen := map[string]bool{}
+	for _, r := range p.Rules {
+		seen[r.Head.Pred] = true
+		walkAtoms(r.Body, false, func(a Atom, _ bool) { seen[a.Pred] = true })
+	}
+	return slices.Collect(maps.Keys(seen))
 }
 
 // walkAtoms visits every atom of a body, descending into aggregate

@@ -9,30 +9,24 @@ import (
 	"repro/internal/convention"
 )
 
-// stmtCache is the generation-versioned prepared-statement LRU. Entries
-// are keyed by language + source (+ conventions for ARC, which change the
-// statement's meaning); a hit is valid exactly while the store's commit
-// generation equals the one the statement was compiled under. One
-// comparison replaces the old per-relation Generation() recheck: a
-// snapshot is immutable, so the single commit generation is a complete
-// fingerprint of every relation a statement could reference — and a
-// transaction's own uncommitted writes never leak in, because
-// transactions compile against their write-set overlay through the
-// per-transaction cache, not this one.
+// stmtCache is the prepared-statement LRU. Entries are keyed by language
+// + source (+ conventions for ARC, which change the statement's
+// meaning). A statement is compiled against a schema, not against data,
+// so commits never invalidate an entry; whoever looks one up checks its
+// compiled form against the schema at hand (DB.prepareOn).
 type stmtCache struct {
 	mu      sync.Mutex
 	cap     int
 	order   *list.List // front = most recently used; values are *cacheEntry
 	entries map[string]*list.Element
 	// evictions counts capacity evictions (LRU entries pushed out by new
-	// stores, not stale-generation removals) — the cache-undersized signal.
+	// stores) — the cache-undersized signal.
 	evictions atomic.Uint64
 }
 
 type cacheEntry struct {
 	key  string
 	stmt *Stmt
-	gen  uint64 // store commit generation the statement compiled under
 }
 
 func newStmtCache(capacity int) *stmtCache {
@@ -49,35 +43,27 @@ func cacheKey(lang Lang, conv convention.Conventions, src, pred string) string {
 	return fmt.Sprintf("%s\x00%s\x00%s\x00%s", lang, convPart, pred, src)
 }
 
-// lookup returns the cached statement when present AND compiled under
-// the store's current commit generation; a stale entry is evicted so the
-// caller re-prepares.
-func (c *stmtCache) lookup(key string, db *DB) *Stmt {
+// lookup returns the cached statement, or nil.
+func (c *stmtCache) lookup(key string) *Stmt {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
 		return nil
 	}
-	e := el.Value.(*cacheEntry)
-	if e.gen != db.store.Gen() {
-		c.order.Remove(el)
-		delete(c.entries, key)
-		return nil
-	}
 	c.order.MoveToFront(el)
-	return e.stmt
+	return el.Value.(*cacheEntry).stmt
 }
 
 // store inserts a fresh entry, evicting the least recently used past cap.
-func (c *stmtCache) store(key string, s *Stmt, gen uint64) {
+func (c *stmtCache) store(key string, s *Stmt) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		c.order.Remove(el)
 		delete(c.entries, key)
 	}
-	el := c.order.PushFront(&cacheEntry{key: key, stmt: s, gen: gen})
+	el := c.order.PushFront(&cacheEntry{key: key, stmt: s})
 	c.entries[key] = el
 	for c.order.Len() > c.cap {
 		last := c.order.Back()

@@ -68,7 +68,7 @@ func TestPreparedDifferentialCorpora(t *testing.T) {
 			t.Fatalf("trial %d: lifted %d literals but statement binds %d", i, len(args), stmt.NumParams())
 		}
 		total++
-		if stmt.plan != nil {
+		if stmt.cur.Load().plan != nil {
 			planned++
 		}
 		got, err := stmt.QueryAll(context.Background(), args...)

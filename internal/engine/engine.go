@@ -26,14 +26,16 @@
 //
 // Concurrency and isolation contract: all data lives in a
 // relation.Store — an MVCC sequence of immutable generation-tagged
-// snapshots. Every Query runs against one snapshot end to end, so a
-// cursor opened before a concurrent committed write streams its
-// pre-write snapshot to completion. Writes go through Exec (autocommit,
-// retried on conflict) or an explicit Tx (first-committer-wins; see
-// Begin). A DB and its prepared statements are safe for concurrent use;
-// the statement cache revalidates against the store's single commit
-// generation, so a Prepare after any commit re-prepares against the new
-// snapshot while a held *Stmt keeps its own.
+// snapshots. A prepared statement binds a schema, an execution binds a
+// snapshot: every Query loads the relation map current at its start and
+// runs on it end to end, so a statement sees the data current when it is
+// executed, and a cursor opened before a concurrent committed write
+// streams its pre-write snapshot to completion. Writes go through Exec
+// (autocommit, retried on conflict) or an explicit Tx
+// (first-committer-wins; see Begin — also the way to a stable view
+// across several statements). A DB and its prepared statements are safe
+// for concurrent use; commits invalidate nothing, and a statement is
+// recompiled only when the schema of a relation it names changes.
 package engine
 
 import (
@@ -77,8 +79,8 @@ func (l Lang) String() string {
 
 // DB is one engine instance: the versioned store every statement
 // prepared from it runs against, the catalog template (views, abstract
-// relations, externals) projected onto each snapshot, and the
-// generation-versioned statement cache.
+// relations, externals) ARC statements are evaluated under, and the
+// statement cache.
 type DB struct {
 	store *relation.Store
 
@@ -86,12 +88,13 @@ type DB struct {
 	// for an in-memory DB (see durable.go).
 	durable *storage.Manager
 
-	mu sync.RWMutex
 	// catTmpl carries the non-base catalog entries (views, abstract
-	// relations, externals); base relations live in the store and are
-	// projected in per snapshot via catalogAt.
+	// relations, externals), fixed at Open; base relations live in the
+	// store and reach the evaluator with each execution.
 	catTmpl *eval.Catalog
-	conv    convention.Conventions
+
+	mu   sync.RWMutex // guards conv
+	conv convention.Conventions
 
 	cache *stmtCache
 	// Prepare-path counters, the statement-cache capacity-planning
@@ -115,11 +118,6 @@ type DB struct {
 	// slow is the installed slow-query log, nil when disabled (the
 	// per-execution cost of the disabled path is one pointer load).
 	slow atomic.Pointer[slowLog]
-
-	// catMu guards the per-generation memoized snapshot catalog.
-	catMu    sync.Mutex
-	catGen   uint64
-	catCache *eval.Catalog
 }
 
 // DBStats is a point-in-time snapshot of the DB's execution counters:
@@ -127,8 +125,8 @@ type DB struct {
 // execution counts, the write path's conflict behaviour, transaction
 // boundaries, and the underlying store's commit-path counters.
 type DBStats struct {
-	Prepares       uint64 // Prepare calls (including one-shot Query/QueryAll)
-	CacheHits      uint64 // Prepares served from the statement cache
+	Prepares       uint64 // Prepare calls (including one-shot Query/QueryAll) and schema-change recompiles
+	CacheHits      uint64 // Prepares served from the statement cache; Prepares-CacheHits counts compilations
 	CacheLen       int    // statements currently cached
 	CacheEvictions uint64 // statements evicted past the LRU capacity
 
@@ -225,9 +223,9 @@ func (db *DB) SetConventions(conv convention.Conventions) *DB {
 }
 
 // Register adds or replaces base relations as an unconditional
-// administrative commit: it never conflicts, and the commit-generation
-// bump invalidates cached statements. Evaluations in flight keep their
-// snapshot.
+// administrative commit: it never conflicts. Statements executed
+// afterwards read the new relations (recompiled first if an attribute
+// list changed); evaluations in flight keep their snapshot.
 func (db *DB) Register(rels ...*relation.Relation) *DB {
 	db.store.Apply(rels...)
 	return db
@@ -246,91 +244,106 @@ func (db *DB) conventions() convention.Conventions {
 	return db.conv
 }
 
-// catalogAt projects the catalog template onto a snapshot's relations,
-// memoized per commit generation (ARC prepares against the same snapshot
-// reuse one projection).
-func (db *DB) catalogAt(snap *relation.Snapshot) *eval.Catalog {
-	db.catMu.Lock()
-	defer db.catMu.Unlock()
-	if db.catCache != nil && db.catGen == snap.Gen() {
-		return db.catCache
-	}
-	db.mu.RLock()
-	tmpl := db.catTmpl
-	db.mu.RUnlock()
-	cat := tmpl.CloneWithBase(snap.Rels())
-	db.catGen, db.catCache = snap.Gen(), cat
-	return cat
-}
-
-// catalogFor projects the template onto an arbitrary relation map (a
-// transaction overlay) without memoization.
-func (db *DB) catalogFor(rels map[string]*relation.Relation) *eval.Catalog {
-	db.mu.RLock()
-	tmpl := db.catTmpl
-	db.mu.RUnlock()
-	return tmpl.CloneWithBase(rels)
-}
-
 // Prepare parses, validates, and plans src once, returning a reusable
-// (and concurrently executable) statement. Statements are cached in a
-// generation-versioned LRU keyed by language and source: a hit is valid
-// exactly while the store's commit generation is unchanged, so any
-// committed write or Register re-prepares against the new snapshot
-// instead of serving a stale compilation.
+// (and concurrently executable) statement that reads, each time it is
+// executed, the data committed by then. Statements are cached in an LRU
+// keyed by language and source; a compiled statement depends on the
+// schema of the relations it names and on nothing else, so a hit stays
+// valid across commits and is recompiled only after CREATE/DROP TABLE or
+// a Register that changes one of those attribute lists.
 func (db *DB) Prepare(lang Lang, src string) (*Stmt, error) {
-	return db.prepare(lang, src, "")
+	return db.prepare(nil, lang, src, "")
 }
 
 // PrepareDatalog prepares a Datalog program and selects which predicate
 // Query returns (defaults to the last rule's head when pred is empty).
 func (db *DB) PrepareDatalog(src, pred string) (*Stmt, error) {
-	return db.prepare(LangDatalog, src, pred)
+	return db.prepare(nil, LangDatalog, src, pred)
 }
 
-func (db *DB) prepare(lang Lang, src, pred string) (s *Stmt, err error) {
-	// Recover-to-error backstop: no parser or planner panic on hostile
-	// source may escape this boundary (see PanicError).
-	defer recoverTo(&err, "prepare")
-	db.prepares.Add(1)
-	conv := db.conventions()
-	key := cacheKey(lang, conv, src, pred)
-	if s := db.cache.lookup(key, db); s != nil {
-		db.cacheHits.Add(1)
-		return s, nil
+// openTx resolves a statement's scope to the transaction it runs in now;
+// nil — the DB scope, or a Session outside a transaction — means the
+// committed head with autocommit.
+func openTx(scope txScope) (*Tx, error) {
+	if scope == nil {
+		return nil, nil
 	}
-	// The snapshot is loaded once and both the compile and the cache
-	// entry's generation come from it: if a commit lands after the load,
-	// the stored generation is already stale and the next Prepare
-	// recompiles — never the reverse (a statement bound to replaced
-	// relations served as valid).
-	snap := db.store.Head()
-	s, err = compileStmt(db, lang, src, pred, copyRels(snap.Rels()), db.catalogAt(snap), conv)
+	return scope.openTx()
+}
+
+// relsIn loads the relation map one execution (or compilation) in scope
+// reads: the open transaction's overlay, else the committed head. Map
+// and relations are shared with every other reader — read-only.
+func (db *DB) relsIn(scope txScope) (map[string]*relation.Relation, error) {
+	tx, err := openTx(scope)
 	if err != nil {
 		return nil, err
 	}
-	s.gen = snap.Gen()
-	db.cache.store(key, s, snap.Gen())
-	return s, nil
+	if tx != nil {
+		return tx.ws.Rels(), nil
+	}
+	return db.store.Head().Rels(), nil
 }
 
-// copyRels copies a snapshot's relation map before handing it to a
-// compilation: evaluators extend their relation map with CTE names, and
-// the snapshot's map is shared.
-func copyRels(src map[string]*relation.Relation) map[string]*relation.Relation {
-	out := make(map[string]*relation.Relation, len(src))
-	for k, v := range src {
-		out[k] = v
+// prepare is Prepare for the DB (nil scope), a Tx, or a Session: the
+// statement is compiled against the schema its scope sees now, and a
+// scoped one is a handle of its own on the shared compiled form.
+func (db *DB) prepare(scope txScope, lang Lang, src, pred string) (s *Stmt, err error) {
+	// Recover-to-error backstop: no parser or planner panic on hostile
+	// source may escape this boundary (see PanicError).
+	defer recoverTo(&err, "prepare")
+	rels, err := db.relsIn(scope)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	s, c, err := db.prepareOn(rels, lang, db.conventions(), src, pred)
+	if err != nil || scope == nil {
+		return s, err
+	}
+	scoped := &Stmt{db: db, lang: lang, src: src, pred: pred, conv: s.conv, scope: scope}
+	scoped.cur.Store(c)
+	return scoped, nil
+}
+
+// prepareOn returns the cached statement for (lang, conv, src, pred) and
+// its compiled form for the schema of rels, compiling — and counting a
+// cache miss — when there is no entry or the entry was compiled against
+// another schema. Every compilation of the serving path happens here.
+func (db *DB) prepareOn(rels map[string]*relation.Relation, lang Lang, conv convention.Conventions, src, pred string) (*Stmt, *compiled, error) {
+	db.prepares.Add(1)
+	key := cacheKey(lang, conv, src, pred)
+	s := db.cache.lookup(key)
+	if s != nil {
+		if c := s.cur.Load(); c.fresh(rels) {
+			db.cacheHits.Add(1)
+			return s, c, nil
+		}
+	}
+	c, err := compileStmt(lang, src, pred, rels, db.catTmpl, conv)
+	if err != nil {
+		return nil, nil, err
+	}
+	if s == nil {
+		s = &Stmt{db: db, lang: lang, src: src, pred: pred, conv: conv}
+		s.cur.Store(c)
+		db.cache.store(key, s)
+	} else {
+		s.cur.Store(c)
+	}
+	return s, c, nil
 }
 
 // PrepareARCCollection prepares an already-parsed ARC collection under
 // explicit conventions — the facade's entry for callers that hold an AST
 // rather than source text. The statement is not cached.
 func (db *DB) PrepareARCCollection(col *alt.Collection, conv convention.Conventions) (*Stmt, error) {
-	snap := db.store.Head()
-	return compileARC(db, col, col.String(), db.catalogAt(snap), conv)
+	c, err := compileARC(col, db.catTmpl, conv)
+	if err != nil {
+		return nil, err
+	}
+	s := &Stmt{db: db, lang: LangARC, src: col.String(), conv: conv}
+	s.cur.Store(c)
+	return s, nil
 }
 
 // Query is the convenience one-shot: Prepare (hitting the statement

@@ -294,9 +294,16 @@ func TestThreeLanguageAgreement(t *testing.T) {
 	}
 }
 
+// compilations counts statement compilations so far: every Prepare (and
+// every schema-change recompile) that the cache did not serve.
+func compilations(db *DB) uint64 {
+	st := db.Stats()
+	return st.Prepares - st.CacheHits
+}
+
 func TestStmtCacheHitAndInvalidation(t *testing.T) {
-	r := relation.New("R", "A", "B").Add(1, 10)
-	db := Open(r)
+	ctx := context.Background()
+	db := Open(relation.New("R", "A", "B").Add(1, 10), relation.New("S", "C"))
 	const src = "select R.A from R where R.A = $1"
 	s1, err := db.Prepare(LangSQL, src)
 	if err != nil {
@@ -309,45 +316,103 @@ func TestStmtCacheHitAndInvalidation(t *testing.T) {
 	if s1 != s2 {
 		t.Fatal("second Prepare missed the statement cache")
 	}
-	// A committed write (new store generation) invalidates. Direct
-	// mutation of the seed *relation.Relation no longer does — the
-	// engine reads immutable snapshots, and the cache revalidates on
-	// the single commit generation instead of per-relation recheck.
-	if _, err := db.Exec(context.Background(), LangSQL, "insert into R values (2, 20)"); err != nil {
-		t.Fatal(err)
+	rowsFor := func(s *Stmt, a int) int {
+		t.Helper()
+		rel, err := s.QueryAll(ctx, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rel.Card()
 	}
-	s3, err := db.Prepare(LangSQL, src)
-	if err != nil {
-		t.Fatal(err)
+	// Commits invalidate nothing — not one to another table, not one to
+	// the statement's own — and the held statement reads the new data.
+	compiled := compilations(db)
+	mustExec(t, db, LangSQL, "insert into S values (5)")
+	mustExec(t, db, LangSQL, "insert into R values (2, 20)")
+	if s3, err := db.Prepare(LangSQL, src); err != nil || s3 != s1 {
+		t.Fatalf("Prepare after two commits = %p, %v; want the cached %p", s3, err, s1)
 	}
-	if s3 == s1 {
-		t.Fatal("insert did not invalidate the cached statement")
+	if n := rowsFor(s1, 2); n != 1 {
+		t.Fatalf("held statement sees %d rows for the inserted A=2, want 1", n)
 	}
-	// Schema change (Register) invalidates.
-	s4, _ := db.Prepare(LangSQL, src)
+	// Neither does a Register that keeps the attribute list.
 	db.Register(relation.New("R", "A", "B").Add(7, 70))
-	s5, err := db.Prepare(LangSQL, src)
+	if n := rowsFor(s1, 7); n != 1 {
+		t.Fatalf("held statement sees %d rows for A=7 of the replacement relation, want 1", n)
+	}
+	// The inserts compiled themselves; the held statement never
+	// recompiled.
+	if got := compilations(db); got != compiled+2 {
+		t.Fatalf("%d compilations across three data commits, want 2 (the two inserts)", got-compiled)
+	}
+	// A Register with another attribute list recompiles, exactly once.
+	db.Register(relation.New("R", "B", "A").Add(90, 9))
+	for range 3 {
+		if n := rowsFor(s1, 9); n != 1 {
+			t.Fatalf("held statement sees %d rows for A=9 after the schema change, want 1", n)
+		}
+	}
+	if got := compilations(db); got != compiled+3 {
+		t.Fatalf("%d compilations after one schema change, want exactly 1", got-compiled-2)
+	}
+	if s4, err := db.Prepare(LangSQL, src); err != nil || s4 != s1 {
+		t.Fatalf("Prepare after the schema change = %p, %v; want the cached %p", s4, err, s1)
+	}
+	// DROP TABLE: the held statement fails the way a Prepare does now.
+	const ins = "insert into R values ($1, $2)"
+	held, err := db.Prepare(LangSQL, ins)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s5 == s4 {
-		t.Fatal("Register did not invalidate the cached statement")
+	mustExec(t, db, LangSQL, "drop table R")
+	_, wantErr := db.Prepare(LangSQL, ins)
+	if wantErr == nil {
+		t.Fatal("Prepare of an INSERT into a dropped table succeeded")
 	}
-	// The re-prepared statement reads the replacement relation.
-	rel, err := s5.QueryAll(context.Background(), 7)
+	if _, err := held.Exec(ctx, 1, 2); err == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("held INSERT after DROP TABLE: err = %v, want %v", err, wantErr)
+	}
+	_, wantErr = db.QueryAll(ctx, LangSQL, src, 1)
+	if _, err := s1.QueryAll(ctx, 1); wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("held SELECT after DROP TABLE: err = %v, want %v", err, wantErr)
+	}
+}
+
+// TestCommitsCompileNothing is the acceptance check of the schema-only
+// freshness contract: 1 000 autocommit inserts into A cause no
+// compilation of a held statement over B, nor of one over A.
+func TestCommitsCompileNothing(t *testing.T) {
+	ctx := context.Background()
+	db := Open(relation.New("A", "k", "v"), relation.New("B", "k", "v").Add(1, 1))
+	overA, err := db.Prepare(LangSQL, "select A.v from A where A.k = $1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel.Card() != 1 {
-		t.Fatalf("re-prepared statement sees %d rows for A=7, want 1", rel.Card())
-	}
-	// The pre-Register statement still answers from its snapshot.
-	rel, err = s4.QueryAll(context.Background(), 1)
+	overB, err := db.Prepare(LangSQL, "select B.v from B where B.k = $1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel.Card() != 1 {
-		t.Fatalf("old statement lost its snapshot: %d rows for A=1", rel.Card())
+	ins, err := db.Prepare(LangSQL, "insert into A values ($1, $2)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := compilations(db)
+	for i := range 1000 {
+		if _, err := ins.Exec(ctx, i, i*2); err != nil {
+			t.Fatal(err)
+		}
+		if i%100 != 0 {
+			continue
+		}
+		if rel, err := overA.QueryAll(ctx, i); err != nil || rel.Card() != 1 {
+			t.Fatalf("after insert %d: statement over A: %v, %v", i, rel, err)
+		}
+		if rel, err := overB.QueryAll(ctx, 1); err != nil || rel.Card() != 1 {
+			t.Fatalf("after insert %d: statement over B: %v, %v", i, rel, err)
+		}
+	}
+	if got := compilations(db); got != before {
+		t.Fatalf("1000 commits caused %d compilation(s), want 0", got-before)
 	}
 }
 

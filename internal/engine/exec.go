@@ -58,7 +58,8 @@ func (db *DB) Exec(ctx context.Context, lang Lang, src string, args ...any) (Res
 // Exec on BEGIN/COMMIT/ROLLBACK outside a session.
 func (s *Stmt) Exec(ctx context.Context, args ...any) (res Result, err error) {
 	defer recoverTo(&err, "exec")
-	switch s.kind {
+	c := s.cur.Load()
+	switch c.kind {
 	case KindDML:
 		s.db.dmlExecs.Add(1)
 	case KindDDL:
@@ -66,9 +67,11 @@ func (s *Stmt) Exec(ctx context.Context, args ...any) (res Result, err error) {
 	case KindQuery:
 		return Result{}, fmt.Errorf("engine: query statement returns rows; use Query")
 	default:
-		return Result{}, fmt.Errorf("engine: %s is transaction control; run it through a Session or use Begin/Commit/Rollback", s.kind)
+		return Result{}, fmt.Errorf("engine: %s is transaction control; run it through a Session or use Begin/Commit/Rollback", c.kind)
 	}
-	vals, _, err := s.splitArgs(args)
+	// What arguments a statement takes is fixed by its text, whatever
+	// schema it is (re)compiled against.
+	vals, _, err := s.splitArgs(c, args)
 	if err != nil {
 		return Result{}, err
 	}
@@ -79,27 +82,27 @@ func (s *Stmt) Exec(ctx context.Context, args ...any) (res Result, err error) {
 		}
 	}
 	start := time.Now()
-	if s.tx != nil {
-		res, err := s.tx.exec(s, vals, check)
-		if err == nil {
-			s.db.observeSlow(s.lang, s.kind, s.src, time.Since(start), res.RowsAffected, 0, nil)
-		}
-		return res, err
+	tx, err := openTx(s.scope)
+	if err != nil {
+		return Result{}, err
 	}
-	res, retries, err := s.autocommit(vals, check)
-	if err == nil {
-		s.db.observeSlow(s.lang, s.kind, s.src, time.Since(start), res.RowsAffected, retries, nil)
+	retries := 0
+	if tx != nil {
+		res.RowsAffected, err = s.applyTo(tx.ws, vals, check)
+	} else {
+		res, retries, err = s.autocommit(vals, check)
 	}
-	return res, err
+	if err != nil {
+		return Result{}, err
+	}
+	s.db.observeSlow(s.lang, c.kind, s.src, time.Since(start), res.RowsAffected, retries, nil)
+	return res, nil
 }
 
 // autocommit applies the statement to a fresh write set against the
 // current snapshot and commits, retrying on first-committer-wins
-// conflicts. Statements whose effect depends on the snapshot (DELETE's
-// matching-rows query, INSERT … SELECT) are recompiled against each
-// retry's snapshot; snapshot-independent statements (INSERT … VALUES,
-// CREATE TABLE, fact ops) re-apply as compiled.
-// The retry count it reports feeds the slow-query log.
+// conflicts: each attempt is an execution of its own, on its own write
+// set's relations. The retry count it reports feeds the slow-query log.
 func (s *Stmt) autocommit(vals []value.Value, check func() error) (Result, int, error) {
 	db := s.db
 	for attempt := 0; ; attempt++ {
@@ -109,16 +112,7 @@ func (s *Stmt) autocommit(vals []value.Value, check func() error) (Result, int, 
 			}
 		}
 		ws := db.store.Begin()
-		cur := s
-		if s.q != nil && s.gen != ws.Base().Gen() {
-			fresh, err := compileStmt(db, s.lang, s.src, "", copyRels(ws.Base().Rels()), db.catalogAt(ws.Base()), s.conv)
-			if err != nil {
-				return Result{}, attempt, err
-			}
-			fresh.gen = ws.Base().Gen()
-			cur = fresh
-		}
-		n, err := cur.applyTo(ws, vals, check)
+		n, err := s.applyTo(ws, vals, check)
 		if err != nil {
 			return Result{}, attempt, err
 		}
@@ -137,30 +131,31 @@ func (s *Stmt) autocommit(vals []value.Value, check func() error) (Result, int, 
 	}
 }
 
-// applyTo applies the compiled statement to a write set, returning the
-// affected row-occurrence count. The write set may be an autocommit
-// scratch set or an open transaction's.
+// applyTo executes the statement on a write set — an autocommit scratch
+// set or an open transaction's — returning the affected row-occurrence
+// count: the write set's overlay is the relation map of this execution,
+// which the compiled form is checked against and any embedded query
+// reads.
 func (s *Stmt) applyTo(ws *relation.WriteSet, vals []value.Value, check func() error) (int64, error) {
-	if s.ops != nil {
-		return applyFactOps(ws, s.ops)
+	rels := ws.Rels()
+	c, err := s.on(rels)
+	if err != nil {
+		return 0, err
 	}
-	switch st := s.st.(type) {
+	if c.ops != nil {
+		return applyFactOps(ws, c.ops)
+	}
+	switch st := c.st.(type) {
 	case *sql.Insert:
-		return s.applyInsert(ws, st, vals, check)
+		return c.applyInsert(ws, rels, st, vals, check)
 	case *sql.Delete:
-		return s.applyDelete(ws, st, vals, check)
+		return c.applyDelete(ws, rels, st, vals, check)
 	case *sql.Update:
-		return s.applyUpdate(ws, st, vals, check)
+		return c.applyUpdate(ws, rels, st, vals, check)
 	case *sql.CreateTable:
-		if err := ws.Create(st.Name, st.Cols); err != nil {
-			return 0, err
-		}
-		return 0, nil
+		return 0, ws.Create(st.Name, st.Cols)
 	case *sql.DropTable:
-		if err := ws.Drop(st.Name); err != nil {
-			return 0, err
-		}
-		return 0, nil
+		return 0, ws.Drop(st.Name)
 	}
 	return 0, fmt.Errorf("engine: statement %q has no write recipe", s.src)
 }
@@ -169,18 +164,15 @@ func (s *Stmt) applyTo(ws *relation.WriteSet, vals []value.Value, check func() e
 // placeholders) or the materialized rows of the source query, mapping
 // them onto the target's columns; unnamed columns of a column-list
 // INSERT receive NULL.
-func (s *Stmt) applyInsert(ws *relation.WriteSet, ins *sql.Insert, vals []value.Value, check func() error) (int64, error) {
+func (c *compiled) applyInsert(ws *relation.WriteSet, rels map[string]*relation.Relation, ins *sql.Insert, vals []value.Value, check func() error) (int64, error) {
 	target := ws.Relation(ins.Table)
 	if target == nil {
 		return 0, fmt.Errorf("engine: INSERT into unknown relation %q", ins.Table)
 	}
 	width := target.Arity()
-	pos := s.insPos
+	pos := c.insPos
 	if len(ins.Cols) > 0 {
 		width = len(ins.Cols)
-		if pos == nil || len(pos) != width {
-			return 0, fmt.Errorf("engine: INSERT into %s: stale column mapping", ins.Table)
-		}
 	}
 	emit := func(row relation.Tuple, mult int) error {
 		if len(row) != width {
@@ -193,9 +185,6 @@ func (s *Stmt) applyInsert(ws *relation.WriteSet, ins *sql.Insert, vals []value.
 				t[i] = value.Null()
 			}
 			for i, p := range pos {
-				if p >= len(t) {
-					return fmt.Errorf("engine: INSERT into %s: column %q out of range (schema changed?)", ins.Table, ins.Cols[i])
-				}
 				t[p] = row[i]
 			}
 		}
@@ -219,7 +208,7 @@ func (s *Stmt) applyInsert(ws *relation.WriteSet, ins *sql.Insert, vals []value.
 		}
 		return n, nil
 	}
-	src, err := s.evalDMLQuery(vals, check)
+	src, err := c.runQuery(rels, vals, check)
 	if err != nil {
 		return 0, err
 	}
@@ -236,11 +225,11 @@ func (s *Stmt) applyInsert(ws *relation.WriteSet, ins *sql.Insert, vals []value.
 
 // applyDelete runs the compiled matching-rows query and removes every
 // occurrence of the matched tuples from the target.
-func (s *Stmt) applyDelete(ws *relation.WriteSet, del *sql.Delete, vals []value.Value, check func() error) (int64, error) {
+func (c *compiled) applyDelete(ws *relation.WriteSet, rels map[string]*relation.Relation, del *sql.Delete, vals []value.Value, check func() error) (int64, error) {
 	if ws.Relation(del.Table) == nil {
 		return 0, fmt.Errorf("engine: DELETE from unknown relation %q", del.Table)
 	}
-	matched, err := s.evalDMLQuery(vals, check)
+	matched, err := c.runQuery(rels, vals, check)
 	if err != nil {
 		return 0, err
 	}
@@ -260,17 +249,14 @@ func (s *Stmt) applyDelete(ws *relation.WriteSet, del *sql.Delete, vals []value.
 // re-inserts the rewritten ones with their multiplicities. Deletes all
 // land before the first insert, so updates that permute existing tuples
 // (key swaps) cannot clobber each other's rows.
-func (s *Stmt) applyUpdate(ws *relation.WriteSet, up *sql.Update, vals []value.Value, check func() error) (int64, error) {
+func (c *compiled) applyUpdate(ws *relation.WriteSet, rels map[string]*relation.Relation, up *sql.Update, vals []value.Value, check func() error) (int64, error) {
 	target := ws.Relation(up.Table)
 	if target == nil {
 		return 0, fmt.Errorf("engine: UPDATE unknown relation %q", up.Table)
 	}
 	arity := target.Arity()
-	pos := s.insPos
-	if len(pos) != len(up.Cols) {
-		return 0, fmt.Errorf("engine: UPDATE %s: stale column mapping", up.Table)
-	}
-	matched, err := s.evalDMLQuery(vals, check)
+	pos := c.insPos
+	matched, err := c.runQuery(rels, vals, check)
 	if err != nil {
 		return 0, err
 	}

@@ -298,9 +298,9 @@ func TestTxReadYourWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Prepare BEFORE the write: the statement must re-resolve against the
-	// transaction's overlay after the write and see the new row exactly
-	// once.
+	// Prepare BEFORE the write: the statement executes on the
+	// transaction's overlay as it is after the write and sees the new row
+	// exactly once.
 	s, err := tx.Prepare(LangSQL, "select R.A from R where R.A = $1")
 	if err != nil {
 		t.Fatal(err)
@@ -318,19 +318,6 @@ func TestTxReadYourWrites(t *testing.T) {
 	// Other sessions don't see it before commit.
 	if got := countAll(t, db.QueryAll, LangSQL, "select R.A from R where R.A = 2"); got != 0 {
 		t.Fatalf("uncommitted write visible outside the transaction (%d rows)", got)
-	}
-	// Statement identity is stable while the write set doesn't move:
-	// two resolves at the same version return the same compilation.
-	r1, err := tx.resolve(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := tx.resolve(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 != r2 {
-		t.Fatal("resolve recompiled at an unchanged write-set version")
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
@@ -416,7 +403,11 @@ func TestCursorOpenedBeforeDeleteStreamsOldSnapshot(t *testing.T) {
 		r.Add(i)
 	}
 	db := Open(r)
-	rows, err := db.Query(ctx, LangSQL, "select R.A from R")
+	stmt, err := db.Prepare(LangSQL, "select R.A from R")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := stmt.Query(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,8 +428,14 @@ func TestCursorOpenedBeforeDeleteStreamsOldSnapshot(t *testing.T) {
 	if n != 100 {
 		t.Fatalf("cursor streamed %d rows, want the full pre-delete 100", n)
 	}
-	if got := countAll(t, db.QueryAll, LangSQL, "select R.A from R"); got != 50 {
-		t.Fatalf("post-delete rows = %d, want 50", got)
+	// The cursor owned that snapshot, not the statement: executed again,
+	// the same statement reads the post-delete rows.
+	rel, err := stmt.QueryAll(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel.Card() != 50 {
+		t.Fatalf("re-executed statement sees %d rows, want the post-delete 50", rel.Card())
 	}
 }
 
@@ -498,40 +495,56 @@ func TestSessionSQLTransactionControl(t *testing.T) {
 	}
 }
 
-func TestSessionEpochMoves(t *testing.T) {
+// TestSessionStatementFollowsTransactions pins what statements prepared
+// once from a session read: outside a transaction the data committed by
+// the time they run; inside one the transaction's base snapshot plus its
+// own writes; after COMMIT everything again.
+func TestSessionStatementFollowsTransactions(t *testing.T) {
 	ctx := context.Background()
 	db := Open(relation.New("R", "A"), relation.New("S", "B"))
 	sess := db.NewSession()
 	defer sess.Close()
-	e0 := sess.Epoch()
-	// Another writer commits: the out-of-tx epoch moves.
-	mustExec(t, db, LangSQL, "insert into S values (1)")
-	if sess.Epoch() == e0 {
-		t.Fatal("epoch unchanged after a concurrent commit")
+	count := map[string]*Stmt{}
+	for _, tbl := range []string{"R", "S"} {
+		st, err := sess.Prepare(LangSQL, "select count(*) n from "+tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		count[tbl] = st
 	}
+	sees := func(when, tbl string, want int64) {
+		t.Helper()
+		rel, err := count[tbl].QueryAll(ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if got := rel.Tuples()[0][0].AsInt(); got != want {
+			t.Fatalf("%s: statement counts %d row(s) in %s, want %d", when, got, tbl, want)
+		}
+	}
+	// Another writer commits: the out-of-tx statement sees it.
+	mustExec(t, db, LangSQL, "insert into S values (1)")
+	sees("outside a transaction, after a concurrent commit", "S", 1)
 	if err := sess.Begin(ctx); err != nil {
 		t.Fatal(err)
 	}
-	e1 := sess.Epoch()
-	// In-tx: a concurrent commit does NOT move the epoch (snapshot
-	// isolation), but the session's own write does. The concurrent
-	// writer touches S only, so the session's R-write still commits.
+	// In-tx: a concurrent commit stays invisible (snapshot isolation),
+	// the session's own write does not. The concurrent writer touches S
+	// only, so the session's R-write still commits.
 	mustExec(t, db, LangSQL, "insert into S values (2)")
-	if sess.Epoch() != e1 {
-		t.Fatal("in-tx epoch moved on a concurrent commit")
-	}
+	sees("inside the transaction, after a concurrent commit", "S", 1)
 	if _, err := sess.Exec(ctx, LangSQL, "insert into R values (3)"); err != nil {
 		t.Fatal(err)
 	}
-	if sess.Epoch() == e1 {
-		t.Fatal("in-tx epoch unchanged after own write")
+	sees("inside the transaction, after its own write", "R", 1)
+	if got := countAll(t, db.QueryAll, LangSQL, "select R.A from R"); got != 0 {
+		t.Fatalf("uncommitted write visible outside the transaction (%d rows)", got)
 	}
 	if _, err := sess.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if sess.Epoch() == e1 {
-		t.Fatal("epoch unchanged after commit")
-	}
+	sees("after COMMIT", "R", 1)
+	sees("after COMMIT", "S", 2)
 }
 
 func TestAutocommitRetriesOnConflict(t *testing.T) {
@@ -545,7 +558,14 @@ func TestAutocommitRetriesOnConflict(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := range per {
-				if _, err := db.Exec(ctx, LangSQL, fmt.Sprintf("insert into R values (%d)", w*per+i)); err != nil {
+				// 8 writers on one relation can exhaust the engine's
+				// bounded retries; the contract on ErrConflict is "retry".
+				src := fmt.Sprintf("insert into R values (%d)", w*per+i)
+				_, err := db.Exec(ctx, LangSQL, src)
+				for errors.Is(err, ErrConflict) {
+					_, err = db.Exec(ctx, LangSQL, src)
+				}
+				if err != nil {
 					errs <- err
 					return
 				}
@@ -559,5 +579,8 @@ func TestAutocommitRetriesOnConflict(t *testing.T) {
 	}
 	if got := countAll(t, db.QueryAll, LangSQL, "select R.A from R"); got != writers*per {
 		t.Fatalf("rows = %d, want %d", got, writers*per)
+	}
+	if db.Stats().ConflictRetries == 0 {
+		t.Fatal("no autocommit retry ran: the writers never contended")
 	}
 }

@@ -27,13 +27,14 @@ type factOp struct {
 }
 
 // compileFactOps parses a fact-operation batch and validates every
-// target against the prepare-time relation snapshot (existence and
-// arity), yielding a KindDML statement.
-func compileFactOps(db *DB, lang Lang, src string, rels map[string]*relation.Relation) (*Stmt, error) {
+// target against the schema of rels (existence and arity), yielding a
+// KindDML statement.
+func compileFactOps(src string, rels map[string]*relation.Relation) (*compiled, error) {
 	ops, err := parseFactOps(src)
 	if err != nil {
 		return nil, err
 	}
+	c := &compiled{kind: KindDML, ops: ops}
 	for _, op := range ops {
 		target, ok := rels[op.rel]
 		if !ok {
@@ -42,8 +43,9 @@ func compileFactOps(db *DB, lang Lang, src string, rels map[string]*relation.Rel
 		if len(op.tuple) != target.Arity() {
 			return nil, fmt.Errorf("engine: %s takes %d argument(s), got %d", op.rel, target.Arity(), len(op.tuple))
 		}
+		c.dependOn(rels, op.rel)
 	}
-	return &Stmt{db: db, lang: lang, kind: KindDML, src: src, ops: ops}, nil
+	return c, nil
 }
 
 // parseFactOps parses "+Rel(lit, …)" / "-Rel(lit, …)" sequences.

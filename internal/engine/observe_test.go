@@ -103,6 +103,27 @@ func TestExplainAnalyzeEngine(t *testing.T) {
 	if !strings.Contains(atext, "Fixpoint") || !strings.Contains(atext, "Total: rows=6") {
 		t.Errorf("ARC analyze output lacks fixpoint/total lines:\n%s", atext)
 	}
+
+	// SQL outside the planner fragment has no operator tree: it renders
+	// the reference evaluator's one step with the planner's reason.
+	fb, err := db.Prepare(LangSQL, "select E.x, L.y from E, lateral (select F.y from E F where F.x = E.y) L")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ftext, err := fb.ExplainAnalyze(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := strings.LastIndex(ftext, " time=")
+	if total < 0 {
+		t.Fatalf("fallback analyze output has no total time:\n%s", ftext)
+	}
+	if got, want := ftext[:total], "Enumeration (reference evaluator): not plannable: LATERAL subquery\nTotal: rows=2"; got != want {
+		t.Errorf("fallback analyze output:\n%s\nwant (up to the time):\n%s", ftext, want)
+	}
+	if _, err := fb.Explain(); err == nil || !strings.Contains(err.Error(), "LATERAL subquery") {
+		t.Errorf("Explain of a fallback statement: err = %v, want the planner's reason", err)
+	}
 }
 
 // TestSlowQueryLog injects an artificially low threshold and checks the

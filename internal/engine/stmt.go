@@ -86,45 +86,25 @@ func (k StmtKind) String() string {
 func (k StmtKind) ReturnsRows() bool { return k == KindQuery }
 
 // Stmt is a prepared statement: parsed, validated, and (for SQL inside
-// the planner fragment) compiled exactly once at Prepare. A Stmt is
-// immutable and safe for concurrent Query calls; it is bound to the
-// snapshot current at Prepare time (the statement cache revalidates on
-// the store's commit generation, so a later Prepare reflects new
-// commits). Statements prepared inside a transaction track the
-// transaction's write set instead: each execution resolves through the
-// per-transaction cache, so it sees the transaction's own uncommitted
-// writes exactly once per write version.
+// the planner fragment) compiled at Prepare — against a schema, not
+// against data. Every execution loads one relation map at its start (the
+// committed head, or the open transaction's overlay for a statement
+// prepared from a Tx or a Session) and runs the compiled form on it, so a
+// statement sees the data current when it is executed: a cursor keeps
+// streaming the map its execution began on, a transaction keeps reading
+// its base snapshot plus its own writes. The compiled form is replaced
+// only when the schema it was compiled against no longer matches that
+// map (see on). A Stmt is safe for concurrent use.
 type Stmt struct {
-	db      *DB
-	lang    Lang
-	kind    StmtKind
-	src     string
-	cols    []string
-	nparams int
-	gen     uint64 // store commit generation the snapshot compiled under
-	ver     uint64 // write-set version, for transaction-owned statements
-	tx      *Tx    // non-nil when prepared inside a transaction
-
-	// SQL query machinery — also the embedded query of INSERT … SELECT
-	// and the synthetic full-row SELECT of DELETE … WHERE.
-	q       sql.Query
-	plan    *plan.Plan // nil → enumeration fallback
-	planErr error      // the planner's bailout reason, for Explain
-	rels    sqleval.DB // prepare-time relation snapshot (or tx overlay)
-
-	// SQL DML/DDL
-	st     sql.Statement // *sql.Insert, *sql.Delete, *sql.Update, *sql.CreateTable
-	insPos []int         // INSERT/UPDATE: target column of each written value
-
-	// ARC / Datalog fact ops
-	ops []factOp
-
-	// ARC, and Datalog lowered to ARC (the target predicate's collection;
-	// the program's other predicates are views of cat)
-	col  *alt.Collection
-	link *alt.Link
-	cat  *eval.Catalog
-	conv convention.Conventions
+	db   *DB
+	lang Lang
+	src  string
+	pred string                 // Datalog: the predicate asked for ("" = the last rule's head)
+	conv convention.Conventions // ARC conventions in force at Prepare
+	// scope is the Tx or Session the statement was prepared from and runs
+	// in; nil for one prepared from the DB (head snapshot, autocommit).
+	scope txScope
+	cur   atomic.Pointer[compiled]
 
 	// lastTrace holds the trace of the most recent traced execution
 	// through this handle (QueryTraced / ExplainAnalyze), for callers
@@ -132,41 +112,134 @@ type Stmt struct {
 	lastTrace atomic.Pointer[trace.Trace]
 }
 
-// compileStmt prepares one statement in the given language.
-func compileStmt(db *DB, lang Lang, src, pred string, rels map[string]*relation.Relation, cat *eval.Catalog, conv convention.Conventions) (*Stmt, error) {
+// txScope is what a statement not prepared from the DB runs in: openTx
+// yields the transaction whose overlay it reads and whose write set it
+// writes, or nil for the committed head with autocommit.
+type txScope interface {
+	openTx() (*Tx, error)
+}
+
+// compiled is the immutable compiled form of a statement, valid for
+// every relation map in which the relations it names have the attribute
+// lists it recorded in deps.
+type compiled struct {
+	kind    StmtKind
+	cols    []string
+	nparams int
+	deps    []relDep
+
+	// SQL query machinery — also the embedded query of INSERT … SELECT
+	// and the synthetic full-row SELECT of DELETE and UPDATE.
+	q       sql.Query
+	plan    *plan.Plan // nil → the reference enumeration evaluator
+	planErr error      // the planner's bailout reason, for Explain
+
+	// SQL DML/DDL
+	st     sql.Statement // *sql.Insert, *sql.Delete, *sql.Update, *sql.CreateTable, *sql.DropTable
+	insPos []int         // INSERT/UPDATE: target column of each written value
+
+	// ARC / Datalog fact ops
+	ops []factOp
+
+	// ARC, and Datalog lowered to ARC (the target predicate's collection;
+	// the program's other predicates are views of cat). cat holds
+	// definitions only: base relations arrive with each execution.
+	col  *alt.Collection
+	link *alt.Link
+	cat  *eval.Catalog
+	conv convention.Conventions
+}
+
+// relDep records what a compilation saw of one relation it names: its
+// attribute list, or that it did not exist.
+type relDep struct {
+	name    string
+	attrs   []string
+	present bool
+}
+
+// dependOn records the schema of the named relations in rels.
+func (c *compiled) dependOn(rels map[string]*relation.Relation, names ...string) {
+	for _, name := range names {
+		r, ok := rels[name]
+		d := relDep{name: name, present: ok}
+		if ok {
+			d.attrs = r.Attrs()
+		}
+		c.deps = append(c.deps, d)
+	}
+}
+
+// fresh reports whether rels has the schema c was compiled against —
+// the one freshness check of the execution path.
+func (c *compiled) fresh(rels map[string]*relation.Relation) bool {
+	for _, d := range c.deps {
+		r, ok := rels[d.name]
+		if ok != d.present || ok && !slices.Equal(r.Attrs(), d.attrs) {
+			return false
+		}
+	}
+	return true
+}
+
+// on returns the compiled form for an execution over rels. When a
+// relation the statement names was created, dropped or re-registered
+// with other attributes since it was compiled, it is recompiled — once,
+// through the statement cache — or fails with the error Prepare gives.
+func (s *Stmt) on(rels map[string]*relation.Relation) (*compiled, error) {
+	c := s.cur.Load()
+	if c.fresh(rels) {
+		return c, nil
+	}
+	_, c, err := s.db.prepareOn(rels, s.lang, s.conv, s.src, s.pred)
+	if err != nil {
+		return nil, err
+	}
+	s.cur.Store(c)
+	return c, nil
+}
+
+// compileStmt compiles one statement in the given language against the
+// schema of rels.
+func compileStmt(lang Lang, src, pred string, rels map[string]*relation.Relation, cat *eval.Catalog, conv convention.Conventions) (*compiled, error) {
 	switch lang {
 	case LangSQL:
-		return compileSQL(db, src, rels)
+		return compileSQL(src, rels)
 	case LangARC, LangDatalog:
 		if isFactOps(src) {
-			return compileFactOps(db, lang, src, rels)
+			return compileFactOps(src, rels)
 		}
 		if lang == LangDatalog {
-			return compileDatalog(db, src, pred, rels, nil)
+			return compileDatalog(src, pred, rels, nil)
 		}
 		col, err := arc.ParseCollection(src)
 		if err != nil {
 			return nil, err
 		}
-		return compileARC(db, col, src, cat, conv)
+		return compileARC(col, cat, conv)
 	}
 	return nil, fmt.Errorf("engine: unknown language %v", lang)
 }
 
-func compileSQL(db *DB, src string, rels map[string]*relation.Relation) (*Stmt, error) {
+func compileSQL(src string, rels map[string]*relation.Relation) (*compiled, error) {
 	st, err := sql.ParseStatement(src)
 	if err != nil {
 		return nil, err
 	}
 	switch x := st.(type) {
 	case sql.Query:
-		return compileSQLQuery(db, src, x, rels)
+		c := &compiled{kind: KindQuery, nparams: sql.MaxParam(x)}
+		if err := c.compileQuery(x, rels); err != nil {
+			return nil, err
+		}
+		c.cols = c.queryCols()
+		return c, nil
 	case *sql.Insert:
-		return compileInsert(db, src, x, rels)
+		return compileInsert(x, rels)
 	case *sql.Delete:
-		return compileDelete(db, src, x, rels)
+		return compileDelete(x, rels)
 	case *sql.Update:
-		return compileUpdate(db, src, x, rels)
+		return compileUpdate(x, rels)
 	case *sql.CreateTable:
 		seen := map[string]bool{}
 		for _, c := range x.Cols {
@@ -175,43 +248,60 @@ func compileSQL(db *DB, src string, rels map[string]*relation.Relation) (*Stmt, 
 			}
 			seen[c] = true
 		}
-		return &Stmt{db: db, lang: LangSQL, kind: KindDDL, src: src, st: x}, nil
+		return &compiled{kind: KindDDL, st: x}, nil
 	case *sql.DropTable:
 		if _, ok := rels[x.Name]; !ok {
 			return nil, fmt.Errorf("engine: DROP TABLE %s: unknown relation", x.Name)
 		}
-		return &Stmt{db: db, lang: LangSQL, kind: KindDDL, src: src, st: x}, nil
+		c := &compiled{kind: KindDDL, st: x}
+		c.dependOn(rels, x.Name)
+		return c, nil
 	case *sql.BeginStmt:
-		return &Stmt{db: db, lang: LangSQL, kind: KindBegin, src: src}, nil
+		return &compiled{kind: KindBegin}, nil
 	case *sql.CommitStmt:
-		return &Stmt{db: db, lang: LangSQL, kind: KindCommit, src: src}, nil
+		return &compiled{kind: KindCommit}, nil
 	case *sql.RollbackStmt:
-		return &Stmt{db: db, lang: LangSQL, kind: KindRollback, src: src}, nil
+		return &compiled{kind: KindRollback}, nil
 	}
 	return nil, fmt.Errorf("engine: unsupported statement %T", st)
 }
 
-func compileSQLQuery(db *DB, src string, q sql.Query, rels map[string]*relation.Relation) (*Stmt, error) {
-	s := &Stmt{
-		db:      db,
-		lang:    LangSQL,
-		kind:    KindQuery,
-		src:     src,
-		q:       q,
-		nparams: sql.MaxParam(q),
-		rels:    rels,
+// compileQuery makes q the statement's (embedded) query: compiled by the
+// planner, or — outside the planner fragment — kept for the reference
+// enumeration evaluator along with the bailout reason. It is the one
+// place that decides between the two; runQuery is the one that acts on
+// it.
+func (c *compiled) compileQuery(q sql.Query, rels map[string]*relation.Relation) error {
+	c.q = q
+	c.dependOn(rels, sql.Tables(q)...)
+	p, err := plan.CompileSchema(q, rels)
+	switch {
+	case err == nil:
+		c.plan = p
+	case errors.Is(err, plan.ErrNotPlannable):
+		c.planErr = err
+	default:
+		return err
 	}
-	if p, err := plan.Compile(q, rels); err == nil {
-		s.plan = p
-		s.cols = p.Attrs()
-	} else {
-		if !errors.Is(err, plan.ErrNotPlannable) {
-			return nil, err
-		}
-		s.planErr = err
-		s.cols = sqlColumns(q)
+	return nil
+}
+
+// queryCols names the output columns of the (embedded) query.
+func (c *compiled) queryCols() []string {
+	if c.plan != nil {
+		return c.plan.Attrs()
 	}
-	return s, nil
+	return sqlColumns(c.q)
+}
+
+// runQuery materializes the (embedded) query on rels: the compiled plan
+// if there is one, the reference enumeration evaluator otherwise (never
+// a re-plan per call).
+func (c *compiled) runQuery(rels map[string]*relation.Relation, vals []value.Value, check func() error) (*relation.Relation, error) {
+	if c.plan != nil {
+		return c.plan.ExecuteOn(rels, vals, check)
+	}
+	return sqleval.EvalWith(c.q, rels, sqleval.PlanOff, vals, check)
 }
 
 // compileInsert validates an INSERT against the target relation and, for
@@ -219,35 +309,28 @@ func compileSQLQuery(db *DB, src string, q sql.Query, rels map[string]*relation.
 // be constant expressions over literals, $n placeholders, and
 // arithmetic; their width (and the source query's) must match the
 // written column list.
-func compileInsert(db *DB, src string, ins *sql.Insert, rels map[string]*relation.Relation) (*Stmt, error) {
+func compileInsert(ins *sql.Insert, rels map[string]*relation.Relation) (*compiled, error) {
 	target, ok := rels[ins.Table]
 	if !ok {
 		return nil, fmt.Errorf("engine: INSERT into unknown relation %q", ins.Table)
 	}
-	s := &Stmt{
-		db:      db,
-		lang:    LangSQL,
-		kind:    KindDML,
-		src:     src,
-		st:      ins,
-		nparams: sql.MaxParamStmt(ins),
-		rels:    rels,
-	}
+	c := &compiled{kind: KindDML, st: ins, nparams: sql.MaxParamStmt(ins)}
+	c.dependOn(rels, ins.Table)
 	width := target.Arity()
 	if len(ins.Cols) > 0 {
 		width = len(ins.Cols)
-		s.insPos = make([]int, width)
+		c.insPos = make([]int, width)
 		seen := map[string]bool{}
-		for i, c := range ins.Cols {
-			pos := target.AttrIndex(c)
+		for i, col := range ins.Cols {
+			pos := target.AttrIndex(col)
 			if pos < 0 {
-				return nil, fmt.Errorf("engine: INSERT into %s: unknown column %q", ins.Table, c)
+				return nil, fmt.Errorf("engine: INSERT into %s: unknown column %q", ins.Table, col)
 			}
-			if seen[c] {
-				return nil, fmt.Errorf("engine: INSERT into %s: column %q written twice", ins.Table, c)
+			if seen[col] {
+				return nil, fmt.Errorf("engine: INSERT into %s: column %q written twice", ins.Table, col)
 			}
-			seen[c] = true
-			s.insPos[i] = pos
+			seen[col] = true
+			c.insPos[i] = pos
 		}
 	}
 	if ins.Query == nil {
@@ -261,122 +344,72 @@ func compileInsert(db *DB, src string, ins *sql.Insert, rels map[string]*relatio
 				}
 			}
 		}
-		return s, nil
+		return c, nil
 	}
-	s.q = ins.Query
-	if p, err := plan.Compile(ins.Query, rels); err == nil {
-		s.plan = p
-		if got := len(p.Attrs()); got != width {
-			return nil, fmt.Errorf("engine: INSERT into %s: query yields %d column(s), want %d", ins.Table, got, width)
-		}
-	} else {
-		if !errors.Is(err, plan.ErrNotPlannable) {
-			return nil, err
-		}
-		s.planErr = err
-		if got := len(sqlColumns(ins.Query)); got != width {
-			return nil, fmt.Errorf("engine: INSERT into %s: query yields %d column(s), want %d", ins.Table, got, width)
-		}
+	if err := c.compileQuery(ins.Query, rels); err != nil {
+		return nil, err
 	}
-	return s, nil
+	if got := len(c.queryCols()); got != width {
+		return nil, fmt.Errorf("engine: INSERT into %s: query yields %d column(s), want %d", ins.Table, got, width)
+	}
+	return c, nil
 }
 
-// compileDelete lowers DELETE FROM t [alias] WHERE cond into a synthetic
-// full-row SELECT over the target (so the WHERE runs through the planner
-// like any query), executed at Exec time to enumerate the tuples to
+// matchingRows is the synthetic SELECT a DELETE or UPDATE finds its rows
+// with: the target's full row, then one item per SET expression, under
+// the statement's WHERE — so row matching (and new-value computation)
+// runs through the planner like any query, range and probe pushdown
+// included.
+func matchingRows(target *relation.Relation, alias, binding string, set []sql.Expr, where sql.Expr) *sql.Select {
+	items := make([]sql.SelectItem, 0, target.Arity()+len(set))
+	for _, a := range target.Attrs() {
+		items = append(items, sql.SelectItem{Expr: &sql.ColRef{Table: binding, Column: a}, Alias: a})
+	}
+	for i, e := range set {
+		items = append(items, sql.SelectItem{Expr: e, Alias: fmt.Sprintf("set_%d", i)})
+	}
+	return &sql.Select{
+		Items: items,
+		From:  []sql.TableRef{&sql.BaseTable{Name: target.Name(), Alias: alias}},
+		Where: where,
+	}
+}
+
+// compileDelete lowers DELETE FROM t [alias] WHERE cond into its
+// matching-rows query, executed at Exec time to enumerate the tuples to
 // remove.
-func compileDelete(db *DB, src string, del *sql.Delete, rels map[string]*relation.Relation) (*Stmt, error) {
+func compileDelete(del *sql.Delete, rels map[string]*relation.Relation) (*compiled, error) {
 	target, ok := rels[del.Table]
 	if !ok {
 		return nil, fmt.Errorf("engine: DELETE from unknown relation %q", del.Table)
 	}
-	b := del.Binding()
-	items := make([]sql.SelectItem, target.Arity())
-	for i, a := range target.Attrs() {
-		items[i] = sql.SelectItem{Expr: &sql.ColRef{Table: b, Column: a}, Alias: a}
-	}
-	q := &sql.Select{
-		Items: items,
-		From:  []sql.TableRef{&sql.BaseTable{Name: del.Table, Alias: del.Alias}},
-		Where: del.Where,
-	}
-	s := &Stmt{
-		db:      db,
-		lang:    LangSQL,
-		kind:    KindDML,
-		src:     src,
-		st:      del,
-		q:       q,
-		nparams: sql.MaxParamStmt(del),
-		rels:    rels,
-	}
-	if p, err := plan.Compile(q, rels); err == nil {
-		s.plan = p
-	} else {
-		if !errors.Is(err, plan.ErrNotPlannable) {
-			return nil, err
-		}
-		s.planErr = err
-	}
-	return s, nil
+	c := &compiled{kind: KindDML, st: del, nparams: sql.MaxParamStmt(del)}
+	return c, c.compileQuery(matchingRows(target, del.Alias, del.Binding(), nil, del.Where), rels)
 }
 
-// compileUpdate lowers UPDATE t SET … WHERE … into a synthetic SELECT
-// projecting the target's full row followed by each SET expression, so
-// row matching and new-value computation both run through the planner
-// (range and probe pushdown included) like any query. Exec removes each
+// compileUpdate lowers UPDATE t SET … WHERE … into its matching-rows
+// query, each matched row followed by its SET values. Exec removes each
 // matched tuple's occurrences and re-inserts the rewritten tuples.
-func compileUpdate(db *DB, src string, up *sql.Update, rels map[string]*relation.Relation) (*Stmt, error) {
+func compileUpdate(up *sql.Update, rels map[string]*relation.Relation) (*compiled, error) {
 	target, ok := rels[up.Table]
 	if !ok {
 		return nil, fmt.Errorf("engine: UPDATE unknown relation %q", up.Table)
 	}
 	pos := make([]int, len(up.Cols))
 	seen := map[string]bool{}
-	for i, c := range up.Cols {
-		p := target.AttrIndex(c)
+	for i, col := range up.Cols {
+		p := target.AttrIndex(col)
 		if p < 0 {
-			return nil, fmt.Errorf("engine: UPDATE %s: unknown column %q", up.Table, c)
+			return nil, fmt.Errorf("engine: UPDATE %s: unknown column %q", up.Table, col)
 		}
-		if seen[c] {
-			return nil, fmt.Errorf("engine: UPDATE %s: column %q set twice", up.Table, c)
+		if seen[col] {
+			return nil, fmt.Errorf("engine: UPDATE %s: column %q set twice", up.Table, col)
 		}
-		seen[c] = true
+		seen[col] = true
 		pos[i] = p
 	}
-	b := up.Binding()
-	items := make([]sql.SelectItem, 0, target.Arity()+len(up.Cols))
-	for _, a := range target.Attrs() {
-		items = append(items, sql.SelectItem{Expr: &sql.ColRef{Table: b, Column: a}, Alias: a})
-	}
-	for i, e := range up.Exprs {
-		items = append(items, sql.SelectItem{Expr: e, Alias: fmt.Sprintf("set_%d", i)})
-	}
-	q := &sql.Select{
-		Items: items,
-		From:  []sql.TableRef{&sql.BaseTable{Name: up.Table, Alias: up.Alias}},
-		Where: up.Where,
-	}
-	s := &Stmt{
-		db:      db,
-		lang:    LangSQL,
-		kind:    KindDML,
-		src:     src,
-		st:      up,
-		q:       q,
-		insPos:  pos,
-		nparams: sql.MaxParamStmt(up),
-		rels:    rels,
-	}
-	if p, err := plan.Compile(q, rels); err == nil {
-		s.plan = p
-	} else {
-		if !errors.Is(err, plan.ErrNotPlannable) {
-			return nil, err
-		}
-		s.planErr = err
-	}
-	return s, nil
+	c := &compiled{kind: KindDML, st: up, insPos: pos, nparams: sql.MaxParamStmt(up)}
+	return c, c.compileQuery(matchingRows(target, up.Alias, up.Binding(), up.Exprs, up.Where), rels)
 }
 
 // checkConstExpr verifies a VALUES expression is evaluable without a row
@@ -434,29 +467,21 @@ func constEval(e sql.Expr, vals []value.Value) (value.Value, error) {
 	return value.Value{}, fmt.Errorf("engine: non-constant VALUES expression %s", e.String())
 }
 
-func compileARC(db *DB, col *alt.Collection, src string, cat *eval.Catalog, conv convention.Conventions) (*Stmt, error) {
+func compileARC(col *alt.Collection, cat *eval.Catalog, conv convention.Conventions) (*compiled, error) {
 	link, err := alt.ValidateCollection(col)
 	if err != nil {
 		return nil, err
 	}
-	return &Stmt{
-		db:   db,
-		lang: LangARC,
-		kind: KindQuery,
-		src:  src,
-		cols: col.Head.Attrs,
-		col:  col,
-		link: link,
-		cat:  cat,
-		conv: conv,
-	}, nil
+	// No deps: an ARC collection names its attributes itself and resolves
+	// relations when it is evaluated.
+	return &compiled{kind: KindQuery, cols: col.Head.Attrs, col: col, link: link, cat: cat, conv: conv}, nil
 }
 
 // compileDatalog lowers a program to ARC once: Datalog is ARC under
 // Soufflé conventions, whatever conventions the DB's ARC statements use.
 // bound holds the input relations of one execution whose schemas take
 // precedence over rels' (see forInputs); nil at Prepare.
-func compileDatalog(db *DB, src, pred string, rels, bound map[string]*relation.Relation) (*Stmt, error) {
+func compileDatalog(src, pred string, rels, bound map[string]*relation.Relation) (*compiled, error) {
 	prog, err := datalog.Parse(src)
 	if err != nil {
 		return nil, err
@@ -474,53 +499,33 @@ func compileDatalog(db *DB, src, pred string, rels, bound map[string]*relation.R
 	for name, r := range bound {
 		schemas[name] = r.Attrs()
 	}
-	cat := eval.NewCatalog().CloneWithBase(rels)
+	cat := eval.NewCatalog()
 	col, link, err := datalog.Lower(prog, schemas, pred, cat)
 	if err != nil {
 		return nil, err
 	}
-	return &Stmt{
-		db:   db,
-		lang: LangDatalog,
-		kind: KindQuery,
-		src:  src,
-		cols: col.Head.Attrs,
-		col:  col,
-		link: link,
-		cat:  cat,
-		conv: convention.Souffle(),
-	}, nil
+	c := &compiled{kind: KindQuery, cols: col.Head.Attrs, col: col, link: link, cat: cat, conv: convention.Souffle()}
+	c.dependOn(rels, prog.Predicates()...)
+	return c, nil
 }
 
-// forInputs returns the statement to run with these bindings. Datalog
-// atoms are positional but the lowering names attributes, so a binding
-// whose attribute names differ from the ones the program was lowered
-// against — or whose predicate was unknown then — gets a fresh lowering
-// for this execution. ARC statements name their attributes themselves.
-func (s *Stmt) forInputs(inputs map[string]*relation.Relation) (*Stmt, error) {
+// forInputs returns the compiled form to run with these bindings.
+// Datalog atoms are positional but the lowering names attributes, so a
+// binding whose attribute names differ from the ones the program was
+// lowered against — or whose predicate was unknown then — gets a fresh
+// lowering for this execution. ARC statements name their attributes
+// themselves.
+func (s *Stmt) forInputs(c *compiled, rels, inputs map[string]*relation.Relation) (*compiled, error) {
 	if s.lang != LangDatalog {
-		return s, nil
+		return c, nil
 	}
 	for name, rel := range inputs {
-		if base := s.cat.Relation(name); base != nil && slices.Equal(base.Attrs(), rel.Attrs()) {
+		if base := rels[name]; base != nil && slices.Equal(base.Attrs(), rel.Attrs()) {
 			continue
 		}
-		rels := map[string]*relation.Relation{}
-		for _, r := range s.cat.BaseRelations() {
-			rels[r.Name()] = r
-		}
-		return compileDatalog(s.db, s.src, s.pred(), rels, inputs)
+		return compileDatalog(s.src, s.pred, rels, inputs)
 	}
-	return s, nil
-}
-
-// pred names the predicate a Datalog query returns: the head of the
-// collection it lowered to ("" for every other statement).
-func (s *Stmt) pred() string {
-	if s.lang == LangDatalog && s.col != nil {
-		return s.col.Head.Rel
-	}
-	return ""
+	return c, nil
 }
 
 // Lang returns the statement's language.
@@ -528,59 +533,51 @@ func (s *Stmt) Lang() Lang { return s.lang }
 
 // Kind returns the statement's kind: query, DML, DDL, or transaction
 // control.
-func (s *Stmt) Kind() StmtKind { return s.kind }
+func (s *Stmt) Kind() StmtKind { return s.cur.Load().kind }
 
 // Source returns the prepared source text.
 func (s *Stmt) Source() string { return s.src }
 
 // Columns returns the output column names (nil for non-query kinds).
-func (s *Stmt) Columns() []string { return s.cols }
+func (s *Stmt) Columns() []string { return s.cur.Load().cols }
 
 // NumParams returns how many positional $n arguments a SQL statement
 // binds (always 0 for ARC and Datalog, which bind named relations).
-func (s *Stmt) NumParams() int { return s.nparams }
+func (s *Stmt) NumParams() int { return s.cur.Load().nparams }
 
 // Explain renders the compiled physical plan of a SQL statement — for
 // DELETE and UPDATE, the plan of the synthetic matching-rows query — or
 // returns the reason it executes on the reference enumeration path. ARC
-// statements render their per-scope plans, and so do Datalog statements:
-// the plans of the ARC collections the program lowers to.
-func (s *Stmt) Explain() (string, error) {
-	switch s.lang {
-	case LangSQL:
-		if s.plan != nil {
-			return s.plan.Explain(), nil
-		}
-		if s.planErr != nil {
-			return "", s.planErr
-		}
-		return "", fmt.Errorf("engine: no plan for %s statements", s.kind)
-	case LangARC, LangDatalog:
-		if s.kind != KindQuery {
-			return "", fmt.Errorf("engine: no plan rendering for %s statements", s.kind)
-		}
-		return eval.ExplainCollection(s.col, s.cat, s.conv)
+// statements render their per-scope plans over the relations an
+// execution would read now, and so do Datalog statements: the plans of
+// the ARC collections the program lowers to.
+func (s *Stmt) Explain() (text string, err error) {
+	defer recoverTo(&err, "explain")
+	rels, err := s.db.relsIn(s.scope)
+	if err != nil {
+		return "", err
 	}
-	return "", fmt.Errorf("engine: unknown language %v", s.lang)
-}
-
-// current resolves the statement to its freshest compilation: statements
-// prepared inside a transaction re-resolve through the per-transaction
-// cache whenever the transaction has written since they were compiled,
-// so every execution sees the write set's current overlay exactly once.
-func (s *Stmt) current() (*Stmt, error) {
-	if s.tx == nil {
-		return s, nil
+	c, err := s.on(rels)
+	if err != nil {
+		return "", err
 	}
-	return s.tx.resolve(s)
+	switch {
+	case c.plan != nil:
+		return c.plan.Explain(), nil
+	case c.planErr != nil:
+		return "", c.planErr
+	case c.col != nil:
+		return eval.ExplainCollection(c.col, c.cat, c.conv, rels)
+	}
+	return "", fmt.Errorf("engine: no plan for %s statements", c.kind)
 }
 
 // splitArgs validates and converts execution arguments: SQL statements
 // take exactly NumParams positional values; ARC and Datalog queries take
 // any number of named Bindings; DML and DDL statements reject Bindings
 // with ErrDMLBinding.
-func (s *Stmt) splitArgs(args []any) ([]value.Value, map[string]*relation.Relation, error) {
-	if s.kind != KindQuery {
+func (s *Stmt) splitArgs(c *compiled, args []any) ([]value.Value, map[string]*relation.Relation, error) {
+	if c.kind != KindQuery {
 		for i, a := range args {
 			if b, isBind := a.(Binding); isBind {
 				return nil, nil, fmt.Errorf("%w (binding %q, argument %d)", ErrDMLBinding, b.Name, i+1)
@@ -599,12 +596,12 @@ func (s *Stmt) splitArgs(args []any) ([]value.Value, map[string]*relation.Relati
 			}
 			vals = append(vals, v)
 		}
-		if len(vals) != s.nparams {
-			return nil, nil, fmt.Errorf("engine: statement binds %d parameter(s), got %d argument(s)", s.nparams, len(vals))
+		if len(vals) != c.nparams {
+			return nil, nil, fmt.Errorf("engine: statement binds %d parameter(s), got %d argument(s)", c.nparams, len(vals))
 		}
 		return vals, nil, nil
 	}
-	if s.kind != KindQuery {
+	if c.kind != KindQuery {
 		if len(args) != 0 {
 			return nil, nil, fmt.Errorf("engine: %v fact operations take no arguments, got %d", s.lang, len(args))
 		}
@@ -640,70 +637,121 @@ func errNotRows(kind StmtKind) error {
 	return fmt.Errorf("engine: %s statement does not return rows; use Exec", kind)
 }
 
-// Query executes a query statement with the given arguments and returns
-// a streaming cursor. For planner-compiled SQL the cursor pulls rows
-// directly off the operator tree — nothing is materialized up front —
-// and ctx cancellation is polled in the pull loop and in fixpoint
-// rounds. ARC, Datalog, and fallback-path SQL evaluate eagerly (their
-// evaluators are materializing) and the cursor streams the result.
+// execution is one run of a query statement: the relation map loaded at
+// its start, the compiled form valid for that map, the bound arguments,
+// and the cancellation poll.
+type execution struct {
+	rels   map[string]*relation.Relation
+	c      *compiled
+	vals   []value.Value
+	inputs map[string]*relation.Relation
+	check  func() error
+}
+
+// begin is the prologue every query execution shares (Query, QueryAll,
+// QueryTraced, ExplainAnalyze): it refuses non-queries, loads the
+// relation map, checks the compiled form against it, binds the
+// arguments, and polls cancellation once before any work.
+func (s *Stmt) begin(ctx context.Context, args []any) (x execution, err error) {
+	if k := s.Kind(); k != KindQuery {
+		return x, errNotRows(k)
+	}
+	if x.rels, err = s.db.relsIn(s.scope); err != nil {
+		return x, err
+	}
+	if x.c, err = s.on(x.rels); err != nil {
+		return x, err
+	}
+	if x.vals, x.inputs, err = s.splitArgs(x.c, args); err != nil {
+		return x, err
+	}
+	if x.check = checkFromCtx(ctx); x.check != nil {
+		if err = x.check(); err != nil {
+			return x, err
+		}
+	}
+	if x.c, err = s.forInputs(x.c, x.rels, x.inputs); err != nil {
+		return x, err
+	}
+	s.db.queryExecs.Add(1)
+	return x, nil
+}
+
+// materialize computes the whole result. Planner-compiled SQL runs its
+// plan, fallback SQL the reference enumeration evaluator; ARC statements
+// — and Datalog ones through their lowering — run on internal/eval,
+// where a non-nil tr observes fixpoint rounds.
+func (x *execution) materialize(tr *trace.Trace) (*relation.Relation, error) {
+	c := x.c
+	if c.col == nil {
+		return c.runQuery(x.rels, x.vals, x.check)
+	}
+	var obs eval.RoundObserver
+	if tr != nil {
+		obs = func(name string) func(delta int, elapsed time.Duration) {
+			return tr.Fixpoint("arc:"+name, name).Observe
+		}
+	}
+	return eval.EvalPrepared(c.col, c.link, c.cat, c.conv, x.rels, x.inputs, x.check, obs)
+}
+
+// rows opens the cursor. For planner-compiled SQL it pulls rows directly
+// off the operator tree — nothing is materialized up front; ARC, Datalog,
+// and fallback-path SQL evaluate eagerly (their evaluators are
+// materializing) and the cursor streams the result. A non-nil tr traces
+// the execution.
+func (x *execution) rows(tr *trace.Trace) (*Rows, error) {
+	if p := x.c.plan; p != nil {
+		seq, errFn := p.StreamOn(x.rels, x.vals, x.check, tr)
+		return newRows(x.c.cols, seq, errFn, x.check), nil
+	}
+	rel, err := x.materialize(tr)
+	if err != nil {
+		return nil, err
+	}
+	cols := x.c.cols
+	if cols == nil {
+		cols = rel.Attrs()
+	}
+	return relationRows(cols, rel, x.check), nil
+}
+
+// slowStart is the start time of an execution the slow-query log will
+// see, zero while the log is disabled (the untraced path then reads no
+// clock).
+func (db *DB) slowStart() time.Time {
+	if db.slow.Load() == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// Query executes a query statement with the given arguments, on the data
+// current now, and returns a streaming cursor over it (see
+// execution.rows for what streams and what is evaluated first). ctx
+// cancellation is polled in the pull loop and in fixpoint rounds.
 // Calling Query on a DML, DDL, or transaction-control statement is an
 // error.
 func (s *Stmt) Query(ctx context.Context, args ...any) (rows *Rows, err error) {
 	// Same backstop as Prepare: evaluator panics on hostile bindings
 	// become statement errors (streaming pulls are guarded in Rows.Next).
 	defer recoverTo(&err, "query")
-	if s.kind != KindQuery {
-		return nil, errNotRows(s.kind)
-	}
-	orig := s
-	s, err = s.current()
+	x, err := s.begin(ctx, args)
 	if err != nil {
 		return nil, err
 	}
-	vals, inputs, err := s.splitArgs(args)
-	if err != nil {
+	start := s.db.slowStart()
+	if rows, err = x.rows(nil); err != nil {
 		return nil, err
 	}
-	check := checkFromCtx(ctx)
-	if check != nil {
-		if err := check(); err != nil {
-			return nil, err
+	// The slow-query log measures from execution begin to cursor
+	// completion.
+	if !start.IsZero() {
+		rows.onDone = func(n int64) {
+			s.db.observeSlow(s.lang, KindQuery, s.src, time.Since(start), n, 0, nil)
 		}
 	}
-	s.db.queryExecs.Add(1)
-	start := time.Time{}
-	if s.db.slow.Load() != nil {
-		start = time.Now()
-	}
-	if s.lang == LangSQL && s.plan != nil {
-		seq, errFn := s.plan.Stream(vals, check)
-		rows = newRows(s.cols, seq, errFn, check)
-	} else {
-		rel, err := s.execMaterialized(vals, inputs, check, nil)
-		if err != nil {
-			return nil, err
-		}
-		cols := s.cols
-		if cols == nil {
-			cols = rel.Attrs()
-		}
-		rows = relationRows(cols, rel, check)
-	}
-	orig.hookSlowLog(rows, start)
 	return rows, nil
-}
-
-// hookSlowLog arms a cursor's completion hook for the slow-query log,
-// measuring from start (execution begin) to cursor completion. When the
-// log is disabled (zero start) this is a no-op, so the untraced query
-// path allocates nothing extra.
-func (s *Stmt) hookSlowLog(rows *Rows, start time.Time) {
-	if start.IsZero() || s.db.slow.Load() == nil {
-		return
-	}
-	rows.onDone = func(n int64) {
-		s.db.observeSlow(s.lang, s.kind, s.src, time.Since(start), n, 0, nil)
-	}
 }
 
 // QueryAll executes the statement and materializes the full result
@@ -711,35 +759,14 @@ func (s *Stmt) hookSlowLog(rows *Rows, start time.Time) {
 // entry points.
 func (s *Stmt) QueryAll(ctx context.Context, args ...any) (rel *relation.Relation, err error) {
 	defer recoverTo(&err, "query")
-	if s.kind != KindQuery {
-		return nil, errNotRows(s.kind)
-	}
-	s, err = s.current()
+	x, err := s.begin(ctx, args)
 	if err != nil {
 		return nil, err
 	}
-	vals, inputs, err := s.splitArgs(args)
-	if err != nil {
-		return nil, err
-	}
-	check := checkFromCtx(ctx)
-	if check != nil {
-		if err := check(); err != nil {
-			return nil, err
-		}
-	}
-	s.db.queryExecs.Add(1)
-	start := time.Time{}
-	if s.db.slow.Load() != nil {
-		start = time.Now()
-	}
-	if s.lang == LangSQL && s.plan != nil {
-		rel, err = s.plan.ExecuteWith(vals, check)
-	} else {
-		rel, err = s.execMaterialized(vals, inputs, check, nil)
-	}
+	start := s.db.slowStart()
+	rel, err = x.materialize(nil)
 	if err == nil && !start.IsZero() {
-		s.db.observeSlow(s.lang, s.kind, s.src, time.Since(start), int64(rel.Card()), 0, nil)
+		s.db.observeSlow(s.lang, KindQuery, s.src, time.Since(start), int64(rel.Card()), 0, nil)
 	}
 	return rel, err
 }
@@ -758,77 +785,45 @@ func (s *Stmt) LastTrace() *trace.Trace { return s.lastTrace.Load() }
 // tracing state lives in the per-execution trace, never on the plan.
 func (s *Stmt) QueryTraced(ctx context.Context, args ...any) (rows *Rows, tr *trace.Trace, err error) {
 	defer recoverTo(&err, "query")
-	if s.kind != KindQuery {
-		return nil, nil, errNotRows(s.kind)
-	}
-	tr = trace.New()
-	s.lastTrace.Store(tr)
-	rows, _, err = s.queryTraced(ctx, tr, args)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rows, tr, nil
+	rows, tr, _, err = s.queryTraced(ctx, args)
+	return rows, tr, err
 }
 
-// queryTraced runs the traced execution, returning the cursor and the
-// resolved (possibly transaction-recompiled) statement.
-func (s *Stmt) queryTraced(ctx context.Context, tr *trace.Trace, args []any) (*Rows, *Stmt, error) {
-	cur, err := s.current()
+// queryTraced runs the traced execution, returning the cursor, its
+// trace, and the execution (for renderAnalyze).
+func (s *Stmt) queryTraced(ctx context.Context, args []any) (*Rows, *trace.Trace, execution, error) {
+	x, err := s.begin(ctx, args)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, x, err
 	}
-	vals, inputs, err := cur.splitArgs(args)
-	if err != nil {
-		return nil, nil, err
-	}
-	check := checkFromCtx(ctx)
-	if check != nil {
-		if err := check(); err != nil {
-			return nil, nil, err
-		}
-	}
-	cur.db.queryExecs.Add(1)
+	tr := trace.New()
+	s.lastTrace.Store(tr)
 	start := time.Now()
-	var rows *Rows
-	if cur.lang == LangSQL && cur.plan != nil {
-		seq, errFn := cur.plan.StreamTraced(vals, check, tr)
-		rows = newRows(cur.cols, seq, errFn, check)
-	} else {
-		rel, err := cur.execMaterialized(vals, inputs, check, func(name string) func(delta int, elapsed time.Duration) {
-			return tr.Fixpoint("arc:"+name, name).Observe
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		cols := cur.cols
-		if cols == nil {
-			cols = rel.Attrs()
-		}
-		rows = relationRows(cols, rel, check)
+	rows, err := x.rows(tr)
+	if err != nil {
+		return nil, nil, x, err
 	}
-	db, lang, kind, src := s.db, s.lang, s.kind, s.src
 	rows.onDone = func(n int64) {
 		tr.Rows = n
 		tr.Elapsed = time.Since(start)
-		db.observeSlow(lang, kind, src, tr.Elapsed, n, 0, tr)
+		s.db.observeSlow(s.lang, KindQuery, s.src, tr.Elapsed, n, 0, tr)
 	}
-	return rows, cur, nil
+	return rows, tr, x, nil
 }
 
 // ExplainAnalyze executes the query to completion with tracing enabled
 // and renders the executed plan annotated with actual row counts,
 // per-operator timings, join build/probe statistics, and — for
 // recursive queries — per-round fixpoint delta sizes. SQL statements
-// outside the planner fragment return the planner's bailout reason
-// (there is no operator tree to annotate).
+// outside the planner fragment have no operator tree to annotate: they
+// render the reference evaluator's single step with the planner's
+// bailout reason.
 func (s *Stmt) ExplainAnalyze(ctx context.Context, args ...any) (text string, err error) {
 	defer recoverTo(&err, "analyze")
-	if s.kind != KindQuery {
-		return "", fmt.Errorf("engine: no EXPLAIN ANALYZE for %s statements", s.kind)
+	if k := s.Kind(); k != KindQuery {
+		return "", fmt.Errorf("engine: no EXPLAIN ANALYZE for %s statements", k)
 	}
-	tr := trace.New()
-	s.lastTrace.Store(tr)
-	rows, cur, err := s.queryTraced(ctx, tr, args)
+	rows, tr, x, err := s.queryTraced(ctx, args)
 	if err != nil {
 		return "", err
 	}
@@ -837,24 +832,20 @@ func (s *Stmt) ExplainAnalyze(ctx context.Context, args ...any) (text string, er
 	if err := rows.Close(); err != nil {
 		return "", err
 	}
-	return cur.renderAnalyze(tr)
+	return x.renderAnalyze(tr)
 }
 
-// renderAnalyze renders the annotated executed plan for one finished
+// renderAnalyze renders the annotated executed plan of the finished
 // traced execution.
-func (s *Stmt) renderAnalyze(tr *trace.Trace) (string, error) {
+func (x *execution) renderAnalyze(tr *trace.Trace) (string, error) {
 	var b strings.Builder
-	switch s.lang {
-	case LangSQL:
-		if s.plan == nil {
-			if s.planErr != nil {
-				return "", s.planErr
-			}
-			return "", fmt.Errorf("engine: no plan for %s statements", s.kind)
-		}
-		b.WriteString(s.plan.ExplainAnalyze(tr))
-	case LangARC, LangDatalog:
-		text, err := eval.ExplainCollection(s.col, s.cat, s.conv)
+	switch c := x.c; {
+	case c.plan != nil:
+		b.WriteString(c.plan.ExplainAnalyze(tr))
+	case c.planErr != nil:
+		fmt.Fprintf(&b, "Enumeration (reference evaluator): %v\n", c.planErr)
+	default:
+		text, err := eval.ExplainCollection(c.col, c.cat, c.conv, x.rels)
 		if err != nil {
 			return "", err
 		}
@@ -872,38 +863,9 @@ func (s *Stmt) renderAnalyze(tr *trace.Trace) (string, error) {
 			fmt.Fprintf(&b, "Fixpoint %s: rounds=%d deltas=[%s] time=%s\n",
 				fp.Name, len(fp.Rounds), strings.Join(deltas, " "), trace.FormatDuration(total))
 		})
-	default:
-		return "", fmt.Errorf("engine: unknown language %v", s.lang)
 	}
 	fmt.Fprintf(&b, "Total: rows=%d time=%s\n", tr.Rows, trace.FormatDuration(tr.Elapsed.Nanoseconds()))
 	return b.String(), nil
-}
-
-// execMaterialized runs the non-streaming paths: fallback SQL on the
-// reference enumeration evaluator, and ARC statements — or Datalog ones
-// through their lowering — on internal/eval, where obs (when non-nil)
-// observes fixpoint rounds.
-func (s *Stmt) execMaterialized(vals []value.Value, inputs map[string]*relation.Relation, check func() error, obs eval.RoundObserver) (*relation.Relation, error) {
-	if s.lang == LangSQL {
-		// The statement fell outside the planner fragment at Prepare:
-		// run the reference enumeration path (never re-plan per call).
-		return sqleval.EvalWith(s.q, s.rels, sqleval.PlanOff, vals, check)
-	}
-	s, err := s.forInputs(inputs)
-	if err != nil {
-		return nil, err
-	}
-	return eval.EvalPrepared(s.col, s.link, s.cat, s.conv, inputs, check, obs)
-}
-
-// evalDMLQuery materializes the embedded query of a DML statement
-// (INSERT … SELECT source, DELETE matching rows) with the statement's
-// compiled plan or the enumeration fallback.
-func (s *Stmt) evalDMLQuery(vals []value.Value, check func() error) (*relation.Relation, error) {
-	if s.plan != nil {
-		return s.plan.ExecuteWith(vals, check)
-	}
-	return sqleval.EvalWith(s.q, s.rels, sqleval.PlanOff, vals, check)
 }
 
 // sqlColumns computes the output column names of a query on the

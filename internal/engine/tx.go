@@ -12,32 +12,22 @@ import (
 	"fmt"
 
 	"repro/internal/relation"
-	"repro/internal/value"
 )
 
 // ErrTxDone reports use of a transaction after Commit or Rollback.
 var ErrTxDone = errors.New("engine: transaction has already been committed or rolled back")
 
-// Tx is an open transaction. Statements prepared from it compile
-// against the transaction's overlay (base snapshot + own uncommitted
-// writes) and re-resolve through a per-transaction statement cache
-// whenever the transaction writes, so reads inside the transaction see
-// its own writes exactly once. A Tx is bound to one goroutine, like a
-// database/sql transaction in practice: its write set is not locked.
+// Tx is an open transaction. Statements prepared from it execute on the
+// transaction's overlay — the base snapshot plus its own uncommitted
+// writes, loaded afresh by each execution, so reads inside the
+// transaction see its own writes exactly once and nothing committed
+// after Begin. A Tx is bound to one goroutine, like a database/sql
+// transaction in practice: its write set is not locked.
 type Tx struct {
 	db   *DB
 	ws   *relation.WriteSet
 	done bool
 	gen  uint64 // commit generation, set by a successful Commit
-	// cache maps statement keys to their latest in-transaction
-	// compilation; entries are valid while the write-set version is
-	// unchanged (the read-your-writes fingerprint).
-	cache map[string]*txEntry
-}
-
-type txEntry struct {
-	s   *Stmt
-	ver uint64
 }
 
 // Begin opens a transaction against the current committed snapshot.
@@ -46,7 +36,7 @@ func (db *DB) Begin(ctx context.Context) (*Tx, error) {
 		return nil, err
 	}
 	db.txBegins.Add(1)
-	return &Tx{db: db, ws: db.store.Begin(), cache: map[string]*txEntry{}}, nil
+	return &Tx{db: db, ws: db.store.Begin()}, nil
 }
 
 func ctxErr(ctx context.Context) error {
@@ -56,80 +46,34 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// Prepare compiles src against the transaction's current overlay.
+// openTx makes a Tx the scope of the statements prepared from it: they
+// run in it until it is finished, and fail with ErrTxDone after.
+func (tx *Tx) openTx() (*Tx, error) {
+	if tx.done {
+		return nil, ErrTxDone
+	}
+	return tx, nil
+}
+
+// Prepare compiles src against the schema the transaction sees; the
+// statement executes inside the transaction.
 func (tx *Tx) Prepare(lang Lang, src string) (*Stmt, error) {
-	return tx.prepare(lang, src, "")
+	return tx.db.prepare(tx, lang, src, "")
 }
 
 // PrepareDatalog prepares a Datalog program selecting the returned
 // predicate (empty = the last rule's head).
 func (tx *Tx) PrepareDatalog(src, pred string) (*Stmt, error) {
-	return tx.prepare(LangDatalog, src, pred)
+	return tx.db.prepare(tx, LangDatalog, src, pred)
 }
 
-func (tx *Tx) prepare(lang Lang, src, pred string) (s *Stmt, err error) {
-	defer recoverTo(&err, "prepare")
-	if tx.done {
-		return nil, ErrTxDone
-	}
-	conv := tx.db.conventions()
-	key := cacheKey(lang, conv, src, pred)
-	if e, ok := tx.cache[key]; ok && e.ver == tx.ws.Ver() {
-		return e.s, nil
-	}
-	rels := tx.ws.Rels()
-	s, err = compileStmt(tx.db, lang, src, pred, copyRels(rels), tx.db.catalogFor(rels), conv)
-	if err != nil {
-		return nil, err
-	}
-	s.tx = tx
-	s.ver = tx.ws.Ver()
-	s.gen = tx.ws.Base().Gen()
-	tx.cache[key] = &txEntry{s: s, ver: s.ver}
-	return s, nil
-}
+// BaseGeneration returns the commit generation of the snapshot the
+// transaction reads beneath its own writes.
+func (tx *Tx) BaseGeneration() uint64 { return tx.ws.Base().Gen() }
 
-// resolve returns the freshest compilation of a transaction-owned
-// statement: the statement itself while the write set hasn't moved,
-// otherwise a recompile against the current overlay (served from the
-// per-transaction cache when this source was already recompiled).
-func (tx *Tx) resolve(s *Stmt) (*Stmt, error) {
-	if tx.done {
-		return nil, ErrTxDone
-	}
-	if s.ver == tx.ws.Ver() {
-		return s, nil
-	}
-	if s.kind != KindQuery && s.q == nil {
-		// Snapshot-independent writes (INSERT … VALUES, CREATE TABLE,
-		// fact ops) never read the overlay; their targets are
-		// revalidated at apply time, so a batch of inserts doesn't pay
-		// a recompile per write-set version.
-		return s, nil
-	}
-	return tx.prepare(s.lang, s.src, s.pred())
-}
-
-// exec applies a DML/DDL statement to the transaction's write set.
-func (tx *Tx) exec(s *Stmt, vals []value.Value, check func() error) (Result, error) {
-	if tx.done {
-		return Result{}, ErrTxDone
-	}
-	cur, err := tx.resolve(s)
-	if err != nil {
-		return Result{}, err
-	}
-	n, err := cur.applyTo(tx.ws, vals, check)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{RowsAffected: n, Generation: 0}, nil
-}
-
-// Query prepares (through the transaction's cache) and runs a query
-// against the transaction's overlay.
+// Query prepares and runs a query against the transaction's overlay.
 func (tx *Tx) Query(ctx context.Context, lang Lang, src string, args ...any) (*Rows, error) {
-	s, err := tx.prepare(lang, src, "")
+	s, err := tx.Prepare(lang, src)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +82,7 @@ func (tx *Tx) Query(ctx context.Context, lang Lang, src string, args ...any) (*R
 
 // QueryAll is the materializing form of Query.
 func (tx *Tx) QueryAll(ctx context.Context, lang Lang, src string, args ...any) (*relation.Relation, error) {
-	s, err := tx.prepare(lang, src, "")
+	s, err := tx.Prepare(lang, src)
 	if err != nil {
 		return nil, err
 	}
@@ -149,11 +93,11 @@ func (tx *Tx) QueryAll(ctx context.Context, lang Lang, src string, args ...any) 
 // control is not a statement here: use Commit/Rollback (or a Session
 // for SQL-level control).
 func (tx *Tx) Exec(ctx context.Context, lang Lang, src string, args ...any) (Result, error) {
-	s, err := tx.prepare(lang, src, "")
+	s, err := tx.Prepare(lang, src)
 	if err != nil {
 		return Result{}, err
 	}
-	switch s.kind {
+	switch s.Kind() {
 	case KindBegin:
 		return Result{}, fmt.Errorf("engine: transaction already open")
 	case KindCommit, KindRollback:
@@ -198,17 +142,16 @@ func (tx *Tx) Rollback() error {
 // published, 0 before.
 func (tx *Tx) Generation() uint64 { return tx.gen }
 
-// Session is a connection-scoped execution context: it routes
-// Prepare/Query/Exec through the open transaction when there is one,
-// and executes SQL transaction control (BEGIN/COMMIT/ROLLBACK) as
+// Session is a connection-scoped execution context: statements prepared
+// from it execute in its open transaction whenever there is one — a
+// handle prepared once keeps working as transactions open and close
+// around it — and on the committed head with autocommit otherwise. It
+// also executes SQL transaction control (BEGIN/COMMIT/ROLLBACK) as
 // statements. A Session is bound to one goroutine (the server gives
 // each connection its own).
 type Session struct {
 	db *DB
 	tx *Tx
-	// seq counts transaction boundary events (begin/commit/rollback) —
-	// part of the epoch server-side prepared handles revalidate on.
-	seq uint64
 }
 
 // NewSession opens a session.
@@ -220,48 +163,25 @@ func (s *Session) DB() *DB { return s.db }
 // InTx reports whether a transaction is open.
 func (s *Session) InTx() bool { return s.tx != nil && !s.tx.done }
 
-// SessionEpoch fingerprints the data a session's statements resolve
-// against: the store generation outside a transaction, plus the
-// transaction sequence number and write-set version inside one. Two
-// equal epochs see identical data, so a prepared handle compiled at one
-// epoch is exactly as fresh at another equal epoch — the comparable
-// token server sessions revalidate statement handles with.
-type SessionEpoch struct {
-	Gen   uint64
-	TxSeq uint64
-	TxVer uint64
-}
+// openTx makes a Session the scope of the statements prepared from it.
+func (s *Session) openTx() (*Tx, error) { return s.Tx(), nil }
 
-// Epoch returns the session's current epoch.
-func (s *Session) Epoch() SessionEpoch {
-	if s.InTx() {
-		return SessionEpoch{Gen: s.tx.ws.Base().Gen(), TxSeq: s.seq, TxVer: s.tx.ws.Ver()}
-	}
-	return SessionEpoch{Gen: s.db.store.Gen(), TxSeq: s.seq}
-}
-
-// Prepare compiles src in the session's current context: against the
-// open transaction's overlay, or the current committed snapshot.
+// Prepare compiles src against the schema the session sees now — the
+// open transaction's, or the committed head's. The statement follows the
+// session: each execution runs in whatever transaction is open then.
 func (s *Session) Prepare(lang Lang, src string) (*Stmt, error) {
-	return s.prepare(lang, src, "")
+	return s.db.prepare(s, lang, src, "")
 }
 
 // PrepareDatalog prepares a Datalog program selecting the returned
 // predicate.
 func (s *Session) PrepareDatalog(src, pred string) (*Stmt, error) {
-	return s.prepare(LangDatalog, src, pred)
-}
-
-func (s *Session) prepare(lang Lang, src, pred string) (*Stmt, error) {
-	if s.InTx() {
-		return s.tx.prepare(lang, src, pred)
-	}
-	return s.db.prepare(lang, src, pred)
+	return s.db.prepare(s, LangDatalog, src, pred)
 }
 
 // Query runs a query in the session's current context.
 func (s *Session) Query(ctx context.Context, lang Lang, src string, args ...any) (*Rows, error) {
-	st, err := s.prepare(lang, src, "")
+	st, err := s.Prepare(lang, src)
 	if err != nil {
 		return nil, err
 	}
@@ -270,7 +190,7 @@ func (s *Session) Query(ctx context.Context, lang Lang, src string, args ...any)
 
 // QueryAll is the materializing form of Query.
 func (s *Session) QueryAll(ctx context.Context, lang Lang, src string, args ...any) (*relation.Relation, error) {
-	st, err := s.prepare(lang, src, "")
+	st, err := s.Prepare(lang, src)
 	if err != nil {
 		return nil, err
 	}
@@ -281,18 +201,19 @@ func (s *Session) QueryAll(ctx context.Context, lang Lang, src string, args ...a
 // control: BEGIN opens the session's transaction, COMMIT publishes it
 // (reporting the new generation), ROLLBACK discards it.
 func (s *Session) Exec(ctx context.Context, lang Lang, src string, args ...any) (Result, error) {
-	st, err := s.prepare(lang, src, "")
+	st, err := s.Prepare(lang, src)
 	if err != nil {
 		return Result{}, err
 	}
 	return s.ExecStmt(ctx, st, args...)
 }
 
-// ExecStmt executes a prepared statement in the session's context,
-// routing transaction control. The statement must have been prepared
-// through this session (or its DB).
+// ExecStmt executes a prepared statement, routing transaction control
+// to the session. A statement prepared through this session writes to
+// its open transaction, if any; one prepared from the DB autocommits
+// wherever it is executed.
 func (s *Session) ExecStmt(ctx context.Context, st *Stmt, args ...any) (Result, error) {
-	switch st.kind {
+	switch st.Kind() {
 	case KindBegin:
 		if len(args) != 0 {
 			return Result{}, fmt.Errorf("engine: BEGIN takes no arguments")
@@ -326,7 +247,6 @@ func (s *Session) Begin(ctx context.Context) error {
 		return err
 	}
 	s.tx = tx
-	s.seq++
 	return nil
 }
 
@@ -346,7 +266,6 @@ func (s *Session) Commit() (uint64, error) {
 	}
 	tx := s.tx
 	s.tx = nil
-	s.seq++
 	if err := tx.Commit(); err != nil {
 		return 0, err
 	}
@@ -360,7 +279,6 @@ func (s *Session) Rollback() error {
 	}
 	tx := s.tx
 	s.tx = nil
-	s.seq++
 	return tx.Rollback()
 }
 
@@ -369,7 +287,6 @@ func (s *Session) Close() error {
 	if s.InTx() {
 		tx := s.tx
 		s.tx = nil
-		s.seq++
 		return tx.Rollback()
 	}
 	return nil

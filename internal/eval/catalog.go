@@ -57,46 +57,6 @@ func (c *Catalog) BaseRelations() []*relation.Relation {
 	return out
 }
 
-// Clone returns a shallow copy: the maps are fresh, the registered
-// relations, views, and externals are shared. The engine layer registers
-// new relations copy-on-write so in-flight evaluations keep a consistent
-// catalog snapshot.
-func (c *Catalog) Clone() *Catalog {
-	out := NewCatalog()
-	for k, v := range c.base {
-		out.base[k] = v
-	}
-	for k, v := range c.views {
-		out.views[k] = v
-	}
-	for k, v := range c.viewLinks {
-		out.viewLinks[k] = v
-	}
-	for k, v := range c.abstract {
-		out.abstract[k] = v
-	}
-	for k, v := range c.absLinks {
-		out.absLinks[k] = v
-	}
-	for k, v := range c.externals {
-		out.externals[k] = v
-	}
-	return out
-}
-
-// CloneWithBase returns a copy sharing views, abstract relations, and
-// externals, with the base-relation map replaced by base (copied, so the
-// caller's map stays private). The MVCC engine uses this to project one
-// catalog template onto each committed snapshot's relations.
-func (c *Catalog) CloneWithBase(base map[string]*relation.Relation) *Catalog {
-	out := c.Clone()
-	out.base = make(map[string]*relation.Relation, len(base))
-	for k, v := range base {
-		out.base[k] = v
-	}
-	return out
-}
-
 // DefineView registers an intensional relation (view/CTE): a strictly
 // valid collection evaluated on demand and cached per evaluation.
 func (c *Catalog) DefineView(col *alt.Collection) error {

@@ -159,7 +159,7 @@ func (ev *evaluator) compileScope(si *scopeInfo) (*scopePlan, string) {
 				return nil, "nested collection source"
 			}
 			if _, ok := ev.overrides[b.Rel]; !ok {
-				if ev.cat.Relation(b.Rel) == nil {
+				if ev.base[b.Rel] == nil {
 					if _, isView := ev.cat.views[b.Rel]; !isView {
 						return nil, fmt.Sprintf("source %s needs access patterns", b.Rel)
 					}
@@ -567,7 +567,7 @@ func (sp *scopePlan) resolveLeaf(ev *evaluator, step *planStep) (*relation.Relat
 	if rel, ok := ev.overrides[b.Rel]; ok {
 		return rel, nil
 	}
-	if rel := ev.cat.Relation(b.Rel); rel != nil {
+	if rel := ev.base[b.Rel]; rel != nil {
 		return rel, nil
 	}
 	if _, ok := ev.cat.views[b.Rel]; ok {
@@ -800,13 +800,17 @@ func (sp *scopePlan) produceGrouped(ev *evaluator, e *env) ([]prodRow, error) {
 // environment enumeration. Recursive definitions render as one fixpoint
 // with their whole group; the views a definition reads follow it, each
 // once. Scopes of nested collection sources are summarized by their own
-// evaluation and not expanded.
-func ExplainCollection(col *alt.Collection, cat *Catalog, conv convention.Conventions) (string, error) {
+// evaluation and not expanded. base, when non-nil, replaces cat's own
+// base relations, as for EvalPrepared.
+func ExplainCollection(col *alt.Collection, cat *Catalog, conv convention.Conventions, base map[string]*relation.Relation) (string, error) {
 	link, err := alt.ValidateCollection(col)
 	if err != nil {
 		return "", err
 	}
 	ev := newEvaluator(cat, conv)
+	if base != nil {
+		ev.base = base
+	}
 	var b strings.Builder
 	if err := ev.explain(recDef{col, link}, &b, map[string]bool{}); err != nil {
 		return "", err

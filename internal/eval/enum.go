@@ -199,7 +199,7 @@ func (ev *evaluator) plainSubtree(n *joinNode) (int, bool) {
 		if _, ok := ev.overrides[b.Rel]; ok {
 			return 1, true
 		}
-		if ev.cat.Relation(b.Rel) != nil {
+		if ev.base[b.Rel] != nil {
 			return 1, true
 		}
 		if _, ok := ev.cat.views[b.Rel]; ok {
@@ -475,7 +475,7 @@ func (ev *evaluator) readyNode(n *joinNode, e *env, si *scopeInfo) (bool, error)
 	if _, ok := ev.overrides[b.Rel]; ok {
 		return true, nil
 	}
-	if ev.cat.Relation(b.Rel) != nil {
+	if ev.base[b.Rel] != nil {
 		return true, nil
 	}
 	if _, ok := ev.cat.views[b.Rel]; ok {
@@ -625,7 +625,7 @@ func (ev *evaluator) enumerateLeaf(b *alt.Binding, e *env, si *scopeInfo, bound 
 	if rel, ok := ev.overrides[b.Rel]; ok {
 		return ev.bindRelation(b, rel, e, si, bound)
 	}
-	if rel := ev.cat.Relation(b.Rel); rel != nil {
+	if rel := ev.base[b.Rel]; rel != nil {
 		return ev.bindRelation(b, rel, e, si, bound)
 	}
 	if _, ok := ev.cat.views[b.Rel]; ok {
@@ -785,7 +785,7 @@ func (ev *evaluator) sourceAttrs(b *alt.Binding) ([]string, error) {
 	if rel, ok := ev.overrides[b.Rel]; ok {
 		return rel.Attrs(), nil
 	}
-	if rel := ev.cat.Relation(b.Rel); rel != nil {
+	if rel := ev.base[b.Rel]; rel != nil {
 		return rel.Attrs(), nil
 	}
 	if v, ok := ev.cat.views[b.Rel]; ok {

@@ -35,13 +35,20 @@ type RoundObserver func(name string) func(delta int, elapsed time.Duration)
 
 // EvalPrepared evaluates an already-validated collection with its link —
 // the prepared-statement entry point, which skips per-execution
-// re-validation. inputs are named input relations bound through the
-// evaluator's override slot (they shadow catalog relations of the same
-// name for this execution only); check, when non-nil, is polled each
-// fixpoint round so long recursions honour context cancellation; obs,
-// when non-nil, observes the rounds of every fixpoint (EXPLAIN ANALYZE).
-func EvalPrepared(col *alt.Collection, link *alt.Link, cat *Catalog, conv convention.Conventions, inputs map[string]*relation.Relation, check func() error, obs RoundObserver) (*relation.Relation, error) {
+// re-validation. cat supplies the definitions (views, abstract and
+// external relations); base, when non-nil, is the database instance of
+// this execution and replaces cat's own base relations, so one prepared
+// catalog serves every snapshot (the map is only read). inputs are named
+// input relations bound through the evaluator's override slot (they
+// shadow base relations of the same name for this execution only);
+// check, when non-nil, is polled each fixpoint round so long recursions
+// honour context cancellation; obs, when non-nil, observes the rounds of
+// every fixpoint (EXPLAIN ANALYZE).
+func EvalPrepared(col *alt.Collection, link *alt.Link, cat *Catalog, conv convention.Conventions, base, inputs map[string]*relation.Relation, check func() error, obs RoundObserver) (*relation.Relation, error) {
 	ev := newEvaluator(cat, conv)
+	if base != nil {
+		ev.base = base
+	}
 	ev.check = check
 	ev.onRound = obs
 	for name, rel := range inputs {
@@ -69,7 +76,8 @@ func EvalSentence(s *alt.Sentence, cat *Catalog, conv convention.Conventions) (b
 }
 
 type evaluator struct {
-	cat        *Catalog
+	cat        *Catalog                      // definitions: views, abstract and external relations
+	base       map[string]*relation.Relation // the database instance; read-only
 	conv       convention.Conventions
 	links      []*alt.Link
 	overrides  map[string]*relation.Relation
@@ -91,6 +99,7 @@ func (ev *evaluator) roundObserver(name string) func(delta int, elapsed time.Dur
 func newEvaluator(cat *Catalog, conv convention.Conventions) *evaluator {
 	return &evaluator{
 		cat:        cat,
+		base:       cat.base,
 		conv:       conv,
 		overrides:  map[string]*relation.Relation{},
 		viewCache:  map[string]*relation.Relation{},

@@ -97,7 +97,7 @@ func eachBoundRel(f alt.Formula, guarded bool, visit func(rel string, guarded bo
 // Names are resolved the way enumerateLeaf does: inputs and base
 // relations shadow views.
 func (ev *evaluator) viewDef(rel string) (recDef, bool) {
-	if _, ok := ev.overrides[rel]; ok || ev.cat.Relation(rel) != nil {
+	if _, ok := ev.overrides[rel]; ok || ev.base[rel] != nil {
 		return recDef{}, false
 	}
 	v, ok := ev.cat.views[rel]

@@ -108,7 +108,7 @@ func TestRecursionMutualViews(t *testing.T) {
 		t.Fatalf("Even as the query, Odd as a view:\n%s", got)
 	}
 
-	text, err := ExplainCollection(arc.MustParseCollection(evenView), viewCatalog(t, rels, oddView), convention.SetLogic())
+	text, err := ExplainCollection(arc.MustParseCollection(evenView), viewCatalog(t, rels, oddView), convention.SetLogic(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestExplainRecursiveGolden(t *testing.T) {
 	col := arc.MustParseCollection(
 		"{A(s, t) | ∃p ∈ P [A.s = p.s ∧ A.t = p.t] ∨ ∃p ∈ P, a2 ∈ A [A.s = p.s ∧ p.t = a2.s ∧ A.t = a2.t]}")
 	cat := NewCatalog().AddRelation(workload.Chain(3))
-	got, err := ExplainCollection(col, cat, convention.SetLogic())
+	got, err := ExplainCollection(col, cat, convention.SetLogic(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,12 +38,13 @@ func analyzedDB() map[string]*relation.Relation {
 // timing-scrubbed EXPLAIN ANALYZE rendering.
 func runAnalyzed(t *testing.T, src string) string {
 	t.Helper()
-	p, err := Compile(sql.MustParse(src), analyzedDB())
+	db := analyzedDB()
+	p, err := Compile(sql.MustParse(src), db)
 	if err != nil {
 		t.Fatalf("compile %q: %v", src, err)
 	}
 	tr := trace.New()
-	seq, errFn := p.StreamTraced(nil, nil, tr)
+	seq, errFn := p.StreamOn(db, nil, nil, tr)
 	for range seq {
 	}
 	if err := errFn(); err != nil {
@@ -116,7 +117,7 @@ func TestAnalyzeNeverExecuted(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := trace.New()
-	seq, errFn := p.StreamTraced(nil, nil, tr)
+	seq, errFn := p.StreamOn(db, nil, nil, tr)
 	for range seq {
 	}
 	if err := errFn(); err != nil {
@@ -142,7 +143,8 @@ func TestTracedMatchesUntraced(t *testing.T) {
 		"select R.A from R where R.B in (select S.B from S)",
 		"with recursive tc(x, y) as (select E.x, E.y from E union select tc.x, E.y from tc, E where tc.y = E.x) select tc.x, tc.y from tc",
 	} {
-		p, err := Compile(sql.MustParse(src), analyzedDB())
+		db := analyzedDB()
+		p, err := Compile(sql.MustParse(src), db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +153,7 @@ func TestTracedMatchesUntraced(t *testing.T) {
 			t.Fatal(err)
 		}
 		traced := relation.New("result", p.Attrs()...)
-		seq, errFn := p.StreamTraced(nil, nil, trace.New())
+		seq, errFn := p.StreamOn(db, nil, nil, trace.New())
 		for tup, m := range seq {
 			traced.InsertMult(tup, m)
 		}

@@ -17,6 +17,7 @@ package plan
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -54,12 +55,14 @@ func (c ColID) String() string {
 
 // runCtx carries runtime state through one plan execution: the first
 // error raised by a compiled expression aborts the run. All mutable
-// execution state lives here — bound parameter values, the rotating
-// fixpoint relations, and the per-execution build-side cache — so a
-// compiled Plan itself is immutable and any number of sessions can run
-// the same plan concurrently.
+// execution state lives here — the relation map the scans read, bound
+// parameter values, the rotating fixpoint relations, and the
+// per-execution build-side cache — so a compiled Plan itself is immutable
+// and any number of sessions can run the same plan concurrently, each on
+// its own snapshot.
 type runCtx struct {
 	err    error
+	rels   map[string]*relation.Relation // scans resolve their relation by name here
 	params []value.Value
 	// check, when non-nil, is polled in the pull loop (every pollEvery
 	// rows through guard) and per fixpoint round; a non-nil return aborts
@@ -199,7 +202,9 @@ func indent(b *strings.Builder, depth int) {
 }
 
 // Plan is a compiled query: a physical root plus the output column names
-// of the final result relation. A Plan is immutable after compilation;
+// of the final result relation. A Plan is bound to a schema, not to data:
+// scans carry relation names, and every execution names the relation map
+// it reads (ExecuteOn, StreamOn). A Plan is immutable after compilation;
 // all execution state lives in the per-call runCtx, so one plan may be
 // executed by any number of goroutines concurrently (the prepared-
 // statement contract).
@@ -207,6 +212,7 @@ type Plan struct {
 	root    Node
 	attrs   []string
 	nparams int
+	rels    map[string]*relation.Relation // what Compile was given: the default map of ExecuteWith and Stream
 }
 
 // Attrs returns the output column names.
@@ -232,19 +238,20 @@ func (p *Plan) ExplainAnalyze(tr *trace.Trace) string {
 	return b.String()
 }
 
-// Execute runs the plan and materializes the result relation (named
-// "result", like the reference evaluator's output).
-func (p *Plan) Execute() (*relation.Relation, error) {
-	return p.ExecuteWith(nil, nil)
+// ExecuteWith is ExecuteOn over the relations the plan was compiled
+// against.
+func (p *Plan) ExecuteWith(params []value.Value, check func() error) (*relation.Relation, error) {
+	return p.ExecuteOn(p.rels, params, check)
 }
 
-// ExecuteWith runs the plan with bound parameter values and an optional
-// cancellation check, materializing the result. The point-lookup shape
-// — a pure column projection directly over a (probed) scan — runs on a
-// dedicated loop with no operator composition, so a prepared point query
-// costs little more than the hash probe itself.
-func (p *Plan) ExecuteWith(params []value.Value, check func() error) (*relation.Relation, error) {
-	ctx := &runCtx{params: params, check: check}
+// ExecuteOn runs the plan on rels with bound parameter values and an
+// optional cancellation check, materializing the result relation (named
+// "result", like the reference evaluator's output). The point-lookup
+// shape — a pure column projection directly over a (probed) scan — runs
+// on a dedicated loop with no operator composition, so a prepared point
+// query costs little more than the hash probe itself.
+func (p *Plan) ExecuteOn(rels map[string]*relation.Relation, params []value.Value, check func() error) (*relation.Relation, error) {
+	ctx := &runCtx{rels: rels, params: params, check: check}
 	if pn, ok := p.root.(*projectNode); ok && pn.srcCols != nil {
 		if sn, ok := pn.input.(*scanNode); ok && sn.rng == nil {
 			return p.executePoint(ctx, pn, sn)
@@ -279,8 +286,12 @@ func (p *Plan) executePoint(ctx *runCtx, pn *projectNode, sn *scanNode) (*relati
 		out.InsertOwned(row, m)
 		return true
 	}
+	rel := sn.rel(ctx)
+	if rel == nil {
+		return nil, ctx.err
+	}
 	if len(sn.probes) == 0 {
-		sn.rel.EachWhile(emit)
+		rel.EachWhile(emit)
 	} else {
 		cols, vals, reCols, reVals, null := sn.resolveProbes(ctx)
 		if null {
@@ -298,9 +309,9 @@ func (p *Plan) executePoint(ctx *runCtx, pn *projectNode, sn *scanNode) (*relati
 			}
 		}
 		if len(cols) > 0 {
-			sn.rel.Probe(cols, vals, match)
+			rel.Probe(cols, vals, match)
 		} else {
-			sn.rel.EachWhile(match)
+			rel.EachWhile(match)
 		}
 	}
 	if ctx.err != nil {
@@ -309,24 +320,24 @@ func (p *Plan) executePoint(ctx *runCtx, pn *projectNode, sn *scanNode) (*relati
 	return out, nil
 }
 
-// Stream starts one streaming execution of the plan with bound parameter
-// values: the returned sequence yields result tuples straight off the
-// operator tree (no materialization), and the error function reports the
-// first execution error once the stream ends (early or not). check, when
-// non-nil, is polled in the pull loop and per fixpoint round — context
-// cancellation makes the stream end with the check's error. The sequence
-// must be consumed by a single goroutine and at most once.
+// Stream is StreamOn, untraced, over the relations the plan was compiled
+// against.
 func (p *Plan) Stream(params []value.Value, check func() error) (exec.Seq, func() error) {
-	ctx := &runCtx{params: params, check: check}
-	return guard(p.root.Run(ctx), ctx), func() error { return ctx.err }
+	return p.StreamOn(p.rels, params, check, nil)
 }
 
-// StreamTraced is Stream with operator tracing: per-operator counters
-// and timings accumulate into tr as the stream drains. The same
-// compiled plan serves traced and untraced executions concurrently —
-// the trace rides the per-execution runCtx.
-func (p *Plan) StreamTraced(params []value.Value, check func() error, tr *trace.Trace) (exec.Seq, func() error) {
-	ctx := &runCtx{params: params, check: check, trace: tr}
+// StreamOn starts one streaming execution of the plan on rels with bound
+// parameter values: the returned sequence yields result tuples straight
+// off the operator tree (no materialization), and the error function
+// reports the first execution error once the stream ends (early or not).
+// check, when non-nil, is polled in the pull loop and per fixpoint round
+// — context cancellation makes the stream end with the check's error. A
+// non-nil tr accumulates per-operator counters and timings as the stream
+// drains (it rides the per-execution runCtx, so traced and untraced
+// executions of one plan run concurrently). The sequence must be
+// consumed by a single goroutine and at most once.
+func (p *Plan) StreamOn(rels map[string]*relation.Relation, params []value.Value, check func() error, tr *trace.Trace) (exec.Seq, func() error) {
+	ctx := &runCtx{rels: rels, params: params, check: check, trace: tr}
 	return guard(p.root.Run(ctx), ctx), func() error { return ctx.err }
 }
 
@@ -372,11 +383,13 @@ type scanRange struct {
 	lo, hi scanBound
 }
 
-// scanNode streams a base relation, optionally restricted by an index
-// probe on constant or parameter equality columns pushed down from
-// WHERE, or by a range over the relation's ordered index.
+// scanNode streams a base relation — known by name and by the attributes
+// it was compiled against, found in the execution's relation map —
+// optionally restricted by an index probe on constant or parameter
+// equality columns pushed down from WHERE, or by a range over the
+// relation's ordered index.
 type scanNode struct {
-	rel       *relation.Relation
+	name      string
 	alias     string
 	schema    []ColID
 	probes    []scanProbe
@@ -385,15 +398,30 @@ type scanNode struct {
 	rangeStr  string
 }
 
-func newScanNode(rel *relation.Relation, alias string) *scanNode {
-	n := &scanNode{rel: rel, alias: alias}
-	for _, a := range rel.Attrs() {
+func newScanNode(name string, attrs []string, alias string) *scanNode {
+	n := &scanNode{name: name, alias: alias}
+	for _, a := range attrs {
 		n.schema = append(n.schema, ColID{Rel: alias, Col: a})
 	}
 	return n
 }
 
 func (n *scanNode) Schema() []ColID { return n.schema }
+
+// attrIndex is the position of a column of the scanned relation, or -1.
+func (n *scanNode) attrIndex(col string) int {
+	return slices.IndexFunc(n.schema, func(c ColID) bool { return c.Col == col })
+}
+
+// rel resolves the scanned relation in this execution's relation map. A
+// map without it (a caller that skipped the schema check) fails the run.
+func (n *scanNode) rel(ctx *runCtx) *relation.Relation {
+	r := ctx.rels[n.name]
+	if r == nil {
+		ctx.fail(fmt.Errorf("unknown table %q", n.name))
+	}
+	return r
+}
 
 // emptySeq yields nothing.
 func emptySeq(func(relation.Tuple, int) bool) {}
@@ -444,23 +472,27 @@ func (n *scanNode) resolveRange(ctx *runCtx) (lo, hi value.Value, empty bool) {
 }
 
 func (n *scanNode) Run(ctx *runCtx) exec.Seq {
+	rel := n.rel(ctx)
+	if rel == nil {
+		return emptySeq
+	}
 	if n.rng != nil {
 		lo, hi, empty := n.resolveRange(ctx)
 		if empty {
 			return ctx.traced(n, emptySeq)
 		}
-		return ctx.traced(n, exec.RangeScan(n.rel, n.rng.col, lo, hi, n.rng.lo.incl, n.rng.hi.incl))
+		return ctx.traced(n, exec.RangeScan(rel, n.rng.col, lo, hi, n.rng.lo.incl, n.rng.hi.incl))
 	}
 	if len(n.probes) == 0 {
-		return ctx.traced(n, exec.Scan(n.rel))
+		return ctx.traced(n, exec.Scan(rel))
 	}
 	cols, vals, reCols, reVals, null := n.resolveProbes(ctx)
 	if null {
 		return ctx.traced(n, emptySeq)
 	}
-	seq := exec.Scan(n.rel)
+	seq := exec.Scan(rel)
 	if len(cols) > 0 {
-		seq = exec.Probe(n.rel, cols, vals)
+		seq = exec.Probe(rel, cols, vals)
 	}
 	if len(reCols) > 0 {
 		seq = exec.Filter(seq, func(t relation.Tuple, _ int) bool {
@@ -482,8 +514,8 @@ func (n *scanNode) writeExplain(b *strings.Builder, depth int, tr *trace.Trace) 
 	} else {
 		b.WriteString("Scan ")
 	}
-	b.WriteString(n.rel.Name())
-	if n.alias != n.rel.Name() {
+	b.WriteString(n.name)
+	if n.alias != n.name {
 		b.WriteString(" as ")
 		b.WriteString(n.alias)
 	}

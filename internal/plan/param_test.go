@@ -140,3 +140,34 @@ func TestRecursivePlanConcurrentExecution(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestPlanRunsOnAnyInstanceOfItsSchema pins that a plan binds a schema,
+// not data: compiled once, it reads whichever relation map an execution
+// names — and a stream keeps the map it started on.
+func TestPlanRunsOnAnyInstanceOfItsSchema(t *testing.T) {
+	older := paramTestDB()
+	p, err := CompileSchema(sql.MustParse("select R.B from R where R.A = $1"), older)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newer := map[string]*relation.Relation{"R": older["R"].Clone().Add(2, 22)}
+	args := []value.Value{value.Int(2)}
+	seq, errFn := p.StreamOn(older, args, nil, nil)
+	for db, want := range map[*map[string]*relation.Relation]int{&older: 2, &newer: 3} {
+		out, err := p.ExecuteOn(*db, args, nil)
+		if err != nil || out.Card() != want {
+			t.Fatalf("ExecuteOn: %v, %v; want %d rows", out, err, want)
+		}
+	}
+	n := 0
+	for range seq {
+		n++
+	}
+	if err := errFn(); err != nil || n != 2 {
+		t.Fatalf("stream opened on the older instance yielded %d rows (%v), want 2", n, err)
+	}
+	// No default map, and a map without the relation, fail the run.
+	if _, err := p.ExecuteWith(args, nil); err == nil {
+		t.Fatal("a CompileSchema plan ran without a relation map")
+	}
+}

@@ -203,7 +203,7 @@ func TestPlanExecutionEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatalf("compile %q: %v", src, err)
 		}
-		out, err := p.Execute()
+		out, err := p.ExecuteWith(nil, nil)
 		if err != nil {
 			t.Fatalf("execute %q: %v", src, err)
 		}

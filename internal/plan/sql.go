@@ -10,13 +10,27 @@ import (
 	"repro/internal/value"
 )
 
-// Compile lowers a parsed SQL query over db onto a physical exec-operator
-// plan. Queries outside the compiled fragment (LATERAL, scalar
-// subqueries, correlation without equality, rep-row grouping, …) return
-// an error wrapping ErrNotPlannable; callers fall back to the reference
+// Compile lowers a parsed SQL query onto a physical exec-operator plan.
+// It reads db for the schema only; the plan runs on any relation map
+// with that schema (ExecuteOn, StreamOn), and on db itself by default.
+// Queries outside the compiled fragment (LATERAL, scalar subqueries,
+// correlation without equality, rep-row grouping, …) return an error
+// wrapping ErrNotPlannable; callers fall back to the reference
 // enumeration evaluator, which also owns user-facing errors for
 // genuinely invalid queries.
 func Compile(q sql.Query, db map[string]*relation.Relation) (*Plan, error) {
+	p, err := CompileSchema(q, db)
+	if err != nil {
+		return nil, err
+	}
+	p.rels = db
+	return p, nil
+}
+
+// CompileSchema is Compile without the default map: the plan keeps no
+// reference to db (it pins no snapshot) and runs through ExecuteOn and
+// StreamOn only.
+func CompileSchema(q sql.Query, db map[string]*relation.Relation) (*Plan, error) {
 	c := &compilerCtx{db: db}
 	p, err := c.compileQuery(q, nil)
 	if err != nil {
@@ -284,7 +298,7 @@ func (c *compilerCtx) compileRef(ref sql.TableRef, outer *scope, conjs []sql.Exp
 		if rel == nil {
 			return nil, notPlannable("unknown table %q", x.Name)
 		}
-		n := newScanNode(rel, x.Binding())
+		n := newScanNode(x.Name, rel.Attrs(), x.Binding())
 		c.pushProbes(n, conjs, consumed)
 		c.pushRange(n, conjs, consumed)
 		return n, nil
@@ -326,7 +340,7 @@ func (c *compilerCtx) pushProbes(n *scanNode, conjs []sql.Expr, consumed []bool)
 			if !ok || ref.Table != n.alias {
 				continue
 			}
-			col := n.rel.AttrIndex(ref.Column)
+			col := n.attrIndex(ref.Column)
 			if col < 0 {
 				continue
 			}
@@ -405,7 +419,7 @@ func (c *compilerCtx) pushRange(n *scanNode, conjs []sql.Expr, consumed []bool) 
 		if op != value.Lt && op != value.Le && op != value.Gt && op != value.Ge {
 			continue
 		}
-		col := n.rel.AttrIndex(ref.Column)
+		col := n.attrIndex(ref.Column)
 		if col < 0 {
 			continue
 		}

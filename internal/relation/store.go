@@ -217,8 +217,7 @@ func NewStoreAt(gen uint64, rels ...*Relation) *Store {
 // Head returns the current committed snapshot.
 func (st *Store) Head() *Snapshot { return st.head.Load() }
 
-// Gen returns the current commit generation — the single fingerprint
-// statement caches revalidate on.
+// Gen returns the current commit generation.
 func (st *Store) Gen() uint64 { return st.head.Load().gen }
 
 // Gen returns the snapshot's commit generation.
@@ -256,18 +255,16 @@ func (st *Store) Begin() *WriteSet {
 // working copies (cloned copy-on-write from the base snapshot on first
 // write) plus creations. It also serves reads inside the transaction:
 // Relation and Rels overlay the working copies on the base snapshot, so
-// a statement compiled against the overlay sees the transaction's own
-// writes exactly once. A WriteSet is not safe for concurrent use — a
+// a statement executed on the overlay sees the transaction's own writes
+// exactly once. A WriteSet is not safe for concurrent use — a
 // transaction belongs to one session.
 type WriteSet struct {
 	base *Snapshot
 	pend map[string]*pendingRel
-	// ver counts applied write statements — the read-your-writes
-	// fingerprint transaction-local statement caches revalidate on.
-	ver uint64
-	// overlay caches the materialized Rels() map until ver changes.
-	overlay    map[string]*Relation
-	overlayVer uint64
+	// overlay caches the materialized Rels() map; it is dropped whenever
+	// pend gains or replaces an entry (writes to an existing working copy
+	// change that relation in place, not the map).
+	overlay map[string]*Relation
 	// journal records each applied operation in ops for the store's
 	// commit hook (the WAL record). Off unless the store had a hook when
 	// the write set was opened.
@@ -286,11 +283,6 @@ type pendingRel struct {
 // Base returns the snapshot the write set reads beneath its own writes.
 func (ws *WriteSet) Base() *Snapshot { return ws.base }
 
-// Ver returns the write version: it bumps on every applied change, so a
-// statement prepared inside the transaction at version v stays valid
-// until the transaction writes again.
-func (ws *WriteSet) Ver() uint64 { return ws.ver }
-
 // Dirty reports whether the write set holds any changes.
 func (ws *WriteSet) Dirty() bool { return len(ws.pend) > 0 }
 
@@ -307,17 +299,14 @@ func (ws *WriteSet) Relation(name string) *Relation {
 }
 
 // Rels materializes the overlay map (base relations with this write
-// set's working copies substituted). The map is cached until the next
-// write and must not be mutated by callers.
+// set's working copies substituted) — the relation map a statement
+// executed inside the transaction reads. It is the base snapshot's own
+// map while nothing is written, and must not be mutated by callers.
 func (ws *WriteSet) Rels() map[string]*Relation {
-	if ws.overlay != nil && ws.overlayVer == ws.ver && len(ws.pend) == 0 {
-		return ws.overlay
-	}
 	if len(ws.pend) == 0 {
-		ws.overlay, ws.overlayVer = ws.base.rels, ws.ver
-		return ws.overlay
+		return ws.base.rels
 	}
-	if ws.overlay == nil || ws.overlayVer != ws.ver {
+	if ws.overlay == nil {
 		m := make(map[string]*Relation, len(ws.base.rels)+len(ws.pend))
 		for k, v := range ws.base.rels {
 			m[k] = v
@@ -329,9 +318,15 @@ func (ws *WriteSet) Rels() map[string]*Relation {
 			}
 			m[k] = p.work
 		}
-		ws.overlay, ws.overlayVer = m, ws.ver
+		ws.overlay = m
 	}
 	return ws.overlay
+}
+
+// setPending records name's pending state and drops the cached overlay.
+func (ws *WriteSet) setPending(name string, p *pendingRel) {
+	ws.pend[name] = p
+	ws.overlay = nil
 }
 
 // working returns the mutable transaction-local copy of name, cloning
@@ -348,7 +343,7 @@ func (ws *WriteSet) working(name string) (*Relation, error) {
 		return nil, fmt.Errorf("relation: unknown relation %q", name)
 	}
 	work := base.Clone()
-	ws.pend[name] = &pendingRel{work: work}
+	ws.setPending(name, &pendingRel{work: work})
 	return work, nil
 }
 
@@ -365,11 +360,10 @@ func (ws *WriteSet) Create(name string, attrs []string) error {
 			}
 		}
 	}
-	ws.pend[name] = &pendingRel{work: New(name, attrs...), created: true}
+	ws.setPending(name, &pendingRel{work: New(name, attrs...), created: true})
 	if ws.journal {
 		ws.ops = append(ws.ops, LogOp{Kind: OpCreate, Rel: name, Attrs: append([]string(nil), attrs...)})
 	}
-	ws.ver++
 	return nil
 }
 
@@ -382,24 +376,22 @@ func (ws *WriteSet) Drop(name string) error {
 	if ws.Relation(name) == nil {
 		return fmt.Errorf("relation: unknown relation %q", name)
 	}
-	ws.pend[name] = &pendingRel{dropped: true}
+	ws.setPending(name, &pendingRel{dropped: true})
 	if ws.journal {
 		ws.ops = append(ws.ops, LogOp{Kind: OpDrop, Rel: name})
 	}
-	ws.ver++
 	return nil
 }
 
 // Put replaces (or adds) a relation wholesale — the write-set form of
 // the engine's Register.
 func (ws *WriteSet) Put(r *Relation) {
-	ws.pend[r.Name()] = &pendingRel{work: r, created: ws.Relation(r.Name()) == nil}
+	ws.setPending(r.Name(), &pendingRel{work: r, created: ws.Relation(r.Name()) == nil})
 	if ws.journal {
 		// Snapshot the content now: r is the live working copy and later
 		// statements may mutate it, which must journal as separate ops.
 		ws.ops = append(ws.ops, putOp(r))
 	}
-	ws.ver++
 }
 
 // Insert adds n occurrences of t to the named relation's working copy.
@@ -415,7 +407,6 @@ func (ws *WriteSet) Insert(name string, t Tuple, n int) error {
 	if ws.journal {
 		ws.ops = append(ws.ops, LogOp{Kind: OpInsert, Rel: name, Tuple: t.Clone(), Mult: int64(n)})
 	}
-	ws.ver++
 	return nil
 }
 
@@ -424,9 +415,7 @@ func (ws *WriteSet) Insert(name string, t Tuple, n int) error {
 // occurrences removed.
 func (ws *WriteSet) Delete(name string, tuples []Tuple) (int, error) {
 	if len(tuples) == 0 {
-		// Still bump ver: the statement ran (and an empty delete still
-		// touched the relation logically — cheap and keeps callers
-		// simple). No working copy is forced, so no conflict either.
+		// No working copy is forced, so no conflict either.
 		return 0, nil
 	}
 	work, err := ws.working(name)
@@ -448,7 +437,6 @@ func (ws *WriteSet) Delete(name string, tuples []Tuple) (int, error) {
 		}
 		ws.ops = append(ws.ops, op)
 	}
-	ws.ver++
 	return removed, nil
 }
 

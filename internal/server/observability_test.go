@@ -328,6 +328,19 @@ func TestAnalyzeOverWire(t *testing.T) {
 			t.Fatalf("datalog analyze output lacks %q:\n%s", want, text)
 		}
 	}
+	// SQL outside the planner fragment renders the reference evaluator's
+	// one step instead of failing.
+	fb, err := c.Prepare(client.LangSQL, "select R.A, X.t from R, lateral (select P.t from P where P.s = R.A) X")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err = fb.ExplainAnalyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(text, "Enumeration (reference evaluator): not plannable: LATERAL subquery\nTotal: rows=5 time=") {
+		t.Fatalf("fallback analyze output:\n%s", text)
+	}
 	ins, err := c.Prepare(client.LangSQL, "insert into R values (7, 70)")
 	if err != nil {
 		t.Fatal(err)

@@ -34,7 +34,7 @@ func TestFetchPanicSurfacesAsInternalErrorFrame(t *testing.T) {
 		w:       bufio.NewWriter(srvConn),
 		ctx:     context.Background(),
 		eng:     db.NewSession(),
-		stmts:   map[uint32]*stmtHandle{},
+		stmts:   map[uint32]*engine.Stmt{},
 		cursors: map[uint32]*cursor{},
 		greeted: true,
 	}

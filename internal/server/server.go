@@ -211,27 +211,12 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// stmtHandle is one session-scoped prepared statement: the source to
-// re-prepare from plus the engine statement it currently resolves to.
-// The engine compiles statements against immutable snapshots, so a
-// handle compiled at one epoch would silently keep answering from that
-// snapshot forever; the session re-resolves the handle (a statement-
-// cache hit in the common case) whenever its epoch no longer matches
-// the session's — which also moves handles in and out of transactions.
-type stmtHandle struct {
-	lang  engine.Lang
-	pred  string
-	src   string
-	stmt  *engine.Stmt
-	epoch engine.SessionEpoch
-}
-
 // cursor is one open result stream: the bound portal (statement + args)
 // and, once Execute ran, the engine cursor it streams from. elapsed
 // accumulates Execute plus every Fetch pull, so the latency histogram
 // reflects real execution time even for lazily-streamed plans.
 type cursor struct {
-	h       *stmtHandle
+	stmt    *engine.Stmt
 	args    []any
 	rows    *engine.Rows
 	cols    []string
@@ -252,7 +237,11 @@ type session struct {
 	// client only.
 	eng *engine.Session
 
-	stmts   map[uint32]*stmtHandle
+	// stmts are the session's prepared handles. Each was prepared through
+	// eng, so every execution reads the data current then — the session's
+	// open transaction, else the committed head — with nothing to refresh
+	// here.
+	stmts   map[uint32]*engine.Stmt
 	cursors map[uint32]*cursor
 	greeted bool
 	// werr is the first response-write failure (an oversized outgoing
@@ -280,7 +269,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		w:       bufio.NewWriter(conn),
 		ctx:     s.baseCtx,
 		eng:     s.db.NewSession(),
-		stmts:   map[uint32]*stmtHandle{},
+		stmts:   map[uint32]*engine.Stmt{},
 		cursors: map[uint32]*cursor{},
 	}
 	defer func() {
@@ -472,18 +461,24 @@ func (sess *session) handlePrepare(payload []byte) error {
 		sess.stmtError(CodeParse, fmt.Errorf("session holds %d prepared statements (limit %d); close some", len(sess.stmts), sess.srv.opts.MaxStmts))
 		return nil
 	}
-	h := &stmtHandle{lang: lang, pred: pred, src: src}
-	if err := sess.resolveHandle(h); err != nil {
+	var stmt *engine.Stmt
+	var err error
+	if lang == engine.LangDatalog {
+		stmt, err = sess.eng.PrepareDatalog(src, pred)
+	} else {
+		stmt, err = sess.eng.Prepare(lang, src)
+	}
+	if err != nil {
 		sess.stmtError(CodeParse, err)
 		return nil
 	}
-	sess.stmts[id] = h
+	sess.stmts[id] = stmt
 	sess.srv.metrics.StatementsPrepared.Add(1)
-	cols := h.stmt.Columns()
+	cols := stmt.Columns()
 	var e Enc
 	e.U32(id)
-	e.U8(wireKind(h.stmt.Kind()))
-	e.U32(uint32(h.stmt.NumParams()))
+	e.U8(wireKind(stmt.Kind()))
+	e.U32(uint32(stmt.NumParams()))
 	e.U32(uint32(len(cols)))
 	for _, c := range cols {
 		e.Str(c)
@@ -508,31 +503,6 @@ func wireKind(k engine.StmtKind) byte {
 	default:
 		return WireKindQuery
 	}
-}
-
-// resolveHandle (re)prepares a handle through the engine session when
-// the session's epoch moved since the handle last resolved — a fresh
-// commit landed, or a transaction opened/advanced/closed. At an
-// unchanged epoch it's a field comparison; at a changed one it's
-// usually a statement-cache hit.
-func (sess *session) resolveHandle(h *stmtHandle) error {
-	epoch := sess.eng.Epoch()
-	if h.stmt != nil && h.epoch == epoch {
-		return nil
-	}
-	var stmt *engine.Stmt
-	var err error
-	if h.lang == engine.LangDatalog && h.pred != "" {
-		stmt, err = sess.eng.PrepareDatalog(h.src, h.pred)
-	} else {
-		stmt, err = sess.eng.Prepare(h.lang, h.src)
-	}
-	if err != nil {
-		return err
-	}
-	h.stmt = stmt
-	h.epoch = epoch
-	return nil
 }
 
 // decodeArgs decodes a u32-counted argument vector. Each argument needs
@@ -562,16 +532,16 @@ func (sess *session) handleBind(payload []byte) error {
 	if err := d.Done(); err != nil {
 		return err
 	}
-	h, ok := sess.stmts[stmtID]
+	stmt, ok := sess.stmts[stmtID]
 	if !ok {
 		sess.stmtError(CodeUnknownStmt, fmt.Errorf("statement %d is not prepared in this session", stmtID))
 		return nil
 	}
-	switch h.stmt.Kind() {
+	switch k := stmt.Kind(); k {
 	case engine.KindBegin, engine.KindCommit, engine.KindRollback:
 		// Transaction control is session state, not a portal: there is
 		// nothing a cursor over BEGIN could ever stream or execute.
-		sess.stmtError(CodeWrongKind, fmt.Errorf("cannot bind a cursor to a %s statement; send a %s frame (or Exec)", h.stmt.Kind(), h.stmt.Kind()))
+		sess.stmtError(CodeWrongKind, fmt.Errorf("cannot bind a cursor to a %s statement; send a %s frame (or Exec)", k, k))
 		return nil
 	}
 	old, rebind := sess.cursors[curID]
@@ -584,7 +554,7 @@ func (sess *session) handleBind(payload []byte) error {
 	if rebind && old.rows != nil {
 		old.rows.Close()
 	}
-	sess.cursors[curID] = &cursor{h: h, args: args, cols: h.stmt.Columns()}
+	sess.cursors[curID] = &cursor{stmt: stmt, args: args, cols: stmt.Columns()}
 	var e Enc
 	e.U32(curID)
 	sess.send(FrameBindOK, e.Bytes())
@@ -609,16 +579,8 @@ func (sess *session) handleExecute(payload []byte) error {
 	// A fetch cursor only makes sense over a statement that returns
 	// rows: Execute of a DML/DDL portal is a structured kind error, not
 	// a protocol mismatch. (Send an Exec frame instead.)
-	if k := cur.h.stmt.Kind(); !k.ReturnsRows() {
+	if k := cur.stmt.Kind(); !k.ReturnsRows() {
 		sess.stmtError(CodeWrongKind, fmt.Errorf("statement is %s, which returns no rows; use an Exec frame", k))
-		return nil
-	}
-	// Re-resolve the portal's statement so the cursor streams the
-	// session's current snapshot (or transaction overlay), not the one
-	// current when the handle was first prepared.
-	if err := sess.resolveHandle(cur.h); err != nil {
-		sess.finishCursor(curID, cur)
-		sess.stmtError(CodeExecute, err)
 		return nil
 	}
 	// The latency histogram accumulates Execute plus every Fetch pull
@@ -626,7 +588,7 @@ func (sess *session) handleExecute(payload []byte) error {
 	// planner-compiled SQL, Query only builds the operator tree — the
 	// real work happens while Fetch pulls rows.
 	start := time.Now()
-	rows, err := cur.h.stmt.Query(sess.ctx, cur.args...)
+	rows, err := cur.stmt.Query(sess.ctx, cur.args...)
 	cur.elapsed += time.Since(start)
 	if err != nil {
 		sess.finishCursor(curID, cur)
@@ -753,20 +715,16 @@ func (sess *session) handleExec(payload []byte) error {
 	if err := d.Done(); err != nil {
 		return err
 	}
-	h, ok := sess.stmts[stmtID]
+	stmt, ok := sess.stmts[stmtID]
 	if !ok {
 		sess.stmtError(CodeUnknownStmt, fmt.Errorf("statement %d is not prepared in this session", stmtID))
 		return nil
 	}
-	if h.stmt.Kind() == engine.KindQuery {
+	if stmt.Kind() == engine.KindQuery {
 		sess.stmtError(CodeWrongKind, fmt.Errorf("statement is a query; bind a cursor and use Execute/Fetch"))
 		return nil
 	}
-	if err := sess.resolveHandle(h); err != nil {
-		sess.stmtError(CodeExecute, err)
-		return nil
-	}
-	res, err := sess.eng.ExecStmt(sess.ctx, h.stmt, args...)
+	res, err := sess.eng.ExecStmt(sess.ctx, stmt, args...)
 	if err != nil {
 		sess.stmtError(execErrCode(sess, err), err)
 		return nil
@@ -790,21 +748,17 @@ func (sess *session) handleAnalyze(payload []byte) error {
 	if err := d.Done(); err != nil {
 		return err
 	}
-	h, ok := sess.stmts[stmtID]
+	stmt, ok := sess.stmts[stmtID]
 	if !ok {
 		sess.stmtError(CodeUnknownStmt, fmt.Errorf("statement %d is not prepared in this session", stmtID))
 		return nil
 	}
-	if h.stmt.Kind() != engine.KindQuery {
-		sess.stmtError(CodeWrongKind, fmt.Errorf("statement is %s; only queries can be analyzed", h.stmt.Kind()))
-		return nil
-	}
-	if err := sess.resolveHandle(h); err != nil {
-		sess.stmtError(CodeExecute, err)
+	if k := stmt.Kind(); k != engine.KindQuery {
+		sess.stmtError(CodeWrongKind, fmt.Errorf("statement is %s; only queries can be analyzed", k))
 		return nil
 	}
 	start := time.Now()
-	text, err := h.stmt.ExplainAnalyze(sess.ctx, args...)
+	text, err := stmt.ExplainAnalyze(sess.ctx, args...)
 	elapsed := time.Since(start)
 	if err != nil {
 		code := CodeExecute
@@ -850,7 +804,7 @@ func (sess *session) handleBegin(payload []byte) error {
 		return nil
 	}
 	var e Enc
-	e.U64(sess.eng.Epoch().Gen) // the base snapshot the transaction reads
+	e.U64(sess.eng.Tx().BaseGeneration())
 	sess.send(FrameBeginOK, e.Bytes())
 	return nil
 }

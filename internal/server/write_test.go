@@ -285,6 +285,49 @@ func TestWireCursorStreamsPreDeleteSnapshot(t *testing.T) {
 	}
 }
 
+// TestWirePreparedOnceReadsEveryCommit pins the statement contract on
+// the wire: a point read prepared once answers from the data committed
+// by each Execute — whether another connection wrote an unrelated table
+// or the one it reads — and none of those commits costs it a Prepare.
+func TestWirePreparedOnceReadsEveryCommit(t *testing.T) {
+	db := engine.Open(relation.New("R", "k", "v"), relation.New("Other", "k"))
+	_, addr := startServer(t, db, server.Options{})
+	reader := dial(t, addr)
+	writer := dial(t, addr)
+	sel, err := reader.Prepare(client.LangSQL, "select R.v from R where R.k = $1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	insR, err := writer.Prepare(client.LangSQL, "insert into R values ($1, $2)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	insOther, err := writer.Prepare(client.LangSQL, "insert into Other values ($1)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepares := db.Stats().Prepares
+	const commits = 200
+	for i := int64(0); i < commits; i++ {
+		if _, err := insOther.Exec(value.Int(i)); err != nil {
+			t.Fatal(err)
+		}
+		if rows, err := sel.QueryAll(value.Int(i)); err != nil || len(rows) != 0 {
+			t.Fatalf("k=%d before its insert: rows = %v, err = %v", i, rows, err)
+		}
+		if _, err := insR.Exec(value.Int(i), value.Int(i*10)); err != nil {
+			t.Fatal(err)
+		}
+		rows, err := sel.QueryAll(value.Int(i))
+		if err != nil || len(rows) != 1 || rows[0][0].AsInt() != i*10 {
+			t.Fatalf("k=%d after its insert: rows = %v, err = %v", i, rows, err)
+		}
+	}
+	if got := db.Stats().Prepares - prepares; got != 0 {
+		t.Fatalf("%d commits cost %d Prepare(s), want none", 2*commits, got)
+	}
+}
+
 // TestWireWriterReaderStress runs 4 writer sessions committing
 // interleaved DELETE+INSERT transactions against 4 reader sessions
 // streaming full cursors. The invariant: every reader-observed snapshot
