@@ -11,7 +11,7 @@ BENCH_FAIL ?= 50
 FUZZ_TIME ?= 20s
 ENGINE_FUZZ_TARGETS ?= FuzzPrepareSQL FuzzPrepareARC FuzzPrepareDatalog FuzzExecSQL FuzzExecFactOps
 
-.PHONY: all build test bench lint arcvet fuzz-smoke arcbench-quick benchdiff bench-baseline
+.PHONY: all build test bench lint arcvet fuzz-smoke arcbench-quick ab benchdiff bench-baseline
 
 all: lint build test
 
@@ -63,6 +63,17 @@ fuzz-smoke:
 # arcbench/layers.go or an answer fails here, not in the driver.
 arcbench-quick:
 	bash arcbench/run.sh -quick
+
+# A parent/change comparison that resolves (cmd/ab): the working tree
+# against commit BASE on the repository benchmark, N alternated pairs per
+# workload and seed, every run appended to OUT, a verdict per metric.
+#   make ab BASE=<sha> [N=10] [SEEDS=1,2] [WORKLOADS=durable_write,mixed_rw] [TRACE=1] [OUT=bench/BENCH_<pr>.json]
+N ?= 10
+SEEDS ?= 1
+TRACE ?= 0
+OUT ?= bench/BENCH_ab.json
+ab:
+	$(GO) run ./cmd/ab -base '$(BASE)' -n $(N) -seeds '$(SEEDS)' -workloads '$(WORKLOADS)' -trace $(TRACE) -out '$(OUT)'
 
 # Run the gated benchmarks and compare against the committed baseline —
 # the local twin of CI's bench-regression job.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -439,6 +440,109 @@ func TestCursorOpenedBeforeDeleteStreamsOldSnapshot(t *testing.T) {
 	}
 }
 
+// TestCursorOpenedInTxSurvivesSameTxDelete: "cursors own their snapshot"
+// holds inside a transaction too — a DELETE or UPDATE later in the same
+// transaction changes the working relation the cursor reads, and the
+// cursor still streams exactly the rows that existed when it opened.
+func TestCursorOpenedInTxSurvivesSameTxDelete(t *testing.T) {
+	for _, c := range []struct {
+		write string
+		left  int // rows the transaction sees afterwards
+	}{
+		{"delete from R where R.A < 50", 51},
+		{"update R set A = R.A + 5000 where R.A < 50", 101},
+	} {
+		write := c.write
+		ctx := context.Background()
+		r := relation.New("R", "A")
+		for i := range 100 {
+			r.Add(i)
+		}
+		tx, err := Open(r).Begin(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The insert forces R's working copy, which the cursor then reads.
+		if _, err := tx.Exec(ctx, LangSQL, "insert into R values (1000)"); err != nil {
+			t.Fatal(err)
+		}
+		rows, err := tx.Query(ctx, LangSQL, "select R.A from R")
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[int64]int{}
+		read := func() {
+			var a int64
+			if err := rows.Scan(&a); err != nil {
+				t.Fatal(err)
+			}
+			seen[a]++
+		}
+		if !rows.Next() {
+			t.Fatal("cursor is empty")
+		}
+		read()
+		if res, err := tx.Exec(ctx, LangSQL, write); err != nil || res.RowsAffected != 50 {
+			t.Fatalf("%s: affected %d, err %v; want 50", write, res.RowsAffected, err)
+		}
+		for rows.Next() {
+			read()
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		rows.Close()
+		wrong := 0
+		for a, n := range seen {
+			if n != 1 || a >= 100 && a != 1000 {
+				wrong++
+			}
+		}
+		if len(seen) != 101 || wrong > 0 {
+			t.Errorf("%s: cursor streamed %d distinct values, %d of them repeated or written after it opened; want the 101 rows that existed then, once each",
+				write, len(seen), wrong)
+		}
+		if got := countAll(t, tx.QueryAll, LangSQL, "select R.A from R"); got != c.left {
+			t.Errorf("%s: transaction sees %d rows afterwards, want %d", write, got, c.left)
+		}
+		if err := tx.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDeletingNothingIsNotAWrite: retracting a fact that is not there
+// affects no row, so it publishes no snapshot, runs no commit hook, and
+// raises no conflict.
+func TestDeletingNothingIsNotAWrite(t *testing.T) {
+	ctx := context.Background()
+	db := Open(relation.New("E", "s", "d").Add(1, 2))
+	hooked := 0
+	db.Store().SetCommitHook(func(uint64, []relation.LogOp) error { hooked++; return nil })
+	gen, head, commits := db.Generation(), db.Relation("E"), db.Stats().Store.Commits
+	res := mustExec(t, db, LangDatalog, "-E(7, 7).")
+	if res.RowsAffected != 0 {
+		t.Fatalf("RowsAffected = %d, want 0", res.RowsAffected)
+	}
+	if db.Generation() != gen || db.Relation("E") != head || db.Stats().Store.Commits != commits || hooked != 0 {
+		t.Fatalf("retracting an absent fact wrote: generation %d -> %d, head relation replaced %v, commits %d -> %d, hook ran %d time(s)",
+			gen, db.Generation(), db.Relation("E") != head, commits, db.Stats().Store.Commits, hooked)
+	}
+	// A transaction whose only statement retracted an absent fact has
+	// written nothing, so a commit to E meanwhile is not a conflict.
+	tx, err := db.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Exec(ctx, LangDatalog, "-E(7, 7)."); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, LangDatalog, "+E(3, 4).")
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("absent-retract transaction: %v", err)
+	}
+}
+
 func TestSessionSQLTransactionControl(t *testing.T) {
 	ctx := context.Background()
 	db := Open(relation.New("R", "A"))
@@ -550,6 +654,11 @@ func TestSessionStatementFollowsTransactions(t *testing.T) {
 func TestAutocommitRetriesOnConflict(t *testing.T) {
 	ctx := context.Background()
 	db := Open(relation.New("R", "A"))
+	// A commit takes microseconds, so left alone the writers may never
+	// overlap. The hook runs inside every commit, before the new snapshot
+	// is published; yielding there lets the others begin on the head it
+	// is about to replace, which is the conflict under test.
+	db.Store().SetCommitHook(func(uint64, []relation.LogOp) error { runtime.Gosched(); return nil })
 	var wg sync.WaitGroup
 	const writers, per = 8, 25
 	errs := make(chan error, writers)

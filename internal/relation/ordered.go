@@ -2,30 +2,15 @@
 // per-column sorted index (value.Less order) serving range predicates.
 // Where Probe answers "rows whose column equals v", RangeProbe answers
 // "rows whose column falls in [lo,hi]" with any combination of
-// open/closed/unbounded ends — the in-memory fallback behind
-// exec.RangeScan when a relation lives purely in RAM rather than in
-// sorted segment files.
+// open/closed/unbounded ends — what exec.RangeScan runs on.
 package relation
 
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/value"
 )
-
-// orderedIndex is one cached per-column sorted index: slots ordered by
-// the column value under value.Less over a captured rows header. gen is
-// the relation generation it was built at; any mutation bumps the
-// generation and invalidates the index wholesale (range workloads are
-// read-heavy; incremental maintenance of a sorted slice is not worth
-// its complexity).
-type orderedIndex struct {
-	gen   uint64
-	rows  []row
-	slots []int
-}
 
 // ordClass buckets values into the comparability classes of the Less
 // total order: NULL < numerics (ints and floats interleaved) < strings
@@ -43,34 +28,54 @@ func ordClass(v value.Value) int {
 	return 3
 }
 
-// orderedIndexFor returns the sorted index on col, rebuilding it if the
-// relation changed since it was built.
-func (r *Relation) orderedIndexFor(col int) *orderedIndex {
-	gen := r.gen.Load()
-	r.mu.RLock()
-	ix, ok := r.ordIdx[col]
-	r.mu.RUnlock()
-	if ok && ix.gen == gen {
-		return ix
+// orderedForLocked returns the sorted index on col over all of s.rows:
+// slots in ascending column order under value.Less, ties in slot order.
+// A cached index is immutable and covers the prefix of rows that existed
+// when it was built (only appends happen under it — RemoveKeys drops the
+// cache); rows added since are sorted among themselves and merged in,
+// which costs an insert-then-range-probe loop O(rows) per round instead
+// of a full sort. The caller must hold the write lock.
+func (s *segment) orderedForLocked(col int) []int {
+	old := s.ordIdx[col]
+	if len(old) == len(s.rows) {
+		return old
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	gen = r.gen.Load()
-	if ix, ok := r.ordIdx[col]; ok && ix.gen == gen {
-		return ix
+	less := func(a, b int) bool { return s.rows[a].tup[col].Less(s.rows[b].tup[col]) }
+	fresh := make([]int, len(s.rows)-len(old))
+	for i := range fresh {
+		fresh[i] = len(old) + i
 	}
-	ix = &orderedIndex{gen: gen, rows: r.rows, slots: make([]int, len(r.rows))}
-	for i := range ix.slots {
-		ix.slots[i] = i
+	sort.SliceStable(fresh, func(i, j int) bool { return less(fresh[i], fresh[j]) })
+	ix := fresh
+	if len(old) > 0 {
+		ix = make([]int, 0, len(s.rows))
+		for len(old) > 0 && len(fresh) > 0 {
+			if less(fresh[0], old[0]) {
+				ix, fresh = append(ix, fresh[0]), fresh[1:]
+			} else {
+				ix, old = append(ix, old[0]), old[1:]
+			}
+		}
+		ix = append(append(ix, old...), fresh...)
 	}
-	sort.SliceStable(ix.slots, func(a, b int) bool {
-		return ix.rows[ix.slots[a]].tup[col].Less(ix.rows[ix.slots[b]].tup[col])
-	})
-	if r.ordIdx == nil {
-		r.ordIdx = make(map[int]*orderedIndex)
+	if s.ordIdx == nil {
+		s.ordIdx = make(map[int][]int)
 	}
-	r.ordIdx[col] = ix
+	s.ordIdx[col] = ix
 	return ix
+}
+
+// orderedFor is orderedForLocked for a frozen segment.
+func (s *segment) orderedFor(col int) []int {
+	s.mu.RLock()
+	ix := s.ordIdx[col]
+	s.mu.RUnlock()
+	if len(ix) == len(s.rows) {
+		return ix
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.orderedForLocked(col)
 }
 
 // RangeProbe calls f for each distinct tuple whose value at col falls
@@ -96,42 +101,73 @@ func (r *Relation) RangeProbe(col int, lo, hi value.Value, loIncl, hiIncl bool, 
 	} else if !hi.IsNull() && ordClass(hi) != cls {
 		return // conjunction of two different-class predicates: empty
 	}
-	ix := r.orderedIndexFor(col)
-	at := func(i int) value.Value { return ix.rows[ix.slots[i]].tup[col] }
+	// Capture the view and the delta's sorted index under one lock
+	// acquisition, extending the index first if rows were added since.
+	r.mu.RLock()
+	v := r.viewLocked()
+	ix := r.ordIdx[col]
+	r.mu.RUnlock()
+	if len(ix) != len(v.rows) {
+		r.mu.Lock()
+		v = r.viewLocked()
+		ix = r.orderedForLocked(col)
+		r.mu.Unlock()
+	}
 
-	// beforeLo: v sorts strictly before the range start. Downward-closed
+	// beforeLo: x sorts strictly before the range start. Downward-closed
 	// in the Less order, so sort.Search finds the boundary.
-	beforeLo := func(v value.Value) bool {
-		if c := ordClass(v); c != cls {
+	beforeLo := func(x value.Value) bool {
+		if c := ordClass(x); c != cls {
 			return c < cls
 		}
 		if lo.IsNull() {
 			return false
 		}
-		c, _ := v.Compare(lo)
+		c, _ := x.Compare(lo)
 		if loIncl {
 			return c < 0
 		}
 		return c <= 0
 	}
-	// withinHi: v sorts at or before the range end.
-	withinHi := func(v value.Value) bool {
-		if c := ordClass(v); c != cls {
+	// withinHi: x sorts at or before the range end.
+	withinHi := func(x value.Value) bool {
+		if c := ordClass(x); c != cls {
 			return c < cls
 		}
 		if hi.IsNull() {
 			return true
 		}
-		c, _ := v.Compare(hi)
+		c, _ := x.Compare(hi)
 		if hiIncl {
 			return c <= 0
 		}
 		return c < 0
 	}
-	start := sort.Search(len(ix.slots), func(i int) bool { return !beforeLo(at(i)) })
-	end := start + sort.Search(len(ix.slots)-start, func(i int) bool { return !withinHi(at(start + i)) })
-	for _, slot := range ix.slots[start:end] {
-		if !f(ix.rows[slot].tup, int(atomic.LoadInt64(&ix.rows[slot].mult))) {
+	// cut narrows a sorted index over rows to the slots inside the range.
+	cut := func(rows []row, ix []int) []int {
+		start := sort.Search(len(ix), func(i int) bool { return !beforeLo(rows[ix[i]].tup[col]) })
+		end := start + sort.Search(len(ix)-start, func(i int) bool { return !withinHi(rows[ix[start+i]].tup[col]) })
+		return ix[start:end]
+	}
+	delta := cut(v.rows, ix)
+	var base []int
+	if v.base != nil {
+		base = cut(v.base.rows, v.base.orderedFor(col))
+	}
+	// Stable merge of the base's run, past the dead set, with the delta's:
+	// on a tie the base row goes first, as in iteration order.
+	for len(base) > 0 || len(delta) > 0 {
+		var rw *row
+		switch {
+		case len(base) > 0 && v.dead.has(base[0]):
+			base = base[1:]
+			continue
+		case len(delta) == 0 || len(base) > 0 && !v.rows[delta[0]].tup[col].Less(v.base.rows[base[0]].tup[col]):
+			rw, base = &v.base.rows[base[0]], base[1:]
+		default:
+			rw, delta = &v.rows[delta[0]], delta[1:]
+		}
+		if !f(rw.tup, rw.count()) {
 			return
 		}
 	}

@@ -5,22 +5,34 @@
 // point that set vs bag is a convention, not part of the language
 // (Section 2.7).
 //
+// Representation: a Relation is an optional immutable base segment (rows,
+// the tuple-key map and lazily built indexes, shared by pointer between
+// any number of versions), an immutable dead set retiring some of the
+// base's slots, and a private mutable delta — all a relation that was
+// never cloned consists of. Clone shares the base and copies only the
+// delta (see version.go), so a version costs what it changed. Nothing a
+// mutation does writes into memory another version, or a view captured
+// earlier, can reach.
+//
 // Concurrency contract: a Relation is safe for concurrent use. Readers
-// (Probe, Each, Mult, …) snapshot the row store under a read lock and then
-// iterate without holding it, so reader callbacks may re-enter the
-// relation — including inserting into the relation being iterated, the
-// pattern the semi-naive fixpoint engine relies on. Writers (InsertMult)
-// hold the write lock for the whole mutation, including the incremental
-// maintenance of every cached hash index. Multiplicity bumps of existing
-// rows are atomic, so an unlocked reader iterating a snapshot observes
-// either the old or the new count, never a torn value. Iteration sees the
-// relation as of the snapshot; tuples inserted while a reader is mid-
-// iteration appear in subsequent probes/scans (the probe-insert-probe
-// semantics the index tests pin).
+// (Probe, Each, Mult, …) capture a view — base, dead set, delta rows —
+// under a read lock and then iterate without holding it, so reader
+// callbacks may re-enter the relation — including inserting into the
+// relation being iterated, the pattern the semi-naive fixpoint engine
+// relies on. Writers (InsertMult, RemoveKeys) hold the write lock for the
+// whole mutation, including the incremental maintenance of every cached
+// hash index. Multiplicity bumps of existing delta rows are atomic, so an
+// unlocked reader iterating a view observes either the old or the new
+// count, never a torn value. Iteration sees the relation as of the view;
+// tuples inserted while a reader is mid-iteration appear in subsequent
+// probes/scans (the probe-insert-probe semantics the index tests pin),
+// and tuples removed meanwhile are still streamed.
 package relation
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -54,48 +66,84 @@ func (t Tuple) Clone() Tuple {
 }
 
 // row is one stored distinct tuple. mult is accessed atomically: readers
-// iterate snapshots of the rows slice without holding the relation lock,
-// while a writer may bump the count of an existing row in place.
+// iterate captured views of the rows slice without holding the relation
+// lock, while a writer may bump the count of an existing delta row in
+// place. (Rows of a frozen segment are never bumped; see insert.)
 type row struct {
 	tup  Tuple
 	mult int64
 }
 
+// count loads the row's multiplicity.
+func (rw *row) count() int { return int(atomic.LoadInt64(&rw.mult)) }
+
+// segment is a slot-addressed run of distinct tuples with its tuple-key
+// map and lazily built indexes. A Relation embeds one as its delta and
+// mutates it under mu; a base segment is frozen at construction — its
+// rows and index never change again, and mu guards only the lazy builds
+// of hashIdx and ordIdx entries, each of which is immutable once built.
+type segment struct {
+	mu    sync.RWMutex
+	rows  []row
+	index map[string]int // tuple key -> rows slot
+	// hashIdx caches per-column-set hash indexes over rows for Probe:
+	// column-set signature -> index. Built lazily under the write lock and,
+	// in a delta, maintained incrementally: inserting a new distinct tuple
+	// appends its slot to its chain in every cached index (multiplicity
+	// bumps keep slots valid as-is), so the semi-naive Datalog delta loop
+	// and other insert-heavy workloads never pay for wholesale rebuilds.
+	hashIdx map[string]*hashIndex
+	// ordIdx caches per-column sorted indexes over rows for RangeProbe
+	// (see ordered.go). Each is immutable and covers a prefix of rows; a
+	// probe that finds one behind extends it by a merge.
+	ordIdx map[int][]int
+}
+
 // Relation is a multiset of tuples over a fixed attribute list. The zero
-// value is not usable; construct with New. Insertion order is preserved
-// for deterministic iteration; canonical comparisons sort.
+// value is not usable; construct with New. Iteration order is live base
+// rows in slot order, then delta rows in insertion order — plain insertion
+// order for a relation that was never cloned; canonical comparisons sort.
 type Relation struct {
 	name  string
 	attrs []string
 	pos   map[string]int // attribute name -> column
 
-	// mu guards rows, index, and hashIdx. gen counts distinct-tuple
-	// insertions (the tuple generation plan caches key on) and is read
-	// without the lock.
-	mu    sync.RWMutex
-	gen   atomic.Uint64
-	rows  []row
-	index map[string]int // tuple key -> rows slot
-	// hashIdx caches per-column-set hash indexes for Probe: column-set
-	// signature -> index. Built lazily under the write lock and maintained
-	// incrementally: inserting a new distinct tuple appends its slot to
-	// every cached index's bucket (multiplicity bumps keep slots valid
-	// as-is), so the semi-naive Datalog delta loop and other insert-heavy
-	// workloads never pay for wholesale rebuilds.
-	hashIdx map[string]*hashIndex
-	// ordIdx caches per-column sorted indexes for RangeProbe (see
-	// ordered.go). Unlike hashIdx they are invalidated wholesale by any
-	// generation bump rather than maintained incrementally.
-	ordIdx map[int]*orderedIndex
+	// gen counts changes to the set of distinct tuples and is read without
+	// the lock.
+	gen atomic.Uint64
+
+	// base and dead are the shared part (version.go): the rows of base
+	// that dead does not retire belong to the relation. Both are immutable;
+	// a mutation replaces the dead pointer, Clone may replace both. base
+	// is nil for a relation that was never cloned, and every path then
+	// runs on the delta alone.
+	base *segment
+	dead *deadSet
+
+	// The embedded segment is the delta: rows this version holds privately.
+	// A tuple lives in the delta or in base's live rows, never both. Its mu
+	// is the relation's lock and guards base and dead too.
+	segment
 }
 
-// hashIndex is one cached per-column-set hash index.
+// hashIndex is one cached per-column-set hash index: the rows with equal
+// values at cols are chained through next in slot order, and spans maps
+// the column-values key to the two ends of its chain. An index stays with
+// its segment across commits, so its size is resident memory: one map
+// entry of two int32 per key and four bytes per row.
 type hashIndex struct {
-	cols    []int
-	buckets map[string][]int // column-values key -> row slots
+	cols  []int
+	spans map[string]span
+	// next[s] is the slot after s in its chain, and is meaningful only
+	// while s is not the chain's last slot. It has one element per row.
+	next []int32
 }
 
-// add appends a newly inserted row slot to the index's bucket.
+type span struct{ first, last int32 }
+
+// add appends a newly inserted row, which must be the next slot, to the
+// chain of its key. The only element of next it writes is the one of the
+// chain's current last slot, which no chain captured earlier reads.
 func (ix *hashIndex) add(t Tuple, slot int) {
 	var kb [64]byte
 	buf := kb[:0]
@@ -103,7 +151,47 @@ func (ix *hashIndex) add(t Tuple, slot int) {
 		buf = t[c].AppendKey(buf)
 		buf = append(buf, '\x1f')
 	}
-	ix.buckets[string(buf)] = append(ix.buckets[string(buf)], slot)
+	ix.next = append(ix.next, 0)
+	sp, ok := ix.spans[string(buf)]
+	if ok {
+		ix.next[sp.last] = int32(slot)
+		sp.last = int32(slot)
+	} else {
+		sp = span{int32(slot), int32(slot)}
+	}
+	ix.spans[string(buf)] = sp
+}
+
+// chain is the run of slots under one key as captured at one moment:
+// first, then next of each slot up to last. Slots added to the index
+// later are beyond last and so not part of it.
+type chain struct {
+	span
+	next []int32
+}
+
+// chain captures the chain of key; the caller holds the lock guarding ix,
+// or ix belongs to a frozen segment.
+func (ix *hashIndex) chain(key []byte) chain {
+	sp, ok := ix.spans[string(key)]
+	if !ok {
+		return chain{span: span{first: -1}}
+	}
+	return chain{span: sp, next: ix.next}
+}
+
+// after returns the slot following s in the chain, negative at its end;
+// a chain is walked with for s := c.first; s >= 0; s = c.after(s).
+func (c chain) after(s int32) int32 {
+	if s == c.last {
+		return -1
+	}
+	return c.next[s]
+}
+
+// clone returns a copy the caller may add to.
+func (ix *hashIndex) clone() *hashIndex {
+	return &hashIndex{cols: ix.cols, spans: maps.Clone(ix.spans), next: slices.Clone(ix.next)}
 }
 
 // smallAttrs is the widest schema resolved by linear scan instead of a
@@ -166,8 +254,10 @@ func (r *Relation) AttrIndex(a string) int {
 func (r *Relation) Arity() int { return len(r.attrs) }
 
 // Generation returns the tuple generation: a counter bumped once per
-// distinct tuple ever inserted. Plan and statement caches key on it to
-// detect data changes without comparing contents.
+// distinct tuple inserted into this relation and once per RemoveKeys that
+// removed anything. Nothing in the engine keys on it (statements bind a
+// schema, executions a snapshot); it remains as a cheap change witness
+// for tests and diagnostics.
 func (r *Relation) Generation() uint64 { return r.gen.Load() }
 
 // Insert adds one occurrence of t.
@@ -185,7 +275,11 @@ func (r *Relation) InsertOwned(t Tuple, n int) { r.insert(t, n, true) }
 
 // insert is the shared insertion path. The distinct-tuple index map is
 // deferred until the second distinct tuple arrives, so empty and
-// single-row relations (point-lookup results) never allocate it.
+// single-row relations (point-lookup results) never allocate it. A
+// duplicate of a delta row bumps its count in place; a duplicate of a live
+// base row retires that slot and re-adds the summed count to the delta
+// (the base is shared, its counts are frozen), which moves the tuple to
+// the end of the iteration order.
 func (r *Relation) insert(t Tuple, n int, owned bool) {
 	if len(t) != len(r.attrs) {
 		panic(fmt.Sprintf("relation %s: tuple arity %d, want %d", r.name, len(t), len(r.attrs)))
@@ -195,46 +289,35 @@ func (r *Relation) insert(t Tuple, n int, owned bool) {
 	}
 	var kb [128]byte
 	buf := t.AppendKey(kb[:0])
-	stored := t
-	if !owned {
-		stored = t.Clone()
-	}
 	r.mu.Lock()
-	if r.index == nil {
-		// index == nil implies at most one stored row.
-		if len(r.rows) == 1 {
-			var kb0 [128]byte
-			if string(r.rows[0].tup.AppendKey(kb0[:0])) == string(buf) {
-				atomic.AddInt64(&r.rows[0].mult, int64(n))
-				r.mu.Unlock()
-				return
-			}
-			r.index = map[string]int{r.rows[0].tup.Key(): 0}
-		} else if len(r.rows) == 0 {
-			r.rows = append(r.rows, row{tup: stored, mult: int64(n)})
-			for _, ix := range r.hashIdx {
-				ix.add(stored, 0)
-			}
-			r.gen.Add(1)
-			r.mu.Unlock()
-			return
-		}
-	}
-	if i, ok := r.index[string(buf)]; ok {
+	if i, ok := r.deltaSlotLocked(buf); ok {
 		// Atomic: unlocked readers may be reading this row's count from
-		// an earlier snapshot of the rows slice.
+		// an earlier view of the rows slice.
 		atomic.AddInt64(&r.rows[i].mult, int64(n))
 		r.mu.Unlock()
 		return
 	}
-	slot := len(r.rows)
-	if r.index == nil {
-		r.index = make(map[string]int)
+	stored, mult := t, int64(n)
+	if slot, ok := r.baseSlotLocked(buf); ok {
+		r.dead = r.dead.with(len(r.base.rows), slot)
+		stored = r.base.rows[slot].tup
+		mult += int64(r.base.rows[slot].count())
+	} else if !owned {
+		stored = t.Clone()
 	}
-	r.index[string(buf)] = slot
-	r.rows = append(r.rows, row{tup: stored, mult: int64(n)})
+	slot := len(r.rows)
+	switch {
+	case r.index != nil:
+		r.index[string(buf)] = slot
+	case slot == 1:
+		// index == nil implies at most one stored row; the second distinct
+		// tuple makes the map due.
+		r.index = map[string]int{r.rows[0].tup.Key(): 0, string(buf): 1}
+	}
+	r.rows = append(r.rows, row{tup: stored, mult: mult})
 	// New distinct tuple: maintain the cached hash indexes incrementally
-	// instead of dropping them.
+	// instead of dropping them. (Sorted indexes fall behind and are
+	// extended by the next RangeProbe.)
 	for _, ix := range r.hashIdx {
 		ix.add(stored, slot)
 	}
@@ -242,13 +325,51 @@ func (r *Relation) insert(t Tuple, n int, owned bool) {
 	r.mu.Unlock()
 }
 
+// deltaSlotLocked finds the delta row holding the tuple with this key.
+// The caller holds mu.
+func (r *Relation) deltaSlotLocked(key []byte) (int, bool) {
+	if r.index == nil {
+		// At most one stored row (the deferred-index state).
+		if len(r.rows) == 1 {
+			var kb [128]byte
+			if string(r.rows[0].tup.AppendKey(kb[:0])) == string(key) {
+				return 0, true
+			}
+		}
+		return 0, false
+	}
+	i, ok := r.index[string(key)]
+	return i, ok
+}
+
+// indexLocked returns the tuple-key map of s, ending the deferred-index
+// state if s is in it — for the paths that look s up by map alone. The
+// caller holds mu for writing.
+func (s *segment) indexLocked() map[string]int {
+	if s.index == nil && len(s.rows) == 1 {
+		s.index = map[string]int{s.rows[0].tup.Key(): 0}
+	}
+	return s.index
+}
+
+// baseSlotLocked finds the live base row holding the tuple with this key.
+// The caller holds mu.
+func (r *Relation) baseSlotLocked(key []byte) (int, bool) {
+	if r.base == nil {
+		return 0, false
+	}
+	slot, ok := r.base.index[string(key)]
+	return slot, ok && !r.dead.has(slot)
+}
+
 // RemoveKeys deletes every stored tuple whose Key() is in keys, returning
-// the number of row occurrences removed (counting multiplicity). The row
-// store and distinct-tuple index are rebuilt compactly and all cached
-// hash indexes dropped, so it is meant for transaction-local working
-// copies (the MVCC write path), not for relations concurrent readers may
-// hold snapshots of — a deletion is published by committing the working
-// copy as a new snapshot, never by mutating a shared relation in place.
+// the number of row occurrences removed (counting multiplicity). Base rows
+// are retired in a fresh dead set, O(keys); if any delta row goes,
+// the surviving delta rows move to a fresh array and the delta's cached
+// indexes are dropped, O(delta). Neither writes into an array or bitmap a
+// view captured earlier can reach, so a reader mid-iteration — a cursor
+// opened earlier in the same transaction — keeps streaming the rows that
+// existed when it started.
 func (r *Relation) RemoveKeys(keys map[string]struct{}) int {
 	if len(keys) == 0 {
 		return 0
@@ -256,28 +377,66 @@ func (r *Relation) RemoveKeys(keys map[string]struct{}) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	removed := 0
-	kept := r.rows[:0]
-	var kb [128]byte
-	for i := range r.rows {
-		if _, hit := keys[string(r.rows[i].tup.AppendKey(kb[:0]))]; hit {
-			removed += int(atomic.LoadInt64(&r.rows[i].mult))
-			continue
+	if r.base != nil {
+		var retire []int
+		for k := range keys {
+			if slot, ok := r.base.index[k]; ok && !r.dead.has(slot) {
+				retire = append(retire, slot)
+				removed += r.base.rows[slot].count()
+			}
 		}
-		kept = append(kept, r.rows[i])
+		if len(retire) > 0 {
+			r.dead = r.dead.with(len(r.base.rows), retire...)
+		}
 	}
-	if removed == 0 {
+	removed += r.removeDeltaLocked(keys)
+	if removed > 0 {
+		r.gen.Add(1)
+	}
+	return removed
+}
+
+// removeDeltaLocked is RemoveKeys' delta half.
+func (r *Relation) removeDeltaLocked(keys map[string]struct{}) int {
+	// drop[i] marks delta slot i for removal.
+	var drop []bool
+	mark := func(i int) {
+		if drop == nil {
+			drop = make([]bool, len(r.rows))
+		}
+		drop[i] = true
+	}
+	index := r.indexLocked()
+	for k := range keys {
+		if i, ok := index[k]; ok {
+			mark(i)
+		}
+	}
+	if drop == nil {
 		return 0
 	}
+	removed := 0
+	kept := make([]row, 0, len(r.rows))
+	to := make([]int, len(r.rows)) // old slot -> new slot
+	for i := range r.rows {
+		if drop[i] {
+			removed += r.rows[i].count()
+			continue
+		}
+		to[i] = len(kept)
+		kept = append(kept, r.rows[i])
+	}
 	r.rows = kept
-	if r.index != nil {
-		r.index = make(map[string]int, len(kept))
-		for i := range kept {
-			r.index[string(kept[i].tup.AppendKey(kb[:0]))] = i
+	// The key map is read only under mu, so it is renumbered in place.
+	for k, i := range r.index {
+		if drop[i] {
+			delete(r.index, k)
+		} else {
+			r.index[k] = to[i]
 		}
 	}
 	r.hashIdx = nil
 	r.ordIdx = nil
-	r.gen.Add(1)
 	return removed
 }
 
@@ -333,18 +492,11 @@ func (r *Relation) Mult(t Tuple) int {
 	buf := t.AppendKey(kb[:0])
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if r.index == nil {
-		// At most one stored row (the deferred-index state).
-		if len(r.rows) == 1 {
-			var kb0 [128]byte
-			if string(r.rows[0].tup.AppendKey(kb0[:0])) == string(buf) {
-				return int(atomic.LoadInt64(&r.rows[0].mult))
-			}
-		}
-		return 0
+	if i, ok := r.deltaSlotLocked(buf); ok {
+		return r.rows[i].count()
 	}
-	if i, ok := r.index[string(buf)]; ok {
-		return int(atomic.LoadInt64(&r.rows[i].mult))
+	if slot, ok := r.baseSlotLocked(buf); ok {
+		return r.base.rows[slot].count()
 	}
 	return 0
 }
@@ -353,52 +505,22 @@ func (r *Relation) Mult(t Tuple) int {
 func (r *Relation) Contains(t Tuple) bool { return r.Mult(t) > 0 }
 
 // Distinct returns the number of distinct tuples.
-func (r *Relation) Distinct() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.rows)
-}
+func (r *Relation) Distinct() int { return r.view().distinct() }
 
 // Card returns the total number of tuples counting multiplicity.
 func (r *Relation) Card() int {
-	rows := r.snapshot()
 	n := 0
-	for i := range rows {
-		n += int(atomic.LoadInt64(&rows[i].mult))
-	}
+	r.Each(func(_ Tuple, m int) { n += m })
 	return n
 }
 
-// snapshot captures the current rows slice header under the read lock.
-// The rows it covers are immutable except for their atomic multiplicity
-// counts, so the caller may iterate without holding the lock — which
-// keeps callbacks free to re-enter the relation.
-func (r *Relation) snapshot() []row {
-	r.mu.RLock()
-	rows := r.rows
-	r.mu.RUnlock()
-	return rows
-}
-
-// Each calls f once per distinct tuple with its multiplicity, in insertion
+// Each calls f once per distinct tuple with its multiplicity, in iteration
 // order. f must not retain the tuple beyond the call unless it clones.
-func (r *Relation) Each(f func(Tuple, int)) {
-	rows := r.snapshot()
-	for i := range rows {
-		f(rows[i].tup, int(atomic.LoadInt64(&rows[i].mult)))
-	}
-}
+func (r *Relation) Each(f func(Tuple, int)) { r.view().each(f) }
 
-// EachWhile calls f per distinct tuple with its multiplicity, in insertion
+// EachWhile calls f per distinct tuple with its multiplicity, in iteration
 // order, stopping early when f returns false.
-func (r *Relation) EachWhile(f func(Tuple, int) bool) {
-	rows := r.snapshot()
-	for i := range rows {
-		if !f(rows[i].tup, int(atomic.LoadInt64(&rows[i].mult))) {
-			return
-		}
-	}
-}
+func (r *Relation) EachWhile(f func(Tuple, int) bool) { r.view().eachWhile(f) }
 
 // KeyOf returns the probe key of a value list — the identity Probe indexes
 // by, consistent with Tuple.Key on the projected columns.
@@ -426,33 +548,50 @@ func indexSig(cols []int) string {
 }
 
 // hashIndexForLocked returns the hash index on the given column set,
-// building it on first use; afterwards InsertMult maintains it
-// incrementally. The caller must hold the write lock.
-func (r *Relation) hashIndexForLocked(sig string, cols []int) *hashIndex {
-	if ix, ok := r.hashIdx[sig]; ok {
+// building it on first use; in a delta InsertMult maintains it
+// incrementally afterwards. The caller must hold the write lock.
+func (s *segment) hashIndexForLocked(sig string, cols []int) *hashIndex {
+	if ix, ok := s.hashIdx[sig]; ok {
 		return ix
 	}
 	ix := &hashIndex{
-		cols:    append([]int(nil), cols...),
-		buckets: make(map[string][]int, len(r.rows)),
+		cols:  append([]int(nil), cols...),
+		spans: make(map[string]span, len(s.rows)),
+		next:  make([]int32, 0, len(s.rows)),
 	}
-	for slot := range r.rows {
-		ix.add(r.rows[slot].tup, slot)
+	for slot := range s.rows {
+		ix.add(s.rows[slot].tup, slot)
 	}
-	if r.hashIdx == nil {
-		r.hashIdx = make(map[string]*hashIndex)
+	if s.hashIdx == nil {
+		s.hashIdx = make(map[string]*hashIndex)
 	}
-	r.hashIdx[sig] = ix
+	s.hashIdx[sig] = ix
 	return ix
 }
 
+// hashIndexFor is hashIndexForLocked for a frozen segment, whose lock
+// guards nothing but the index caches.
+func (s *segment) hashIndexFor(sig string, cols []int) *hashIndex {
+	s.mu.RLock()
+	ix, ok := s.hashIdx[sig]
+	s.mu.RUnlock()
+	if ok {
+		return ix
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.hashIndexForLocked(sig, cols)
+}
+
 // Probe calls f for each distinct tuple whose values at cols equal vals
-// (by value key, so 2 and 2.0 match), with its multiplicity, in insertion
+// (by value key, so 2 and 2.0 match), with its multiplicity, in iteration
 // order; f returning false stops the probe. It uses a lazy per-column-set
 // hash index that survives multiplicity bumps and is maintained
 // incrementally on inserts of new distinct tuples, so a probe after an
-// insert sees the new tuple without a rebuild. The bucket is captured
-// under the lock and iterated without it, so f may insert into r.
+// insert sees the new tuple without a rebuild. The key's chain is captured
+// under the lock and walked without it, so f may insert into r. A
+// relation with a base probes the base's own index (built once, shared by
+// every version) past the dead set, then the delta's.
 //
 // Probe identity is value.Key, which agrees with value.Eq for every
 // probe value whose Indexable() is true; callers probing with
@@ -471,41 +610,49 @@ func (r *Relation) Probe(cols []int, vals []value.Value, f func(Tuple, int) bool
 	buf := Tuple(vals).AppendKey(kb[:0])
 	sig := indexSig(cols)
 
-	// Fast path: the index already exists — capture its bucket and the
-	// rows header under the read lock. Slow path: build the index under
-	// the write lock (double-checked; another goroutine may have built it
-	// in between). Both capture rows and bucket under the same lock
-	// acquisition, so every slot in the bucket is covered by the header.
+	// Fast path: the delta's index already exists (or the delta is empty
+	// and needs none) — capture the key's chain and the view under the
+	// read lock. Slow path: build the index under the write lock
+	// (double-checked; another goroutine may have built it in between).
+	// Both capture view and chain under the same lock acquisition, so
+	// every slot of the chain is covered by the view's rows header.
 	r.mu.RLock()
+	v := r.viewLocked()
 	ix, ok := r.hashIdx[sig]
-	var slots []int
-	var rows []row
+	delta := chain{span: span{first: -1}}
 	if ok {
-		slots = ix.buckets[string(buf)]
-		rows = r.rows
+		delta = ix.chain(buf)
 	}
 	r.mu.RUnlock()
-	if !ok {
+	if !ok && len(v.rows) > 0 {
 		r.mu.Lock()
-		ix = r.hashIndexForLocked(sig, cols)
-		slots = ix.buckets[string(buf)]
-		rows = r.rows
+		v = r.viewLocked()
+		delta = r.hashIndexForLocked(sig, cols).chain(buf)
 		r.mu.Unlock()
 	}
-	for _, slot := range slots {
-		if !f(rows[slot].tup, int(atomic.LoadInt64(&rows[slot].mult))) {
+	if v.base != nil {
+		base := v.base.hashIndexFor(sig, cols).chain(buf)
+		for s := base.first; s >= 0; s = base.after(s) {
+			if v.dead.has(int(s)) {
+				continue
+			}
+			if rw := &v.base.rows[s]; !f(rw.tup, rw.count()) {
+				return
+			}
+		}
+	}
+	for s := delta.first; s >= 0; s = delta.after(s) {
+		if rw := &v.rows[s]; !f(rw.tup, rw.count()) {
 			return
 		}
 	}
 }
 
-// Tuples returns the distinct tuples in insertion order.
+// Tuples returns the distinct tuples in iteration order.
 func (r *Relation) Tuples() []Tuple {
-	rows := r.snapshot()
-	out := make([]Tuple, 0, len(rows))
-	for i := range rows {
-		out = append(out, rows[i].tup)
-	}
+	v := r.view()
+	out := make([]Tuple, 0, v.distinct())
+	v.each(func(t Tuple, _ int) { out = append(out, t) })
 	return out
 }
 
@@ -513,19 +660,7 @@ func (r *Relation) Tuples() []Tuple {
 // set-semantics reading of the instance).
 func (r *Relation) Dedup() *Relation {
 	out := New(r.name, r.attrs...)
-	for _, rw := range r.snapshot() {
-		out.InsertMult(rw.tup, 1)
-	}
-	return out
-}
-
-// Clone returns a deep copy.
-func (r *Relation) Clone() *Relation {
-	out := New(r.name, r.attrs...)
-	rows := r.snapshot()
-	for i := range rows {
-		out.InsertMult(rows[i].tup, int(atomic.LoadInt64(&rows[i].mult)))
-	}
+	r.Each(func(t Tuple, _ int) { out.InsertMult(t, 1) })
 	return out
 }
 
@@ -545,10 +680,7 @@ func (r *Relation) Rename(name string, attrs []string) *Relation {
 		attrs = r.attrs
 	}
 	out := New(name, attrs...)
-	rows := r.snapshot()
-	for i := range rows {
-		out.InsertMult(rows[i].tup, int(atomic.LoadInt64(&rows[i].mult)))
-	}
+	r.Each(func(t Tuple, m int) { out.InsertMult(t, m) })
 	return out
 }
 
@@ -564,14 +696,13 @@ func (r *Relation) Project(attrs ...string) *Relation {
 		cols[i] = c
 	}
 	out := New(r.name, attrs...)
-	rows := r.snapshot()
-	for i := range rows {
-		t := make(Tuple, len(cols))
+	t := make(Tuple, len(cols))
+	r.Each(func(src Tuple, m int) {
 		for j, c := range cols {
-			t[j] = rows[i].tup[c]
+			t[j] = src[c]
 		}
-		out.InsertMult(t, int(atomic.LoadInt64(&rows[i].mult)))
-	}
+		out.InsertMult(t, m)
+	})
 	return out
 }
 
@@ -579,11 +710,9 @@ func (r *Relation) Project(attrs ...string) *Relation {
 // comparison and printing. Multiplicities are loaded once, so the result
 // is a consistent-enough snapshot for display.
 func (r *Relation) sortedRows() []row {
-	src := r.snapshot()
-	rs := make([]row, len(src))
-	for i := range src {
-		rs[i] = row{tup: src[i].tup, mult: atomic.LoadInt64(&src[i].mult)}
-	}
+	v := r.view()
+	rs := make([]row, 0, v.distinct())
+	v.each(func(t Tuple, m int) { rs = append(rs, row{tup: t, mult: int64(m)}) })
 	sort.Slice(rs, func(i, j int) bool {
 		a, b := rs[i].tup, rs[j].tup
 		for k := 0; k < len(a) && k < len(b); k++ {
@@ -603,37 +732,31 @@ func (r *Relation) sortedRows() []row {
 // ignoring multiplicities, names, and attribute names (positional content
 // comparison, the standard notion for query-result equivalence tests).
 func (r *Relation) EqualSet(o *Relation) bool {
-	if r.Arity() != o.Arity() {
-		return false
-	}
-	rows := r.snapshot()
-	if len(rows) != o.Distinct() {
-		return false
-	}
-	for i := range rows {
-		if !o.Contains(rows[i].tup) {
-			return false
-		}
-	}
-	return true
+	return r.equal(o, func(t Tuple, _ int) bool { return o.Contains(t) })
 }
 
 // EqualBag reports whether r and o contain the same tuples with the same
 // multiplicities.
 func (r *Relation) EqualBag(o *Relation) bool {
+	return r.equal(o, func(t Tuple, m int) bool { return o.Mult(t) == m })
+}
+
+// equal reports whether r and o have the same arity and distinct count and
+// same holds for every tuple of r.
+func (r *Relation) equal(o *Relation, same func(Tuple, int) bool) bool {
 	if r.Arity() != o.Arity() {
 		return false
 	}
-	rows := r.snapshot()
-	if len(rows) != o.Distinct() {
+	v := r.view()
+	if v.distinct() != o.Distinct() {
 		return false
 	}
-	for i := range rows {
-		if o.Mult(rows[i].tup) != int(atomic.LoadInt64(&rows[i].mult)) {
-			return false
-		}
-	}
-	return true
+	eq := true
+	v.eachWhile(func(t Tuple, m int) bool {
+		eq = same(t, m)
+		return eq
+	})
+	return eq
 }
 
 // String renders the relation as an aligned table with multiplicities

@@ -3,11 +3,14 @@
 // relation catalog, writers accumulate changes in a WriteSet against the
 // snapshot they began from, and Commit publishes a new snapshot under
 // first-committer-wins conflict detection. Readers never block and never
-// see a torn state: once a *Relation appears in a committed snapshot it
-// is treated as immutable (only its lazy hash indexes, which are
-// internally locked, may still change), so a query or cursor holding a
-// snapshot streams exactly the data that was committed when it started —
-// the janus-datalog datom/transaction shape, at relation granularity.
+// see a torn state: once a *Relation appears in a committed snapshot its
+// content never changes (its representation may, under its own lock:
+// lazy index builds, and Clone re-basing it onto a segment it then shares
+// with the clone — see version.go), so a query or cursor holding a
+// snapshot streams exactly the data that was committed when it started.
+// A version is an immutable base segment plus the delta a transaction
+// wrote — the janus-datalog datom/transaction shape, at relation
+// granularity.
 package relation
 
 import (
@@ -252,8 +255,9 @@ func (st *Store) Begin() *WriteSet {
 }
 
 // WriteSet accumulates a transaction's uncommitted changes: per-relation
-// working copies (cloned copy-on-write from the base snapshot on first
-// write) plus creations. It also serves reads inside the transaction:
+// working copies (Clones of the base snapshot's relations, taken on first
+// write; a Clone shares the base segment and copies only the delta) plus
+// creations. It also serves reads inside the transaction:
 // Relation and Rels overlay the working copies on the base snapshot, so
 // a statement executed on the overlay sees the transaction's own writes
 // exactly once. A WriteSet is not safe for concurrent use — a
@@ -330,7 +334,7 @@ func (ws *WriteSet) setPending(name string, p *pendingRel) {
 }
 
 // working returns the mutable transaction-local copy of name, cloning
-// the base version copy-on-write on first touch.
+// the base version on first touch.
 func (ws *WriteSet) working(name string) (*Relation, error) {
 	if p, ok := ws.pend[name]; ok {
 		if p.dropped {
@@ -412,32 +416,41 @@ func (ws *WriteSet) Insert(name string, t Tuple, n int) error {
 
 // Delete removes the given distinct tuples (all their occurrences) from
 // the named relation's working copy, returning the number of row
-// occurrences removed.
+// occurrences removed. Which tuples are present is resolved through the
+// overlay first: deleting nothing is not a write — no working copy, no
+// journal entry, and so no conflict and no commit.
 func (ws *WriteSet) Delete(name string, tuples []Tuple) (int, error) {
 	if len(tuples) == 0 {
-		// No working copy is forced, so no conflict either.
+		return 0, nil
+	}
+	cur := ws.Relation(name)
+	if cur == nil {
+		return 0, fmt.Errorf("relation: unknown relation %q", name)
+	}
+	keys := make(map[string]struct{}, len(tuples))
+	for _, t := range tuples {
+		if len(t) != cur.Arity() {
+			return 0, fmt.Errorf("relation: %q takes %d columns, got %d", name, cur.Arity(), len(t))
+		}
+		if cur.Contains(t) {
+			keys[t.Key()] = struct{}{}
+		}
+	}
+	if len(keys) == 0 {
 		return 0, nil
 	}
 	work, err := ws.working(name)
 	if err != nil {
 		return 0, err
 	}
-	keys := make(map[string]struct{}, len(tuples))
-	for _, t := range tuples {
-		if len(t) != work.Arity() {
-			return 0, fmt.Errorf("relation: %q takes %d columns, got %d", name, work.Arity(), len(t))
-		}
-		keys[t.Key()] = struct{}{}
-	}
-	removed := work.RemoveKeys(keys)
-	if ws.journal && removed > 0 {
+	if ws.journal {
 		op := LogOp{Kind: OpDelete, Rel: name, Tuples: make([]Tuple, len(tuples))}
 		for i, t := range tuples {
 			op.Tuples[i] = t.Clone()
 		}
 		ws.ops = append(ws.ops, op)
 	}
-	return removed, nil
+	return work.RemoveKeys(keys), nil
 }
 
 // Names returns the written relation names, sorted (for deterministic
