@@ -21,6 +21,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/experiments"
 	"repro/internal/pattern"
+	"repro/internal/plan"
 	"repro/internal/qgen"
 	"repro/internal/relation"
 	"repro/internal/relpat"
@@ -212,19 +213,29 @@ func BenchmarkSQLRecursiveCTE(b *testing.B) {
 		db := sqleval.NewDB(workload.Chain(n))
 		b.Run(fmt.Sprintf("plan/chain=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := sqleval.EvalMode(q, db, sqleval.PlanForce); err != nil {
+				if _, err := planAndRun(q, db); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("reference/chain=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := sqleval.EvalMode(q, db, sqleval.PlanOff); err != nil {
+				if _, err := sqleval.Eval(q, db); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+}
+
+// planAndRun compiles q with internal/plan and executes it on db — the
+// planner side of every plan-vs-reference series, compile included.
+func planAndRun(q sql.Query, db sqleval.DB) (*relation.Relation, error) {
+	p, err := plan.CompileSchema(q, db)
+	if err != nil {
+		return nil, err
+	}
+	return p.ExecuteOn(db, nil, nil)
 }
 
 // BenchmarkPreparedVsReparse pins the engine's compile-once contract: a
@@ -253,8 +264,11 @@ func BenchmarkPreparedVsReparse(b *testing.B) {
 	b.Run("reparse", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			src := fmt.Sprintf("select R.A, R.B from R where R.A = %d", i%20000)
-			if _, err := sqleval.EvalString(src, sdb); err != nil {
+			q, err := sql.Parse(fmt.Sprintf("select R.A, R.B from R where R.A = %d", i%20000))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := planAndRun(q, sdb); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -468,66 +482,6 @@ func BenchmarkMatMul(b *testing.B) {
 
 // --- exec-layer micro-benchmarks ------------------------------------------
 
-// BenchmarkExecHashJoin measures the streaming hash join against the
-// nested-loop shape it replaced, across input sizes.
-func BenchmarkExecHashJoin(b *testing.B) {
-	for _, n := range []int{100, 1000, 10000} {
-		rng := workload.Rand(11)
-		r := workload.RandomBinary(rng, "R", "a", "b", n, n, n/4+1)
-		s := workload.RandomBinary(rng, "S", "b", "c", n, n/4+1, 8)
-		b.Run(fmt.Sprintf("hash/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rows := 0
-				for range exec.HashJoin(exec.Scan(r), []int{1}, exec.Scan(s), []int{0}) {
-					rows++
-				}
-				if rows == 0 {
-					b.Fatal("empty join")
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("nested/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rows := 0
-				r.Each(func(lt relation.Tuple, _ int) {
-					s.Each(func(st relation.Tuple, _ int) {
-						if lt[1].Key() == st[0].Key() {
-							rows++
-						}
-					})
-				})
-				if rows == 0 {
-					b.Fatal("empty join")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkExecIndexJoin measures the index-probe join, whose hash table
-// is cached on the relation and amortized across iterations.
-func BenchmarkExecIndexJoin(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		rng := workload.Rand(12)
-		r := workload.RandomBinary(rng, "R", "a", "b", n, n, n/4+1)
-		s := workload.RandomBinary(rng, "S", "b", "c", n, n/4+1, 8)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rows := 0
-				for range exec.IndexJoin(exec.Scan(r), []int{1}, s, []int{0}) {
-					rows++
-				}
-				if rows == 0 {
-					b.Fatal("empty join")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkRelationProbe measures a single indexed point lookup against
 // the scan it replaces.
 func BenchmarkRelationProbe(b *testing.B) {
@@ -567,21 +521,18 @@ func BenchmarkExecGroupAggregate(b *testing.B) {
 	}
 }
 
-// benchSQLBoth measures one query through both sqleval paths: the
-// pre-planner enumeration baseline and the internal/plan compilation.
+// benchSQLBoth measures one query through the reference enumeration
+// evaluator and through internal/plan (compile + execute).
 func benchSQLBoth(b *testing.B, src string, db sqleval.DB) {
 	q := sql.MustParse(src)
-	if _, err := sqleval.EvalMode(q, db, sqleval.PlanForce); err != nil {
-		b.Fatalf("query fell out of the planner fragment: %v", err)
-	}
 	for _, m := range []struct {
 		name string
-		mode sqleval.PlanMode
-	}{{"enum", sqleval.PlanOff}, {"plan", sqleval.PlanAuto}} {
+		run  func(sql.Query, sqleval.DB) (*relation.Relation, error)
+	}{{"enum", sqleval.Eval}, {"plan", planAndRun}} {
 		b.Run(m.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sqleval.EvalMode(q, db, m.mode); err != nil {
+				if _, err := m.run(q, db); err != nil {
 					b.Fatal(err)
 				}
 			}

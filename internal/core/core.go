@@ -27,7 +27,6 @@ import (
 	"repro/internal/relation"
 	"repro/internal/sql"
 	"repro/internal/sql2arc"
-	"repro/internal/sqleval"
 	"repro/internal/trc"
 )
 
@@ -172,15 +171,11 @@ func ExplainARC(col *Collection, cat *Catalog, conv Conventions) (string, error)
 // ExplainSQL renders the physical plan the SQL planner compiles src
 // onto; the error reports the bailout reason for unplannable queries.
 func ExplainSQL(src string, rels ...*Relation) (string, error) {
-	q, err := sql.Parse(src)
+	stmt, err := engine.Open(rels...).Prepare(engine.LangSQL, src)
 	if err != nil {
 		return "", err
 	}
-	db := sqleval.DB{}
-	for _, r := range rels {
-		db[r.Name()] = r
-	}
-	return sqleval.Explain(q, db)
+	return stmt.Explain()
 }
 
 // Eval evaluates a collection against a catalog under conventions — a

@@ -2,10 +2,13 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/convention"
+	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/value"
 )
@@ -16,6 +19,43 @@ func chain(n int) *relation.Relation {
 		p.Add(i, i+1)
 	}
 	return p
+}
+
+// TestColumnsAgreeAcrossPlannedAndFallback pins the one renaming rule for
+// repeated item names: a planner-compiled statement and one the planner
+// refuses (a scalar subquery) report the same Columns for the same
+// select list, and the fallback's result carries them.
+func TestColumnsAgreeAcrossPlannedAndFallback(t *testing.T) {
+	db := Open(relation.New("R", "A", "B").Add(1, 10).Add(2, 20))
+	const items = "select R.A, R.A, R.B A, R.B + 1, R.B + 1 col4 from R"
+	planned, err := db.Prepare(LangSQL, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fallback, err := db.Prepare(LangSQL, items+" where R.B >= (select min(X.B) from R X)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if planned.cur.Load().plan == nil {
+		t.Fatal("the plain select was not planner-compiled")
+	}
+	if err := fallback.cur.Load().planErr; !errors.Is(err, plan.ErrNotPlannable) {
+		t.Fatalf("the scalar-subquery select did not fall back: %v", err)
+	}
+	want := []string{"A", "A_2", "A_3", "col4", "col4_2"}
+	if got := planned.Columns(); !slices.Equal(got, want) {
+		t.Fatalf("planned Columns = %v, want %v", got, want)
+	}
+	if got := fallback.Columns(); !slices.Equal(got, want) {
+		t.Fatalf("fallback Columns = %v, want %v", got, want)
+	}
+	rel, err := fallback.QueryAll(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rel.Attrs(); !slices.Equal(got, want) || rel.Card() != 2 {
+		t.Fatalf("fallback result has attrs %v (%d rows), want %v (2 rows)", got, rel.Card(), want)
+	}
 }
 
 func TestSQLPreparedParamQuery(t *testing.T) {

@@ -6,16 +6,18 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/sqleval"
+	"repro/internal/plan"
+	"repro/internal/relation"
+	"repro/internal/sql"
 	"repro/internal/workload"
 )
 
 // TestPreparedAtLeast5xFasterThanReparse pins the issue's acceptance bar
 // in a test: Prepare once + Query N times must be at least 5× faster
-// than N× EvalString on a parameterized point lookup. The true margin is
-// more than an order of magnitude (parse + plan per call vs one hash
-// probe), so the 5× assertion has plenty of headroom; best-of-three
-// rounds smooths scheduler noise.
+// than N× parse + plan + execute on a parameterized point lookup. The
+// true margin is more than an order of magnitude (parse + plan per call
+// vs one hash probe), so the 5× assertion has plenty of headroom;
+// best-of-three rounds smooths scheduler noise.
 func TestPreparedAtLeast5xFasterThanReparse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -28,7 +30,7 @@ func TestPreparedAtLeast5xFasterThanReparse(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	sdb := sqleval.DB{"R": r}
+	rels := map[string]*relation.Relation{"R": r}
 
 	const iters = 1500
 	timed := func(f func() error) time.Duration {
@@ -48,8 +50,15 @@ func TestPreparedAtLeast5xFasterThanReparse(t *testing.T) {
 	}
 	reparseLoop := func() error {
 		for i := 0; i < iters; i++ {
-			src := fmt.Sprintf("select R.A, R.B from R where R.A = %d", i%20000)
-			if _, err := sqleval.EvalString(src, sdb); err != nil {
+			q, err := sql.Parse(fmt.Sprintf("select R.A, R.B from R where R.A = %d", i%20000))
+			if err != nil {
+				return err
+			}
+			p, err := plan.CompileSchema(q, rels)
+			if err != nil {
+				return err
+			}
+			if _, err := p.ExecuteOn(rels, nil, nil); err != nil {
 				return err
 			}
 		}

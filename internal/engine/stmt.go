@@ -301,7 +301,7 @@ func (c *compiled) runQuery(rels map[string]*relation.Relation, vals []value.Val
 	if c.plan != nil {
 		return c.plan.ExecuteOn(rels, vals, check)
 	}
-	return sqleval.EvalWith(c.q, rels, sqleval.PlanOff, vals, check)
+	return sqleval.EvalWith(c.q, rels, vals, check)
 }
 
 // compileInsert validates an INSERT against the target relation and, for
@@ -869,8 +869,7 @@ func (x *execution) renderAnalyze(tr *trace.Trace) (string, error) {
 }
 
 // sqlColumns computes the output column names of a query on the
-// enumeration path: the leftmost SELECT's item names with the reference
-// evaluator's duplicate renaming.
+// enumeration path: those of its leftmost SELECT.
 func sqlColumns(q sql.Query) []string {
 	switch x := q.(type) {
 	case *sql.With:
@@ -878,19 +877,7 @@ func sqlColumns(q sql.Query) []string {
 	case *sql.Union:
 		return sqlColumns(x.Left)
 	case *sql.Select:
-		attrs := make([]string, len(x.Items))
-		seen := map[string]int{}
-		for i, it := range x.Items {
-			name := it.OutName(i)
-			if n, dup := seen[name]; dup {
-				seen[name] = n + 1
-				name = fmt.Sprintf("%s_%d", name, n+1)
-			} else {
-				seen[name] = 1
-			}
-			attrs[i] = name
-		}
-		return attrs
+		return x.OutNames()
 	}
 	return nil
 }

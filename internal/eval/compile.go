@@ -101,14 +101,10 @@ type scopePlan struct {
 	producers []planProducer
 }
 
-// DisableScopePlans forces every scope onto the environment enumeration
-// path — the baseline side of the differential tests comparing the two.
-var DisableScopePlans = false
-
 // scopePlanFor compiles (once, cached) the scope's tuple plan; nil means
 // the scope stays on the enumeration path.
 func (ev *evaluator) scopePlanFor(si *scopeInfo) *scopePlan {
-	if DisableScopePlans {
+	if ev.reference {
 		return nil
 	}
 	if !si.planTried {

@@ -134,12 +134,8 @@ func (ev *evaluator) enumLeft(n *joinNode, base *env, si *scopeInfo, bound map[s
 // non-indexable right keys overflow to every left, as in enumFull).
 // Single-leaf rights keep the per-left path, whose index probes already
 // make them cheap.
-// DisableLeftHash forces enumLeft onto the per-left re-enumeration path
-// — the baseline side of the hashed-left-join differential test.
-var DisableLeftHash = false
-
 func (ev *evaluator) enumLeftHashed(n *joinNode, base *env, lefts []*env, si *scopeInfo, bound map[string]bool) ([]*env, bool, error) {
-	if DisableLeftHash {
+	if ev.reference {
 		return nil, false, nil
 	}
 	leaves, plain := ev.plainSubtree(n.kids[1])

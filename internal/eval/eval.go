@@ -25,6 +25,19 @@ func Eval(col *alt.Collection, cat *Catalog, conv convention.Conventions) (*rela
 	return ev.evalCollection(col, link, newEnv())
 }
 
+// EvalReference is Eval by environment enumeration alone: no quantifier
+// scope is compiled to a tuple plan and no LEFT join is hashed. It is the
+// baseline the differential tests hold Eval to.
+func EvalReference(col *alt.Collection, cat *Catalog, conv convention.Conventions) (*relation.Relation, error) {
+	link, err := alt.ValidateCollection(col)
+	if err != nil {
+		return nil, err
+	}
+	ev := newEvaluator(cat, conv)
+	ev.reference = true
+	return ev.evalCollection(col, link, newEnv())
+}
+
 // RoundObserver supplies the per-round callback for one named recursive
 // computation: it is called once per fixpoint (with the head names of the
 // recursive group) and its result — which may be nil — observes each
@@ -85,6 +98,7 @@ type evaluator struct {
 	scopeCache map[*alt.Quantifier]*scopeInfo
 	check      func() error  // optional cancellation poll (fixpoint rounds)
 	onRound    RoundObserver // optional fixpoint round observation
+	reference  bool          // enumeration only (EvalReference): no scope plans, no hashed LEFT join
 }
 
 // roundObserver resolves the per-fixpoint callback for a named recursive

@@ -38,14 +38,11 @@ func TestEnumLeftHashedDifferential(t *testing.T) {
 		for qi, src := range queries {
 			col := arc.MustParseCollection(src)
 			for _, conv := range []convention.Conventions{convention.SetLogic(), convention.SQL()} {
-				run := func(disable bool) (*relation.Relation, error) {
-					DisableLeftHash = disable
-					defer func() { DisableLeftHash = false }()
-					cat := NewCatalog().AddRelation(r.Clone()).AddRelation(s.Clone()).AddRelation(u.Clone())
-					return Eval(col, cat, conv)
+				cat := func() *Catalog {
+					return NewCatalog().AddRelation(r.Clone()).AddRelation(s.Clone()).AddRelation(u.Clone())
 				}
-				baseline, err1 := run(true)
-				hashed, err2 := run(false)
+				baseline, err1 := EvalReference(col, cat(), conv)
+				hashed, err2 := Eval(col, cat(), conv)
 				if (err1 == nil) != (err2 == nil) {
 					t.Fatalf("seed %d query %d: error divergence: %v vs %v", seed, qi, err1, err2)
 				}

@@ -1,16 +1,16 @@
 // Package exec is the shared physical-execution layer: classical
-// relational operators (σ, π, ⋈, γ, dedup) implemented as streaming
+// relational operators (σ, ⋈, γ, dedup) implemented as streaming
 // iterators over relation.Relation, composed functionally instead of
 // materialize-and-rescan. Equality joins probe the lazy hash indexes that
 // Relation maintains per attribute set, so an indexed join is one hash
 // lookup per probe row rather than a nested full scan.
 //
-// All three evaluators lower onto this layer: internal/plan compiles SQL
-// blocks into trees of these operators (EquiJoin/OuterHashJoin over
-// HashTable, GroupAggregate, Filter, Dedup), internal/eval compiles ARC
-// quantifier scopes onto the same pipeline, and internal/datalog drives
-// its semi-naive rounds through Scan/Probe. The enumeration fallbacks of
-// the evaluators use Scan/Probe directly.
+// Both evaluators lower onto this layer: internal/plan compiles SQL
+// blocks into trees of these operators (EquiJoinTraced and
+// OuterHashJoinTraced over HashTable, GroupAggregate, Filter, Dedup), and
+// internal/eval compiles ARC quantifier scopes — Datalog programs
+// included — onto the same pipeline. The enumeration paths (the rest of
+// internal/eval, and internal/sqleval) use Scan/Probe directly.
 package exec
 
 import (
@@ -61,23 +61,6 @@ func Filter(in Seq, keep func(relation.Tuple, int) bool) Seq {
 				continue
 			}
 			if !yield(t, m) {
-				return
-			}
-		}
-	}
-}
-
-// Project streams in projected onto cols (π), keeping bag multiplicities;
-// duplicate collapse is a separate Dedup, per the paper's γ reading.
-// Projected tuples are freshly allocated, so callers may retain them.
-func Project(in Seq, cols []int) Seq {
-	return func(yield func(relation.Tuple, int) bool) {
-		for t, m := range in {
-			out := make(relation.Tuple, len(cols))
-			for i, c := range cols {
-				out[i] = t[c]
-			}
-			if !yield(out, m) {
 				return
 			}
 		}

@@ -47,15 +47,6 @@ func TestFilter(t *testing.T) {
 	}
 }
 
-func TestProjectMatchesMaterialized(t *testing.T) {
-	r := sampleR()
-	got := Materialize(Project(Scan(r), []int{1}), "P", "b")
-	want := r.Project("b")
-	if !got.EqualBag(want) {
-		t.Fatalf("project: got\n%s\nwant\n%s", got, want)
-	}
-}
-
 func TestDedupMatchesMaterialized(t *testing.T) {
 	r := sampleR()
 	got := Materialize(Dedup(Scan(r)), "D", "a", "b")
@@ -77,7 +68,8 @@ func TestProbe(t *testing.T) {
 	}
 }
 
-// nestedLoopJoin is the reference the hash paths must agree with.
+// nestedLoopJoin is the reference the hash join must agree with (Key
+// identity: equal to the join's strict Eq on NULL-free small integers).
 func nestedLoopJoin(l, r *relation.Relation, lc, rc []int) []Row {
 	var out []Row
 	l.Each(func(lt relation.Tuple, lm int) {
@@ -106,27 +98,10 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 	r, s := sampleR(), sampleS()
 	attrs := []string{"a", "b", "b2", "c"}
 	want := rowsToRel(nestedLoopJoin(r, s, []int{1}, []int{0}), "J", attrs...)
-	hj := Materialize(HashJoin(Scan(r), []int{1}, Scan(s), []int{0}), "J", attrs...)
+	ht := BuildHashTable(Scan(s), []int{0}, s.Arity())
+	hj := Materialize(EquiJoinTraced(Scan(r), []int{1}, ht, nil, nil), "J", attrs...)
 	if !hj.EqualBag(want) {
 		t.Fatalf("hash join: got\n%s\nwant\n%s", hj, want)
-	}
-	ij := Materialize(IndexJoin(Scan(r), []int{1}, s, []int{0}), "J", attrs...)
-	if !ij.EqualBag(want) {
-		t.Fatalf("index join: got\n%s\nwant\n%s", ij, want)
-	}
-}
-
-func TestSemiAndAntiJoin(t *testing.T) {
-	r, s := sampleR(), sampleS()
-	semi := Materialize(SemiJoin(Scan(r), []int{1}, s, []int{0}), "SJ", "a", "b")
-	wantSemi := relation.New("SJ", "a", "b").Add(1, 10).Add(2, 20).Add(2, 20)
-	if !semi.EqualBag(wantSemi) {
-		t.Fatalf("semi join: got\n%s\nwant\n%s", semi, wantSemi)
-	}
-	anti := Materialize(AntiJoin(Scan(r), []int{1}, s, []int{0}), "AJ", "a", "b")
-	wantAnti := relation.New("AJ", "a", "b").Add(3, 30).Add(3, 31)
-	if !anti.EqualBag(wantAnti) {
-		t.Fatalf("anti join: got\n%s\nwant\n%s", anti, wantAnti)
 	}
 }
 

@@ -99,7 +99,7 @@ func (ht *HashTable) Candidates(vals []value.Value, f func(slot int, r Row) bool
 
 // EqMatch reports whether row r's key columns all strictly equal vals
 // under 3VL (Eq must be True, so NULLs never match — SQL join identity,
-// unlike the Key identity HashJoin uses).
+// stricter than the Key identity of the buckets).
 func (ht *HashTable) EqMatch(r Row, vals []value.Value) bool {
 	for i, c := range ht.cols {
 		if value.Eq.Apply(r.Tup[c], vals[i]) != value.True {
@@ -107,6 +107,15 @@ func (ht *HashTable) EqMatch(r Row, vals []value.Value) bool {
 		}
 	}
 	return true
+}
+
+// keyAt extracts the bucket key of t at cols.
+func keyAt(t relation.Tuple, cols []int) string {
+	vals := make([]value.Value, len(cols))
+	for i, c := range cols {
+		vals[i] = t[c]
+	}
+	return relation.KeyOf(vals)
 }
 
 // valsAt extracts the probe key of t at cols into dst.
@@ -139,24 +148,14 @@ func concatNull(left relation.Tuple, leftArity int, right relation.Tuple, rightA
 	return out
 }
 
-// EquiJoin streams the strict-equality hash join of left against ht:
-// left ++ right concatenations for every candidate whose key columns
+// EquiJoinTraced streams the strict-equality hash join of left against
+// ht: left ++ right concatenations for every candidate whose key columns
 // Eq-match (3VL True) the left row's values at leftCols, optionally
 // filtered by the residual on predicate over the concatenated tuple.
-// Unlike HashJoin, NULL keys never match and Eq-vs-Key divergence beyond
-// 2^53 is handled by ht's overflow list.
-func EquiJoin(left Seq, leftCols []int, ht *HashTable, on func(relation.Tuple) bool) Seq {
-	return equiJoin(left, leftCols, ht, on, nil)
-}
-
-// EquiJoinTraced is EquiJoin with per-probe-row hit/miss counting into
-// op: a probe row with at least one surviving match (post-residual)
-// counts as a hit, otherwise as a miss.
+// NULL keys never match, and Eq-vs-Key divergence beyond 2^53 is handled
+// by ht's overflow list. A non-nil op counts probe rows: one with at
+// least one surviving match (post-residual) is a hit, otherwise a miss.
 func EquiJoinTraced(left Seq, leftCols []int, ht *HashTable, on func(relation.Tuple) bool, op *trace.Op) Seq {
-	return equiJoin(left, leftCols, ht, on, op)
-}
-
-func equiJoin(left Seq, leftCols []int, ht *HashTable, on func(relation.Tuple) bool, op *trace.Op) Seq {
 	return func(yield func(relation.Tuple, int) bool) {
 		vals := make([]value.Value, 0, len(leftCols))
 		for lt, lm := range left {
@@ -192,23 +191,15 @@ func equiJoin(left Seq, leftCols []int, ht *HashTable, on func(relation.Tuple) b
 	}
 }
 
-// OuterHashJoin streams the left-outer (full=false) or full-outer
+// OuterHashJoinTraced streams the left-outer (full=false) or full-outer
 // (full=true) hash join of left against ht. A left row joins every
 // candidate whose keys Eq-match and whose concatenated tuple passes the
 // residual on predicate (nil = always); rows with no match null-extend
 // the build side. Under full=true, unmatched build rows are emitted
-// null-extended on the probe side after the probe input drains.
-func OuterHashJoin(left Seq, leftCols []int, ht *HashTable, on func(relation.Tuple) bool, full bool, leftArity int) Seq {
-	return outerHashJoin(left, leftCols, ht, on, full, leftArity, nil)
-}
-
-// OuterHashJoinTraced is OuterHashJoin with per-probe-row hit/miss
-// counting into op (a null-extended probe row counts as a miss).
+// null-extended on the probe side after the probe input drains. A
+// non-nil op counts probe rows as hits or misses (a null-extended probe
+// row is a miss).
 func OuterHashJoinTraced(left Seq, leftCols []int, ht *HashTable, on func(relation.Tuple) bool, full bool, leftArity int, op *trace.Op) Seq {
-	return outerHashJoin(left, leftCols, ht, on, full, leftArity, op)
-}
-
-func outerHashJoin(left Seq, leftCols []int, ht *HashTable, on func(relation.Tuple) bool, full bool, leftArity int, op *trace.Op) Seq {
 	return func(yield func(relation.Tuple, int) bool) {
 		var matched []bool
 		if full {

@@ -30,10 +30,6 @@ func TestStreamingEqualsMaterialized(t *testing.T) {
 					r, s = r.Dedup(), s.Dedup()
 				}
 
-				// π: streaming project vs relation.Project.
-				check(t, trial, "project", conv,
-					Materialize(Project(Scan(r), []int{1}), "P", "b"), r.Project("b"))
-
 				// dedup: streaming vs relation.Dedup.
 				check(t, trial, "dedup", conv,
 					Materialize(Dedup(Scan(r)), "D", "a", "b"), r.Dedup())
@@ -50,34 +46,13 @@ func TestStreamingEqualsMaterialized(t *testing.T) {
 						return tp[0].AsInt()%2 == 0
 					}), "F", "a", "b"), wantF)
 
-				// ⋈: hash join and index join vs nested-loop reference.
+				// ⋈: hash join vs nested-loop reference (the instances hold
+				// small non-NULL integers, where Key identity is Eq).
 				attrs := []string{"a", "b", "b2", "c"}
 				wantJ := rowsToRel(nestedLoopJoin(r, s, []int{1}, []int{0}), "J", attrs...)
+				ht := BuildHashTable(Scan(s), []int{0}, s.Arity())
 				check(t, trial, "hash-join", conv,
-					Materialize(HashJoin(Scan(r), []int{1}, Scan(s), []int{0}), "J", attrs...), wantJ)
-				check(t, trial, "index-join", conv,
-					Materialize(IndexJoin(Scan(r), []int{1}, s, []int{0}), "J", attrs...), wantJ)
-
-				// ⋉ / ▷ vs reference membership test.
-				wantSemi := relation.New("SJ", "a", "b")
-				wantAnti := relation.New("AJ", "a", "b")
-				r.Each(func(tp relation.Tuple, m int) {
-					matched := false
-					s.Each(func(st relation.Tuple, _ int) {
-						if st[0].Key() == tp[1].Key() {
-							matched = true
-						}
-					})
-					if matched {
-						wantSemi.InsertMult(tp, m)
-					} else {
-						wantAnti.InsertMult(tp, m)
-					}
-				})
-				check(t, trial, "semi-join", conv,
-					Materialize(SemiJoin(Scan(r), []int{1}, s, []int{0}), "SJ", "a", "b"), wantSemi)
-				check(t, trial, "anti-join", conv,
-					Materialize(AntiJoin(Scan(r), []int{1}, s, []int{0}), "AJ", "a", "b"), wantAnti)
+					Materialize(EquiJoinTraced(Scan(r), []int{1}, ht, nil, nil), "J", attrs...), wantJ)
 
 				// γ: streaming group/aggregate vs a reference fold.
 				check(t, trial, "group-agg", conv,

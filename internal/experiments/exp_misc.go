@@ -281,20 +281,24 @@ func breakGroupKey(f alt.Formula) bool {
 func e21() Report {
 	const claim = "every corpus query renders in all three modalities; sizes are reported as a usability proxy (user study not reproducible)"
 	rep := Report{Figure: "§2.2 modalities", Title: "Modality metrics", PaperClaim: claim}
-	corpus := map[string]*alt.Collection{
-		"(1) SPJ":       q1(),
-		"(3) FIO agg":   q3(),
-		"(7) FOI agg":   q7(),
-		"(8) multi-agg": relpat.MultiAggFIO(),
-		"(10) Hella":    relpat.MultiAggHella(),
-		"(22) unique":   relpat.UniqueSet(),
-		"(29) count v3": countBugV3(),
+	// A slice, not a map: the detail rows print in this order every run.
+	corpus := []struct {
+		name string
+		col  *alt.Collection
+	}{
+		{"(1) SPJ", q1()},
+		{"(3) FIO agg", q3()},
+		{"(7) FOI agg", q7()},
+		{"(8) multi-agg", relpat.MultiAggFIO()},
+		{"(10) Hella", relpat.MultiAggHella()},
+		{"(22) unique", relpat.UniqueSet()},
+		{"(29) count v3", countBugV3()},
 	}
 	var rows []string
 	ok := true
-	for name, col := range corpus {
-		m := pattern.ComputeModalityMetrics(col)
-		g, err := higraph.Build(col)
+	for _, c := range corpus {
+		m := pattern.ComputeModalityMetrics(c.col)
+		g, err := higraph.Build(c.col)
 		if err != nil {
 			return fail(rep.Figure, rep.Title, claim, err)
 		}
@@ -303,7 +307,7 @@ func e21() Report {
 			ok = false
 		}
 		rows = append(rows, fmt.Sprintf("%-14s tokens=%3d altNodes=%3d regions=%2d edges=%2d depth=%d",
-			name, m.ComprehensionTokens, m.ALTNodes, g.Regions(), len(g.Edges), m.MaxScopeDepth))
+			c.name, m.ComprehensionTokens, m.ALTNodes, g.Regions(), len(g.Edges), m.MaxScopeDepth))
 	}
 	rep.Pass = ok
 	rep.Measured = fmt.Sprintf("%d corpus queries measured in 3 modalities", len(corpus))

@@ -16,6 +16,19 @@ func TestAllExperimentsPass(t *testing.T) {
 	}
 }
 
+// TestReportsRepeat pins that a report is a function of the code alone:
+// two runs print the same measured line and the same detail rows (E21's
+// rows once came out in map order, so `arcrepro -v` differed run to run).
+func TestReportsRepeat(t *testing.T) {
+	first, second := RunAll(), RunAll()
+	for i, a := range first {
+		b := second[i]
+		if a.Measured != b.Measured || a.Details != b.Details {
+			t.Errorf("%s differs between two runs:\n%s\n%s\nvs\n%s\n%s", a.ID, a.Measured, a.Details, b.Measured, b.Details)
+		}
+	}
+}
+
 func TestRunByID(t *testing.T) {
 	r, err := Run("E16")
 	if err != nil {

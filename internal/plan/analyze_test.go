@@ -8,6 +8,7 @@ import (
 	"repro/internal/relation"
 	"repro/internal/sql"
 	"repro/internal/trace"
+	"repro/internal/value"
 )
 
 // scrubTimes replaces run-dependent timings with a fixed token so
@@ -164,5 +165,46 @@ func TestTracedMatchesUntraced(t *testing.T) {
 			t.Errorf("%q: traced result diverges:\nplain\n%s\ntraced\n%s", src, plain, traced)
 		}
 		_ = fmt.Sprint(traced)
+	}
+}
+
+// TestUntracedStreamPaysNothingForTracing pins the "disabled trace path
+// is free" contract with a number that repeats exactly (allocations do;
+// ns/op on a shared box do not): a prepared point query drained through
+// StreamOn with a nil trace allocates no more than it did when this was
+// written, and the same drain with a trace allocates more, so the
+// comparison does exercise tracing. If the planner changes what a point
+// query allocates, update the ceiling; if tracing code moved it, that is
+// the regression this test exists for.
+func TestUntracedStreamPaysNothingForTracing(t *testing.T) {
+	const untracedCeiling = 18
+	r := relation.New("R", "A", "B")
+	for i := 0; i < 1000; i++ {
+		r.Add(i, i%7)
+	}
+	rels := map[string]*relation.Relation{"R": r}
+	p, err := CompileSchema(sql.MustParse("select R.A, R.B from R where R.A = $1"), rels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := []value.Value{value.Int(500)}
+	drain := func(tr *trace.Trace) {
+		seq, errFn := p.StreamOn(rels, params, nil, tr)
+		rows := 0
+		for range seq {
+			rows++
+		}
+		if err := errFn(); err != nil || rows != 1 {
+			t.Fatalf("point query: %d rows, err %v", rows, err)
+		}
+	}
+	drain(nil) // builds R's lazy hash index outside the measurement
+	untraced := testing.AllocsPerRun(100, func() { drain(nil) })
+	traced := testing.AllocsPerRun(100, func() { drain(trace.New()) })
+	if untraced > untracedCeiling {
+		t.Errorf("untraced point query allocates %v objects per run, ceiling %d", untraced, untracedCeiling)
+	}
+	if traced <= untraced {
+		t.Errorf("traced run allocates %v objects, untraced %v: the traced side did not trace", traced, untraced)
 	}
 }

@@ -126,16 +126,10 @@ type scalarCompiler interface {
 	compileScalar(x sql.Expr) (exprFn, error)
 }
 
-// compilePred compiles a boolean expression under 3VL over the scope's
-// own schema. Subquery predicates (EXISTS/IN) are only plannable as
-// top-level WHERE conjuncts, which the SELECT compiler peels off before
-// calling this — here they bail out.
-func (s *scope) compilePred(x sql.Expr) (predFn, error) {
-	return compilePredWith(s, x)
-}
-
 // compilePredWith compiles a boolean expression under 3VL with sc
-// compiling the scalar leaves.
+// compiling the scalar leaves. Subquery predicates (EXISTS/IN) are only
+// plannable as top-level WHERE conjuncts, which the SELECT compiler peels
+// off before calling this — here they bail out.
 func compilePredWith(sc scalarCompiler, x sql.Expr) (predFn, error) {
 	switch n := x.(type) {
 	case *sql.AndE:

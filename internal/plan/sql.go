@@ -90,61 +90,6 @@ func conjuncts(x sql.Expr) []sql.Expr {
 	return []sql.Expr{x}
 }
 
-// hasAggregate mirrors the reference evaluator's implicit-grouping test.
-func hasAggregate(s *sql.Select) bool {
-	found := false
-	var walk func(e sql.Expr)
-	walk = func(e sql.Expr) {
-		switch x := e.(type) {
-		case *sql.FuncE:
-			found = true
-		case *sql.BinE:
-			walk(x.L)
-			walk(x.R)
-		case *sql.Cmp:
-			walk(x.L)
-			walk(x.R)
-		case *sql.AndE:
-			for _, k := range x.Kids {
-				walk(k)
-			}
-		case *sql.OrE:
-			for _, k := range x.Kids {
-				walk(k)
-			}
-		case *sql.NotE:
-			walk(x.Kid)
-		case *sql.IsNullE:
-			walk(x.Arg)
-		}
-	}
-	for _, it := range s.Items {
-		walk(it.Expr)
-	}
-	if s.Having != nil {
-		walk(s.Having)
-	}
-	return found
-}
-
-// outNames computes the output column names with the reference
-// evaluator's duplicate renaming.
-func outNames(items []sql.SelectItem) []string {
-	attrs := make([]string, len(items))
-	seen := map[string]int{}
-	for i, it := range items {
-		name := it.OutName(i)
-		if n, dup := seen[name]; dup {
-			seen[name] = n + 1
-			name = fmt.Sprintf("%s_%d", name, n+1)
-		} else {
-			seen[name] = 1
-		}
-		attrs[i] = name
-	}
-	return attrs
-}
-
 func (c *compilerCtx) compileSelect(s *sql.Select, outer *scope) (*Plan, error) {
 	conjs := conjuncts(s.Where)
 	consumed := make([]bool, len(conjs))
@@ -163,10 +108,10 @@ func (c *compilerCtx) compileSelect(s *sql.Select, outer *scope) (*Plan, error) 
 		return nil, err
 	}
 	fromScope := &scope{schema: node.Schema(), parent: outer}
-	attrs := outNames(s.Items)
+	attrs := s.OutNames()
 
 	var root Node
-	if len(s.GroupBy) > 0 || s.Having != nil || hasAggregate(s) {
+	if len(s.GroupBy) > 0 || s.Having != nil || sql.HasAggregate(s) {
 		root, err = c.compileGrouped(s, node, fromScope, attrs)
 		if err != nil {
 			return nil, err
@@ -606,7 +551,7 @@ func (c *compilerCtx) compileSemi(input Node, outer *scope, q sql.Query, inExpr 
 	if !ok {
 		return nil, notPlannable("subquery %T", q)
 	}
-	if len(inner.GroupBy) > 0 || inner.Having != nil || hasAggregate(inner) {
+	if len(inner.GroupBy) > 0 || inner.Having != nil || sql.HasAggregate(inner) {
 		return nil, notPlannable("grouped subquery")
 	}
 	inputScope := &scope{schema: input.Schema(), parent: outer}

@@ -17,8 +17,8 @@ import (
 // TestPlannerDifferentialSQL is the planner acceptance property: over
 // thousands of random queries, the plan-compiled path must return
 // byte-identical results (canonical rendering, so attribute names and
-// multiplicities included) to the pre-planner enumeration path — and the
-// core qgen grammar must actually be planner-compiled, not silently
+// multiplicities included) to the reference enumeration evaluator — and
+// the core qgen grammar must actually be planner-compiled, not silently
 // falling back.
 func TestPlannerDifferentialSQL(t *testing.T) {
 	rng := workload.Rand(20260730)
@@ -34,20 +34,19 @@ func TestPlannerDifferentialSQL(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: parse %q: %v", i, src, err)
 		}
-		want, err := sqleval.EvalMode(q, db, sqleval.PlanOff)
+		want, err := sqleval.Eval(q, db)
 		if err != nil {
 			t.Fatalf("trial %d: enumeration rejected %q: %v", i, src, err)
 		}
 		total++
-		if _, cerr := plan.Compile(q, db); cerr == nil {
-			planned++
-		} else if !errors.Is(cerr, plan.ErrNotPlannable) {
-			t.Fatalf("trial %d: compile error does not wrap ErrNotPlannable: %q: %v", i, src, cerr)
+		got, err := runPlan(q, db)
+		if errors.Is(err, plan.ErrNotPlannable) {
+			return // the engine runs these on the reference itself: no second side
 		}
-		got, err := sqleval.EvalMode(q, db, sqleval.PlanAuto)
 		if err != nil {
 			t.Fatalf("trial %d: planner path failed on %q: %v", i, src, err)
 		}
+		planned++
 		if got.String() != want.String() {
 			t.Fatalf("trial %d: planner divergence on %q\nenumeration:\n%s\nplanner:\n%s",
 				i, src, want, got)
@@ -89,18 +88,21 @@ func TestPlannerDifferentialRange(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: parse %q: %v", i, src, err)
 		}
-		want, err := sqleval.EvalMode(q, db, sqleval.PlanOff)
+		want, err := sqleval.Eval(q, db)
 		if err != nil {
 			t.Fatalf("trial %d: enumeration rejected %q: %v", i, src, err)
 		}
-		if p, cerr := plan.Compile(q, db); cerr == nil {
-			if strings.Contains(p.Explain(), "RangeScan") {
-				ranged++
-			}
-		} else if !errors.Is(cerr, plan.ErrNotPlannable) {
-			t.Fatalf("trial %d: compile error does not wrap ErrNotPlannable: %q: %v", i, src, cerr)
+		p, err := plan.CompileSchema(q, db)
+		if errors.Is(err, plan.ErrNotPlannable) {
+			continue
 		}
-		got, err := sqleval.EvalMode(q, db, sqleval.PlanAuto)
+		if err != nil {
+			t.Fatalf("trial %d: compile error does not wrap ErrNotPlannable: %q: %v", i, src, err)
+		}
+		if strings.Contains(p.Explain(), "RangeScan") {
+			ranged++
+		}
+		got, err := p.ExecuteOn(db, nil, nil)
 		if err != nil {
 			t.Fatalf("trial %d: planner path failed on %q: %v", i, src, err)
 		}
@@ -134,9 +136,7 @@ func TestScopeCompilerDifferentialARC(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: sql2arc rejected %q: %v", i, src, err)
 		}
-		eval.DisableScopePlans = true
-		want, errEnum := eval.Eval(col, cat, convention.SQL())
-		eval.DisableScopePlans = false
+		want, errEnum := eval.EvalReference(col, cat, convention.SQL())
 		got, errPlan := eval.Eval(col, cat, convention.SQL())
 		if (errEnum == nil) != (errPlan == nil) {
 			t.Fatalf("trial %d: error divergence on %q: enum=%v plan=%v", i, src, errEnum, errPlan)

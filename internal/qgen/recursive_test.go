@@ -11,11 +11,22 @@ import (
 	"repro/internal/datalog"
 	"repro/internal/eval"
 	"repro/internal/fixpoint"
+	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/sql"
 	"repro/internal/sqleval"
 	"repro/internal/workload"
 )
+
+// runPlan runs q through internal/plan alone, the way the engine does:
+// a schema-bound plan, executed on db.
+func runPlan(q sql.Query, db sqleval.DB) (*relation.Relation, error) {
+	p, err := plan.CompileSchema(q, db)
+	if err != nil {
+		return nil, err
+	}
+	return p.ExecuteOn(db, nil, nil)
+}
 
 // TestRecursiveCTEDifferential extends the plan-vs-reference methodology
 // to recursion: randomized WITH RECURSIVE queries (transitive closure,
@@ -34,8 +45,8 @@ func TestRecursiveCTEDifferential(t *testing.T) {
 			t.Fatalf("generated query does not parse: %v\n%s", err, src)
 		}
 		db := sqleval.NewDB(schema.Relations()...)
-		ref, refErr := sqleval.EvalMode(q, db, sqleval.PlanOff)
-		pl, plErr := sqleval.EvalMode(q, db, sqleval.PlanForce)
+		ref, refErr := sqleval.Eval(q, db)
+		pl, plErr := runPlan(q, db)
 		if plErr != nil {
 			t.Fatalf("recursive corpus query fell out of the planner fragment: %v\n%s", plErr, src)
 		}
@@ -60,12 +71,12 @@ func TestThreeWayTransitiveClosure(t *testing.T) {
 	p := workload.Chain(50)
 
 	// SQL front end.
-	sqlOut, err := sqleval.EvalString(
+	sqlOut, err := runPlan(sql.MustParse(
 		`with recursive tc(s, t) as (
 			select P.s, P.t from P
 			union
 			select tc.s, P.t from tc, P where tc.t = P.s
-		) select tc.s, tc.t from tc`, sqleval.NewDB(p))
+		) select tc.s, tc.t from tc`), sqleval.NewDB(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,10 +132,10 @@ func TestRecursiveCTETerminationGuards(t *testing.T) {
 		sqleval.MaxRecursiveIterations = savedRef
 	}()
 
-	if _, err := sqleval.EvalMode(q, db, sqleval.PlanForce); !errors.Is(err, fixpoint.ErrIterationCap) {
+	if _, err := runPlan(q, db); !errors.Is(err, fixpoint.ErrIterationCap) {
 		t.Fatalf("plan path: got %v, want ErrIterationCap", err)
 	}
-	if _, err := sqleval.EvalMode(q, db, sqleval.PlanOff); err == nil {
+	if _, err := sqleval.Eval(q, db); err == nil {
 		t.Fatal("reference path: cyclic UNION ALL must error, not loop")
 	} else if want := "did not converge"; !strings.Contains(err.Error(), want) {
 		t.Fatalf("reference path error %q does not mention %q", err, want)
@@ -136,10 +147,10 @@ func TestRecursiveCTETerminationGuards(t *testing.T) {
 		union
 		select w.s, E.t from w, E where w.t = E.s
 	) select w.s, w.t from w`)
-	for _, mode := range []sqleval.PlanMode{sqleval.PlanForce, sqleval.PlanOff} {
-		out, err := sqleval.EvalMode(uq, db, mode)
+	for path, run := range map[string]func(sql.Query, sqleval.DB) (*relation.Relation, error){"plan": runPlan, "reference": sqleval.Eval} {
+		out, err := run(uq, db)
 		if err != nil {
-			t.Fatalf("UNION over cycle (mode %d): %v", mode, err)
+			t.Fatalf("UNION over cycle (%s path): %v", path, err)
 		}
 		if out.Distinct() != 4 {
 			t.Fatalf("UNION over 2-cycle: %d tuples, want 4", out.Distinct())

@@ -108,10 +108,6 @@ type Relation struct {
 	attrs []string
 	pos   map[string]int // attribute name -> column
 
-	// gen counts changes to the set of distinct tuples and is read without
-	// the lock.
-	gen atomic.Uint64
-
 	// base and dead are the shared part (version.go): the rows of base
 	// that dead does not retire belong to the relation. Both are immutable;
 	// a mutation replaces the dead pointer, Clone may replace both. base
@@ -253,13 +249,6 @@ func (r *Relation) AttrIndex(a string) int {
 // Arity returns the number of attributes.
 func (r *Relation) Arity() int { return len(r.attrs) }
 
-// Generation returns the tuple generation: a counter bumped once per
-// distinct tuple inserted into this relation and once per RemoveKeys that
-// removed anything. Nothing in the engine keys on it (statements bind a
-// schema, executions a snapshot); it remains as a cheap change witness
-// for tests and diagnostics.
-func (r *Relation) Generation() uint64 { return r.gen.Load() }
-
 // Insert adds one occurrence of t.
 func (r *Relation) Insert(t Tuple) { r.InsertMult(t, 1) }
 
@@ -321,7 +310,6 @@ func (r *Relation) insert(t Tuple, n int, owned bool) {
 	for _, ix := range r.hashIdx {
 		ix.add(stored, slot)
 	}
-	r.gen.Add(1)
 	r.mu.Unlock()
 }
 
@@ -389,11 +377,7 @@ func (r *Relation) RemoveKeys(keys map[string]struct{}) int {
 			r.dead = r.dead.with(len(r.base.rows), retire...)
 		}
 	}
-	removed += r.removeDeltaLocked(keys)
-	if removed > 0 {
-		r.gen.Add(1)
-	}
-	return removed
+	return removed + r.removeDeltaLocked(keys)
 }
 
 // removeDeltaLocked is RemoveKeys' delta half.

@@ -154,7 +154,6 @@ func (r *Relation) Clone() *Relation {
 	} else if len(r.rows)+r.dead.count() > foldBudget(len(r.base.rows)) {
 		r.rebaseLocked(r.foldLocked())
 	}
-	out.gen.Store(r.gen.Load())
 	out.base, out.dead = r.base, r.dead
 	out.rows = slices.Clone(r.rows)
 	out.index = maps.Clone(r.index)

@@ -302,6 +302,63 @@ func (it SelectItem) OutName(pos int) string {
 	return "col" + itoa(pos+1)
 }
 
+// OutNames computes the block's output column names: each item's OutName,
+// a repeated name getting the suffix _2, _3, … in item order.
+func (s *Select) OutNames() []string {
+	attrs := make([]string, len(s.Items))
+	seen := map[string]int{}
+	for i, it := range s.Items {
+		name := it.OutName(i)
+		if n, dup := seen[name]; dup {
+			seen[name] = n + 1
+			name = fmt.Sprintf("%s_%d", name, n+1)
+		} else {
+			seen[name] = 1
+		}
+		attrs[i] = name
+	}
+	return attrs
+}
+
+// HasAggregate reports whether any select item or HAVING uses an
+// aggregate function outside a subquery (triggering implicit grouping
+// over the whole input).
+func HasAggregate(s *Select) bool {
+	found := false
+	var walk func(e Expr)
+	walk = func(e Expr) {
+		switch x := e.(type) {
+		case *FuncE:
+			found = true
+		case *BinE:
+			walk(x.L)
+			walk(x.R)
+		case *Cmp:
+			walk(x.L)
+			walk(x.R)
+		case *AndE:
+			for _, k := range x.Kids {
+				walk(k)
+			}
+		case *OrE:
+			for _, k := range x.Kids {
+				walk(k)
+			}
+		case *NotE:
+			walk(x.Kid)
+		case *IsNullE:
+			walk(x.Arg)
+		}
+	}
+	for _, it := range s.Items {
+		walk(it.Expr)
+	}
+	if s.Having != nil {
+		walk(s.Having)
+	}
+	return found
+}
+
 func itoa(i int) string {
 	if i == 0 {
 		return "0"

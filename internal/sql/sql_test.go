@@ -347,6 +347,30 @@ func TestOutNames(t *testing.T) {
 	}
 }
 
+func TestSelectOutNamesRenamesRepeats(t *testing.T) {
+	s := mustSelect(t, "select R.A, R.A, R.B A, R.B + 1, R.C col4 from R")
+	if got := strings.Join(s.OutNames(), " "); got != "A A_2 A_3 col4 col4_2" {
+		t.Fatalf("OutNames = %s", got)
+	}
+}
+
+// HasAggregate looks through arithmetic, comparisons and boolean
+// structure of the items and HAVING, never into a subquery.
+func TestHasAggregate(t *testing.T) {
+	for src, want := range map[string]bool{
+		"select R.A from R":                                        false,
+		"select R.A + 1 from R where R.B > 2":                      false,
+		"select 1 + count(*) from R":                               true,
+		"select R.A from R group by R.A having not (sum(R.B) > 3)": true,
+		"select (select max(S.B) from S) from R":                   false,
+		"select R.A from R where R.B in (select count(*) from S)":  false,
+	} {
+		if got := HasAggregate(mustSelect(t, src)); got != want {
+			t.Errorf("HasAggregate(%q) = %v, want %v", src, got, want)
+		}
+	}
+}
+
 func TestStringsOfAST(t *testing.T) {
 	srcs := map[string]string{
 		"select R.A from R where exists (select 1 from S)": "EXISTS",

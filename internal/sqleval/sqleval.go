@@ -1,17 +1,17 @@
-// Package sqleval is an independent reference evaluator for the SQL
-// subset in internal/sql, with standard SQL semantics: bag multiplicities,
+// Package sqleval is the reference evaluator for the SQL subset in
+// internal/sql, with standard SQL semantics: bag multiplicities,
 // three-valued logic over NULL, SQL NOT IN behaviour, correlated
 // subqueries (scalar, EXISTS, IN, LATERAL), outer joins, GROUP BY /
-// HAVING, and UNION [ALL]. The experiment harness uses it as the baseline
-// that every ARC translation must agree with — it shares no evaluation
-// code with internal/eval.
+// HAVING, and UNION [ALL]. It evaluates by enumeration only and is the
+// baseline that the SQL planner and every ARC translation must agree
+// with — it imports neither internal/plan nor internal/eval, so it never
+// runs the code it verifies (TestImportsNothingItVerifies).
 package sqleval
 
 import (
 	"fmt"
 
 	"repro/internal/exec"
-	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/sql"
 	"repro/internal/value"
@@ -29,57 +29,18 @@ func NewDB(rels ...*relation.Relation) DB {
 	return db
 }
 
-// PlanMode selects how Eval executes a query.
-type PlanMode int
-
-const (
-	// PlanAuto compiles the query onto the internal/plan physical layer
-	// when it fits the planner fragment, falling back to per-row
-	// enumeration otherwise (the default).
-	PlanAuto PlanMode = iota
-	// PlanOff always uses the reference enumeration path — the baseline
-	// side of the planner's differential verification.
-	PlanOff
-	// PlanForce requires the planner and surfaces its bailout reason
-	// instead of falling back (for tests and EXPLAIN tooling).
-	PlanForce
-)
-
-// Eval evaluates a parsed query against db under PlanAuto.
+// Eval evaluates a parsed query against db.
 func Eval(q sql.Query, db DB) (*relation.Relation, error) {
-	return EvalMode(q, db, PlanAuto)
-}
-
-// EvalMode evaluates a parsed query under an explicit plan mode.
-func EvalMode(q sql.Query, db DB, mode PlanMode) (*relation.Relation, error) {
-	return EvalWith(q, db, mode, nil, nil)
+	return EvalWith(q, db, nil, nil)
 }
 
 // EvalWith evaluates a parsed query with $n parameter bindings and an
-// optional cancellation check (polled between query blocks and recursive
-// rounds on the enumeration path, and in the pull loop on the planner
-// path). It is the engine layer's entry point.
-func EvalWith(q sql.Query, db DB, mode PlanMode, params []value.Value, check func() error) (*relation.Relation, error) {
-	if mode != PlanOff {
-		if p, err := plan.Compile(q, db); err == nil {
-			return p.ExecuteWith(params, check)
-		} else if mode == PlanForce {
-			return nil, err
-		}
-	}
+// optional cancellation check, polled between query blocks and recursive
+// rounds. It is the engine layer's entry point for queries outside the
+// planner fragment.
+func EvalWith(q sql.Query, db DB, params []value.Value, check func() error) (*relation.Relation, error) {
 	e := &evaluator{db: db, params: params, check: check}
 	return e.evalQuery(q, nil)
-}
-
-// Explain compiles the query through the planner and renders its
-// physical plan, or reports why the query is outside the planner
-// fragment (in which case Eval uses enumeration).
-func Explain(q sql.Query, db DB) (string, error) {
-	p, err := plan.Compile(q, db)
-	if err != nil {
-		return "", err
-	}
-	return p.Explain(), nil
 }
 
 // EvalString parses and evaluates a SQL string.
@@ -339,22 +300,10 @@ func (e *evaluator) evalSelect(s *sql.Select, outer *frame) (*relation.Relation,
 		}
 		rows = kept
 	}
-	// Output schema.
-	attrs := make([]string, len(s.Items))
-	seen := map[string]int{}
-	for i, it := range s.Items {
-		name := it.OutName(i)
-		if n, dup := seen[name]; dup {
-			seen[name] = n + 1
-			name = fmt.Sprintf("%s_%d", name, n+1)
-		} else {
-			seen[name] = 1
-		}
-		attrs[i] = name
-	}
+	attrs := s.OutNames()
 	out := relation.New("result", attrs...)
 
-	grouped := len(s.GroupBy) > 0 || s.Having != nil || hasAggregate(s)
+	grouped := len(s.GroupBy) > 0 || s.Having != nil || sql.HasAggregate(s)
 	if grouped {
 		groups, err := e.groupRows(s, rows, outer)
 		if err != nil {
@@ -399,44 +348,6 @@ func (e *evaluator) evalSelect(s *sql.Select, outer *frame) (*relation.Relation,
 		out = out.Dedup()
 	}
 	return out, nil
-}
-
-// hasAggregate reports whether any select item or HAVING uses an
-// aggregate function (triggering implicit grouping over the whole input).
-func hasAggregate(s *sql.Select) bool {
-	found := false
-	var walk func(e sql.Expr)
-	walk = func(e sql.Expr) {
-		switch x := e.(type) {
-		case *sql.FuncE:
-			found = true
-		case *sql.BinE:
-			walk(x.L)
-			walk(x.R)
-		case *sql.Cmp:
-			walk(x.L)
-			walk(x.R)
-		case *sql.AndE:
-			for _, k := range x.Kids {
-				walk(k)
-			}
-		case *sql.OrE:
-			for _, k := range x.Kids {
-				walk(k)
-			}
-		case *sql.NotE:
-			walk(x.Kid)
-		case *sql.IsNullE:
-			walk(x.Arg)
-		}
-	}
-	for _, it := range s.Items {
-		walk(it.Expr)
-	}
-	if s.Having != nil {
-		walk(s.Having)
-	}
-	return found
 }
 
 // groupCtx is one GROUP BY partition.

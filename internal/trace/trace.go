@@ -123,14 +123,6 @@ func (t *Trace) LookupFixpoint(key any) *Fixpoint {
 	return t.fps[key]
 }
 
-// NumOps reports how many operators recorded counters.
-func (t *Trace) NumOps() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.ops)
-}
-
 // TotalRounds sums fixpoint rounds across all recursive computations in
 // the execution.
 func (t *Trace) TotalRounds() int {
