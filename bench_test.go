@@ -275,6 +275,41 @@ func BenchmarkPreparedVsReparse(b *testing.B) {
 	})
 }
 
+// benchThreeLang drains one three_lang shape (workload.ThreeLangShapes),
+// prepared once per language, over the workload's instance: the three
+// spellings side by side.
+func benchThreeLang(b *testing.B, shape int) {
+	db := engine.Open(workload.ThreeLang(workload.Rand(1))...).SetConventions(convention.SetLogic())
+	ctx := context.Background()
+	sh := workload.ThreeLangShapes[shape]
+	for i, lang := range []engine.Lang{engine.LangSQL, engine.LangARC, engine.LangDatalog} {
+		stmt, err := db.Prepare(lang, [3]string{sh.SQL, sh.ARC, sh.Datalog}[i])
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(lang.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rows, err := stmt.Query(ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for rows.Next() {
+				}
+				if err := rows.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkThreeLangJoin and BenchmarkThreeLangGroup: the paper's claim
+// is one relational core under three syntaxes, so one shape should cost
+// one price (ROADMAP item 2).
+func BenchmarkThreeLangJoin(b *testing.B)  { benchThreeLang(b, 0) }
+func BenchmarkThreeLangGroup(b *testing.B) { benchThreeLang(b, 1) }
+
 // BenchmarkTracedVsUntraced pins the observability overhead contract:
 // tracing disabled costs nothing (the untraced cursor path is the same
 // with or without the trace package compiled in), and tracing enabled

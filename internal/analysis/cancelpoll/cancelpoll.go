@@ -12,8 +12,12 @@
 // server cannot reclaim until the loop happens to finish, defeating
 // graceful shutdown and per-query timeouts.
 //
-// Mechanically, in internal/plan: every `for … range` over an exec.Seq
-// must call .poll() in its body or in an enclosing loop's body. In
+// Mechanically, in internal/plan and internal/eval: every `for … range`
+// over an exec.Seq must call .poll() in its body or in an enclosing
+// loop's body (eval's compiled scopes poll evaluator.poll per tuple they
+// extend, so the build loop of a grouped lookup and the inner loop of an
+// existence filter are covered by the enumeration they run on; the γ
+// loop over exec.GroupAggregate's groups is the range this rule sees). In
 // internal/fixpoint: every loop that invokes a rule or term callback (a
 // func-typed field named Eval, Step, or Base) must call .Check in its
 // body or an enclosing loop's body. internal/exec's operators are
@@ -41,13 +45,13 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name:     "cancelpoll",
-	Doc:      "flags row-pull loops (plan) and fixpoint round loops that never poll runCtx.poll / Options.Check for cancellation",
+	Doc:      "flags row-pull loops (plan, eval) and fixpoint round loops that never poll runCtx.poll / evaluator.poll / Options.Check for cancellation",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	isPlan := arcvetutil.PkgIs(pass.Pkg, "internal/plan")
+	isPlan := arcvetutil.PkgIs(pass.Pkg, "internal/plan") || arcvetutil.PkgIs(pass.Pkg, "internal/eval")
 	isFixpoint := arcvetutil.PkgIs(pass.Pkg, "internal/fixpoint")
 	if !isPlan && !isFixpoint {
 		return nil, nil
@@ -97,7 +101,7 @@ func (c *checker) loop(stmt ast.Node, body *ast.BlockStmt, polledAbove bool) {
 	polled := polledAbove || c.bodyPolls(body)
 	if !polled {
 		if rng, ok := stmt.(*ast.RangeStmt); ok && c.isPlan && c.isSeqRange(rng) {
-			c.sup.Report(stmt.Pos(), "row-pull loop over an exec.Seq never calls runCtx.poll; a cancelled context cannot stop this stream — poll in the loop body")
+			c.sup.Report(stmt.Pos(), "row-pull loop over an exec.Seq never calls poll; a cancelled context cannot stop this stream — poll in the loop body")
 		}
 		if c.isFixpoint && c.invokesRoundCallback(body) {
 			c.sup.Report(stmt.Pos(), "fixpoint round loop never polls Options.Check/CTE.Check; cancellation cannot stop the iteration — check before each round")

@@ -8,7 +8,7 @@ func (rc *runCtx) poll() error { return nil }
 
 func drain(rc *runCtx, s exec.Seq) int {
 	n := 0
-	for v := range s { // want "row-pull loop over an exec.Seq never calls runCtx.poll"
+	for v := range s { // want "row-pull loop over an exec.Seq never calls poll"
 		n += v
 	}
 	for v := range s { // polls in its own body: compliant

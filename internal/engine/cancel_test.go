@@ -155,6 +155,29 @@ func TestCancelARCAndDatalogFixpoints(t *testing.T) {
 	}
 }
 
+// TestCancelNonRecursiveScopes pins the per-tuple poll of internal/eval
+// where no fixpoint round would poll for it: the build loop of a grouped
+// lookup, the inner loop of an existence filter with nothing to probe by,
+// a plain compiled join, and a scope left on environment enumeration.
+func TestCancelNonRecursiveScopes(t *testing.T) {
+	r := relation.New("R", "A", "B")
+	for i := 0; i < 5000; i++ {
+		r.Add(i, i%11)
+	}
+	db := Open(r)
+	for _, src := range []string{
+		"Q(c) :- c = count : {R(_,_)}.",
+		"Q(b,s) :- R(0,b), s = sum a : {R(a,b)}.",
+		"Q(a) :- R(a,0), !R(_,a).",
+		"Q(a) :- R(a,b), R(b,_).",
+		"Q(a,m) :- R(a,0), m = max a2 : {R(a2,_), a2 < a}.",
+	} {
+		if _, err := db.QueryAll(newBudgetCtx(3), LangDatalog, src); !errors.Is(err, errBudget) {
+			t.Fatalf("QueryAll(%q) = %v, want the poll-budget error", src, err)
+		}
+	}
+}
+
 // TestCancelWithRealTimeout exercises the same path with a real deadline
 // for good measure (generous margins; the assertion is only that the
 // error is the context's).

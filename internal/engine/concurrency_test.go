@@ -206,3 +206,48 @@ func TestConcurrentPrepareSharedCache(t *testing.T) {
 	}()
 	wg.Wait()
 }
+
+// TestPrepareSingleFlight: compilation is one per key at a time. 32
+// goroutines preparing one text nobody has prepared yet compile it once
+// — whoever arrives during the compilation waits for it and counts as a
+// hit — and share one statement; a text that does not compile is not
+// cached and every caller gets Prepare's error.
+func TestPrepareSingleFlight(t *testing.T) {
+	db := Open(relation.New("R", "A", "B").Add(1, 2))
+	const n = 32
+	prepareAll := func(src string) (stmts [n]*Stmt, errs [n]error) {
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i := range n {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				stmts[i], errs[i] = db.Prepare(LangSQL, src)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		return stmts, errs
+	}
+	before := db.Stats()
+	stmts, errs := prepareAll("select R.A, R.B from R where R.A = $1 and R.B >= R.A")
+	st := db.Stats()
+	if misses, hits := compilations(db)-(before.Prepares-before.CacheHits), st.CacheHits-before.CacheHits; misses != 1 || hits != n-1 {
+		t.Fatalf("%d goroutines, one text: %d compilations and %d hits, want 1 and %d", n, misses, hits, n-1)
+	}
+	for i := range n {
+		if errs[i] != nil || stmts[i] != stmts[0] {
+			t.Fatalf("goroutine %d: stmt %p err %v, want the shared statement %p", i, stmts[i], errs[i], stmts[0])
+		}
+	}
+	_, errs = prepareAll("select R.A from")
+	for i := range n {
+		if errs[i] == nil || errs[i].Error() != errs[0].Error() {
+			t.Fatalf("goroutine %d: err %v, want Prepare's error %v", i, errs[i], errs[0])
+		}
+	}
+	if db.cache.Len() != 1 || len(db.cache.flights) != 0 {
+		t.Fatalf("cache holds %d statements and %d flights after a failed prepare, want 1 and 0", db.cache.Len(), len(db.cache.flights))
+	}
+}

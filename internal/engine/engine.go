@@ -308,28 +308,52 @@ func (db *DB) prepare(scope txScope, lang Lang, src, pred string) (s *Stmt, err 
 // prepareOn returns the cached statement for (lang, conv, src, pred) and
 // its compiled form for the schema of rels, compiling — and counting a
 // cache miss — when there is no entry or the entry was compiled against
-// another schema. Every compilation of the serving path happens here.
+// another schema. Every compilation of the serving path happens here,
+// one per key at a time: whoever arrives while it runs waits for it and
+// counts as a hit; a failed compilation is not cached and every waiter
+// gets its error.
 func (db *DB) prepareOn(rels map[string]*relation.Relation, lang Lang, conv convention.Conventions, src, pred string) (*Stmt, *compiled, error) {
 	db.prepares.Add(1)
 	key := cacheKey(lang, conv, src, pred)
-	s := db.cache.lookup(key)
-	if s != nil {
-		if c := s.cur.Load(); c.fresh(rels) {
+	for {
+		s, c, f, leads := db.cache.acquire(key, rels)
+		switch {
+		case f == nil:
 			db.cacheHits.Add(1)
 			return s, c, nil
+		case leads:
+			cached := s != nil
+			if !cached {
+				s = &Stmt{db: db, lang: lang, src: src, pred: pred, conv: conv}
+			}
+			return db.compileFlight(key, f, s, cached, rels)
 		}
+		f.done.Wait()
+		switch {
+		case f.err != nil:
+			return nil, nil, f.err
+		case f.c != nil && f.c.fresh(rels):
+			db.cacheHits.Add(1)
+			return f.stmt, f.c, nil
+		}
+		// The flight compiled for another schema (or its leader panicked):
+		// take another turn.
 	}
-	c, err := compileStmt(lang, src, pred, rels, db.catTmpl, conv)
+}
+
+// compileFlight is the leader's half of prepareOn: compile s for rels,
+// publish the result on it and — s not being cached yet — in the cache,
+// and land the flight whatever happens, so that no waiter outlives a
+// panic here.
+func (db *DB) compileFlight(key string, f *flight, s *Stmt, cached bool, rels map[string]*relation.Relation) (*Stmt, *compiled, error) {
+	defer func() { db.cache.land(key, f, !cached && f.c != nil) }()
+	c, err := compileStmt(s.lang, s.src, s.pred, rels, db.catTmpl, s.conv)
 	if err != nil {
+		f.err = err
 		return nil, nil, err
 	}
-	if s == nil {
-		s = &Stmt{db: db, lang: lang, src: src, pred: pred, conv: conv}
-		s.cur.Store(c)
-		db.cache.store(key, s)
-	} else {
-		s.cur.Store(c)
-	}
+	s.cur.Store(c)
+	f.stmt, f.c = s, c
 	return s, c, nil
 }
 

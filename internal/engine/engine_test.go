@@ -11,6 +11,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/value"
+	"repro/internal/workload"
 )
 
 func chain(n int) *relation.Relation {
@@ -278,9 +279,10 @@ func TestDatalogExplainGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := `scope ∃t1 ∈ N, t2 ∈ N:
-  (environment enumeration: boolean subformulas need environments)
-scope ∃t3 ∈ R:
-  IndexJoin R [t3] probe(t3.x1 = t1.v, t3.x2 = t2.v)
+  Scan N [t1]
+  Scan N [t2]
+  AntiProbe R [t3] probe(t3.x1 = t1.v, t3.x2 = t2.v)
+  Produce {x1 = t1.v, x2 = t2.v}
 view R:
 Fixpoint R (semi-naive, ΔR per round):
   rule 1 [seed]:
@@ -300,9 +302,47 @@ Fixpoint R (semi-naive, ΔR per round):
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range []string{want, "Fixpoint R: rounds=3 deltas=[5 1 0]", "Total: rows=3"} {
+	for _, line := range []string{
+		"AntiProbe R [t3] probe(t3.x1 = t1.v, t3.x2 = t2.v) (probes=4 matches=1)",
+		strings.SplitAfterN(want, "view R:", 2)[1], "Fixpoint R: rounds=3 deltas=[5 1 0]", "Total: rows=3",
+	} {
 		if !strings.Contains(text, line) {
 			t.Errorf("analyze output lacks %q:\n%s", line, text)
+		}
+	}
+
+	// An aggregate is a grouped lookup and a negated atom an anti probe:
+	// neither scope enumerates environments. Under ANALYZE the lookup
+	// reports its groups (the NULL key has none), probes and misses, the
+	// filter its probes and matches.
+	db = Open(
+		relation.New("G", "A", "B").Add(1, 10).Add(1, 20).Add(2, 5).Add(nil, 7),
+		relation.New("R", "A", "B").Add(1, 10).Add(2, 20).Add(3, 30),
+		relation.New("S", "B", "C").Add(10, 0).Add(20, 1).Add(30, 0))
+	for _, tc := range []struct{ src, explain, analyze string }{
+		{"Q(a,sm) :- G(a,_), sm = sum b : {G(a,b)}.", `scope ∃t1 ∈ G, x4 ∈ {Xagg3(res) | ∃t2 ∈ G, γ ∅ [t2.A = t1.A ∧ Xagg3.res = sum(t2.B)]}:
+  Scan G [t1]
+  GroupLookup Xagg3 [x4] keys(t2.A = t1.A) aggs=[sum(t2.B)] empty={0}
+    Scan G [t2]
+    GroupAggregate keys=[t2.A] aggs=[sum(t2.B)]
+    Produce {res = sum(t2.B)}
+  Produce {x1 = t1.A, x2 = x4.res}
+`, "empty={0} (groups=2 probes=4 misses=1)"},
+		{"Q(a) :- R(a,b), !S(b,0).", `scope ∃t1 ∈ R:
+  Scan R [t1]
+  AntiProbe S [t2] probe(t2.B = t1.B, t2.C = 0)
+  Produce {x1 = t1.A}
+`, "AntiProbe S [t2] probe(t2.B = t1.B, t2.C = 0) (probes=3 matches=2)"},
+	} {
+		stmt, err := db.Prepare(LangDatalog, tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := stmt.Explain(); err != nil || got != tc.explain {
+			t.Errorf("%s: explain mismatch (%v)\ngot:\n%s\nwant:\n%s", tc.src, err, got, tc.explain)
+		}
+		if text, err := stmt.ExplainAnalyze(context.Background()); err != nil || !strings.Contains(text, tc.analyze) {
+			t.Errorf("%s: analyze output lacks %q (%v):\n%s", tc.src, tc.analyze, err, text)
 		}
 	}
 }
@@ -332,6 +372,51 @@ func TestThreeLanguageAgreement(t *testing.T) {
 	if canon(sqlRel) != canon(arcRel) || canon(sqlRel) != canon(dlRel) {
 		t.Fatalf("three-way divergence:\nSQL:\n%s\nARC:\n%s\nDatalog:\n%s", sqlRel, arcRel, dlRel)
 	}
+}
+
+// TestThreeLanguageParity holds the three languages to one answer and one
+// order of cost on arcbench's three_lang shapes (join, grouped sum,
+// transitive closure over R 800, S 450, G 600 and the 40-chain): no
+// statement's EXPLAIN has a scope on environment enumeration, the three
+// spellings of a shape return equal bags, and the Datalog grouped sum —
+// a correlated γ∅ collection per group, 34× the ARC spelling's
+// allocations when it enumerated — stays within 2× of it.
+func TestThreeLanguageParity(t *testing.T) {
+	db := Open(workload.ThreeLang(workload.Rand(1))...).SetConventions(convention.SetLogic())
+	ctx := context.Background()
+	allocs := map[string]float64{}
+	for _, sh := range workload.ThreeLangShapes {
+		var first *relation.Relation
+		for i, lang := range []Lang{LangSQL, LangARC, LangDatalog} {
+			stmt, err := db.Prepare(lang, [3]string{sh.SQL, sh.ARC, sh.Datalog}[i])
+			if err != nil {
+				t.Fatalf("%s %s: %v", lang, sh.Name, err)
+			}
+			plan, err := stmt.Explain()
+			if err != nil || strings.Contains(plan, "environment enumeration") {
+				t.Errorf("%s %s: a scope enumerates environments (%v):\n%s", lang, sh.Name, err, plan)
+			}
+			rel, err := stmt.QueryAll(ctx)
+			if err != nil {
+				t.Fatalf("%s %s: %v", lang, sh.Name, err)
+			}
+			attrs := []string{"c1", "c2"}[:len(rel.Attrs())]
+			if rel = rel.Rename("X", attrs); first == nil {
+				first = rel
+			} else if rel.Card() == 0 || !rel.EqualBag(first) {
+				t.Errorf("%s %s: %d rows, SQL returned %d; bags differ", lang, sh.Name, rel.Card(), first.Card())
+			}
+			allocs[lang.String()+"_"+sh.Name] = testing.AllocsPerRun(10, func() {
+				if _, err := stmt.QueryAll(ctx); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+	if d, a := allocs["datalog_group"], allocs["arc_group"]; d > 2*a {
+		t.Errorf("datalog_group allocates %.0f times per run, arc_group %.0f: more than 2×", d, a)
+	}
+	t.Logf("allocations per run: %v", allocs)
 }
 
 // compilations counts statement compilations so far: every Prepare (and

@@ -81,6 +81,11 @@ func FuzzPrepareDatalog(f *testing.F) {
 		"A(x,y) :- P(x,y). A(x,y) :- A(x,z), A(z,y).",
 		"N(0). N(y) :- N(x), y = x + 1.",
 		"t1(x) :- P(x,_). x2(x) :- t1(x), !P(_,x).",
+		// Decorrelated scopes: an aggregate beside a negated atom, a
+		// correlation key that is NULL, an aggregate over aggregates.
+		"Q(a,c) :- R(a,b), !P(_,a), c = count : {P(a,_)}.",
+		"Q(z,c) :- R(x,_), z = x / 0, c = sum b : {R(z,b)}.",
+		"T(a,m) :- R(a,_), m = max s : {R(a,b), s = count : {P(b,_)}}.",
 	} {
 		f.Add(seed)
 	}

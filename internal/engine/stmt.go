@@ -686,13 +686,7 @@ func (x *execution) materialize(tr *trace.Trace) (*relation.Relation, error) {
 	if c.col == nil {
 		return c.runQuery(x.rels, x.vals, x.check)
 	}
-	var obs eval.RoundObserver
-	if tr != nil {
-		obs = func(name string) func(delta int, elapsed time.Duration) {
-			return tr.Fixpoint("arc:"+name, name).Observe
-		}
-	}
-	return eval.EvalPrepared(c.col, c.link, c.cat, c.conv, x.rels, x.inputs, x.check, obs)
+	return eval.EvalPrepared(c.col, c.link, c.cat, c.conv, x.rels, x.inputs, x.check, tr)
 }
 
 // rows opens the cursor. For planner-compiled SQL it pulls rows directly
@@ -845,7 +839,7 @@ func (x *execution) renderAnalyze(tr *trace.Trace) (string, error) {
 	case c.planErr != nil:
 		fmt.Fprintf(&b, "Enumeration (reference evaluator): %v\n", c.planErr)
 	default:
-		text, err := eval.ExplainCollection(c.col, c.cat, c.conv, x.rels)
+		text, err := eval.ExplainAnalyzed(c.col, c.cat, c.conv, x.rels, tr)
 		if err != nil {
 			return "", err
 		}

@@ -2,27 +2,37 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/alt"
 	"repro/internal/convention"
 	"repro/internal/exec"
 	"repro/internal/relation"
+	"repro/internal/trace"
 	"repro/internal/value"
 )
 
 // This file is the tuple-level compilation of quantifier scopes: the ARC
 // analogue of internal/plan's SQL lowering. A scope whose join tree is a
-// flat inner join over plain relation leaves (base relations, views,
-// recursion overrides, constant leaves) compiles into an indexed
-// nested-loop pipeline over relation tuples — probing the lazy hash
-// indexes with the scope's equality predicates, filtering as early as the
-// referenced leaves are bound, and streaming grouped scopes through
+// flat inner join over relation leaves (base relations, views, recursion
+// overrides, constant leaves) compiles into an indexed nested-loop
+// pipeline over relation tuples — probing the lazy hash indexes with the
+// scope's equality predicates, filtering as early as the referenced
+// leaves are bound, and streaming grouped scopes through
 // exec.GroupAggregate — instead of materializing per-row environment
-// maps. Scopes outside the fragment (outer-join annotations, externals,
-// abstract relations, nested collection sources, producing subformulas)
-// keep the environment enumeration path; results are identical, which
-// the qgen differential suite verifies.
+// maps. Two shapes nest a scope inside the pipeline of the scope around
+// it, chosen from the shape alone (decorrelate.go): a γ∅ nested
+// collection correlated through equalities is grouped once on the
+// correlation attributes and probed per outer tuple (group-by + left
+// outer join, the count-bug-safe rewrite), and an ∃/¬∃ subformula probes
+// its inner scope from the outer tuple and stops at the first match.
+// Scopes outside the fragment (outer-join annotations, externals,
+// abstract relations, nested collections that are not γ∅ or correlate
+// through anything but equalities, grouped or disjunctive boolean
+// subformulas, producing subformulas) keep the environment enumeration
+// path and EXPLAIN names the reason; results are identical, which the
+// qgen differential suites verify.
 
 // planTerm is one compiled scalar term over the scope's tuple layout.
 type planTerm struct {
@@ -45,11 +55,15 @@ type planProbe struct {
 // planStep enumerates one leaf of the scope's join tree.
 type planStep struct {
 	b      *alt.Binding
-	isCon  bool        // constant leaf (join-annotation constant)
-	conVal value.Value // value of a constant leaf
+	isCon  bool         // constant leaf (join-annotation constant)
+	conVal value.Value  // value of a constant leaf
+	lookup *groupLookup // γ∅ nested collection leaf, decorrelated (decorrelate.go)
 	attrs  []string
 	start  int // first tuple column of this leaf
 	probes []planProbe
+	// probeOff is where this leaf's probe key starts in the per-run key
+	// buffer (scopePlan.nprobes long).
+	probeOff int
 }
 
 // planFilter is one compiled WHERE predicate. It runs twice: as a
@@ -85,12 +99,19 @@ type planPostPred struct {
 	str  string
 }
 
-// scopePlan is the compiled form of one quantifier scope.
+// scopePlan is the compiled form of one quantifier scope. Its tuple is
+// [prefix..., leaf columns...]: the prefix is the tuple of the compiled
+// scope this one is an existence filter of (empty everywhere else), so a
+// reference to an enclosing binding is a column read like any other.
 type scopePlan struct {
 	si      *scopeInfo
 	steps   []planStep
 	ncols   int
 	filters []planFilter
+	nprobes int
+	// exists holds the scope's ∃/¬∃ subformulas. They run on complete
+	// tuples after filters, in order, as satisfyingEnvs does.
+	exists []planExists
 	// grouped scopes:
 	grouped    bool
 	keys       []planTerm
@@ -109,7 +130,7 @@ func (ev *evaluator) scopePlanFor(si *scopeInfo) *scopePlan {
 	}
 	if !si.planTried {
 		si.planTried = true
-		si.plan, si.planReason = ev.compileScope(si)
+		si.plan, si.planReason = ev.compileScope(si, nil)
 	}
 	return si.plan
 }
@@ -118,28 +139,40 @@ func (ev *evaluator) scopePlanFor(si *scopeInfo) *scopePlan {
 type scopeCompiler struct {
 	ev     *evaluator
 	si     *scopeInfo
+	sp     *scopePlan
 	link   *alt.Link
 	colOf  map[string]map[string]int // var → attr → tuple column
 	stepOf map[string]int            // var → step index
+	// outer is the compiler of the scope this one is an existence filter
+	// of: its columns are this scope's tuple prefix.
+	outer *scopeCompiler
+	// closed scopes run once per execution, not once per outer tuple or
+	// environment, so a reference that leaves them cannot compile.
+	closed bool
 }
 
 // compileScope lowers a scope or reports why it cannot (the reason shows
-// up in EXPLAIN output).
-func (ev *evaluator) compileScope(si *scopeInfo) (*scopePlan, string) {
+// up in EXPLAIN output). outer is non-nil for the scope of an existence
+// filter.
+func (ev *evaluator) compileScope(si *scopeInfo, outer *scopeCompiler) (*scopePlan, string) {
 	if si.tree.isLeaf() || si.tree.kind != alt.JoinInner || len(si.tree.kids) == 0 {
 		return nil, "join annotation with outer joins"
 	}
-	if len(si.filters) > 0 {
-		return nil, "boolean subformulas need environments"
-	}
+	sp := &scopePlan{si: si}
 	c := &scopeCompiler{
 		ev:     ev,
 		si:     si,
+		sp:     sp,
 		link:   ev.curLink(),
 		colOf:  map[string]map[string]int{},
 		stepOf: map[string]int{},
+		outer:  outer,
+		closed: si.closed,
 	}
-	sp := &scopePlan{si: si}
+	if outer != nil {
+		sp.ncols = outer.sp.ncols
+		c.closed = c.closed || outer.closed
+	}
 	for _, kid := range si.tree.kids {
 		if !kid.isLeaf() {
 			return nil, "nested join annotation"
@@ -150,10 +183,14 @@ func (ev *evaluator) compileScope(si *scopeInfo) (*scopePlan, string) {
 			step.isCon = true
 			step.conVal = v
 			step.attrs = []string{"val"}
-		} else {
-			if b.Sub != nil {
-				return nil, "nested collection source"
+		} else if b.Sub != nil {
+			lk, reason := c.compileLookup(b)
+			if lk == nil {
+				return nil, reason
 			}
+			step.lookup = lk
+			step.attrs = b.Sub.Head.Attrs
+		} else {
 			if _, ok := ev.overrides[b.Rel]; !ok {
 				if ev.base[b.Rel] == nil {
 					if _, isView := ev.cat.views[b.Rel]; !isView {
@@ -187,12 +224,19 @@ func (ev *evaluator) compileScope(si *scopeInfo) (*scopePlan, string) {
 		}
 		sp.filters = append(sp.filters, pf)
 	}
+	for _, f := range si.filters {
+		ex, reason := c.compileExists(f)
+		if ex.inner == nil {
+			return nil, reason
+		}
+		sp.exists = append(sp.exists, ex)
+	}
 
 	// Equality predicates feed index probes, exactly like probeInputs:
 	// the other side must be evaluable before the probed leaf binds.
 	for i := range sp.steps {
 		step := &sp.steps[i]
-		if step.isCon {
+		if step.isCon || step.lookup != nil {
 			continue
 		}
 		for _, p := range si.eqPreds {
@@ -220,11 +264,25 @@ func (ev *evaluator) compileScope(si *scopeInfo) (*scopePlan, string) {
 				break
 			}
 		}
+		step.probeOff = sp.nprobes
+		sp.nprobes += len(step.probes)
+	}
+
+	// Grouping keys: the declared ones, then the correlation attributes
+	// of a decorrelated scope. Aggregates follow them in the group tuple.
+	q := si.q
+	sp.grouped = q.Grouping != nil
+	if sp.grouped {
+		for _, k := range slices.Concat(q.Grouping.Keys, si.corrKeys) {
+			term, ok := c.compileTerm(k)
+			if !ok {
+				return nil, fmt.Sprintf("grouping key %s outside the fragment", k)
+			}
+			sp.keys = append(sp.keys, term)
+		}
 	}
 
 	// Producers must all be head assignments with compilable sources.
-	q := si.q
-	sp.grouped = q.Grouping != nil
 	for _, pf := range si.producers {
 		p, okPred := pf.(*alt.Pred)
 		if !okPred || ev.effPredKind(p) != alt.PredAssignment {
@@ -249,13 +307,6 @@ func (ev *evaluator) compileScope(si *scopeInfo) (*scopePlan, string) {
 	}
 
 	if sp.grouped {
-		for _, k := range q.Grouping.Keys {
-			term, ok := c.compileTerm(k)
-			if !ok {
-				return nil, fmt.Sprintf("grouping key %s outside the fragment", k)
-			}
-			sp.keys = append(sp.keys, term)
-		}
 		for _, p := range si.aggFilters {
 			pp, ok := c.compilePostPred(p, sp)
 			if !ok {
@@ -269,22 +320,34 @@ func (ev *evaluator) compileScope(si *scopeInfo) (*scopePlan, string) {
 	return sp, ""
 }
 
-// localRef resolves an attribute reference bound by this scope to its
-// step; outer references return (-1, false, true) and head references
-// are rejected.
-func (c *scopeCompiler) localRef(r *alt.AttrRef) (step int, local, ok bool) {
+// resolveRef says where an attribute reference reads from: a tuple column
+// — of this scope (pos is the step that binds it) or of the prefix an
+// enclosing compiled scope supplies (pos -1) — or, with col -1, the
+// environment. Head references, bindings no step has laid out yet, and
+// references that leave a closed scope are rejected.
+func (c *scopeCompiler) resolveRef(r *alt.AttrRef) (col, pos int, ok bool) {
 	res, known := c.link.Refs[r]
 	if !known || res.Kind != alt.RefBinding {
-		return 0, false, false
+		return 0, 0, false
 	}
-	if c.link.BindingQuantifier[res.Binding] != c.si.q {
-		return 0, false, true // outer correlation: evaluate via the env
+	q := c.link.BindingQuantifier[res.Binding]
+	for cc := c; cc != nil; cc = cc.outer {
+		if q != cc.si.q {
+			continue
+		}
+		col, okCol := cc.colOf[r.Var][r.Attr]
+		if !okCol {
+			return 0, 0, false
+		}
+		if cc != c {
+			return col, -1, true
+		}
+		return col, c.stepOf[r.Var], true
 	}
-	s, okStep := c.stepOf[r.Var]
-	if !okStep {
-		return 0, false, false
+	if c.closed {
+		return 0, 0, false
 	}
-	return s, true, true
+	return -1, -1, true // correlation beyond the compiled scopes: evaluate via the env
 }
 
 // compileTerm lowers a term over the scope tuple. Aggregates are not
@@ -299,11 +362,11 @@ func (c *scopeCompiler) compileTerm(t alt.Term) (planTerm, bool) {
 			str:  x.String(),
 		}, true
 	case *alt.AttrRef:
-		step, local, ok := c.localRef(x)
+		col, pos, ok := c.resolveRef(x)
 		if !ok {
 			return planTerm{}, false
 		}
-		if !local {
+		if col < 0 {
 			ref := x
 			return planTerm{
 				eval: func(ev *evaluator, _ relation.Tuple, e *env) (value.Value, error) {
@@ -313,13 +376,9 @@ func (c *scopeCompiler) compileTerm(t alt.Term) (planTerm, bool) {
 				str: x.String(),
 			}, true
 		}
-		col, okCol := c.colOf[x.Var][x.Attr]
-		if !okCol {
-			return planTerm{}, false
-		}
 		return planTerm{
 			eval: func(_ *evaluator, t relation.Tuple, _ *env) (value.Value, error) { return t[col], nil },
-			pos:  step,
+			pos:  pos,
 			str:  x.String(),
 		}, true
 	case *alt.Arith:
@@ -454,8 +513,7 @@ func (c *scopeCompiler) compilePostTerm(t alt.Term, sp *scopePlan) (planTerm, bo
 				}, true
 			}
 		}
-		_, local, ok := c.localRef(x)
-		if !ok || local {
+		if res := c.link.Refs[x]; res.Kind != alt.RefBinding || c.link.BindingQuantifier[res.Binding] == c.si.q {
 			// Local references outside the grouping keys would need a
 			// representative environment.
 			return planTerm{}, false
@@ -476,7 +534,7 @@ func (c *scopeCompiler) compilePostTerm(t alt.Term, sp *scopePlan) (planTerm, bo
 				return planTerm{}, false
 			}
 		}
-		col := len(c.si.q.Grouping.Keys) + idx
+		col := len(sp.keys) + idx
 		return planTerm{
 			eval: func(_ *evaluator, g relation.Tuple, _ *env) (value.Value, error) {
 				return g[col], nil
@@ -574,29 +632,59 @@ func (sp *scopePlan) resolveLeaf(ev *evaluator, step *planStep) (*relation.Relat
 
 // each enumerates the scope's satisfying tuples with their bag weights
 // (weight 1 per distinct tuple under set semantics), applying probes and
-// filters as early as their inputs bind. f returns false to stop.
-func (sp *scopePlan) each(ev *evaluator, e *env, f func(t relation.Tuple, mult int) (bool, error)) error {
+// filters as early as their inputs bind. prefix is the enclosing scope's
+// tuple when this scope is an existence filter. f returns false to stop.
+func (sp *scopePlan) each(ev *evaluator, e *env, prefix relation.Tuple, f func(t relation.Tuple, mult int) (bool, error)) error {
+	return sp.eachErr(ev, e, prefix, func(t relation.Tuple, mult int, rowErr error) (bool, error) {
+		if rowErr != nil {
+			return false, rowErr
+		}
+		return f(t, mult)
+	})
+}
+
+// eachErr is each for a consumer that decides what an evaluation error
+// on a complete tuple means: f receives the tuple and the error instead
+// of the enumeration stopping with it.
+func (sp *scopePlan) eachErr(ev *evaluator, e *env, prefix relation.Tuple, f func(t relation.Tuple, mult int, rowErr error) (bool, error)) error {
 	t := make(relation.Tuple, sp.ncols)
+	copy(t, prefix)
+	// One probe-key buffer per run: a leaf's key is dead once its probe
+	// returns, and deeper leaves use their own stretch of it.
+	keyCols, keyVals := make([]int, sp.nprobes), make([]value.Value, sp.nprobes)
 	bag := ev.conv.Semantics == convention.Bag
 	var walk func(step int, mult int) (bool, error)
 	walk = func(step int, mult int) (bool, error) {
 		if step == len(sp.steps) {
-			// Authoritative filter pass on the complete tuple, in
-			// predicate order with short-circuiting — identical to the
-			// enumeration path, including which errors can surface.
+			// Authoritative pass on the complete tuple: predicates, then
+			// boolean subformulas, in order with short-circuiting —
+			// identical to the enumeration path, including which errors
+			// can surface.
 			for i := range sp.filters {
 				tv, err := sp.filters[i].eval(ev, t, e)
 				if err != nil {
-					return false, err
+					return f(t, mult, err)
 				}
 				if !tv.Holds() {
 					return true, nil
 				}
 			}
-			return f(t, mult)
+			for i := range sp.exists {
+				ok, err := sp.exists[i].holds(ev, t, e)
+				if err != nil {
+					return f(t, mult, err)
+				}
+				if !ok {
+					return true, nil
+				}
+			}
+			return f(t, mult, nil)
 		}
 		s := &sp.steps[step]
 		extend := func(tup relation.Tuple, m int) (bool, error) {
+			if err := ev.poll(); err != nil {
+				return false, err
+			}
 			copy(t[s.start:], tup)
 			w := 1
 			if bag {
@@ -618,12 +706,19 @@ func (sp *scopePlan) each(ev *evaluator, e *env, f func(t relation.Tuple, mult i
 		if s.isCon {
 			return extend(relation.Tuple{s.conVal}, 1)
 		}
+		if s.lookup != nil {
+			row, err := s.lookup.get(ev, t, e)
+			if err != nil || row == nil {
+				return err == nil, err
+			}
+			return extend(row, 1)
+		}
 		rel, err := sp.resolveLeaf(ev, s)
 		if err != nil {
 			return false, err
 		}
-		var cols []int
-		var vals []value.Value
+		end := s.probeOff + len(s.probes)
+		cols, vals := keyCols[s.probeOff:s.probeOff:end], keyVals[s.probeOff:s.probeOff:end]
 		for _, p := range s.probes {
 			v, err := p.src.eval(ev, t, e)
 			if err != nil || !v.Indexable() {
@@ -658,15 +753,55 @@ func (sp *scopePlan) each(ev *evaluator, e *env, f func(t relation.Tuple, mult i
 	return err
 }
 
+// eachRow streams the tuples the producers read, with their weights: the
+// satisfying scope tuples, or for a grouped scope the groups that pass
+// its aggregate predicates.
+func (sp *scopePlan) eachRow(ev *evaluator, e *env, f func(t relation.Tuple, mult int) (bool, error)) error {
+	if !sp.grouped {
+		return sp.each(ev, e, nil, f)
+	}
+	return sp.eachGroup(ev, e, nil, func(g relation.Tuple) (bool, error) {
+		if pass, err := sp.groupPasses(ev, g, e); err != nil || !pass {
+			return err == nil, err
+		}
+		return f(g, e.weight)
+	})
+}
+
+// directHeadCols maps head attributes to producer indexes when the plan
+// assigns each head attribute exactly once; ok is false when the shapes
+// differ (extra, missing, or duplicated assignments), sending the
+// formula through the production path instead.
+func (sp *scopePlan) directHeadCols(attrs []string) ([]int, bool) {
+	if len(sp.producers) != len(attrs) {
+		return nil, false
+	}
+	byAttr := make(map[string]int, len(sp.producers))
+	for i, p := range sp.producers {
+		if _, dup := byAttr[p.attr]; dup {
+			return nil, false
+		}
+		byAttr[p.attr] = i
+	}
+	cols := make([]int, len(attrs))
+	for i, a := range attrs {
+		j, ok := byAttr[a]
+		if !ok {
+			return nil, false
+		}
+		cols[i] = j
+	}
+	return cols, true
+}
+
 // produce runs the compiled scope for one outer environment, returning
 // the produced head-assignment rows (the tuple-level replacement for
-// satisfyingEnvs + mergeProducers / groupEnvs + groupRow).
+// satisfyingEnvs + mergeProducers / groupEnvs + groupRow) — for nested
+// producing quantifiers and heads the scope does not assign one-to-one;
+// everything else streams head tuples (headTuples).
 func (sp *scopePlan) produce(ev *evaluator, e *env) ([]prodRow, error) {
-	if sp.grouped {
-		return sp.produceGrouped(ev, e)
-	}
 	var rows []prodRow
-	err := sp.each(ev, e, func(t relation.Tuple, mult int) (bool, error) {
+	err := sp.eachRow(ev, e, func(t relation.Tuple, mult int) (bool, error) {
 		assign := make(map[string]value.Value, len(sp.producers))
 		for _, p := range sp.producers {
 			v, err := p.term.eval(ev, t, e)
@@ -690,15 +825,29 @@ func (sp *scopePlan) produce(ev *evaluator, e *env) ([]prodRow, error) {
 	return rows, nil
 }
 
-// produceGrouped streams the scope through exec.GroupAggregate and
-// evaluates aggregate predicates and producers per group.
-func (sp *scopePlan) produceGrouped(ev *evaluator, e *env) ([]prodRow, error) {
+// execAggs is the scope's aggregate list in exec.GroupAggregate's terms:
+// aggregate i reads column len(keys)+i of the projected tuple.
+func (sp *scopePlan) execAggs() []exec.Agg {
+	aggs := make([]exec.Agg, len(sp.aggs))
+	for i := range sp.aggs {
+		aggs[i] = exec.Agg{Func: sp.aggs[i].fn, Col: len(sp.keys) + i}
+	}
+	return aggs
+}
+
+// eachGroup is the scope's γ: the satisfying tuples' grouping keys and
+// aggregate inputs stream through exec.GroupAggregate, and f receives
+// every group as [keys..., aggregates...]. A tuple that cannot be
+// evaluated stops the stream with its error — unless rowErr is non-nil
+// and takes the error with the tuple's keys, which is how a decorrelated
+// scope keeps one group's error away from the others.
+func (sp *scopePlan) eachGroup(ev *evaluator, e *env, rowErr func(keys relation.Tuple, err error), f func(g relation.Tuple) (bool, error)) error {
 	var streamErr error
 	pre := func(yield func(relation.Tuple, int) bool) {
 		// GroupAggregate copies key values and folds aggregate inputs
 		// immediately, so the projection scratch tuple is reusable.
 		scratch := make(relation.Tuple, 0, len(sp.keys)+len(sp.aggs))
-		err := sp.each(ev, e, func(t relation.Tuple, mult int) (bool, error) {
+		streamErr = sp.eachErr(ev, e, nil, func(t relation.Tuple, mult int, bad error) (bool, error) {
 			out := scratch[:0]
 			for _, k := range sp.keys {
 				v, err := k.eval(ev, t, e)
@@ -707,87 +856,57 @@ func (sp *scopePlan) produceGrouped(ev *evaluator, e *env) ([]prodRow, error) {
 				}
 				out = append(out, v)
 			}
-			for i := range sp.aggs {
+			for i := 0; i < len(sp.aggs) && bad == nil; i++ {
 				a := &sp.aggs[i]
 				v, err := a.arg.eval(ev, t, e)
-				if err != nil {
-					return false, err
+				if err == nil && a.numeric && !v.IsNull() && !v.IsNumeric() {
+					err = fmt.Errorf("%s over non-numeric value %v", a.agg.Func, v)
 				}
-				if a.numeric && !v.IsNull() && !v.IsNumeric() {
-					return false, fmt.Errorf("%s over non-numeric value %v", a.agg.Func, v)
-				}
+				bad = err
 				out = append(out, v)
+			}
+			if bad != nil {
+				if rowErr == nil {
+					return false, bad
+				}
+				rowErr(out[:len(sp.keys)], bad)
+				return true, nil
 			}
 			return yield(out, mult), nil
 		})
-		if err != nil {
-			streamErr = err
-		}
 	}
 	keyCols := make([]int, len(sp.keys))
 	for i := range sp.keys {
 		keyCols[i] = i
 	}
-	aggs := make([]exec.Agg, len(sp.aggs))
-	for i := range sp.aggs {
-		aggs[i] = exec.Agg{Func: sp.aggs[i].fn, Col: len(sp.keys) + i}
-	}
-	var rows []prodRow
 	var groupErr error
-	for g := range exec.GroupAggregate(pre, keyCols, aggs, ev.conv) {
+	for g := range exec.GroupAggregate(pre, keyCols, sp.execAggs(), ev.conv) {
 		if streamErr != nil {
 			break
 		}
-		pass := true
-		for i := range sp.aggFilters {
-			tv, err := sp.aggFilters[i].eval(ev, g, e)
-			if err != nil {
-				groupErr = err
-				break
-			}
-			if !tv.Holds() {
-				pass = false
-				break
-			}
-		}
-		if groupErr != nil {
+		if groupErr = ev.poll(); groupErr != nil {
 			break
 		}
-		if !pass {
-			continue
-		}
-		assign := make(map[string]value.Value, len(sp.producers))
-		conflict := false
-		for _, p := range sp.producers {
-			v, err := p.term.eval(ev, g, e)
-			if err != nil {
-				groupErr = err
-				break
-			}
-			if prev, dup := assign[p.attr]; dup {
-				if value.Eq.Apply(prev, v) != value.True {
-					conflict = true
-					break
-				}
-				continue
-			}
-			assign[p.attr] = v
-		}
-		if groupErr != nil {
+		cont, err := f(g)
+		if groupErr = err; err != nil || !cont {
 			break
 		}
-		if conflict {
-			continue
-		}
-		rows = append(rows, prodRow{assign: assign, weight: e.weight})
 	}
 	if streamErr != nil {
-		return nil, streamErr
+		return streamErr
 	}
-	if groupErr != nil {
-		return nil, groupErr
+	return groupErr
+}
+
+// groupPasses evaluates the scope's aggregate predicates on one group.
+func (sp *scopePlan) groupPasses(ev *evaluator, g relation.Tuple, e *env) (bool, error) {
+	for i := range sp.aggFilters {
+		tv, err := sp.aggFilters[i].eval(ev, g, e)
+		if err != nil || !tv.Holds() {
+			return false, err
+		}
 	}
-	return rows, nil
+	return true, nil
 }
 
 // ExplainCollection validates col and renders the tuple-level
@@ -795,10 +914,19 @@ func (sp *scopePlan) produceGrouped(ev *evaluator, e *env) ([]prodRow, error) {
 // physical pipeline for compiled scopes, or the reason a scope stays on
 // environment enumeration. Recursive definitions render as one fixpoint
 // with their whole group; the views a definition reads follow it, each
-// once. Scopes of nested collection sources are summarized by their own
-// evaluation and not expanded. base, when non-nil, replaces cat's own
-// base relations, as for EvalPrepared.
+// once. A compiled scope renders the scopes nested in its pipeline
+// (grouped lookups, existence filters) beneath their operators; the
+// nested collection sources of an enumerated scope are summarized by
+// their own evaluation and not expanded. base, when non-nil, replaces
+// cat's own base relations, as for EvalPrepared.
 func ExplainCollection(col *alt.Collection, cat *Catalog, conv convention.Conventions, base map[string]*relation.Relation) (string, error) {
+	return ExplainAnalyzed(col, cat, conv, base, nil)
+}
+
+// ExplainAnalyzed is ExplainCollection with the counters the execution
+// traced by tr recorded (EvalPrepared) next to the grouped lookups and
+// existence filters.
+func ExplainAnalyzed(col *alt.Collection, cat *Catalog, conv convention.Conventions, base map[string]*relation.Relation, tr *trace.Trace) (string, error) {
 	link, err := alt.ValidateCollection(col)
 	if err != nil {
 		return "", err
@@ -807,6 +935,7 @@ func ExplainCollection(col *alt.Collection, cat *Catalog, conv convention.Conven
 	if base != nil {
 		ev.base = base
 	}
+	ev.tr = tr
 	var b strings.Builder
 	if err := ev.explain(recDef{col, link}, &b, map[string]bool{}); err != nil {
 		return "", err
@@ -854,12 +983,16 @@ func (ev *evaluator) explain(d recDef, b *strings.Builder, done map[string]bool)
 }
 
 // explainScopes renders every quantifier scope of f under the current
-// link.
+// link. The scopes in the body of a compiled scope are part of its
+// pipeline and already rendered there.
 func (ev *evaluator) explainScopes(f alt.Formula, b *strings.Builder) error {
 	switch x := f.(type) {
 	case *alt.Quantifier:
 		if err := ev.explainScope(x, b, 0); err != nil {
 			return err
+		}
+		if ev.scopeCache[x].plan != nil {
+			return nil
 		}
 		return ev.explainScopes(x.Body, b)
 	case *alt.And:
@@ -914,29 +1047,48 @@ func quantHeader(q *alt.Quantifier) string {
 	return b.String()
 }
 
+// describe renders a relation leaf without its operator name.
+func (s *planStep) describe() string {
+	if len(s.probes) == 0 {
+		return fmt.Sprintf("%s [%s]", s.b.Rel, s.b.Var)
+	}
+	strs := make([]string, len(s.probes))
+	for j, p := range s.probes {
+		strs[j] = p.str
+	}
+	return fmt.Sprintf("%s [%s] probe(%s)", s.b.Rel, s.b.Var, strings.Join(strs, ", "))
+}
+
 // explain renders the compiled pipeline, one operator per line.
-func (sp *scopePlan) explain(b *strings.Builder, depth int) {
+func (sp *scopePlan) explain(b *strings.Builder, depth int) { sp.explainFrom(b, depth, 0) }
+
+// explainFrom is explain without the leaves before step from (an
+// existence filter's first leaf is its header line).
+func (sp *scopePlan) explainFrom(b *strings.Builder, depth, from int) {
 	pad := strings.Repeat("  ", depth)
 	for i := range sp.steps {
 		s := &sp.steps[i]
-		b.WriteString(pad)
-		switch {
-		case s.isCon:
-			fmt.Fprintf(b, "Const [%s] = %s\n", s.b.Var, s.conVal)
-		case len(s.probes) > 0:
-			strs := make([]string, len(s.probes))
-			for j, p := range s.probes {
-				strs[j] = p.str
+		if i >= from {
+			b.WriteString(pad)
+			switch {
+			case s.isCon:
+				fmt.Fprintf(b, "Const [%s] = %s\n", s.b.Var, s.conVal)
+			case s.lookup != nil:
+				s.lookup.explain(b, s.b.Var, depth)
+			case len(s.probes) > 0:
+				fmt.Fprintf(b, "IndexJoin %s\n", s.describe())
+			default:
+				fmt.Fprintf(b, "Scan %s\n", s.describe())
 			}
-			fmt.Fprintf(b, "IndexJoin %s [%s] probe(%s)\n", s.b.Rel, s.b.Var, strings.Join(strs, ", "))
-		default:
-			fmt.Fprintf(b, "Scan %s [%s]\n", s.b.Rel, s.b.Var)
 		}
 		for _, fl := range sp.filters {
 			if fl.after == i {
 				fmt.Fprintf(b, "%sFilter (%s)\n", pad, fl.str)
 			}
 		}
+	}
+	for i := range sp.exists {
+		sp.exists[i].explain(b, depth)
 	}
 	if sp.grouped {
 		keyStrs := make([]string, len(sp.keys))

@@ -671,6 +671,9 @@ func (ev *evaluator) bindRelation(b *alt.Binding, rel *relation.Relation, e *env
 	var out []*env
 	attrs := rel.Attrs()
 	for t, mult := range seq {
+		if err := ev.poll(); err != nil {
+			return nil, err
+		}
 		vals := make(varVals, len(attrs))
 		for i, a := range attrs {
 			vals[a] = t[i]

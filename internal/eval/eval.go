@@ -7,6 +7,7 @@ import (
 	"repro/internal/alt"
 	"repro/internal/convention"
 	"repro/internal/relation"
+	"repro/internal/trace"
 	"repro/internal/value"
 )
 
@@ -38,14 +39,6 @@ func EvalReference(col *alt.Collection, cat *Catalog, conv convention.Convention
 	return ev.evalCollection(col, link, newEnv())
 }
 
-// RoundObserver supplies the per-round callback for one named recursive
-// computation: it is called once per fixpoint (with the head names of the
-// recursive group) and its result — which may be nil — observes each
-// round's new tuple count and derivation time. A callback factory rather
-// than a trace type keeps this package free of observability
-// dependencies.
-type RoundObserver func(name string) func(delta int, elapsed time.Duration)
-
 // EvalPrepared evaluates an already-validated collection with its link —
 // the prepared-statement entry point, which skips per-execution
 // re-validation. cat supplies the definitions (views, abstract and
@@ -54,16 +47,18 @@ type RoundObserver func(name string) func(delta int, elapsed time.Duration)
 // catalog serves every snapshot (the map is only read). inputs are named
 // input relations bound through the evaluator's override slot (they
 // shadow base relations of the same name for this execution only);
-// check, when non-nil, is polled each fixpoint round so long recursions
-// honour context cancellation; obs, when non-nil, observes the rounds of
-// every fixpoint (EXPLAIN ANALYZE).
-func EvalPrepared(col *alt.Collection, link *alt.Link, cat *Catalog, conv convention.Conventions, base, inputs map[string]*relation.Relation, check func() error, obs RoundObserver) (*relation.Relation, error) {
+// check, when non-nil, is polled each fixpoint round and every few tuples
+// a scope enumerates, so long recursions and joins honour context
+// cancellation; tr, when non-nil, records the rounds of every fixpoint
+// (keyed "arc:"+names) and the counters of grouped lookups and existence
+// filters (keyed by their binding and quantifier) for EXPLAIN ANALYZE.
+func EvalPrepared(col *alt.Collection, link *alt.Link, cat *Catalog, conv convention.Conventions, base, inputs map[string]*relation.Relation, check func() error, tr *trace.Trace) (*relation.Relation, error) {
 	ev := newEvaluator(cat, conv)
 	if base != nil {
 		ev.base = base
 	}
 	ev.check = check
-	ev.onRound = obs
+	ev.tr = tr
 	for name, rel := range inputs {
 		ev.overrides[name] = rel
 	}
@@ -96,18 +91,34 @@ type evaluator struct {
 	overrides  map[string]*relation.Relation
 	viewCache  map[string]*relation.Relation
 	scopeCache map[*alt.Quantifier]*scopeInfo
-	check      func() error  // optional cancellation poll (fixpoint rounds)
-	onRound    RoundObserver // optional fixpoint round observation
-	reference  bool          // enumeration only (EvalReference): no scope plans, no hashed LEFT join
+	check      func() error // optional cancellation poll (fixpoint rounds, tuple loops)
+	polls      int
+	tr         *trace.Trace // optional EXPLAIN ANALYZE record
+	reference  bool         // enumeration only (EvalReference): no scope plans, no hashed LEFT join
 }
 
-// roundObserver resolves the per-fixpoint callback for a named recursive
-// computation (nil when observation is off).
-func (ev *evaluator) roundObserver(name string) func(delta int, elapsed time.Duration) {
-	if ev.onRound == nil {
+// pollEvery rate-limits the cancellation check of the tuple loops, as
+// internal/plan's runCtx.poll does.
+const pollEvery = 64
+
+// poll is the cancellation check of a loop over tuples.
+func (ev *evaluator) poll() error {
+	if ev.check == nil {
 		return nil
 	}
-	return ev.onRound(name)
+	if ev.polls++; ev.polls%pollEvery != 0 {
+		return nil
+	}
+	return ev.check()
+}
+
+// roundObserver resolves the per-round callback for a named recursive
+// computation (nil when untraced).
+func (ev *evaluator) roundObserver(name string) func(delta int, elapsed time.Duration) {
+	if ev.tr == nil {
+		return nil
+	}
+	return ev.tr.Fixpoint("arc:"+name, name).Observe
 }
 
 func newEvaluator(cat *Catalog, conv convention.Conventions) *evaluator {
@@ -155,30 +166,80 @@ func (ev *evaluator) evalCollection(col *alt.Collection, link *alt.Link, e *env)
 
 // evalOnce evaluates a collection body once, producing its relation.
 func (ev *evaluator) evalOnce(col *alt.Collection, e *env) (*relation.Relation, error) {
-	base := &env{vars: e.vars, weight: 1}
-	rows, err := ev.produce(col.Body, base, true)
+	out := relation.New(col.Head.Rel, col.Head.Attrs...)
+	err := ev.headTuples(col, col.Body, e, func(t relation.Tuple, weight int) error {
+		out.InsertMult(t, weight)
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", col.Head.Rel, err)
-	}
-	out := relation.New(col.Head.Rel, col.Head.Attrs...)
-	for _, r := range rows {
-		t := make(relation.Tuple, len(col.Head.Attrs))
-		for i, a := range col.Head.Attrs {
-			v, ok := r.assign[a]
-			if !ok {
-				return nil, fmt.Errorf("%s: head attribute %q not assigned for a produced row", col.Head.Rel, a)
-			}
-			t[i] = v
-		}
-		if r.weight <= 0 {
-			continue
-		}
-		out.InsertMult(t, r.weight)
 	}
 	if ev.conv.Semantics == convention.Set {
 		out = out.Dedup()
 	}
 	return out, nil
+}
+
+// headTuples derives the head tuples of col that formula f of its body
+// generates, with their bag weights; emit must copy what it keeps. It is
+// the one place produced rows become tuples, for a collection evaluated
+// once and for every rule of a fixpoint alike. A disjunction is the
+// concatenation of its branches; a quantifier whose compiled scope
+// assigns every head attribute exactly once streams tuples straight off
+// the pipeline; other shapes go through the production path and build
+// assignment rows.
+func (ev *evaluator) headTuples(col *alt.Collection, f alt.Formula, e *env, emit func(t relation.Tuple, weight int) error) error {
+	if or, ok := f.(*alt.Or); ok {
+		for _, k := range or.Kids {
+			if err := ev.headTuples(col, k, e, emit); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	base := &env{vars: e.vars, weight: 1}
+	attrs := col.Head.Attrs
+	t := make(relation.Tuple, len(attrs))
+	if q, ok := f.(*alt.Quantifier); ok {
+		si, err := ev.scopeInfoFor(q)
+		if err != nil {
+			return err
+		}
+		if sp := ev.scopePlanFor(si); sp != nil {
+			if cols, ok := sp.directHeadCols(attrs); ok {
+				return sp.eachRow(ev, base, func(row relation.Tuple, weight int) (bool, error) {
+					for i, pi := range cols {
+						v, err := sp.producers[pi].term.eval(ev, row, base)
+						if err != nil {
+							return false, err
+						}
+						t[i] = v
+					}
+					return true, emit(t, weight)
+				})
+			}
+		}
+	}
+	rows, err := ev.produce(f, base, true)
+	if err != nil {
+		return err
+	}
+	for _, r := range rows {
+		if r.weight <= 0 {
+			continue
+		}
+		for i, a := range attrs {
+			v, ok := r.assign[a]
+			if !ok {
+				return fmt.Errorf("head attribute %q not assigned for a produced row", a)
+			}
+			t[i] = v
+		}
+		if err := emit(t, r.weight); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // produce yields the stream of head-assignment rows of a formula. gen is

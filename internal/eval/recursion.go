@@ -282,7 +282,13 @@ func (ev *evaluator) evalRecursive(group []recDef, e *env) (map[string]*relation
 				}
 				ev.pushLink(r.link)
 				defer ev.popLink()
-				return ev.deriveDisjunct(r.col, r.f, e, emit)
+				// One rule's head tuples for this variant; the fixpoint
+				// accumulates sets, so bag weights are dropped.
+				err := ev.headTuples(r.col, r.f, e, func(t relation.Tuple, _ int) error { return emit(t) })
+				if err != nil {
+					return fmt.Errorf("%s: %w", r.col.Head.Rel, err)
+				}
+				return nil
 			},
 		}
 	}
@@ -297,96 +303,6 @@ func (ev *evaluator) evalRecursive(group []recDef, e *env) (map[string]*relation
 		return nil, err
 	}
 	return totals, nil
-}
-
-// deriveDisjunct derives one rule's head tuples for the current variant.
-// A quantifier disjunct whose compiled scope plan assigns every head
-// attribute exactly once streams tuples straight off the pipeline; other
-// shapes go through the production path and build assignment rows.
-func (ev *evaluator) deriveDisjunct(col *alt.Collection, f alt.Formula, e *env, emit fixpoint.Emit) error {
-	name := col.Head.Rel
-	if q, ok := f.(*alt.Quantifier); ok {
-		si, err := ev.scopeInfoFor(q)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		if sp := ev.scopePlanFor(si); sp != nil && !sp.grouped {
-			if cols, ok := sp.directHeadCols(col.Head.Attrs); ok {
-				if err := sp.emitHeadTuples(ev, e, cols, emit); err != nil {
-					return fmt.Errorf("%s: %w", name, err)
-				}
-				return nil
-			}
-		}
-	}
-	base := &env{vars: e.vars, weight: 1}
-	rows, err := ev.produce(f, base, true)
-	if err != nil {
-		return fmt.Errorf("%s: %w", name, err)
-	}
-	t := make(relation.Tuple, len(col.Head.Attrs))
-	for _, r := range rows {
-		if r.weight <= 0 {
-			continue
-		}
-		for i, a := range col.Head.Attrs {
-			v, ok := r.assign[a]
-			if !ok {
-				return fmt.Errorf("%s: head attribute %q not assigned for a produced row", name, a)
-			}
-			t[i] = v
-		}
-		if err := emit(t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// directHeadCols maps head attributes to producer indexes when the plan
-// assigns each head attribute exactly once; ok is false when the shapes
-// differ (extra, missing, or duplicated assignments), sending the rule
-// through the production path instead.
-func (sp *scopePlan) directHeadCols(attrs []string) ([]int, bool) {
-	if len(sp.producers) != len(attrs) {
-		return nil, false
-	}
-	byAttr := make(map[string]int, len(sp.producers))
-	for i, p := range sp.producers {
-		if _, dup := byAttr[p.attr]; dup {
-			return nil, false
-		}
-		byAttr[p.attr] = i
-	}
-	cols := make([]int, len(attrs))
-	for i, a := range attrs {
-		j, ok := byAttr[a]
-		if !ok {
-			return nil, false
-		}
-		cols[i] = j
-	}
-	return cols, true
-}
-
-// emitHeadTuples streams the compiled scope's satisfying tuples projected
-// onto the head layout. The scratch tuple is reused; emit clones on
-// insertion.
-func (sp *scopePlan) emitHeadTuples(ev *evaluator, e *env, cols []int, emit fixpoint.Emit) error {
-	out := make(relation.Tuple, len(cols))
-	return sp.each(ev, e, func(t relation.Tuple, _ int) (bool, error) {
-		for i, pi := range cols {
-			v, err := sp.producers[pi].term.eval(ev, t, e)
-			if err != nil {
-				return false, err
-			}
-			out[i] = v
-		}
-		if err := emit(out); err != nil {
-			return false, err
-		}
-		return true, nil
-	})
 }
 
 // explainRecursive renders the fixpoint plan of a recursive group: one

@@ -51,6 +51,12 @@ type scopeInfo struct {
 	plan       *scopePlan
 	planTried  bool
 	planReason string
+	// closed and corrKeys describe the decorrelated variant of a γ∅
+	// nested collection's scope (compileLookup): its correlation
+	// equalities are gone from where and eqPreds, their inner sides
+	// group it as corrKeys, and nothing else in it may read outside.
+	closed   bool
+	corrKeys []*alt.AttrRef
 	// fullOn marks eq predicates routed to a FULL-join node's ON list.
 	// Those must not restrict leaf enumeration: a full join's unmatched
 	// rows null-extend on both sides with no ON re-check, so probing by

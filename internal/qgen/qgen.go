@@ -310,6 +310,77 @@ func (g *gen) recursiveBody(cte string, cols []string) string {
 	}
 }
 
+// GenerateDatalog produces one random Datalog rule defining Q over the
+// schema (atoms are positional: R/2, S/2, T/2), in the shapes whose ARC
+// lowering nests a scope inside a scope: after the atom R(a,b), an
+// aggregate — count, sum, min, max or mean over a body correlated with
+// the rule on zero, one or two variables, now and then with a comparison,
+// a negated atom or an aggregate of its own, or correlated through
+// arithmetic or an inequality — a negated atom with or without a
+// constant, or both; sometimes two aggregates, sometimes an aggregate
+// compared with a variable the rule already grounds (the count-bug
+// shape).
+func GenerateDatalog(rng *rand.Rand) string {
+	g := &gen{rng: rng}
+	neg := func() string {
+		return []string{"!S(b,0)", "!S(b,_)", "!T(a,1)", "!T(a,_)", "!S(b,a)", "!T(a,b)"}[rng.Intn(6)]
+	}
+	switch rng.Intn(8) {
+	case 0:
+		return fmt.Sprintf("Q(a) :- R(a,b), %s.", neg())
+	case 1:
+		return fmt.Sprintf("Q(a,v) :- R(a,b), %s, %s.", neg(), g.aggregate("v", 0))
+	case 2:
+		return fmt.Sprintf("Q(a,v,w) :- R(a,b), %s, %s.", g.aggregate("v", 0), g.aggregate("w", 0))
+	case 3:
+		return fmt.Sprintf("Q(a) :- R(a,b), b = count : {%s}.", g.aggBody(0))
+	}
+	return fmt.Sprintf("Q(a,v) :- R(a,b), %s.", g.aggregate("v", 0))
+}
+
+// aggregate generates "res = fn expr : {body}"; level numbers the body's
+// own variables so nested bodies do not capture each other's.
+func (g *gen) aggregate(res string, level int) string {
+	fn := []string{"count", "sum", "min", "max", "mean"}[g.rng.Intn(5)]
+	if fn == "count" {
+		return fmt.Sprintf("%s = count : {%s}", res, g.aggBody(level))
+	}
+	if level == 0 && g.rng.Intn(6) == 0 {
+		// An aggregate over aggregates: the inner one correlates with the
+		// middle body, which correlates with the rule.
+		return fmt.Sprintf("%s = %s n1 : {T(a,c0), %s}", res, fn, g.aggregate("n1", 1))
+	}
+	return fmt.Sprintf("%s = %s c%d : {%s}", res, fn, level, g.aggBody(level))
+}
+
+// aggBody generates an aggregate body that grounds c<level>, correlated
+// with the variables a, b (the rule's) or c0 (the enclosing body's).
+func (g *gen) aggBody(level int) string {
+	c := fmt.Sprintf("c%d", level)
+	if level > 0 {
+		return fmt.Sprintf([]string{"S(c0,%[1]s)", "T(c0,%[1]s), %[1]s > 0", "S(_,%[1]s)"}[g.rng.Intn(3)], c)
+	}
+	shapes := []string{
+		"S(_,%[1]s)",                      // uncorrelated
+		"S(b,%[1]s)",                      // one variable
+		"T(a,%[1]s)",                      // one variable
+		"T(a,%[1]s), S(b,%[1]s)",          // two variables, two atoms
+		"R(a,b), S(b,%[1]s)",              // two variables on one atom
+		"S(b,%[1]s), %[1]s > 1",           // with a comparison
+		"S(b,%[1]s), !T(_,%[1]s)",         // with a negated atom of its own
+		"S(b2,%[1]s), b2 = b + 1",         // correlated through arithmetic
+		"S(b,%[1]s), T(a2,%[1]s), a2 < a", // correlated through an inequality
+		"S(b,%[1]s), !T(a,%[1]s)",         // negated atom reading past its body
+	}
+	// The last two keep their scope on environment enumeration; one body
+	// in twenty is one of them, so the fallback stays covered.
+	i := g.rng.Intn(len(shapes) - 2)
+	if g.rng.Intn(20) == 0 {
+		i = len(shapes) - 2 + g.rng.Intn(2)
+	}
+	return fmt.Sprintf(shapes[i], c)
+}
+
 func indexOfTable(name string) int {
 	for i, t := range tables {
 		if t.name == name {

@@ -328,6 +328,33 @@ func TestAnalyzeOverWire(t *testing.T) {
 			t.Fatalf("datalog analyze output lacks %q:\n%s", want, text)
 		}
 	}
+	// An aggregate and a negated atom analyze as operators of the scope
+	// around them, with their own counters.
+	for _, ddl := range []string{
+		"create table G (A, B)", "insert into G values (1, 10)", "insert into G values (1, 20)", "insert into G values (2, 5)",
+		"create table S (B, C)", "insert into S values (10, 0)", "insert into S values (20, 1)",
+	} {
+		if _, err := c.Exec(client.LangSQL, ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for src, wants := range map[string][]string{
+		"Q(a,sm) :- G(a,_), sm = sum b : {G(a,b)}.": {"GroupLookup Xagg3 [x4] keys(t2.A = t1.A) aggs=[sum(t2.B)] empty={0} (groups=2 probes=3 misses=0)", "Total: rows=2"},
+		"Q(a) :- R(a,b), !S(b,0).":                  {"AntiProbe S [t2] probe(t2.B = t1.B, t2.C = 0) (probes=5 matches=1)", "Total: rows=4"},
+	} {
+		dl, err := c.Prepare(client.LangDatalog, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if text, err = dl.ExplainAnalyze(); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range append(wants, "Produce {") {
+			if !strings.Contains(text, want) || strings.Contains(text, "environment enumeration") {
+				t.Fatalf("%s: analyze output lacks %q or enumerates:\n%s", src, want, text)
+			}
+		}
+	}
 	// SQL outside the planner fragment renders the reference evaluator's
 	// one step instead of failing.
 	fb, err := c.Prepare(client.LangSQL, "select R.A, X.t from R, lateral (select P.t from P where P.s = R.A) X")

@@ -174,3 +174,43 @@ func itoa(i int) string {
 	}
 	return itoa(i/10) + string(rune('0'+i%10))
 }
+
+// ThreeLangShapes are arcbench's three_lang statements over the ThreeLang
+// instance: the paper's join, grouped sum and transitive closure, each
+// spelled in SQL, ARC and Datalog (which defines Q, or A for the closure).
+var ThreeLangShapes = []struct{ Name, SQL, ARC, Datalog string }{
+	{"join",
+		"select distinct R.A from R, S where R.B = S.B and S.C = 0",
+		"{Q(A) | ∃r ∈ R, s ∈ S [Q.A = r.A ∧ r.B = s.B ∧ s.C = 0]}",
+		"Q(a) :- R(a,b), S(b,0)."},
+	{"group",
+		"select G.A, sum(G.B) as sm from G group by G.A",
+		"{Q(A, sm) | ∃r ∈ G, γ r.A [Q.A = r.A ∧ Q.sm = sum(r.B)]}",
+		"Q(a,sm) :- G(a,_), sm = sum b : {G(a,b)}."},
+	{"tc",
+		"with recursive A (s, t) as (select P.s, P.t from P union select P.s, A.t from P, A where P.t = A.s) select A.s, A.t from A",
+		"{A(s, t) | ∃p ∈ P [A.s = p.s ∧ A.t = p.t] ∨ ∃p ∈ P, a2 ∈ A [A.s = p.s ∧ p.t = a2.s ∧ A.t = a2.t]}",
+		"A(x,y) :- P(x,y). A(x,y) :- P(x,z), A(z,y)."},
+}
+
+// ThreeLang generates the instance shape of arcbench's three_lang
+// workload — R(A,B) 800, S(B,C) 450 and G(A,B) 600 distinct random pairs
+// (domains 400×200, 200×3, 60×100) and P the 40-node chain — for the
+// tests and benchmarks that hold the three languages to one cost.
+func ThreeLang(rng *rand.Rand) []*relation.Relation {
+	pairs := func(name, a1, a2 string, n, dom1, dom2 int) *relation.Relation {
+		r := relation.New(name, a1, a2)
+		for r.Distinct() < n {
+			if t := (relation.Tuple{value.Int(int64(rng.Intn(dom1))), value.Int(int64(rng.Intn(dom2)))}); !r.Contains(t) {
+				r.Insert(t)
+			}
+		}
+		return r
+	}
+	return []*relation.Relation{
+		pairs("R", "A", "B", 800, 400, 200),
+		pairs("S", "B", "C", 450, 200, 3),
+		pairs("G", "A", "B", 600, 60, 100),
+		Chain(40),
+	}
+}
