@@ -39,7 +39,7 @@ lint:
 
 # The engine's own invariant suite (docs/INVARIANTS.md): snapimmut,
 # hookreentry, boundaryguard, cancelpoll, errcmp. Built as a vet tool so
-# the standard driver handles package loading and caching.
+# the go command handles package loading, export data and caching.
 arcvet:
 	$(GO) build -o bin/arcvet ./cmd/arcvet
 	$(GO) vet -vettool=bin/arcvet ./...
@@ -74,4 +74,4 @@ ab:
 # First-party non-test Go, the figure a [simplicity] PR reports the delta
 # of (ROADMAP "Standing notes").
 loc:
-	@git ls-files '*.go' | grep -v '^vendor/' | grep -v '^arcbench/' | grep -v '_test\.go$$' | xargs cat | wc -l
+	@git ls-files '*.go' | grep -v '^arcbench/' | grep -v '_test\.go$$' | xargs cat | wc -l

@@ -86,6 +86,7 @@ func main() {
 	parent := filepath.Join(build, "ab", "parent")
 	sh(root, nil, "sh", "-c", `rm -rf "$2" && mkdir -p "$2" "$3" && git archive "$1" | tar -x -C "$2"`,
 		"sh", *base, parent, filepath.Join(build, "tmp"))
+	// arcbench/run.sh's environment verbatim; -mod=vendor is vacuous at zero requirements, needed for parents that vendor.
 	env := append(os.Environ(), "GOCACHE="+filepath.Join(build, "gocache"), "GOTMPDIR="+filepath.Join(build, "tmp"),
 		"GOFLAGS=-mod=vendor", "GOTOOLCHAIN=local", "GOPROXY=off")
 	sides := []struct{ name, dir, bin string }{

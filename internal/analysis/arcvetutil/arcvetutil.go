@@ -1,19 +1,87 @@
 // Package arcvetutil is the shared machinery behind the arcvet analyzer
-// suite: the //arcvet:ignore suppression protocol, package and method
-// matching against the engine's real types, recover-guard detection, and
-// the intra-package call-graph walker the reachability analyzers
-// (hookreentry, boundaryguard) are built on.
+// suite: the Analyzer/Pass/Diagnostic shape the analyzers are written
+// against and the one Run that drives them (for cmd/arcvet and for the
+// fixture harness alike), the //arcvet:ignore suppression protocol,
+// package and method matching against the engine's real types,
+// recover-guard detection, and the intra-package call-graph walker the
+// reachability analyzers (hookreentry, boundaryguard) are built on.
 package arcvetutil
 
 import (
+	"cmp"
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/types/typeutil"
 )
+
+// An Analyzer checks one invariant over one type-checked package.
+type Analyzer struct {
+	Name string // also the name //arcvet:ignore directives use
+	Doc  string
+	Run  func(*Pass)
+}
+
+// A Pass is one analyzer's view of one package: its syntax (parsed with
+// comments), its types, and where to report.
+type Pass struct {
+	Analyzer  *Analyzer
+	Fset      *token.FileSet
+	Files     []*ast.File
+	Pkg       *types.Package
+	TypesInfo *types.Info
+
+	diags []Diagnostic
+}
+
+// A Diagnostic is one finding of the analyzer named Analyzer.
+type Diagnostic struct {
+	Pos      token.Pos
+	Message  string
+	Analyzer string
+}
+
+// Reportf records a diagnostic at pos.
+func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	p.diags = append(p.diags, Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Analyzer: p.Analyzer.Name})
+}
+
+// Run runs the analyzers over one package and returns what they
+// reported, ordered by file, line, column, analyzer name and message,
+// with exact duplicates collapsed — the same input always prints the
+// same lines.
+func Run(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) []Diagnostic {
+	var diags []Diagnostic
+	for _, a := range analyzers {
+		pass := &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, TypesInfo: info}
+		a.Run(pass)
+		diags = append(diags, pass.diags...)
+	}
+	slices.SortFunc(diags, func(x, y Diagnostic) int {
+		px, py := fset.Position(x.Pos), fset.Position(y.Pos)
+		return cmp.Or(
+			cmp.Compare(px.Filename, py.Filename),
+			cmp.Compare(px.Line, py.Line),
+			cmp.Compare(px.Column, py.Column),
+			cmp.Compare(x.Analyzer, y.Analyzer),
+			cmp.Compare(x.Message, y.Message),
+		)
+	})
+	return slices.Compact(diags)
+}
+
+// NewInfo returns a types.Info with the maps the analyzers read, for the
+// type-checker to fill.
+func NewInfo() *types.Info {
+	return &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+}
 
 // IgnorePrefix is the suppression directive marker. A diagnostic from
 // analyzer NAME on line L is suppressed when line L (trailing comment)
@@ -38,7 +106,7 @@ type directive struct {
 // //arcvet:ignore directives. Build one per pass with NewSuppressor and
 // route every report through Report.
 type Suppressor struct {
-	pass *analysis.Pass
+	pass *Pass
 	// byFile maps filename -> directives in that file.
 	byFile map[string][]directive
 	// reported tracks malformed directives already reported, by position.
@@ -46,7 +114,7 @@ type Suppressor struct {
 }
 
 // NewSuppressor indexes the pass's files for suppression directives.
-func NewSuppressor(pass *analysis.Pass) *Suppressor {
+func NewSuppressor(pass *Pass) *Suppressor {
 	s := &Suppressor{pass: pass, byFile: map[string][]directive{}, reported: map[token.Pos]bool{}}
 	for _, f := range pass.Files {
 		for _, cg := range f.Comments {
@@ -71,23 +139,13 @@ func NewSuppressor(pass *analysis.Pass) *Suppressor {
 	return s
 }
 
-// matches reports whether d names this suppressor's analyzer.
-func (s *Suppressor) matches(d directive) bool {
-	for _, a := range d.analyzers {
-		if a == s.pass.Analyzer.Name {
-			return true
-		}
-	}
-	return false
-}
-
 // Report emits a diagnostic unless an //arcvet:ignore directive for this
 // analyzer covers pos (same line or the line above). A matching
 // directive with no reason does not suppress; it is itself reported.
 func (s *Suppressor) Report(pos token.Pos, format string, args ...any) {
 	p := s.pass.Fset.Position(pos)
 	for _, d := range s.byFile[p.Filename] {
-		if !s.matches(d) {
+		if !slices.Contains(d.analyzers, s.pass.Analyzer.Name) {
 			continue
 		}
 		if d.line != p.Line && d.line != p.Line-1 {
@@ -113,12 +171,7 @@ func PkgIs(pkg *types.Package, suffixes ...string) bool {
 	if pkg == nil {
 		return false
 	}
-	return PathIs(pkg.Path(), suffixes...)
-}
-
-// PathIs is PkgIs over a raw import path.
-func PathIs(path string, suffixes ...string) bool {
-	path = strings.TrimSuffix(path, "_test")
+	path := strings.TrimSuffix(pkg.Path(), "_test")
 	path = strings.TrimSuffix(path, ".test")
 	for _, s := range suffixes {
 		if path == s || strings.HasSuffix(path, "/"+s) {
@@ -129,10 +182,37 @@ func PathIs(path string, suffixes ...string) bool {
 }
 
 // Callee resolves the called function or method of a call expression,
-// or nil for dynamic calls (function values, interface methods whose
-// concrete method is unknown).
+// or nil for anything but a static call: conversions, builtins,
+// func-typed variables and fields, and interface methods (whose concrete
+// method is unknown). An explicit instantiation f[T](x) resolves to the
+// generic f.
 func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
-	return typeutil.StaticCallee(info, call)
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ix.X
+	case *ast.IndexListExpr:
+		fun = ix.X
+	}
+	var obj types.Object
+	switch fun := fun.(type) {
+	case *ast.Ident:
+		obj = info.Uses[fun]
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[fun]; ok {
+			obj = sel.Obj() // method or field
+		} else {
+			obj = info.Uses[fun.Sel] // qualified identifier
+		}
+	}
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return nil
+	}
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+		return nil
+	}
+	return fn
 }
 
 // MethodOn reports whether fn is a method named name on a (possibly
@@ -160,20 +240,27 @@ func MethodOn(fn *types.Func, pkgSuffix, recv, name string) bool {
 	return PkgIs(named.Obj().Pkg(), pkgSuffix)
 }
 
-// FuncDecls indexes the pass's syntax: every function and method
-// declaration with a body, keyed by its types.Func object. The index is
-// what lets the reachability analyzers walk same-package call chains.
-func FuncDecls(pass *analysis.Pass) map[*types.Func]*ast.FuncDecl {
-	decls := map[*types.Func]*ast.FuncDecl{}
+// FuncBodies lists the pass's function and method declarations that
+// have a body, in source order.
+func FuncBodies(pass *Pass) []*ast.FuncDecl {
+	var fds []*ast.FuncDecl
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				fds = append(fds, fd)
 			}
-			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				decls[fn] = fd
-			}
+		}
+	}
+	return fds
+}
+
+// FuncDecls indexes FuncBodies by types.Func object. The index is what
+// lets the reachability analyzers walk same-package call chains.
+func FuncDecls(pass *Pass) map[*types.Func]*ast.FuncDecl {
+	decls := map[*types.Func]*ast.FuncDecl{}
+	for _, fd := range FuncBodies(pass) {
+		if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+			decls[fn] = fd
 		}
 	}
 	return decls

@@ -1,8 +1,7 @@
-// Package atest runs an analyzer over fixture packages and checks its
-// diagnostics against // want "regexp" comments — the subset of
-// golang.org/x/tools/go/analysis/analysistest the arcvet suite needs,
-// reimplemented over go/parser + go/types so it works without
-// go/packages (which is not vendored) or network access.
+// Package atest is the analyzers' fixture harness: it type-checks a
+// fixture package with go/parser + go/types, runs an analyzer over it
+// through arcvetutil.Run — the same call cmd/arcvet makes — and checks
+// the diagnostics against // want "regexp" comments.
 //
 // Fixtures live under <analyzer>/testdata/src/<importpath>/*.go.
 // Import paths under the module prefix (repro/...) resolve to sibling
@@ -25,25 +24,16 @@ import (
 	"strings"
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
+	"repro/internal/analysis/arcvetutil"
 )
 
-// Run analyzes the fixture package at testdata/src/<pkgPath> with a
-// (running its Requires first) and reports any mismatch between emitted
-// diagnostics and // want expectations as test errors.
-func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPath string) {
+// Run analyzes the fixture package at testdata/src/<pkgPath> with a and
+// reports any mismatch between emitted diagnostics and // want
+// expectations as test errors.
+func Run(t *testing.T, testdata string, a *arcvetutil.Analyzer, pkgPath string) {
 	t.Helper()
-	l := newLoader(filepath.Join(testdata, "src"))
-	pkg, err := l.load(pkgPath)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", pkgPath, err)
-	}
-
-	var diags []analysis.Diagnostic
-	if err := runAnalyzer(a, l, pkg, &diags); err != nil {
-		t.Fatalf("running %s on %s: %v", a.Name, pkgPath, err)
-	}
-	checkWants(t, l.fset, pkg.files, diags)
+	diags, fset, files := analyze(t, testdata, a, pkgPath)
+	checkWants(t, fset, files, diags)
 }
 
 // Diags analyzes the fixture package at testdata/src/<pkgPath> and
@@ -51,18 +41,22 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPath string) {
 // skipping // want matching. Tests use it for behavior that cannot be
 // expressed as a want comment — e.g. a diagnostic reported at a
 // suppression directive's own position.
-func Diags(t *testing.T, testdata string, a *analysis.Analyzer, pkgPath string) ([]analysis.Diagnostic, *token.FileSet) {
+func Diags(t *testing.T, testdata string, a *arcvetutil.Analyzer, pkgPath string) ([]arcvetutil.Diagnostic, *token.FileSet) {
+	t.Helper()
+	diags, fset, _ := analyze(t, testdata, a, pkgPath)
+	return diags, fset
+}
+
+// analyze loads the fixture package and runs a over it the way
+// cmd/arcvet runs the suite over a real one.
+func analyze(t *testing.T, testdata string, a *arcvetutil.Analyzer, pkgPath string) ([]arcvetutil.Diagnostic, *token.FileSet, []*ast.File) {
 	t.Helper()
 	l := newLoader(filepath.Join(testdata, "src"))
 	pkg, err := l.load(pkgPath)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", pkgPath, err)
 	}
-	var diags []analysis.Diagnostic
-	if err := runAnalyzer(a, l, pkg, &diags); err != nil {
-		t.Fatalf("running %s on %s: %v", a.Name, pkgPath, err)
-	}
-	return diags, l.fset
+	return arcvetutil.Run([]*arcvetutil.Analyzer{a}, l.fset, pkg.files, pkg.pkg, pkg.info), l.fset, pkg.files
 }
 
 // pkgInfo is one typechecked fixture package.
@@ -135,15 +129,7 @@ func (l *loader) load(path string) (*pkgInfo, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("no Go files in %s", dir)
 	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-		Instances:  map[*ast.Ident]types.Instance{},
-	}
+	info := arcvetutil.NewInfo()
 	conf := types.Config{Importer: l}
 	pkg, err := conf.Check(path, l.fset, files, info)
 	if err != nil {
@@ -154,53 +140,11 @@ func (l *loader) load(path string) (*pkgInfo, error) {
 	return pi, nil
 }
 
-// runAnalyzer runs a (and its Requires, transitively) over pkg,
-// appending a's diagnostics to out.
-func runAnalyzer(a *analysis.Analyzer, l *loader, pkg *pkgInfo, out *[]analysis.Diagnostic) error {
-	results := map[*analysis.Analyzer]any{}
-	var run func(a *analysis.Analyzer, collect bool) error
-	run = func(a *analysis.Analyzer, collect bool) error {
-		if _, done := results[a]; done {
-			return nil
-		}
-		for _, req := range a.Requires {
-			if err := run(req, false); err != nil {
-				return err
-			}
-		}
-		pass := &analysis.Pass{
-			Analyzer:   a,
-			Fset:       l.fset,
-			Files:      pkg.files,
-			Pkg:        pkg.pkg,
-			TypesInfo:  pkg.info,
-			TypesSizes: types.SizesFor("gc", "amd64"),
-			ResultOf:   map[*analysis.Analyzer]any{},
-			Report: func(d analysis.Diagnostic) {
-				if collect {
-					*out = append(*out, d)
-				}
-			},
-			ReadFile: os.ReadFile,
-		}
-		for _, req := range a.Requires {
-			pass.ResultOf[req] = results[req]
-		}
-		res, err := a.Run(pass)
-		if err != nil {
-			return fmt.Errorf("%s: %w", a.Name, err)
-		}
-		results[a] = res
-		return nil
-	}
-	return run(a, true)
-}
-
 var wantRE = regexp.MustCompile(`// want (.*)$`)
 var wantArgRE = regexp.MustCompile(`"((?:[^"\\]|\\.)*)"`)
 
 // checkWants matches diagnostics against // want "re" comments.
-func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []analysis.Diagnostic) {
+func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []arcvetutil.Diagnostic) {
 	t.Helper()
 	type want struct {
 		file    string

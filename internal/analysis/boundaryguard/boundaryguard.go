@@ -38,18 +38,13 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"repro/internal/analysis/arcvetutil"
 )
 
-var Analyzer = &analysis.Analyzer{
-	Name:     "boundaryguard",
-	Doc:      "flags exported engine/server entry points that reach plan execution or frame decoding without a deferred recover-to-PanicError guard",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+var Analyzer = &arcvetutil.Analyzer{
+	Name: "boundaryguard",
+	Doc:  "flags exported engine/server entry points that reach plan execution or frame decoding without a deferred recover-to-PanicError guard",
+	Run:  run,
 }
 
 // boundaryPkgs are the packages whose exported surface faces untrusted
@@ -79,11 +74,10 @@ var dangers = []dangerSpec{
 	{pkg: "internal/server", prefix: "ReadFrame", exact: true},
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *arcvetutil.Pass) {
 	if !arcvetutil.PkgIs(pass.Pkg, boundaryPkgs...) {
-		return nil, nil
+		return
 	}
-	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	sup := arcvetutil.NewSuppressor(pass)
 	decls := arcvetutil.FuncDecls(pass)
 
@@ -91,26 +85,22 @@ func run(pass *analysis.Pass) (any, error) {
 		return arcvetutil.HasRecoverDefer(pass.TypesInfo, decls, decl.Body)
 	}
 
-	insp.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fd := n.(*ast.FuncDecl)
-		if fd.Body == nil || !fd.Name.IsExported() {
-			return
+	for _, fd := range arcvetutil.FuncBodies(pass) {
+		if !fd.Name.IsExported() {
+			continue
 		}
 		// Test files declare exported helpers and Test/Benchmark functions
 		// that legitimately call parsers bare; the contract covers the
 		// production surface only.
 		if file := pass.Fset.Position(fd.Pos()).Filename; strings.HasSuffix(file, "_test.go") {
-			return
+			continue
 		}
 		if !receiverExported(fd) {
-			return // not reachable from outside the package
+			continue // not reachable from outside the package
 		}
 		fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-		if !ok {
-			return
-		}
-		if guarded(fn, fd) {
-			return
+		if !ok || guarded(fn, fd) {
+			continue
 		}
 		var firstDanger string
 		var firstPath []*types.Func
@@ -134,8 +124,7 @@ func run(pass *analysis.Pass) (any, error) {
 				"exported %s entry point %s reaches %s%s with no deferred recover guard on the way; a panic on hostile input would kill the process — defer recoverTo(&err, ...) at the boundary",
 				pass.Pkg.Name(), fn.Name(), firstDanger, pathString(firstPath))
 		}
-	})
-	return nil, nil
+	}
 }
 
 // receiverExported reports whether fd is a plain function or a method
@@ -161,7 +150,7 @@ func receiverExported(fd *ast.FuncDecl) bool {
 
 // dangerCall classifies a call as dangerous, returning a description or
 // "".
-func dangerCall(pass *analysis.Pass, call *ast.CallExpr) string {
+func dangerCall(pass *arcvetutil.Pass, call *ast.CallExpr) string {
 	fn := arcvetutil.Callee(pass.TypesInfo, call)
 	if fn != nil && fn.Pkg() != nil {
 		for _, d := range dangers {

@@ -36,45 +36,34 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"repro/internal/analysis/arcvetutil"
 )
 
-var Analyzer = &analysis.Analyzer{
-	Name:     "cancelpoll",
-	Doc:      "flags row-pull loops (plan, eval) and fixpoint round loops that never poll runCtx.poll / evaluator.poll / Options.Check for cancellation",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+var Analyzer = &arcvetutil.Analyzer{
+	Name: "cancelpoll",
+	Doc:  "flags row-pull loops (plan, eval) and fixpoint round loops that never poll runCtx.poll / evaluator.poll / Options.Check for cancellation",
+	Run:  run,
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *arcvetutil.Pass) {
 	isPlan := arcvetutil.PkgIs(pass.Pkg, "internal/plan") || arcvetutil.PkgIs(pass.Pkg, "internal/eval")
 	isFixpoint := arcvetutil.PkgIs(pass.Pkg, "internal/fixpoint")
 	if !isPlan && !isFixpoint {
-		return nil, nil
+		return
 	}
-	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	sup := arcvetutil.NewSuppressor(pass)
 
-	insp.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fd := n.(*ast.FuncDecl)
-		if fd.Body == nil {
-			return
-		}
+	for _, fd := range arcvetutil.FuncBodies(pass) {
 		if file := pass.Fset.Position(fd.Pos()).Filename; strings.HasSuffix(file, "_test.go") {
-			return
+			continue
 		}
 		c := &checker{pass: pass, sup: sup, isPlan: isPlan, isFixpoint: isFixpoint}
 		c.walk(fd.Body, false)
-	})
-	return nil, nil
+	}
 }
 
 type checker struct {
-	pass       *analysis.Pass
+	pass       *arcvetutil.Pass
 	sup        *arcvetutil.Suppressor
 	isPlan     bool
 	isFixpoint bool

@@ -26,29 +26,23 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"repro/internal/analysis/arcvetutil"
 )
 
-var Analyzer = &analysis.Analyzer{
-	Name:     "errcmp",
-	Doc:      "flags ==/!= against sentinel errors where errors.Is is required because the engine wraps them",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+var Analyzer = &arcvetutil.Analyzer{
+	Name: "errcmp",
+	Doc:  "flags ==/!= against sentinel errors where errors.Is is required because the engine wraps them",
+	Run:  run,
 }
 
-func run(pass *analysis.Pass) (any, error) {
-	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
+func run(pass *arcvetutil.Pass) {
 	sup := arcvetutil.NewSuppressor(pass)
 
-	insp.Preorder([]ast.Node{(*ast.BinaryExpr)(nil), (*ast.SwitchStmt)(nil)}, func(n ast.Node) {
+	inspect := func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.BinaryExpr:
 			if n.Op != token.EQL && n.Op != token.NEQ {
-				return
+				return true
 			}
 			if s := sentinelIn(pass, n.X, n.Y); s != nil {
 				sup.Report(n.OpPos, "comparison of sentinel %s with %s; the engine wraps its sentinels — use errors.Is", s.Name(), n.Op)
@@ -57,7 +51,7 @@ func run(pass *analysis.Pass) (any, error) {
 			// switch err { case ErrX: } compares by ==, with the same
 			// wrapped-sentinel blind spot.
 			if n.Tag == nil || !isErrorExpr(pass, n.Tag) {
-				return
+				return true
 			}
 			for _, stmt := range n.Body.List {
 				cc, ok := stmt.(*ast.CaseClause)
@@ -71,13 +65,16 @@ func run(pass *analysis.Pass) (any, error) {
 				}
 			}
 		}
-	})
-	return nil, nil
+		return true
+	}
+	for _, f := range pass.Files {
+		ast.Inspect(f, inspect)
+	}
 }
 
 // sentinelIn returns the sentinel variable when one side is a sentinel
 // and the other is an error-typed expression (not nil).
-func sentinelIn(pass *analysis.Pass, x, y ast.Expr) *types.Var {
+func sentinelIn(pass *arcvetutil.Pass, x, y ast.Expr) *types.Var {
 	if s := sentinelVar(pass, x); s != nil && isErrorExpr(pass, y) {
 		return s
 	}
@@ -88,7 +85,7 @@ func sentinelIn(pass *analysis.Pass, x, y ast.Expr) *types.Var {
 }
 
 // sentinelVar resolves e to a package-level error variable named Err*.
-func sentinelVar(pass *analysis.Pass, e ast.Expr) *types.Var {
+func sentinelVar(pass *arcvetutil.Pass, e ast.Expr) *types.Var {
 	var id *ast.Ident
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
@@ -115,7 +112,7 @@ func sentinelVar(pass *analysis.Pass, e ast.Expr) *types.Var {
 }
 
 // isErrorExpr reports whether e has static type error (nil does not).
-func isErrorExpr(pass *analysis.Pass, e ast.Expr) bool {
+func isErrorExpr(pass *arcvetutil.Pass, e ast.Expr) bool {
 	tv, ok := pass.TypesInfo.Types[e]
 	if !ok || tv.IsNil() {
 		return false

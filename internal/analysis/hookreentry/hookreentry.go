@@ -28,18 +28,13 @@ import (
 	"go/ast"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"repro/internal/analysis/arcvetutil"
 )
 
-var Analyzer = &analysis.Analyzer{
-	Name:     "hookreentry",
-	Doc:      "flags Store.Commit/Apply/Barrier calls reachable from a commit hook or barrier callback, which self-deadlock under the commit lock",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+var Analyzer = &arcvetutil.Analyzer{
+	Name: "hookreentry",
+	Doc:  "flags Store.Commit/Apply/Barrier calls reachable from a commit hook or barrier callback, which self-deadlock under the commit lock",
+	Run:  run,
 }
 
 // registrars are the Store methods whose function argument runs under
@@ -49,26 +44,28 @@ var registrars = map[string]bool{"SetCommitHook": true, "Barrier": true}
 // reentrant are the Store methods that take the commit lock.
 var reentrant = map[string]bool{"Commit": true, "Apply": true, "Barrier": true}
 
-func run(pass *analysis.Pass) (any, error) {
-	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
+func run(pass *arcvetutil.Pass) {
 	sup := arcvetutil.NewSuppressor(pass)
 	decls := arcvetutil.FuncDecls(pass)
 
-	insp.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
-		reg := n.(*ast.CallExpr)
+	inspect := func(n ast.Node) bool {
+		reg, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
 		fn := arcvetutil.Callee(pass.TypesInfo, reg)
 		if fn == nil || !registrars[fn.Name()] {
-			return
+			return true
 		}
 		if !arcvetutil.MethodOn(fn, "internal/relation", "Store", fn.Name()) {
-			return
+			return true
 		}
 		if len(reg.Args) != 1 {
-			return
+			return true
 		}
 		root, rootName := resolveCallback(pass, decls, reg.Args[0])
 		if root == nil {
-			return
+			return true
 		}
 		regPos := pass.Fset.Position(reg.Pos())
 		w := &arcvetutil.Walker{
@@ -88,14 +85,17 @@ func run(pass *analysis.Pass) (any, error) {
 			},
 		}
 		w.Walk(root)
-	})
-	return nil, nil
+		return true
+	}
+	for _, f := range pass.Files {
+		ast.Inspect(f, inspect)
+	}
 }
 
 // resolveCallback turns the registered argument into a walkable body: a
 // function literal's body, or the declaration of a same-package named
 // function / method value.
-func resolveCallback(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, arg ast.Expr) (ast.Node, string) {
+func resolveCallback(pass *arcvetutil.Pass, decls map[*types.Func]*ast.FuncDecl, arg ast.Expr) (ast.Node, string) {
 	switch arg := ast.Unparen(arg).(type) {
 	case *ast.FuncLit:
 		return arg.Body, "callback"

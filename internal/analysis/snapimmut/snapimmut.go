@@ -32,18 +32,13 @@ import (
 	"go/ast"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"repro/internal/analysis/arcvetutil"
 )
 
-var Analyzer = &analysis.Analyzer{
-	Name:     "snapimmut",
-	Doc:      "flags mutating Relation method calls on values reached from a committed Snapshot rather than a WriteSet clone",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+var Analyzer = &arcvetutil.Analyzer{
+	Name: "snapimmut",
+	Doc:  "flags mutating Relation method calls on values reached from a committed Snapshot rather than a WriteSet clone",
+	Run:  run,
 }
 
 // mutating methods of *relation.Relation: calling any of these on a
@@ -78,28 +73,22 @@ var fresheners = map[string]bool{
 	"Rename":  true,
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *arcvetutil.Pass) {
 	if arcvetutil.PkgIs(pass.Pkg, "internal/relation") {
-		return nil, nil // the store's own implementation package
+		return // the store's own implementation package
 	}
-	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	sup := arcvetutil.NewSuppressor(pass)
 
-	insp.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fd := n.(*ast.FuncDecl)
-		if fd.Body == nil {
-			return
-		}
+	for _, fd := range arcvetutil.FuncBodies(pass) {
 		w := &walker{pass: pass, sup: sup, taint: map[types.Object]bool{}}
 		w.stmts(fd.Body)
-	})
-	return nil, nil
+	}
 }
 
 // walker tracks, in source order, which local variables hold
 // snapshot-derived relations (or maps of them).
 type walker struct {
-	pass  *analysis.Pass
+	pass  *arcvetutil.Pass
 	sup   *arcvetutil.Suppressor
 	taint map[types.Object]bool
 }

@@ -6,8 +6,8 @@
 // lookup per probe row rather than a nested full scan.
 //
 // Both evaluators lower onto this layer: internal/plan compiles SQL
-// blocks into trees of these operators (EquiJoinTraced and
-// OuterHashJoinTraced over HashTable, GroupAggregate, Filter, Dedup), and
+// blocks into trees of these operators (EquiJoin and OuterHashJoin over
+// HashTable, GroupAggregate, Filter, Dedup), and
 // internal/eval compiles ARC quantifier scopes — Datalog programs
 // included — onto the same pipeline. The enumeration paths (the rest of
 // internal/eval, and internal/sqleval) use Scan/Probe directly.

@@ -148,14 +148,14 @@ func concatNull(left relation.Tuple, leftArity int, right relation.Tuple, rightA
 	return out
 }
 
-// EquiJoinTraced streams the strict-equality hash join of left against
+// EquiJoin streams the strict-equality hash join of left against
 // ht: left ++ right concatenations for every candidate whose key columns
 // Eq-match (3VL True) the left row's values at leftCols, optionally
 // filtered by the residual on predicate over the concatenated tuple.
 // NULL keys never match, and Eq-vs-Key divergence beyond 2^53 is handled
 // by ht's overflow list. A non-nil op counts probe rows: one with at
 // least one surviving match (post-residual) is a hit, otherwise a miss.
-func EquiJoinTraced(left Seq, leftCols []int, ht *HashTable, on func(relation.Tuple) bool, op *trace.Op) Seq {
+func EquiJoin(left Seq, leftCols []int, ht *HashTable, on func(relation.Tuple) bool, op *trace.Op) Seq {
 	return func(yield func(relation.Tuple, int) bool) {
 		vals := make([]value.Value, 0, len(leftCols))
 		for lt, lm := range left {
@@ -191,7 +191,7 @@ func EquiJoinTraced(left Seq, leftCols []int, ht *HashTable, on func(relation.Tu
 	}
 }
 
-// OuterHashJoinTraced streams the left-outer (full=false) or full-outer
+// OuterHashJoin streams the left-outer (full=false) or full-outer
 // (full=true) hash join of left against ht. A left row joins every
 // candidate whose keys Eq-match and whose concatenated tuple passes the
 // residual on predicate (nil = always); rows with no match null-extend
@@ -199,7 +199,7 @@ func EquiJoinTraced(left Seq, leftCols []int, ht *HashTable, on func(relation.Tu
 // null-extended on the probe side after the probe input drains. A
 // non-nil op counts probe rows as hits or misses (a null-extended probe
 // row is a miss).
-func OuterHashJoinTraced(left Seq, leftCols []int, ht *HashTable, on func(relation.Tuple) bool, full bool, leftArity int, op *trace.Op) Seq {
+func OuterHashJoin(left Seq, leftCols []int, ht *HashTable, on func(relation.Tuple) bool, full bool, leftArity int, op *trace.Op) Seq {
 	return func(yield func(relation.Tuple, int) bool) {
 		var matched []bool
 		if full {

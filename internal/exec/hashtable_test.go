@@ -18,7 +18,7 @@ func TestEquiJoinStrictEquality(t *testing.T) {
 	left := relation.New("L", "a").Add(1).Add(nil).Add(2)
 	right := relation.New("R", "b").Add(1).Add(nil).Add(1)
 	ht := ht2(t, right, 0)
-	rows := Collect(EquiJoinTraced(Scan(left), []int{0}, ht, nil, nil))
+	rows := Collect(EquiJoin(Scan(left), []int{0}, ht, nil, nil))
 	// Only 1=1 matches (twice via the bag weight of... distinct rows: 1
 	// appears twice → merged to mult 2 at build).
 	total := 0
@@ -37,7 +37,7 @@ func TestEquiJoinResidual(t *testing.T) {
 	left := relation.New("L", "a", "x").Add(1, 10).Add(1, 20)
 	right := relation.New("R", "b", "y").Add(1, 10).Add(1, 99)
 	ht := ht2(t, right, 0)
-	rows := Collect(EquiJoinTraced(Scan(left), []int{0}, ht, func(t relation.Tuple) bool {
+	rows := Collect(EquiJoin(Scan(left), []int{0}, ht, func(t relation.Tuple) bool {
 		return value.Eq.Apply(t[1], t[3]) == value.True
 	}, nil))
 	if len(rows) != 1 || rows[0].Tup[1].AsInt() != 10 {
@@ -49,7 +49,7 @@ func TestOuterHashJoinLeft(t *testing.T) {
 	left := relation.New("L", "a").Add(1).Add(2).Add(3)
 	right := relation.New("R", "b", "c").Add(2, 20).Add(3, 30)
 	ht := ht2(t, right, 0)
-	got := Materialize(OuterHashJoinTraced(Scan(left), []int{0}, ht, nil, false, 1, nil), "J", "a", "b", "c")
+	got := Materialize(OuterHashJoin(Scan(left), []int{0}, ht, nil, false, 1, nil), "J", "a", "b", "c")
 	want := relation.New("J", "a", "b", "c").
 		Add(1, nil, nil).Add(2, 2, 20).Add(3, 3, 30)
 	if !got.EqualBag(want) {
@@ -61,7 +61,7 @@ func TestOuterHashJoinFull(t *testing.T) {
 	left := relation.New("L", "a").Add(1).Add(2)
 	right := relation.New("R", "b").Add(2).Add(3)
 	ht := ht2(t, right, 0)
-	got := Materialize(OuterHashJoinTraced(Scan(left), []int{0}, ht, nil, true, 1, nil), "J", "a", "b")
+	got := Materialize(OuterHashJoin(Scan(left), []int{0}, ht, nil, true, 1, nil), "J", "a", "b")
 	want := relation.New("J", "a", "b").Add(1, nil).Add(2, 2).Add(nil, 3)
 	if !got.EqualBag(want) {
 		t.Fatalf("full join mismatch:\n%s\nwant:\n%s", got, want)
@@ -74,7 +74,7 @@ func TestOuterHashJoinFullResidualKeepsUnmatched(t *testing.T) {
 	left := relation.New("L", "a").Add(1)
 	right := relation.New("R", "b").Add(1)
 	ht := ht2(t, right, 0)
-	got := Materialize(OuterHashJoinTraced(Scan(left), []int{0}, ht,
+	got := Materialize(OuterHashJoin(Scan(left), []int{0}, ht,
 		func(relation.Tuple) bool { return false }, true, 1, nil), "J", "a", "b")
 	want := relation.New("J", "a", "b").Add(1, nil).Add(nil, 1)
 	if !got.EqualBag(want) {

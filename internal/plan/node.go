@@ -681,11 +681,11 @@ func (n *hashJoinNode) Run(ctx *runCtx) exec.Seq {
 	left := guard(n.left.Run(ctx), ctx)
 	switch n.kind {
 	case joinLeft:
-		return ctx.traced(n, exec.OuterHashJoinTraced(left, n.leftCols, ht, on, false, len(n.left.Schema()), op))
+		return ctx.traced(n, exec.OuterHashJoin(left, n.leftCols, ht, on, false, len(n.left.Schema()), op))
 	case joinFull:
-		return ctx.traced(n, exec.OuterHashJoinTraced(left, n.leftCols, ht, on, true, len(n.left.Schema()), op))
+		return ctx.traced(n, exec.OuterHashJoin(left, n.leftCols, ht, on, true, len(n.left.Schema()), op))
 	}
-	return ctx.traced(n, exec.EquiJoinTraced(left, n.leftCols, ht, on, op))
+	return ctx.traced(n, exec.EquiJoin(left, n.leftCols, ht, on, op))
 }
 
 func (n *hashJoinNode) writeExplain(b *strings.Builder, depth int, tr *trace.Trace) {

@@ -202,9 +202,9 @@ type Select struct {
 	Where    Expr
 	GroupBy  []Expr
 	Having   Expr
-	// OrderBy is presentation-level ordering over output column names
-	// (the paper treats sorted lists as outside the flat relational
-	// core, Section 5; internal/sqleval honours it via EvalOrdered).
+	// OrderBy is presentation-level ordering over output column names.
+	// It is parsed and printed; the paper places sorted lists outside the
+	// flat relational core (Section 5), and no executor applies it.
 	OrderBy []OrderItem
 }
 

@@ -172,8 +172,8 @@ type scopeParts struct {
 
 // selectQuery translates one SELECT block into a collection. ORDER BY is
 // dropped: the paper places sorted lists outside the flat relational
-// core (Section 5), so ordering does not affect the relational pattern;
-// use sqleval.EvalOrdered for ordered presentation.
+// core (Section 5), so ordering does not affect the relational pattern,
+// and no executor in this repository applies it.
 func (tr *translator) selectQuery(s *sql.Select, name string) (*alt.Collection, error) {
 	sp := &scopeParts{}
 	for _, ref := range s.From {

@@ -329,3 +329,19 @@ func TestSumOverStringsErrors(t *testing.T) {
 		t.Fatalf("want non-numeric error, got %v", err)
 	}
 }
+
+func TestEvalIgnoresOrderBy(t *testing.T) {
+	// ORDER BY is presentation, outside the relational core: Eval ignores it.
+	db := NewDB(relation.New("R", "A").Add(2).Add(1))
+	with, err := EvalString("select R.A from R order by A", db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	without, err := EvalString("select R.A from R", db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !with.EqualBag(without) {
+		t.Fatal("Eval must ignore ORDER BY (relation content unchanged)")
+	}
+}
