@@ -304,11 +304,12 @@ func benchThreeLang(b *testing.B, shape int) {
 	}
 }
 
-// BenchmarkThreeLangJoin and BenchmarkThreeLangGroup: the paper's claim
-// is one relational core under three syntaxes, so one shape should cost
-// one price (ROADMAP item 2).
+// BenchmarkThreeLangJoin, BenchmarkThreeLangGroup and
+// BenchmarkThreeLangTC: the paper's claim is one relational core under
+// three syntaxes, so one shape should cost one price (ROADMAP item 2).
 func BenchmarkThreeLangJoin(b *testing.B)  { benchThreeLang(b, 0) }
 func BenchmarkThreeLangGroup(b *testing.B) { benchThreeLang(b, 1) }
+func BenchmarkThreeLangTC(b *testing.B)    { benchThreeLang(b, 2) }
 
 // BenchmarkTracedVsUntraced pins the observability overhead contract:
 // tracing disabled costs nothing (the untraced cursor path is the same

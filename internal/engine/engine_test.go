@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -291,8 +292,8 @@ Fixpoint R (semi-naive, ΔR per round):
       Produce {x1 = t1.s, x2 = t1.t}
   rule 2 [delta (semi-naive)]:
     scope ∃t2 ∈ P, t3 ∈ R:
-      Scan P [t2]
-      IndexJoin R [t3] probe(t3.x1 = t2.t)
+      Scan R [t3]
+      IndexJoin P [t2] probe(t2.t = t3.x1)
       Produce {x1 = t2.s, x2 = t3.x2}
 `
 	if got != want {
@@ -417,6 +418,94 @@ func TestThreeLanguageParity(t *testing.T) {
 		t.Errorf("datalog_group allocates %.0f times per run, arc_group %.0f: more than 2×", d, a)
 	}
 	t.Logf("allocations per run: %v", allocs)
+}
+
+// TestDeltaDrivesEitherAtomOrder holds a transitive closure to one cost
+// whichever atom its recursive rule names first (docs/INVARIANTS.md "The
+// delta drives"). In each language the spelling with the recursive atom
+// last (three_lang's) and the one with it first have the same plan shape
+// — the delta streams and probes the static P — the same fixpoint rounds
+// and per-round deltas, equal bags, and allocations within 5%.
+func TestDeltaDrivesEitherAtomOrder(t *testing.T) {
+	db := Open(workload.ThreeLang(workload.Rand(1))...).SetConventions(convention.SetLogic())
+	ctx := context.Background()
+	tc := workload.ThreeLangShapes[2]
+	history := regexp.MustCompile(`rounds=\d+ deltas=\[[^\]]*\]`)
+	// drivenBy names the side a recursive step streams and the side it
+	// looks up: the children of the step's hash join (SQL), or the first
+	// two leaves of the delta rule's scope (ARC, Datalog).
+	drivenBy := func(lang Lang, plan string) (stream, lookup string) {
+		lines := strings.Split(plan, "\n")
+		for i, l := range lines {
+			switch {
+			case lang == LangSQL && strings.Contains(l, "HashJoin") && i+2 < len(lines):
+				a, b := strings.TrimSpace(lines[i+1]), strings.TrimSpace(lines[i+2])
+				if strings.Contains(l, "build(left)") {
+					return b, a
+				}
+				return a, b
+			case lang != LangSQL && strings.Contains(l, "[delta (semi-naive)]") && i+3 < len(lines):
+				return strings.Fields(lines[i+2])[1], strings.Fields(lines[i+3])[1]
+			}
+		}
+		return "", ""
+	}
+	for _, c := range []struct {
+		lang        Lang
+		last, first string
+		stream      string
+		rounds      string
+	}{
+		{LangSQL, tc.SQL,
+			"with recursive A (s, t) as (select P.s, P.t from P union select P.s, A.t from A, P where P.t = A.s) select A.s, A.t from A",
+			"CteScan ΔA", "rounds=40 "},
+		{LangARC, tc.ARC,
+			"{A(s, t) | ∃p ∈ P [A.s = p.s ∧ A.t = p.t] ∨ ∃a2 ∈ A, p ∈ P [A.s = p.s ∧ p.t = a2.s ∧ A.t = a2.t]}",
+			"A", "rounds=39 "},
+		{LangDatalog, tc.Datalog, "A(x,y) :- P(x,y). A(x,y) :- A(z,y), P(x,z).", "A", "rounds=39 "},
+	} {
+		var bags [2]*relation.Relation
+		var hist [2]string
+		var allocs [2]float64
+		for i, src := range []string{c.last, c.first} {
+			stmt, err := db.Prepare(c.lang, src)
+			if err != nil {
+				t.Fatalf("%s: %v", src, err)
+			}
+			plan, err := stmt.Explain()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stream, lookup := drivenBy(c.lang, plan); stream != c.stream || !strings.Contains(lookup, "P") {
+				t.Errorf("%s: the step streams %q and looks up %q, want %q and P:\n%s", src, stream, lookup, c.stream, plan)
+			}
+			text, err := stmt.ExplainAnalyze(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hist[i] = history.FindString(text); !strings.HasPrefix(hist[i], c.rounds) {
+				t.Errorf("%s: fixpoint %q, want %s", src, hist[i], c.rounds)
+			}
+			if bags[i], err = stmt.QueryAll(ctx); err != nil {
+				t.Fatal(err)
+			}
+			bags[i] = bags[i].Rename("X", []string{"c1", "c2"})
+			allocs[i] = testing.AllocsPerRun(10, func() {
+				if _, err := stmt.QueryAll(ctx); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if hist[0] != hist[1] {
+			t.Errorf("%s: fixpoints differ by atom order: %s vs %s", c.lang, hist[0], hist[1])
+		}
+		if bags[0].Card() == 0 || !bags[0].EqualBag(bags[1]) {
+			t.Errorf("%s: answers differ by atom order (%d vs %d rows)", c.lang, bags[0].Card(), bags[1].Card())
+		}
+		if lo, hi := min(allocs[0], allocs[1]), max(allocs[0], allocs[1]); hi > 1.05*lo {
+			t.Errorf("%s: %.0f allocations per run with the recursive atom last, %.0f with it first: more than 5%% apart", c.lang, allocs[0], allocs[1])
+		}
+	}
 }
 
 // compilations counts statement compilations so far: every Prepare (and

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/relation"
-	"repro/internal/value"
 )
 
 func mustExec(t *testing.T, db *DB, lang Lang, src string, args ...any) Result {
@@ -66,7 +65,7 @@ func TestExecInsertColumnListNullFill(t *testing.T) {
 		t.Fatalf("got %d rows, want 1", len(tuples))
 	}
 	tup := tuples[0]
-	if tup[0] != value.Int(3) || !tup[1].IsNull() || tup[2] != value.Int(30) {
+	if tup[0].AsInt() != 3 || !tup[1].IsNull() || tup[2].AsInt() != 30 {
 		t.Fatalf("row = %v, want (3, NULL, 30)", tup)
 	}
 	// Unknown and duplicate columns are prepare-time errors.

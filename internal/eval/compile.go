@@ -173,7 +173,11 @@ func (ev *evaluator) compileScope(si *scopeInfo, outer *scopeCompiler) (*scopePl
 		sp.ncols = outer.sp.ncols
 		c.closed = c.closed || outer.closed
 	}
-	for _, kid := range si.tree.kids {
+	kids := si.tree.kids
+	if i := slices.IndexFunc(kids, func(k *joinNode) bool { return k.leaf != nil && k.leaf == si.lead }); i > 0 {
+		kids = slices.Concat(kids[i:i+1], kids[:i], kids[i+1:])
+	}
+	for _, kid := range kids {
 		if !kid.isLeaf() {
 			return nil, "nested join annotation"
 		}

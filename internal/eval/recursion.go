@@ -24,7 +24,8 @@ import (
 //     re-derives only through the previous round's delta, bound to the
 //     referenced name via the evaluator's override slot (which the
 //     compiled scope pipeline of compile.go resolves at run time, so the
-//     body compiles once and probes the rotating delta);
+//     body compiles once). The occurrence is the scope's first leaf: each
+//     round scans the delta and probes the other leaves' indexes from it;
 //   - everything else (non-linear recursion, references through nested
 //     scopes, outer-join scopes) falls back to naive re-derivation from
 //     the full totals each round, which is sound because accumulation is
@@ -233,17 +234,23 @@ func (ev *evaluator) classifyDisjunct(f alt.Formula, names map[string]bool) (fix
 	if !ok || total != 1 {
 		return fixpoint.Naive, ""
 	}
-	direct := false
+	var lead *alt.Binding
 	for _, b := range q.Bindings {
-		direct = direct || (b.Sub == nil && b.Rel == occ)
+		if b.Sub == nil && b.Rel == occ {
+			lead = b
+		}
 	}
-	if !direct {
+	if lead == nil {
 		return fixpoint.Naive, ""
 	}
 	si, err := ev.scopeInfoFor(q)
 	if err != nil || treeHasOuter(si.tree) {
 		return fixpoint.Naive, ""
 	}
+	// The delta drives the round: the compiled scope scans the occurrence
+	// first and probes every other leaf's index from it, so a round costs
+	// what its delta holds and builds no index on it.
+	si.lead = lead
 	return fixpoint.Delta, occ
 }
 

@@ -209,8 +209,8 @@ func TestExplainRecursiveGolden(t *testing.T) {
       Produce {s = p.s, t = p.t}
   rule 2 [delta (semi-naive)]:
     scope ∃p ∈ P, a2 ∈ A:
-      Scan P [p]
-      IndexJoin A [a2] probe(a2.s = p.t)
+      Scan A [a2]
+      IndexJoin P [p] probe(p.t = a2.s)
       Produce {s = p.s, t = a2.t}
 `
 	if got != want {

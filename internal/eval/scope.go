@@ -51,6 +51,9 @@ type scopeInfo struct {
 	plan       *scopePlan
 	planTried  bool
 	planReason string
+	// lead is the recursive occurrence of a Delta rule's scope
+	// (classifyDisjunct): compileScope enumerates its leaf first.
+	lead *alt.Binding
 	// closed and corrKeys describe the decorrelated variant of a γ∅
 	// nested collection's scope (compileLookup): its correlation
 	// equalities are gone from where and eqPreds, their inner sides

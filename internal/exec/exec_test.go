@@ -99,7 +99,7 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 	attrs := []string{"a", "b", "b2", "c"}
 	want := rowsToRel(nestedLoopJoin(r, s, []int{1}, []int{0}), "J", attrs...)
 	ht := BuildHashTable(Scan(s), []int{0}, s.Arity())
-	hj := Materialize(EquiJoin(Scan(r), []int{1}, ht, nil, nil), "J", attrs...)
+	hj := Materialize(EquiJoin(Scan(r), []int{1}, ht, false, nil, nil), "J", attrs...)
 	if !hj.EqualBag(want) {
 		t.Fatalf("hash join: got\n%s\nwant\n%s", hj, want)
 	}

@@ -31,6 +31,7 @@ func BuildHashTable(in Seq, cols []int, arity int) *HashTable {
 		buckets: map[string][]int{},
 		arity:   arity,
 	}
+	var kb [64]byte
 	for t, m := range in {
 		slot := len(ht.rows)
 		ht.rows = append(ht.rows, Row{Tup: t.Clone(), Mult: m})
@@ -42,8 +43,8 @@ func BuildHashTable(in Seq, cols []int, arity int) *HashTable {
 			}
 		}
 		if indexable {
-			k := keyAt(t, cols)
-			ht.buckets[k] = append(ht.buckets[k], slot)
+			k := appendKeyAt(kb[:0], t, cols)
+			ht.buckets[string(k)] = append(ht.buckets[string(k)], slot)
 		} else {
 			ht.overflow = append(ht.overflow, slot)
 		}
@@ -109,13 +110,13 @@ func (ht *HashTable) EqMatch(r Row, vals []value.Value) bool {
 	return true
 }
 
-// keyAt extracts the bucket key of t at cols.
-func keyAt(t relation.Tuple, cols []int) string {
-	vals := make([]value.Value, len(cols))
-	for i, c := range cols {
-		vals[i] = t[c]
+// appendKeyAt appends the bucket key of t at cols to b: the Tuple key of
+// those values, which is what Candidates looks a probe up by.
+func appendKeyAt(b []byte, t relation.Tuple, cols []int) []byte {
+	for _, c := range cols {
+		b = append(t[c].AppendKey(b), '\x1f')
 	}
-	return relation.KeyOf(vals)
+	return b
 }
 
 // valsAt extracts the probe key of t at cols into dst.
@@ -148,30 +149,36 @@ func concatNull(left relation.Tuple, leftArity int, right relation.Tuple, rightA
 	return out
 }
 
-// EquiJoin streams the strict-equality hash join of left against
-// ht: left ++ right concatenations for every candidate whose key columns
-// Eq-match (3VL True) the left row's values at leftCols, optionally
-// filtered by the residual on predicate over the concatenated tuple.
-// NULL keys never match, and Eq-vs-Key divergence beyond 2^53 is handled
-// by ht's overflow list. A non-nil op counts probe rows: one with at
-// least one surviving match (post-residual) is a hit, otherwise a miss.
-func EquiJoin(left Seq, leftCols []int, ht *HashTable, on func(relation.Tuple) bool, op *trace.Op) Seq {
+// EquiJoin streams the strict-equality hash join of probe against ht:
+// for every candidate whose key columns Eq-match (3VL True) the probe
+// row's values at probeCols, the concatenation probe ++ build — or build
+// ++ probe when buildFirst, for a join that builds its left input —
+// optionally filtered by the residual on predicate over the concatenated
+// tuple. NULL keys never match, and Eq-vs-Key divergence beyond 2^53 is
+// handled by ht's overflow list. A non-nil op counts probe rows: one with
+// at least one surviving match (post-residual) is a hit, otherwise a miss.
+func EquiJoin(probe Seq, probeCols []int, ht *HashTable, buildFirst bool, on func(relation.Tuple) bool, op *trace.Op) Seq {
 	return func(yield func(relation.Tuple, int) bool) {
-		vals := make([]value.Value, 0, len(leftCols))
-		for lt, lm := range left {
-			vals = valsAt(lt, leftCols, vals)
+		vals := make([]value.Value, 0, len(probeCols))
+		for pt, pm := range probe {
+			vals = valsAt(pt, probeCols, vals)
 			stop := false
 			any := false
 			ht.Candidates(vals, func(_ int, r Row) bool {
 				if !ht.EqMatch(r, vals) {
 					return true
 				}
-				out := concatNull(lt, len(lt), r.Tup, ht.arity)
+				var out relation.Tuple
+				if buildFirst {
+					out = concatNull(r.Tup, ht.arity, pt, len(pt))
+				} else {
+					out = concatNull(pt, len(pt), r.Tup, ht.arity)
+				}
 				if on != nil && !on(out) {
 					return true
 				}
 				any = true
-				if !yield(out, lm*r.Mult) {
+				if !yield(out, pm*r.Mult) {
 					stop = true
 					return false
 				}

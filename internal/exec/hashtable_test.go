@@ -18,7 +18,7 @@ func TestEquiJoinStrictEquality(t *testing.T) {
 	left := relation.New("L", "a").Add(1).Add(nil).Add(2)
 	right := relation.New("R", "b").Add(1).Add(nil).Add(1)
 	ht := ht2(t, right, 0)
-	rows := Collect(EquiJoin(Scan(left), []int{0}, ht, nil, nil))
+	rows := Collect(EquiJoin(Scan(left), []int{0}, ht, false, nil, nil))
 	// Only 1=1 matches (twice via the bag weight of... distinct rows: 1
 	// appears twice → merged to mult 2 at build).
 	total := 0
@@ -37,11 +37,25 @@ func TestEquiJoinResidual(t *testing.T) {
 	left := relation.New("L", "a", "x").Add(1, 10).Add(1, 20)
 	right := relation.New("R", "b", "y").Add(1, 10).Add(1, 99)
 	ht := ht2(t, right, 0)
-	rows := Collect(EquiJoin(Scan(left), []int{0}, ht, func(t relation.Tuple) bool {
+	rows := Collect(EquiJoin(Scan(left), []int{0}, ht, false, func(t relation.Tuple) bool {
 		return value.Eq.Apply(t[1], t[3]) == value.True
 	}, nil))
 	if len(rows) != 1 || rows[0].Tup[1].AsInt() != 10 {
 		t.Fatalf("residual filter failed: %v", rows)
+	}
+}
+
+// TestEquiJoinBuildFirst: a join that builds its left input and streams
+// its right emits the same left ++ right tuples, residual included, as
+// the one that builds its right.
+func TestEquiJoinBuildFirst(t *testing.T) {
+	left := relation.New("L", "a", "x").Add(1, 10).Add(2, 20).Add(nil, 30)
+	right := relation.New("R", "b", "y").Add(1, 10).Add(2, 9).Add(1, 11).Add(nil, 30)
+	on := func(t relation.Tuple) bool { return value.Lt.Apply(t[1], t[3]) != value.True }
+	want := Materialize(EquiJoin(Scan(left), []int{0}, ht2(t, right, 0), false, on, nil), "J", "a", "x", "b", "y")
+	got := Materialize(EquiJoin(Scan(right), []int{0}, ht2(t, left, 0), true, on, nil), "J", "a", "x", "b", "y")
+	if want.Card() != 2 || !got.EqualBag(want) {
+		t.Fatalf("build-first join:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -52,7 +52,7 @@ func TestStreamingEqualsMaterialized(t *testing.T) {
 				wantJ := rowsToRel(nestedLoopJoin(r, s, []int{1}, []int{0}), "J", attrs...)
 				ht := BuildHashTable(Scan(s), []int{0}, s.Arity())
 				check(t, trial, "hash-join", conv,
-					Materialize(EquiJoin(Scan(r), []int{1}, ht, nil, nil), "J", attrs...), wantJ)
+					Materialize(EquiJoin(Scan(r), []int{1}, ht, false, nil, nil), "J", attrs...), wantJ)
 
 				// γ: streaming group/aggregate vs a reference fold.
 				check(t, trial, "group-agg", conv,

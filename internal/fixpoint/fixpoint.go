@@ -8,8 +8,9 @@
 //
 //   - internal/eval runs recursive ARC collections through Run: each
 //     disjunct becomes a rule, with linear disjuncts reading the delta
-//     through the evaluator's override slot and non-linear ones falling
-//     back to naive re-derivation per round. Mutually recursive
+//     through the evaluator's override slot — scanned first, probing the
+//     other atoms' indexes — and non-linear ones falling back to naive
+//     re-derivation per round. Mutually recursive
 //     definitions (a query and catalog views) form one multi-target Run.
 //     Datalog programs arrive the same way, lowered to ARC by
 //     internal/datalog, which uses Stratify to reject recursion through
@@ -17,7 +18,8 @@
 //   - internal/plan executes SQL WITH RECURSIVE through CTE.Run, the
 //     working-table variant of the loop (the SQL-standard semantics where
 //     the step sees only the previous round's rows), with the step's
-//     compiled exec tree reading the delta through a Handle.
+//     compiled exec tree streaming the delta through a Handle into hash
+//     tables built once per execution on the static side.
 //
 // The engine owns termination: accumulation into totals is set-monotone
 // (a tuple enters the total and the next delta only when new), so every
@@ -74,8 +76,9 @@ const (
 )
 
 // Emit hands one derived head tuple to the engine, which inserts it into
-// the target's total (and the next delta) only when new. The tuple is
-// cloned on insertion, so callers may reuse the backing slice.
+// the target's total (and the next delta) only when new. A new tuple is
+// cloned once, and the total and the delta share the copy, so callers may
+// reuse the backing slice.
 type Emit func(t relation.Tuple) error
 
 // Rule is one derivation rule of a recursive component.
@@ -141,13 +144,16 @@ func Run(totals map[string]*relation.Relation, rules []Rule, opt Options) error 
 			if total.Contains(t) {
 				return nil
 			}
-			total.Insert(t)
+			// One copy serves both: stored tuples are immutable, so the
+			// total and the next delta share it.
+			t = t.Clone()
+			total.InsertOwned(t, 1)
 			d := next[target]
 			if d == nil {
 				d = relation.New(target, total.Attrs()...)
 				next[target] = d
 			}
-			d.Insert(t)
+			d.InsertOwned(t, 1)
 			return nil
 		}
 	}
@@ -291,7 +297,9 @@ func (c *CTE) Run() (*relation.Relation, error) {
 	if err := c.Base(collect(work)); err != nil {
 		return nil, err
 	}
-	work.Each(func(t relation.Tuple, m int) { total.InsertMult(t, m) })
+	// The working table's stored tuples are immutable, so they move into
+	// the result without a copy; so do every round's below.
+	work.Each(func(t relation.Tuple, m int) { total.InsertOwned(t, m) })
 	if c.OnRound != nil {
 		c.OnRound(work.Card(), time.Since(roundStart))
 	}
@@ -315,7 +323,7 @@ func (c *CTE) Run() (*relation.Relation, error) {
 		if err := c.Step(work, collect(next)); err != nil {
 			return nil, err
 		}
-		next.Each(func(t relation.Tuple, m int) { total.InsertMult(t, m) })
+		next.Each(func(t relation.Tuple, m int) { total.InsertOwned(t, m) })
 		if c.OnRound != nil {
 			c.OnRound(next.Card(), time.Since(roundStart))
 		}

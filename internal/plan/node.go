@@ -75,7 +75,8 @@ type runCtx struct {
 	handles map[*fixpoint.Handle]*relation.Relation
 	// builds caches hash-join build sides that cannot change within one
 	// execution (no rotating delta below them), so a recursive step
-	// re-executed every round rebuilds only the delta side.
+	// re-executed every round builds nothing: its delta streams and
+	// probes tables built in the first round.
 	builds map[*hashJoinNode]*exec.HashTable
 	// trace, when non-nil, collects per-operator counters and timings for
 	// this execution (EXPLAIN ANALYZE). nil disables every
@@ -609,17 +610,20 @@ func (k joinKind) String() string {
 	return "?"
 }
 
-// hashJoinNode joins two subtrees: the right side is materialized into an
-// exec.HashTable on its key columns, the left side streams and probes.
+// hashJoinNode joins two subtrees: one side is materialized into an
+// exec.HashTable on its key columns, the other streams and probes it.
 // Key equality is strict (3VL True) and the residual ON predicate is
-// evaluated over the concatenated tuple; LEFT/FULL kinds null-extend
-// unmatched rows per SQL outer-join semantics.
+// evaluated over the concatenated tuple, always left ++ right; LEFT/FULL
+// kinds null-extend unmatched rows per SQL outer-join semantics.
 //
-// rightStatic marks a build side whose content cannot change within one
-// execution (no rotating fixpoint relation below it): its hash table is
-// built once per runCtx and reused across fixpoint rounds, so a
-// recursive CTE step joining the delta against a base table rebuilds
-// only the probe side each round.
+// The right side builds, except that an inner join whose right subtree
+// reads a rotating fixpoint delta and whose left is static builds its
+// left: the delta drives the round, streaming and probing a table built
+// once per execution, so no round hashes the delta or rescans the static
+// side. buildStatic marks a build side whose
+// content cannot change within one execution (no rotating fixpoint
+// relation below it): its hash table is cached per runCtx and reused
+// across fixpoint rounds.
 type hashJoinNode struct {
 	kind        joinKind
 	left, right Node
@@ -629,27 +633,40 @@ type hashJoinNode struct {
 	residual    predFn
 	residualStr string
 	schema      []ColID
-	rightStatic bool
+	buildLeft   bool
+	buildStatic bool
 }
 
 func newHashJoinNode(kind joinKind, left, right Node) *hashJoinNode {
-	n := &hashJoinNode{kind: kind, left: left, right: right, rightStatic: subtreeStatic(right)}
+	n := &hashJoinNode{kind: kind, left: left, right: right}
+	n.buildLeft = kind == joinInner && readsDelta(right) && subtreeStatic(left)
+	build, _, _, _ := n.sides()
+	n.buildStatic = subtreeStatic(build)
 	n.schema = append(append([]ColID(nil), left.Schema()...), right.Schema()...)
 	return n
 }
 
 func (n *hashJoinNode) Schema() []ColID { return n.schema }
 
+// sides returns the build and probe subtrees with their key columns.
+func (n *hashJoinNode) sides() (build, probe Node, buildCols, probeCols []int) {
+	if n.buildLeft {
+		return n.left, n.right, n.leftCols, n.rightCols
+	}
+	return n.right, n.left, n.rightCols, n.leftCols
+}
+
 // buildSide returns the join's hash table, from the per-execution cache
-// when the right subtree is static.
+// when the build subtree is static.
 func (n *hashJoinNode) buildSide(ctx *runCtx) *exec.HashTable {
-	if !n.rightStatic {
-		return exec.BuildHashTable(n.right.Run(ctx), n.rightCols, len(n.right.Schema()))
+	build, _, cols, _ := n.sides()
+	if !n.buildStatic {
+		return exec.BuildHashTable(build.Run(ctx), cols, len(build.Schema()))
 	}
 	if ht := ctx.builds[n]; ht != nil {
 		return ht
 	}
-	ht := exec.BuildHashTable(n.right.Run(ctx), n.rightCols, len(n.right.Schema()))
+	ht := exec.BuildHashTable(build.Run(ctx), cols, len(build.Schema()))
 	if ctx.builds == nil {
 		ctx.builds = make(map[*hashJoinNode]*exec.HashTable)
 	}
@@ -678,14 +695,15 @@ func (n *hashJoinNode) Run(ctx *runCtx) exec.Seq {
 			return n.residual(t, ctx).Holds()
 		}
 	}
-	left := guard(n.left.Run(ctx), ctx)
+	_, probe, _, probeCols := n.sides()
+	in := guard(probe.Run(ctx), ctx)
 	switch n.kind {
 	case joinLeft:
-		return ctx.traced(n, exec.OuterHashJoin(left, n.leftCols, ht, on, false, len(n.left.Schema()), op))
+		return ctx.traced(n, exec.OuterHashJoin(in, probeCols, ht, on, false, len(n.left.Schema()), op))
 	case joinFull:
-		return ctx.traced(n, exec.OuterHashJoin(left, n.leftCols, ht, on, true, len(n.left.Schema()), op))
+		return ctx.traced(n, exec.OuterHashJoin(in, probeCols, ht, on, true, len(n.left.Schema()), op))
 	}
-	return ctx.traced(n, exec.EquiJoin(left, n.leftCols, ht, on, op))
+	return ctx.traced(n, exec.EquiJoin(in, probeCols, ht, n.buildLeft, on, op))
 }
 
 func (n *hashJoinNode) writeExplain(b *strings.Builder, depth int, tr *trace.Trace) {
@@ -697,6 +715,9 @@ func (n *hashJoinNode) writeExplain(b *strings.Builder, depth int, tr *trace.Tra
 	}
 	if n.residualStr != "" {
 		fmt.Fprintf(b, " residual(%s)", n.residualStr)
+	}
+	if n.buildLeft {
+		b.WriteString(" build(left)")
 	}
 	if tr != nil {
 		if op := tr.Lookup(n); op != nil {
@@ -727,39 +748,66 @@ func guard(in exec.Seq, ctx *runCtx) exec.Seq {
 	}
 }
 
+// inputs lists a node's input subtrees; ok is false for an operator the
+// walkers below do not know.
+func inputs(n Node) (kids []Node, ok bool) {
+	switch x := n.(type) {
+	case *scanNode, valuesNode, *cteNode:
+		return nil, true
+	case *derivedNode:
+		return []Node{x.sub.root}, true
+	case *hashJoinNode:
+		return []Node{x.left, x.right}, true
+	case *semiJoinNode:
+		return []Node{x.input, x.sub.root}, true
+	case *filterNode:
+		return []Node{x.input}, true
+	case *projectNode:
+		return []Node{x.input}, true
+	case *dedupNode:
+		return []Node{x.input}, true
+	case *groupNode:
+		return []Node{x.input}, true
+	case *unionNode:
+		return x.kids, true
+	}
+	return nil, false
+}
+
 // subtreeStatic reports whether a plan subtree's output is fixed for the
 // whole of one execution: scans of base relations, derived tables, and
 // pure operators over them. Anything that reads a fixpoint handle
-// (CTE results and rotating deltas) or that this walker does not know is
+// (CTE results and rotating deltas) or that inputs does not know is
 // treated as non-static, which only costs a rebuild. Bound parameters
 // are constant per execution, so they do not break staticness.
 func subtreeStatic(n Node) bool {
-	switch x := n.(type) {
-	case *scanNode, valuesNode:
-		return true
-	case *derivedNode:
-		return subtreeStatic(x.sub.root)
-	case *hashJoinNode:
-		return subtreeStatic(x.left) && subtreeStatic(x.right)
-	case *semiJoinNode:
-		return subtreeStatic(x.input) && subtreeStatic(x.sub.root)
-	case *filterNode:
-		return subtreeStatic(x.input)
-	case *projectNode:
-		return subtreeStatic(x.input)
-	case *dedupNode:
-		return subtreeStatic(x.input)
-	case *unionNode:
-		for _, k := range x.kids {
-			if !subtreeStatic(k) {
-				return false
-			}
-		}
-		return true
-	case *groupNode:
-		return subtreeStatic(x.input)
+	if _, ok := n.(*cteNode); ok {
+		return false
 	}
-	// cteNode, withNode, unknown operators: conservatively dynamic.
+	kids, ok := inputs(n)
+	if !ok {
+		return false
+	}
+	for _, k := range kids {
+		if !subtreeStatic(k) {
+			return false
+		}
+	}
+	return true
+}
+
+// readsDelta reports whether a plan subtree reads the rotating delta of
+// the recursive step being compiled.
+func readsDelta(n Node) bool {
+	if c, ok := n.(*cteNode); ok {
+		return c.delta
+	}
+	kids, _ := inputs(n)
+	for _, k := range kids {
+		if readsDelta(k) {
+			return true
+		}
+	}
 	return false
 }
 

@@ -17,10 +17,13 @@ import (
 // compiled ONCE into an exec tree whose self-reference is a cteNode
 // reading a fixpoint.Handle, which the working-table loop retargets to
 // the rotating delta each round — the plan-side realization of
-// semi-naive recursion over streaming operators. Queries outside the
-// planner fragment fall back (ErrNotPlannable) to the reference
-// evaluator's independent naive-iteration loop, which the recursive
-// differential corpus verifies byte-identical.
+// semi-naive recursion over streaming operators. The delta drives each
+// round: a hash join of the delta with a static side builds the static
+// side once per execution and streams the delta into it, on whichever
+// side of the join the query names the delta (hashJoinNode). Queries
+// outside the planner fragment fall back (ErrNotPlannable) to the
+// reference evaluator's independent naive-iteration loop, which the
+// recursive differential corpus verifies byte-identical.
 
 // cteBinding is the compile-time view of a CTE name: its schema plus the
 // runtime handle its references read from.

@@ -506,10 +506,6 @@ func (r *Relation) Each(f func(Tuple, int)) { r.view().each(f) }
 // order, stopping early when f returns false.
 func (r *Relation) EachWhile(f func(Tuple, int) bool) { r.view().eachWhile(f) }
 
-// KeyOf returns the probe key of a value list — the identity Probe indexes
-// by, consistent with Tuple.Key on the projected columns.
-func KeyOf(vals []value.Value) string { return Tuple(vals).Key() }
-
 // smallSigs precomputes the signatures of single-column indexes on the
 // first 16 columns — the overwhelmingly common probe shape — so hot
 // probes never allocate the signature string.

@@ -323,7 +323,7 @@ func TestAnalyzeOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Fixpoint A (semi-naive, ΔA per round):", "IndexJoin A", "Fixpoint A: rounds=", "Total: rows="} {
+	for _, want := range []string{"Fixpoint A (semi-naive, ΔA per round):", "Scan A [t3]\n      IndexJoin P [t2]", "Fixpoint A: rounds=", "Total: rows="} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("datalog analyze output lacks %q:\n%s", want, text)
 		}

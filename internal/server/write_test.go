@@ -123,7 +123,7 @@ func TestWireUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0][0] != value.Int(1) {
+	if len(rows) != 1 || rows[0][0].AsInt() != 1 {
 		t.Fatalf("updated row not visible over the wire: %v", rows)
 	}
 	// Query on a DML statement stays a structured kind error.
@@ -162,7 +162,7 @@ func TestWireTransactions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rows[0][0]; got != value.Int(250) {
+	if got := rows[0][0]; got.AsInt() != 250 {
 		t.Fatalf("in-tx sum = %v, want 250 (read-your-writes)", got)
 	}
 	// The other connection still sees the pre-transaction state.
@@ -170,7 +170,7 @@ func TestWireTransactions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := bRows[0][0]; got != value.Int(200) {
+	if got := bRows[0][0]; got.AsInt() != 200 {
 		t.Fatalf("uncommitted write leaked to another session: sum = %v", got)
 	}
 	gen, err := a.Commit()
@@ -184,7 +184,7 @@ func TestWireTransactions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := bRows[0][0]; got != value.Int(250) {
+	if got := bRows[0][0]; got.AsInt() != 250 {
 		t.Fatalf("committed write invisible to another session: sum = %v", got)
 	}
 
@@ -202,7 +202,7 @@ func TestWireTransactions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := bRows[0][0]; got != value.Int(250) {
+	if got := bRows[0][0]; got.AsInt() != 250 {
 		t.Fatalf("rolled-back delete leaked: sum = %v", got)
 	}
 

@@ -82,13 +82,13 @@ func (v Value) AppendOrdered(b []byte) []byte {
 	case KindNull:
 		return append(b, ordTagNull)
 	case KindInt:
-		b = appendU64(append(b, ordTagNum), f64key(float64(v.i)))
+		b = appendU64(append(b, ordTagNum), f64key(float64(v.i())))
 		// Exact payload: ints beyond 2^53 share a float sort key with
 		// their neighbours; the offset-binary int64 breaks the tie in
 		// numeric order.
-		return appendU64(append(b, ordNumInt), uint64(v.i)+(1<<63))
+		return appendU64(append(b, ordNumInt), v.n+(1<<63))
 	case KindFloat:
-		b = appendU64(append(b, ordTagNum), f64key(v.f))
+		b = appendU64(append(b, ordTagNum), f64key(v.f()))
 		return append(b, ordNumFloat)
 	case KindString:
 		b = append(b, ordTagString)
@@ -102,7 +102,7 @@ func (v Value) AppendOrdered(b []byte) []byte {
 		}
 		return append(b, 0x00, 0x01)
 	case KindBool:
-		if v.b {
+		if v.n != 0 {
 			return append(b, ordTagBool, 0x01)
 		}
 		return append(b, ordTagBool, 0x00)
@@ -183,9 +183,9 @@ func DecodeOrdered(b []byte) (Value, []byte, error) {
 func (v Value) AppendOrderedPrefix(b []byte) []byte {
 	switch v.kind {
 	case KindInt:
-		return appendU64(append(b, ordTagNum), f64key(float64(v.i)))
+		return appendU64(append(b, ordTagNum), f64key(float64(v.i())))
 	case KindFloat:
-		return appendU64(append(b, ordTagNum), f64key(v.f))
+		return appendU64(append(b, ordTagNum), f64key(v.f()))
 	}
 	return v.AppendOrdered(b)
 }

@@ -2,8 +2,10 @@ package value
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -189,4 +191,113 @@ func TestDecodeOrderedMalformed(t *testing.T) {
 			t.Fatalf("decode %x: expected error", b)
 		}
 	}
+}
+
+// TestValueLayout pins the in-memory size of a Value: every stored tuple
+// pays it once per column.
+func TestValueLayout(t *testing.T) {
+	if got := reflect.TypeOf(Value{}).Size(); got != 32 {
+		t.Fatalf("value.Value is %d bytes, want 32", got)
+	}
+}
+
+// TestEdgePayloadEncodings pins, for the payloads at the edges of each
+// representation, every accessor, the hash Key and the ordered encoding
+// storage writes to disk (storage/codec.go encodes through AppendOrdered),
+// so a change of Value's layout cannot change a byte a segment or WAL
+// record holds. The table was recorded from the 48-byte layout.
+func TestEdgePayloadEncodings(t *testing.T) {
+	cases := []struct {
+		v         Value
+		kind      string
+		asInt     int64
+		floatBits uint64
+		asString  string
+		asBool    bool
+		key       string
+		ordered   string
+	}{
+		{Int(math.MinInt64), "int", -9223372036854775808, 0xc3e0000000000000, "", false, "\x01-9223372036854775808", "023c1fffffffffffff010000000000000000"},
+		{Int(math.MaxInt64), "int", 9223372036854775807, 0x43e0000000000000, "", false, "\x019223372036854775807", "02c3e000000000000001ffffffffffffffff"},
+		{Int(1<<53 - 1), "int", 9007199254740991, 0x433fffffffffffff, "", false, "\x019007199254740991", "02c33fffffffffffff01801fffffffffffff"},
+		{Int(1<<53 + 1), "int", 9007199254740993, 0x4340000000000000, "", false, "\x019007199254740993", "02c340000000000000018020000000000001"},
+		{Int(-1<<53 - 1), "int", -9007199254740993, 0xc340000000000000, "", false, "\x01-9007199254740993", "023cbfffffffffffff017fdfffffffffffff"},
+		{Int(-1<<53 + 1), "int", -9007199254740991, 0xc33fffffffffffff, "", false, "\x01-9007199254740991", "023cc0000000000000017fe0000000000001"},
+		{Float(1<<53 - 1), "float", 0, 0x433fffffffffffff, "", false, "\x019007199254740991", "02c33fffffffffffff02"},
+		{Float(1<<53 + 1), "float", 0, 0x4340000000000000, "", false, "\x019007199254740992", "02c34000000000000002"},
+		{Float(-1<<53 - 1), "float", 0, 0xc340000000000000, "", false, "\x01-9007199254740992", "023cbfffffffffffff02"},
+		{Float(-1<<53 + 1), "float", 0, 0xc33fffffffffffff, "", false, "\x01-9007199254740991", "023cc000000000000002"},
+		{Float(math.Copysign(0, -1)), "float", 0, 0x8000000000000000, "", false, "\x010", "027fffffffffffffff02"},
+		{Float(math.NaN()), "float", 0, 0x7ff8000000000001, "", false, "\x02NaN", "02fff800000000000102"},
+		{Float(math.Inf(1)), "float", 0, 0x7ff0000000000000, "", false, "\x02+Inf", "02fff000000000000002"},
+		{Float(math.Inf(-1)), "float", 0, 0xfff0000000000000, "", false, "\x02-Inf", "02000fffffffffffff02"},
+		{Str(""), "string", 0, 0x0, "", false, "\x03", "030001"},
+		{Str("\x00\x01"), "string", 0, 0x0, "\x00\x01", false, "\x03\x00\x01", "0300ff010001"},
+		{Bool(true), "bool", 0, 0x0, "", true, "\x04t", "0401"},
+		{Bool(false), "bool", 0, 0x0, "", false, "\x04f", "0400"},
+		{Null(), "null", 0, 0x0, "", false, "\x00N", "01"},
+	}
+	for _, c := range cases {
+		v := c.v
+		if v.Kind().String() != c.kind || v.AsInt() != c.asInt || math.Float64bits(v.AsFloat()) != c.floatBits ||
+			v.AsString() != c.asString || v.AsBool() != c.asBool {
+			t.Errorf("%s: accessors (%s, %d, %#x, %q, %v), want (%s, %d, %#x, %q, %v)", v,
+				v.Kind(), v.AsInt(), math.Float64bits(v.AsFloat()), v.AsString(), v.AsBool(),
+				c.kind, c.asInt, c.floatBits, c.asString, c.asBool)
+		}
+		if v.Key() != c.key {
+			t.Errorf("%s: Key %q, want %q", v, v.Key(), c.key)
+		}
+		if got := hex.EncodeToString(v.OrderedKey()); got != c.ordered {
+			t.Errorf("%s: OrderedKey %s, want %s", v, got, c.ordered)
+		}
+	}
+}
+
+// FuzzOrderedKey checks the ordered encoding on arbitrary pairs of
+// values: each decodes back to a value of the same Kind and Key with no
+// bytes left over, and byte order agrees with Less.
+func FuzzOrderedKey(f *testing.F) {
+	f.Add(uint8(1), uint8(2), int64(2), int64(3), 2.0, 2.5, "", "a")
+	f.Add(uint8(1), uint8(5), int64(1<<53+1), int64(1<<53), 0.0, 0.0, "", "")
+	f.Add(uint8(3), uint8(3), int64(0), int64(0), 0.0, 0.0, "a\x00", "a")
+	f.Add(uint8(2), uint8(2), int64(0), int64(0), math.Copysign(0, -1), math.Inf(-1), "", "")
+	f.Add(uint8(0), uint8(4), int64(1), int64(0), math.NaN(), 0.0, "", "")
+	mk := func(kind uint8, i int64, fl float64, s string) Value {
+		switch kind % 6 {
+		case 1:
+			return Int(i)
+		case 2:
+			return Float(fl)
+		case 3:
+			return Str(s)
+		case 4:
+			return Bool(i&1 == 1)
+		case 5:
+			return Float(float64(i)) // ties an int of the other value
+		}
+		return Null()
+	}
+	f.Fuzz(func(t *testing.T, ka, kb uint8, ia, ib int64, fa, fb float64, sa, sb string) {
+		a, b := mk(ka, ia, fa, sa), mk(kb, ib, fb, sb)
+		ea, eb := a.OrderedKey(), b.OrderedKey()
+		for _, c := range []struct {
+			v   Value
+			enc []byte
+		}{{a, ea}, {b, eb}} {
+			got, rest, err := DecodeOrdered(c.enc)
+			if err != nil || len(rest) != 0 {
+				t.Fatalf("decode %v (%x): %v, %d bytes left", c.v, c.enc, err, len(rest))
+			}
+			if got.Kind() != c.v.Kind() || got.Key() != c.v.Key() {
+				t.Fatalf("round trip %v (%v) -> %v (%v)", c.v, c.v.Kind(), got, got.Kind())
+			}
+		}
+		if a.Less(b) && bytes.Compare(ea, eb) >= 0 {
+			t.Fatalf("%v < %v but key %x >= %x", a, b, ea, eb)
+		}
+		if b.Less(a) && bytes.Compare(eb, ea) >= 0 {
+			t.Fatalf("%v < %v but key %x >= %x", b, a, eb, ea)
+		}
+	})
 }

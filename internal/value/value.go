@@ -12,7 +12,7 @@ import (
 )
 
 // Kind enumerates the dynamic type of a Value.
-type Kind int
+type Kind uint8
 
 const (
 	// KindNull is the SQL NULL marker. It is its own kind: a NULL carries
@@ -48,28 +48,38 @@ func (k Kind) String() string {
 
 // Value is an immutable scalar. The zero Value is NULL, so uninitialized
 // attributes behave like SQL missing values without extra bookkeeping.
+//
+// A Value is 32 bytes: the string payload, one 64-bit word holding an
+// int, a float's IEEE bits or a bool, and the kind. Values compare only
+// through their methods — the zero-size func array makes == and map keys
+// a compile error, because both would compare bit patterns (-0 ≠ +0,
+// NaN = NaN, 2 ≠ 2.0) where Equal and Compare do not.
 type Value struct {
-	kind Kind
-	i    int64
-	f    float64
+	_    [0]func()
 	s    string
-	b    bool
+	n    uint64
+	kind Kind
 }
 
 // Null returns the NULL value.
 func Null() Value { return Value{} }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
 // Float returns a float value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
 
 // Str returns a string value.
 func Str(v string) Value { return Value{kind: KindString, s: v} }
 
 // Bool returns a boolean value.
-func Bool(v bool) Value { return Value{kind: KindBool, b: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Kind reports the dynamic type of v.
 func (v Value) Kind() Kind { return v.kind }
@@ -77,23 +87,36 @@ func (v Value) Kind() Kind { return v.kind }
 // IsNull reports whether v is the NULL marker.
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
-// AsInt returns the integer payload. It is valid only for KindInt.
-func (v Value) AsInt() int64 { return v.i }
+// AsInt returns the integer payload. It is valid only for KindInt (0
+// otherwise).
+func (v Value) AsInt() int64 {
+	if v.kind != KindInt {
+		return 0
+	}
+	return v.i()
+}
 
 // AsFloat returns the float payload, coercing integers. It is valid for
-// KindInt and KindFloat.
+// KindInt and KindFloat (0 otherwise).
 func (v Value) AsFloat() float64 {
-	if v.kind == KindInt {
-		return float64(v.i)
+	switch v.kind {
+	case KindInt:
+		return float64(v.i())
+	case KindFloat:
+		return v.f()
 	}
-	return v.f
+	return 0
 }
 
 // AsString returns the string payload. It is valid only for KindString.
 func (v Value) AsString() string { return v.s }
 
 // AsBool returns the boolean payload. It is valid only for KindBool.
-func (v Value) AsBool() bool { return v.b }
+func (v Value) AsBool() bool { return v.kind == KindBool && v.n != 0 }
+
+// i and f read the payload word as the kind it was stored as.
+func (v Value) i() int64   { return int64(v.n) }
+func (v Value) f() float64 { return math.Float64frombits(v.n) }
 
 // IsNumeric reports whether v is an int or float.
 func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
@@ -104,13 +127,13 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case KindString:
 		return "'" + v.s + "'"
 	case KindBool:
-		if v.b {
+		if v.n != 0 {
 			return "true"
 		}
 		return "false"
@@ -131,20 +154,21 @@ func (v Value) AppendKey(b []byte) []byte {
 	case KindNull:
 		return append(b, 0x00, 'N')
 	case KindInt:
-		return strconv.AppendInt(append(b, 0x01), v.i, 10)
+		return strconv.AppendInt(append(b, 0x01), v.i(), 10)
 	case KindFloat:
-		if v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) && math.Abs(v.f) <= maxExactFloat {
+		f := v.f()
+		if f == math.Trunc(f) && !math.IsInf(f, 0) && math.Abs(f) <= maxExactFloat {
 			// Align with equal integers so 2.0 and 2 group together. The
 			// cutoff is 2^53, the largest range where float64 represents
 			// every integer exactly, so within it Key agrees with the
 			// float-coercing Compare.
-			return strconv.AppendInt(append(b, 0x01), int64(v.f), 10)
+			return strconv.AppendInt(append(b, 0x01), int64(f), 10)
 		}
-		return strconv.AppendFloat(append(b, 0x02), v.f, 'g', -1, 64)
+		return strconv.AppendFloat(append(b, 0x02), f, 'g', -1, 64)
 	case KindString:
 		return append(append(b, 0x03), v.s...)
 	case KindBool:
-		if v.b {
+		if v.n != 0 {
 			return append(b, 0x04, 't')
 		}
 		return append(b, 0x04, 'f')
@@ -169,9 +193,10 @@ const maxExactFloat = float64(1 << 53)
 func (v Value) Indexable() bool {
 	switch v.kind {
 	case KindInt:
-		return math.Abs(float64(v.i)) <= maxExactFloat
+		return math.Abs(float64(v.i())) <= maxExactFloat
 	case KindFloat:
-		return v.f != math.Trunc(v.f) || math.IsInf(v.f, 0) || math.Abs(v.f) <= maxExactFloat
+		f := v.f()
+		return f != math.Trunc(f) || math.IsInf(f, 0) || math.Abs(f) <= maxExactFloat
 	}
 	return true
 }
@@ -203,13 +228,7 @@ func (v Value) Compare(o Value) (int, bool) {
 		return 0, true
 	}
 	if v.kind == KindBool && o.kind == KindBool {
-		bi := func(b bool) int {
-			if b {
-				return 1
-			}
-			return 0
-		}
-		return bi(v.b) - bi(o.b), true
+		return int(v.n) - int(o.n), true // a bool's word is 0 or 1
 	}
 	return 0, false
 }
@@ -242,7 +261,7 @@ func arith(a, b Value, fi func(int64, int64) (int64, bool), ff func(float64, flo
 		return Null(), false
 	}
 	if a.kind == KindInt && b.kind == KindInt {
-		if r, ok := fi(a.i, b.i); ok {
+		if r, ok := fi(a.i(), b.i()); ok {
 			return Int(r), true
 		}
 		return Null(), false
@@ -286,7 +305,7 @@ func Div(a, b Value) (Value, bool) {
 		return Null(), true
 	}
 	if a.kind == KindInt && b.kind == KindInt {
-		return Int(a.i / b.i), true
+		return Int(a.i() / b.i()), true
 	}
 	return Float(a.AsFloat() / b.AsFloat()), true
 }
