@@ -52,6 +52,7 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$${t}\$$" -fuzztime $(FUZZ_TIME) ./internal/engine || exit 1; \
 	done
 	$(GO) test -run '^$$' -fuzz '^FuzzServerFrames$$' -fuzztime $(FUZZ_TIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzClientRows$$' -fuzztime $(FUZZ_TIME) ./internal/server/client
 	$(GO) test -run '^$$' -fuzz '^FuzzOrderedKey$$' -fuzztime $(FUZZ_TIME) ./internal/value
 
 # The repository benchmark's smoke pass (BENCHMARK.json runs the full

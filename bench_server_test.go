@@ -33,6 +33,55 @@ func serverBenchDB() *engine.DB {
 	return engine.Open(r, j1, j2, p)
 }
 
+// startBenchServer serves db on a loopback port until the benchmark
+// ends, returning the server and its address.
+func startBenchServer(b *testing.B, db *engine.DB) (*server.Server, string) {
+	srv := server.New(db, server.Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go srv.Serve(ln)
+	b.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	return srv, ln.Addr().String()
+}
+
+// BenchmarkServerScan ships a prepared 10 000-row range through the
+// client: the Fetch path, 40 batches per op. With -benchmem, allocs/op
+// over 10 000 is the wire's allocations per row.
+func BenchmarkServerScan(b *testing.B) {
+	const n = 10_000
+	r := relation.New("R", "A", "B")
+	for i := 0; i < n; i++ {
+		r.Add(i, i%997)
+	}
+	_, addr := startBenchServer(b, engine.Open(r))
+	c, err := client.Dial(addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	scan, err := c.Prepare(client.LangSQL, "select R.A, R.B from R where R.A >= $1 and R.A < $2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows, err := scan.QueryAll(value.Int(0), value.Int(n))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rows) != n {
+			b.Fatalf("rows = %d, want %d", len(rows), n)
+		}
+	}
+}
+
 // BenchmarkServerThroughput measures end-to-end wire-protocol throughput:
 // N concurrent client sessions each cycling a point lookup, a hash join,
 // and a recursive transitive closure through prepared statements over
@@ -42,17 +91,7 @@ func serverBenchDB() *engine.DB {
 func BenchmarkServerThroughput(b *testing.B) {
 	for _, sessions := range []int{4, 8} {
 		b.Run(fmt.Sprintf("sessions=%d", sessions), func(b *testing.B) {
-			srv := server.New(serverBenchDB(), server.Options{})
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			go srv.Serve(ln)
-			defer func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				defer cancel()
-				srv.Shutdown(ctx)
-			}()
+			srv, addr := startBenchServer(b, serverBenchDB())
 
 			type sessionStmts struct {
 				conn                   *client.Conn
@@ -60,7 +99,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 			}
 			conns := make([]sessionStmts, sessions)
 			for i := range conns {
-				c, err := client.Dial(ln.Addr().String())
+				c, err := client.Dial(addr)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -101,7 +101,14 @@ func (r *Rows) pull() (t relation.Tuple, m int, ok bool) {
 	return r.next()
 }
 
-// Values returns a copy of the current row.
+// Row returns the current row without copying it. The slice belongs to
+// the operator tree and is valid only until the next call to Next (or
+// Close): read it, encode it, or copy it out, but do not keep or modify
+// it. A caller that keeps rows uses Values.
+func (r *Rows) Row() []value.Value { return r.cur }
+
+// Values returns a copy of the current row, which the caller owns and
+// may keep after the cursor moves on.
 func (r *Rows) Values() []value.Value {
 	out := make([]value.Value, len(r.cur))
 	copy(out, r.cur)

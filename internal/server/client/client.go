@@ -4,6 +4,12 @@
 // Bind+Execute+first-Fetch frames in one write, so a simple point query
 // costs a single round trip after Prepare.
 //
+// A result costs per batch, not per row: a Conn reads every frame into
+// one reused buffer, and each Rows batch decodes into a single value
+// array that the batch's rows are windows onto. A row returned by
+// Rows.Values or QueryAll therefore stays valid after the cursor moves
+// on or closes, and belongs to the caller.
+//
 // A Conn is bound to one goroutine (like a database/sql driver
 // connection); open one Conn per concurrent session.
 package client
@@ -33,7 +39,8 @@ type Conn struct {
 	r       *bufio.Reader
 	w       *bufio.Writer
 	nextID  uint32
-	lastErr error // connection-fatal error; everything fails after it
+	lastErr error  // connection-fatal error; everything fails after it
+	in      []byte // the frame last read (server.ReadFrameInto)
 }
 
 // Dial connects and performs the Hello handshake.
@@ -77,7 +84,8 @@ func (c *Conn) send(typ byte, payload []byte) error {
 
 // recv flushes pending writes and reads one response frame, decoding
 // Error frames into *server.WireError (which is NOT connection-fatal:
-// the server keeps the session open for statement-level errors).
+// the server keeps the session open for statement-level errors). The
+// body is valid until the next recv.
 func (c *Conn) recv(want byte) ([]byte, error) {
 	if c.lastErr != nil {
 		return nil, c.lastErr
@@ -85,7 +93,7 @@ func (c *Conn) recv(want byte) ([]byte, error) {
 	if err := c.w.Flush(); err != nil {
 		return nil, c.fatal(err)
 	}
-	typ, body, err := server.ReadFrame(c.r)
+	typ, body, err := server.ReadFrameInto(c.r, &c.in)
 	if err != nil {
 		return nil, c.fatal(err)
 	}
@@ -275,11 +283,52 @@ type Rows struct {
 	conn     *Conn
 	cursorID uint32
 	cols     []string
-	batch    [][]value.Value
-	pos      int
+	batch    batch
+	pos      int // rows of batch consumed; the current row is pos-1
 	done     bool
 	closed   bool
 	err      error
+}
+
+// batch is one decoded Rows frame: nrows rows of ncols values in one
+// array, row i at vals[i*ncols:(i+1)*ncols].
+type batch struct {
+	cursorID     uint32
+	done         bool
+	ncols, nrows int
+	vals         []value.Value
+}
+
+// row returns row i as a window onto the batch's array, capped so that
+// appending to it cannot overwrite row i+1.
+func (b *batch) row(i int) []value.Value {
+	lo, hi := i*b.ncols, (i+1)*b.ncols
+	return b.vals[lo:hi:hi]
+}
+
+// decodeBatch decodes a Rows payload into a fresh value array, so rows
+// of earlier batches stay valid. Every value takes at least one payload
+// byte, so a header claiming more values than the payload holds is
+// rejected before anything is allocated.
+func decodeBatch(body []byte) (batch, error) {
+	d := server.NewDec(body)
+	b := batch{cursorID: d.U32(), done: d.U8() == 1}
+	ncols, nrows := d.U32(), d.U32()
+	if d.Err() != nil {
+		return batch{}, d.Err()
+	}
+	if uint64(ncols)*uint64(nrows) > uint64(len(body)) {
+		return batch{}, fmt.Errorf("client: Rows frame claims %d rows of %d columns in %d bytes", nrows, ncols, len(body))
+	}
+	b.ncols, b.nrows = int(ncols), int(nrows)
+	b.vals = make([]value.Value, b.ncols*b.nrows)
+	for i := 0; i < len(b.vals) && d.Err() == nil; i++ {
+		b.vals[i] = d.Val()
+	}
+	if err := d.Done(); err != nil {
+		return batch{}, err
+	}
+	return b, nil
 }
 
 // Query binds args, executes, and requests the first batch — pipelined
@@ -330,37 +379,42 @@ func (s *Stmt) Query(args ...value.Value) (*Rows, error) {
 	return r, nil
 }
 
-// readBatch consumes one Rows frame into the buffer.
+// readBatch consumes one Rows frame as the current batch. A frame that
+// does not decode, or answers another cursor, is connection-fatal.
 func (r *Rows) readBatch() error {
 	body, err := r.conn.recv(server.FrameRows)
+	var b batch
+	if err == nil {
+		b, err = decodeBatch(body)
+		if err == nil && b.cursorID != r.cursorID {
+			err = fmt.Errorf("client: Rows for cursor %d, want %d", b.cursorID, r.cursorID)
+		}
+		if err != nil {
+			err = r.conn.fatal(err)
+		}
+	}
 	if err != nil {
-		r.err = err
-		r.done = true
+		r.err, r.done = err, true
 		return err
 	}
-	d := server.NewDec(body)
-	if got := d.U32(); d.Err() == nil && got != r.cursorID {
-		return r.conn.fatal(fmt.Errorf("client: Rows for cursor %d, want %d", got, r.cursorID))
-	}
-	r.done = d.U8() == 1
-	ncols := int(d.U32())
-	nrows := int(d.U32())
-	if d.Err() != nil {
-		return r.conn.fatal(d.Err())
-	}
-	r.batch = r.batch[:0]
-	r.pos = 0
-	for i := 0; i < nrows; i++ {
-		row := make([]value.Value, ncols)
-		for j := 0; j < ncols; j++ {
-			row[j] = d.Val()
-		}
-		if d.Err() != nil {
-			return r.conn.fatal(d.Err())
-		}
-		r.batch = append(r.batch, row)
-	}
+	r.batch, r.pos, r.done = b, 0, b.done
 	return nil
+}
+
+// fetch replaces the current batch with the server's next one,
+// reporting false once the stream is done, closed or failed.
+func (r *Rows) fetch() bool {
+	if r.done || r.closed || r.err != nil {
+		return false
+	}
+	var e server.Enc
+	e.U32(r.cursorID)
+	e.U32(0)
+	if err := r.conn.send(server.FrameFetch, e.Bytes()); err != nil {
+		r.err = err
+		return false
+	}
+	return r.readBatch() == nil
 }
 
 // Next advances to the next row, fetching the next batch over the wire
@@ -369,18 +423,8 @@ func (r *Rows) Next() bool {
 	if r.closed || r.err != nil {
 		return false
 	}
-	for r.pos >= len(r.batch) {
-		if r.done {
-			return false
-		}
-		var e server.Enc
-		e.U32(r.cursorID)
-		e.U32(0)
-		if err := r.conn.send(server.FrameFetch, e.Bytes()); err != nil {
-			r.err = err
-			return false
-		}
-		if err := r.readBatch(); err != nil {
+	for r.pos >= r.batch.nrows {
+		if !r.fetch() {
 			return false
 		}
 	}
@@ -388,12 +432,14 @@ func (r *Rows) Next() bool {
 	return true
 }
 
-// Values returns the current row.
+// Values returns the current row. It is not copied, and it need not be:
+// the row is a window onto its batch's array, which no later Next or
+// Close reuses, so the caller may keep it.
 func (r *Rows) Values() []value.Value {
-	if r.pos == 0 || r.pos > len(r.batch) {
+	if r.pos == 0 || r.pos > r.batch.nrows {
 		return nil
 	}
-	return r.batch[r.pos-1]
+	return r.batch.row(r.pos - 1)
 }
 
 // Columns returns the result column names.
@@ -429,30 +475,43 @@ func (s *Stmt) QueryAll(args ...value.Value) ([][]value.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out [][]value.Value
-	for rows.Next() {
-		row := rows.Values()
-		cp := make([]value.Value, len(row))
-		copy(cp, row)
-		out = append(out, cp)
+	// Batches are kept whole and cut into rows once the total is known,
+	// so the result is allocated once, at its final size.
+	batches := []batch{rows.batch}
+	total := rows.batch.nrows
+	for rows.fetch() {
+		batches = append(batches, rows.batch)
+		total += rows.batch.nrows
 	}
 	if err := rows.Err(); err != nil {
 		return nil, err
 	}
+	var out [][]value.Value
+	if total > 0 {
+		out = make([][]value.Value, 0, total)
+	}
+	for i := range batches {
+		for j := range batches[i].nrows {
+			out = append(out, batches[i].row(j))
+		}
+	}
 	return out, rows.Close()
 }
 
-// Exec is the one-shot write convenience: Prepare, Exec, Close.
+// Exec is the one-shot write convenience: Prepare, Exec, Close. The
+// statement is closed whether or not Exec succeeds, so failures do not
+// pile handles up against the server's per-session limit.
 func (c *Conn) Exec(lang Lang, src string, args ...value.Value) (Result, error) {
 	s, err := c.Prepare(lang, src)
 	if err != nil {
 		return Result{}, err
 	}
 	res, err := s.Exec(args...)
+	cerr := s.Close()
 	if err != nil {
 		return Result{}, err
 	}
-	return res, s.Close()
+	return res, cerr
 }
 
 // Begin opens the connection's transaction, returning the snapshot
@@ -486,15 +545,17 @@ func (c *Conn) Rollback() error {
 	return c.roundTrip(server.FrameRollback, nil, server.FrameRollbackOK, nil)
 }
 
-// Query is the one-shot convenience: Prepare, Query, drain, Close.
+// Query is the one-shot convenience: Prepare, Query, drain, Close. As
+// with Exec, the statement is closed on every path.
 func (c *Conn) Query(lang Lang, src string, args ...value.Value) ([][]value.Value, []string, error) {
 	s, err := c.Prepare(lang, src)
 	if err != nil {
 		return nil, nil, err
 	}
 	rows, err := s.QueryAll(args...)
+	cerr := s.Close()
 	if err != nil {
 		return nil, nil, err
 	}
-	return rows, s.cols, s.Close()
+	return rows, s.cols, cerr
 }

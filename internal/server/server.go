@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -249,6 +250,9 @@ type session struct {
 	// dropped response would desync the stream — the session must die
 	// instead of leaving the client waiting forever.
 	werr error
+	// in holds the frame being handled (ReadFrameInto) and out the Rows
+	// payload handleFetch encodes into; both are reused frame to frame.
+	in, out []byte
 }
 
 // serveConn runs one session to completion. The deferred recover is the
@@ -301,7 +305,7 @@ func (sess *session) loop() {
 				return
 			}
 		}
-		typ, payload, err := ReadFrame(sess.r)
+		typ, payload, err := ReadFrameInto(sess.r, &sess.in)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return // clean disconnect on a frame boundary
@@ -611,6 +615,19 @@ func (sess *session) handleExecute(payload []byte) error {
 // batch of wide string rows never overflows the frame limit.
 const softBatchBytes = 256 << 10
 
+// retainBytes caps a buffer a connection keeps between frames: one that
+// grew past it for a wide row or an oversized frame is dropped after
+// use, not held for the session's lifetime.
+const retainBytes = 2 * softBatchBytes
+
+// rowsHeader is the Rows payload's fixed prefix: u32 cursorID, u8 done,
+// u32 ncols, u32 nrows.
+const rowsHeader = 13
+
+// handleFetch encodes each row straight from the cursor into the
+// session's payload buffer behind a Rows header, then patches the
+// header's done and nrows once the batch is known: a row is encoded
+// once and never copied on the server.
 func (sess *session) handleFetch(payload []byte) error {
 	d := NewDec(payload)
 	curID := d.U32()
@@ -626,27 +643,36 @@ func (sess *session) handleFetch(payload []byte) error {
 	if maxRows <= 0 {
 		maxRows = sess.srv.opts.FetchRows
 	}
-	var rowsEnc Enc
+	e := Enc{b: sess.out[:0]}
+	e.U32(curID)
+	e.U8(0) // done, patched below
+	e.U32(uint32(len(cur.cols)))
+	e.U32(0) // nrows, patched below
 	n := 0
 	done := false
 	start := time.Now()
-	for n < maxRows && len(rowsEnc.Bytes()) < softBatchBytes {
+	for n < maxRows && len(e.b)-rowsHeader < softBatchBytes {
 		if !cur.rows.Next() {
 			done = true
 			break
 		}
-		for _, v := range cur.rows.Values() {
-			rowsEnc.Val(v)
+		for _, v := range cur.rows.Row() {
+			e.Val(v)
 		}
 		n++
 	}
 	cur.elapsed += time.Since(start)
-	if len(rowsEnc.Bytes()) > MaxFrame-64 {
+	if cap(e.b) <= retainBytes {
+		sess.out = e.b[:0]
+	} else {
+		sess.out = nil
+	}
+	if size := len(e.b) - rowsHeader; size > MaxFrame-64 {
 		// A single row blew past the frame limit (the soft bound only
 		// checks between rows): this result cannot be shipped, but the
 		// session — and its positional stream — survives.
 		sess.finishCursor(curID, cur)
-		sess.stmtError(CodeFetch, fmt.Errorf("row of %d bytes exceeds the %d-byte frame limit", len(rowsEnc.Bytes()), MaxFrame))
+		sess.stmtError(CodeFetch, fmt.Errorf("row of %d bytes exceeds the %d-byte frame limit", size, MaxFrame))
 		return nil
 	}
 	if done {
@@ -663,17 +689,11 @@ func (sess *session) handleFetch(payload []byte) error {
 	}
 	sess.srv.metrics.RowsStreamed.Add(uint64(n))
 	sess.srv.metrics.FetchBatches.Add(1)
-	var e Enc
-	e.U32(curID)
 	if done {
-		e.U8(1)
-	} else {
-		e.U8(0)
+		e.b[4] = 1
 	}
-	e.U32(uint32(len(cur.cols)))
-	e.U32(uint32(n))
-	e.b = append(e.b, rowsEnc.Bytes()...)
-	sess.send(FrameRows, e.Bytes())
+	binary.BigEndian.PutUint32(e.b[9:rowsHeader], uint32(n))
+	sess.send(FrameRows, e.b)
 	return nil
 }
 

@@ -19,6 +19,11 @@
 // errors: the payload is the untrusted surface, and a hostile byte
 // stream must produce an Error frame (or a closed connection), never a
 // panic — see the hostile-input tests.
+//
+// Both ends keep one buffer per connection for the frames they read
+// (ReadFrameInto) and the server one for the Rows payloads it encodes,
+// so a Fetch costs per batch rather than per row; docs/INVARIANTS.md,
+// "A fetched row is not copied", states what may point into them.
 package server
 
 import (
@@ -122,12 +127,27 @@ func errProtocol(format string, args ...any) *WireError {
 	return &WireError{Code: CodeProtocol, Message: fmt.Sprintf(format, args...)}
 }
 
-// ReadFrame reads one length-prefixed frame. It returns io.EOF only on a
-// clean end-of-stream boundary; a truncated header or payload surfaces
-// as ErrUnexpectedEOF, and an oversized length as a protocol error
-// before any payload allocation.
+// ReadFrame reads one length-prefixed frame into a fresh payload. It
+// returns io.EOF only on a clean end-of-stream boundary; a truncated
+// header or payload surfaces as ErrUnexpectedEOF, and an oversized
+// length as a protocol error before any payload allocation.
 func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
-	var hdr [5]byte
+	var fresh []byte
+	return ReadFrameInto(r, &fresh)
+}
+
+// ReadFrameInto is ReadFrame for a connection that reads every frame
+// into one buffer: the header and payload land in *buf's storage, which
+// grows when a frame needs more and is kept in *buf for the next call
+// unless it grew past retainBytes. The payload is valid only until the
+// next ReadFrameInto on the same buf. That is safe because every decoder
+// here copies out what it keeps (Dec.Str), so a frame decoded before the
+// next read leaves nothing pointing into the buffer.
+func ReadFrameInto(r io.Reader, buf *[]byte) (typ byte, payload []byte, err error) {
+	if cap(*buf) < 5 {
+		*buf = make([]byte, 5)
+	}
+	hdr := (*buf)[:5]
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		return 0, nil, err
 	}
@@ -137,18 +157,26 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 		}
 		return 0, nil, err
 	}
+	typ = hdr[0]
 	n := binary.BigEndian.Uint32(hdr[1:])
 	if n > MaxFrame {
 		return 0, nil, errProtocol("frame of %d bytes exceeds the %d-byte limit", n, MaxFrame)
 	}
-	payload = make([]byte, n)
+	if int(n) <= cap(*buf) {
+		payload = (*buf)[:n]
+	} else {
+		payload = make([]byte, n)
+		if n <= retainBytes {
+			*buf = payload
+		}
+	}
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
 		return 0, nil, err
 	}
-	return hdr[0], payload, nil
+	return typ, payload, nil
 }
 
 // WriteFrame writes one frame.
