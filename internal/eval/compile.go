@@ -725,8 +725,8 @@ func (sp *scopePlan) eachErr(ev *evaluator, e *env, prefix relation.Tuple, f fun
 		cols, vals := keyCols[s.probeOff:s.probeOff:end], keyVals[s.probeOff:s.probeOff:end]
 		for _, p := range s.probes {
 			v, err := p.src.eval(ev, t, e)
-			if err != nil || !v.Indexable() {
-				continue // not evaluable or key identity too weak; scan covers it
+			if err != nil {
+				continue // not evaluable; scan covers it
 			}
 			if rel.AttrIndex(s.attrs[p.col]) != p.col {
 				// Attribute layout changed under us (should not happen);

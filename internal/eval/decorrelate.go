@@ -160,13 +160,12 @@ func (lk *groupLookup) rowOf(ev *evaluator, g relation.Tuple) groupRow {
 }
 
 // key leaves the table key of the correlation values in kb, or reports
-// that they match no group: NULL equals nothing, and beyond 2^53 key
-// identity is finer than equality (value.Indexable), so neither side of
-// the table admits such a value.
+// that they match no group: NULL equals nothing, so neither side of the
+// table admits it.
 func (lk *groupLookup) key(vals relation.Tuple) bool {
 	lk.kb = lk.kb[:0]
 	for _, v := range vals {
-		if v.IsNull() || !v.Indexable() {
+		if v.IsNull() {
 			return false
 		}
 		lk.kb = append(v.AppendKey(lk.kb), '\x1f')

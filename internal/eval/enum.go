@@ -129,11 +129,10 @@ func (ev *evaluator) enumLeft(n *joinNode, base *env, si *scopeInfo, bound map[s
 // lateral collection sources, externals, or abstract relations, whose
 // enumeration depends on bound inputs) — and every ON conjunct is a
 // separable equality, hashed as the bucket key and still re-checked per
-// candidate by onHolds (so NULL keys, Key-vs-Eq divergence, and
-// per-pair evaluation errors keep exact baseline semantics; erroring or
-// non-indexable right keys overflow to every left, as in enumFull).
-// Single-leaf rights keep the per-left path, whose index probes already
-// make them cheap.
+// candidate by onHolds (so NULL keys and per-pair evaluation errors keep
+// exact baseline semantics; erroring right keys overflow to every left,
+// as in enumFull). Single-leaf rights keep the per-left path, whose index
+// probes already make them cheap.
 func (ev *evaluator) enumLeftHashed(n *joinNode, base *env, lefts []*env, si *scopeInfo, bound map[string]bool) ([]*env, bool, error) {
 	if ev.reference {
 		return nil, false, nil
@@ -224,11 +223,11 @@ func (ev *evaluator) enumFull(n *joinNode, base *env, si *scopeInfo, bound map[s
 	// Separable ON equalities (one side readable from each subtree) hash
 	// the right envs so each left env only visits its key bucket; the
 	// full ON condition is still re-checked per candidate, so NULL keys
-	// and Key-vs-Eq divergence keep exact semantics. Empty sides fall
-	// through to the nested path, which then only null-extends. Hashing
-	// is only used when every ON conjunct is an extracted equality: with
-	// residual conjuncts, pruning a pair could also prune a per-pair
-	// evaluation error the nested path would surface.
+	// keep exact semantics. Empty sides fall through to the nested path,
+	// which then only null-extends. Hashing is only used when every ON
+	// conjunct is an extracted equality: with residual conjuncts, pruning
+	// a pair could also prune a per-pair evaluation error the nested path
+	// would surface.
 	eqs := splitFullEqs(n)
 	h := allRightCandidates(len(rights))
 	if len(eqs) == len(n.on) && len(eqs) > 0 && len(lefts) > 0 && len(rights) > 0 {
@@ -277,9 +276,9 @@ func (ev *evaluator) enumFull(n *joinNode, base *env, si *scopeInfo, bound map[s
 // rightEnvHash buckets a join node's right-side environments by their
 // separable-equality key terms, shared by enumFull and enumLeftHashed.
 // Rights whose key terms error (the nested path may never evaluate them
-// — an earlier ON conjunct can short-circuit) or are non-indexable go
-// to the overflow list, staying candidates for every left so onHolds
-// reproduces baseline behaviour exactly.
+// — an earlier ON conjunct can short-circuit) go to the overflow list,
+// staying candidates for every left so onHolds reproduces baseline
+// behaviour exactly.
 type rightEnvHash struct {
 	ev       *evaluator
 	eqs      []fullEq
@@ -307,20 +306,17 @@ func (ev *evaluator) hashRightEnvs(eqs []fullEq, rights []*env) *rightEnvHash {
 	h.buckets = map[string][]int{}
 	for ri, r := range rights {
 		h.kb = h.kb[:0]
-		indexable := true
+		evaluable := true
 		for _, eq := range eqs {
 			v, err := ev.evalTermAgg(eq.right, r, nil)
 			if err != nil {
-				indexable = false
+				evaluable = false
 				break
-			}
-			if !v.Indexable() {
-				indexable = false
 			}
 			h.kb = v.AppendKey(h.kb)
 			h.kb = append(h.kb, '\x1f')
 		}
-		if indexable {
+		if evaluable {
 			h.buckets[string(h.kb)] = append(h.buckets[string(h.kb)], ri)
 		} else {
 			h.overflow = append(h.overflow, ri)
@@ -331,7 +327,7 @@ func (ev *evaluator) hashRightEnvs(eqs []fullEq, rights []*env) *rightEnvHash {
 
 // candidatesOf returns the right indexes a left env must visit: its key
 // bucket plus the overflow, or every right when hashing is off or the
-// left key is unevaluable / too weak for index identity.
+// left key is unevaluable.
 func (h *rightEnvHash) candidatesOf(l *env) ([]int, []int) {
 	if h.buckets == nil {
 		return h.all, nil
@@ -339,7 +335,7 @@ func (h *rightEnvHash) candidatesOf(l *env) ([]int, []int) {
 	h.kb = h.kb[:0]
 	for _, eq := range h.eqs {
 		v, err := h.ev.evalTermAgg(eq.left, l, nil)
-		if err != nil || !v.Indexable() {
+		if err != nil {
 			return h.all, nil
 		}
 		h.kb = v.AppendKey(h.kb)
@@ -652,8 +648,8 @@ func (ev *evaluator) bindRelation(b *alt.Binding, rel *relation.Relation, e *env
 		return nil, err
 	}
 	var probeAttrs []string
-	for a, v := range bound {
-		if rel.AttrIndex(a) >= 0 && v.Indexable() {
+	for a := range bound {
+		if rel.AttrIndex(a) >= 0 {
 			probeAttrs = append(probeAttrs, a)
 		}
 	}

@@ -8,18 +8,15 @@ import (
 
 // HashTable is a materialized, hash-indexed build side for tuple joins:
 // the planner's unit of join compilation. Rows are bucketed by the
-// value.Key of their key columns; rows whose key contains a value that is
-// not Indexable (integral numerics beyond 2^53, where Key identity is
-// finer than Eq) go to an overflow list that every lookup scans, so a
-// candidate set is complete under Eq even where hashing is not.
-// Candidates are a superset of the Eq matches — callers re-check with
-// EqMatch (strict 3VL True, so NULL keys never join).
+// value.Key of their key columns, which values share exactly when they
+// are Eq-equal or both NULL. Candidates are therefore a superset of the
+// Eq matches — callers re-check with EqMatch (strict 3VL True, so NULL
+// keys never join).
 type HashTable struct {
-	cols     []int
-	rows     []Row
-	buckets  map[string][]int
-	overflow []int
-	arity    int
+	cols    []int
+	rows    []Row
+	buckets map[string][]int
+	arity   int
 }
 
 // BuildHashTable drains in into a hash table keyed on cols. arity is the
@@ -35,19 +32,8 @@ func BuildHashTable(in Seq, cols []int, arity int) *HashTable {
 	for t, m := range in {
 		slot := len(ht.rows)
 		ht.rows = append(ht.rows, Row{Tup: t.Clone(), Mult: m})
-		indexable := true
-		for _, c := range cols {
-			if !t[c].Indexable() {
-				indexable = false
-				break
-			}
-		}
-		if indexable {
-			k := appendKeyAt(kb[:0], t, cols)
-			ht.buckets[string(k)] = append(ht.buckets[string(k)], slot)
-		} else {
-			ht.overflow = append(ht.overflow, slot)
-		}
+		k := appendKeyAt(kb[:0], t, cols)
+		ht.buckets[string(k)] = append(ht.buckets[string(k)], slot)
 	}
 	return ht
 }
@@ -62,8 +48,7 @@ func (ht *HashTable) Arity() int { return ht.arity }
 func (ht *HashTable) Rows() []Row { return ht.rows }
 
 // Candidates calls f with (slot, row) for every build row that may
-// Eq-match vals on the key columns: the Key bucket plus the overflow list
-// when every probe value is indexable, or every row otherwise. With no
+// Eq-match vals on the key columns: the rows of vals' Key bucket. With no
 // key columns every row is a candidate (the cross-join degenerate case).
 // f returning false stops the enumeration.
 func (ht *HashTable) Candidates(vals []value.Value, f func(slot int, r Row) bool) {
@@ -75,23 +60,8 @@ func (ht *HashTable) Candidates(vals []value.Value, f func(slot int, r Row) bool
 		}
 		return
 	}
-	for _, v := range vals {
-		if !v.Indexable() {
-			for i, r := range ht.rows {
-				if !f(i, r) {
-					return
-				}
-			}
-			return
-		}
-	}
 	var kb [64]byte
 	for _, i := range ht.buckets[string(relation.Tuple(vals).AppendKey(kb[:0]))] {
-		if !f(i, ht.rows[i]) {
-			return
-		}
-	}
-	for _, i := range ht.overflow {
 		if !f(i, ht.rows[i]) {
 			return
 		}
@@ -154,8 +124,7 @@ func concatNull(left relation.Tuple, leftArity int, right relation.Tuple, rightA
 // row's values at probeCols, the concatenation probe ++ build — or build
 // ++ probe when buildFirst, for a join that builds its left input —
 // optionally filtered by the residual on predicate over the concatenated
-// tuple. NULL keys never match, and Eq-vs-Key divergence beyond 2^53 is
-// handled by ht's overflow list. A non-nil op counts probe rows: one with
+// tuple. NULL keys never match. A non-nil op counts probe rows: one with
 // at least one surviving match (post-residual) is a hit, otherwise a miss.
 func EquiJoin(probe Seq, probeCols []int, ht *HashTable, buildFirst bool, on func(relation.Tuple) bool, op *trace.Op) Seq {
 	return func(yield func(relation.Tuple, int) bool) {

@@ -294,26 +294,11 @@ func (p *Plan) executePoint(ctx *runCtx, pn *projectNode, sn *scanNode) (*relati
 	if len(sn.probes) == 0 {
 		rel.EachWhile(emit)
 	} else {
-		cols, vals, reCols, reVals, null := sn.resolveProbes(ctx)
+		cols, vals, null := sn.resolveProbes(ctx)
 		if null {
 			return out, ctx.err
 		}
-		match := emit
-		if len(reCols) > 0 {
-			match = func(t relation.Tuple, m int) bool {
-				for i, c := range reCols {
-					if value.Eq.Apply(t[c], reVals[i]) != value.True {
-						return true
-					}
-				}
-				return emit(t, m)
-			}
-		}
-		if len(cols) > 0 {
-			rel.Probe(cols, vals, match)
-		} else {
-			rel.EachWhile(match)
-		}
+		rel.Probe(cols, vals, emit)
 	}
 	if ctx.err != nil {
 		return nil, ctx.err
@@ -352,11 +337,10 @@ func (p *Plan) run(ctx *runCtx) exec.Seq {
 
 // scanProbe is one consumed equality conjunct pushed down onto a scan:
 // probe column col with a compile-time literal (param < 0) or the value
-// bound to $param+1 at execution time. Literal probe values were
-// validated at compile (non-NULL, Indexable, so probe Key identity is
-// exactly Eq); parameter values are classified per execution — NULL
-// yields no rows (x = NULL holds for nothing under 3VL), non-indexable
-// values fall back to a scan with a strict Eq re-check.
+// bound to $param+1 at execution time. Key identity is exactly Eq for
+// non-NULL values, so the probe is the filter it replaces. Literal probe
+// values were validated non-NULL at compile; a NULL parameter yields no
+// rows (x = NULL holds for nothing under 3VL).
 type scanProbe struct {
 	col   int
 	val   value.Value
@@ -427,11 +411,10 @@ func (n *scanNode) rel(ctx *runCtx) *relation.Relation {
 // emptySeq yields nothing.
 func emptySeq(func(relation.Tuple, int) bool) {}
 
-// resolveProbes classifies the scan's probes for one execution: the
-// indexable (cols, vals) pairs to hash-probe, the (reCols, reVals)
-// pairs that need a scan-side strict Eq re-check (non-indexable
-// bindings), and whether a NULL binding makes the scan empty.
-func (n *scanNode) resolveProbes(ctx *runCtx) (cols []int, vals []value.Value, reCols []int, reVals []value.Value, null bool) {
+// resolveProbes binds the scan's probes for one execution: the (cols,
+// vals) pairs to hash-probe, and whether a NULL binding makes the scan
+// empty.
+func (n *scanNode) resolveProbes(ctx *runCtx) (cols []int, vals []value.Value, null bool) {
 	cols = make([]int, 0, len(n.probes))
 	vals = make([]value.Value, 0, len(n.probes))
 	for _, pb := range n.probes {
@@ -439,18 +422,13 @@ func (n *scanNode) resolveProbes(ctx *runCtx) (cols []int, vals []value.Value, r
 		if pb.param >= 0 {
 			v = ctx.param(pb.param)
 			if v.IsNull() {
-				return nil, nil, nil, nil, true
-			}
-			if !v.Indexable() {
-				reCols = append(reCols, pb.col)
-				reVals = append(reVals, v)
-				continue
+				return nil, nil, true
 			}
 		}
 		cols = append(cols, pb.col)
 		vals = append(vals, v)
 	}
-	return cols, vals, reCols, reVals, false
+	return cols, vals, false
 }
 
 // resolveRange materializes the range bounds for one execution. A set
@@ -487,25 +465,11 @@ func (n *scanNode) Run(ctx *runCtx) exec.Seq {
 	if len(n.probes) == 0 {
 		return ctx.traced(n, exec.Scan(rel))
 	}
-	cols, vals, reCols, reVals, null := n.resolveProbes(ctx)
+	cols, vals, null := n.resolveProbes(ctx)
 	if null {
 		return ctx.traced(n, emptySeq)
 	}
-	seq := exec.Scan(rel)
-	if len(cols) > 0 {
-		seq = exec.Probe(rel, cols, vals)
-	}
-	if len(reCols) > 0 {
-		seq = exec.Filter(seq, func(t relation.Tuple, _ int) bool {
-			for i, c := range reCols {
-				if value.Eq.Apply(t[c], reVals[i]) != value.True {
-					return false
-				}
-			}
-			return true
-		})
-	}
-	return ctx.traced(n, seq)
+	return ctx.traced(n, exec.Probe(rel, cols, vals))
 }
 
 func (n *scanNode) writeExplain(b *strings.Builder, depth int, tr *trace.Trace) {

@@ -17,9 +17,8 @@ func paramTestDB() map[string]*relation.Relation {
 
 // TestParamProbePlanAndExecution pins that a $n equality compiles into a
 // scan probe (consumed conjunct, no residual filter) and that every
-// binding class executes correctly: indexable values probe, NULL yields
-// nothing, and non-indexable integers (beyond 2^53, where Key identity
-// is finer than Eq) fall back to a strict Eq re-check.
+// binding class executes correctly: values probe, NULL yields nothing,
+// and integers beyond 2^53 probe exactly like small ones.
 func TestParamProbePlanAndExecution(t *testing.T) {
 	db := paramTestDB()
 	p, err := Compile(sql.MustParse("select R.A, R.B from R where R.A = $1"), db)
@@ -53,8 +52,8 @@ func TestParamProbePlanAndExecution(t *testing.T) {
 	if got := run(value.Int(1 << 60)); got != 0 {
 		t.Fatalf("A=2^60 returned %d rows, want 0", got)
 	}
-	// The non-indexable re-check agrees with Eq: a relation holding
-	// 2^60 must be found via the fallback scan.
+	// Key identity is Eq beyond 2^53 too: a relation holding 2^60 is
+	// found by the probe.
 	db["R"].Add(int64(1<<60), 1)
 	if got := run(value.Int(1 << 60)); got != 1 {
 		t.Fatalf("A=2^60 after insert returned %d rows, want 1", got)

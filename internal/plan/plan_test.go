@@ -194,8 +194,8 @@ func TestNotPlannableFallbacks(t *testing.T) {
 
 // TestPlanExecutionEdgeCases exercises the semantics corners that the
 // hash-based operators must preserve: NULL join keys never matching,
-// NOT IN with NULLs, unmatched FULL-join sides, and Eq-vs-Key
-// divergence beyond 2^53 (the overflow list).
+// NOT IN with NULLs, unmatched FULL-join sides, and an int joining the
+// equal float beyond 2^53.
 func TestPlanExecutionEdgeCases(t *testing.T) {
 	run := func(src string, db map[string]*relation.Relation) *relation.Relation {
 		t.Helper()
@@ -240,15 +240,15 @@ func TestPlanExecutionEdgeCases(t *testing.T) {
 		t.Fatalf("full join mismatch:\ngot\n%s\nwant\n%s", got, want)
 	}
 
-	// Beyond 2^53 the float-coercing Eq collapses values whose Keys stay
-	// exact; the hash-table overflow list must still find the match.
+	// Beyond 2^53 the int 2^60 and the float 2^60 are Eq-equal, so they
+	// share a hash-table Key and join.
 	big := int64(1) << 60
 	dbBig := map[string]*relation.Relation{
 		"R": relation.New("R", "A").Add(value.Int(big)),
 		"S": relation.New("S", "B").Add(value.Float(float64(big))),
 	}
 	if got := run("select R.A from R, S where R.A = S.B", dbBig); got.Card() != 1 {
-		t.Fatalf("overflow join missed the 2^60 match:\n%s", got)
+		t.Fatalf("hash join missed the 2^60 match:\n%s", got)
 	}
 }
 

@@ -264,12 +264,10 @@ func (c *compilerCtx) compileRef(ref sql.TableRef, outer *scope, conjs []sql.Exp
 
 // pushProbes turns WHERE conjuncts of the form alias.col = literal (or
 // alias.col = $n) into index probes on a top-level base-table scan,
-// consuming the conjunct. A literal must be non-NULL and Indexable so
-// that probe (Key) identity coincides with Eq, making the consumed
-// conjunct exactly the filter it replaces; a parameter's value is
-// classified per execution instead (NULL → empty scan, non-indexable →
-// scan with strict Eq re-check), which preserves the same equivalence
-// for every possible binding. Probes are never pushed below outer
+// consuming the conjunct. Probe (Key) identity coincides with Eq for
+// every non-NULL value, so the consumed conjunct is exactly the filter it
+// replaces. A NULL literal is left as a filter; a parameter bound to NULL
+// empties the scan per execution. Probes are never pushed below outer
 // joins — compileJoinRef does not call this.
 func (c *compilerCtx) pushProbes(n *scanNode, conjs []sql.Expr, consumed []bool) {
 	for i, cj := range conjs {
@@ -291,7 +289,7 @@ func (c *compilerCtx) pushProbes(n *scanNode, conjs []sql.Expr, consumed []bool)
 			}
 			switch other := sides[1].(type) {
 			case *sql.Lit:
-				if other.Val.IsNull() || !other.Val.Indexable() {
+				if other.Val.IsNull() {
 					continue
 				}
 				n.probes = append(n.probes, scanProbe{col: col, val: other.Val, param: -1})

@@ -154,8 +154,7 @@ func TestDirectedProbePushdownRegressions(t *testing.T) {
 	}
 
 	// Large numerics: a float-valued column probed with an integer
-	// literal must still match (key alignment holds to 2^53; beyond it
-	// the probe layer falls back to scans).
+	// literal must still match (an integral float shares its int's key).
 	r3 := relation.New("R", "a")
 	r3.Insert(relation.Tuple{value.Float(1e15)})
 	bigDB := sqleval.DB{"R": r3}

@@ -574,10 +574,7 @@ func (s *segment) hashIndexFor(sig string, cols []int) *hashIndex {
 // every version) past the dead set, then the delta's.
 //
 // Probe identity is value.Key, which agrees with value.Eq for every
-// probe value whose Indexable() is true; callers probing with
-// non-indexable values (integral numerics beyond 2^53, where Eq's float
-// coercion collapses distinct integers) must fall back to a scan with an
-// Eq re-check, as the evaluators do.
+// non-NULL probe value.
 func (r *Relation) Probe(cols []int, vals []value.Value, f func(Tuple, int) bool) {
 	if len(cols) != len(vals) {
 		panic(fmt.Sprintf("Probe: %d columns, %d values", len(cols), len(vals)))

@@ -756,8 +756,8 @@ func (e *evaluator) extendWithPlans(rows []row, alias string, rel *relation.Rela
 					continue // would resolve through a shadowed outer frame; scan covers it
 				}
 				v, err := e.evalExpr(p.other, fr, nil)
-				if err != nil || !v.Indexable() {
-					continue // not evaluable yet, or key identity too weak; scan covers it
+				if err != nil {
+					continue // not evaluable yet; scan covers it
 				}
 				cols = append(cols, p.col)
 				vals = append(vals, v)

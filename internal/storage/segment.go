@@ -1,9 +1,9 @@
 // segment.go implements the checkpoint file format: one sorted
 // immutable segment per relation. Entries are (ordered tuple key,
-// multiplicity) pairs packed into ~4 KiB blocks; a sparse index block
-// at the tail records each block's offset and first key, so a range
-// scan binary-searches the index and reads only the blocks that can
-// intersect [lo,hi). Layout:
+// multiplicity) pairs packed into ~4 KiB blocks; an index block at the
+// tail records each block's offset, length and first key (recovery
+// reads every block, so the first keys are checksummed but not kept).
+// Layout:
 //
 //	magic "ARCSEG01"
 //	data blocks: [keyLen uvarint][key][mult uvarint]*
@@ -33,7 +33,6 @@ const segFooterSize = 8 + 4 + 8
 
 // segEntry is one decoded block entry.
 type segEntry struct {
-	key  []byte
 	tup  relation.Tuple
 	mult int64
 }
@@ -137,7 +136,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// segment is an open, immutable segment file: the sparse index lives in
+// segment is an open, immutable segment file: the block index lives in
 // memory, data blocks are read on demand through the block cache.
 type segment struct {
 	f     *os.File
@@ -147,12 +146,11 @@ type segment struct {
 	rows  uint64
 	offs  []uint64
 	lens  []uint32
-	first [][]byte
 	cache *BlockCache
 }
 
 // openSegment maps a segment file: it validates the footer, loads the
-// sparse index, and leaves the file open for block reads.
+// block index, and leaves the file open for block reads.
 func openSegment(path string, id uint64, cache *BlockCache) (*segment, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -200,7 +198,6 @@ func openSegment(path string, id uint64, cache *BlockCache) (*segment, error) {
 				if nb, rest, err = takeUvarint(rest); err == nil {
 					s.offs = make([]uint64, nb)
 					s.lens = make([]uint32, nb)
-					s.first = make([][]byte, nb)
 					for i := uint64(0); i < nb && err == nil; i++ {
 						var v, kl uint64
 						if s.offs[i], rest, err = takeUvarint(rest); err != nil {
@@ -217,8 +214,7 @@ func openSegment(path string, id uint64, cache *BlockCache) (*segment, error) {
 							err = fmt.Errorf("%w: index key overruns", ErrCorrupt)
 							break
 						}
-						s.first[i] = append([]byte(nil), rest[:kl]...)
-						rest = rest[kl:]
+						rest = rest[kl:] // the block's first key
 					}
 				}
 			}
@@ -264,7 +260,7 @@ func (s *segment) block(i int) ([]segEntry, error) {
 		if err != nil {
 			return nil, err
 		}
-		ents = append(ents, segEntry{key: key, tup: tup, mult: int64(mult)})
+		ents = append(ents, segEntry{tup: tup, mult: int64(mult)})
 		rest = r3
 	}
 	s.cache.put(s.id, i, ents, len(raw))
@@ -299,42 +295,4 @@ func (s *segment) Relation() (*relation.Relation, error) {
 		}
 	}
 	return r, nil
-}
-
-// Range calls f for each entry whose key lies in [lo, hi) (nil lo means
-// unbounded below, nil hi unbounded above), in key order. Only blocks
-// whose key range intersects the bounds are read.
-func (s *segment) Range(lo, hi []byte, f func(relation.Tuple, int64) bool) error {
-	if len(s.offs) == 0 {
-		return nil
-	}
-	start := 0
-	if lo != nil {
-		// Last block whose first key is <= lo could contain lo.
-		start = sort.Search(len(s.first), func(i int) bool { return bytes.Compare(s.first[i], lo) > 0 })
-		if start > 0 {
-			start--
-		}
-	}
-	for i := start; i < len(s.offs); i++ {
-		if hi != nil && bytes.Compare(s.first[i], hi) >= 0 {
-			return nil
-		}
-		ents, err := s.block(i)
-		if err != nil {
-			return err
-		}
-		for _, e := range ents {
-			if lo != nil && bytes.Compare(e.key, lo) < 0 {
-				continue
-			}
-			if hi != nil && bytes.Compare(e.key, hi) >= 0 {
-				return nil
-			}
-			if !f(e.tup, e.mult) {
-				return nil
-			}
-		}
-	}
-	return nil
 }

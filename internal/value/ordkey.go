@@ -3,10 +3,9 @@
 // whose memcmp order agrees with Less across every pair of values —
 // NULL sorts first, ints and floats interleave numerically, then
 // strings, then bools. Encodings are round-trip decodable (the segment
-// files store nothing but keys), and class prefixes plus a byte-string
-// successor give half-open [lo,hi) byte ranges for range scans. The
-// shape follows janus-datalog's key_encoder_binary.go: one tag byte per
-// class, big-endian sign-flipped numerics, 0x00-escaped strings.
+// files store nothing but keys). The shape follows janus-datalog's
+// key_encoder_binary.go: one tag byte per class, big-endian sign-flipped
+// numerics, 0x00-escaped strings.
 package value
 
 import (
@@ -23,11 +22,15 @@ const (
 	ordTagString = 0x03
 	ordTagBool   = 0x04
 
-	// Numeric kind disambiguators, appended after the 8-byte sort key so
-	// equal-valued ints and floats stay distinct (round trip) while
-	// sorting adjacently.
-	ordNumInt   = 0x01
-	ordNumFloat = 0x02
+	// Numeric tie-breaks, appended after the 8-byte float sort key. The
+	// values sharing one float key F are ordered: ints below F, the int
+	// equal to F, the float F, ints above F (an int beyond 2^53 rounds to
+	// the F of its neighbours). Each int byte is followed by the exact
+	// int64 payload.
+	ordNumIntBelow = 0x00
+	ordNumInt      = 0x01
+	ordNumFloat    = 0x02
+	ordNumIntAbove = 0x03
 )
 
 // ErrBadOrdKey is wrapped by DecodeOrdered on malformed input.
@@ -67,12 +70,9 @@ func takeU64(b []byte) (uint64, []byte, bool) {
 }
 
 // AppendOrdered appends the order-preserving encoding of v to b and
-// returns the extended slice. For any two values a, b:
-//
-//   - a.Less(b) implies bytes(a) < bytes(b);
-//   - Compare(a,b) == 0 (e.g. 2 vs 2.0) implies the encodings share
-//     their class prefix and differ only in the kind tiebreak,
-//     so both fall inside the same [prefix, successor(prefix)) range.
+// returns the extended slice: a.Less(b) implies bytes(a) < bytes(b).
+// Values Less cannot tell apart (2 and 2.0, -0.0 and 0.0) still encode
+// distinctly, so each round-trips to its own kind and bits.
 //
 // Concatenated encodings order tuples lexicographically: no value's
 // encoding is a proper prefix of another's within a class, and class
@@ -82,11 +82,19 @@ func (v Value) AppendOrdered(b []byte) []byte {
 	case KindNull:
 		return append(b, ordTagNull)
 	case KindInt:
-		b = appendU64(append(b, ordTagNum), f64key(float64(v.i())))
-		// Exact payload: ints beyond 2^53 share a float sort key with
-		// their neighbours; the offset-binary int64 breaks the tie in
-		// numeric order.
-		return appendU64(append(b, ordNumInt), v.n+(1<<63))
+		f := float64(v.i())
+		b = appendU64(append(b, ordTagNum), f64key(f))
+		// Ints beyond 2^53 share a float sort key with their neighbours:
+		// the tie-break byte places the int against that float, and the
+		// offset-binary int64 orders the ints on one side of it.
+		tie := byte(ordNumInt)
+		switch cmpIntFloat(v.i(), f) {
+		case -1:
+			tie = ordNumIntBelow
+		case 1:
+			tie = ordNumIntAbove
+		}
+		return appendU64(append(b, tie), v.n+(1<<63))
 	case KindFloat:
 		b = appendU64(append(b, ordTagNum), f64key(v.f()))
 		return append(b, ordNumFloat)
@@ -128,7 +136,7 @@ func DecodeOrdered(b []byte) (Value, []byte, error) {
 			return Value{}, nil, fmt.Errorf("%w: short numeric", ErrBadOrdKey)
 		}
 		switch rest[0] {
-		case ordNumInt:
+		case ordNumIntBelow, ordNumInt, ordNumIntAbove:
 			iv, rest2, ok := takeU64(rest[1:])
 			if !ok {
 				return Value{}, nil, fmt.Errorf("%w: short int payload", ErrBadOrdKey)
@@ -171,36 +179,4 @@ func DecodeOrdered(b []byte) (Value, []byte, error) {
 		return Bool(b[1] != 0x00), b[2:], nil
 	}
 	return Value{}, nil, fmt.Errorf("%w: unknown tag 0x%02x", ErrBadOrdKey, b[0])
-}
-
-// AppendOrderedPrefix appends the class prefix of v: the part of the
-// encoding shared by every value that Compare reports equal to v (for
-// numerics the tag plus the 8-byte float sort key, collapsing 2 and 2.0;
-// otherwise the full encoding). Every key for a tuple whose first value
-// compares equal to v starts with exactly this prefix, so
-// [prefix, OrderedSuccessor(prefix)) covers the whole tie group — the
-// building block for range-scan bounds.
-func (v Value) AppendOrderedPrefix(b []byte) []byte {
-	switch v.kind {
-	case KindInt:
-		return appendU64(append(b, ordTagNum), f64key(float64(v.i())))
-	case KindFloat:
-		return appendU64(append(b, ordTagNum), f64key(v.f()))
-	}
-	return v.AppendOrdered(b)
-}
-
-// OrderedSuccessor returns the smallest byte string strictly greater
-// than every string that starts with p: increment the last
-// incrementable byte and truncate. A nil result means +infinity (p was
-// empty or all 0xFF).
-func OrderedSuccessor(p []byte) []byte {
-	out := append([]byte(nil), p...)
-	for i := len(out) - 1; i >= 0; i-- {
-		if out[i] != 0xFF {
-			out[i]++
-			return out[:i+1]
-		}
-	}
-	return nil
 }

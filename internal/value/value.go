@@ -6,6 +6,7 @@
 package value
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -67,8 +68,15 @@ func Null() Value { return Value{} }
 // Int returns an integer value.
 func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
-// Float returns a float value.
-func Float(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
+// Float returns a float value. NaN is not a number any comparison can
+// order, so Float(NaN) is NULL (SQLite's rule): every Value that is not
+// NULL equals itself.
+func Float(v float64) Value {
+	if v != v {
+		return Value{}
+	}
+	return Value{kind: KindFloat, n: math.Float64bits(v)}
+}
 
 // Str returns a string value.
 func Str(v string) Value { return Value{kind: KindString, s: v} }
@@ -141,9 +149,9 @@ func (v Value) String() string {
 	return "?"
 }
 
-// Key returns a string that is equal for equal values and distinct for
-// distinct values (within the value domain used here). Integers and floats
-// that denote the same number share a key, matching comparison semantics.
+// Key returns the canonical form of v under Equal: two values have the
+// same Key exactly when they are Equal. Integers and floats that denote
+// the same number share a key.
 func (v Value) Key() string { return string(v.AppendKey(nil)) }
 
 // AppendKey appends the Key encoding of v to b and returns the extended
@@ -157,11 +165,10 @@ func (v Value) AppendKey(b []byte) []byte {
 		return strconv.AppendInt(append(b, 0x01), v.i(), 10)
 	case KindFloat:
 		f := v.f()
-		if f == math.Trunc(f) && !math.IsInf(f, 0) && math.Abs(f) <= maxExactFloat {
-			// Align with equal integers so 2.0 and 2 group together. The
-			// cutoff is 2^53, the largest range where float64 represents
-			// every integer exactly, so within it Key agrees with the
-			// float-coercing Compare.
+		if f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
+			// An integral float in int64 range equals exactly one int, so
+			// it takes that int's key: 2.0 and 2 group together, and so do
+			// 2^60 and 2^60.0.
 			return strconv.AppendInt(append(b, 0x01), int64(f), 10)
 		}
 		return strconv.AppendFloat(append(b, 0x02), f, 'g', -1, 64)
@@ -176,78 +183,71 @@ func (v Value) AppendKey(b []byte) []byte {
 	return append(b, 0x05, '?')
 }
 
-// Equal reports strict equality under two-valued logic: NULL equals NULL.
-// Relational predicate evaluation uses Compare (3VL-aware) instead; Equal
-// exists for keys, dedup, and test assertions.
-func (v Value) Equal(o Value) bool { return v.Key() == o.Key() }
-
-// maxExactFloat is 2^53, the largest magnitude below which float64
-// represents every integer exactly.
-const maxExactFloat = float64(1 << 53)
-
-// Indexable reports whether hash-probing by v's Key finds every value
-// that the float-coercing Eq predicate would match: true except for
-// integral numerics beyond 2^53, where Eq collapses distinct integers
-// (float coercion rounds) while keys stay exact. Non-indexable probe
-// values must fall back to a scan with an Eq re-check.
-func (v Value) Indexable() bool {
-	switch v.kind {
-	case KindInt:
-		return math.Abs(float64(v.i())) <= maxExactFloat
-	case KindFloat:
-		f := v.f()
-		return f != math.Trunc(f) || math.IsInf(f, 0) || math.Abs(f) <= maxExactFloat
+// Equal reports strict equality under two-valued logic: NULL equals NULL,
+// and otherwise Equal is Compare == 0. Relational predicate evaluation
+// uses Compare (3VL-aware) instead; Equal exists for keys, dedup, and
+// test assertions.
+func (v Value) Equal(o Value) bool {
+	if v.kind == KindNull || o.kind == KindNull {
+		return v.kind == o.kind
 	}
-	return true
+	c, ok := v.Compare(o)
+	return ok && c == 0
 }
 
 // Compare compares two non-null values, returning -1, 0, or +1 and true,
 // or false when the values are incomparable (NULL involved, or mixed
-// non-numeric kinds). Numeric kinds coerce to float for comparison.
+// non-numeric kinds). Numeric comparison is exact: ints compare as
+// int64, floats as float64, and an int with a float without rounding
+// either side, so = is an equivalence at every magnitude.
 func (v Value) Compare(o Value) (int, bool) {
-	if v.IsNull() || o.IsNull() {
+	switch {
+	case v.kind == KindNull || o.kind == KindNull:
 		return 0, false
-	}
-	if v.IsNumeric() && o.IsNumeric() {
-		a, b := v.AsFloat(), o.AsFloat()
-		switch {
-		case a < b:
-			return -1, true
-		case a > b:
-			return 1, true
-		}
-		return 0, true
-	}
-	if v.kind == KindString && o.kind == KindString {
-		switch {
-		case v.s < o.s:
-			return -1, true
-		case v.s > o.s:
-			return 1, true
-		}
-		return 0, true
-	}
-	if v.kind == KindBool && o.kind == KindBool {
+	case v.kind == KindInt && o.kind == KindInt:
+		return cmp.Compare(v.i(), o.i()), true
+	case v.kind == KindFloat && o.kind == KindFloat:
+		return cmp.Compare(v.f(), o.f()), true
+	case v.kind == KindInt && o.kind == KindFloat:
+		return cmpIntFloat(v.i(), o.f()), true
+	case v.kind == KindFloat && o.kind == KindInt:
+		return -cmpIntFloat(o.i(), v.f()), true
+	case v.kind == KindString && o.kind == KindString:
+		return cmp.Compare(v.s, o.s), true
+	case v.kind == KindBool && o.kind == KindBool:
 		return int(v.n) - int(o.n), true // a bool's word is 0 or 1
 	}
 	return 0, false
+}
+
+// cmpIntFloat compares i with a non-NaN f exactly. A float outside the
+// int64 range lies beyond every int; inside it, the integral part of f is
+// an int64 that compares with i exactly, and on a tie the fractional
+// part decides.
+func cmpIntFloat(i int64, f float64) int {
+	switch {
+	case f < -(1 << 63):
+		return 1
+	case f >= 1<<63:
+		return -1
+	}
+	t := math.Trunc(f)
+	if c := cmp.Compare(i, int64(t)); c != 0 {
+		return c
+	}
+	return cmp.Compare(0, f-t)
 }
 
 // Less is a total order over all values (NULL first, then by kind, then by
 // payload), used for canonical sorting of relations. It is not the SQL
 // comparison — use Compare for predicate semantics.
 func (v Value) Less(o Value) bool {
-	if v.kind != o.kind {
-		// Numeric kinds interleave by value so 1 < 1.5 < 2 regardless of kind.
-		if v.IsNumeric() && o.IsNumeric() {
-			return v.AsFloat() < o.AsFloat()
-		}
+	if v.kind != o.kind && !(v.IsNumeric() && o.IsNumeric()) {
 		return v.kind < o.kind
 	}
-	if c, ok := v.Compare(o); ok {
-		return c < 0
-	}
-	return false
+	// Numeric kinds interleave by value so 1 < 1.5 < 2 regardless of kind.
+	c, ok := v.Compare(o)
+	return ok && c < 0
 }
 
 // Arithmetic. All operations propagate NULL and require numeric operands;

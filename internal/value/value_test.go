@@ -1,6 +1,7 @@
 package value
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -251,5 +252,74 @@ func TestCmpOpStringsAndFlip(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// checkOneEquality fails t unless a and b agree on every form of
+// equality — Equal, Compare == 0 (or both NULL) and equal Key bytes —
+// and Less and Compare agree on their order.
+func checkOneEquality(t *testing.T, a, b Value) {
+	t.Helper()
+	c, ok := a.Compare(b)
+	eq := ok && c == 0 || a.IsNull() && b.IsNull()
+	if a.Equal(b) != eq || (a.Key() == b.Key()) != eq {
+		t.Fatalf("%v (%v) vs %v (%v): Compare %d,%v, Equal %v, same Key %v",
+			a, a.Kind(), b, b.Kind(), c, ok, a.Equal(b), a.Key() == b.Key())
+	}
+	if c2, ok2 := b.Compare(a); ok2 != ok || c2 != -c {
+		t.Fatalf("Compare(%v,%v) = %d,%v but Compare(%v,%v) = %d,%v", a, b, c, ok, b, a, c2, ok2)
+	}
+	if ok && (a.Less(b) != (c < 0) || b.Less(a) != (c > 0)) {
+		t.Fatalf("%v vs %v: Compare %d but Less %v/%v", a, b, c, a.Less(b), b.Less(a))
+	}
+}
+
+// TestEqualityIsOneEquivalence: Equal, Compare == 0 and Key identity are
+// one relation at every magnitude, Compare is transitive, and Equal
+// allocates nothing.
+func TestEqualityIsOneEquivalence(t *testing.T) {
+	vals := eqCorpus()
+	n := len(vals)
+	cmp := make([]int8, n*n) // Compare(vals[i], vals[j]), or 2 when incomparable
+	for i, a := range vals {
+		for j, b := range vals {
+			checkOneEquality(t, a, b)
+			c, ok := a.Compare(b)
+			if !ok {
+				c = 2
+			}
+			cmp[i*n+j] = int8(c)
+		}
+	}
+	for i := range vals {
+		for j := range vals {
+			ij := cmp[i*n+j]
+			if ij > 0 {
+				continue
+			}
+			for k := range vals {
+				jk, ik := cmp[j*n+k], cmp[i*n+k]
+				if jk > 0 {
+					continue
+				}
+				// vals[i] <= vals[j] <= vals[k]: then vals[i] <= vals[k],
+				// strictly unless both steps are ties.
+				if want := min(ij, jk); ik != want {
+					t.Fatalf("%v ≤ %v ≤ %v (%d, %d) but Compare(%v,%v) = %d",
+						vals[i], vals[j], vals[k], ij, jk, vals[i], vals[k], ik)
+				}
+			}
+		}
+	}
+	pairs := [][2]Value{
+		{Int(1<<53 + 1), Float(1 << 53)}, {Float(2), Int(2)}, {Str("ab"), Str("ab")},
+		{Null(), Null()}, {Bool(true), Int(1)}, {Int(math.MaxInt64), Float(1 << 63)},
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		for _, p := range pairs {
+			p[0].Equal(p[1])
+		}
+	}); got != 0 {
+		t.Fatalf("Equal allocates %v times per run", got)
 	}
 }
