@@ -390,10 +390,31 @@ func (db *DB) QueryAll(ctx context.Context, lang Lang, src string, args ...any) 
 }
 
 // checkFromCtx turns a context into the cancellation poll the execution
-// layers share. Contexts that can never be cancelled poll nothing.
+// layers share. Contexts that can never be cancelled poll nothing. A poll
+// is a non-blocking receive on the Done channel and asks Err only after
+// it closed: Err takes the context's lock, which a poll per row would pay
+// on every row, where Done, once made, is a lock-free load. (The closure
+// holds the context alone, as a method value of Err did, so a query pays
+// no more bytes for its poll.) A context whose Done is not one channel
+// from call to call (which context.Context rules out, but a test double
+// counting polls does) is asked Err on every poll.
 func checkFromCtx(ctx context.Context) func() error {
-	if ctx == nil || ctx.Done() == nil {
+	if ctx == nil {
 		return nil
 	}
-	return ctx.Err
+	done := ctx.Done()
+	switch {
+	case done == nil:
+		return nil
+	case ctx.Done() != done:
+		return ctx.Err
+	}
+	return func() error {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		default:
+			return nil
+		}
+	}
 }

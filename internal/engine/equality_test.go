@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/relation"
@@ -106,5 +107,41 @@ func TestOnePredicateOneAnswer(t *testing.T) {
 	})
 	if covered != tr.Card() {
 		t.Fatalf("the = classes of select distinct's rows cover %d of T's %d rows", covered, tr.Card())
+	}
+}
+
+// TestIntegerOverflowIsFloat: an int result beyond int64 is the float
+// result (SQLite's rule), in every language and through both γs, never a
+// wrapped int — R.A + 1 over MaxInt64 was MinInt64, and sum over
+// {MaxInt64, 1} too.
+func TestIntegerOverflowIsFloat(t *testing.T) {
+	const maxI = math.MaxInt64
+	db := Open(
+		relation.New("R", "A").Add(value.Int(maxI)),
+		relation.New("S", "A").Add(value.Int(maxI)).Add(value.Int(1)),
+	)
+	ctx := context.Background()
+	for _, c := range []struct {
+		lang Lang
+		src  string
+		args []any
+		want float64
+	}{
+		{LangSQL, "select R.A + 1 s from R", nil, float64(maxI) + 1},
+		{LangSQL, "select R.A * 2 s from R", nil, 2 * float64(maxI)},
+		{LangSQL, "select R.A - $1 s from R", []any{value.Int(-1)}, float64(maxI) + 1},
+		{LangSQL, "select sum(S.A) s from S", nil, float64(maxI) + 1},
+		{LangARC, "{Q(s) | ∃r ∈ R [Q.s = r.A + 1]}", nil, float64(maxI) + 1},
+		{LangARC, "{Q(s) | ∃r ∈ R [Q.s = r.A * 2]}", nil, 2 * float64(maxI)},
+		{LangARC, "{Q(s) | ∃x ∈ S, γ ∅ [Q.s = sum(x.A)]}", nil, float64(maxI) + 1},
+	} {
+		rel, err := db.QueryAll(ctx, c.lang, c.src, c.args...)
+		if err != nil {
+			t.Fatalf("%s: %v", c.src, err)
+		}
+		rows := rel.Tuples()
+		if len(rows) != 1 || rows[0][0].Kind() != value.KindFloat || rows[0][0].AsFloat() != c.want {
+			t.Errorf("%s returned\n%s\nwant the one float %v", c.src, rel, c.want)
+		}
 	}
 }

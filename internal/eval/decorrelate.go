@@ -40,13 +40,16 @@ type groupLookup struct {
 	probe []planTerm // outer sides of the correlation equalities, over the enclosing tuple
 	strs  []string   // the equalities, for EXPLAIN
 	// empty is γ∅ over no tuples under the active conventions. It never
-	// comes from rows: a key without a group, a NULL and a non-indexable
-	// key all read it.
+	// comes from rows: a key without a group and a NULL key read it.
 	empty groupRow
-	rows  map[string]groupRow // built by the execution's first probe
-	vals  relation.Tuple      // scratch: one probe's correlation values
-	kb    []byte              // scratch: their table key
-	op    *trace.Op           // EXPLAIN ANALYZE counters; nil when untraced
+	// The groups, built by the execution's first probe: the correlation
+	// values and row of each, chained by the hash of the values.
+	built  bool
+	keys   []relation.Tuple
+	rows   []groupRow
+	chains relation.Chains // slot i is keys[i] and rows[i]
+	vals   relation.Tuple  // scratch: one probe's correlation values
+	op     *trace.Op       // EXPLAIN ANALYZE counters; nil when untraced
 }
 
 // planExists is an ∃ (or, with neg, ¬∃) subformula compiled as a filter:
@@ -159,35 +162,49 @@ func (lk *groupLookup) rowOf(ev *evaluator, g relation.Tuple) groupRow {
 	return groupRow{row: row}
 }
 
-// key leaves the table key of the correlation values in kb, or reports
-// that they match no group: NULL equals nothing, so neither side of the
-// table admits it.
-func (lk *groupLookup) key(vals relation.Tuple) bool {
-	lk.kb = lk.kb[:0]
-	for _, v := range vals {
-		if v.IsNull() {
-			return false
+// admits reports whether correlation values can match a group: NULL
+// equals nothing, so neither side of the table admits it.
+func admits(vals relation.Tuple) bool { return !slices.ContainsFunc(vals, value.Value.IsNull) }
+
+// slot returns the slot of the group whose correlation values are Equal
+// to vals, whose hash is h, or -1 when there is none.
+func (lk *groupLookup) slot(vals relation.Tuple, h uint64) int {
+	ch := lk.chains.Chain(h)
+	for s := ch.First(); s >= 0; s = ch.Next(s) {
+		if lk.keys[s].Equal(vals) {
+			return s
 		}
-		lk.kb = append(v.AppendKey(lk.kb), '\x1f')
 	}
-	return true
+	return -1
+}
+
+// add appends the group of keys, whose hash is h, with its row.
+func (lk *groupLookup) add(keys relation.Tuple, h uint64, g groupRow) {
+	lk.keys, lk.rows = append(lk.keys, keys), append(lk.rows, g)
+	lk.chains.Add(h)
 }
 
 // build runs the decorrelated scope once and keeps every group's row. An
 // evaluation error stays with the group whose tuple raised it.
 func (lk *groupLookup) build(ev *evaluator) error {
 	nk := len(lk.probe)
-	rows := map[string]groupRow{}
+	lk.keys, lk.rows, lk.chains = nil, nil, relation.Chains{}
 	err := lk.inner.eachGroup(ev, newEnv(), func(keys relation.Tuple, err error) {
-		if lk.key(keys) {
-			rows[string(lk.kb)] = groupRow{err: err}
+		if !admits(keys) {
+			return
+		}
+		h := keys.Hash()
+		if s := lk.slot(keys, h); s >= 0 {
+			lk.rows[s] = groupRow{err: err}
+		} else {
+			lk.add(keys.Clone(), h, groupRow{err: err}) // keys is γ's scratch input
 		}
 	}, func(g relation.Tuple) (bool, error) {
 		// γ has consumed its whole input by now: a key already present
 		// is a group one of whose tuples failed, and that error stands.
-		if lk.key(g[:nk]) {
-			if _, failed := rows[string(lk.kb)]; !failed {
-				rows[string(lk.kb)] = lk.rowOf(ev, g)
+		if keys := g[:nk:nk]; admits(keys) {
+			if h := keys.Hash(); lk.slot(keys, h) < 0 {
+				lk.add(keys, h, lk.rowOf(ev, g))
 			}
 		}
 		return true, nil
@@ -195,9 +212,9 @@ func (lk *groupLookup) build(ev *evaluator) error {
 	if err != nil {
 		return err
 	}
-	lk.rows = rows
+	lk.built = true
 	if lk.op != nil {
-		lk.op.BuildRows = int64(len(rows))
+		lk.op.BuildRows = int64(len(lk.rows))
 	}
 	return nil
 }
@@ -205,7 +222,7 @@ func (lk *groupLookup) build(ev *evaluator) error {
 // get returns the nested collection's row for the outer tuple t: nil when
 // its group produces none.
 func (lk *groupLookup) get(ev *evaluator, t relation.Tuple, e *env) (relation.Tuple, error) {
-	if lk.rows == nil {
+	if !lk.built {
 		if err := lk.build(ev); err != nil {
 			return nil, err
 		}
@@ -219,9 +236,9 @@ func (lk *groupLookup) get(ev *evaluator, t relation.Tuple, e *env) (relation.Tu
 		lk.vals = append(lk.vals, v)
 	}
 	g, hit := lk.empty, false
-	if lk.key(lk.vals) {
-		if r, ok := lk.rows[string(lk.kb)]; ok {
-			g, hit = r, true
+	if admits(lk.vals) {
+		if s := lk.slot(lk.vals, lk.vals.Hash()); s >= 0 {
+			g, hit = lk.rows[s], true
 		}
 	}
 	if lk.op != nil {

@@ -62,7 +62,7 @@ type aggState struct {
 	sum      value.Value
 	min, max value.Value
 	count    int
-	distinct map[string]bool
+	distinct *set[value.Value] // CountDistinct's values
 	haveAny  bool
 }
 
@@ -77,56 +77,26 @@ type aggState struct {
 // grouping over empty input emits nothing.
 func GroupAggregate(in Seq, keyCols []int, aggs []Agg, conv convention.Conventions) Seq {
 	return func(yield func(relation.Tuple, int) bool) {
-		type grp struct {
-			key    relation.Tuple
-			states []aggState
-		}
-		newStates := func() []aggState {
-			sts := make([]aggState, len(aggs))
-			for i := range sts {
-				if aggs[i].Func == CountDistinct {
-					sts[i].distinct = map[string]bool{}
-				}
-			}
-			return sts
-		}
-		index := map[string]int{}
-		var groups []*grp
+		gs := &grouping{keyCols: keyCols, aggs: aggs}
 		if len(keyCols) == 0 {
-			groups = append(groups, &grp{key: relation.Tuple{}, states: newStates()})
+			gs.of(relation.Tuple{}, 0)
 		}
-		var kb []byte
 		for t, m := range in {
 			w := m
 			if conv.Semantics == convention.Set {
 				w = 1
 			}
-			var g *grp
+			var g *group
 			if len(keyCols) == 0 {
-				g = groups[0]
+				g = gs.groups[0]
 			} else {
-				kb = kb[:0]
-				for _, c := range keyCols {
-					kb = t[c].AppendKey(kb)
-					kb = append(kb, '\x1f')
-				}
-				i, ok := index[string(kb)]
-				if !ok {
-					key := make(relation.Tuple, len(keyCols))
-					for j, c := range keyCols {
-						key[j] = t[c]
-					}
-					i = len(groups)
-					index[string(kb)] = i
-					groups = append(groups, &grp{key: key, states: newStates()})
-				}
-				g = groups[i]
+				g = gs.of(t, t.HashAt(keyCols))
 			}
 			for i, a := range aggs {
 				g.states[i].observe(a, t, w)
 			}
 		}
-		for _, g := range groups {
+		for _, g := range gs.groups {
 			out := make(relation.Tuple, 0, len(g.key)+len(aggs))
 			out = append(out, g.key...)
 			for i, a := range aggs {
@@ -137,6 +107,46 @@ func GroupAggregate(in Seq, keyCols []int, aggs []Agg, conv convention.Conventio
 			}
 		}
 	}
+}
+
+// grouping is γ's table of groups, in first-occurrence order and chained
+// by the hash of their keys.
+type grouping struct {
+	keyCols []int
+	aggs    []Agg
+	groups  []*group
+	chains  relation.Chains // slot i is groups[i]
+}
+
+type group struct {
+	key    relation.Tuple
+	states []aggState
+}
+
+// of returns the group of the input row t, whose key hash is h, starting
+// one if no group's key is Equal to t's values at keyCols.
+func (gs *grouping) of(t relation.Tuple, h uint64) *group {
+	ch := gs.chains.Chain(h)
+	for s := ch.First(); s >= 0; s = ch.Next(s) {
+		if g := gs.groups[s]; t.EqualAt(gs.keyCols, g.key) {
+			return g
+		}
+	}
+	// The input may be a scratch tuple: the key is copied out of it.
+	key := make(relation.Tuple, len(gs.keyCols))
+	for j, c := range gs.keyCols {
+		key[j] = t[c]
+	}
+	states := make([]aggState, len(gs.aggs))
+	for i := range states {
+		if gs.aggs[i].Func == CountDistinct {
+			states[i].distinct = &set[value.Value]{}
+		}
+	}
+	g := &group{key: key, states: states}
+	gs.groups = append(gs.groups, g)
+	gs.chains.Add(h)
+	return g
 }
 
 // observe folds one weighted input row into the state, maintaining only
@@ -156,7 +166,7 @@ func (st *aggState) observe(a Agg, t relation.Tuple, w int) {
 	case CountCol:
 		st.haveAny = true
 	case CountDistinct:
-		st.distinct[v.Key()] = true
+		st.distinct.add(v, v.Hash(), value.Value.Equal)
 		st.haveAny = true
 	case Sum, Avg:
 		contrib := v
@@ -200,7 +210,7 @@ func (st *aggState) result(a Agg, conv convention.Conventions) value.Value {
 	case Count, CountCol:
 		return value.Int(int64(st.count))
 	case CountDistinct:
-		return value.Int(int64(len(st.distinct)))
+		return value.Int(int64(st.distinct.n))
 	case Sum:
 		if !st.haveAny {
 			if conv.EmptyAggregate == convention.ZeroOnEmpty {

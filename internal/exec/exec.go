@@ -15,6 +15,7 @@ package exec
 
 import (
 	"iter"
+	"math/bits"
 
 	"repro/internal/relation"
 	"repro/internal/value"
@@ -22,7 +23,10 @@ import (
 
 // Seq is a stream of distinct tuples with bag multiplicities — the unit
 // every operator consumes and produces. Yield returning false stops the
-// producer (early termination propagates through compositions).
+// producer (early termination propagates through compositions). A
+// producer does not write a tuple after yielding it, so a consumer may
+// keep it; the exception is the scratch tuple of a γ's input projection,
+// which GroupAggregate copies what it keeps of.
 type Seq = iter.Seq2[relation.Tuple, int]
 
 // Scan streams every distinct tuple of r with its multiplicity, in
@@ -68,21 +72,78 @@ func Filter(in Seq, keep func(relation.Tuple, int) bool) Seq {
 }
 
 // Dedup streams the distinct tuples of in with multiplicity 1, in first-
-// occurrence order (the set-semantics reading of the stream).
+// occurrence order (the set-semantics reading of the stream). It keeps
+// every tuple it yields to recognise that tuple's duplicates, so in must
+// not write a tuple after yielding it (see Seq).
 func Dedup(in Seq) Seq {
 	return func(yield func(relation.Tuple, int) bool) {
-		seen := map[string]bool{}
-		var kb []byte
-		for t, _ := range in {
-			kb = t.AppendKey(kb[:0])
-			if seen[string(kb)] {
-				continue
-			}
-			seen[string(kb)] = true
-			if !yield(t, 1) {
+		var seen set[relation.Tuple]
+		for t := range in {
+			if seen.add(t, t.Hash(), relation.Tuple.Equal) && !yield(t, 1) {
 				return
 			}
 		}
+	}
+}
+
+// set holds distinct items, found by hash and confirmed by equal: an
+// open-addressing table, probed linearly from the top bits of an item's
+// hash, of the numbers of entries kept in blocks of doubling size. No
+// block is ever copied, and the set keeps the items it is given, not
+// copies, so a distinct item costs fewer bytes than a map entry would.
+type set[T any] struct {
+	blocks [][]entry[T] // block k holds minBlock<<k entries
+	n      int          // entries in use
+	table  []int32      // 1 + an entry's number, 0 if free; len is a power of two
+	shift  uint         // 64 - log2(len(table))
+}
+
+type entry[T any] struct {
+	x T
+	h uint64
+}
+
+const minBlock = 8
+
+// at returns entry j: blocks 0..k-1 hold the first minBlock·(2^k - 1).
+func (s *set[T]) at(j int) *entry[T] {
+	k := bits.Len(uint(j/minBlock+1)) - 1
+	return &s.blocks[k][j-minBlock*(1<<k-1)]
+}
+
+// add puts x, whose hash is h, into the set unless it holds an item equal
+// to x, and reports whether it did.
+func (s *set[T]) add(x T, h uint64, equal func(T, T) bool) bool {
+	if 4*(s.n+1) > 3*len(s.table) {
+		s.grow()
+	}
+	mask := len(s.table) - 1
+	for i := int(h >> s.shift); ; i = (i + 1) & mask {
+		if s.table[i] == 0 {
+			if s.n == minBlock*(1<<len(s.blocks)-1) {
+				s.blocks = append(s.blocks, make([]entry[T], minBlock<<len(s.blocks)))
+			}
+			*s.at(s.n) = entry[T]{x, h}
+			s.n++
+			s.table[i] = int32(s.n)
+			return true
+		}
+		if e := s.at(int(s.table[i]) - 1); e.h == h && equal(e.x, x) {
+			return false
+		}
+	}
+}
+
+// grow doubles the table, keeping it at most three quarters full.
+func (s *set[T]) grow() {
+	size := max(16, 2*len(s.table))
+	s.table, s.shift = make([]int32, size), uint(64-bits.TrailingZeros(uint(size)))
+	for j := range s.n {
+		i := int(s.at(j).h >> s.shift)
+		for s.table[i] != 0 {
+			i = (i + 1) & (size - 1)
+		}
+		s.table[i] = int32(j) + 1
 	}
 }
 

@@ -1,41 +1,41 @@
 package exec
 
 import (
+	"slices"
+
 	"repro/internal/relation"
 	"repro/internal/trace"
 	"repro/internal/value"
 )
 
 // HashTable is a materialized, hash-indexed build side for tuple joins:
-// the planner's unit of join compilation. Rows are bucketed by the
-// value.Key of their key columns, which values share exactly when they
-// are Eq-equal or both NULL. Candidates are therefore a superset of the
-// Eq matches — callers re-check with EqMatch (strict 3VL True, so NULL
-// keys never join).
+// the planner's unit of join compilation. Rows are chained by the seeded
+// hash of their key columns (value.Tuple.HashAt), which Equal values
+// share. Candidates are therefore a superset of the Eq matches — unequal
+// keys may collide — and callers re-check with EqMatch (strict 3VL True,
+// so NULL keys never join).
 type HashTable struct {
-	cols    []int
-	rows    []Row
-	buckets map[string][]int
-	arity   int
+	cols   []int
+	rows   []Row
+	chains relation.Chains // slot i is rows[i]
+	arity  int
 }
 
 // BuildHashTable drains in into a hash table keyed on cols. arity is the
 // tuple width of the build side (needed for null-extension when the input
 // is empty).
 func BuildHashTable(in Seq, cols []int, arity int) *HashTable {
-	ht := &HashTable{
-		cols:    append([]int(nil), cols...),
-		buckets: map[string][]int{},
-		arity:   arity,
-	}
-	var kb [64]byte
+	ht := &HashTable{cols: slices.Clone(cols), arity: arity}
 	for t, m := range in {
-		slot := len(ht.rows)
-		ht.rows = append(ht.rows, Row{Tup: t.Clone(), Mult: m})
-		k := appendKeyAt(kb[:0], t, cols)
-		ht.buckets[string(k)] = append(ht.buckets[string(k)], slot)
+		ht.add(t, m, t.HashAt(cols))
 	}
 	return ht
+}
+
+// add appends a copy of the build row t, whose key hash is h.
+func (ht *HashTable) add(t relation.Tuple, m int, h uint64) {
+	ht.rows = append(ht.rows, Row{Tup: t.Clone(), Mult: m})
+	ht.chains.Add(h)
 }
 
 // Len returns the number of distinct build rows.
@@ -48,9 +48,9 @@ func (ht *HashTable) Arity() int { return ht.arity }
 func (ht *HashTable) Rows() []Row { return ht.rows }
 
 // Candidates calls f with (slot, row) for every build row that may
-// Eq-match vals on the key columns: the rows of vals' Key bucket. With no
-// key columns every row is a candidate (the cross-join degenerate case).
-// f returning false stops the enumeration.
+// Eq-match vals on the key columns: the rows of vals' hash chain, in build
+// order. With no key columns every row is a candidate (the cross-join
+// degenerate case). f returning false stops the enumeration.
 func (ht *HashTable) Candidates(vals []value.Value, f func(slot int, r Row) bool) {
 	if len(ht.cols) == 0 {
 		for i, r := range ht.rows {
@@ -60,9 +60,14 @@ func (ht *HashTable) Candidates(vals []value.Value, f func(slot int, r Row) bool
 		}
 		return
 	}
-	var kb [64]byte
-	for _, i := range ht.buckets[string(relation.Tuple(vals).AppendKey(kb[:0]))] {
-		if !f(i, ht.rows[i]) {
+	ht.candidates(relation.Tuple(vals).Hash(), f)
+}
+
+// candidates calls f for the rows of the chain of hash h.
+func (ht *HashTable) candidates(h uint64, f func(slot int, r Row) bool) {
+	ch := ht.chains.Chain(h)
+	for s := ch.First(); s >= 0; s = ch.Next(s) {
+		if !f(s, ht.rows[s]) {
 			return
 		}
 	}
@@ -70,7 +75,7 @@ func (ht *HashTable) Candidates(vals []value.Value, f func(slot int, r Row) bool
 
 // EqMatch reports whether row r's key columns all strictly equal vals
 // under 3VL (Eq must be True, so NULLs never match — SQL join identity,
-// stricter than the Key identity of the buckets).
+// stricter than the Equal identity of the hash).
 func (ht *HashTable) EqMatch(r Row, vals []value.Value) bool {
 	for i, c := range ht.cols {
 		if value.Eq.Apply(r.Tup[c], vals[i]) != value.True {
@@ -78,15 +83,6 @@ func (ht *HashTable) EqMatch(r Row, vals []value.Value) bool {
 		}
 	}
 	return true
-}
-
-// appendKeyAt appends the bucket key of t at cols to b: the Tuple key of
-// those values, which is what Candidates looks a probe up by.
-func appendKeyAt(b []byte, t relation.Tuple, cols []int) []byte {
-	for _, c := range cols {
-		b = append(t[c].AppendKey(b), '\x1f')
-	}
-	return b
 }
 
 // valsAt extracts the probe key of t at cols into dst.

@@ -1,0 +1,267 @@
+package relation
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/value"
+)
+
+// TestHashCollisionsNeverMergeOrSplit forces unequal tuples onto one hash
+// value in the tuple index: each stays its own tuple through insert,
+// Mult, Probe on all columns and a Clone's base, while Equal ones — 2 and
+// 2.0 — still merge.
+func TestHashCollisionsNeverMergeOrSplit(t *testing.T) {
+	const h = 7
+	r := New("R", "A", "B")
+	r.Insert(tup(0, "z")) // the tuple index is due from the second row on
+	two, twoF, three := tup(2, "x"), tup(2.0, "x"), tup(3, "y")
+	r.insertHashed(two, h, 1, false)
+	r.insertHashed(three, h, 1, false)
+	r.insertHashed(twoF, h, 2, false)
+	check := func(r *Relation, what string, distinct, mTwo, mThree int) {
+		t.Helper()
+		if r.Distinct() != distinct {
+			t.Fatalf("%s: %d distinct tuples, want %d:\n%s", what, r.Distinct(), distinct, r)
+		}
+		for _, c := range []struct {
+			t Tuple
+			m int
+		}{{two, mTwo}, {twoF, mTwo}, {three, mThree}, {tup(4, "w"), 0}} {
+			if got := r.multHashed(c.t, h); got != c.m {
+				t.Fatalf("%s: Mult(%v) under the shared hash = %d, want %d", what, c.t, got, c.m)
+			}
+			var want model
+			if c.m > 0 {
+				want = model{{c.t, c.m}}
+			}
+			if err := sameRows(rowsOf(func(f func(Tuple, int) bool) { r.probeHashed([]int{0, 1}, c.t, h, f) }), want); err != nil {
+				t.Fatalf("%s: Probe(%v) under the shared hash: %v", what, c.t, err)
+			}
+		}
+	}
+	check(r, "delta", 3, 3, 1)
+	c := r.Clone()
+	c.Insert(tup(5, "v"))
+	c.insertHashed(three, h, 1, false) // retires the base row, re-adds it to the delta
+	check(c, "clone", 4, 3, 2)
+	check(r, "source", 3, 3, 1)
+}
+
+// fuzzDomain is FuzzRelationOps' value domain: NULL, small ints, 2 and
+// 2.0, strings, and the ints and floats around 2^53 where exact and
+// float-coercing comparison part ways.
+var fuzzDomain = []value.Value{
+	value.Null(), value.Int(0), value.Int(1), value.Int(2), value.Float(2), value.Float(2.5),
+	value.Str("a"), value.Str("b"),
+	value.Int(1<<53 - 1), value.Int(1 << 53), value.Int(1<<53 + 1), value.Float(1 << 53), value.Float(1<<53 + 2),
+	value.Int(-(1<<53 + 1)), value.Float(-(1 << 53)), value.Float(math.Inf(1)),
+}
+
+// model is a naive relation: distinct tuples by Equal, with their counts.
+type model []modelRow
+
+type modelRow struct {
+	t Tuple
+	m int
+}
+
+func (md model) find(t Tuple) int {
+	for i := range md {
+		if md[i].t.Equal(t) {
+			return i
+		}
+	}
+	return -1
+}
+
+func (md model) insert(t Tuple, n int) model {
+	if i := md.find(t); i >= 0 {
+		md[i].m += n
+		return md
+	}
+	return append(md, modelRow{t.Clone(), n})
+}
+
+func (md model) remove(ts []Tuple) model {
+	var out model
+	for _, row := range md {
+		if !slicesContainsEqual(ts, row.t) {
+			out = append(out, row)
+		}
+	}
+	return out
+}
+
+func slicesContainsEqual(ts []Tuple, t Tuple) bool {
+	for _, u := range ts {
+		if u.Equal(t) {
+			return true
+		}
+	}
+	return false
+}
+
+func (md model) clone() model {
+	return append(model(nil), md...)
+}
+
+// sameRows reports whether got holds exactly the rows of want, each Equal
+// tuple once with the same count, in any order.
+func sameRows(got, want model) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d rows, want %d: got %v, want %v", len(got), len(want), got, want)
+	}
+	for _, w := range want {
+		i := got.find(w.t)
+		if i < 0 || got[i].m != w.m {
+			return fmt.Errorf("row %v×%d: got %v", w.t, w.m, got)
+		}
+	}
+	return nil
+}
+
+// rowsOf collects what a reader yields.
+func rowsOf(read func(func(Tuple, int) bool)) model {
+	var md model
+	read(func(t Tuple, m int) bool {
+		md = append(md, modelRow{t, m})
+		return true
+	})
+	return md
+}
+
+// FuzzRelationOps decodes bytes into a sequence of insert, InsertOwned,
+// RemoveKeys, Clone, Probe, RangeProbe and Mult calls over a small value
+// domain, and after every step compares the relation — and every earlier
+// version a Clone left behind — against a naive model: a slice of
+// distinct tuples compared with Equal.
+func FuzzRelationOps(f *testing.F) {
+	f.Add([]byte{0, 3, 4, 0, 4, 3, 1, 2, 2, 5, 3, 4, 0, 9, 11, 6, 2, 3})
+	f.Add([]byte{0, 1, 1, 0, 2, 1, 0, 3, 1, 3, 0, 0, 4, 1, 3, 0, 5, 1, 3, 0, 6, 2, 1, 3, 0, 2, 5, 1, 4, 3, 4, 2})
+	f.Add([]byte{0, 8, 9, 0, 9, 10, 0, 10, 11, 0, 11, 8, 4, 0, 11, 0, 5, 0, 8, 10, 1, 2, 12, 13, 3, 2, 1, 9, 10, 3, 6, 11, 8})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		val := func() value.Value { return fuzzDomain[next()%len(fuzzDomain)] }
+		tuple := func() Tuple { return Tuple{val(), val()} }
+		colSets := [][]int{{0}, {1}, {0, 1}, {1, 0}}
+
+		r, md := New("R", "A", "B"), model(nil)
+		type version struct {
+			r  *Relation
+			md model
+		}
+		var old []version
+		for step := 0; len(data) > 0 && step < 256; step++ {
+			op := next() % 8
+			switch op {
+			case 0:
+				tp, n := tuple(), 1+next()%3
+				r.InsertMult(tp, n)
+				md = md.insert(tp, n)
+			case 1:
+				tp, n := tuple(), 1+next()%3
+				r.InsertOwned(tp.Clone(), n)
+				md = md.insert(tp, n)
+			case 2:
+				ts := make([]Tuple, 1+next()%3)
+				for i := range ts {
+					ts[i] = tuple()
+				}
+				want := 0
+				for _, row := range md {
+					if slicesContainsEqual(ts, row.t) {
+						want += row.m
+					}
+				}
+				if got := r.RemoveKeys(ts); got != want {
+					t.Fatalf("step %d: RemoveKeys(%v) removed %d, want %d", step, ts, got, want)
+				}
+				md = md.remove(ts)
+			case 3:
+				// Either side of a Clone may go on; the other must keep
+				// its content whatever happens next.
+				c := r.Clone()
+				old = append(old, version{r, md.clone()})
+				if next()%2 == 0 {
+					old[len(old)-1].r = c
+				} else {
+					r = c
+				}
+			case 4:
+				cols := colSets[next()%len(colSets)]
+				vals := make([]value.Value, len(cols))
+				for i := range vals {
+					vals[i] = val()
+				}
+				var want model
+				for _, row := range md {
+					if row.t.EqualAt(cols, vals) {
+						want = append(want, row)
+					}
+				}
+				if err := sameRows(rowsOf(func(f func(Tuple, int) bool) { r.Probe(cols, vals, f) }), want); err != nil {
+					t.Fatalf("step %d: Probe(%v, %v): %v", step, cols, vals, err)
+				}
+			case 5:
+				col, lo, hi, incl := next()%2, val(), val(), next()
+				if lo.IsNull() && hi.IsNull() {
+					continue
+				}
+				loIncl, hiIncl := incl&1 != 0, incl&2 != 0
+				within := func(x value.Value) bool {
+					if x.IsNull() {
+						return false
+					}
+					if !lo.IsNull() {
+						if c, ok := x.Compare(lo); !ok || c < 0 || c == 0 && !loIncl {
+							return false
+						}
+					}
+					if !hi.IsNull() {
+						if c, ok := x.Compare(hi); !ok || c > 0 || c == 0 && !hiIncl {
+							return false
+						}
+					}
+					return true
+				}
+				var want model
+				for _, row := range md {
+					if within(row.t[col]) {
+						want = append(want, row)
+					}
+				}
+				if err := sameRows(rowsOf(func(f func(Tuple, int) bool) { r.RangeProbe(col, lo, hi, loIncl, hiIncl, f) }), want); err != nil {
+					t.Fatalf("step %d: RangeProbe(%d, %v, %v, %v, %v): %v", step, col, lo, hi, loIncl, hiIncl, err)
+				}
+			default:
+				tp, want := tuple(), 0
+				if i := md.find(tp); i >= 0 {
+					want = md[i].m
+				}
+				if got := r.Mult(tp); got != want {
+					t.Fatalf("step %d: Mult(%v) = %d, want %d", step, tp, got, want)
+				}
+			}
+			if err := sameRows(rowsOf(r.EachWhile), md); err != nil {
+				t.Fatalf("step %d (op %d): %v", step, op, err)
+			}
+			if r.Distinct() != len(md) {
+				t.Fatalf("step %d: Distinct %d, want %d", step, r.Distinct(), len(md))
+			}
+		}
+		for i, v := range old {
+			if err := sameRows(rowsOf(v.r.EachWhile), v.md); err != nil {
+				t.Fatalf("version %d left by a Clone: %v", i, err)
+			}
+		}
+	})
+}

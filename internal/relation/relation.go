@@ -5,8 +5,12 @@
 // point that set vs bag is a convention, not part of the language
 // (Section 2.7).
 //
+// A stored tuple is identified by its seeded value.Tuple.Hash, confirmed
+// by Equal: every index is a set of hash chains (hash.go), so 2 and 2.0
+// are one tuple and a hash collision never merges or splits two.
+//
 // Representation: a Relation is an optional immutable base segment (rows,
-// the tuple-key map and lazily built indexes, shared by pointer between
+// the tuple index and lazily built indexes, shared by pointer between
 // any number of versions), an immutable dead set retiring some of the
 // base's slots, and a private mutable delta — all a relation that was
 // never cloned consists of. Clone shares the base and copies only the
@@ -31,7 +35,6 @@ package relation
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -43,27 +46,8 @@ import (
 )
 
 // Tuple is one row of a relation; values align with the relation's Attrs.
-type Tuple []value.Value
-
-// Key returns a hashable identity for the tuple.
-func (t Tuple) Key() string { return string(t.AppendKey(nil)) }
-
-// AppendKey appends the tuple's Key encoding to b — the allocation-free
-// form used with reusable buffers on hashing hot paths.
-func (t Tuple) AppendKey(b []byte) []byte {
-	for _, v := range t {
-		b = v.AppendKey(b)
-		b = append(b, '\x1f')
-	}
-	return b
-}
-
-// Clone returns a copy that the caller may retain.
-func (t Tuple) Clone() Tuple {
-	c := make(Tuple, len(t))
-	copy(c, t)
-	return c
-}
+// It is value.Tuple, whose Hash and Equal are a stored tuple's identity.
+type Tuple = value.Tuple
 
 // row is one stored distinct tuple. mult is accessed atomically: readers
 // iterate captured views of the rows slice without holding the relation
@@ -77,16 +61,21 @@ type row struct {
 // count loads the row's multiplicity.
 func (rw *row) count() int { return int(atomic.LoadInt64(&rw.mult)) }
 
-// segment is a slot-addressed run of distinct tuples with its tuple-key
-// map and lazily built indexes. A Relation embeds one as its delta and
+// segment is a slot-addressed run of distinct tuples with its tuple index
+// and lazily built indexes. A Relation embeds one as its delta and
 // mutates it under mu; a base segment is frozen at construction — its
-// rows and index never change again, and mu guards only the lazy builds
-// of hashIdx and ordIdx entries, each of which is immutable once built.
+// rows and tuple index never change again, and mu guards only the lazy
+// builds of hashIdx and ordIdx entries, each of which is immutable once
+// built.
 type segment struct {
-	mu    sync.RWMutex
-	rows  []row
-	index map[string]int // tuple key -> rows slot
-	// hashIdx caches per-column-set hash indexes over rows for Probe:
+	mu   sync.RWMutex
+	rows []row
+	// index is the tuple index, the hash index over all columns: it finds
+	// the slot of a stored tuple, and serves Probe on all columns. A delta
+	// defers it until its second row, so nil means at most one row; a
+	// base segment always has one.
+	index *hashIndex
+	// hashIdx caches the hash indexes on other column sets for Probe:
 	// column-set signature -> index. Built lazily under the write lock and,
 	// in a delta, maintained incrementally: inserting a new distinct tuple
 	// appends its slot to its chain in every cached index (multiplicity
@@ -120,74 +109,6 @@ type Relation struct {
 	// A tuple lives in the delta or in base's live rows, never both. Its mu
 	// is the relation's lock and guards base and dead too.
 	segment
-}
-
-// hashIndex is one cached per-column-set hash index: the rows with equal
-// values at cols are chained through next in slot order, and spans maps
-// the column-values key to the two ends of its chain. An index stays with
-// its segment across commits, so its size is resident memory: one map
-// entry of two int32 per key and four bytes per row.
-type hashIndex struct {
-	cols  []int
-	spans map[string]span
-	// next[s] is the slot after s in its chain, and is meaningful only
-	// while s is not the chain's last slot. It has one element per row.
-	next []int32
-}
-
-type span struct{ first, last int32 }
-
-// add appends a newly inserted row, which must be the next slot, to the
-// chain of its key. The only element of next it writes is the one of the
-// chain's current last slot, which no chain captured earlier reads.
-func (ix *hashIndex) add(t Tuple, slot int) {
-	var kb [64]byte
-	buf := kb[:0]
-	for _, c := range ix.cols {
-		buf = t[c].AppendKey(buf)
-		buf = append(buf, '\x1f')
-	}
-	ix.next = append(ix.next, 0)
-	sp, ok := ix.spans[string(buf)]
-	if ok {
-		ix.next[sp.last] = int32(slot)
-		sp.last = int32(slot)
-	} else {
-		sp = span{int32(slot), int32(slot)}
-	}
-	ix.spans[string(buf)] = sp
-}
-
-// chain is the run of slots under one key as captured at one moment:
-// first, then next of each slot up to last. Slots added to the index
-// later are beyond last and so not part of it.
-type chain struct {
-	span
-	next []int32
-}
-
-// chain captures the chain of key; the caller holds the lock guarding ix,
-// or ix belongs to a frozen segment.
-func (ix *hashIndex) chain(key []byte) chain {
-	sp, ok := ix.spans[string(key)]
-	if !ok {
-		return chain{span: span{first: -1}}
-	}
-	return chain{span: sp, next: ix.next}
-}
-
-// after returns the slot following s in the chain, negative at its end;
-// a chain is walked with for s := c.first; s >= 0; s = c.after(s).
-func (c chain) after(s int32) int32 {
-	if s == c.last {
-		return -1
-	}
-	return c.next[s]
-}
-
-// clone returns a copy the caller may add to.
-func (ix *hashIndex) clone() *hashIndex {
-	return &hashIndex{cols: ix.cols, spans: maps.Clone(ix.spans), next: slices.Clone(ix.next)}
 }
 
 // smallAttrs is the widest schema resolved by linear scan instead of a
@@ -262,13 +183,8 @@ func (r *Relation) InsertMult(t Tuple, n int) { r.insert(t, n, false) }
 // fresh tuple per row (the plan layer's projections).
 func (r *Relation) InsertOwned(t Tuple, n int) { r.insert(t, n, true) }
 
-// insert is the shared insertion path. The distinct-tuple index map is
-// deferred until the second distinct tuple arrives, so empty and
-// single-row relations (point-lookup results) never allocate it. A
-// duplicate of a delta row bumps its count in place; a duplicate of a live
-// base row retires that slot and re-adds the summed count to the delta
-// (the base is shared, its counts are frozen), which moves the tuple to
-// the end of the iteration order.
+// insert is the shared insertion path: the tuple's identity is its Hash,
+// confirmed by Equal.
 func (r *Relation) insert(t Tuple, n int, owned bool) {
 	if len(t) != len(r.attrs) {
 		panic(fmt.Sprintf("relation %s: tuple arity %d, want %d", r.name, len(t), len(r.attrs)))
@@ -276,10 +192,19 @@ func (r *Relation) insert(t Tuple, n int, owned bool) {
 	if n <= 0 {
 		panic("InsertMult: non-positive multiplicity")
 	}
-	var kb [128]byte
-	buf := t.AppendKey(kb[:0])
+	r.insertHashed(t, t.Hash(), n, owned)
+}
+
+// insertHashed inserts t, whose hash is h. The tuple index is deferred
+// until the second distinct tuple arrives, so empty and single-row
+// relations (point-lookup results) never allocate it. A duplicate of a
+// delta row bumps its count in place; a duplicate of a live base row
+// retires that slot and re-adds the summed count to the delta (the base
+// is shared, its counts are frozen), which moves the tuple to the end of
+// the iteration order.
+func (r *Relation) insertHashed(t Tuple, h uint64, n int, owned bool) {
 	r.mu.Lock()
-	if i, ok := r.deltaSlotLocked(buf); ok {
+	if i, ok := r.segment.slot(t, h); ok {
 		// Atomic: unlocked readers may be reading this row's count from
 		// an earlier view of the rows slice.
 		atomic.AddInt64(&r.rows[i].mult, int64(n))
@@ -287,140 +212,118 @@ func (r *Relation) insert(t Tuple, n int, owned bool) {
 		return
 	}
 	stored, mult := t, int64(n)
-	if slot, ok := r.baseSlotLocked(buf); ok {
+	if slot, ok := r.baseSlotLocked(t, h); ok {
 		r.dead = r.dead.with(len(r.base.rows), slot)
 		stored = r.base.rows[slot].tup
 		mult += int64(r.base.rows[slot].count())
 	} else if !owned {
 		stored = t.Clone()
 	}
-	slot := len(r.rows)
-	switch {
-	case r.index != nil:
-		r.index[string(buf)] = slot
-	case slot == 1:
-		// index == nil implies at most one stored row; the second distinct
-		// tuple makes the map due.
-		r.index = map[string]int{r.rows[0].tup.Key(): 0, string(buf): 1}
+	if len(r.rows) == 1 {
+		r.tupleIndexLocked() // the second distinct tuple makes the index due
 	}
 	r.rows = append(r.rows, row{tup: stored, mult: mult})
+	if r.index != nil {
+		r.index.Add(h)
+	}
 	// New distinct tuple: maintain the cached hash indexes incrementally
 	// instead of dropping them. (Sorted indexes fall behind and are
 	// extended by the next RangeProbe.)
 	for _, ix := range r.hashIdx {
-		ix.add(stored, slot)
+		ix.Add(stored.HashAt(ix.cols))
 	}
 	r.mu.Unlock()
 }
 
-// deltaSlotLocked finds the delta row holding the tuple with this key.
-// The caller holds mu.
-func (r *Relation) deltaSlotLocked(key []byte) (int, bool) {
-	if r.index == nil {
+// slot finds the row of s holding t, whose hash is h. The caller holds
+// the lock of s, or s is a base segment.
+func (s *segment) slot(t Tuple, h uint64) (int, bool) {
+	if s.index == nil {
 		// At most one stored row (the deferred-index state).
-		if len(r.rows) == 1 {
-			var kb [128]byte
-			if string(r.rows[0].tup.AppendKey(kb[:0])) == string(key) {
-				return 0, true
-			}
-		}
-		return 0, false
+		return 0, len(s.rows) == 1 && s.rows[0].tup.Equal(t)
 	}
-	i, ok := r.index[string(key)]
-	return i, ok
+	return s.index.find(s.rows, t, h)
 }
 
-// indexLocked returns the tuple-key map of s, ending the deferred-index
-// state if s is in it — for the paths that look s up by map alone. The
-// caller holds mu for writing.
-func (s *segment) indexLocked() map[string]int {
-	if s.index == nil && len(s.rows) == 1 {
-		s.index = map[string]int{s.rows[0].tup.Key(): 0}
+// tupleIndexLocked returns the delta's tuple index, ending the
+// deferred-index state if it is in it. The caller holds mu for writing.
+func (r *Relation) tupleIndexLocked() *hashIndex {
+	if r.index == nil {
+		r.index = buildHashIndex(r.rows, allCols(len(r.attrs)))
 	}
-	return s.index
+	return r.index
 }
 
-// baseSlotLocked finds the live base row holding the tuple with this key.
-// The caller holds mu.
-func (r *Relation) baseSlotLocked(key []byte) (int, bool) {
+// baseSlotLocked finds the live base row holding t, whose hash is h. The
+// caller holds mu.
+func (r *Relation) baseSlotLocked(t Tuple, h uint64) (int, bool) {
 	if r.base == nil {
 		return 0, false
 	}
-	slot, ok := r.base.index[string(key)]
+	slot, ok := r.base.slot(t, h)
 	return slot, ok && !r.dead.has(slot)
 }
 
-// RemoveKeys deletes every stored tuple whose Key() is in keys, returning
-// the number of row occurrences removed (counting multiplicity). Base rows
-// are retired in a fresh dead set, O(keys); if any delta row goes,
-// the surviving delta rows move to a fresh array and the delta's cached
+// RemoveKeys deletes every stored tuple Equal to one of tuples, returning
+// the number of row occurrences removed (counting multiplicity); a tuple
+// listed twice is removed once. Base rows are retired in a fresh dead set,
+// O(tuples); if any delta row goes, the surviving delta rows move to a
+// fresh array, the delta's tuple index is rebuilt and its other cached
 // indexes are dropped, O(delta). Neither writes into an array or bitmap a
 // view captured earlier can reach, so a reader mid-iteration — a cursor
 // opened earlier in the same transaction — keeps streaming the rows that
 // existed when it started.
-func (r *Relation) RemoveKeys(keys map[string]struct{}) int {
-	if len(keys) == 0 {
-		return 0
-	}
+func (r *Relation) RemoveKeys(tuples []Tuple) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	removed := 0
-	if r.base != nil {
-		var retire []int
-		for k := range keys {
-			if slot, ok := r.base.index[k]; ok && !r.dead.has(slot) {
-				retire = append(retire, slot)
-				removed += r.base.rows[slot].count()
-			}
+	var retire []int
+	var drop []bool // drop[i] marks delta slot i for removal
+	for _, t := range tuples {
+		if len(t) != len(r.attrs) {
+			continue
 		}
-		if len(retire) > 0 {
-			r.dead = r.dead.with(len(r.base.rows), retire...)
+		h := t.Hash()
+		if slot, ok := r.baseSlotLocked(t, h); ok {
+			retire = append(retire, slot)
+		}
+		if i, ok := r.segment.slot(t, h); ok {
+			if drop == nil {
+				drop = make([]bool, len(r.rows))
+			}
+			drop[i] = true
 		}
 	}
-	return removed + r.removeDeltaLocked(keys)
+	removed := 0
+	if len(retire) > 0 {
+		slices.Sort(retire)
+		retire = slices.Compact(retire)
+		for _, slot := range retire {
+			removed += r.base.rows[slot].count()
+		}
+		r.dead = r.dead.with(len(r.base.rows), retire...)
+	}
+	if drop != nil {
+		removed += r.removeDeltaLocked(drop)
+	}
+	return removed
 }
 
-// removeDeltaLocked is RemoveKeys' delta half.
-func (r *Relation) removeDeltaLocked(keys map[string]struct{}) int {
-	// drop[i] marks delta slot i for removal.
-	var drop []bool
-	mark := func(i int) {
-		if drop == nil {
-			drop = make([]bool, len(r.rows))
-		}
-		drop[i] = true
-	}
-	index := r.indexLocked()
-	for k := range keys {
-		if i, ok := index[k]; ok {
-			mark(i)
-		}
-	}
-	if drop == nil {
-		return 0
-	}
+// removeDeltaLocked is RemoveKeys' delta half: it drops the delta rows
+// drop marks and returns how many occurrences they held.
+func (r *Relation) removeDeltaLocked(drop []bool) int {
 	removed := 0
 	kept := make([]row, 0, len(r.rows))
-	to := make([]int, len(r.rows)) // old slot -> new slot
 	for i := range r.rows {
 		if drop[i] {
 			removed += r.rows[i].count()
 			continue
 		}
-		to[i] = len(kept)
 		kept = append(kept, r.rows[i])
 	}
-	r.rows = kept
-	// The key map is read only under mu, so it is renumbered in place.
-	for k, i := range r.index {
-		if drop[i] {
-			delete(r.index, k)
-		} else {
-			r.index[k] = to[i]
-		}
+	r.rows, r.index, r.hashIdx, r.ordIdx = kept, nil, nil, nil
+	if len(kept) > 1 {
+		r.tupleIndexLocked()
 	}
-	r.hashIdx = nil
-	r.ordIdx = nil
 	return removed
 }
 
@@ -472,14 +375,20 @@ func LiftErr(v any) (value.Value, error) {
 
 // Mult returns the multiplicity of t (0 if absent).
 func (r *Relation) Mult(t Tuple) int {
-	var kb [128]byte
-	buf := t.AppendKey(kb[:0])
+	if len(t) != len(r.attrs) {
+		return 0
+	}
+	return r.multHashed(t, t.Hash())
+}
+
+// multHashed is Mult for t, whose hash is h.
+func (r *Relation) multHashed(t Tuple, h uint64) int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if i, ok := r.deltaSlotLocked(buf); ok {
+	if i, ok := r.segment.slot(t, h); ok {
 		return r.rows[i].count()
 	}
-	if slot, ok := r.baseSlotLocked(buf); ok {
+	if slot, ok := r.baseSlotLocked(t, h); ok {
 		return r.base.rows[slot].count()
 	}
 	return 0
@@ -527,21 +436,15 @@ func indexSig(cols []int) string {
 	return string(sig)
 }
 
-// hashIndexForLocked returns the hash index on the given column set,
-// building it on first use; in a delta InsertMult maintains it
-// incrementally afterwards. The caller must hold the write lock.
+// hashIndexForLocked returns the hash index on the column set cols, whose
+// signature is sig, building it on first use; in a delta InsertMult
+// maintains it incrementally afterwards. The caller must hold the write
+// lock.
 func (s *segment) hashIndexForLocked(sig string, cols []int) *hashIndex {
 	if ix, ok := s.hashIdx[sig]; ok {
 		return ix
 	}
-	ix := &hashIndex{
-		cols:  append([]int(nil), cols...),
-		spans: make(map[string]span, len(s.rows)),
-		next:  make([]int32, 0, len(s.rows)),
-	}
-	for slot := range s.rows {
-		ix.add(s.rows[slot].tup, slot)
-	}
+	ix := buildHashIndex(s.rows, slices.Clone(cols))
 	if s.hashIdx == nil {
 		s.hashIdx = make(map[string]*hashIndex)
 	}
@@ -563,18 +466,33 @@ func (s *segment) hashIndexFor(sig string, cols []int) *hashIndex {
 	return s.hashIndexForLocked(sig, cols)
 }
 
-// Probe calls f for each distinct tuple whose values at cols equal vals
-// (by value key, so 2 and 2.0 match), with its multiplicity, in iteration
-// order; f returning false stops the probe. It uses a lazy per-column-set
-// hash index that survives multiplicity bumps and is maintained
-// incrementally on inserts of new distinct tuples, so a probe after an
-// insert sees the new tuple without a rebuild. The key's chain is captured
-// under the lock and walked without it, so f may insert into r. A
-// relation with a base probes the base's own index (built once, shared by
-// every version) past the dead set, then the delta's.
+// isAllCols reports whether cols lists all arity columns in order: a
+// probe the tuple index answers.
+func isAllCols(cols []int, arity int) bool {
+	if len(cols) != arity {
+		return false
+	}
+	for i, c := range cols {
+		if c != i {
+			return false
+		}
+	}
+	return true
+}
+
+// Probe calls f for each distinct tuple whose values at cols are Equal to
+// vals (so 2 and 2.0 match), with its multiplicity, in iteration order; f
+// returning false stops the probe. It walks the chain of vals' hash in a
+// hash index on cols — the tuple index when cols are all columns in order,
+// else a lazy per-column-set index — and confirms each row with Equal. An
+// index survives multiplicity bumps and is maintained incrementally on
+// inserts of new distinct tuples, so a probe after an insert sees the new
+// tuple without a rebuild. The chain is captured under the lock and
+// walked without it, so f may insert into r. A relation with a base
+// probes the base's own index (built once, shared by every version) past
+// the dead set, then the delta's.
 //
-// Probe identity is value.Key, which agrees with value.Eq for every
-// non-NULL probe value.
+// Equal agrees with value.Eq for every non-NULL probe value.
 func (r *Relation) Probe(cols []int, vals []value.Value, f func(Tuple, int) bool) {
 	if len(cols) != len(vals) {
 		panic(fmt.Sprintf("Probe: %d columns, %d values", len(cols), len(vals)))
@@ -583,46 +501,65 @@ func (r *Relation) Probe(cols []int, vals []value.Value, f func(Tuple, int) bool
 		r.EachWhile(f)
 		return
 	}
-	var kb [64]byte
-	buf := Tuple(vals).AppendKey(kb[:0])
-	sig := indexSig(cols)
+	r.probeHashed(cols, vals, Tuple(vals).Hash(), f)
+}
 
+// probeHashed is Probe for the values vals, whose hash is h.
+func (r *Relation) probeHashed(cols []int, vals Tuple, h uint64, f func(Tuple, int) bool) {
+	all := isAllCols(cols, len(r.attrs))
+	var sig string
+	if !all {
+		sig = indexSig(cols)
+	}
 	// Fast path: the delta's index already exists (or the delta is empty
-	// and needs none) — capture the key's chain and the view under the
-	// read lock. Slow path: build the index under the write lock
+	// and needs none) — capture the chain and the view under the read
+	// lock. Slow path: build the index under the write lock
 	// (double-checked; another goroutine may have built it in between).
 	// Both capture view and chain under the same lock acquisition, so
 	// every slot of the chain is covered by the view's rows header.
 	r.mu.RLock()
 	v := r.viewLocked()
-	ix, ok := r.hashIdx[sig]
-	delta := chain{span: span{first: -1}}
-	if ok {
-		delta = ix.chain(buf)
+	ix := r.index
+	if !all {
+		ix = r.hashIdx[sig]
+	}
+	delta := Chain{span: span{first: -1}}
+	if ix != nil {
+		delta = ix.Chain(h)
 	}
 	r.mu.RUnlock()
-	if !ok && len(v.rows) > 0 {
+	if ix == nil && len(v.rows) > 0 {
 		r.mu.Lock()
 		v = r.viewLocked()
-		delta = r.hashIndexForLocked(sig, cols).chain(buf)
+		if all {
+			ix = r.tupleIndexLocked()
+		} else {
+			ix = r.hashIndexForLocked(sig, cols)
+		}
+		delta = ix.Chain(h)
 		r.mu.Unlock()
 	}
 	if v.base != nil {
-		base := v.base.hashIndexFor(sig, cols).chain(buf)
-		for s := base.first; s >= 0; s = base.after(s) {
-			if v.dead.has(int(s)) {
-				continue
-			}
-			if rw := &v.base.rows[s]; !f(rw.tup, rw.count()) {
-				return
-			}
+		bix := v.base.index
+		if !all {
+			bix = v.base.hashIndexFor(sig, cols)
 		}
-	}
-	for s := delta.first; s >= 0; s = delta.after(s) {
-		if rw := &v.rows[s]; !f(rw.tup, rw.count()) {
+		if !walk(v.base.rows, v.dead, bix.Chain(h), cols, vals, f) {
 			return
 		}
 	}
+	walk(v.rows, nil, delta, cols, vals, f)
+}
+
+// walk calls f for each row of the chain ch that dead does not retire and
+// whose values at cols are Equal to vals, reporting false once f stops it.
+func walk(rows []row, dead *deadSet, ch Chain, cols []int, vals Tuple, f func(Tuple, int) bool) bool {
+	for s := ch.First(); s >= 0; s = ch.Next(s) {
+		if rw := &rows[s]; !dead.has(s) && rw.tup.EqualAt(cols, vals) && !f(rw.tup, rw.count()) {
+			return false
+		}
+	}
+	return true
 }
 
 // Tuples returns the distinct tuples in iteration order.

@@ -168,9 +168,9 @@ func TestStringRendering(t *testing.T) {
 
 func TestTupleKeyAndClone(t *testing.T) {
 	a := Tuple{value.Int(1), value.Str("x")}
-	b := Tuple{value.Int(1), value.Str("x")}
-	if a.Key() != b.Key() {
-		t.Fatal("equal tuples share keys")
+	b := Tuple{value.Float(1), value.Str("x")}
+	if !a.Equal(b) || a.Hash() != b.Hash() {
+		t.Fatal("equal tuples share hashes")
 	}
 	c := a.Clone()
 	c[0] = value.Int(9)

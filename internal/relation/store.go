@@ -134,11 +134,7 @@ func ApplyLogOp(cat map[string]*Relation, op LogOp) error {
 		if !ok {
 			return fmt.Errorf("relation: replay: unknown relation %q", op.Rel)
 		}
-		keys := make(map[string]struct{}, len(op.Tuples))
-		for _, t := range op.Tuples {
-			keys[t.Key()] = struct{}{}
-		}
-		r.RemoveKeys(keys)
+		r.RemoveKeys(op.Tuples)
 	case OpPut:
 		r := New(op.Rel, op.Attrs...)
 		for i, t := range op.Rows {
@@ -427,16 +423,16 @@ func (ws *WriteSet) Delete(name string, tuples []Tuple) (int, error) {
 	if cur == nil {
 		return 0, fmt.Errorf("relation: unknown relation %q", name)
 	}
-	keys := make(map[string]struct{}, len(tuples))
+	var present []Tuple
 	for _, t := range tuples {
 		if len(t) != cur.Arity() {
 			return 0, fmt.Errorf("relation: %q takes %d columns, got %d", name, cur.Arity(), len(t))
 		}
 		if cur.Contains(t) {
-			keys[t.Key()] = struct{}{}
+			present = append(present, t)
 		}
 	}
-	if len(keys) == 0 {
+	if len(present) == 0 {
 		return 0, nil
 	}
 	work, err := ws.working(name)
@@ -450,7 +446,7 @@ func (ws *WriteSet) Delete(name string, tuples []Tuple) (int, error) {
 		}
 		ws.ops = append(ws.ops, op)
 	}
-	return work.RemoveKeys(keys), nil
+	return work.RemoveKeys(present), nil
 }
 
 // Names returns the written relation names, sorted (for deterministic

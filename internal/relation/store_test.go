@@ -225,7 +225,7 @@ func TestRelationRemoveKeys(t *testing.T) {
 	if found != 1 {
 		t.Fatalf("probe found %d rows, want 1", found)
 	}
-	n := r.RemoveKeys(map[string]struct{}{tup(2, 2).Key(): {}})
+	n := r.RemoveKeys([]Tuple{tup(2, 2), tup(2.0, 2)})
 	if n != 2 {
 		t.Fatalf("removed %d, want 2", n)
 	}
@@ -242,7 +242,7 @@ func TestRelationRemoveKeys(t *testing.T) {
 	if r.Mult(tup(2, 2)) != 1 {
 		t.Fatalf("re-insert after RemoveKeys broken")
 	}
-	if r.RemoveKeys(map[string]struct{}{"nope": {}}) != 0 {
+	if r.RemoveKeys([]Tuple{tup(4, 4), {value.Int(1)}}) != 0 {
 		t.Fatalf("removing an absent key reported removals")
 	}
 }

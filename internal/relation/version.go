@@ -156,7 +156,9 @@ func (r *Relation) Clone() *Relation {
 	}
 	out.base, out.dead = r.base, r.dead
 	out.rows = slices.Clone(r.rows)
-	out.index = maps.Clone(r.index)
+	if r.index != nil {
+		out.index = r.index.clone()
+	}
 	out.ordIdx = maps.Clone(r.ordIdx)
 	if len(r.hashIdx) > 0 {
 		out.hashIdx = make(map[string]*hashIndex, len(r.hashIdx))
@@ -179,33 +181,21 @@ func (r *Relation) rebaseLocked(base *segment) {
 // are. The caller holds mu for writing and re-bases r at once, so nothing
 // writes through the old fields again.
 func (r *Relation) handOffLocked() *segment {
-	return &segment{rows: r.rows, index: r.indexLocked(), hashIdx: r.hashIdx, ordIdx: r.ordIdx}
+	return &segment{rows: r.rows, index: r.tupleIndexLocked(), hashIdx: r.hashIdx, ordIdx: r.ordIdx}
 }
 
 // foldLocked builds the segment holding r's live base rows followed by
-// its delta rows. Tuples and key strings are shared with the old base;
-// the indexes are not carried over and rebuild lazily. The caller holds mu.
+// its delta rows, and its tuple index. Tuples are shared with the old
+// base; the other indexes are not carried over and rebuild lazily. The
+// caller holds mu.
 func (r *Relation) foldLocked() *segment {
 	old, live := r.base, len(r.base.rows)-r.dead.count()
-	seg := &segment{
-		rows:  make([]row, 0, live+len(r.rows)),
-		index: make(map[string]int, live+len(r.rows)),
-	}
-	to := make([]int, len(old.rows)) // old base slot -> new slot
+	rows := make([]row, 0, live+len(r.rows))
 	for i := range old.rows {
 		if !r.dead.has(i) {
-			to[i] = len(seg.rows)
-			seg.rows = append(seg.rows, old.rows[i])
+			rows = append(rows, old.rows[i])
 		}
 	}
-	for k, i := range old.index {
-		if !r.dead.has(i) {
-			seg.index[k] = to[i]
-		}
-	}
-	seg.rows = append(seg.rows, r.rows...)
-	for k, i := range r.indexLocked() {
-		seg.index[k] = live + i
-	}
-	return seg
+	rows = append(rows, r.rows...)
+	return &segment{rows: rows, index: buildHashIndex(rows, allCols(len(r.attrs)))}
 }

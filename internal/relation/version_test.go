@@ -335,7 +335,7 @@ func (h *history) cloneProbe(r *Relation, m vModel) error {
 	cm[k] = 1
 	if base, _ := residents(c); len(base) > 0 {
 		d := base[h.rng.Intn(len(base))]
-		c.RemoveKeys(map[string]struct{}{d.tuple().Key(): {}})
+		c.RemoveKeys([]Tuple{d.tuple()})
 		delete(cm, d)
 		if h.rng.Intn(2) == 0 {
 			c.InsertMult(d.tuple(), 3)
@@ -347,7 +347,7 @@ func (h *history) cloneProbe(r *Relation, m vModel) error {
 	}
 	c2, c2m := c.Clone(), cm.clone()
 	c.InsertMult(k.tuple(), 1) // bumps a delta row c2 copied
-	c.RemoveKeys(map[string]struct{}{k.tuple().Key(): {}})
+	c.RemoveKeys([]Tuple{k.tuple()})
 	delete(cm, k)
 	if err := diff(c2, c2m, h.rng); err != nil {
 		return fmt.Errorf("clone after mutating its source: %w", err)

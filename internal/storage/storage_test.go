@@ -39,7 +39,7 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 			t.Fatalf("op %d: %+v vs %+v", i, op, want)
 		}
 	}
-	if got[1].Mult != 3 || got[1].Tuple.Key() != tup(1, "x").Key() {
+	if got[1].Mult != 3 || !got[1].Tuple.Equal(tup(1, "x")) {
 		t.Fatalf("insert op mismatch: %+v", got[1])
 	}
 }

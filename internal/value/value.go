@@ -151,12 +151,13 @@ func (v Value) String() string {
 
 // Key returns the canonical form of v under Equal: two values have the
 // same Key exactly when they are Equal. Integers and floats that denote
-// the same number share a key.
+// the same number share a key. The serving path identifies values by Hash
+// and Equal; Key is the reference evaluators' independent identity, so a
+// differential compares the two.
 func (v Value) Key() string { return string(v.AppendKey(nil)) }
 
 // AppendKey appends the Key encoding of v to b and returns the extended
-// slice — the allocation-free form the hashing hot paths (hash indexes,
-// joins, γ grouping, dedup) use with a reusable buffer.
+// slice, for a reference's reusable buffer.
 func (v Value) AppendKey(b []byte) []byte {
 	switch v.kind {
 	case KindNull:
@@ -188,8 +189,13 @@ func (v Value) AppendKey(b []byte) []byte {
 // uses Compare (3VL-aware) instead; Equal exists for keys, dedup, and
 // test assertions.
 func (v Value) Equal(o Value) bool {
+	if v.kind == o.kind && v.kind != KindFloat {
+		// NULL, int, string and bool payloads are equal exactly when
+		// their representations are.
+		return v.n == o.n && v.s == o.s
+	}
 	if v.kind == KindNull || o.kind == KindNull {
-		return v.kind == o.kind
+		return false
 	}
 	c, ok := v.Compare(o)
 	return ok && c == 0
@@ -252,7 +258,11 @@ func (v Value) Less(o Value) bool {
 
 // Arithmetic. All operations propagate NULL and require numeric operands;
 // the second return is false on a type error (the evaluator reports it).
+// An int result that overflows int64 is the float result instead
+// (SQLite's rule), never a wrapped int.
 
+// arith applies fi to two ints — which reports false when the int64
+// result overflows — and ff to any other numeric pair or an overflow.
 func arith(a, b Value, fi func(int64, int64) (int64, bool), ff func(float64, float64) float64) (Value, bool) {
 	if a.IsNull() || b.IsNull() {
 		return Null(), true
@@ -264,7 +274,6 @@ func arith(a, b Value, fi func(int64, int64) (int64, bool), ff func(float64, flo
 		if r, ok := fi(a.i(), b.i()); ok {
 			return Int(r), true
 		}
-		return Null(), false
 	}
 	return Float(ff(a.AsFloat(), b.AsFloat())), true
 }
@@ -272,21 +281,30 @@ func arith(a, b Value, fi func(int64, int64) (int64, bool), ff func(float64, flo
 // Add returns a+b with NULL propagation.
 func Add(a, b Value) (Value, bool) {
 	return arith(a, b,
-		func(x, y int64) (int64, bool) { return x + y, true },
+		func(x, y int64) (int64, bool) {
+			r := x + y
+			return r, (x^r)&(y^r) >= 0 // overflow flips the sign of both
+		},
 		func(x, y float64) float64 { return x + y })
 }
 
 // Sub returns a-b with NULL propagation.
 func Sub(a, b Value) (Value, bool) {
 	return arith(a, b,
-		func(x, y int64) (int64, bool) { return x - y, true },
+		func(x, y int64) (int64, bool) {
+			r := x - y
+			return r, (x^y)&(x^r) >= 0 // overflow needs signs apart, and r's sign not x's
+		},
 		func(x, y float64) float64 { return x - y })
 }
 
 // Mul returns a*b with NULL propagation.
 func Mul(a, b Value) (Value, bool) {
 	return arith(a, b,
-		func(x, y int64) (int64, bool) { return x * y, true },
+		func(x, y int64) (int64, bool) {
+			r := x * y
+			return r, x == 0 || r/x == y && !(x == -1 && y == math.MinInt64)
+		},
 		func(x, y float64) float64 { return x * y })
 }
 
@@ -304,7 +322,7 @@ func Div(a, b Value) (Value, bool) {
 	if b.AsFloat() == 0 {
 		return Null(), true
 	}
-	if a.kind == KindInt && b.kind == KindInt {
+	if a.kind == KindInt && b.kind == KindInt && !(a.i() == math.MinInt64 && b.i() == -1) {
 		return Int(a.i() / b.i()), true
 	}
 	return Float(a.AsFloat() / b.AsFloat()), true

@@ -156,6 +156,58 @@ func TestArithmetic(t *testing.T) {
 	}
 }
 
+// TestArithmeticOverflowIsFloat: an int result outside int64 is the float
+// result (SQLite's rule), never a wrapped int; one just inside stays an
+// int.
+func TestArithmeticOverflowIsFloat(t *testing.T) {
+	const maxI, minI = math.MaxInt64, math.MinInt64
+	ops := map[string]func(a, b Value) (Value, bool){"+": Add, "-": Sub, "*": Mul, "/": Div}
+	for _, c := range []struct {
+		a  int64
+		op string
+		b  int64
+		// want is the exact result: an int when it fits, else the float
+		// wantF.
+		fits  bool
+		want  int64
+		wantF float64
+	}{
+		{maxI, "+", 1, false, 0, float64(maxI) + 1},
+		{maxI, "+", maxI, false, 0, 2 * float64(maxI)},
+		{minI, "+", -1, false, 0, float64(minI) - 1},
+		{minI, "+", minI, false, 0, 2 * float64(minI)},
+		{maxI, "+", minI, true, -1, 0},
+		{maxI - 1, "+", 1, true, maxI, 0},
+		{minI, "-", 1, false, 0, float64(minI) - 1},
+		{maxI, "-", -1, false, 0, float64(maxI) + 1},
+		{0, "-", minI, false, 0, -float64(minI)},
+		{-1, "-", minI, true, maxI, 0},
+		{minI, "-", minI, true, 0, 0},
+		{maxI, "*", 2, false, 0, 2 * float64(maxI)},
+		{minI, "*", -1, false, 0, -float64(minI)},
+		{-1, "*", minI, false, 0, -float64(minI)},
+		{minI, "*", 2, false, 0, 2 * float64(minI)},
+		{maxI, "*", maxI, false, 0, float64(maxI) * float64(maxI)},
+		{maxI, "*", -1, true, -maxI, 0},
+		{minI, "*", 1, true, minI, 0},
+		{1 << 32, "*", 1 << 30, true, 1 << 62, 0},
+		{1 << 32, "*", 1 << 31, false, 0, 1 << 63},
+		{minI, "/", -1, false, 0, -float64(minI)},
+		{minI, "/", 1, true, minI, 0},
+		{maxI, "/", -1, true, -maxI, 0},
+	} {
+		got, ok := ops[c.op](Int(c.a), Int(c.b))
+		switch {
+		case !ok:
+			t.Errorf("%d %s %d: type error", c.a, c.op, c.b)
+		case c.fits && (got.Kind() != KindInt || got.AsInt() != c.want):
+			t.Errorf("%d %s %d = %v (%v), want the int %d", c.a, c.op, c.b, got, got.Kind(), c.want)
+		case !c.fits && (got.Kind() != KindFloat || got.AsFloat() != c.wantF):
+			t.Errorf("%d %s %d = %v (%v), want the float %v", c.a, c.op, c.b, got, got.Kind(), c.wantF)
+		}
+	}
+}
+
 func TestTVTruthTables(t *testing.T) {
 	tvs := []TV{False, Unknown, True}
 	// Kleene tables.
@@ -257,7 +309,9 @@ func TestCmpOpStringsAndFlip(t *testing.T) {
 
 // checkOneEquality fails t unless a and b agree on every form of
 // equality — Equal, Compare == 0 (or both NULL) and equal Key bytes —
-// and Less and Compare agree on their order.
+// Equal values hash alike, as values and as tuples, a tuple's Hash is
+// HashAt over its columns in order, and Less and Compare agree on their
+// order.
 func checkOneEquality(t *testing.T, a, b Value) {
 	t.Helper()
 	c, ok := a.Compare(b)
@@ -265,6 +319,17 @@ func checkOneEquality(t *testing.T, a, b Value) {
 	if a.Equal(b) != eq || (a.Key() == b.Key()) != eq {
 		t.Fatalf("%v (%v) vs %v (%v): Compare %d,%v, Equal %v, same Key %v",
 			a, a.Kind(), b, b.Kind(), c, ok, a.Equal(b), a.Key() == b.Key())
+	}
+	if eq && a.Hash() != b.Hash() {
+		t.Fatalf("%v (%v) = %v (%v) but their hashes differ", a, a.Kind(), b, b.Kind())
+	}
+	ab, ba := Tuple{a, b}, Tuple{b, a}
+	if ab.Hash() != ab.HashAt([]int{0, 1}) || ab.Hash() != ba.HashAt([]int{1, 0}) {
+		t.Fatalf("Tuple{%v, %v}: Hash %x, HashAt(0,1) %x, reversed HashAt(1,0) %x",
+			a, b, ab.Hash(), ab.HashAt([]int{0, 1}), ba.HashAt([]int{1, 0}))
+	}
+	if ab.Equal(ba) != eq || eq && ab.Hash() != ba.Hash() {
+		t.Fatalf("Tuple{%v, %v} vs its reverse: Equal %v, hashes %x %x", a, b, ab.Equal(ba), ab.Hash(), ba.Hash())
 	}
 	if c2, ok2 := b.Compare(a); ok2 != ok || c2 != -c {
 		t.Fatalf("Compare(%v,%v) = %d,%v but Compare(%v,%v) = %d,%v", a, b, c, ok, b, a, c2, ok2)
@@ -275,8 +340,8 @@ func checkOneEquality(t *testing.T, a, b Value) {
 }
 
 // TestEqualityIsOneEquivalence: Equal, Compare == 0 and Key identity are
-// one relation at every magnitude, Compare is transitive, and Equal
-// allocates nothing.
+// one relation at every magnitude that Hash respects, Compare is
+// transitive, and neither Equal nor Hash allocates.
 func TestEqualityIsOneEquivalence(t *testing.T) {
 	vals := eqCorpus()
 	n := len(vals)
@@ -321,5 +386,13 @@ func TestEqualityIsOneEquivalence(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Fatalf("Equal allocates %v times per run", got)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		for _, p := range pairs {
+			p[0].Hash()
+			Tuple(p[:]).Hash()
+		}
+	}); got != 0 {
+		t.Fatalf("Hash allocates %v times per run", got)
 	}
 }
