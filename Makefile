@@ -55,6 +55,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzClientRows$$' -fuzztime $(FUZZ_TIME) ./internal/server/client
 	$(GO) test -run '^$$' -fuzz '^FuzzOrderedKey$$' -fuzztime $(FUZZ_TIME) ./internal/value
 	$(GO) test -run '^$$' -fuzz '^FuzzRelationOps$$' -fuzztime $(FUZZ_TIME) ./internal/relation
+	$(GO) test -run '^$$' -fuzz '^FuzzJoinBuildSources$$' -fuzztime $(FUZZ_TIME) ./internal/plan
 
 # The repository benchmark's smoke pass (BENCHMARK.json runs the full
 # one): every workload for a moment, every reply checked against its

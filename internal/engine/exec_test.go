@@ -510,6 +510,65 @@ func TestCursorOpenedInTxSurvivesSameTxDelete(t *testing.T) {
 	}
 }
 
+// TestJoinCursorInTxHoldsItsBuildSide: a join that probes a stored
+// relation's index (EXPLAIN's index(S)) reads that relation as it was
+// when the cursor opened, like a hash table built then: deletes, updates
+// and inserts later in the same transaction change no row the cursor
+// streams.
+func TestJoinCursorInTxHoldsItsBuildSide(t *testing.T) {
+	ctx := context.Background()
+	r, s := relation.New("R", "A"), relation.New("S", "B")
+	for i := range 100 {
+		r.Add(i)
+		s.Add(i)
+	}
+	tx, err := Open(r, s).Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Rollback()
+	// The insert forces S's working copy, which the join then probes.
+	if _, err := tx.Exec(ctx, LangSQL, "insert into S values (1000)"); err != nil {
+		t.Fatal(err)
+	}
+	stmt, err := tx.Prepare(LangSQL, "select R.A, S.B from R, S where R.A = S.B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan, err := stmt.Explain(); err != nil || !strings.Contains(plan, "index(S)") {
+		t.Fatalf("the join does not probe S's index (%v):\n%s", err, plan)
+	}
+	rows, err := stmt.Query(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	n := 0
+	for rows.Next() {
+		if a, b := rows.Row()[0], rows.Row()[1]; !a.Equal(b) || a.AsInt() != int64(n) {
+			t.Fatalf("row %d = %v", n, rows.Row())
+		}
+		if n++; n == 1 {
+			for _, w := range []string{
+				"delete from S where S.B < 50",
+				"update S set B = S.B + 1 where S.B >= 50",
+				"insert into S values (0)",
+				"insert into S values (99)",
+			} {
+				if _, err := tx.Exec(ctx, LangSQL, w); err != nil {
+					t.Fatalf("%s: %v", w, err)
+				}
+			}
+		}
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if n != 100 {
+		t.Fatalf("cursor streamed %d rows, want the 100 matches that existed when it opened", n)
+	}
+}
+
 // TestDeletingNothingIsNotAWrite: retracting a fact that is not there
 // affects no row, so it publishes no snapshot, runs no commit hook, and
 // raises no conflict.

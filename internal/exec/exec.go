@@ -1,15 +1,16 @@
 // Package exec is the shared physical-execution layer: classical
 // relational operators (σ, ⋈, γ, dedup) implemented as streaming
 // iterators over relation.Relation, composed functionally instead of
-// materialize-and-rescan. Equality joins probe the lazy hash indexes that
-// Relation maintains per attribute set, so an indexed join is one hash
-// lookup per probe row rather than a nested full scan.
+// materialize-and-rescan.
 //
 // Both evaluators lower onto this layer: internal/plan compiles SQL
-// blocks into trees of these operators (EquiJoin and OuterHashJoin over
-// HashTable, GroupAggregate, Filter, Dedup), and
-// internal/eval compiles ARC quantifier scopes — Datalog programs
-// included — onto the same pipeline. The enumeration paths (the rest of
+// blocks into trees of these operators (EquiJoin and OuterHashJoin over a
+// Build, GroupAggregate, Filter, Dedup), and internal/eval compiles ARC
+// quantifier scopes — Datalog programs included — onto the same
+// pipeline. A join whose build side is a stored relation probes that
+// relation's own per-column-set hash index (IndexBuild), which the
+// relation keeps across executions; any other build side is drained
+// into a HashTable per execution. The enumeration paths (the rest of
 // internal/eval, and internal/sqleval) use Scan/Probe directly.
 package exec
 
@@ -24,9 +25,9 @@ import (
 // Seq is a stream of distinct tuples with bag multiplicities — the unit
 // every operator consumes and produces. Yield returning false stops the
 // producer (early termination propagates through compositions). A
-// producer does not write a tuple after yielding it, so a consumer may
-// keep it; the exception is the scratch tuple of a γ's input projection,
-// which GroupAggregate copies what it keeps of.
+// yielded tuple is valid until yield returns: a producer may write its
+// next row into the same tuple, so a consumer that keeps a tuple copies
+// it (docs/INVARIANTS.md, "A plan row lives until its yield returns").
 type Seq = iter.Seq2[relation.Tuple, int]
 
 // Scan streams every distinct tuple of r with its multiplicity, in
@@ -72,14 +73,18 @@ func Filter(in Seq, keep func(relation.Tuple, int) bool) Seq {
 }
 
 // Dedup streams the distinct tuples of in with multiplicity 1, in first-
-// occurrence order (the set-semantics reading of the stream). It keeps
-// every tuple it yields to recognise that tuple's duplicates, so in must
-// not write a tuple after yielding it (see Seq).
+// occurrence order (the set-semantics reading of the stream). It keeps a
+// copy of every tuple it yields to recognise that tuple's duplicates.
 func Dedup(in Seq) Seq {
 	return func(yield func(relation.Tuple, int) bool) {
 		var seen set[relation.Tuple]
 		for t := range in {
-			if seen.add(t, t.Hash(), relation.Tuple.Equal) && !yield(t, 1) {
+			if !seen.add(t, t.Hash(), relation.Tuple.Equal) {
+				continue
+			}
+			// The set holds t, which in may overwrite once yield returns.
+			seen.at(seen.n - 1).x = t.Clone()
+			if !yield(t, 1) {
 				return
 			}
 		}
@@ -90,7 +95,8 @@ func Dedup(in Seq) Seq {
 // open-addressing table, probed linearly from the top bits of an item's
 // hash, of the numbers of entries kept in blocks of doubling size. No
 // block is ever copied, and the set keeps the items it is given, not
-// copies, so a distinct item costs fewer bytes than a map entry would.
+// copies, so a distinct item costs fewer bytes than a map entry would;
+// an item the caller may overwrite is replaced by a copy (see Dedup).
 type set[T any] struct {
 	blocks [][]entry[T] // block k holds minBlock<<k entries
 	n      int          // entries in use

@@ -76,14 +76,80 @@ func (ht *HashTable) candidates(h uint64, f func(slot int, r Row) bool) {
 // EqMatch reports whether row r's key columns all strictly equal vals
 // under 3VL (Eq must be True, so NULLs never match — SQL join identity,
 // stricter than the Equal identity of the hash).
-func (ht *HashTable) EqMatch(r Row, vals []value.Value) bool {
-	for i, c := range ht.cols {
-		if value.Eq.Apply(r.Tup[c], vals[i]) != value.True {
+func (ht *HashTable) EqMatch(r Row, vals []value.Value) bool { return eqMatch(r.Tup, ht.cols, vals) }
+
+// eqMatch reports whether t's values at cols all strictly equal vals.
+func eqMatch(t relation.Tuple, cols []int, vals []value.Value) bool {
+	for i, c := range cols {
+		if value.Eq.Apply(t[c], vals[i]) != value.True {
 			return false
 		}
 	}
 	return true
 }
+
+// Build is the build side of a hash join: the rows a probe key may match.
+// A HashTable drained from a stream is one; an IndexBuild, a stored
+// relation probed through its own index, is the other. Both offer a key's
+// candidates in the order a scan of the build input streams them.
+type Build interface {
+	// Candidates calls f with (slot, row) for every build row that may
+	// Eq-match vals on the key columns, in build order; f returning false
+	// stops the enumeration. Callers re-check each with EqMatch.
+	Candidates(vals []value.Value, f func(slot int, r Row) bool)
+	// EqMatch reports whether r's key columns all strictly equal vals.
+	EqMatch(r Row, vals []value.Value) bool
+	// Arity returns the build-side tuple width.
+	Arity() int
+}
+
+// IndexBuild is a stored relation as a join's build side: a probe walks
+// the relation's own hash index on the key columns, plus any fixed
+// columns pushed down onto the build scan (relation.Prober), built once
+// per base version and shared by every execution. Nothing is built per
+// execution, and the candidates are those of a HashTable drained from a
+// scan of the relation begun when the IndexBuild was made.
+type IndexBuild struct {
+	p     *relation.Prober
+	cols  []int         // the key columns, then the fixed ones
+	key   []value.Value // the probe key, then the fixed values
+	arity int
+	// Read, when non-nil, counts the build rows probes return (EXPLAIN
+	// ANALYZE's rows for the scan the index stands in for).
+	Read *int64
+}
+
+// NewIndexBuild probes rel on keyCols, restricted to the rows whose
+// values at fixedCols are Equal to fixedVals.
+func NewIndexBuild(rel *relation.Relation, keyCols, fixedCols []int, fixedVals []value.Value) *IndexBuild {
+	cols := append(keyCols[:len(keyCols):len(keyCols)], fixedCols...)
+	key := make([]value.Value, len(cols))
+	copy(key[len(keyCols):], fixedVals)
+	return &IndexBuild{p: rel.Prober(cols), cols: cols, key: key, arity: rel.Arity()}
+}
+
+// Candidates calls f for the rows of the relation whose key columns are
+// Equal to vals and whose fixed columns hold the fixed values, in
+// iteration order, each with slot -1: an IndexBuild numbers no rows, so a
+// full outer join, which marks the build rows it matched, needs a
+// HashTable.
+func (b *IndexBuild) Candidates(vals []value.Value, f func(slot int, r Row) bool) {
+	copy(b.key, vals)
+	b.p.Probe(b.key, func(t relation.Tuple, m int) bool {
+		if b.Read != nil {
+			*b.Read++
+		}
+		return f(-1, Row{Tup: t, Mult: m})
+	})
+}
+
+// EqMatch reports whether r's key columns all strictly equal vals.
+func (b *IndexBuild) EqMatch(r Row, vals []value.Value) bool {
+	return eqMatch(r.Tup, b.cols[:len(vals)], vals)
+}
+
+// Arity returns the relation's width.
+func (b *IndexBuild) Arity() int { return b.arity }
 
 // valsAt extracts the probe key of t at cols into dst.
 func valsAt(t relation.Tuple, cols []int, dst []value.Value) []value.Value {
@@ -94,114 +160,97 @@ func valsAt(t relation.Tuple, cols []int, dst []value.Value) []value.Value {
 	return dst
 }
 
-// concatNull builds left ++ right where either side may be nil, in which
-// case it is replaced by arity NULLs (outer-join null extension).
-func concatNull(left relation.Tuple, leftArity int, right relation.Tuple, rightArity int) relation.Tuple {
-	out := make(relation.Tuple, 0, leftArity+rightArity)
-	if left == nil {
-		for i := 0; i < leftArity; i++ {
-			out = append(out, value.Null())
-		}
-	} else {
-		out = append(out, left...)
+// concatInto writes left ++ right into out, reusing its array when it is
+// large enough, where a nil side stands for arity NULLs (outer-join null
+// extension), and returns the tuple written.
+func concatInto(out, left relation.Tuple, leftArity int, right relation.Tuple, rightArity int) relation.Tuple {
+	n := leftArity + rightArity
+	if cap(out) < n {
+		out = make(relation.Tuple, n)
 	}
-	if right == nil {
-		for i := 0; i < rightArity; i++ {
-			out = append(out, value.Null())
-		}
-	} else {
-		out = append(out, right...)
-	}
+	out = out[:n]
+	fillOrNull(out[:leftArity], left)
+	fillOrNull(out[leftArity:], right)
 	return out
 }
 
-// EquiJoin streams the strict-equality hash join of probe against ht:
-// for every candidate whose key columns Eq-match (3VL True) the probe
-// row's values at probeCols, the concatenation probe ++ build — or build
-// ++ probe when buildFirst, for a join that builds its left input —
-// optionally filtered by the residual on predicate over the concatenated
-// tuple. NULL keys never match. A non-nil op counts probe rows: one with
-// at least one surviving match (post-residual) is a hit, otherwise a miss.
-func EquiJoin(probe Seq, probeCols []int, ht *HashTable, buildFirst bool, on func(relation.Tuple) bool, op *trace.Op) Seq {
-	return func(yield func(relation.Tuple, int) bool) {
-		vals := make([]value.Value, 0, len(probeCols))
-		for pt, pm := range probe {
-			vals = valsAt(pt, probeCols, vals)
-			stop := false
-			any := false
-			ht.Candidates(vals, func(_ int, r Row) bool {
-				if !ht.EqMatch(r, vals) {
-					return true
-				}
-				var out relation.Tuple
-				if buildFirst {
-					out = concatNull(r.Tup, ht.arity, pt, len(pt))
-				} else {
-					out = concatNull(pt, len(pt), r.Tup, ht.arity)
-				}
-				if on != nil && !on(out) {
-					return true
-				}
-				any = true
-				if !yield(out, pm*r.Mult) {
-					stop = true
-					return false
-				}
-				return true
-			})
-			if op != nil {
-				if any {
-					op.ProbeHits++
-				} else {
-					op.ProbeMisses++
-				}
-			}
-			if stop {
-				return
-			}
+// fillOrNull copies src into dst, or NULLs when src is nil.
+func fillOrNull(dst, src relation.Tuple) {
+	if src == nil {
+		for i := range dst {
+			dst[i] = value.Null()
 		}
+		return
 	}
+	copy(dst, src)
+}
+
+// EquiJoin streams the strict-equality hash join of probe against b: for
+// every candidate whose key columns Eq-match (3VL True) the probe row's
+// values at probeCols, the concatenation probe ++ build — or build ++
+// probe when buildFirst, for a join that builds its left input —
+// optionally filtered by the residual on predicate over the concatenated
+// tuple. NULL keys never match. Every output row is written into one
+// tuple per execution (see Seq). A non-nil op counts probe rows: one with
+// at least one surviving match (post-residual) is a hit, otherwise a miss.
+func EquiJoin(probe Seq, probeCols []int, b Build, buildFirst bool, on func(relation.Tuple) bool, op *trace.Op) Seq {
+	return hashJoin(probe, probeCols, b, on, op, buildFirst, false, false, 0)
 }
 
 // OuterHashJoin streams the left-outer (full=false) or full-outer
-// (full=true) hash join of left against ht. A left row joins every
+// (full=true) hash join of left against b. A left row joins every
 // candidate whose keys Eq-match and whose concatenated tuple passes the
 // residual on predicate (nil = always); rows with no match null-extend
 // the build side. Under full=true, unmatched build rows are emitted
-// null-extended on the probe side after the probe input drains. A
-// non-nil op counts probe rows as hits or misses (a null-extended probe
-// row is a miss).
-func OuterHashJoin(left Seq, leftCols []int, ht *HashTable, on func(relation.Tuple) bool, full bool, leftArity int, op *trace.Op) Seq {
+// null-extended on the probe side after the probe input drains, which
+// takes b to be a *HashTable. Every output row is written into one tuple
+// per execution (see Seq). A non-nil op counts probe rows as hits or
+// misses (a null-extended probe row is a miss).
+func OuterHashJoin(left Seq, leftCols []int, b Build, on func(relation.Tuple) bool, full bool, leftArity int, op *trace.Op) Seq {
+	return hashJoin(left, leftCols, b, on, op, false, true, full, leftArity)
+}
+
+// hashJoin is EquiJoin (outer false) and OuterHashJoin (outer true).
+func hashJoin(probe Seq, probeCols []int, b Build, on func(relation.Tuple) bool, op *trace.Op, buildFirst, outer, full bool, leftArity int) Seq {
 	return func(yield func(relation.Tuple, int) bool) {
 		var matched []bool
 		if full {
-			matched = make([]bool, len(ht.rows))
+			matched = make([]bool, b.(*HashTable).Len())
 		}
-		vals := make([]value.Value, 0, len(leftCols))
-		for lt, lm := range left {
-			vals = valsAt(lt, leftCols, vals)
-			any := false
-			stop := false
-			ht.Candidates(vals, func(slot int, r Row) bool {
-				if !ht.EqMatch(r, vals) {
-					return true
-				}
-				out := concatNull(lt, len(lt), r.Tup, ht.arity)
-				if on != nil && !on(out) {
-					return true
-				}
-				any = true
-				if full {
-					matched[slot] = true
-				}
-				if !yield(out, lm*r.Mult) {
-					stop = true
-					return false
-				}
+		vals := make([]value.Value, 0, len(probeCols))
+		var out, pt relation.Tuple
+		var pm int
+		var hit, stop bool
+		// One callback serves every probe row: b is an interface, so a
+		// closure handed to it is allocated, once per execution here.
+		match := func(slot int, r Row) bool {
+			if !b.EqMatch(r, vals) {
 				return true
-			})
+			}
+			if buildFirst {
+				out = concatInto(out, r.Tup, b.Arity(), pt, len(pt))
+			} else {
+				out = concatInto(out, pt, len(pt), r.Tup, b.Arity())
+			}
+			if on != nil && !on(out) {
+				return true
+			}
+			hit = true
+			if full {
+				matched[slot] = true
+			}
+			if !yield(out, pm*r.Mult) {
+				stop = true
+				return false
+			}
+			return true
+		}
+		for pt, pm = range probe {
+			vals = valsAt(pt, probeCols, vals)
+			hit = false
+			b.Candidates(vals, match)
 			if op != nil {
-				if any {
+				if hit {
 					op.ProbeHits++
 				} else {
 					op.ProbeMisses++
@@ -210,18 +259,20 @@ func OuterHashJoin(left Seq, leftCols []int, ht *HashTable, on func(relation.Tup
 			if stop {
 				return
 			}
-			if !any {
-				if !yield(concatNull(lt, len(lt), nil, ht.arity), lm) {
+			if outer && !hit {
+				out = concatInto(out, pt, len(pt), nil, b.Arity())
+				if !yield(out, pm) {
 					return
 				}
 			}
 		}
 		if full {
-			for slot, r := range ht.rows {
+			for slot, r := range b.(*HashTable).rows {
 				if matched[slot] {
 					continue
 				}
-				if !yield(concatNull(nil, leftArity, r.Tup, ht.arity), r.Mult) {
+				out = concatInto(out, nil, leftArity, r.Tup, b.Arity())
+				if !yield(out, r.Mult) {
 					return
 				}
 			}

@@ -18,8 +18,9 @@
 //   - internal/plan executes SQL WITH RECURSIVE through CTE.Run, the
 //     working-table variant of the loop (the SQL-standard semantics where
 //     the step sees only the previous round's rows), with the step's
-//     compiled exec tree streaming the delta through a Handle into hash
-//     tables built once per execution on the static side.
+//     compiled exec tree streaming the delta through a Handle into the
+//     static side: a stored relation's index, or a hash table built once
+//     per execution.
 //
 // The engine owns termination: accumulation into totals is set-monotone
 // (a tuple enters the total and the next delta only when new), so every

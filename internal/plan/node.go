@@ -511,9 +511,9 @@ func (valuesNode) writeExplain(b *strings.Builder, depth int, _ *trace.Trace) {
 	b.WriteString("Values (1 row)\n")
 }
 
-// derivedNode materializes a subquery plan as a named relation (derived
-// table / CTE-style FROM subquery) and streams it, making it probe-able
-// by the joins above it.
+// derivedNode streams a subquery plan under an alias (a derived table,
+// FROM (subquery) AS x). A join above it that builds on it drains it into
+// a hash table; it has no index of its own.
 type derivedNode struct {
 	sub    *Plan
 	alias  string
@@ -574,18 +574,26 @@ func (k joinKind) String() string {
 	return "?"
 }
 
-// hashJoinNode joins two subtrees: one side is materialized into an
-// exec.HashTable on its key columns, the other streams and probes it.
-// Key equality is strict (3VL True) and the residual ON predicate is
-// evaluated over the concatenated tuple, always left ++ right; LEFT/FULL
-// kinds null-extend unmatched rows per SQL outer-join semantics.
+// hashJoinNode joins two subtrees: one side is the build (exec.Build) on
+// its key columns, the other streams and probes it. Key equality is
+// strict (3VL True) and the residual ON predicate is evaluated over the
+// concatenated tuple, always left ++ right; LEFT/FULL kinds null-extend
+// unmatched rows per SQL outer-join semantics.
+//
+// An inner or left join whose build side is a plain or probed scan of a
+// stored relation probes that relation's own index on the key columns
+// plus the scan's probe columns (exec.IndexBuild; EXPLAIN prints
+// index(R)): built once per relation version and shared by every
+// execution, so the join builds nothing. Any other build side — a full
+// join's, a derived table, a CTE, a range scan or a filtered subtree — is
+// drained into an exec.HashTable.
 //
 // The right side builds, except that an inner join whose right subtree
 // reads a rotating fixpoint delta and whose left is static builds its
-// left: the delta drives the round, streaming and probing a table built
-// once per execution, so no round hashes the delta or rescans the static
-// side. buildStatic marks a build side whose
-// content cannot change within one execution (no rotating fixpoint
+// left: the delta drives the round, streaming and probing the static
+// side's index or a table built once per execution, so no round hashes
+// the delta or rescans the static side. buildStatic marks a build side
+// whose content cannot change within one execution (no rotating fixpoint
 // relation below it): its hash table is cached per runCtx and reused
 // across fixpoint rounds.
 type hashJoinNode struct {
@@ -620,10 +628,34 @@ func (n *hashJoinNode) sides() (build, probe Node, buildCols, probeCols []int) {
 	return n.right, n.left, n.rightCols, n.leftCols
 }
 
-// buildSide returns the join's hash table, from the per-execution cache
-// when the build subtree is static.
-func (n *hashJoinNode) buildSide(ctx *runCtx) *exec.HashTable {
+// indexScan returns the build side's scan when the join probes the
+// scanned relation's index, or nil when it builds a hash table.
+func (n *hashJoinNode) indexScan() *scanNode {
+	build, _, _, _ := n.sides()
+	sn, ok := build.(*scanNode)
+	if !ok || sn.rng != nil || n.kind == joinFull || len(n.keyStrs) == 0 {
+		return nil
+	}
+	return sn
+}
+
+// buildSide returns the join's build side: the scanned relation's index,
+// or a hash table, from the per-execution cache when the build subtree is
+// static. A NULL parameter on the scan's probe empties the scan, so that
+// join builds the empty table.
+func (n *hashJoinNode) buildSide(ctx *runCtx) exec.Build {
 	build, _, cols, _ := n.sides()
+	if sn := n.indexScan(); sn != nil {
+		if rel := sn.rel(ctx); rel != nil {
+			if fixedCols, fixedVals, null := sn.resolveProbes(ctx); !null {
+				b := exec.NewIndexBuild(rel, cols, fixedCols, fixedVals)
+				if ctx.trace != nil {
+					b.Read = &ctx.trace.Op(sn).Rows
+				}
+				return b
+			}
+		}
+	}
 	if !n.buildStatic {
 		return exec.BuildHashTable(build.Run(ctx), cols, len(build.Schema()))
 	}
@@ -640,15 +672,17 @@ func (n *hashJoinNode) buildSide(ctx *runCtx) *exec.HashTable {
 
 func (n *hashJoinNode) Run(ctx *runCtx) exec.Seq {
 	var op *trace.Op
-	var ht *exec.HashTable
+	var b exec.Build
 	if ctx.trace != nil {
 		op = ctx.trace.Op(n)
 		bs := time.Now()
-		ht = n.buildSide(ctx)
+		b = n.buildSide(ctx)
 		op.Nanos += time.Since(bs).Nanoseconds()
-		op.BuildRows = int64(ht.Len())
+		if ht, ok := b.(*exec.HashTable); ok {
+			op.BuildRows = int64(ht.Len())
+		}
 	} else {
-		ht = n.buildSide(ctx)
+		b = n.buildSide(ctx)
 	}
 	var on func(relation.Tuple) bool
 	if n.residual != nil {
@@ -663,11 +697,11 @@ func (n *hashJoinNode) Run(ctx *runCtx) exec.Seq {
 	in := guard(probe.Run(ctx), ctx)
 	switch n.kind {
 	case joinLeft:
-		return ctx.traced(n, exec.OuterHashJoin(in, probeCols, ht, on, false, len(n.left.Schema()), op))
+		return ctx.traced(n, exec.OuterHashJoin(in, probeCols, b, on, false, len(n.left.Schema()), op))
 	case joinFull:
-		return ctx.traced(n, exec.OuterHashJoin(in, probeCols, ht, on, true, len(n.left.Schema()), op))
+		return ctx.traced(n, exec.OuterHashJoin(in, probeCols, b, on, true, len(n.left.Schema()), op))
 	}
-	return ctx.traced(n, exec.EquiJoin(in, probeCols, ht, n.buildLeft, on, op))
+	return ctx.traced(n, exec.EquiJoin(in, probeCols, b, n.buildLeft, on, op))
 }
 
 func (n *hashJoinNode) writeExplain(b *strings.Builder, depth int, tr *trace.Trace) {
@@ -683,12 +717,19 @@ func (n *hashJoinNode) writeExplain(b *strings.Builder, depth int, tr *trace.Tra
 	if n.buildLeft {
 		b.WriteString(" build(left)")
 	}
+	sn := n.indexScan()
+	if sn != nil {
+		fmt.Fprintf(b, " index(%s)", sn.name)
+	}
 	if tr != nil {
-		if op := tr.Lookup(n); op != nil {
+		if op := tr.Lookup(n); op == nil {
+			b.WriteString(" (never executed)")
+		} else if sn != nil {
+			fmt.Fprintf(b, " (rows=%d hits=%d misses=%d time=%s)",
+				op.Rows, op.ProbeHits, op.ProbeMisses, trace.FormatDuration(op.Nanos))
+		} else {
 			fmt.Fprintf(b, " (rows=%d build=%d hits=%d misses=%d time=%s)",
 				op.Rows, op.BuildRows, op.ProbeHits, op.ProbeMisses, trace.FormatDuration(op.Nanos))
-		} else {
-			b.WriteString(" (never executed)")
 		}
 	}
 	b.WriteString("\n")
@@ -964,10 +1005,11 @@ func (n *filterNode) writeExplain(b *strings.Builder, depth int, tr *trace.Trace
 	n.input.writeExplain(b, depth+1, tr)
 }
 
-// projectNode computes the output expressions (π with computation).
-// srcCols, when non-nil, records that every output expression is a plain
-// input-column reference (srcCols[i] = input column of output i) — the
-// shape the point-lookup fast path in ExecuteWith exploits.
+// projectNode computes the output expressions (π with computation) into
+// one tuple per execution (see exec.Seq). srcCols, when non-nil, records
+// that every output expression is a plain input-column reference
+// (srcCols[i] = input column of output i) — the shape the point-lookup
+// fast path in ExecuteOn exploits.
 type projectNode struct {
 	input   Node
 	exprs   []exprFn
@@ -986,23 +1028,39 @@ func newProjectNode(input Node, exprs []exprFn, names []string) *projectNode {
 func (n *projectNode) Schema() []ColID { return n.schema }
 
 func (n *projectNode) Run(ctx *runCtx) exec.Seq {
-	return ctx.traced(n, func(yield func(relation.Tuple, int) bool) {
-		for t, m := range n.input.Run(ctx) {
-			if !ctx.poll() {
-				return
-			}
-			out := make(relation.Tuple, len(n.exprs))
-			for i, e := range n.exprs {
-				out[i] = e(t, ctx)
-			}
-			if ctx.err != nil {
-				return
-			}
-			if !yield(out, m) {
-				return
-			}
-		}
-	})
+	p := &projection{n: n, ctx: ctx}
+	return ctx.traced(n, p.run)
+}
+
+// projection is one execution of a projectNode. Its state lives here, not
+// in closures, so the execution allocates no more objects, nor larger
+// ones, than a projection that allocated a tuple per row did for one row
+// (a point query).
+type projection struct {
+	n     *projectNode
+	ctx   *runCtx
+	yield func(relation.Tuple, int) bool
+	out   relation.Tuple // every output row, allocated at the first
+}
+
+// run streams the projection: the Seq that Run returns.
+func (p *projection) run(yield func(relation.Tuple, int) bool) {
+	p.yield = yield
+	p.n.input.Run(p.ctx)(p.row)
+}
+
+// row computes the output of one input row and yields it.
+func (p *projection) row(t relation.Tuple, m int) bool {
+	if !p.ctx.poll() {
+		return false
+	}
+	if p.out == nil {
+		p.out = make(relation.Tuple, len(p.n.exprs))
+	}
+	for i, e := range p.n.exprs {
+		p.out[i] = e(t, p.ctx)
+	}
+	return p.ctx.err == nil && p.yield(p.out, m)
 }
 
 func (n *projectNode) writeExplain(b *strings.Builder, depth int, tr *trace.Trace) {

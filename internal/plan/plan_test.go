@@ -26,8 +26,8 @@ func TestGoldenPlans(t *testing.T) {
 		{
 			"select r.A, s.C from R r, S s, T t where r.B = s.B and s.C = t.C and t.A = 3",
 			`Project [A, C]
-  HashJoin INNER (s.C = t.C)
-    HashJoin INNER (r.B = s.B)
+  HashJoin INNER (s.C = t.C) index(T)
+    HashJoin INNER (r.B = s.B) index(S)
       Scan R as r
       Scan S as s
     Scan T as t probe(A=3)
@@ -94,7 +94,7 @@ func TestGoldenPlans(t *testing.T) {
 		{
 			"select R.A, S.C from R left join S on R.B = S.B and S.C = 1",
 			`Project [A, C]
-  HashJoin LEFT (R.B = S.B) residual(S.C = 1)
+  HashJoin LEFT (R.B = S.B) residual(S.C = 1) index(S)
     Scan R
     Scan S
 `,
@@ -130,7 +130,7 @@ func TestGoldenPlans(t *testing.T) {
         Scan R
     Step (Δtc per round):
       Project [x, B]
-        HashJoin INNER (tc.y = R.A)
+        HashJoin INNER (tc.y = R.A) index(R)
           CteScan Δtc
           Scan R
   Body:
@@ -148,7 +148,7 @@ func TestGoldenPlans(t *testing.T) {
       Scan R
   Body:
     Project [a]
-      HashJoin INNER (x.a = S.B)
+      HashJoin INNER (x.a = S.B) index(S)
         CteScan x
         Scan S
 `,

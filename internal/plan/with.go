@@ -18,9 +18,10 @@ import (
 // reading a fixpoint.Handle, which the working-table loop retargets to
 // the rotating delta each round — the plan-side realization of
 // semi-naive recursion over streaming operators. The delta drives each
-// round: a hash join of the delta with a static side builds the static
-// side once per execution and streams the delta into it, on whichever
-// side of the join the query names the delta (hashJoinNode). Queries
+// round: a hash join of the delta with a static side streams the delta
+// into the static side — a stored relation's own index, or a table built
+// once per execution — on whichever side of the join the query names the
+// delta (hashJoinNode). Queries
 // outside the planner fragment fall back (ErrNotPlannable) to the
 // reference evaluator's independent naive-iteration loop, which the
 // recursive differential corpus verifies byte-identical.

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -152,5 +153,68 @@ func TestProbeMatchesScanProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestProbeAllocatesNothing pins that a probe allocates nothing once its
+// index is built: on one column, on all columns, and on a proper
+// multi-column subset, whose index is found by a signature built on the
+// stack — with and without a base.
+func TestProbeAllocatesNothing(t *testing.T) {
+	r := New("R", "a", "b", "c")
+	for i := 0; i < 100; i++ {
+		r.Add(i%7, i%5, i)
+	}
+	n := 0
+	count := func(Tuple, int) bool { n++; return true }
+	for _, rel := range []*Relation{r, r.Clone()} {
+		for _, c := range []struct {
+			cols []int
+			vals []value.Value
+		}{
+			{[]int{0}, []value.Value{value.Int(3)}},
+			{[]int{0, 1, 2}, []value.Value{value.Int(3), value.Int(0), value.Int(10)}},
+			{[]int{0, 2}, []value.Value{value.Int(3), value.Int(10)}},
+			{[]int{2, 1}, []value.Value{value.Int(10), value.Int(0)}},
+		} {
+			rel.Probe(c.cols, c.vals, count) // builds the index
+			if a := testing.AllocsPerRun(100, func() { rel.Probe(c.cols, c.vals, count) }); a != 0 {
+				t.Errorf("probe on %v allocates %v per run, want 0", c.cols, a)
+			}
+		}
+	}
+}
+
+// TestProberHoldsItsVersion: a Prober finds the rows the relation held
+// when it was taken — over a base with dead rows and a delta — whatever
+// later inserts and removals do to the relation, while Probe sees them.
+func TestProberHoldsItsVersion(t *testing.T) {
+	r := New("R", "k", "v")
+	for i := 0; i < 6; i++ {
+		r.Add(i%2, i)
+	}
+	r = r.Clone()                                       // rows 0..5 move to a base
+	r.RemoveKeys([]Tuple{{value.Int(0), value.Int(2)}}) // a dead base row
+	r.Add(0, 6).Add(1, 7)                               // a delta
+	vals := func(f func(func(Tuple, int) bool)) (out []int64) {
+		f(func(t Tuple, _ int) bool { out = append(out, t[1].AsInt()); return true })
+		return out
+	}
+	key := []value.Value{value.Int(0)}
+	p := r.Prober([]int{0})
+	held := func() []int64 { return vals(func(f func(Tuple, int) bool) { p.Probe(key, f) }) }
+	live := func() []int64 { return vals(func(f func(Tuple, int) bool) { r.Probe([]int{0}, key, f) }) }
+	want := []int64{0, 4, 6}
+	if got := held(); !slices.Equal(got, want) || !slices.Equal(live(), want) {
+		t.Fatalf("prober %v, probe %v; want %v", got, live(), want)
+	}
+	r.Add(0, 8)                                         // grows the delta's live index
+	r.RemoveKeys([]Tuple{{value.Int(0), value.Int(4)}}) // retires a base row
+	r.RemoveKeys([]Tuple{{value.Int(0), value.Int(6)}}) // rebuilds the delta
+	if got := held(); !slices.Equal(got, want) {
+		t.Errorf("prober after writes %v, want the held %v", got, want)
+	}
+	if got := live(); !slices.Equal(got, []int64{0, 8}) {
+		t.Errorf("probe after writes %v, want [0 8]", got)
 	}
 }

@@ -415,48 +415,44 @@ func (r *Relation) Each(f func(Tuple, int)) { r.view().each(f) }
 // order, stopping early when f returns false.
 func (r *Relation) EachWhile(f func(Tuple, int) bool) { r.view().eachWhile(f) }
 
-// smallSigs precomputes the signatures of single-column indexes on the
-// first 16 columns — the overwhelmingly common probe shape — so hot
-// probes never allocate the signature string.
-var smallSigs = [16]string{
-	"0,", "1,", "2,", "3,", "4,", "5,", "6,", "7,",
-	"8,", "9,", "10,", "11,", "12,", "13,", "14,", "15,",
-}
+// sigBuf holds a signature built on the stack: a map lookup keyed by
+// string(sig) converts without allocating, so only building an index
+// pays for the signature string.
+type sigBuf [32]byte
 
-// indexSig renders the column-set signature hash indexes are cached by.
-func indexSig(cols []int) string {
-	if len(cols) == 1 && cols[0] >= 0 && cols[0] < len(smallSigs) {
-		return smallSigs[cols[0]]
-	}
-	sig := make([]byte, 0, 16)
+// appendSig appends the column-set signature hash indexes are cached by.
+func appendSig(dst []byte, cols []int) []byte {
 	for _, c := range cols {
-		sig = strconv.AppendInt(sig, int64(c), 10)
-		sig = append(sig, ',')
+		dst = strconv.AppendInt(dst, int64(c), 10)
+		dst = append(dst, ',')
 	}
-	return string(sig)
+	return dst
 }
 
 // hashIndexForLocked returns the hash index on the column set cols, whose
 // signature is sig, building it on first use; in a delta InsertMult
 // maintains it incrementally afterwards. The caller must hold the write
 // lock.
-func (s *segment) hashIndexForLocked(sig string, cols []int) *hashIndex {
-	if ix, ok := s.hashIdx[sig]; ok {
+func (s *segment) hashIndexForLocked(sig []byte, cols []int) *hashIndex {
+	if ix, ok := s.hashIdx[string(sig)]; ok {
 		return ix
 	}
 	ix := buildHashIndex(s.rows, slices.Clone(cols))
 	if s.hashIdx == nil {
 		s.hashIdx = make(map[string]*hashIndex)
 	}
-	s.hashIdx[sig] = ix
+	s.hashIdx[string(sig)] = ix
 	return ix
 }
 
 // hashIndexFor is hashIndexForLocked for a frozen segment, whose lock
-// guards nothing but the index caches.
-func (s *segment) hashIndexFor(sig string, cols []int) *hashIndex {
+// guards nothing but the index caches. A nil sig names the tuple index.
+func (s *segment) hashIndexFor(sig []byte, cols []int) *hashIndex {
+	if sig == nil {
+		return s.index
+	}
 	s.mu.RLock()
-	ix, ok := s.hashIdx[sig]
+	ix, ok := s.hashIdx[string(sig)]
 	s.mu.RUnlock()
 	if ok {
 		return ix
@@ -478,6 +474,33 @@ func isAllCols(cols []int, arity int) bool {
 		}
 	}
 	return true
+}
+
+// sigOf returns the signature of r's index on cols, built in buf, or nil
+// when cols are all columns in order: the tuple index answers those.
+func (r *Relation) sigOf(buf *sigBuf, cols []int) []byte {
+	if isAllCols(cols, len(r.attrs)) {
+		return nil
+	}
+	return appendSig(buf[:0], cols)
+}
+
+// deltaIndexLocked returns the delta's index on cols, whose signature is
+// sig (see sigOf), or nil while it is not built. The caller holds mu.
+func (r *Relation) deltaIndexLocked(sig []byte) *hashIndex {
+	if sig == nil {
+		return r.index
+	}
+	return r.hashIdx[string(sig)]
+}
+
+// buildDeltaIndexLocked is deltaIndexLocked, building the index if it is
+// not built. The caller holds mu for writing.
+func (r *Relation) buildDeltaIndexLocked(sig []byte, cols []int) *hashIndex {
+	if sig == nil {
+		return r.tupleIndexLocked()
+	}
+	return r.hashIndexForLocked(sig, cols)
 }
 
 // Probe calls f for each distinct tuple whose values at cols are Equal to
@@ -506,11 +529,8 @@ func (r *Relation) Probe(cols []int, vals []value.Value, f func(Tuple, int) bool
 
 // probeHashed is Probe for the values vals, whose hash is h.
 func (r *Relation) probeHashed(cols []int, vals Tuple, h uint64, f func(Tuple, int) bool) {
-	all := isAllCols(cols, len(r.attrs))
-	var sig string
-	if !all {
-		sig = indexSig(cols)
-	}
+	var buf sigBuf
+	sig := r.sigOf(&buf, cols)
 	// Fast path: the delta's index already exists (or the delta is empty
 	// and needs none) — capture the chain and the view under the read
 	// lock. Slow path: build the index under the write lock
@@ -518,11 +538,7 @@ func (r *Relation) probeHashed(cols []int, vals Tuple, h uint64, f func(Tuple, i
 	// Both capture view and chain under the same lock acquisition, so
 	// every slot of the chain is covered by the view's rows header.
 	r.mu.RLock()
-	v := r.viewLocked()
-	ix := r.index
-	if !all {
-		ix = r.hashIdx[sig]
-	}
+	v, ix := r.viewLocked(), r.deltaIndexLocked(sig)
 	delta := Chain{span: span{first: -1}}
 	if ix != nil {
 		delta = ix.Chain(h)
@@ -531,30 +547,75 @@ func (r *Relation) probeHashed(cols []int, vals Tuple, h uint64, f func(Tuple, i
 	if ix == nil && len(v.rows) > 0 {
 		r.mu.Lock()
 		v = r.viewLocked()
-		if all {
-			ix = r.tupleIndexLocked()
-		} else {
-			ix = r.hashIndexForLocked(sig, cols)
-		}
-		delta = ix.Chain(h)
+		delta = r.buildDeltaIndexLocked(sig, cols).Chain(h)
 		r.mu.Unlock()
 	}
-	if v.base != nil {
-		bix := v.base.index
-		if !all {
-			bix = v.base.hashIndexFor(sig, cols)
-		}
-		if !walk(v.base.rows, v.dead, bix.Chain(h), cols, vals, f) {
-			return
-		}
+	if v.base != nil && !walk(v.base.rows, v.dead, v.base.hashIndexFor(sig, cols).Chain(h), cols, vals, f) {
+		return
 	}
 	walk(v.rows, nil, delta, cols, vals, f)
 }
 
+// Prober is r's hash index on one column set, held at r as it was when
+// Prober was called: a probe finds what Probe would have found then, the
+// rows a scan begun at that moment streams, whatever is inserted or
+// removed since (multiplicity bumps of delta rows show through, as they
+// do in a scan). It probes r's own indexes, which every Probe and Prober
+// shares, so a join that probes a stored relation reads one version of
+// it without building a table.
+type Prober struct {
+	r    *Relation
+	v    view
+	cols []int
+	// base and delta are v's indexes on cols: nil without a base, and
+	// without delta rows. delta may be r's live index, which grows under
+	// r's lock; a chain of it is read under that lock and walked only up
+	// to the rows v holds.
+	base, delta *hashIndex
+}
+
+// Prober returns the Prober of r on cols, which it keeps: the caller must
+// not modify cols.
+func (r *Relation) Prober(cols []int) *Prober {
+	var buf sigBuf
+	sig := r.sigOf(&buf, cols)
+	r.mu.RLock()
+	p := &Prober{r: r, cols: cols, v: r.viewLocked(), delta: r.deltaIndexLocked(sig)}
+	r.mu.RUnlock()
+	if p.delta == nil && len(p.v.rows) > 0 {
+		r.mu.Lock()
+		p.v, p.delta = r.viewLocked(), r.buildDeltaIndexLocked(sig, cols)
+		r.mu.Unlock()
+	}
+	if p.v.base != nil {
+		p.base = p.v.base.hashIndexFor(sig, cols)
+	}
+	return p
+}
+
+// Probe calls f for each distinct tuple of the held version whose values
+// at the Prober's columns are Equal to vals, with its multiplicity, in
+// iteration order; f returning false stops the probe.
+func (p *Prober) Probe(vals []value.Value, f func(Tuple, int) bool) {
+	h := Tuple(vals).Hash()
+	if p.base != nil && !walk(p.v.base.rows, p.v.dead, p.base.Chain(h), p.cols, vals, f) {
+		return
+	}
+	if p.delta == nil {
+		return
+	}
+	p.r.mu.RLock()
+	ch := p.delta.Chain(h)
+	p.r.mu.RUnlock()
+	walk(p.v.rows, nil, ch, p.cols, vals, f)
+}
+
 // walk calls f for each row of the chain ch that dead does not retire and
 // whose values at cols are Equal to vals, reporting false once f stops it.
+// A chain lists its slots in the order they were added, so a slot past
+// rows, added after rows was captured, ends the walk.
 func walk(rows []row, dead *deadSet, ch Chain, cols []int, vals Tuple, f func(Tuple, int) bool) bool {
-	for s := ch.First(); s >= 0; s = ch.Next(s) {
+	for s := ch.First(); s >= 0 && s < len(rows); s = ch.Next(s) {
 		if rw := &rows[s]; !dead.has(s) && rw.tup.EqualAt(cols, vals) && !f(rw.tup, rw.count()) {
 			return false
 		}

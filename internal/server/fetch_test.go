@@ -54,12 +54,12 @@ func checkScan(t *testing.T, rows [][]value.Value) {
 	}
 }
 
-// TestFetchCostsPerBatch pins that the wire adds allocations per Fetch
-// batch, not per row: a 10 000-row range of ints through
-// client.Stmt.QueryAll allocates at most 16 per batch more than draining
-// the same statement in process. Both ends run in this process, so
-// AllocsPerRun counts the server's encoding and the client's decoding
-// together.
+// TestFetchCostsPerBatch pins that no hop allocates per row: draining a
+// 10 000-row range of ints in process allocates at most 64 times in all
+// (the plan's projection writes every row into one tuple), and through
+// client.Stmt.QueryAll at most 16 per Fetch batch more. Both ends run in
+// this process, so AllocsPerRun counts the server's encoding and the
+// client's decoding together.
 func TestFetchCostsPerBatch(t *testing.T) {
 	db := scanDB()
 	srv, addr := startServer(t, db, server.Options{})
@@ -104,6 +104,9 @@ func TestFetchCostsPerBatch(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f allocations over the wire, %.0f in process, %d batches", overWire, inProcess, batches)
+	if inProcess > 64 {
+		t.Fatalf("draining %d rows in process allocates %.0f times; want ≤ 64, none per row", scanRows, inProcess)
+	}
 	if extra := overWire - inProcess; extra > float64(16*batches) {
 		t.Fatalf("the wire adds %.0f allocations over %d batches (%.0f over the wire, %.0f in process); want ≤ 16 per batch",
 			extra, batches, overWire, inProcess)
