@@ -4,7 +4,7 @@ GO ?= go
 
 # Fuzz-smoke knobs (same as CI's fuzz-smoke job).
 FUZZ_TIME ?= 20s
-ENGINE_FUZZ_TARGETS ?= FuzzPrepareSQL FuzzPrepareARC FuzzPrepareDatalog FuzzExecSQL FuzzExecFactOps
+ENGINE_FUZZ_TARGETS ?= FuzzPrepareSQL FuzzPrepareARC FuzzPrepareDatalog FuzzExecSQL FuzzExecFactOps FuzzCollectionStream
 
 .PHONY: all build test bench lint arcvet fuzz-smoke arcbench-quick ab loc
 

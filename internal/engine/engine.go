@@ -279,10 +279,16 @@ func (db *DB) relsIn(scope txScope) (map[string]*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
+	return db.rels(tx), nil
+}
+
+// rels is relsIn for the transaction tx, or the committed head when tx
+// is nil.
+func (db *DB) rels(tx *Tx) map[string]*relation.Relation {
 	if tx != nil {
-		return tx.ws.Rels(), nil
+		return tx.ws.Rels()
 	}
-	return db.store.Head().Rels(), nil
+	return db.store.Head().Rels()
 }
 
 // prepare is Prepare for the DB (nil scope), a Tx, or a Session: the

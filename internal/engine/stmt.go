@@ -638,10 +638,12 @@ func errNotRows(kind StmtKind) error {
 }
 
 // execution is one run of a query statement: the relation map loaded at
-// its start, the compiled form valid for that map, the bound arguments,
-// and the cancellation poll.
+// its start (and the transaction it belongs to, if any), the compiled
+// form valid for that map, the bound arguments, and the cancellation
+// poll.
 type execution struct {
 	rels   map[string]*relation.Relation
+	tx     *Tx
 	c      *compiled
 	vals   []value.Value
 	inputs map[string]*relation.Relation
@@ -656,9 +658,10 @@ func (s *Stmt) begin(ctx context.Context, args []any) (x execution, err error) {
 	if k := s.Kind(); k != KindQuery {
 		return x, errNotRows(k)
 	}
-	if x.rels, err = s.db.relsIn(s.scope); err != nil {
+	if x.tx, err = openTx(s.scope); err != nil {
 		return x, err
 	}
+	x.rels = s.db.rels(x.tx)
 	if x.c, err = s.on(x.rels); err != nil {
 		return x, err
 	}
@@ -690,14 +693,29 @@ func (x *execution) materialize(tr *trace.Trace) (*relation.Relation, error) {
 }
 
 // rows opens the cursor. For planner-compiled SQL it pulls rows directly
-// off the operator tree — nothing is materialized up front; ARC, Datalog,
-// and fallback-path SQL evaluate eagerly (their evaluators are
-// materializing) and the cursor streams the result. A non-nil tr traces
-// the execution.
+// off the operator tree, and for ARC and Datalog off the evaluator's head
+// tuples (eval.StreamPrepared): nothing is materialized up front, and an
+// evaluation error arrives at Next. A recursive collection is computed to
+// its fixpoint first, and fallback-path SQL evaluates eagerly (the
+// reference evaluator is materializing); the cursor streams the result.
+// A non-nil tr traces the execution.
 func (x *execution) rows(tr *trace.Trace) (*Rows, error) {
 	if p := x.c.plan; p != nil {
 		seq, errFn := p.StreamOn(x.rels, x.vals, x.check, tr)
 		return newRows(x.c.cols, seq, errFn, x.check), nil
+	}
+	if c := x.c; c.col != nil {
+		if x.tx != nil {
+			// The evaluator reads the relations while the cursor is
+			// drained, and later statements of the transaction write its
+			// working copies in place: the cursor holds them as they are.
+			x.rels = x.tx.ws.Held()
+		}
+		seq, errFn, err := eval.StreamPrepared(c.col, c.link, c.cat, c.conv, x.rels, x.inputs, x.check, tr)
+		if err != nil {
+			return nil, err
+		}
+		return newRows(c.cols, seq, errFn, x.check), nil
 	}
 	rel, err := x.materialize(tr)
 	if err != nil {

@@ -1,11 +1,13 @@
 package eval
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/alt"
 	"repro/internal/convention"
+	"repro/internal/exec"
 	"repro/internal/relation"
 	"repro/internal/trace"
 	"repro/internal/value"
@@ -53,6 +55,37 @@ func EvalReference(col *alt.Collection, cat *Catalog, conv convention.Convention
 // (keyed "arc:"+names) and the counters of grouped lookups and existence
 // filters (keyed by their binding and quantifier) for EXPLAIN ANALYZE.
 func EvalPrepared(col *alt.Collection, link *alt.Link, cat *Catalog, conv convention.Conventions, base, inputs map[string]*relation.Relation, check func() error, tr *trace.Trace) (*relation.Relation, error) {
+	return newPrepared(cat, conv, base, inputs, check, tr).evalCollection(col, link, newEnv())
+}
+
+// StreamPrepared is EvalPrepared for a cursor. A recursive collection is
+// computed to its fixpoint now, and its total streamed; an evaluation
+// error then is returned at once. Any other collection is evaluated as
+// the sequence is drained, on the stream evalOnce collects (headStream),
+// so nothing is materialized: the function returned reports its first
+// error once the sequence stops. The sequence reads base and inputs
+// while it is drained, so they must not change until it stops, and it
+// must be consumed by one goroutine, at most once.
+func StreamPrepared(col *alt.Collection, link *alt.Link, cat *Catalog, conv convention.Conventions, base, inputs map[string]*relation.Relation, check func() error, tr *trace.Trace) (exec.Seq, func() error, error) {
+	ev := newPrepared(cat, conv, base, inputs, check, tr)
+	if group := ev.recursiveGroup(col, link); group != nil {
+		rel, err := ev.evalGroup(col, group, newEnv())
+		if err != nil {
+			return nil, nil, err
+		}
+		return exec.Scan(rel), func() error { return nil }, nil
+	}
+	var err error
+	seq := func(yield func(relation.Tuple, int) bool) {
+		ev.pushLink(link)
+		defer ev.popLink()
+		ev.headStream(col, newEnv(), &err)(yield)
+	}
+	return seq, func() error { return err }, nil
+}
+
+// newPrepared is the evaluator of one prepared execution (EvalPrepared).
+func newPrepared(cat *Catalog, conv convention.Conventions, base, inputs map[string]*relation.Relation, check func() error, tr *trace.Trace) *evaluator {
 	ev := newEvaluator(cat, conv)
 	if base != nil {
 		ev.base = base
@@ -62,7 +95,7 @@ func EvalPrepared(col *alt.Collection, link *alt.Link, cat *Catalog, conv conven
 	for name, rel := range inputs {
 		ev.overrides[name] = rel
 	}
-	return ev.evalCollection(col, link, newEnv())
+	return ev
 }
 
 // EvalSentence validates and evaluates a Boolean ARC sentence (Section
@@ -154,6 +187,12 @@ func (ev *evaluator) evalCollection(col *alt.Collection, link *alt.Link, e *env)
 		defer ev.popLink()
 		return ev.evalOnce(col, e)
 	}
+	return ev.evalGroup(col, group, e)
+}
+
+// evalGroup computes the recursive group of col (recursiveGroup), caching
+// the other members' relations as views on the way, and returns col's.
+func (ev *evaluator) evalGroup(col *alt.Collection, group []recDef, e *env) (*relation.Relation, error) {
 	totals, err := ev.evalRecursive(group, e)
 	if err != nil {
 		return nil, err
@@ -164,20 +203,46 @@ func (ev *evaluator) evalCollection(col *alt.Collection, link *alt.Link, e *env)
 	return totals[col.Head.Rel], nil
 }
 
-// evalOnce evaluates a collection body once, producing its relation.
+// evalOnce evaluates a collection body once, producing its relation: it
+// collects headStream.
 func (ev *evaluator) evalOnce(col *alt.Collection, e *env) (*relation.Relation, error) {
 	out := relation.New(col.Head.Rel, col.Head.Attrs...)
-	err := ev.headTuples(col, col.Body, e, func(t relation.Tuple, weight int) error {
+	var err error
+	for t, weight := range ev.headStream(col, e, &err) {
 		out.InsertMult(t, weight)
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", col.Head.Rel, err)
 	}
-	if ev.conv.Semantics == convention.Set {
-		out = out.Dedup()
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// errStopped is how headStream's emit ends the derivation once its
+// consumer stops.
+var errStopped = errors.New("eval: stream stopped")
+
+// headStream is the result of a collection evaluated once, as a stream:
+// headTuples over its body, under set conventions each distinct tuple
+// once (exec.Dedup), under bags every derivation with its weight — so
+// equal tuples may arrive apart. A yielded tuple is valid until yield
+// returns. Stopping the stream stops the derivation; an evaluation error
+// stops it too and is stored in *errp. The caller has pushed col's link.
+func (ev *evaluator) headStream(col *alt.Collection, e *env, errp *error) exec.Seq {
+	seq := func(yield func(relation.Tuple, int) bool) {
+		err := ev.headTuples(col, col.Body, e, func(t relation.Tuple, weight int) error {
+			if !yield(t, weight) {
+				return errStopped
+			}
+			return nil
+		})
+		if err != nil && !errors.Is(err, errStopped) {
+			*errp = fmt.Errorf("%s: %w", col.Head.Rel, err)
+		}
+	}
+	if ev.conv.Semantics == convention.Set {
+		return exec.Dedup(seq)
+	}
+	return seq
 }
 
 // headTuples derives the head tuples of col that formula f of its body

@@ -27,6 +27,12 @@
 // monotone program over a finite instance converges; MaxIterations bounds
 // runaway recursion (e.g. a UNION ALL step that keeps producing rows over
 // a cyclic instance) with ErrIterationCap.
+//
+// A round stores each new tuple once: it is looked up in the total only,
+// copied once, and the copy goes into the total and is appended to the
+// next delta — Run's, or a UNION CTE's working table — without a lookup
+// (relation.AppendDistinct), so a delta builds no tuple index unless a
+// rule looks a tuple up in it.
 package fixpoint
 
 import (
@@ -79,7 +85,9 @@ const (
 // Emit hands one derived head tuple to the engine, which inserts it into
 // the target's total (and the next delta) only when new. A new tuple is
 // cloned once, and the total and the delta share the copy, so callers may
-// reuse the backing slice.
+// reuse the backing slice. Only the total is looked up: the delta is
+// appended to (relation.AppendDistinct), since a tuple the total has just
+// admitted cannot be in it.
 type Emit func(t relation.Tuple) error
 
 // Rule is one derivation rule of a recursive component.
@@ -154,7 +162,7 @@ func Run(totals map[string]*relation.Relation, rules []Rule, opt Options) error 
 				d = relation.New(target, total.Attrs()...)
 				next[target] = d
 			}
-			d.InsertOwned(t, 1)
+			d.AppendDistinct(t)
 			return nil
 		}
 	}
@@ -246,7 +254,9 @@ type EmitMult func(t relation.Tuple, mult int) error
 // already in the result are dropped — the set-semantics termination
 // guarantee) versus UNION ALL (multiplicities accumulate and termination
 // relies on the step eventually producing no rows; the iteration cap
-// catches cyclic instances).
+// catches cyclic instances). Under UNION a row derives as in Run: only
+// the result is looked up, and a new row goes into the result and the
+// next working table at once, one copy shared by both.
 type CTE struct {
 	// Name labels the CTE in errors and names the result relation.
 	Name string
@@ -271,7 +281,10 @@ type CTE struct {
 	OnRound func(delta int, elapsed time.Duration)
 }
 
-// Run executes the loop and returns the accumulated result relation.
+// Run executes the loop and returns the accumulated result relation. The
+// step reads only the working table, so under UNION the result may take
+// a row the moment it is derived; the result's order is the order rows
+// were first derived in, either way.
 func (c *CTE) Run() (*relation.Relation, error) {
 	total := relation.New(c.Name, c.Attrs...)
 	work := relation.New(c.Name, c.Attrs...)
@@ -280,15 +293,25 @@ func (c *CTE) Run() (*relation.Relation, error) {
 			if len(t) != len(c.Attrs) {
 				return fmt.Errorf("recursive CTE %s: term arity %d, want %d", c.Name, len(t), len(c.Attrs))
 			}
-			if c.Distinct {
-				if total.Contains(t) || next.Contains(t) {
-					return nil
-				}
-				next.Insert(t)
+			if !c.Distinct {
+				next.InsertMult(t, mult)
 				return nil
 			}
-			next.InsertMult(t, mult)
+			if total.Contains(t) {
+				return nil
+			}
+			t = t.Clone()
+			total.InsertOwned(t, 1)
+			next.AppendDistinct(t)
 			return nil
+		}
+	}
+	// Under UNION ALL a round's rows move into the result once the round
+	// is over, without a copy: the working table's stored tuples are
+	// immutable.
+	accumulate := func(work *relation.Relation) {
+		if !c.Distinct {
+			work.Each(func(t relation.Tuple, m int) { total.InsertOwned(t, m) })
 		}
 	}
 	var roundStart time.Time
@@ -298,9 +321,7 @@ func (c *CTE) Run() (*relation.Relation, error) {
 	if err := c.Base(collect(work)); err != nil {
 		return nil, err
 	}
-	// The working table's stored tuples are immutable, so they move into
-	// the result without a copy; so do every round's below.
-	work.Each(func(t relation.Tuple, m int) { total.InsertOwned(t, m) })
+	accumulate(work)
 	if c.OnRound != nil {
 		c.OnRound(work.Card(), time.Since(roundStart))
 	}
@@ -324,7 +345,7 @@ func (c *CTE) Run() (*relation.Relation, error) {
 		if err := c.Step(work, collect(next)); err != nil {
 			return nil, err
 		}
-		next.Each(func(t relation.Tuple, m int) { total.InsertOwned(t, m) })
+		accumulate(next)
 		if c.OnRound != nil {
 			c.OnRound(next.Card(), time.Since(roundStart))
 		}

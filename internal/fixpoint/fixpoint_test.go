@@ -2,7 +2,9 @@ package fixpoint
 
 import (
 	"errors"
+	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/exec"
 	"repro/internal/relation"
@@ -143,6 +145,55 @@ func TestCTEUnionOverCycle(t *testing.T) {
 	}
 	if out.Card() != 4 {
 		t.Fatalf("UNION must deduplicate: card %d, want 4", out.Card())
+	}
+}
+
+// TestCTEUnionDerivesLikeRun: under UNION a row derives as in Run — the
+// result takes it at once, and the working table appends the shared copy
+// — and the result's order, its multiplicities and every round's working
+// table are those of the round-at-a-time loop it replaced, which
+// deduplicated each round against the result and itself and then moved
+// the round into the result. The edges repeat, meet and close a cycle, so
+// rounds derive duplicates of their own rows and of older ones.
+func TestCTEUnionDerivesLikeRun(t *testing.T) {
+	edges := relation.New("E", "s", "t").Add(0, 1).Add(0, 2).Add(1, 3).Add(2, 3).Add(3, 0).Add(3, 4).Add(0, 1)
+	loop := cteTC(edges, true, 0)
+	var rounds []int
+	loop.OnRound = func(delta int, _ time.Duration) { rounds = append(rounds, delta) }
+	got, err := loop.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The loop this replaced, over the same terms.
+	want := relation.New("tc", "s", "t")
+	var wantRounds []int
+	collect := func(next *relation.Relation) EmitMult {
+		return func(t relation.Tuple, _ int) error {
+			if !want.Contains(t) && !next.Contains(t) {
+				next.Insert(t)
+			}
+			return nil
+		}
+	}
+	work := relation.New("tc", "s", "t")
+	if err := loop.Base(collect(work)); err != nil {
+		t.Fatal(err)
+	}
+	for work.Distinct() > 0 {
+		work.Each(func(t relation.Tuple, m int) { want.InsertMult(t, m) })
+		wantRounds = append(wantRounds, work.Card())
+		next := relation.New("tc", "s", "t")
+		if err := loop.Step(work, collect(next)); err != nil {
+			t.Fatal(err)
+		}
+		work = next
+	}
+	wantRounds = append(wantRounds, 0)
+	if got.String() != want.String() || fmt.Sprint(got.Tuples()) != fmt.Sprint(want.Tuples()) {
+		t.Errorf("result:\n%s%v\nwant:\n%s%v", got, got.Tuples(), want, want.Tuples())
+	}
+	if fmt.Sprint(rounds) != fmt.Sprint(wantRounds) {
+		t.Errorf("working tables of %v rows, want %v", rounds, wantRounds)
 	}
 }
 

@@ -15,7 +15,15 @@ import (
 func TestHashCollisionsNeverMergeOrSplit(t *testing.T) {
 	const h = 7
 	r := New("R", "A", "B")
-	r.Insert(tup(0, "z")) // the tuple index is due from the second row on
+	// The delta's tuple index is built now, so the forced hashes below go
+	// into it rather than the real ones a lazy build would compute.
+	indexed := func(r *Relation) {
+		r.mu.Lock()
+		r.tupleIndexLocked()
+		r.mu.Unlock()
+	}
+	r.Insert(tup(0, "z"))
+	indexed(r)
 	two, twoF, three := tup(2, "x"), tup(2.0, "x"), tup(3, "y")
 	r.insertHashed(two, h, 1, false)
 	r.insertHashed(three, h, 1, false)
@@ -44,6 +52,7 @@ func TestHashCollisionsNeverMergeOrSplit(t *testing.T) {
 	check(r, "delta", 3, 3, 1)
 	c := r.Clone()
 	c.Insert(tup(5, "v"))
+	indexed(c)
 	c.insertHashed(three, h, 1, false) // retires the base row, re-adds it to the delta
 	check(c, "clone", 4, 3, 2)
 	check(r, "source", 3, 3, 1)
@@ -133,14 +142,18 @@ func rowsOf(read func(func(Tuple, int) bool)) model {
 }
 
 // FuzzRelationOps decodes bytes into a sequence of insert, InsertOwned,
-// RemoveKeys, Clone, Probe, RangeProbe and Mult calls over a small value
-// domain, and after every step compares the relation — and every earlier
-// version a Clone left behind — against a naive model: a slice of
-// distinct tuples compared with Equal.
+// AppendDistinct (of a tuple the model lacks), RemoveKeys, Clone, Probe,
+// RangeProbe and Mult calls over a small value domain, and after every
+// step compares the relation — and every earlier version a Clone left
+// behind — against a naive model: a slice of distinct tuples compared
+// with Equal.
 func FuzzRelationOps(f *testing.F) {
 	f.Add([]byte{0, 3, 4, 0, 4, 3, 1, 2, 2, 5, 3, 4, 0, 9, 11, 6, 2, 3})
 	f.Add([]byte{0, 1, 1, 0, 2, 1, 0, 3, 1, 3, 0, 0, 4, 1, 3, 0, 5, 1, 3, 0, 6, 2, 1, 3, 0, 2, 5, 1, 4, 3, 4, 2})
 	f.Add([]byte{0, 8, 9, 0, 9, 10, 0, 10, 11, 0, 11, 8, 4, 0, 11, 0, 5, 0, 8, 10, 1, 2, 12, 13, 3, 2, 1, 9, 10, 3, 6, 11, 8})
+	// Appends (op 8), then lookups, a duplicate insert and a Clone of an
+	// unindexed delta, then appends and lookups on both sides of it.
+	f.Add([]byte{8, 1, 2, 8, 2, 1, 8, 3, 4, 8, 4, 3, 7, 3, 4, 4, 2, 1, 2, 0, 2, 1, 1, 6, 1, 2, 3, 1, 8, 5, 6, 8, 2, 1, 8, 1, 1, 4, 0, 5, 7, 5, 6, 2, 1, 3, 4, 6, 2, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -161,7 +174,7 @@ func FuzzRelationOps(f *testing.F) {
 		}
 		var old []version
 		for step := 0; len(data) > 0 && step < 256; step++ {
-			op := next() % 8
+			op := next() % 9
 			switch op {
 			case 0:
 				tp, n := tuple(), 1+next()%3
@@ -241,6 +254,11 @@ func FuzzRelationOps(f *testing.F) {
 				}
 				if err := sameRows(rowsOf(func(f func(Tuple, int) bool) { r.RangeProbe(col, lo, hi, loIncl, hiIncl, f) }), want); err != nil {
 					t.Fatalf("step %d: RangeProbe(%d, %v, %v, %v, %v): %v", step, col, lo, hi, loIncl, hiIncl, err)
+				}
+			case 8:
+				if tp := tuple(); md.find(tp) < 0 {
+					r.AppendDistinct(tp.Clone())
+					md = md.insert(tp, 1)
 				}
 			default:
 				tp, want := tuple(), 0

@@ -71,9 +71,11 @@ type segment struct {
 	mu   sync.RWMutex
 	rows []row
 	// index is the tuple index, the hash index over all columns: it finds
-	// the slot of a stored tuple, and serves Probe on all columns. A delta
-	// defers it until its second row, so nil means at most one row; a
-	// base segment always has one.
+	// the slot of a stored tuple, and serves Probe on all columns. A base
+	// segment always has one. A delta builds it lazily, like every other
+	// index, on the first lookup that needs it — a lookup in at most one
+	// row compares that row instead — so a delta that is only appended to
+	// and scanned (a fixpoint round's) never has one.
 	index *hashIndex
 	// hashIdx caches the hash indexes on other column sets for Probe:
 	// column-set signature -> index. Built lazily under the write lock and,
@@ -195,16 +197,14 @@ func (r *Relation) insert(t Tuple, n int, owned bool) {
 	r.insertHashed(t, t.Hash(), n, owned)
 }
 
-// insertHashed inserts t, whose hash is h. The tuple index is deferred
-// until the second distinct tuple arrives, so empty and single-row
-// relations (point-lookup results) never allocate it. A duplicate of a
-// delta row bumps its count in place; a duplicate of a live base row
-// retires that slot and re-adds the summed count to the delta (the base
-// is shared, its counts are frozen), which moves the tuple to the end of
-// the iteration order.
+// insertHashed inserts t, whose hash is h. A duplicate of a delta row
+// bumps its count in place; a duplicate of a live base row retires that
+// slot and re-adds the summed count to the delta (the base is shared, its
+// counts are frozen), which moves the tuple to the end of the iteration
+// order.
 func (r *Relation) insertHashed(t Tuple, h uint64, n int, owned bool) {
 	r.mu.Lock()
-	if i, ok := r.segment.slot(t, h); ok {
+	if i, ok := r.deltaSlotLocked(t, h); ok {
 		// Atomic: unlocked readers may be reading this row's count from
 		// an earlier view of the rows slice.
 		atomic.AddInt64(&r.rows[i].mult, int64(n))
@@ -219,34 +219,70 @@ func (r *Relation) insertHashed(t Tuple, h uint64, n int, owned bool) {
 	} else if !owned {
 		stored = t.Clone()
 	}
-	if len(r.rows) == 1 {
-		r.tupleIndexLocked() // the second distinct tuple makes the index due
+	r.appendLocked(stored, mult, h)
+	r.mu.Unlock()
+}
+
+// AppendDistinct adds t with multiplicity 1 without looking it up, taking
+// ownership of its backing array as InsertOwned does. The caller
+// guarantees r holds no tuple Equal to t: a fixpoint round stores a tuple
+// in its delta only after the total has admitted it as new, so the delta
+// is written once per tuple and, while nothing looks a tuple up in it,
+// builds no tuple index.
+func (r *Relation) AppendDistinct(t Tuple) {
+	if len(t) != len(r.attrs) {
+		panic(fmt.Sprintf("relation %s: tuple arity %d, want %d", r.name, len(t), len(r.attrs)))
 	}
+	r.mu.Lock()
+	var h uint64
+	if r.index != nil {
+		h = t.Hash()
+	}
+	r.appendLocked(t, 1, h)
+	r.mu.Unlock()
+}
+
+// appendLocked adds the new distinct delta row stored, whose hash is h
+// (read only while the tuple index is built), and maintains every index
+// built so far incrementally instead of dropping it. (Sorted indexes fall
+// behind and are extended by the next RangeProbe.) The caller holds mu
+// for writing.
+func (r *Relation) appendLocked(stored Tuple, mult int64, h uint64) {
 	r.rows = append(r.rows, row{tup: stored, mult: mult})
 	if r.index != nil {
 		r.index.Add(h)
 	}
-	// New distinct tuple: maintain the cached hash indexes incrementally
-	// instead of dropping them. (Sorted indexes fall behind and are
-	// extended by the next RangeProbe.)
 	for _, ix := range r.hashIdx {
 		ix.Add(stored.HashAt(ix.cols))
 	}
-	r.mu.Unlock()
 }
 
-// slot finds the row of s holding t, whose hash is h. The caller holds
-// the lock of s, or s is a base segment.
+// slot finds the row of s holding t, whose hash is h, through the tuple
+// index, or by comparing the one row of an unindexed delta. The caller
+// holds the lock of s and has built the index if s has more rows, or s is
+// a base segment.
 func (s *segment) slot(t Tuple, h uint64) (int, bool) {
 	if s.index == nil {
-		// At most one stored row (the deferred-index state).
 		return 0, len(s.rows) == 1 && s.rows[0].tup.Equal(t)
 	}
 	return s.index.find(s.rows, t, h)
 }
 
-// tupleIndexLocked returns the delta's tuple index, ending the
-// deferred-index state if it is in it. The caller holds mu for writing.
+// indexDue reports whether a lookup in the delta must first build its
+// tuple index. The caller holds mu.
+func (r *Relation) indexDue() bool { return r.index == nil && len(r.rows) > 1 }
+
+// deltaSlotLocked is slot in the delta, building its tuple index if the
+// lookup needs it. The caller holds mu for writing.
+func (r *Relation) deltaSlotLocked(t Tuple, h uint64) (int, bool) {
+	if r.indexDue() {
+		r.tupleIndexLocked()
+	}
+	return r.segment.slot(t, h)
+}
+
+// tupleIndexLocked returns the delta's tuple index, building it if it is
+// not built. The caller holds mu for writing.
 func (r *Relation) tupleIndexLocked() *hashIndex {
 	if r.index == nil {
 		r.index = buildHashIndex(r.rows, allCols(len(r.attrs)))
@@ -286,7 +322,7 @@ func (r *Relation) RemoveKeys(tuples []Tuple) int {
 		if slot, ok := r.baseSlotLocked(t, h); ok {
 			retire = append(retire, slot)
 		}
-		if i, ok := r.segment.slot(t, h); ok {
+		if i, ok := r.deltaSlotLocked(t, h); ok {
 			if drop == nil {
 				drop = make([]bool, len(r.rows))
 			}
@@ -309,7 +345,8 @@ func (r *Relation) RemoveKeys(tuples []Tuple) int {
 }
 
 // removeDeltaLocked is RemoveKeys' delta half: it drops the delta rows
-// drop marks and returns how many occurrences they held.
+// drop marks and returns how many occurrences they held. The surviving
+// rows' indexes are built again by the lookups that need them.
 func (r *Relation) removeDeltaLocked(drop []bool) int {
 	removed := 0
 	kept := make([]row, 0, len(r.rows))
@@ -321,9 +358,6 @@ func (r *Relation) removeDeltaLocked(drop []bool) int {
 		kept = append(kept, r.rows[i])
 	}
 	r.rows, r.index, r.hashIdx, r.ordIdx = kept, nil, nil, nil
-	if len(kept) > 1 {
-		r.tupleIndexLocked()
-	}
 	return removed
 }
 
@@ -381,10 +415,29 @@ func (r *Relation) Mult(t Tuple) int {
 	return r.multHashed(t, t.Hash())
 }
 
-// multHashed is Mult for t, whose hash is h.
+// multHashed is Mult for t, whose hash is h. The first lookup in a delta
+// that needs its tuple index builds it, under the write lock, as
+// probeHashed builds its indexes: checked again under that lock, since
+// another reader may have built it in between.
 func (r *Relation) multHashed(t Tuple, h uint64) int {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
+	if !r.indexDue() {
+		n := r.multLocked(t, h)
+		r.mu.RUnlock()
+		return n
+	}
+	r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.indexDue() {
+		r.tupleIndexLocked()
+	}
+	return r.multLocked(t, h)
+}
+
+// multLocked is multHashed once the delta's tuple index is not due. The
+// caller holds mu.
+func (r *Relation) multLocked(t Tuple, h uint64) int {
 	if i, ok := r.segment.slot(t, h); ok {
 		return r.rows[i].count()
 	}

@@ -16,6 +16,7 @@ package relation
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -321,6 +322,25 @@ func (ws *WriteSet) Rels() map[string]*Relation {
 		ws.overlay = m
 	}
 	return ws.overlay
+}
+
+// Held is Rels as it is now, held against the write set's later writes:
+// the overlay with every working copy replaced by a Clone of it, which
+// shares the working copy's base and copies its delta — at most the fold
+// budget's rows (version.go). A reader that reads the relations over
+// time, rather than capturing each once, reads this map.
+func (ws *WriteSet) Held() map[string]*Relation {
+	rels := ws.Rels()
+	if len(ws.pend) == 0 {
+		return rels
+	}
+	held := maps.Clone(rels)
+	for name, p := range ws.pend {
+		if !p.dropped {
+			held[name] = p.work.Clone()
+		}
+	}
+	return held
 }
 
 // setPending records name's pending state and drops the cached overlay.
