@@ -54,6 +54,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzServerFrames$$' -fuzztime $(FUZZ_TIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzClientRows$$' -fuzztime $(FUZZ_TIME) ./internal/server/client
 	$(GO) test -run '^$$' -fuzz '^FuzzOrderedKey$$' -fuzztime $(FUZZ_TIME) ./internal/value
+	$(GO) test -run '^$$' -fuzz '^FuzzValueIdentity$$' -fuzztime $(FUZZ_TIME) ./internal/value
 	$(GO) test -run '^$$' -fuzz '^FuzzRelationOps$$' -fuzztime $(FUZZ_TIME) ./internal/relation
 	$(GO) test -run '^$$' -fuzz '^FuzzJoinBuildSources$$' -fuzztime $(FUZZ_TIME) ./internal/plan
 

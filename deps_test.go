@@ -23,8 +23,35 @@ func TestNoThirdPartyCode(t *testing.T) {
 	if strings.Contains(string(mod), "require") {
 		t.Errorf("go.mod has a require directive:\n%s", mod)
 	}
+	eachImport(t, func(pos token.Position, file, imp string) {
+		// The go command's own rule: a first element without a dot is
+		// the standard library's (or, here, the module's).
+		if first, _, _ := strings.Cut(imp, "/"); strings.Contains(first, ".") {
+			t.Errorf("%s imports %s, which is neither standard library nor this module", pos, imp)
+		}
+	})
+}
+
+// TestUnsafeOnlyInValue keeps package unsafe behind value.Value's
+// methods: value.Value's pointer word is a string's bytes or the address
+// of its kind (docs/INVARIANTS.md, "Value is compared only through its
+// methods"), which holds only while no other code builds strings, slices
+// or pointers out of raw addresses. No non-test file outside
+// internal/value imports unsafe.
+func TestUnsafeOnlyInValue(t *testing.T) {
+	eachImport(t, func(pos token.Position, file, imp string) {
+		if imp == "unsafe" && filepath.Dir(file) != filepath.Join("internal", "value") && !strings.HasSuffix(file, "_test.go") {
+			t.Errorf("%s imports unsafe outside internal/value", pos)
+		}
+	})
+}
+
+// eachImport calls fn with every import of every Go file the go command
+// would build, and fails t on a vendor directory.
+func eachImport(t *testing.T, fn func(pos token.Position, file, imp string)) {
+	t.Helper()
 	fset := token.NewFileSet()
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -48,11 +75,7 @@ func TestNoThirdPartyCode(t *testing.T) {
 		}
 		for _, spec := range f.Imports {
 			imp, _ := strconv.Unquote(spec.Path.Value) // the parser accepted it
-			// The go command's own rule: a first element without a dot is
-			// the standard library's (or, here, the module's).
-			if first, _, _ := strings.Cut(imp, "/"); strings.Contains(first, ".") {
-				t.Errorf("%s imports %s, which is neither standard library nor this module", fset.Position(spec.Pos()), imp)
-			}
+			fn(fset.Position(spec.Pos()), path, imp)
 		}
 		return nil
 	})

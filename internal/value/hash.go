@@ -22,15 +22,20 @@ var (
 // hashes as that int, and NaN is NULL. Unequal values may collide, so a
 // lookup by Hash confirms with Equal. Hash allocates nothing.
 func (v Value) Hash() uint64 {
-	switch v.kind {
-	case KindFloat:
+	switch v.p {
+	case kindPtr(KindInt):
+		return hashWord(KindInt, v.n)
+	case kindPtr(KindFloat):
 		if f := v.f(); f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
 			return hashWord(KindInt, uint64(int64(f)))
 		}
-	case KindString:
-		return maphash.String(seed, v.s) + uint64(KindString)
+		return hashWord(KindFloat, v.n)
+	case nil:
+		return hashWord(KindNull, 0)
+	case kindPtr(KindBool):
+		return hashWord(KindBool, v.n)
 	}
-	return hashWord(v.kind, v.n)
+	return maphash.String(seed, v.str()) + uint64(KindString)
 }
 
 // hashWord hashes a payload word; the kind keeps an int apart from the

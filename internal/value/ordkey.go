@@ -78,7 +78,7 @@ func takeU64(b []byte) (uint64, []byte, bool) {
 // encoding is a proper prefix of another's within a class, and class
 // tags differ across classes.
 func (v Value) AppendOrdered(b []byte) []byte {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return append(b, ordTagNull)
 	case KindInt:
@@ -100,8 +100,9 @@ func (v Value) AppendOrdered(b []byte) []byte {
 		return append(b, ordNumFloat)
 	case KindString:
 		b = append(b, ordTagString)
-		for i := 0; i < len(v.s); i++ {
-			c := v.s[i]
+		s := v.str()
+		for i := 0; i < len(s); i++ {
+			c := s[i]
 			if c == 0x00 {
 				b = append(b, 0x00, 0xFF)
 				continue

@@ -172,8 +172,8 @@ func TestDecodeOrderedMalformed(t *testing.T) {
 // TestValueLayout pins the in-memory size of a Value: every stored tuple
 // pays it once per column.
 func TestValueLayout(t *testing.T) {
-	if got := reflect.TypeOf(Value{}).Size(); got != 32 {
-		t.Fatalf("value.Value is %d bytes, want 32", got)
+	if got := reflect.TypeOf(Value{}).Size(); got != 16 {
+		t.Fatalf("value.Value is %d bytes, want 16", got)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"unsafe"
 )
 
 // Kind enumerates the dynamic type of a Value.
@@ -50,23 +51,38 @@ func (k Kind) String() string {
 // Value is an immutable scalar. The zero Value is NULL, so uninitialized
 // attributes behave like SQL missing values without extra bookkeeping.
 //
-// A Value is 32 bytes: the string payload, one 64-bit word holding an
-// int, a float's IEEE bits or a bool, and the kind. Values compare only
-// through their methods — the zero-size func array makes == and map keys
-// a compile error, because both would compare bit patterns (-0 ≠ +0,
-// NaN = NaN, 2 ≠ 2.0) where Equal and Compare do not.
+// A Value is 16 bytes: a pointer word p and a payload word n.
+//
+//   - NULL has p == nil (and n == 0).
+//   - An int, float or bool has p == &kinds[kind] and n holding the int,
+//     the float's IEEE bits, or the bool as 0 or 1.
+//   - A string has p == unsafe.StringData(s) and n == len(s); the empty
+//     string has p == &kinds[KindString].
+//
+// No string's bytes lie in kinds (it is private, and no string is ever
+// built over it except the empty one), so Kind reads the kind off p with
+// one range check. Values compare only through their methods — the
+// zero-size func array makes == and map keys a compile error, because
+// both would compare bit patterns and string addresses (-0 ≠ +0, 2 ≠
+// 2.0, "a" ≠ a copy of "a") where Equal and Compare do not.
 type Value struct {
-	_    [0]func()
-	s    string
-	n    uint64
-	kind Kind
+	_ [0]func()
+	p unsafe.Pointer
+	n uint64
 }
+
+// kinds gives each non-NULL kind an address for p; its bytes are never
+// read.
+var kinds [KindBool + 1]byte
+
+// kindPtr returns the p of a non-string value of kind k.
+func kindPtr(k Kind) unsafe.Pointer { return unsafe.Pointer(&kinds[k]) }
 
 // Null returns the NULL value.
 func Null() Value { return Value{} }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
+func Int(v int64) Value { return Value{p: kindPtr(KindInt), n: uint64(v)} }
 
 // Float returns a float value. NaN is not a number any comparison can
 // order, so Float(NaN) is NULL (SQLite's rule): every Value that is not
@@ -75,30 +91,44 @@ func Float(v float64) Value {
 	if v != v {
 		return Value{}
 	}
-	return Value{kind: KindFloat, n: math.Float64bits(v)}
+	return Value{p: kindPtr(KindFloat), n: math.Float64bits(v)}
 }
 
-// Str returns a string value.
-func Str(v string) Value { return Value{kind: KindString, s: v} }
+// Str returns a string value. It shares s's bytes.
+func Str(v string) Value {
+	if len(v) == 0 {
+		return Value{p: kindPtr(KindString)}
+	}
+	return Value{p: unsafe.Pointer(unsafe.StringData(v)), n: uint64(len(v))}
+}
 
 // Bool returns a boolean value.
 func Bool(v bool) Value {
 	if v {
-		return Value{kind: KindBool, n: 1}
+		return Value{p: kindPtr(KindBool), n: 1}
 	}
-	return Value{kind: KindBool}
+	return Value{p: kindPtr(KindBool)}
 }
 
-// Kind reports the dynamic type of v.
-func (v Value) Kind() Kind { return v.kind }
+// Kind reports the dynamic type of v: the offset of p in kinds, NULL for
+// nil, and a string for any other address.
+func (v Value) Kind() Kind {
+	if d := uintptr(v.p) - uintptr(unsafe.Pointer(&kinds)); d < uintptr(len(kinds)) {
+		return Kind(d)
+	}
+	if v.p == nil {
+		return KindNull
+	}
+	return KindString
+}
 
 // IsNull reports whether v is the NULL marker.
-func (v Value) IsNull() bool { return v.kind == KindNull }
+func (v Value) IsNull() bool { return v.p == nil }
 
 // AsInt returns the integer payload. It is valid only for KindInt (0
 // otherwise).
 func (v Value) AsInt() int64 {
-	if v.kind != KindInt {
+	if v.p != kindPtr(KindInt) {
 		return 0
 	}
 	return v.i()
@@ -107,31 +137,39 @@ func (v Value) AsInt() int64 {
 // AsFloat returns the float payload, coercing integers. It is valid for
 // KindInt and KindFloat (0 otherwise).
 func (v Value) AsFloat() float64 {
-	switch v.kind {
-	case KindInt:
+	switch v.p {
+	case kindPtr(KindInt):
 		return float64(v.i())
-	case KindFloat:
+	case kindPtr(KindFloat):
 		return v.f()
 	}
 	return 0
 }
 
-// AsString returns the string payload. It is valid only for KindString.
-func (v Value) AsString() string { return v.s }
+// AsString returns the string payload. It is valid only for KindString
+// ("" otherwise).
+func (v Value) AsString() string {
+	if v.Kind() != KindString {
+		return ""
+	}
+	return v.str()
+}
 
 // AsBool returns the boolean payload. It is valid only for KindBool.
-func (v Value) AsBool() bool { return v.kind == KindBool && v.n != 0 }
+func (v Value) AsBool() bool { return v.p == kindPtr(KindBool) && v.n != 0 }
 
-// i and f read the payload word as the kind it was stored as.
-func (v Value) i() int64   { return int64(v.n) }
-func (v Value) f() float64 { return math.Float64frombits(v.n) }
+// i, f and str read the payload as the kind it was stored as; str is
+// valid only for a string.
+func (v Value) i() int64    { return int64(v.n) }
+func (v Value) f() float64  { return math.Float64frombits(v.n) }
+func (v Value) str() string { return unsafe.String((*byte)(v.p), v.n) }
 
 // IsNumeric reports whether v is an int or float.
-func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
+func (v Value) IsNumeric() bool { return v.p == kindPtr(KindInt) || v.p == kindPtr(KindFloat) }
 
 // String renders v the way the experiment harness and goldens print it.
 func (v Value) String() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return "NULL"
 	case KindInt:
@@ -139,7 +177,7 @@ func (v Value) String() string {
 	case KindFloat:
 		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case KindString:
-		return "'" + v.s + "'"
+		return "'" + v.str() + "'"
 	case KindBool:
 		if v.n != 0 {
 			return "true"
@@ -159,7 +197,7 @@ func (v Value) Key() string { return string(v.AppendKey(nil)) }
 // AppendKey appends the Key encoding of v to b and returns the extended
 // slice, for a reference's reusable buffer.
 func (v Value) AppendKey(b []byte) []byte {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return append(b, 0x00, 'N')
 	case KindInt:
@@ -174,7 +212,7 @@ func (v Value) AppendKey(b []byte) []byte {
 		}
 		return strconv.AppendFloat(append(b, 0x02), f, 'g', -1, 64)
 	case KindString:
-		return append(append(b, 0x03), v.s...)
+		return append(append(b, 0x03), v.str()...)
 	case KindBool:
 		if v.n != 0 {
 			return append(b, 0x04, 't')
@@ -189,16 +227,20 @@ func (v Value) AppendKey(b []byte) []byte {
 // uses Compare (3VL-aware) instead; Equal exists for keys, dedup, and
 // test assertions.
 func (v Value) Equal(o Value) bool {
-	if v.kind == o.kind && v.kind != KindFloat {
-		// NULL, int, string and bool payloads are equal exactly when
-		// their representations are.
-		return v.n == o.n && v.s == o.s
+	if v.p == o.p {
+		// One kind, or strings starting at one address: equal when the
+		// payload words are, and otherwise only as floats -0 and +0.
+		return v.n == o.n || v.p == kindPtr(KindFloat) && v.f() == o.f()
 	}
-	if v.kind == KindNull || o.kind == KindNull {
-		return false
+	switch kv, ko := v.Kind(), o.Kind(); {
+	case kv == KindString && ko == KindString:
+		return v.str() == o.str()
+	case kv == KindInt && ko == KindFloat:
+		return cmpIntFloat(v.i(), o.f()) == 0
+	case kv == KindFloat && ko == KindInt:
+		return cmpIntFloat(o.i(), v.f()) == 0
 	}
-	c, ok := v.Compare(o)
-	return ok && c == 0
+	return false
 }
 
 // Compare compares two non-null values, returning -1, 0, or +1 and true,
@@ -207,23 +249,27 @@ func (v Value) Equal(o Value) bool {
 // int64, floats as float64, and an int with a float without rounding
 // either side, so = is an equivalence at every magnitude.
 func (v Value) Compare(o Value) (int, bool) {
-	switch {
-	case v.kind == KindNull || o.kind == KindNull:
+	kv, ko := v.Kind(), o.Kind()
+	if kv != ko {
+		switch {
+		case kv == KindInt && ko == KindFloat:
+			return cmpIntFloat(v.i(), o.f()), true
+		case kv == KindFloat && ko == KindInt:
+			return -cmpIntFloat(o.i(), v.f()), true
+		}
 		return 0, false
-	case v.kind == KindInt && o.kind == KindInt:
+	}
+	switch kv {
+	case KindInt:
 		return cmp.Compare(v.i(), o.i()), true
-	case v.kind == KindFloat && o.kind == KindFloat:
+	case KindFloat:
 		return cmp.Compare(v.f(), o.f()), true
-	case v.kind == KindInt && o.kind == KindFloat:
-		return cmpIntFloat(v.i(), o.f()), true
-	case v.kind == KindFloat && o.kind == KindInt:
-		return -cmpIntFloat(o.i(), v.f()), true
-	case v.kind == KindString && o.kind == KindString:
-		return cmp.Compare(v.s, o.s), true
-	case v.kind == KindBool && o.kind == KindBool:
+	case KindString:
+		return cmp.Compare(v.str(), o.str()), true
+	case KindBool:
 		return int(v.n) - int(o.n), true // a bool's word is 0 or 1
 	}
-	return 0, false
+	return 0, false // NULL
 }
 
 // cmpIntFloat compares i with a non-NaN f exactly. A float outside the
@@ -248,8 +294,8 @@ func cmpIntFloat(i int64, f float64) int {
 // payload), used for canonical sorting of relations. It is not the SQL
 // comparison — use Compare for predicate semantics.
 func (v Value) Less(o Value) bool {
-	if v.kind != o.kind && !(v.IsNumeric() && o.IsNumeric()) {
-		return v.kind < o.kind
+	if kv, ko := v.Kind(), o.Kind(); kv != ko && !(v.IsNumeric() && o.IsNumeric()) {
+		return kv < ko
 	}
 	// Numeric kinds interleave by value so 1 < 1.5 < 2 regardless of kind.
 	c, ok := v.Compare(o)
@@ -270,7 +316,7 @@ func arith(a, b Value, fi func(int64, int64) (int64, bool), ff func(float64, flo
 	if !a.IsNumeric() || !b.IsNumeric() {
 		return Null(), false
 	}
-	if a.kind == KindInt && b.kind == KindInt {
+	if a.p == kindPtr(KindInt) && b.p == kindPtr(KindInt) {
 		if r, ok := fi(a.i(), b.i()); ok {
 			return Int(r), true
 		}
@@ -322,7 +368,7 @@ func Div(a, b Value) (Value, bool) {
 	if b.AsFloat() == 0 {
 		return Null(), true
 	}
-	if a.kind == KindInt && b.kind == KindInt && !(a.i() == math.MinInt64 && b.i() == -1) {
+	if a.p == kindPtr(KindInt) && b.p == kindPtr(KindInt) && !(a.i() == math.MinInt64 && b.i() == -1) {
 		return Int(a.i() / b.i()), true
 	}
 	return Float(a.AsFloat() / b.AsFloat()), true
