@@ -28,11 +28,11 @@
 // runaway recursion (e.g. a UNION ALL step that keeps producing rows over
 // a cyclic instance) with ErrIterationCap.
 //
-// A round stores each new tuple once: it is looked up in the total only,
-// copied once, and the copy goes into the total and is appended to the
-// next delta — Run's, or a UNION CTE's working table — without a lookup
-// (relation.AppendDistinct), so a delta builds no tuple index unless a
-// rule looks a tuple up in it.
+// A round's delta is the tail of its total: a new tuple is admitted into
+// the total with one lookup (relation.Admit), and the next delta — Run's,
+// or a UNION CTE's working table — is a window onto the rows the total
+// gained that round (relation.Since). A derived tuple is stored once, and
+// a delta builds no index unless a rule looks a tuple up in it.
 package fixpoint
 
 import (
@@ -82,12 +82,11 @@ const (
 	Naive
 )
 
-// Emit hands one derived head tuple to the engine, which inserts it into
-// the target's total (and the next delta) only when new. A new tuple is
-// cloned once, and the total and the delta share the copy, so callers may
-// reuse the backing slice. Only the total is looked up: the delta is
-// appended to (relation.AppendDistinct), since a tuple the total has just
-// admitted cannot be in it.
+// Emit hands one derived head tuple to the engine, which admits it into
+// the target's total only when new (relation.Admit); the next delta is
+// the window onto what the total gained (relation.Since), so a new tuple
+// is cloned and stored once and callers may reuse the backing slice. A
+// tuple of the wrong arity is an error.
 type Emit func(t relation.Tuple) error
 
 // Rule is one derivation rule of a recursive component.
@@ -141,30 +140,37 @@ func (o Options) max(def int) int {
 // slice observe tuples emitted earlier in the same round — exactly the
 // behaviour of the per-stratum naive pass this engine replaces.
 func Run(totals map[string]*relation.Relation, rules []Rule, opt Options) error {
-	for _, r := range rules {
-		if totals[r.Target] == nil {
+	emits := make([]Emit, len(rules))
+	for i, r := range rules {
+		total := totals[r.Target]
+		if total == nil {
 			return fmt.Errorf("fixpoint %s: rule targets unknown relation %q", opt.Name, r.Target)
 		}
-	}
-	delta := map[string]*relation.Relation{}
-	emitInto := func(target string, next map[string]*relation.Relation) Emit {
-		total := totals[target]
-		return func(t relation.Tuple) error {
-			if total.Contains(t) {
-				return nil
+		emits[i] = func(t relation.Tuple) error {
+			if len(t) != total.Arity() {
+				return fmt.Errorf("fixpoint %s: %s term arity %d, want %d", opt.Name, r.Target, len(t), total.Arity())
 			}
-			// One copy serves both: stored tuples are immutable, so the
-			// total and the next delta share it.
-			t = t.Clone()
-			total.InsertOwned(t, 1)
-			d := next[target]
-			if d == nil {
-				d = relation.New(target, total.Attrs()...)
-				next[target] = d
-			}
-			d.AppendDistinct(t)
+			total.Admit(t)
 			return nil
 		}
+	}
+	// A round marks every total before it runs; its delta is then the
+	// window onto each total's rows past the mark, for the totals that
+	// gained any.
+	marks := make(map[string]int, len(totals))
+	mark := func() {
+		for name, total := range totals {
+			marks[name] = total.Mark()
+		}
+	}
+	gained := func() map[string]*relation.Relation {
+		d := map[string]*relation.Relation{}
+		for name, total := range totals {
+			if total.Mark() > marks[name] {
+				d[name] = total.Since(marks[name])
+			}
+		}
+		return d
 	}
 	// Round 0: every rule runs naively, seeding the deltas. Each rule's
 	// evaluation can stream an arbitrary amount of data, so cancellation
@@ -173,16 +179,18 @@ func Run(totals map[string]*relation.Relation, rules []Rule, opt Options) error 
 	if opt.OnRound != nil {
 		roundStart = time.Now()
 	}
-	for _, r := range rules {
+	mark()
+	for i, r := range rules {
 		if opt.Check != nil {
 			if err := opt.Check(); err != nil {
 				return err
 			}
 		}
-		if err := r.Eval(-1, nil, emitInto(r.Target, delta)); err != nil {
+		if err := r.Eval(-1, nil, emits[i]); err != nil {
 			return err
 		}
 	}
+	delta := gained()
 	if opt.OnRound != nil {
 		opt.OnRound(deltaSize(delta), time.Since(roundStart))
 	}
@@ -202,36 +210,36 @@ func Run(totals map[string]*relation.Relation, rules []Rule, opt Options) error 
 		if opt.OnRound != nil {
 			roundStart = time.Now()
 		}
-		next := map[string]*relation.Relation{}
-		for _, r := range rules {
+		mark()
+		for i, r := range rules {
 			switch r.Kind {
 			case Seed:
 				continue
 			case Naive:
-				if err := r.Eval(-1, nil, emitInto(r.Target, next)); err != nil {
+				if err := r.Eval(-1, nil, emits[i]); err != nil {
 					return err
 				}
 			case Delta:
 				for occ, pred := range r.Occs {
 					d := delta[pred]
-					if d == nil || d.Distinct() == 0 {
+					if d == nil {
 						continue
 					}
-					if err := r.Eval(occ, d, emitInto(r.Target, next)); err != nil {
+					if err := r.Eval(occ, d, emits[i]); err != nil {
 						return err
 					}
 				}
 			}
 		}
+		delta = gained()
 		if opt.OnRound != nil {
-			opt.OnRound(deltaSize(next), time.Since(roundStart))
+			opt.OnRound(deltaSize(delta), time.Since(roundStart))
 		}
-		delta = next
 	}
 }
 
-// deltaSize sums a round's new tuples across targets. Deltas hold each
-// tuple at most once per round, so cardinality equals the insert count.
+// deltaSize sums a round's new tuples across targets. A total admits a
+// tuple once, with multiplicity 1, so cardinality equals the insert count.
 func deltaSize(m map[string]*relation.Relation) int {
 	n := 0
 	for _, d := range m {
@@ -254,9 +262,9 @@ type EmitMult func(t relation.Tuple, mult int) error
 // already in the result are dropped — the set-semantics termination
 // guarantee) versus UNION ALL (multiplicities accumulate and termination
 // relies on the step eventually producing no rows; the iteration cap
-// catches cyclic instances). Under UNION a row derives as in Run: only
-// the result is looked up, and a new row goes into the result and the
-// next working table at once, one copy shared by both.
+// catches cyclic instances). Under UNION a row derives as in Run: the
+// result admits it at once, and the next working table is the window onto
+// the rows the result gained that round.
 type CTE struct {
 	// Name labels the CTE in errors and names the result relation.
 	Name string
@@ -287,41 +295,46 @@ type CTE struct {
 // were first derived in, either way.
 func (c *CTE) Run() (*relation.Relation, error) {
 	total := relation.New(c.Name, c.Attrs...)
-	work := relation.New(c.Name, c.Attrs...)
-	collect := func(next *relation.Relation) EmitMult {
-		return func(t relation.Tuple, mult int) error {
-			if len(t) != len(c.Attrs) {
-				return fmt.Errorf("recursive CTE %s: term arity %d, want %d", c.Name, len(t), len(c.Attrs))
-			}
-			if !c.Distinct {
-				next.InsertMult(t, mult)
-				return nil
-			}
-			if total.Contains(t) {
-				return nil
-			}
-			t = t.Clone()
-			total.InsertOwned(t, 1)
-			next.AppendDistinct(t)
-			return nil
+	var next *relation.Relation // a UNION ALL round's rows
+	emit := func(t relation.Tuple, mult int) error {
+		if len(t) != len(c.Attrs) {
+			return fmt.Errorf("recursive CTE %s: term arity %d, want %d", c.Name, len(t), len(c.Attrs))
 		}
+		if c.Distinct {
+			total.Admit(t)
+		} else {
+			next.InsertMult(t, mult)
+		}
+		return nil
 	}
-	// Under UNION ALL a round's rows move into the result once the round
-	// is over, without a copy: the working table's stored tuples are
-	// immutable.
-	accumulate := func(work *relation.Relation) {
-		if !c.Distinct {
-			work.Each(func(t relation.Tuple, m int) { total.InsertOwned(t, m) })
+	// round runs the base or one step and returns the next working table.
+	// Under UNION that is the window onto the rows the result gained;
+	// under UNION ALL, the round's own rows, which move into the result
+	// once the round is over, without a copy: the working table's stored
+	// tuples are immutable.
+	round := func(pass func(EmitMult) error) (*relation.Relation, error) {
+		if c.Distinct {
+			mark := total.Mark()
+			if err := pass(emit); err != nil {
+				return nil, err
+			}
+			return total.Since(mark), nil
 		}
+		next = relation.New(c.Name, c.Attrs...)
+		if err := pass(emit); err != nil {
+			return nil, err
+		}
+		next.Each(func(t relation.Tuple, m int) { total.InsertOwned(t, m) })
+		return next, nil
 	}
 	var roundStart time.Time
 	if c.OnRound != nil {
 		roundStart = time.Now()
 	}
-	if err := c.Base(collect(work)); err != nil {
+	work, err := round(c.Base)
+	if err != nil {
 		return nil, err
 	}
-	accumulate(work)
 	if c.OnRound != nil {
 		c.OnRound(work.Card(), time.Since(roundStart))
 	}
@@ -341,15 +354,13 @@ func (c *CTE) Run() (*relation.Relation, error) {
 		if c.OnRound != nil {
 			roundStart = time.Now()
 		}
-		next := relation.New(c.Name, c.Attrs...)
-		if err := c.Step(work, collect(next)); err != nil {
+		prev := work
+		if work, err = round(func(emit EmitMult) error { return c.Step(prev, emit) }); err != nil {
 			return nil, err
 		}
-		accumulate(next)
 		if c.OnRound != nil {
-			c.OnRound(next.Card(), time.Since(roundStart))
+			c.OnRound(work.Card(), time.Since(roundStart))
 		}
-		work = next
 	}
 	return total, nil
 }

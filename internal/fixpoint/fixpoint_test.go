@@ -3,6 +3,7 @@ package fixpoint
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -89,6 +90,26 @@ func TestRunIterationCap(t *testing.T) {
 	err := Run(totals, rules, Options{Name: "diverge", MaxIterations: 5})
 	if !errors.Is(err, ErrIterationCap) {
 		t.Fatalf("diverging fixpoint: got %v, want ErrIterationCap", err)
+	}
+}
+
+// TestRunRejectsWrongArity: a rule that emits a tuple of the wrong arity
+// fails the fixpoint with an error naming it, as CTE.Run fails a term of
+// the wrong arity, instead of panicking inside the total.
+func TestRunRejectsWrongArity(t *testing.T) {
+	totals := map[string]*relation.Relation{"A": relation.New("A", "s", "t")}
+	err := Run(totals, []Rule{{
+		Target: "A",
+		Kind:   Seed,
+		Eval: func(_ int, _ *relation.Relation, emit Emit) error {
+			return emit(relation.Tuple{value.Int(1)})
+		},
+	}}, Options{Name: "tc"})
+	if err == nil || err.Error() != "fixpoint tc: A term arity 1, want 2" {
+		t.Fatalf("got %v, want the fixpoint's arity error", err)
+	}
+	if totals["A"].Distinct() != 0 {
+		t.Fatalf("the total took %d tuples", totals["A"].Distinct())
 	}
 }
 
@@ -235,5 +256,104 @@ func TestStratify(t *testing.T) {
 		{Head: "B", Dep: "A", Strict: true},
 	}); err == nil {
 		t.Fatal("strict cycle must not stratify")
+	}
+}
+
+// extendPaths emits (x, y) for each tuple (x, z) of from and edge (z, y):
+// from is scanned and edges probed, as a compiled delta-driven rule runs,
+// and every tuple goes out in one reused buffer, so the rule itself
+// allocates a few objects per call and nothing per tuple.
+func extendPaths(from, edges *relation.Relation, emit func(relation.Tuple) error) error {
+	buf, key, pr := make(relation.Tuple, 2), make([]value.Value, 1), edges.Prober([]int{0})
+	var ft relation.Tuple
+	var failure error
+	hit := func(et relation.Tuple, _ int) bool {
+		buf[0], buf[1] = ft[0], et[1]
+		failure = emit(buf)
+		return failure == nil
+	}
+	from.EachWhile(func(t relation.Tuple, _ int) bool {
+		ft, key[0] = t, t[1]
+		pr.Probe(key, hit)
+		return failure == nil
+	})
+	return failure
+}
+
+// TestRecursionAllocations bounds the heap recursion allocates per
+// derived tuple: transitive closure over a 200-node chain, 20 100 tuples
+// in 200 rounds, through Run and through CTE.Run under UNION. What a
+// fixpoint must pay is the total's rows, its tuple index and one copy of
+// each tuple; a round's delta is a window onto the total's rows and adds
+// a header per round, nothing per tuple. Measured on amd64 with Go 1.24:
+// 277 B per tuple through Run, 275 through CTE.Run; a round that stored
+// its new tuples a second time, in a row array grown from empty, cost
+// 372 and 370.
+func TestRecursionAllocations(t *testing.T) {
+	const bound = 320 // bytes per derived tuple
+	const n, runs = 200, 3
+	const tuples = n * (n + 1) / 2
+	edges := chain(n)
+	seed := func(emit func(relation.Tuple) error) error {
+		var failure error
+		edges.EachWhile(func(et relation.Tuple, _ int) bool {
+			failure = emit(et)
+			return failure == nil
+		})
+		return failure
+	}
+	once := func(emit EmitMult) func(relation.Tuple) error {
+		return func(t relation.Tuple) error { return emit(t, 1) }
+	}
+	for _, c := range []struct {
+		name string
+		run  func() (*relation.Relation, error)
+	}{
+		{"Run", func() (*relation.Relation, error) {
+			totals := map[string]*relation.Relation{"A": relation.New("A", "s", "t")}
+			err := Run(totals, []Rule{
+				{Target: "A", Kind: Seed, Eval: func(_ int, _ *relation.Relation, emit Emit) error { return seed(emit) }},
+				{Target: "A", Kind: Delta, Occs: []string{"A"}, Eval: func(occ int, delta *relation.Relation, emit Emit) error {
+					if occ < 0 {
+						delta = totals["A"]
+					}
+					return extendPaths(delta, edges, emit)
+				}},
+			}, Options{Name: "tc"})
+			return totals["A"], err
+		}},
+		{"CTE.Run", func() (*relation.Relation, error) {
+			return (&CTE{
+				Name:     "tc",
+				Attrs:    []string{"s", "t"},
+				Distinct: true,
+				Base:     func(emit EmitMult) error { return seed(once(emit)) },
+				Step: func(delta *relation.Relation, emit EmitMult) error {
+					return extendPaths(delta, edges, once(emit))
+				},
+			}).Run()
+		}},
+	} {
+		// The first run builds the edges' index, which later runs share.
+		if _, err := c.run(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			out, err := c.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Distinct() != tuples {
+				t.Fatalf("%s: %d tuples, want %d", c.name, out.Distinct(), tuples)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perTuple := float64(after.TotalAlloc-before.TotalAlloc) / (runs * tuples)
+		t.Logf("%s: %.1f B per derived tuple", c.name, perTuple)
+		if perTuple > bound {
+			t.Errorf("%s allocates %.0f B per derived tuple, want at most %d", c.name, perTuple, bound)
+		}
 	}
 }

@@ -131,6 +131,19 @@ func sameRows(got, want model) error {
 	return nil
 }
 
+// sameOrder is sameRows, in want's order.
+func sameOrder(got, want model) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d rows, want %d: got %v, want %v", len(got), len(want), got, want)
+	}
+	for i, w := range want {
+		if !got[i].t.Equal(w.t) || got[i].m != w.m {
+			return fmt.Errorf("row %d: got %v×%d, want %v×%d", i, got[i].t, got[i].m, w.t, w.m)
+		}
+	}
+	return nil
+}
+
 // rowsOf collects what a reader yields.
 func rowsOf(read func(func(Tuple, int) bool)) model {
 	var md model
@@ -142,18 +155,22 @@ func rowsOf(read func(func(Tuple, int) bool)) model {
 }
 
 // FuzzRelationOps decodes bytes into a sequence of insert, InsertOwned,
-// AppendDistinct (of a tuple the model lacks), RemoveKeys, Clone, Probe,
-// RangeProbe and Mult calls over a small value domain, and after every
-// step compares the relation — and every earlier version a Clone left
-// behind — against a naive model: a slice of distinct tuples compared
-// with Equal.
+// Admit, RemoveKeys, Clone, Probe, RangeProbe, Mult and Mark/Since calls
+// over a small value domain, and after every step compares the relation
+// — and every earlier version a Clone left behind — against a naive
+// model: a slice of distinct tuples compared with Equal. A window Since
+// cuts must hold the model's rows past the mark, in order.
 func FuzzRelationOps(f *testing.F) {
 	f.Add([]byte{0, 3, 4, 0, 4, 3, 1, 2, 2, 5, 3, 4, 0, 9, 11, 6, 2, 3})
 	f.Add([]byte{0, 1, 1, 0, 2, 1, 0, 3, 1, 3, 0, 0, 4, 1, 3, 0, 5, 1, 3, 0, 6, 2, 1, 3, 0, 2, 5, 1, 4, 3, 4, 2})
 	f.Add([]byte{0, 8, 9, 0, 9, 10, 0, 10, 11, 0, 11, 8, 4, 0, 11, 0, 5, 0, 8, 10, 1, 2, 12, 13, 3, 2, 1, 9, 10, 3, 6, 11, 8})
-	// Appends (op 8), then lookups, a duplicate insert and a Clone of an
-	// unindexed delta, then appends and lookups on both sides of it.
+	// Admissions (op 8), then lookups, a duplicate insert and a Clone of
+	// a delta, then admissions and lookups on both sides of it.
 	f.Add([]byte{8, 1, 2, 8, 2, 1, 8, 3, 4, 8, 4, 3, 7, 3, 4, 4, 2, 1, 2, 0, 2, 1, 1, 6, 1, 2, 3, 1, 8, 5, 6, 8, 2, 1, 8, 1, 1, 4, 0, 5, 7, 5, 6, 2, 1, 3, 4, 6, 2, 1})
+	// A mark (op 9), admissions, a duplicate insert and a window; a
+	// removal, which drops the mark; a new mark, admissions, a window and
+	// a Clone, after which no window is cut.
+	f.Add([]byte{9, 8, 1, 2, 8, 2, 1, 0, 1, 2, 1, 8, 1, 2, 9, 8, 3, 4, 9, 2, 0, 1, 2, 9, 9, 8, 5, 6, 8, 6, 5, 9, 3, 1, 8, 7, 7, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -173,8 +190,9 @@ func FuzzRelationOps(f *testing.F) {
 			md model
 		}
 		var old []version
+		mark := -1 // the last Mark taken, while a window cut at it is defined
 		for step := 0; len(data) > 0 && step < 256; step++ {
-			op := next() % 9
+			op := next() % 10
 			switch op {
 			case 0:
 				tp, n := tuple(), 1+next()%3
@@ -198,12 +216,12 @@ func FuzzRelationOps(f *testing.F) {
 				if got := r.RemoveKeys(ts); got != want {
 					t.Fatalf("step %d: RemoveKeys(%v) removed %d, want %d", step, ts, got, want)
 				}
-				md = md.remove(ts)
+				md, mark = md.remove(ts), -1
 			case 3:
 				// Either side of a Clone may go on; the other must keep
 				// its content whatever happens next.
 				c := r.Clone()
-				old = append(old, version{r, md.clone()})
+				old, mark = append(old, version{r, md.clone()}), -1
 				if next()%2 == 0 {
 					old[len(old)-1].r = c
 				} else {
@@ -256,9 +274,27 @@ func FuzzRelationOps(f *testing.F) {
 					t.Fatalf("step %d: RangeProbe(%d, %v, %v, %v, %v): %v", step, col, lo, hi, loIncl, hiIncl, err)
 				}
 			case 8:
-				if tp := tuple(); md.find(tp) < 0 {
-					r.AppendDistinct(tp.Clone())
+				tp := tuple()
+				isNew := md.find(tp) < 0
+				if got := r.Admit(tp); got != isNew {
+					t.Fatalf("step %d: Admit(%v) = %v, want %v", step, tp, got, isNew)
+				}
+				if isNew {
 					md = md.insert(tp, 1)
+				}
+			case 9:
+				// Since is defined on a relation never cloned, and a
+				// never-cloned relation iterates in the model's order.
+				if r.base != nil {
+					continue
+				}
+				if mark >= 0 {
+					if err := sameOrder(rowsOf(r.Since(mark).EachWhile), md[mark:]); err != nil {
+						t.Fatalf("step %d: Since(%d): %v", step, mark, err)
+					}
+				}
+				if mark = r.Mark(); mark != len(md) {
+					t.Fatalf("step %d: Mark() = %d, want %d", step, mark, len(md))
 				}
 			default:
 				tp, want := tuple(), 0

@@ -74,8 +74,8 @@ type segment struct {
 	// the slot of a stored tuple, and serves Probe on all columns. A base
 	// segment always has one. A delta builds it lazily, like every other
 	// index, on the first lookup that needs it — a lookup in at most one
-	// row compares that row instead — so a delta that is only appended to
-	// and scanned (a fixpoint round's) never has one.
+	// row compares that row instead — so a window that is only scanned (a
+	// fixpoint round's delta, see Since) never has one.
 	index *hashIndex
 	// hashIdx caches the hash indexes on other column sets for Probe:
 	// column-set signature -> index. Built lazily under the write lock and,
@@ -111,6 +111,10 @@ type Relation struct {
 	// A tuple lives in the delta or in base's live rows, never both. Its mu
 	// is the relation's lock and guards base and dead too.
 	segment
+
+	// window marks a relation Since cut from another one's rows, whose row
+	// array it shares until its first write copies it (ownRowsLocked).
+	window bool
 }
 
 // smallAttrs is the widest schema resolved by linear scan instead of a
@@ -204,6 +208,7 @@ func (r *Relation) insert(t Tuple, n int, owned bool) {
 // order.
 func (r *Relation) insertHashed(t Tuple, h uint64, n int, owned bool) {
 	r.mu.Lock()
+	r.ownRowsLocked()
 	if i, ok := r.deltaSlotLocked(t, h); ok {
 		// Atomic: unlocked readers may be reading this row's count from
 		// an earlier view of the rows slice.
@@ -223,30 +228,67 @@ func (r *Relation) insertHashed(t Tuple, h uint64, n int, owned bool) {
 	r.mu.Unlock()
 }
 
-// AppendDistinct adds t with multiplicity 1 without looking it up, taking
-// ownership of its backing array as InsertOwned does. The caller
-// guarantees r holds no tuple Equal to t: a fixpoint round stores a tuple
-// in its delta only after the total has admitted it as new, so the delta
-// is written once per tuple and, while nothing looks a tuple up in it,
-// builds no tuple index.
-func (r *Relation) AppendDistinct(t Tuple) {
+// Admit adds a copy of t with multiplicity 1 unless r holds a tuple Equal
+// to it, and reports whether it did: t is hashed once and looked up once,
+// and the caller may reuse it. It is how a fixpoint's total takes a
+// derived tuple, which Since then hands on to the next round.
+func (r *Relation) Admit(t Tuple) bool {
 	if len(t) != len(r.attrs) {
 		panic(fmt.Sprintf("relation %s: tuple arity %d, want %d", r.name, len(t), len(r.attrs)))
 	}
+	h := t.Hash()
 	r.mu.Lock()
-	var h uint64
-	if r.index != nil {
-		h = t.Hash()
+	defer r.mu.Unlock()
+	if _, ok := r.deltaSlotLocked(t, h); ok {
+		return false
 	}
-	r.appendLocked(t, 1, h)
-	r.mu.Unlock()
+	if _, ok := r.baseSlotLocked(t, h); ok {
+		return false
+	}
+	r.ownRowsLocked()
+	r.appendLocked(t.Clone(), 1, h)
+	return true
 }
 
-// appendLocked adds the new distinct delta row stored, whose hash is h
-// (read only while the tuple index is built), and maintains every index
-// built so far incrementally instead of dropping it. (Sorted indexes fall
-// behind and are extended by the next RangeProbe.) The caller holds mu
-// for writing.
+// Mark returns the position Since cuts at: the number of rows r holds.
+func (r *Relation) Mark() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.rows)
+}
+
+// Since returns a window onto the rows r gained since Mark returned mark:
+// a relation over them, in order, that shares r's row array and stores
+// none of them again. It builds its own indexes lazily, as any relation
+// does. Rows r gains later are past its end and never show in it; a
+// multiplicity bump of one of its rows in r does, as in a captured scan.
+// A write into the window copies its rows first, so it never reaches r.
+// Since is defined only on a relation that was never cloned, and only
+// while nothing was removed from it since the mark.
+func (r *Relation) Since(mark int) *Relation {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if r.base != nil {
+		panic(fmt.Sprintf("relation %s: Since on a cloned relation", r.name))
+	}
+	n := len(r.rows)
+	return &Relation{name: r.name, attrs: r.attrs, pos: r.pos, window: true, segment: segment{rows: r.rows[mark:n:n]}}
+}
+
+// ownRowsLocked gives a window its own copy of its rows before anything
+// writes into them or freezes them, so a window's writes never reach the
+// relation it was cut from. Row slots do not move, so every index stays
+// valid. The caller holds mu for writing.
+func (r *Relation) ownRowsLocked() {
+	if r.window {
+		r.rows, r.window = slices.Clone(r.rows), false
+	}
+}
+
+// appendLocked adds the new distinct delta row stored, whose hash is h,
+// and maintains every index built so far incrementally instead of
+// dropping it. (Sorted indexes fall behind and are extended by the next
+// RangeProbe.) The caller holds mu for writing.
 func (r *Relation) appendLocked(stored Tuple, mult int64, h uint64) {
 	r.rows = append(r.rows, row{tup: stored, mult: mult})
 	if r.index != nil {

@@ -150,6 +150,7 @@ func (r *Relation) Clone() *Relation {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.base == nil {
+		r.ownRowsLocked()
 		r.rebaseLocked(r.handOffLocked())
 	} else if len(r.rows)+r.dead.count() > foldBudget(len(r.base.rows)) {
 		r.rebaseLocked(r.foldLocked())
