@@ -144,9 +144,9 @@ func BenchmarkEvalGroupBy(b *testing.B) {
 	}
 }
 
-// BenchmarkFOIvsFIO is the ablation DESIGN.md calls out: the same grouped
-// aggregate evaluated through the FIO single-scope plan (3) vs the FOI
-// per-outer-tuple plan (7). FOI re-evaluates the inner collection per
+// BenchmarkFOIvsFIO is the ablation of experiments E03 and E04: the same
+// grouped aggregate evaluated through the FIO single-scope plan (3) vs the
+// FOI per-outer-tuple plan (7). FOI re-evaluates the inner collection per
 // outer tuple — quadratic where FIO is linear; the crossover shape is the
 // point, not the constants.
 func BenchmarkFOIvsFIO(b *testing.B) {
@@ -306,7 +306,7 @@ func benchThreeLang(b *testing.B, shape int) {
 
 // BenchmarkThreeLangJoin, BenchmarkThreeLangGroup and
 // BenchmarkThreeLangTC: the paper's claim is one relational core under
-// three syntaxes, so one shape should cost one price (ROADMAP item 2).
+// three syntaxes, so one shape should cost one price (ROADMAP item 7).
 func BenchmarkThreeLangJoin(b *testing.B)  { benchThreeLang(b, 0) }
 func BenchmarkThreeLangGroup(b *testing.B) { benchThreeLang(b, 1) }
 func BenchmarkThreeLangTC(b *testing.B)    { benchThreeLang(b, 2) }

@@ -1,11 +1,12 @@
 // Command ab compares the working tree with a base commit on the
 // repository benchmark: it unpacks the base under .bench_build/ab/, builds
 // arcbench in both trees with arcbench/run.sh's environment, runs N
-// alternated pairs per workload and seed (who goes first flips every pair),
-// and prints per workload and metric each side's median and quartiles, the
-// change in the median, pairs won, and a verdict by the choosing-metrics
-// guide's rule (§8) against the bounds in BENCHMARK.json, which it only
-// reads. Every run goes into the -out file, one BENCH_<pr>.json per PR.
+// alternated pairs per workload and seed (who goes first flips every pair)
+// from the working tree's root, so both sides keep their scratch storage
+// in the same place, and prints per workload and metric each side's
+// median and quartiles, the change in the median, pairs won, and a
+// verdict by the choosing-metrics guide's rule (§8) against the bounds in
+// BENCHMARK.json, which it only reads. Every run goes into the -out file, one BENCH_<pr>.json per PR.
 //
 //	go run ./cmd/ab -base <sha> [-n 10] [-seeds 1,2] [-workloads a,b] [-trace 0] [-out bench/BENCH_ab.json]
 package main
@@ -108,7 +109,7 @@ func main() {
 			for pair := 0; pair < *n; pair++ {
 				for k := 0; k < 2; k++ {
 					s := sides[(pair+k)%2]
-					line := sh(s.dir, env, s.bin, "--workload", w, "--seed", seed,
+					line := sh(root, env, s.bin, "--workload", w, "--seed", seed,
 						"--seconds", fmt.Sprint(bm.RunSeconds), "--trace", fmt.Sprint(*trace))
 					var res struct {
 						Failed  int

@@ -1,5 +1,6 @@
 // Command arcrepro runs the paper-reproduction experiment suite (E01–E21,
-// one per figure-level claim; see DESIGN.md for the index) and prints a
+// one per figure-level claim; the index is internal/experiments' register
+// calls, each runner's comment naming its figure) and prints a
 // paper-vs-measured table. Use -v for per-experiment evidence and -id to
 // run a single experiment.
 package main

@@ -280,21 +280,27 @@ func TestDatalogExplainGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := `scope ∃t1 ∈ N, t2 ∈ N:
-  Scan N [t1]
-  Scan N [t2]
-  AntiProbe R [t3] probe(t3.x1 = t1.v, t3.x2 = t2.v)
-  Produce {x1 = t1.v, x2 = t2.v}
+  Project [x1 = t1.v, x2 = t2.v]
+    Filter (¬∃t3 ∈ R)
+      CrossJoin INNER
+        Scan N as t1
+        Scan N as t2
+      AntiProbe ∃t3 ∈ R
+        HashJoin INNER (t3.x1 = t1.v, t3.x2 = t2.v) index(R)
+          Outer
+          Scan R as t3
 view R:
 Fixpoint R (semi-naive, ΔR per round):
   rule 1 [seed]:
     scope ∃t1 ∈ P:
-      Scan P [t1]
-      Produce {x1 = t1.s, x2 = t1.t}
+      Project [x1 = t1.s, x2 = t1.t]
+        Scan P as t1
   rule 2 [delta (semi-naive)]:
     scope ∃t2 ∈ P, t3 ∈ R:
-      Scan R [t3]
-      IndexJoin P [t2] probe(t2.t = t3.x1)
-      Produce {x1 = t2.s, x2 = t3.x2}
+      Project [x1 = t2.s, x2 = t3.x2]
+        HashJoin INNER (t3.x1 = t2.t) index(P)
+          CteScan ΔR as t3
+          Scan P as t2
 `
 	if got != want {
 		t.Fatalf("datalog explain mismatch\ngot:\n%s\nwant:\n%s", got, want)
@@ -304,12 +310,16 @@ Fixpoint R (semi-naive, ΔR per round):
 		t.Fatal(err)
 	}
 	for _, line := range []string{
-		"AntiProbe R [t3] probe(t3.x1 = t1.v, t3.x2 = t2.v) (probes=4 matches=1)",
-		strings.SplitAfterN(want, "view R:", 2)[1], "Fixpoint R: rounds=3 deltas=[5 1 0]", "Total: rows=3",
+		"AntiProbe ∃t3 ∈ R (probes=4 matches=1)", "CteScan ΔR as t3 (rows=9 ",
+		"Fixpoint R: rounds=3 deltas=[5 1 0]", "Total: rows=3",
 	} {
 		if !strings.Contains(text, line) {
 			t.Errorf("analyze output lacks %q:\n%s", line, text)
 		}
+	}
+	// Under ANALYZE the executed plan is the explained one, annotated.
+	if counters := regexp.MustCompile(` \((rows|probes|groups)=[^)]*\)`); !strings.Contains(counters.ReplaceAllString(text, ""), want) {
+		t.Errorf("analyze output is not the explained plan:\n%s", text)
 	}
 
 	// An aggregate is a grouped lookup and a negated atom an anti probe:
@@ -322,18 +332,20 @@ Fixpoint R (semi-naive, ΔR per round):
 		relation.New("S", "B", "C").Add(10, 0).Add(20, 1).Add(30, 0))
 	for _, tc := range []struct{ src, explain, analyze string }{
 		{"Q(a,sm) :- G(a,_), sm = sum b : {G(a,b)}.", `scope ∃t1 ∈ G, x4 ∈ {Xagg3(res) | ∃t2 ∈ G, γ ∅ [t2.A = t1.A ∧ Xagg3.res = sum(t2.B)]}:
-  Scan G [t1]
-  GroupLookup Xagg3 [x4] keys(t2.A = t1.A) aggs=[sum(t2.B)] empty={0}
-    Scan G [t2]
-    GroupAggregate keys=[t2.A] aggs=[sum(t2.B)]
-    Produce {res = sum(t2.B)}
-  Produce {x1 = t1.A, x2 = x4.res}
+  Project [x1 = t1.A, x2 = x4.res]
+    GroupLookup Xagg3 [x4] keys(t2.A = t1.A) aggs=[sum(t2.B)] empty={0}
+      Scan G as t1
+      Scan G as t2
 `, "empty={0} (groups=2 probes=4 misses=1)"},
 		{"Q(a) :- R(a,b), !S(b,0).", `scope ∃t1 ∈ R:
-  Scan R [t1]
-  AntiProbe S [t2] probe(t2.B = t1.B, t2.C = 0)
-  Produce {x1 = t1.A}
-`, "AntiProbe S [t2] probe(t2.B = t1.B, t2.C = 0) (probes=3 matches=2)"},
+  Project [x1 = t1.A]
+    Filter (¬∃t2 ∈ S)
+      Scan R as t1
+      AntiProbe ∃t2 ∈ S
+        HashJoin INNER (t2.B = t1.B) index(S)
+          Outer
+          Scan S as t2 probe(C=0)
+`, "AntiProbe ∃t2 ∈ S (probes=3 matches=2)"},
 	} {
 		stmt, err := db.Prepare(LangDatalog, tc.src)
 		if err != nil {
@@ -432,20 +444,17 @@ func TestDeltaDrivesEitherAtomOrder(t *testing.T) {
 	tc := workload.ThreeLangShapes[2]
 	history := regexp.MustCompile(`rounds=\d+ deltas=\[[^\]]*\]`)
 	// drivenBy names the side a recursive step streams and the side it
-	// looks up: the children of the step's hash join (SQL), or the first
-	// two leaves of the delta rule's scope (ARC, Datalog).
-	drivenBy := func(lang Lang, plan string) (stream, lookup string) {
+	// looks up: the children of the step's hash join, the SQL step's or
+	// the delta rule's.
+	drivenBy := func(plan string) (stream, lookup string) {
 		lines := strings.Split(plan, "\n")
 		for i, l := range lines {
-			switch {
-			case lang == LangSQL && strings.Contains(l, "HashJoin") && i+2 < len(lines):
+			if strings.Contains(l, "HashJoin") && i+2 < len(lines) {
 				a, b := strings.TrimSpace(lines[i+1]), strings.TrimSpace(lines[i+2])
 				if strings.Contains(l, "build(left)") {
 					return b, a
 				}
 				return a, b
-			case lang != LangSQL && strings.Contains(l, "[delta (semi-naive)]") && i+3 < len(lines):
-				return strings.Fields(lines[i+2])[1], strings.Fields(lines[i+3])[1]
 			}
 		}
 		return "", ""
@@ -461,8 +470,8 @@ func TestDeltaDrivesEitherAtomOrder(t *testing.T) {
 			"CteScan ΔA", "rounds=40 "},
 		{LangARC, tc.ARC,
 			"{A(s, t) | ∃p ∈ P [A.s = p.s ∧ A.t = p.t] ∨ ∃a2 ∈ A, p ∈ P [A.s = p.s ∧ p.t = a2.s ∧ A.t = a2.t]}",
-			"A", "rounds=39 "},
-		{LangDatalog, tc.Datalog, "A(x,y) :- P(x,y). A(x,y) :- A(z,y), P(x,z).", "A", "rounds=39 "},
+			"CteScan ΔA as ", "rounds=39 "},
+		{LangDatalog, tc.Datalog, "A(x,y) :- P(x,y). A(x,y) :- A(z,y), P(x,z).", "CteScan ΔA as ", "rounds=39 "},
 	} {
 		var bags [2]*relation.Relation
 		var hist [2]string
@@ -476,7 +485,7 @@ func TestDeltaDrivesEitherAtomOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if stream, lookup := drivenBy(c.lang, plan); stream != c.stream || !strings.Contains(lookup, "P") {
+			if stream, lookup := drivenBy(plan); !strings.HasPrefix(stream, c.stream) || !strings.HasPrefix(lookup, "Scan P") {
 				t.Errorf("%s: the step streams %q and looks up %q, want %q and P:\n%s", src, stream, lookup, c.stream, plan)
 			}
 			text, err := stmt.ExplainAnalyze(ctx)

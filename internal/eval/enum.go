@@ -185,22 +185,8 @@ func (ev *evaluator) enumLeftHashed(n *joinNode, base *env, lefts []*env, si *sc
 func (ev *evaluator) plainSubtree(n *joinNode) (int, bool) {
 	if n.isLeaf() {
 		b := n.leaf
-		if b.Sub != nil {
-			return 1, false // lateral: evaluated per outer environment
-		}
-		if _, isConst := ev.curLink().ConstOfBinding[b]; isConst {
-			return 1, true
-		}
-		if _, ok := ev.overrides[b.Rel]; ok {
-			return 1, true
-		}
-		if ev.base[b.Rel] != nil {
-			return 1, true
-		}
-		if _, ok := ev.cat.views[b.Rel]; ok {
-			return 1, true
-		}
-		return 1, false
+		_, isConst := ev.curLink().ConstOfBinding[b]
+		return 1, b.Sub == nil && (isConst || ev.stored(b.Rel)) // a nested collection is lateral
 	}
 	count, plain := 0, true
 	for _, k := range n.kids {
@@ -460,17 +446,7 @@ func (ev *evaluator) readyNode(n *joinNode, e *env, si *scopeInfo) (bool, error)
 	if b.Sub != nil || b.Rel == "" {
 		return true, nil
 	}
-	link := ev.curLink()
-	if _, isConst := link.ConstOfBinding[b]; isConst {
-		return true, nil
-	}
-	if _, ok := ev.overrides[b.Rel]; ok {
-		return true, nil
-	}
-	if ev.base[b.Rel] != nil {
-		return true, nil
-	}
-	if _, ok := ev.cat.views[b.Rel]; ok {
+	if _, isConst := ev.curLink().ConstOfBinding[b]; isConst || ev.stored(b.Rel) {
 		return true, nil
 	}
 	if ext, ok := ev.cat.externals[b.Rel]; ok {
@@ -614,14 +590,8 @@ func (ev *evaluator) enumerateLeaf(b *alt.Binding, e *env, si *scopeInfo, bound 
 		}
 		return ev.bindRelation(b, rel, e, si, bound)
 	}
-	if rel, ok := ev.overrides[b.Rel]; ok {
-		return ev.bindRelation(b, rel, e, si, bound)
-	}
-	if rel := ev.base[b.Rel]; rel != nil {
-		return ev.bindRelation(b, rel, e, si, bound)
-	}
-	if _, ok := ev.cat.views[b.Rel]; ok {
-		rel, err := ev.evalView(b.Rel)
+	if ev.stored(b.Rel) {
+		rel, err := ev.relation(b.Rel)
 		if err != nil {
 			return nil, err
 		}
@@ -634,6 +604,29 @@ func (ev *evaluator) enumerateLeaf(b *alt.Binding, e *env, si *scopeInfo, bound 
 		return ev.enumAbstract(b, abs, e, si)
 	}
 	return nil, fmt.Errorf("unknown relation %q", b.Rel)
+}
+
+// stored reports whether name is a relation the evaluator holds: a
+// recursion override or input, a base relation, or a view.
+func (ev *evaluator) stored(name string) bool {
+	_, override := ev.overrides[name]
+	_, view := ev.cat.views[name]
+	return override || ev.base[name] != nil || view
+}
+
+// relation resolves a stored relation's name in that order: overrides
+// and inputs shadow base relations, which shadow views.
+func (ev *evaluator) relation(name string) (*relation.Relation, error) {
+	if rel, ok := ev.overrides[name]; ok {
+		return rel, nil
+	}
+	if rel := ev.base[name]; rel != nil {
+		return rel, nil
+	}
+	if _, ok := ev.cat.views[name]; ok {
+		return ev.evalView(name)
+	}
+	return nil, fmt.Errorf("unknown relation %q", name)
 }
 
 // bindRelation extends e with the tuples of rel bound to b.Var. When the

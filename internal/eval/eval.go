@@ -3,6 +3,7 @@ package eval
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/alt"
@@ -29,7 +30,7 @@ func Eval(col *alt.Collection, cat *Catalog, conv convention.Conventions) (*rela
 }
 
 // EvalReference is Eval by environment enumeration alone: no quantifier
-// scope is compiled to a tuple plan and no LEFT join is hashed. It is the
+// scope is lowered onto internal/plan and no LEFT join is hashed. It is the
 // baseline the differential tests hold Eval to.
 func EvalReference(col *alt.Collection, cat *Catalog, conv convention.Conventions) (*relation.Relation, error) {
 	link, err := alt.ValidateCollection(col)
@@ -127,7 +128,7 @@ type evaluator struct {
 	check      func() error // optional cancellation poll (fixpoint rounds, tuple loops)
 	polls      int
 	tr         *trace.Trace // optional EXPLAIN ANALYZE record
-	reference  bool         // enumeration only (EvalReference): no scope plans, no hashed LEFT join
+	reference  bool         // enumeration only (EvalReference): no lowered scopes, no hashed LEFT join
 }
 
 // pollEvery rate-limits the cancellation check of the tuple loops, as
@@ -229,7 +230,7 @@ var errStopped = errors.New("eval: stream stopped")
 // stops it too and is stored in *errp. The caller has pushed col's link.
 func (ev *evaluator) headStream(col *alt.Collection, e *env, errp *error) exec.Seq {
 	seq := func(yield func(relation.Tuple, int) bool) {
-		err := ev.headTuples(col, col.Body, e, func(t relation.Tuple, weight int) error {
+		err := ev.headTuples(col, col.Body, e, nil, func(t relation.Tuple, weight int) error {
 			if !yield(t, weight) {
 				return errStopped
 			}
@@ -249,42 +250,32 @@ func (ev *evaluator) headStream(col *alt.Collection, e *env, errp *error) exec.S
 // generates, with their bag weights; emit must copy what it keeps. It is
 // the one place produced rows become tuples, for a collection evaluated
 // once and for every rule of a fixpoint alike. A disjunction is the
-// concatenation of its branches; a quantifier whose compiled scope
+// concatenation of its branches; a quantifier whose lowered scope
 // assigns every head attribute exactly once streams tuples straight off
-// the pipeline; other shapes go through the production path and build
-// assignment rows.
-func (ev *evaluator) headTuples(col *alt.Collection, f alt.Formula, e *env, emit func(t relation.Tuple, weight int) error) error {
+// its plan; other shapes go through the production path and build
+// assignment rows. runs, when not nil, keeps the execution of each
+// lowered scope across calls (runScope).
+func (ev *evaluator) headTuples(col *alt.Collection, f alt.Formula, e *env, runs map[*arcScope]*scopeRun, emit func(t relation.Tuple, weight int) error) error {
 	if or, ok := f.(*alt.Or); ok {
 		for _, k := range or.Kids {
-			if err := ev.headTuples(col, k, e, emit); err != nil {
+			if err := ev.headTuples(col, k, e, runs, emit); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	base := &env{vars: e.vars, weight: 1}
-	attrs := col.Head.Attrs
-	t := make(relation.Tuple, len(attrs))
 	if q, ok := f.(*alt.Quantifier); ok {
 		si, err := ev.scopeInfoFor(q)
 		if err != nil {
 			return err
 		}
-		if sp := ev.scopePlanFor(si); sp != nil {
-			if cols, ok := sp.directHeadCols(attrs); ok {
-				return sp.eachRow(ev, base, func(row relation.Tuple, weight int) (bool, error) {
-					for i, pi := range cols {
-						v, err := sp.producers[pi].term.eval(ev, row, base)
-						if err != nil {
-							return false, err
-						}
-						t[i] = v
-					}
-					return true, emit(t, weight)
-				})
-			}
+		if sc := ev.arcScopeFor(si); sc != nil && slices.Equal(sc.attrs, col.Head.Attrs) {
+			return ev.runScope(sc, base, runs, emit)
 		}
 	}
+	attrs := col.Head.Attrs
+	t := make(relation.Tuple, len(attrs))
 	rows, err := ev.produce(f, base, true)
 	if err != nil {
 		return err
@@ -441,8 +432,8 @@ func (ev *evaluator) produceQuant(q *alt.Quantifier, e *env, gen bool) ([]prodRo
 	if err != nil {
 		return nil, err
 	}
-	if sp := ev.scopePlanFor(si); sp != nil {
-		rows, err := sp.produce(ev, e)
+	if sc := ev.arcScopeFor(si); sc != nil {
+		rows, err := sc.produce(ev, e)
 		if err != nil {
 			return nil, err
 		}

@@ -21,11 +21,10 @@ import (
 //     derived once in round 0;
 //   - a disjunct that references the group exactly once, as a plain
 //     binding of its own inner-join scope, is linear: each round it
-//     re-derives only through the previous round's delta, bound to the
-//     referenced name via the evaluator's override slot (which the
-//     compiled scope pipeline of compile.go resolves at run time, so the
-//     body compiles once). The occurrence is the scope's first leaf: each
-//     round scans the delta and probes the other leaves' indexes from it;
+//     re-derives only through the previous round's delta. Its scope is
+//     lowered once, with the occurrence as its first leaf, read through a
+//     fixpoint.Handle bound to the delta: each round streams the delta
+//     and probes the other leaves' indexes from it;
 //   - everything else (non-linear recursion, references through nested
 //     scopes, outer-join scopes) falls back to naive re-derivation from
 //     the full totals each round, which is sound because accumulation is
@@ -247,7 +246,7 @@ func (ev *evaluator) classifyDisjunct(f alt.Formula, names map[string]bool) (fix
 	if err != nil || treeHasOuter(si.tree) {
 		return fixpoint.Naive, ""
 	}
-	// The delta drives the round: the compiled scope scans the occurrence
+	// The delta drives the round: the lowered scope streams the occurrence
 	// first and probes every other leaf's index from it, so a round costs
 	// what its delta holds and builds no index on it.
 	si.lead = lead
@@ -258,8 +257,8 @@ func (ev *evaluator) classifyDisjunct(f alt.Formula, names map[string]bool) (fix
 // point through internal/fixpoint and returns each member's relation by
 // head name. Before every rule the group's names are bound in the
 // override slot — to the running totals, except that a linear rule's one
-// occurrence reads the round's delta — so the same compiled scope
-// pipelines serve every variant.
+// occurrence reads the round's delta — so the same lowered scopes serve
+// every variant.
 func (ev *evaluator) evalRecursive(group []recDef, e *env) (map[string]*relation.Relation, error) {
 	defer ev.saveOverrides(group)()
 	rules, err := ev.recursiveRules(group)
@@ -272,10 +271,18 @@ func (ev *evaluator) evalRecursive(group []recDef, e *env) (map[string]*relation
 	}
 	frules := make([]fixpoint.Rule, len(rules))
 	for i, r := range rules {
+		// A Delta rule reads the group only through its occurrence, so
+		// its scope runs on one execution for the whole fixpoint. Any
+		// other rule may read a total as a static side, which grows
+		// between rounds: it starts a new execution every round.
 		var occs []string
+		var runs map[*arcScope]*scopeRun
 		if r.kind == fixpoint.Delta {
 			occs = []string{r.occ}
+			runs = map[*arcScope]*scopeRun{}
 		}
+		var cur fixpoint.Emit
+		emitT := func(t relation.Tuple, _ int) error { return cur(t) } // cur, without weights
 		frules[i] = fixpoint.Rule{
 			Target: r.col.Head.Rel,
 			Kind:   r.kind,
@@ -291,7 +298,8 @@ func (ev *evaluator) evalRecursive(group []recDef, e *env) (map[string]*relation
 				defer ev.popLink()
 				// One rule's head tuples for this variant; the fixpoint
 				// accumulates sets, so bag weights are dropped.
-				err := ev.headTuples(r.col, r.f, e, func(t relation.Tuple, _ int) error { return emit(t) })
+				cur = emit
+				err := ev.headTuples(r.col, r.f, e, runs, emitT)
 				if err != nil {
 					return fmt.Errorf("%s: %w", r.col.Head.Rel, err)
 				}
@@ -313,8 +321,8 @@ func (ev *evaluator) evalRecursive(group []recDef, e *env) (map[string]*relation
 }
 
 // explainRecursive renders the fixpoint plan of a recursive group: one
-// rule per disjunct with its round discipline and, for compiled scopes,
-// the per-round delta pipeline.
+// rule per disjunct with its round discipline and, for lowered scopes,
+// the per-round delta plan.
 func (ev *evaluator) explainRecursive(group []recDef, b *strings.Builder) error {
 	defer ev.saveOverrides(group)()
 	deltas := make([]string, len(group))

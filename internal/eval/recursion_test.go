@@ -193,7 +193,7 @@ func TestRecursionIterationCap(t *testing.T) {
 
 // TestExplainRecursiveGolden pins the fixpoint plan rendering of a
 // recursive collection: rule classification plus the per-round delta
-// pipeline of the compiled scopes.
+// plan of the lowered scopes.
 func TestExplainRecursiveGolden(t *testing.T) {
 	col := arc.MustParseCollection(
 		"{A(s, t) | ∃p ∈ P [A.s = p.s ∧ A.t = p.t] ∨ ∃p ∈ P, a2 ∈ A [A.s = p.s ∧ p.t = a2.s ∧ A.t = a2.t]}")
@@ -205,13 +205,14 @@ func TestExplainRecursiveGolden(t *testing.T) {
 	want := `Fixpoint A (semi-naive, ΔA per round):
   rule 1 [seed]:
     scope ∃p ∈ P:
-      Scan P [p]
-      Produce {s = p.s, t = p.t}
+      Project [s = p.s, t = p.t]
+        Scan P as p
   rule 2 [delta (semi-naive)]:
     scope ∃p ∈ P, a2 ∈ A:
-      Scan A [a2]
-      IndexJoin P [p] probe(p.t = a2.s)
-      Produce {s = p.s, t = a2.t}
+      Project [s = p.s, t = a2.t]
+        HashJoin INNER (p.t = a2.s) index(P)
+          CteScan ΔA as a2
+          Scan P as p
 `
 	if got != want {
 		t.Fatalf("recursive explain mismatch\ngot:\n%s\nwant:\n%s", got, want)

@@ -45,17 +45,17 @@ type scopeInfo struct {
 	// eqPreds holds all plain equality predicates — the access-pattern
 	// feed for external and abstract relation leaves.
 	eqPreds []*alt.Pred
-	// plan is the tuple-level compilation of the scope (see compile.go);
-	// nil (with planReason saying why) keeps the scope on environment
-	// enumeration. Compiled lazily on first production.
-	plan       *scopePlan
-	planTried  bool
-	planReason string
+	// scope is the scope lowered onto internal/plan (lower.go); nil (with
+	// reason saying why) keeps it on environment enumeration. Lowered
+	// lazily on first production.
+	scope   *arcScope
+	lowered bool
+	reason  string
 	// lead is the recursive occurrence of a Delta rule's scope
-	// (classifyDisjunct): compileScope enumerates its leaf first.
+	// (classifyDisjunct): the lowering reads it first, through a handle.
 	lead *alt.Binding
 	// closed and corrKeys describe the decorrelated variant of a γ∅
-	// nested collection's scope (compileLookup): its correlation
+	// nested collection's scope (lowering.lookup): its correlation
 	// equalities are gone from where and eqPreds, their inner sides
 	// group it as corrKeys, and nothing else in it may read outside.
 	closed   bool

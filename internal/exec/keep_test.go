@@ -119,29 +119,26 @@ func TestKeepersCopyWhatTheyKeep(t *testing.T) {
 			return relRows(total)
 		}},
 	}
-	for _, distinct := range []bool{false, true} {
-		keepers = append(keepers, keeper{fmt.Sprintf("CTE.Run/distinct=%v", distinct), func(in Seq) []Row {
-			loop := &fixpoint.CTE{
-				Name:  "C",
-				Attrs: []string{"a", "b"},
-				Base: func(emit fixpoint.EmitMult) error {
-					for t, m := range in {
-						if err := emit(t, m); err != nil {
-							return err
-						}
+	keepers = append(keepers, keeper{"CTE.Run", func(in Seq) []Row {
+		loop := &fixpoint.CTE{
+			Name:  "C",
+			Attrs: []string{"a", "b"},
+			Base: func(emit fixpoint.EmitMult) error {
+				for t, m := range in {
+					if err := emit(t, m); err != nil {
+						return err
 					}
-					return nil
-				},
-				Step:     func(*relation.Relation, fixpoint.EmitMult) error { return nil },
-				Distinct: distinct,
-			}
-			out, err := loop.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return relRows(out)
-		}})
-	}
+				}
+				return nil
+			},
+			Step: func(*relation.Relation, fixpoint.EmitMult) error { return nil },
+		}
+		out, err := loop.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return relRows(out)
+	}})
 	for _, k := range keepers {
 		want := render(k.drain(fresh(keepRows)))
 		if got := render(k.drain(poisoned(keepRows))); got != want {

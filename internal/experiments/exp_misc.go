@@ -277,7 +277,7 @@ func breakGroupKey(f alt.Formula) bool {
 // e21 — Section 2.2: modality metrics. The same queries measured in all
 // three modalities (comprehension tokens, ALT nodes, higraph regions and
 // edges) — the mechanical proxy for the paper's usability discussion;
-// the user study itself is out of scope (see DESIGN.md substitutions).
+// the user study itself is out of scope, as the report's claim says.
 func e21() Report {
 	const claim = "every corpus query renders in all three modalities; sizes are reported as a usability proxy (user study not reproducible)"
 	rep := Report{Figure: "§2.2 modalities", Title: "Modality metrics", PaperClaim: claim}

@@ -1,8 +1,9 @@
 // Package experiments implements the reproduction harness: one runner per
-// figure/claim of the paper (experiment index in DESIGN.md). Every runner
-// produces a Report with the paper's claim, what this implementation
-// measures, and a pass/fail verdict; cmd/arcrepro prints the table and
-// EXPERIMENTS.md records it.
+// figure/claim of the paper (the index is the register calls in
+// exp_core.go, exp_lang.go and exp_misc.go, each runner's comment naming
+// its figure). Every runner produces a Report with the paper's claim, what
+// this implementation measures, and a pass/fail verdict; cmd/arcrepro
+// prints the table.
 package experiments
 
 import (

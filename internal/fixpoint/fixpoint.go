@@ -7,20 +7,23 @@
 // trips).
 //
 //   - internal/eval runs recursive ARC collections through Run: each
-//     disjunct becomes a rule, with linear disjuncts reading the delta
-//     through the evaluator's override slot — scanned first, probing the
-//     other atoms' indexes — and non-linear ones falling back to naive
-//     re-derivation per round. Mutually recursive
-//     definitions (a query and catalog views) form one multi-target Run.
-//     Datalog programs arrive the same way, lowered to ARC by
-//     internal/datalog, which uses Stratify to reject recursion through
-//     negation or aggregation.
-//   - internal/plan executes SQL WITH RECURSIVE through CTE.Run, the
-//     working-table variant of the loop (the SQL-standard semantics where
-//     the step sees only the previous round's rows), with the step's
-//     compiled exec tree streaming the delta through a Handle into the
-//     static side: a stored relation's index, or a hash table built once
-//     per execution.
+//     disjunct becomes a rule. A linear disjunct's scope is lowered onto
+//     internal/plan once per execution, with its recursive occurrence as
+//     the first leaf, read through a Handle the rule binds to the delta
+//     each round, so the delta streams and probes the other atoms'
+//     indexes; a non-linear one falls back to naive re-derivation per
+//     round. Mutually recursive definitions (a query and catalog views)
+//     form one multi-target Run. Datalog programs arrive the same way,
+//     lowered to ARC by internal/datalog, which uses Stratify to reject
+//     recursion through negation or aggregation.
+//   - internal/plan executes SQL WITH RECURSIVE … UNION through Run as
+//     well — the base term a Seed rule, the step a Delta rule with one
+//     occurrence, whose naive variant derives nothing because the step
+//     reads only the working table (the SQL-standard semantics) — and
+//     UNION ALL, which keeps multiplicities, through CTE.Run, the
+//     working-table loop. Either way the step's compiled exec tree
+//     streams the delta through a Handle into the static side: a stored
+//     relation's index, or a hash table built once per execution.
 //
 // The engine owns termination: accumulation into totals is set-monotone
 // (a tuple enters the total and the next delta only when new), so every
@@ -29,10 +32,10 @@
 // a cyclic instance) with ErrIterationCap.
 //
 // A round's delta is the tail of its total: a new tuple is admitted into
-// the total with one lookup (relation.Admit), and the next delta — Run's,
-// or a UNION CTE's working table — is a window onto the rows the total
-// gained that round (relation.Since). A derived tuple is stored once, and
-// a delta builds no index unless a rule looks a tuple up in it.
+// the total with one lookup (relation.Admit), and the next delta is a
+// window onto the rows the total gained that round (relation.Since). A
+// derived tuple is stored once, and a delta builds no index unless a rule
+// looks a tuple up in it.
 package fixpoint
 
 import (
@@ -47,11 +50,12 @@ import (
 // monotone workload, it only trips on genuinely diverging programs.
 const DefaultMaxIterations = 1000000
 
-// DefaultMaxCTEIterations bounds the WITH RECURSIVE working-table loop.
-// Lower than DefaultMaxIterations because a diverging UNION ALL step
-// grows its result every round; the cap turns an infinite loop into a
-// clear error before memory does. A variable so guard tests can tighten
-// it without spinning the full bound.
+// DefaultMaxCTEIterations bounds the rounds of WITH RECURSIVE, under
+// UNION (a Run) and UNION ALL (CTE.Run) alike. Lower than
+// DefaultMaxIterations because a diverging UNION ALL step grows its
+// result every round; the cap turns an infinite loop into a clear error
+// before memory does. A variable so guard tests can tighten it without
+// spinning the full bound.
 var DefaultMaxCTEIterations = 100000
 
 // ErrIterationCap marks a fixpoint that did not converge within the
@@ -163,14 +167,16 @@ func Run(totals map[string]*relation.Relation, rules []Rule, opt Options) error 
 			marks[name] = total.Mark()
 		}
 	}
-	gained := func() map[string]*relation.Relation {
-		d := map[string]*relation.Relation{}
+	// delta is refilled once a round is over: no rule reads the old one
+	// any more.
+	delta := make(map[string]*relation.Relation, len(totals))
+	gained := func() {
+		clear(delta)
 		for name, total := range totals {
 			if total.Mark() > marks[name] {
-				d[name] = total.Since(marks[name])
+				delta[name] = total.Since(marks[name])
 			}
 		}
-		return d
 	}
 	// Round 0: every rule runs naively, seeding the deltas. Each rule's
 	// evaluation can stream an arbitrary amount of data, so cancellation
@@ -190,7 +196,7 @@ func Run(totals map[string]*relation.Relation, rules []Rule, opt Options) error 
 			return err
 		}
 	}
-	delta := gained()
+	gained()
 	if opt.OnRound != nil {
 		opt.OnRound(deltaSize(delta), time.Since(roundStart))
 	}
@@ -231,7 +237,7 @@ func Run(totals map[string]*relation.Relation, rules []Rule, opt Options) error 
 				}
 			}
 		}
-		delta = gained()
+		gained()
 		if opt.OnRound != nil {
 			opt.OnRound(deltaSize(delta), time.Since(roundStart))
 		}
@@ -252,19 +258,15 @@ func deltaSize(m map[string]*relation.Relation) int {
 // table (which accumulates duplicates).
 type EmitMult func(t relation.Tuple, mult int) error
 
-// CTE is the SQL WITH RECURSIVE working-table loop: result and working
-// table start as the base query's output; each round the step runs with
-// the recursive reference bound to the working table only (the previous
-// round's rows — the SQL-standard semantics), its output becomes the next
-// working table, and the loop ends when a round produces nothing.
-//
-// Distinct selects UNION (each round's output is deduplicated and rows
-// already in the result are dropped — the set-semantics termination
-// guarantee) versus UNION ALL (multiplicities accumulate and termination
-// relies on the step eventually producing no rows; the iteration cap
-// catches cyclic instances). Under UNION a row derives as in Run: the
-// result admits it at once, and the next working table is the window onto
-// the rows the result gained that round.
+// CTE is the SQL WITH RECURSIVE … UNION ALL working-table loop: result
+// and working table start as the base query's output; each round the step
+// runs with the recursive reference bound to the working table only (the
+// previous round's rows — the SQL-standard semantics), its output becomes
+// the next working table, and the loop ends when a round produces
+// nothing. Multiplicities accumulate, so termination relies on the step
+// eventually producing no rows; the iteration cap catches cyclic
+// instances. (Under UNION a row derives as in Run, which runs it: the
+// base term is a Seed rule and the step a Delta rule.)
 type CTE struct {
 	// Name labels the CTE in errors and names the result relation.
 	Name string
@@ -276,8 +278,6 @@ type CTE struct {
 	// Step streams one round of the recursive term with the recursive
 	// reference bound to delta (the previous working table).
 	Step func(delta *relation.Relation, emit EmitMult) error
-	// Distinct is true for UNION, false for UNION ALL.
-	Distinct bool
 	// MaxIterations bounds the loop; 0 means DefaultMaxCTEIterations.
 	MaxIterations int
 	// Check, when non-nil, is polled before every round (context
@@ -289,39 +289,22 @@ type CTE struct {
 	OnRound func(delta int, elapsed time.Duration)
 }
 
-// Run executes the loop and returns the accumulated result relation. The
-// step reads only the working table, so under UNION the result may take
-// a row the moment it is derived; the result's order is the order rows
-// were first derived in, either way.
+// Run executes the loop and returns the accumulated result relation, in
+// the order rows were derived. A round's rows move into the result once
+// the round is over, without a copy: the working table's stored tuples
+// are immutable.
 func (c *CTE) Run() (*relation.Relation, error) {
 	total := relation.New(c.Name, c.Attrs...)
-	var next *relation.Relation // a UNION ALL round's rows
-	emit := func(t relation.Tuple, mult int) error {
-		if len(t) != len(c.Attrs) {
-			return fmt.Errorf("recursive CTE %s: term arity %d, want %d", c.Name, len(t), len(c.Attrs))
-		}
-		if c.Distinct {
-			total.Admit(t)
-		} else {
-			next.InsertMult(t, mult)
-		}
-		return nil
-	}
-	// round runs the base or one step and returns the next working table.
-	// Under UNION that is the window onto the rows the result gained;
-	// under UNION ALL, the round's own rows, which move into the result
-	// once the round is over, without a copy: the working table's stored
-	// tuples are immutable.
 	round := func(pass func(EmitMult) error) (*relation.Relation, error) {
-		if c.Distinct {
-			mark := total.Mark()
-			if err := pass(emit); err != nil {
-				return nil, err
+		next := relation.New(c.Name, c.Attrs...)
+		err := pass(func(t relation.Tuple, mult int) error {
+			if len(t) != len(c.Attrs) {
+				return fmt.Errorf("recursive CTE %s: term arity %d, want %d", c.Name, len(t), len(c.Attrs))
 			}
-			return total.Since(mark), nil
-		}
-		next = relation.New(c.Name, c.Attrs...)
-		if err := pass(emit); err != nil {
+			next.InsertMult(t, mult)
+			return nil
+		})
+		if err != nil {
 			return nil, err
 		}
 		next.Each(func(t relation.Tuple, m int) { total.InsertOwned(t, m) })
@@ -344,7 +327,7 @@ func (c *CTE) Run() (*relation.Relation, error) {
 	}
 	for iter := 0; work.Distinct() > 0; iter++ {
 		if iter >= max {
-			return nil, fmt.Errorf("%w: recursive CTE %s did not converge within %d iterations (%s)", ErrIterationCap, c.Name, max, capHint(c.Distinct))
+			return nil, fmt.Errorf("%w: recursive CTE %s did not converge within %d iterations (UNION ALL recursion needs a bounded step)", ErrIterationCap, c.Name, max)
 		}
 		if c.Check != nil {
 			if err := c.Check(); err != nil {
@@ -363,16 +346,6 @@ func (c *CTE) Run() (*relation.Relation, error) {
 		}
 	}
 	return total, nil
-}
-
-// capHint explains a tripped CTE cap per recursion mode: UNION ALL
-// diverges on any cyclic instance, UNION only when the step keeps
-// deriving genuinely new rows (a growing value domain).
-func capHint(distinct bool) string {
-	if distinct {
-		return "the step keeps deriving new rows over a growing domain"
-	}
-	return "UNION ALL recursion needs a bounded step"
 }
 
 // Handle is a relation slot identity: compiled operator trees that must

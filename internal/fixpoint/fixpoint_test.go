@@ -120,43 +120,73 @@ func TestRunUnknownTarget(t *testing.T) {
 	}
 }
 
-// cteTC builds the WITH RECURSIVE working-table loop for TC over edges.
-func cteTC(edges *relation.Relation, distinct bool, maxIter int) *CTE {
-	return &CTE{
-		Name:  "tc",
-		Attrs: []string{"s", "t"},
-		Base: func(emit EmitMult) error {
-			for t, m := range exec.Scan(edges) {
-				if err := emit(t, m); err != nil {
-					return err
-				}
+// tcTerms are the base and step terms of WITH RECURSIVE transitive
+// closure over edges.
+func tcTerms(edges *relation.Relation) (base func(EmitMult) error, step func(*relation.Relation, EmitMult) error) {
+	base = func(emit EmitMult) error {
+		for t, m := range exec.Scan(edges) {
+			if err := emit(t, m); err != nil {
+				return err
 			}
-			return nil
-		},
-		Step: func(delta *relation.Relation, emit EmitMult) error {
-			for dt, dm := range exec.Scan(delta) {
-				var failure error
-				edges.Probe([]int{0}, []value.Value{dt[1]}, func(et relation.Tuple, em int) bool {
-					if err := emit(relation.Tuple{dt[0], et[1]}, dm*em); err != nil {
-						failure = err
-						return false
-					}
-					return true
-				})
-				if failure != nil {
-					return failure
-				}
-			}
-			return nil
-		},
-		Distinct:      distinct,
-		MaxIterations: maxIter,
+		}
+		return nil
 	}
+	step = func(delta *relation.Relation, emit EmitMult) error {
+		for dt, dm := range exec.Scan(delta) {
+			var failure error
+			edges.Probe([]int{0}, []value.Value{dt[1]}, func(et relation.Tuple, em int) bool {
+				if err := emit(relation.Tuple{dt[0], et[1]}, dm*em); err != nil {
+					failure = err
+					return false
+				}
+				return true
+			})
+			if failure != nil {
+				return failure
+			}
+		}
+		return nil
+	}
+	return base, step
+}
+
+// cteTC builds the UNION ALL working-table loop for TC over edges.
+func cteTC(edges *relation.Relation, maxIter int) *CTE {
+	base, step := tcTerms(edges)
+	return &CTE{Name: "tc", Attrs: []string{"s", "t"}, Base: base, Step: step, MaxIterations: maxIter}
+}
+
+// unionRules are a recursive CTE's base and step under UNION as the
+// planner runs them on Run: a Seed rule, and a Delta rule with one
+// occurrence whose naive variant derives nothing, since the step reads
+// only the working table.
+func unionRules(name string, base func(EmitMult) error, step func(*relation.Relation, EmitMult) error) []Rule {
+	set := func(emit Emit) EmitMult {
+		return func(t relation.Tuple, _ int) error { return emit(t) }
+	}
+	return []Rule{
+		{Target: name, Kind: Seed, Eval: func(_ int, _ *relation.Relation, emit Emit) error { return base(set(emit)) }},
+		{Target: name, Kind: Delta, Occs: []string{name}, Eval: func(occ int, delta *relation.Relation, emit Emit) error {
+			if occ < 0 {
+				return nil
+			}
+			return step(delta, set(emit))
+		}},
+	}
+}
+
+// unionTC runs TC over edges under UNION (unionRules), reporting its
+// rounds to onRound.
+func unionTC(edges *relation.Relation, onRound func(int, time.Duration)) (*relation.Relation, error) {
+	base, step := tcTerms(edges)
+	totals := map[string]*relation.Relation{"tc": relation.New("tc", "s", "t")}
+	err := Run(totals, unionRules("tc", base, step), Options{Name: "tc", OnRound: onRound})
+	return totals["tc"], err
 }
 
 func TestCTEUnionOverCycle(t *testing.T) {
 	edges := relation.New("E", "s", "t").Add(0, 1).Add(1, 0)
-	out, err := cteTC(edges, true, 0).Run()
+	out, err := unionTC(edges, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,23 +199,23 @@ func TestCTEUnionOverCycle(t *testing.T) {
 	}
 }
 
-// TestCTEUnionDerivesLikeRun: under UNION a row derives as in Run — the
-// result takes it at once, and the working table appends the shared copy
-// — and the result's order, its multiplicities and every round's working
-// table are those of the round-at-a-time loop it replaced, which
-// deduplicated each round against the result and itself and then moved
-// the round into the result. The edges repeat, meet and close a cycle, so
-// rounds derive duplicates of their own rows and of older ones.
+// TestCTEUnionDerivesLikeRun: under UNION a recursive CTE runs on Run
+// (unionRules) — the result takes a row at once, and the working table is
+// the window onto what a round added — and the result's order, its
+// multiplicities and every round's working table are those of the
+// round-at-a-time loop of the SQL standard, which deduplicates each round
+// against the result and itself and then moves the round into the
+// result. The edges repeat, meet and close a cycle, so rounds derive
+// duplicates of their own rows and of older ones.
 func TestCTEUnionDerivesLikeRun(t *testing.T) {
 	edges := relation.New("E", "s", "t").Add(0, 1).Add(0, 2).Add(1, 3).Add(2, 3).Add(3, 0).Add(3, 4).Add(0, 1)
-	loop := cteTC(edges, true, 0)
 	var rounds []int
-	loop.OnRound = func(delta int, _ time.Duration) { rounds = append(rounds, delta) }
-	got, err := loop.Run()
+	got, err := unionTC(edges, func(delta int, _ time.Duration) { rounds = append(rounds, delta) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The loop this replaced, over the same terms.
+	base, step := tcTerms(edges)
+	// The standard's loop, over the same terms.
 	want := relation.New("tc", "s", "t")
 	var wantRounds []int
 	collect := func(next *relation.Relation) EmitMult {
@@ -197,14 +227,14 @@ func TestCTEUnionDerivesLikeRun(t *testing.T) {
 		}
 	}
 	work := relation.New("tc", "s", "t")
-	if err := loop.Base(collect(work)); err != nil {
+	if err := base(collect(work)); err != nil {
 		t.Fatal(err)
 	}
 	for work.Distinct() > 0 {
 		work.Each(func(t relation.Tuple, m int) { want.InsertMult(t, m) })
 		wantRounds = append(wantRounds, work.Card())
 		next := relation.New("tc", "s", "t")
-		if err := loop.Step(work, collect(next)); err != nil {
+		if err := step(work, collect(next)); err != nil {
 			t.Fatal(err)
 		}
 		work = next
@@ -220,7 +250,7 @@ func TestCTEUnionDerivesLikeRun(t *testing.T) {
 
 func TestCTEUnionAllCycleTripsCap(t *testing.T) {
 	edges := relation.New("E", "s", "t").Add(0, 1).Add(1, 0)
-	_, err := cteTC(edges, false, 50).Run()
+	_, err := cteTC(edges, 50).Run()
 	if !errors.Is(err, ErrIterationCap) {
 		t.Fatalf("UNION ALL over a cycle: got %v, want ErrIterationCap", err)
 	}
@@ -229,7 +259,7 @@ func TestCTEUnionAllCycleTripsCap(t *testing.T) {
 func TestCTEUnionAllBoundedKeepsMultiplicities(t *testing.T) {
 	// Acyclic chain: UNION ALL terminates and keeps one row per distinct
 	// derivation path (here every pair has exactly one path).
-	out, err := cteTC(chain(4), false, 0).Run()
+	out, err := cteTC(chain(4), 0).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,13 +312,13 @@ func extendPaths(from, edges *relation.Relation, emit func(relation.Tuple) error
 
 // TestRecursionAllocations bounds the heap recursion allocates per
 // derived tuple: transitive closure over a 200-node chain, 20 100 tuples
-// in 200 rounds, through Run and through CTE.Run under UNION. What a
-// fixpoint must pay is the total's rows, its tuple index and one copy of
-// each tuple; a round's delta is a window onto the total's rows and adds
-// a header per round, nothing per tuple. Measured on amd64 with Go 1.24:
-// 277 B per tuple through Run, 275 through CTE.Run; a round that stored
-// its new tuples a second time, in a row array grown from empty, cost
-// 372 and 370.
+// in 200 rounds, through Run with an ARC rule's variants and with a UNION
+// CTE's (unionRules). What a fixpoint must pay is the total's rows, its
+// tuple index and one copy of each tuple; a round's delta is a window
+// onto the total's rows and adds a header per round, nothing per tuple.
+// Measured on amd64 with Go 1.24: 277 B per tuple either way; a round
+// that stored its new tuples a second time, in a row array grown from
+// empty, cost 372.
 func TestRecursionAllocations(t *testing.T) {
 	const bound = 320 // bytes per derived tuple
 	const n, runs = 200, 3
@@ -322,16 +352,13 @@ func TestRecursionAllocations(t *testing.T) {
 			}, Options{Name: "tc"})
 			return totals["A"], err
 		}},
-		{"CTE.Run", func() (*relation.Relation, error) {
-			return (&CTE{
-				Name:     "tc",
-				Attrs:    []string{"s", "t"},
-				Distinct: true,
-				Base:     func(emit EmitMult) error { return seed(once(emit)) },
-				Step: func(delta *relation.Relation, emit EmitMult) error {
-					return extendPaths(delta, edges, once(emit))
-				},
-			}).Run()
+		{"Run, a UNION CTE's rules", func() (*relation.Relation, error) {
+			totals := map[string]*relation.Relation{"tc": relation.New("tc", "s", "t")}
+			err := Run(totals, unionRules("tc",
+				func(emit EmitMult) error { return seed(once(emit)) },
+				func(delta *relation.Relation, emit EmitMult) error { return extendPaths(delta, edges, once(emit)) },
+			), Options{Name: "tc"})
+			return totals["tc"], err
 		}},
 	} {
 		// The first run builds the edges' index, which later runs share.

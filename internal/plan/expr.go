@@ -108,7 +108,12 @@ func compileArith(n *sql.BinE, l, r exprFn) (exprFn, error) {
 	default:
 		return nil, notPlannable("operator %q", string(n.Op))
 	}
-	str := n.String()
+	return arith(op, n.String(), l, r), nil
+}
+
+// arith is the closure of one binary arithmetic operator: a type error
+// fails the execution with "type error in str".
+func arith(op func(a, b value.Value) (value.Value, bool), str string, l, r exprFn) exprFn {
 	return func(t relation.Tuple, ctx *runCtx) value.Value {
 		a := l(t, ctx)
 		b := r(t, ctx)
@@ -117,7 +122,7 @@ func compileArith(n *sql.BinE, l, r exprFn) (exprFn, error) {
 			ctx.fail(fmt.Errorf("type error in %s", str))
 		}
 		return out
-	}, nil
+	}
 }
 
 // scalarCompiler compiles scalar leaf expressions of predicates; the

@@ -9,9 +9,8 @@
 // fail compilation with ErrNotPlannable and callers fall back to
 // enumeration, so planning is always semantics-preserving.
 //
-// internal/eval performs the analogous compilation for ARC quantifier
-// scopes (see eval.ExplainCollection); both lower onto the same exec
-// operators.
+// internal/eval lowers ARC quantifier scopes onto the same operators
+// through the builders of arc.go (see eval.ExplainCollection).
 package plan
 
 import (
@@ -78,6 +77,8 @@ type runCtx struct {
 	// re-executed every round builds nothing: its delta streams and
 	// probes tables built in the first round.
 	builds map[*hashJoinNode]*exec.HashTable
+	// arc is the state of the operators only ARC scopes run (NewRun).
+	arc *arcState
 	// trace, when non-nil, collects per-operator counters and timings for
 	// this execution (EXPLAIN ANALYZE). nil disables every
 	// instrumentation site, so an untraced run pays nothing per row.
@@ -224,20 +225,12 @@ func (p *Plan) Attrs() []string { return p.attrs }
 func (p *Plan) NumParams() int { return p.nparams }
 
 // Explain renders the plan tree, one operator per line.
-func (p *Plan) Explain() string {
-	var b strings.Builder
-	p.root.writeExplain(&b, 0, nil)
-	return b.String()
-}
+func (p *Plan) Explain() string { return p.ExplainAt(0, nil) }
 
 // ExplainAnalyze renders the plan annotated with the actual rows,
 // probe/build counters, per-round fixpoint deltas, and timings of one
 // executed run — the trace a drained StreamTraced execution filled.
-func (p *Plan) ExplainAnalyze(tr *trace.Trace) string {
-	var b strings.Builder
-	p.root.writeExplain(&b, 0, tr)
-	return b.String()
-}
+func (p *Plan) ExplainAnalyze(tr *trace.Trace) string { return p.ExplainAt(0, tr) }
 
 // ExecuteWith is ExecuteOn over the relations the plan was compiled
 // against.
@@ -495,18 +488,22 @@ func (n *scanNode) writeExplain(b *strings.Builder, depth int, tr *trace.Trace) 
 	b.WriteString("\n")
 }
 
-// valuesNode yields a single empty tuple — the FROM-less SELECT source.
-type valuesNode struct{}
+// valuesNode yields its one row: the empty tuple of the FROM-less SELECT
+// source, or an ARC scope's constant (ConstLeaf).
+type valuesNode struct {
+	row    relation.Tuple
+	schema []ColID
+}
 
-func (valuesNode) Schema() []ColID { return nil }
+func (n *valuesNode) Schema() []ColID { return n.schema }
 
-func (valuesNode) Run(_ *runCtx) exec.Seq {
+func (n *valuesNode) Run(_ *runCtx) exec.Seq {
 	return func(yield func(relation.Tuple, int) bool) {
-		yield(relation.Tuple{}, 1)
+		yield(n.row, 1)
 	}
 }
 
-func (valuesNode) writeExplain(b *strings.Builder, depth int, _ *trace.Trace) {
+func (n *valuesNode) writeExplain(b *strings.Builder, depth int, _ *trace.Trace) {
 	indent(b, depth)
 	b.WriteString("Values (1 row)\n")
 }
@@ -757,7 +754,7 @@ func guard(in exec.Seq, ctx *runCtx) exec.Seq {
 // walkers below do not know.
 func inputs(n Node) (kids []Node, ok bool) {
 	switch x := n.(type) {
-	case *scanNode, valuesNode, *cteNode:
+	case *scanNode, *valuesNode, *cteNode:
 		return nil, true
 	case *derivedNode:
 		return []Node{x.sub.root}, true
@@ -766,7 +763,13 @@ func inputs(n Node) (kids []Node, ok bool) {
 	case *semiJoinNode:
 		return []Node{x.input, x.sub.root}, true
 	case *filterNode:
-		return []Node{x.input}, true
+		kids := []Node{x.input}
+		for _, p := range x.probes {
+			kids = append(kids, p.inner)
+		}
+		return kids, true
+	case *lookupNode:
+		return []Node{x.input, x.Inner}, true
 	case *projectNode:
 		return []Node{x.input}, true
 	case *dedupNode:
@@ -979,11 +982,13 @@ func (n *semiJoinNode) writeExplain(b *strings.Builder, depth int, tr *trace.Tra
 
 // --- Tuple-at-a-time operators --------------------------------------------
 
-// filterNode keeps rows whose predicate is True (σ under 3VL).
+// filterNode keeps rows whose predicate is True (σ under 3VL). EXPLAIN
+// renders the existence probes its predicate runs (Filter) beneath it.
 type filterNode struct {
-	input Node
-	pred  predFn
-	str   string
+	input  Node
+	pred   predFn
+	str    string
+	probes []*probe
 }
 
 func (n *filterNode) Schema() []ColID { return n.input.Schema() }
@@ -1003,6 +1008,9 @@ func (n *filterNode) writeExplain(b *strings.Builder, depth int, tr *trace.Trace
 	writeStats(b, tr, n)
 	b.WriteString("\n")
 	n.input.writeExplain(b, depth+1, tr)
+	for _, p := range n.probes {
+		p.writeExplain(b, depth+1, tr)
+	}
 }
 
 // projectNode computes the output expressions (π with computation) into
@@ -1011,10 +1019,11 @@ func (n *filterNode) writeExplain(b *strings.Builder, depth int, tr *trace.Trace
 // (srcCols[i] = input column of output i) — the shape the point-lookup
 // fast path in ExecuteOn exploits.
 type projectNode struct {
-	input   Node
-	exprs   []exprFn
-	schema  []ColID
-	srcCols []int
+	input    Node
+	exprs    []exprFn
+	schema   []ColID
+	srcCols  []int
+	exprStrs []string // when set, EXPLAIN renders each column as name = expression
 }
 
 func newProjectNode(input Node, exprs []exprFn, names []string) *projectNode {
@@ -1028,17 +1037,20 @@ func newProjectNode(input Node, exprs []exprFn, names []string) *projectNode {
 func (n *projectNode) Schema() []ColID { return n.schema }
 
 func (n *projectNode) Run(ctx *runCtx) exec.Seq {
-	p := &projection{n: n, ctx: ctx}
+	p := &projection{n: n, ctx: ctx, in: n.input.Run(ctx)}
+	p.next = p.row
 	return ctx.traced(n, p.run)
 }
 
 // projection is one execution of a projectNode. Its state lives here, not
 // in closures, so the execution allocates no more objects, nor larger
 // ones, than a projection that allocated a tuple per row did for one row
-// (a point query).
+// (a point query), and nothing when it runs again.
 type projection struct {
 	n     *projectNode
 	ctx   *runCtx
+	in    exec.Seq
+	next  func(relation.Tuple, int) bool // row
 	yield func(relation.Tuple, int) bool
 	out   relation.Tuple // every output row, allocated at the first
 }
@@ -1046,7 +1058,7 @@ type projection struct {
 // run streams the projection: the Seq that Run returns.
 func (p *projection) run(yield func(relation.Tuple, int) bool) {
 	p.yield = yield
-	p.n.input.Run(p.ctx)(p.row)
+	p.in(p.next)
 }
 
 // row computes the output of one input row and yields it.
@@ -1068,6 +1080,9 @@ func (n *projectNode) writeExplain(b *strings.Builder, depth int, tr *trace.Trac
 	cols := make([]string, len(n.schema))
 	for i, c := range n.schema {
 		cols[i] = c.Col
+		if n.exprStrs != nil {
+			cols[i] += " = " + n.exprStrs[i]
+		}
 	}
 	fmt.Fprintf(b, "Project [%s]", strings.Join(cols, ", "))
 	writeStats(b, tr, n)
@@ -1183,10 +1198,7 @@ func (n *groupNode) Run(ctx *runCtx) exec.Seq {
 			}
 		}
 	}
-	keyCols := make([]int, len(n.keys))
-	for i := range n.keys {
-		keyCols[i] = i
-	}
+	keyCols := identity(len(n.keys))
 	aggs := make([]exec.Agg, len(n.aggs))
 	for i, a := range n.aggs {
 		aggs[i] = exec.Agg{Func: a.fn, Col: len(n.keys) + i}

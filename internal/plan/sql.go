@@ -162,7 +162,7 @@ func (c *compilerCtx) compileSelect(s *sql.Select, outer *scope) (*Plan, error) 
 // base tables push down to index probes.
 func (c *compilerCtx) compileFrom(refs []sql.TableRef, outer *scope, conjs []sql.Expr, consumed []bool) (Node, error) {
 	if len(refs) == 0 {
-		return valuesNode{}, nil
+		return &valuesNode{row: relation.Tuple{}}, nil
 	}
 	var cur Node
 	for i, ref := range refs {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/exec"
 	"repro/internal/fixpoint"
@@ -15,16 +16,19 @@ import (
 // This file lowers WITH [RECURSIVE] onto the shared fixpoint engine.
 // Each CTE materializes before the body runs; a recursive CTE's step is
 // compiled ONCE into an exec tree whose self-reference is a cteNode
-// reading a fixpoint.Handle, which the working-table loop retargets to
-// the rotating delta each round — the plan-side realization of
-// semi-naive recursion over streaming operators. The delta drives each
-// round: a hash join of the delta with a static side streams the delta
-// into the static side — a stored relation's own index, or a table built
-// once per execution — on whichever side of the join the query names the
-// delta (hashJoinNode). Queries
-// outside the planner fragment fall back (ErrNotPlannable) to the
-// reference evaluator's independent naive-iteration loop, which the
-// recursive differential corpus verifies byte-identical.
+// reading a fixpoint.Handle, which the loop retargets to the rotating
+// delta each round — the plan-side realization of semi-naive recursion
+// over streaming operators. Under UNION the loop is fixpoint.Run's, the
+// base term a Seed rule and the step a Delta rule with one occurrence,
+// as an ARC or Datalog rule runs; UNION ALL, which keeps multiplicities,
+// runs fixpoint.CTE's working-table loop. The delta drives each round: a
+// hash join of the delta with a static side streams the delta into the
+// static side — a stored relation's own index, or a table built once per
+// execution — on whichever side of the join the query names the delta
+// (hashJoinNode). Queries outside the planner fragment fall back
+// (ErrNotPlannable) to the reference evaluator's independent
+// naive-iteration loop, which the recursive differential corpus verifies
+// byte-identical.
 
 // cteBinding is the compile-time view of a CTE name: its schema plus the
 // runtime handle its references read from.
@@ -175,37 +179,61 @@ func (x *compiledCTE) materialize(ctx *runCtx) error {
 		ctx.setHandle(x.result, rel)
 		return nil
 	}
+	// drain streams one term's rows into emit.
+	drain := func(term *Plan, emit fixpoint.EmitMult) error {
+		for t, m := range term.run(ctx) {
+			if !ctx.poll() {
+				return ctx.err
+			}
+			if err := emit(t, m); err != nil {
+				return err
+			}
+		}
+		return ctx.err
+	}
+	var onRound func(int, time.Duration)
+	if ctx.trace != nil {
+		onRound = ctx.trace.Fixpoint(x, x.name).Observe
+	}
+	if x.distinct {
+		total := relation.New(x.name, x.attrs...)
+		var emit fixpoint.Emit
+		set := func(t relation.Tuple, _ int) error { return emit(t) } // emit, without multiplicities
+		err := fixpoint.Run(map[string]*relation.Relation{x.name: total}, []fixpoint.Rule{
+			{Target: x.name, Kind: fixpoint.Seed, Eval: func(_ int, _ *relation.Relation, e fixpoint.Emit) error {
+				emit = e
+				return drain(x.base, set)
+			}},
+			{Target: x.name, Kind: fixpoint.Delta, Occs: []string{x.name}, Eval: func(occ int, delta *relation.Relation, e fixpoint.Emit) error {
+				if occ < 0 {
+					return nil // the step reads only the working table, empty before round 1
+				}
+				emit = e
+				ctx.setHandle(x.delta, delta)
+				return drain(x.step, set)
+			}},
+		}, fixpoint.Options{
+			Name:          "recursive CTE " + x.name,
+			MaxIterations: fixpoint.DefaultMaxCTEIterations,
+			Check:         ctx.check,
+			OnRound:       onRound,
+		})
+		if err != nil {
+			return err
+		}
+		ctx.setHandle(x.result, total)
+		return nil
+	}
 	loop := &fixpoint.CTE{
 		Name:  x.name,
 		Attrs: x.attrs,
-		Base: func(emit fixpoint.EmitMult) error {
-			for t, m := range x.base.run(ctx) {
-				if !ctx.poll() {
-					return ctx.err
-				}
-				if err := emit(t, m); err != nil {
-					return err
-				}
-			}
-			return ctx.err
-		},
+		Base:  func(emit fixpoint.EmitMult) error { return drain(x.base, emit) },
 		Step: func(delta *relation.Relation, emit fixpoint.EmitMult) error {
 			ctx.setHandle(x.delta, delta)
-			for t, m := range x.step.run(ctx) {
-				if !ctx.poll() {
-					return ctx.err
-				}
-				if err := emit(t, m); err != nil {
-					return err
-				}
-			}
-			return ctx.err
+			return drain(x.step, emit)
 		},
-		Distinct: x.distinct,
-		Check:    ctx.check,
-	}
-	if ctx.trace != nil {
-		loop.OnRound = ctx.trace.Fixpoint(x, x.name).Observe
+		Check:   ctx.check,
+		OnRound: onRound,
 	}
 	rel, err := loop.Run()
 	if err != nil {
