@@ -49,7 +49,7 @@ func EvalPredicate(p *Program, edb EDB, pred string) (*relation.Relation, error)
 	if err != nil {
 		return nil, err
 	}
-	return eval.EvalPrepared(col, link, cat, convention.Souffle(), nil, edb, nil, nil)
+	return eval.Prepare(col, link, cat, convention.Souffle(), nil, edb).Eval(nil, edb, nil, nil)
 }
 
 // Lower prepares a program for internal/eval: every derived predicate

@@ -11,17 +11,19 @@ import (
 	"repro/internal/workload"
 )
 
-// TestConcurrentSessionsOneDB is the concurrency contract of the issue:
-// 8 sessions over ONE DB execute prepared statements in parallel —
-// sharing the same *Stmt values (shared compiled plans, shared lazy
-// relation indexes) across all three languages, streaming cursors and
-// bulk reads mixed — and must pass under -race with every session seeing
-// exactly the single-threaded answers.
+// TestConcurrentSessionsOneDB is the concurrency contract: 8 sessions
+// over ONE DB execute prepared statements in parallel — sharing the same
+// *Stmt values (shared compiled plans, the ARC and Datalog ones held by
+// their eval.Prepared, shared lazy relation indexes) across all three
+// languages, streaming cursors and bulk reads mixed — and must pass under
+// -race with every session seeing exactly the single-threaded answers.
+// Under -race it holds that nothing writes a held plan after Prepare.
 func TestConcurrentSessionsOneDB(t *testing.T) {
 	rng := workload.Rand(99)
 	r := workload.RandomBinary(rng, "R", "A", "B", 4000, 4000, 60)
 	s := workload.RandomBinary(rng, "S", "B", "C", 2000, 60, 12)
-	db := Open(r, s, chain(40)).SetConventions(convention.SetLogic())
+	g := workload.RandomBinary(rng, "G", "A", "B", 600, 60, 100)
+	db := Open(r, s, g, chain(40)).SetConventions(convention.SetLogic())
 
 	ctx := context.Background()
 	point, err := db.Prepare(LangSQL, "select R.A, R.B from R where R.A = $1")
@@ -47,6 +49,21 @@ func TestConcurrentSessionsOneDB(t *testing.T) {
 	dlTC, err := db.Prepare(LangDatalog, "A(x,y) :- P(x,y). A(x,y) :- P(x,z), A(z,y).")
 	if err != nil {
 		t.Fatal(err)
+	}
+	// three_lang's ARC and Datalog joins and grouped sums (the Datalog one
+	// a plan.Lookup): every session runs the plans each statement holds.
+	var held []*Stmt
+	for _, sh := range workload.ThreeLangShapes[:2] {
+		for _, src := range []struct {
+			lang Lang
+			src  string
+		}{{LangARC, sh.ARC}, {LangDatalog, sh.Datalog}} {
+			stmt, err := db.Prepare(src.lang, src.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held = append(held, stmt)
+		}
 	}
 
 	// Single-threaded goldens.
@@ -82,6 +99,12 @@ func TestConcurrentSessionsOneDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	goldHeld := make([]*relation.Relation, len(held))
+	for k, stmt := range held {
+		if goldHeld[k], err = stmt.QueryAll(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	const sessions, iters = 8, 30
 	var wg sync.WaitGroup
@@ -91,7 +114,7 @@ func TestConcurrentSessionsOneDB(t *testing.T) {
 		go func(sid int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				switch (sid + i) % 5 {
+				switch (sid + i) % 6 {
 				case 0:
 					k := sid % 8
 					rel, err := point.QueryAll(ctx, k*97%4000)
@@ -156,6 +179,25 @@ func TestConcurrentSessionsOneDB(t *testing.T) {
 						if err == nil && rel.String() != goldDL.String() {
 							err = fmt.Errorf("session %d: Datalog fixpoint diverged", sid)
 						}
+					}
+					if err != nil {
+						errc <- err
+						return
+					}
+				case 5:
+					// Half the sessions stream, half materialize.
+					k := (sid + i) % len(held)
+					var rel *relation.Relation
+					var err error
+					if sid%2 == 0 {
+						rel, err = held[k].QueryAll(ctx)
+					} else if rows, qerr := held[k].Query(ctx); qerr != nil {
+						err = qerr
+					} else {
+						rel, err = drainBag(rows)
+					}
+					if err == nil && !rel.EqualBag(goldHeld[k]) {
+						err = fmt.Errorf("session %d: %s diverged", sid, held[k].Source())
 					}
 					if err != nil {
 						errc <- err

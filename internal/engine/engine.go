@@ -367,7 +367,11 @@ func (db *DB) compileFlight(key string, f *flight, s *Stmt, cached bool, rels ma
 // explicit conventions — the facade's entry for callers that hold an AST
 // rather than source text. The statement is not cached.
 func (db *DB) PrepareARCCollection(col *alt.Collection, conv convention.Conventions) (*Stmt, error) {
-	c, err := compileARC(col, db.catTmpl, conv)
+	rels, err := db.relsIn(nil)
+	if err != nil {
+		return nil, err
+	}
+	c, err := compileARC(col, db.catTmpl, conv, rels)
 	if err != nil {
 		return nil, err
 	}

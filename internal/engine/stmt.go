@@ -142,12 +142,9 @@ type compiled struct {
 	ops []factOp
 
 	// ARC, and Datalog lowered to ARC (the target predicate's collection;
-	// the program's other predicates are views of cat). cat holds
-	// definitions only: base relations arrive with each execution.
-	col  *alt.Collection
-	link *alt.Link
-	cat  *eval.Catalog
-	conv convention.Conventions
+	// the program's other predicates are views of its catalog), analyzed
+	// and lowered at Prepare: an execution binds relations and runs it.
+	prep *eval.Prepared
 }
 
 // relDep records what a compilation saw of one relation it names: its
@@ -216,7 +213,7 @@ func compileStmt(lang Lang, src, pred string, rels map[string]*relation.Relation
 		if err != nil {
 			return nil, err
 		}
-		return compileARC(col, cat, conv)
+		return compileARC(col, cat, conv, rels)
 	}
 	return nil, fmt.Errorf("engine: unknown language %v", lang)
 }
@@ -467,20 +464,24 @@ func constEval(e sql.Expr, vals []value.Value) (value.Value, error) {
 	return value.Value{}, fmt.Errorf("engine: non-constant VALUES expression %s", e.String())
 }
 
-func compileARC(col *alt.Collection, cat *eval.Catalog, conv convention.Conventions) (*compiled, error) {
+// compileARC validates a collection and lowers it against the schema of
+// rels. The lowering reads the column order of every relation it
+// resolves, so each is a dependency.
+func compileARC(col *alt.Collection, cat *eval.Catalog, conv convention.Conventions, rels map[string]*relation.Relation) (*compiled, error) {
 	link, err := alt.ValidateCollection(col)
 	if err != nil {
 		return nil, err
 	}
-	// No deps: an ARC collection names its attributes itself and resolves
-	// relations when it is evaluated.
-	return &compiled{kind: KindQuery, cols: col.Head.Attrs, col: col, link: link, cat: cat, conv: conv}, nil
+	c := &compiled{kind: KindQuery, cols: col.Head.Attrs, prep: eval.Prepare(col, link, cat, conv, rels, nil)}
+	c.dependOn(rels, c.prep.Relations()...)
+	return c, nil
 }
 
-// compileDatalog lowers a program to ARC once: Datalog is ARC under
-// Soufflé conventions, whatever conventions the DB's ARC statements use.
-// bound holds the input relations of one execution whose schemas take
-// precedence over rels' (see forInputs); nil at Prepare.
+// compileDatalog lowers a program to ARC, and that onto internal/plan,
+// once: Datalog is ARC under Soufflé conventions, whatever conventions
+// the DB's ARC statements use. bound holds the input relations of one
+// execution whose schemas take precedence over rels' (see forInputs); nil
+// at Prepare.
 func compileDatalog(src, pred string, rels, bound map[string]*relation.Relation) (*compiled, error) {
 	prog, err := datalog.Parse(src)
 	if err != nil {
@@ -504,26 +505,27 @@ func compileDatalog(src, pred string, rels, bound map[string]*relation.Relation)
 	if err != nil {
 		return nil, err
 	}
-	c := &compiled{kind: KindQuery, cols: col.Head.Attrs, col: col, link: link, cat: cat, conv: convention.Souffle()}
+	c := &compiled{kind: KindQuery, cols: col.Head.Attrs, prep: eval.Prepare(col, link, cat, convention.Souffle(), rels, bound)}
 	c.dependOn(rels, prog.Predicates()...)
 	return c, nil
 }
 
-// forInputs returns the compiled form to run with these bindings.
-// Datalog atoms are positional but the lowering names attributes, so a
-// binding whose attribute names differ from the ones the program was
-// lowered against — or whose predicate was unknown then — gets a fresh
-// lowering for this execution. ARC statements name their attributes
-// themselves.
+// forInputs returns the compiled form to run with these bindings. The
+// held plans read columns by their offsets in the relations they were
+// lowered against, so a binding whose attribute list differs from that
+// relation's — in names or only in order — or whose relation did not
+// exist then gets a fresh lowering for this execution: an ARC
+// collection's, or a Datalog program's (whose atoms are positional, but
+// its lowering names attributes).
 func (s *Stmt) forInputs(c *compiled, rels, inputs map[string]*relation.Relation) (*compiled, error) {
-	if s.lang != LangDatalog {
-		return c, nil
-	}
 	for name, rel := range inputs {
 		if base := rels[name]; base != nil && slices.Equal(base.Attrs(), rel.Attrs()) {
 			continue
 		}
-		return compileDatalog(s.src, s.pred, rels, inputs)
+		if s.lang == LangDatalog {
+			return compileDatalog(s.src, s.pred, rels, inputs)
+		}
+		return &compiled{kind: c.kind, cols: c.cols, prep: c.prep.With(rels, inputs)}, nil
 	}
 	return c, nil
 }
@@ -548,7 +550,7 @@ func (s *Stmt) NumParams() int { return s.cur.Load().nparams }
 // Explain renders the compiled physical plan of a SQL statement — for
 // DELETE and UPDATE, the plan of the synthetic matching-rows query — or
 // returns the reason it executes on the reference enumeration path. ARC
-// statements render their per-scope plans over the relations an
+// statements render the per-scope plans they hold for the schema an
 // execution would read now, and so do Datalog statements: the plans of
 // the ARC collections the program lowers to.
 func (s *Stmt) Explain() (text string, err error) {
@@ -566,8 +568,8 @@ func (s *Stmt) Explain() (text string, err error) {
 		return c.plan.Explain(), nil
 	case c.planErr != nil:
 		return "", c.planErr
-	case c.col != nil:
-		return eval.ExplainCollection(c.col, c.cat, c.conv, rels)
+	case c.prep != nil:
+		return c.prep.Explain(nil)
 	}
 	return "", fmt.Errorf("engine: no plan for %s statements", c.kind)
 }
@@ -682,19 +684,20 @@ func (s *Stmt) begin(ctx context.Context, args []any) (x execution, err error) {
 
 // materialize computes the whole result. Planner-compiled SQL runs its
 // plan, fallback SQL the reference enumeration evaluator; ARC statements
-// — and Datalog ones through their lowering — run on internal/eval,
-// where a non-nil tr observes fixpoint rounds.
+// — and Datalog ones through their lowering — run their prepared plans on
+// internal/eval, where a non-nil tr observes operators and fixpoint
+// rounds.
 func (x *execution) materialize(tr *trace.Trace) (*relation.Relation, error) {
 	c := x.c
-	if c.col == nil {
+	if c.prep == nil {
 		return c.runQuery(x.rels, x.vals, x.check)
 	}
-	return eval.EvalPrepared(c.col, c.link, c.cat, c.conv, x.rels, x.inputs, x.check, tr)
+	return c.prep.Eval(x.rels, x.inputs, x.check, tr)
 }
 
 // rows opens the cursor. For planner-compiled SQL it pulls rows directly
 // off the operator tree, and for ARC and Datalog off the evaluator's head
-// tuples (eval.StreamPrepared): nothing is materialized up front, and an
+// tuples (eval.Prepared.Stream): nothing is materialized up front, and an
 // evaluation error arrives at Next. A recursive collection is computed to
 // its fixpoint first, and fallback-path SQL evaluates eagerly (the
 // reference evaluator is materializing); the cursor streams the result.
@@ -704,14 +707,14 @@ func (x *execution) rows(tr *trace.Trace) (*Rows, error) {
 		seq, errFn := p.StreamOn(x.rels, x.vals, x.check, tr)
 		return newRows(x.c.cols, seq, errFn, x.check), nil
 	}
-	if c := x.c; c.col != nil {
+	if c := x.c; c.prep != nil {
 		if x.tx != nil {
 			// The evaluator reads the relations while the cursor is
 			// drained, and later statements of the transaction write its
 			// working copies in place: the cursor holds them as they are.
 			x.rels = x.tx.ws.Held()
 		}
-		seq, errFn, err := eval.StreamPrepared(c.col, c.link, c.cat, c.conv, x.rels, x.inputs, x.check, tr)
+		seq, errFn, err := c.prep.Stream(x.rels, x.inputs, x.check, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -857,7 +860,7 @@ func (x *execution) renderAnalyze(tr *trace.Trace) (string, error) {
 	case c.planErr != nil:
 		fmt.Fprintf(&b, "Enumeration (reference evaluator): %v\n", c.planErr)
 	default:
-		text, err := eval.ExplainAnalyzed(c.col, c.cat, c.conv, x.rels, tr)
+		text, err := c.prep.Explain(tr)
 		if err != nil {
 			return "", err
 		}

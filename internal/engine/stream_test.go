@@ -22,7 +22,7 @@ import (
 
 // The tests below hold an ARC or Datalog cursor to what QueryAll and the
 // reference evaluator return: a compiled collection's head tuples stream
-// off the evaluator as the cursor is drained (eval.StreamPrepared), under
+// off the evaluator as the cursor is drained (eval.Prepared.Stream), under
 // set conventions through a seen-set, and nothing holds the result but
 // the cursor's consumer.
 

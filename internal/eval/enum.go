@@ -609,6 +609,7 @@ func (ev *evaluator) enumerateLeaf(b *alt.Binding, e *env, si *scopeInfo, bound 
 // stored reports whether name is a relation the evaluator holds: a
 // recursion override or input, a base relation, or a view.
 func (ev *evaluator) stored(name string) bool {
+	ev.note(name)
 	_, override := ev.overrides[name]
 	_, view := ev.cat.views[name]
 	return override || ev.base[name] != nil || view
@@ -681,7 +682,7 @@ func (ev *evaluator) bindRelation(b *alt.Binding, rel *relation.Relation, e *env
 func (ev *evaluator) evalSubCollection(c *alt.Collection, e *env) (*relation.Relation, error) {
 	link := ev.curLink()
 	if link.RecursiveCols[c] {
-		totals, err := ev.evalRecursive([]recDef{{c, link}}, e)
+		totals, err := ev.evalRecursive(ev.groupOf(c, link, true), e)
 		return totals[c.Head.Rel], err
 	}
 	return ev.evalOnce(c, e)
@@ -697,7 +698,7 @@ func (ev *evaluator) evalView(name string) (*relation.Relation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("view %s: %w", name, err)
 	}
-	ev.viewCache[name] = rel
+	ev.cacheView(name, rel)
 	return rel, nil
 }
 
@@ -770,6 +771,7 @@ func (ev *evaluator) sourceAttrs(b *alt.Binding) ([]string, error) {
 	if b.Sub != nil {
 		return b.Sub.Head.Attrs, nil
 	}
+	ev.note(b.Rel)
 	if rel, ok := ev.overrides[b.Rel]; ok {
 		return rel.Attrs(), nil
 	}

@@ -20,7 +20,7 @@ type env struct {
 	weight int
 }
 
-func newEnv() *env { return &env{vars: map[string]varVals{}, weight: 1} }
+func newEnv() *env { return &env{weight: 1} }
 
 // extend returns a copy of e with var v bound to vals at weight e.weight*w.
 func (e *env) extend(v string, vals varVals, w int) *env {

@@ -3,6 +3,7 @@ package eval
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
@@ -19,14 +20,14 @@ import (
 const maxLFPIterations = 100000
 
 // Eval validates, links, and evaluates an ARC collection against a
-// catalog under the given conventions, returning the result relation.
+// catalog under the given conventions, returning the result relation: it
+// is Prepare and one execution of what it prepared.
 func Eval(col *alt.Collection, cat *Catalog, conv convention.Conventions) (*relation.Relation, error) {
 	link, err := alt.ValidateCollection(col)
 	if err != nil {
 		return nil, err
 	}
-	ev := newEvaluator(cat, conv)
-	return ev.evalCollection(col, link, newEnv())
+	return Prepare(col, link, cat, conv, nil, nil).Eval(nil, nil, nil, nil)
 }
 
 // EvalReference is Eval by environment enumeration alone: no quantifier
@@ -37,66 +38,9 @@ func EvalReference(col *alt.Collection, cat *Catalog, conv convention.Convention
 	if err != nil {
 		return nil, err
 	}
-	ev := newEvaluator(cat, conv)
+	ev := newEvaluator(cat, conv, nil, nil)
 	ev.reference = true
 	return ev.evalCollection(col, link, newEnv())
-}
-
-// EvalPrepared evaluates an already-validated collection with its link —
-// the prepared-statement entry point, which skips per-execution
-// re-validation. cat supplies the definitions (views, abstract and
-// external relations); base, when non-nil, is the database instance of
-// this execution and replaces cat's own base relations, so one prepared
-// catalog serves every snapshot (the map is only read). inputs are named
-// input relations bound through the evaluator's override slot (they
-// shadow base relations of the same name for this execution only);
-// check, when non-nil, is polled each fixpoint round and every few tuples
-// a scope enumerates, so long recursions and joins honour context
-// cancellation; tr, when non-nil, records the rounds of every fixpoint
-// (keyed "arc:"+names) and the counters of grouped lookups and existence
-// filters (keyed by their binding and quantifier) for EXPLAIN ANALYZE.
-func EvalPrepared(col *alt.Collection, link *alt.Link, cat *Catalog, conv convention.Conventions, base, inputs map[string]*relation.Relation, check func() error, tr *trace.Trace) (*relation.Relation, error) {
-	return newPrepared(cat, conv, base, inputs, check, tr).evalCollection(col, link, newEnv())
-}
-
-// StreamPrepared is EvalPrepared for a cursor. A recursive collection is
-// computed to its fixpoint now, and its total streamed; an evaluation
-// error then is returned at once. Any other collection is evaluated as
-// the sequence is drained, on the stream evalOnce collects (headStream),
-// so nothing is materialized: the function returned reports its first
-// error once the sequence stops. The sequence reads base and inputs
-// while it is drained, so they must not change until it stops, and it
-// must be consumed by one goroutine, at most once.
-func StreamPrepared(col *alt.Collection, link *alt.Link, cat *Catalog, conv convention.Conventions, base, inputs map[string]*relation.Relation, check func() error, tr *trace.Trace) (exec.Seq, func() error, error) {
-	ev := newPrepared(cat, conv, base, inputs, check, tr)
-	if group := ev.recursiveGroup(col, link); group != nil {
-		rel, err := ev.evalGroup(col, group, newEnv())
-		if err != nil {
-			return nil, nil, err
-		}
-		return exec.Scan(rel), func() error { return nil }, nil
-	}
-	var err error
-	seq := func(yield func(relation.Tuple, int) bool) {
-		ev.pushLink(link)
-		defer ev.popLink()
-		ev.headStream(col, newEnv(), &err)(yield)
-	}
-	return seq, func() error { return err }, nil
-}
-
-// newPrepared is the evaluator of one prepared execution (EvalPrepared).
-func newPrepared(cat *Catalog, conv convention.Conventions, base, inputs map[string]*relation.Relation, check func() error, tr *trace.Trace) *evaluator {
-	ev := newEvaluator(cat, conv)
-	if base != nil {
-		ev.base = base
-	}
-	ev.check = check
-	ev.tr = tr
-	for name, rel := range inputs {
-		ev.overrides[name] = rel
-	}
-	return ev
 }
 
 // EvalSentence validates and evaluates a Boolean ARC sentence (Section
@@ -107,7 +51,7 @@ func EvalSentence(s *alt.Sentence, cat *Catalog, conv convention.Conventions) (b
 	if err != nil {
 		return false, err
 	}
-	ev := newEvaluator(cat, conv)
+	ev := newEvaluator(cat, conv, nil, nil)
 	ev.pushLink(link)
 	defer ev.popLink()
 	tv, err := ev.evalTV(s.Body, newEnv())
@@ -118,17 +62,29 @@ func EvalSentence(s *alt.Sentence, cat *Catalog, conv convention.Conventions) (b
 }
 
 type evaluator struct {
-	cat        *Catalog                      // definitions: views, abstract and external relations
-	base       map[string]*relation.Relation // the database instance; read-only
-	conv       convention.Conventions
-	links      []*alt.Link
-	overrides  map[string]*relation.Relation
-	viewCache  map[string]*relation.Relation
-	scopeCache map[*alt.Quantifier]*scopeInfo
-	check      func() error // optional cancellation poll (fixpoint rounds, tuple loops)
-	polls      int
-	tr         *trace.Trace // optional EXPLAIN ANALYZE record
-	reference  bool         // enumeration only (EvalReference): no lowered scopes, no hashed LEFT join
+	cat       *Catalog                      // definitions: views, abstract and external relations
+	base      map[string]*relation.Relation // the database instance; read-only
+	conv      convention.Conventions
+	links     []*alt.Link
+	overrides map[string]*relation.Relation // inputs, and a recursive group's relations while it runs
+	viewCache map[string]*relation.Relation
+	// prep is the collection an execution runs (nil at Prepare and for
+	// the references): its scopes and groups are found there first, and
+	// it is never written.
+	prep *Prepared
+	// scopes and groups hold the scopes and recursive groups analyzed by
+	// this evaluator: at Prepare all of them, which the Prepared keeps;
+	// during an execution the ones prep lacks, such as those nested in a
+	// scope that enumerates environments.
+	scopes map[*alt.Quantifier]*scopeInfo
+	groups map[*alt.Collection]*recGroup
+	// read collects, at Prepare, every relation name whose schema the
+	// analysis resolved (Prepared.Relations).
+	read      map[string]bool
+	check     func() error // optional cancellation poll (fixpoint rounds, tuple loops)
+	polls     int
+	tr        *trace.Trace // optional EXPLAIN ANALYZE record
+	reference bool         // enumeration only (EvalReference): no lowered scopes, no hashed LEFT join
 }
 
 // pollEvery rate-limits the cancellation check of the tuple loops, as
@@ -155,15 +111,26 @@ func (ev *evaluator) roundObserver(name string) func(delta int, elapsed time.Dur
 	return ev.tr.Fixpoint("arc:"+name, name).Observe
 }
 
-func newEvaluator(cat *Catalog, conv convention.Conventions) *evaluator {
-	return &evaluator{
-		cat:        cat,
-		base:       cat.base,
-		conv:       conv,
-		overrides:  map[string]*relation.Relation{},
-		viewCache:  map[string]*relation.Relation{},
-		scopeCache: map[*alt.Quantifier]*scopeInfo{},
+// newEvaluator is an evaluator over base, cat's own base relations when
+// base is nil, with inputs bound through the override slot (they shadow
+// base relations of the same name). Its maps are made on first write.
+func newEvaluator(cat *Catalog, conv convention.Conventions, base, inputs map[string]*relation.Relation) *evaluator {
+	ev := &evaluator{cat: cat, base: base, conv: conv}
+	if base == nil {
+		ev.base = cat.base
 	}
+	if len(inputs) > 0 {
+		ev.overrides = maps.Clone(inputs)
+	}
+	return ev
+}
+
+// setOverride binds name to rel in the override slot.
+func (ev *evaluator) setOverride(name string, rel *relation.Relation) {
+	if ev.overrides == nil {
+		ev.overrides = map[string]*relation.Relation{}
+	}
+	ev.overrides[name] = rel
 }
 
 func (ev *evaluator) pushLink(l *alt.Link) { ev.links = append(ev.links, l) }
@@ -182,26 +149,34 @@ type prodRow struct {
 // the views it is mutually recursive with, whose results are cached on
 // the way.
 func (ev *evaluator) evalCollection(col *alt.Collection, link *alt.Link, e *env) (*relation.Relation, error) {
-	group := ev.recursiveGroup(col, link)
-	if group == nil {
+	g := ev.groupOf(col, link, false)
+	if g == nil {
 		ev.pushLink(link)
 		defer ev.popLink()
 		return ev.evalOnce(col, e)
 	}
-	return ev.evalGroup(col, group, e)
+	return ev.evalGroup(col, g, e)
 }
 
-// evalGroup computes the recursive group of col (recursiveGroup), caching
-// the other members' relations as views on the way, and returns col's.
-func (ev *evaluator) evalGroup(col *alt.Collection, group []recDef, e *env) (*relation.Relation, error) {
-	totals, err := ev.evalRecursive(group, e)
+// evalGroup computes the recursive group of col (groupOf), caching the
+// other members' relations as views on the way, and returns col's.
+func (ev *evaluator) evalGroup(col *alt.Collection, g *recGroup, e *env) (*relation.Relation, error) {
+	totals, err := ev.evalRecursive(g, e)
 	if err != nil {
 		return nil, err
 	}
-	for _, d := range group[1:] {
-		ev.viewCache[d.col.Head.Rel] = totals[d.col.Head.Rel]
+	for _, d := range g.defs[1:] {
+		ev.cacheView(d.col.Head.Rel, totals[d.col.Head.Rel])
 	}
 	return totals[col.Head.Rel], nil
+}
+
+// cacheView keeps a view's relation for the rest of the execution.
+func (ev *evaluator) cacheView(name string, rel *relation.Relation) {
+	if ev.viewCache == nil {
+		ev.viewCache = map[string]*relation.Relation{}
+	}
+	ev.viewCache[name] = rel
 }
 
 // evalOnce evaluates a collection body once, producing its relation: it
@@ -224,10 +199,11 @@ var errStopped = errors.New("eval: stream stopped")
 
 // headStream is the result of a collection evaluated once, as a stream:
 // headTuples over its body, under set conventions each distinct tuple
-// once (exec.Dedup), under bags every derivation with its weight — so
-// equal tuples may arrive apart. A yielded tuple is valid until yield
-// returns. Stopping the stream stops the derivation; an evaluation error
-// stops it too and is stored in *errp. The caller has pushed col's link.
+// once (exec.Dedup, unless the body's plan yields them distinct already:
+// distinctHead), under bags every derivation with its weight — so equal
+// tuples may arrive apart. A yielded tuple is valid until yield returns.
+// Stopping the stream stops the derivation; an evaluation error stops it
+// too and is stored in *errp. The caller has pushed col's link.
 func (ev *evaluator) headStream(col *alt.Collection, e *env, errp *error) exec.Seq {
 	seq := func(yield func(relation.Tuple, int) bool) {
 		err := ev.headTuples(col, col.Body, e, nil, func(t relation.Tuple, weight int) error {
@@ -240,10 +216,22 @@ func (ev *evaluator) headStream(col *alt.Collection, e *env, errp *error) exec.S
 			*errp = fmt.Errorf("%s: %w", col.Head.Rel, err)
 		}
 	}
-	if ev.conv.Semantics == convention.Set {
+	if ev.conv.Semantics == convention.Set && !ev.distinctHead(col) {
 		return exec.Dedup(seq)
 	}
 	return seq
+}
+
+// distinctHead reports whether col's body is one lowered scope that
+// streams col's head tuples (headTuples) on a plan whose rows are
+// distinct (plan.DistinctRows, decided when the scope was lowered).
+func (ev *evaluator) distinctHead(col *alt.Collection) bool {
+	q, ok := col.Body.(*alt.Quantifier)
+	if !ok {
+		return false
+	}
+	si, err := ev.scopeInfoFor(q)
+	return err == nil && si.scope != nil && si.scope.distinct && slices.Equal(si.scope.attrs, col.Head.Attrs)
 }
 
 // headTuples derives the head tuples of col that formula f of its body
@@ -270,7 +258,7 @@ func (ev *evaluator) headTuples(col *alt.Collection, f alt.Formula, e *env, runs
 		if err != nil {
 			return err
 		}
-		if sc := ev.arcScopeFor(si); sc != nil && slices.Equal(sc.attrs, col.Head.Attrs) {
+		if sc := si.scope; sc != nil && slices.Equal(sc.attrs, col.Head.Attrs) {
 			return ev.runScope(sc, base, runs, emit)
 		}
 	}
@@ -432,7 +420,7 @@ func (ev *evaluator) produceQuant(q *alt.Quantifier, e *env, gen bool) ([]prodRo
 	if err != nil {
 		return nil, err
 	}
-	if sc := ev.arcScopeFor(si); sc != nil {
+	if sc := si.scope; sc != nil {
 		rows, err := sc.produce(ev, e)
 		if err != nil {
 			return nil, err

@@ -11,7 +11,6 @@ import (
 	"repro/internal/fixpoint"
 	"repro/internal/plan"
 	"repro/internal/relation"
-	"repro/internal/trace"
 	"repro/internal/value"
 )
 
@@ -42,24 +41,9 @@ type arcScope struct {
 	// which is named leadRel: its delta, or in round 0 its total.
 	lead    *fixpoint.Handle
 	leadRel string
-}
-
-// arcScopeFor lowers (once, cached) the scope; nil keeps it on the
-// enumeration path. A traced evaluator keeps the scopes it lowers in the
-// trace, and renders the ones kept there.
-func (ev *evaluator) arcScopeFor(si *scopeInfo) *arcScope {
-	if ev.reference {
-		return nil
-	}
-	if !si.lowered {
-		si.lowered = true
-		if kept, ok := ev.tr.Kept(si.q).(*arcScope); ok {
-			si.scope = kept
-		} else if si.scope, si.reason = ev.lower(si); si.scope != nil && ev.tr != nil {
-			ev.tr.Keep(si.q, si.scope)
-		}
-	}
-	return si.scope
+	// distinct is the plan's DistinctRows: a set needs no Dedup of the
+	// head tuples it streams (distinctHead).
+	distinct bool
 }
 
 // scopeRun is one execution of a lowered scope: its plan set up to
@@ -214,13 +198,15 @@ func (ev *evaluator) lower(si *scopeInfo) (*arcScope, string) {
 			}
 		}
 	}
+	p := plan.NewPlan(plan.Project(chain, exprs, attrs), attrs, len(lw.params))
 	return &arcScope{
-		plan:    plan.NewPlan(plan.Project(chain, exprs, attrs), attrs, len(lw.params)),
-		attrs:   attrs,
-		params:  lw.params,
-		rels:    lw.rels,
-		lead:    lw.lead,
-		leadRel: lw.leadOf,
+		plan:     p,
+		attrs:    attrs,
+		params:   lw.params,
+		rels:     lw.rels,
+		lead:     lw.lead,
+		leadRel:  lw.leadOf,
+		distinct: p.DistinctRows(),
 	}, ""
 }
 
@@ -552,7 +538,7 @@ func (lw *lowering) lookup(b *alt.Binding, lv *level) (*plan.LookupSpec, string)
 	}
 	spec := &plan.LookupSpec{Name: sub.Head.Rel, Alias: b.Var, Attrs: sub.Head.Attrs, Conv: lw.ev.conv}
 	dsi := *si
-	dsi.scope, dsi.lowered, dsi.reason = nil, false, ""
+	dsi.scope, dsi.reason = nil, ""
 	dsi.where, dsi.eqPreds, dsi.closed = nil, nil, true
 	corr := map[*alt.Pred]bool{}
 	own := func(r *alt.AttrRef) bool {
@@ -651,81 +637,25 @@ func (lw *lowering) probe(f alt.Formula, lv *level) (plan.Cond, string) {
 // in it (grouped lookups, existence probes) among its operators; the
 // nested collection sources of an enumerated scope are summarized by
 // their own evaluation and not expanded. base, when non-nil, replaces
-// cat's own base relations, as for EvalPrepared.
+// cat's own base relations, as for Prepare.
 func ExplainCollection(col *alt.Collection, cat *Catalog, conv convention.Conventions, base map[string]*relation.Relation) (string, error) {
-	return ExplainAnalyzed(col, cat, conv, base, nil)
-}
-
-// ExplainAnalyzed is ExplainCollection for the execution traced by tr
-// (EvalPrepared): each scope that execution lowered renders with its
-// operators' counters.
-func ExplainAnalyzed(col *alt.Collection, cat *Catalog, conv convention.Conventions, base map[string]*relation.Relation, tr *trace.Trace) (string, error) {
 	link, err := alt.ValidateCollection(col)
 	if err != nil {
 		return "", err
 	}
-	ev := newEvaluator(cat, conv)
-	if base != nil {
-		ev.base = base
-	}
-	ev.tr = tr
-	var b strings.Builder
-	if err := ev.explain(recDef{col, link}, &b, map[string]bool{}); err != nil {
-		return "", err
-	}
-	return b.String(), nil
-}
-
-// explain renders one definition and then, under a "view" header, every
-// view it reads that done does not list yet.
-func (ev *evaluator) explain(d recDef, b *strings.Builder, done map[string]bool) error {
-	defs := ev.recursiveGroup(d.col, d.link)
-	if defs != nil {
-		// Recursive definitions render their fixpoint rules (with the
-		// per-round delta plans) instead of the flat scope walk.
-		if err := ev.explainRecursive(defs, b); err != nil {
-			return err
-		}
-	} else {
-		defs = []recDef{d}
-		ev.pushLink(d.link)
-		err := ev.explainScopes(d.col.Body, b)
-		ev.popLink()
-		if err != nil {
-			return err
-		}
-	}
-	for _, m := range defs {
-		done[m.col.Head.Rel] = true
-	}
-	for _, m := range defs {
-		var err error
-		eachBoundRel(m.col.Body, false, func(rel string, _ bool) {
-			v, isView := ev.viewDef(rel)
-			if err != nil || done[rel] || !isView {
-				return
-			}
-			fmt.Fprintf(b, "view %s:\n", rel)
-			err = ev.explain(v, b, done)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return Prepare(col, link, cat, conv, base, nil).Explain(nil)
 }
 
 // explainScopes renders every quantifier scope of f under the current
-// link. The scopes in the body of a lowered scope are part of its
-// operator tree and already rendered there.
+// link into b; with b nil it only analyzes and lowers them (Prepare). The
+// scopes in the body of a lowered scope are part of its operator tree and
+// already rendered there.
 func (ev *evaluator) explainScopes(f alt.Formula, b *strings.Builder) error {
 	switch x := f.(type) {
 	case *alt.Quantifier:
-		if err := ev.explainScope(x, b, 0); err != nil {
+		si, err := ev.explainScope(x, b, 0)
+		if err != nil || si.scope != nil {
 			return err
-		}
-		if ev.scopeCache[x].scope != nil {
-			return nil
 		}
 		return ev.explainScopes(x.Body, b)
 	case *alt.And:
@@ -746,21 +676,22 @@ func (ev *evaluator) explainScopes(f alt.Formula, b *strings.Builder) error {
 	return nil
 }
 
-// explainScope renders one scope: its operator tree, or why it stays on
-// environment enumeration.
-func (ev *evaluator) explainScope(q *alt.Quantifier, b *strings.Builder, depth int) error {
+// explainScope renders one scope into b, unless b is nil: its operator
+// tree, annotated with ev.tr's counters, or why it stays on environment
+// enumeration.
+func (ev *evaluator) explainScope(q *alt.Quantifier, b *strings.Builder, depth int) (*scopeInfo, error) {
 	si, err := ev.scopeInfoFor(q)
-	if err != nil {
-		return err
+	if err != nil || b == nil {
+		return si, err
 	}
 	pad := strings.Repeat("  ", depth)
 	fmt.Fprintf(b, "%sscope %s:\n", pad, quantHeader(q))
-	if sc := ev.arcScopeFor(si); sc != nil {
+	if sc := si.scope; sc != nil {
 		b.WriteString(sc.plan.ExplainAt(depth+1, ev.tr))
 	} else {
 		fmt.Fprintf(b, "%s  (environment enumeration: %s)\n", pad, si.reason)
 	}
-	return nil
+	return si, nil
 }
 
 // quantHeader renders a quantifier without its body.

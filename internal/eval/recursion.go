@@ -22,9 +22,10 @@ import (
 //   - a disjunct that references the group exactly once, as a plain
 //     binding of its own inner-join scope, is linear: each round it
 //     re-derives only through the previous round's delta. Its scope is
-//     lowered once, with the occurrence as its first leaf, read through a
-//     fixpoint.Handle bound to the delta: each round streams the delta
-//     and probes the other leaves' indexes from it;
+//     lowered at Prepare, with the occurrence as its first leaf, read
+//     through a fixpoint.Handle an execution binds to the delta: each
+//     round streams the delta and probes the other leaves' indexes from
+//     it;
 //   - everything else (non-linear recursion, references through nested
 //     scopes, outer-join scopes) falls back to naive re-derivation from
 //     the full totals each round, which is sound because accumulation is
@@ -35,6 +36,49 @@ import (
 type recDef struct {
 	col  *alt.Collection
 	link *alt.Link
+}
+
+// recGroup is the recursive group a collection is computed in
+// (recursiveGroup), with its rules classified (recursiveRules) or err,
+// their refusal.
+type recGroup struct {
+	defs  []recDef
+	rules []arcRule
+	err   error
+}
+
+// groupOf returns the recursive group of col, nil when col is not
+// recursive: the prepared one, or one found and classified now and kept
+// in ev.groups. A nested collection source (nested) is a group of its
+// own. Classifying lowers the rules' scopes, which resolve the group's
+// names through the override slot, bound meanwhile to empty relations of
+// the members' heads: an execution binds them to the running totals.
+func (ev *evaluator) groupOf(col *alt.Collection, link *alt.Link, nested bool) *recGroup {
+	if g, ok := ev.prep.group(col); ok {
+		return g
+	}
+	if g, ok := ev.groups[col]; ok {
+		return g
+	}
+	defs := []recDef{{col, link}}
+	if !nested {
+		defs = ev.recursiveGroup(col, link)
+	}
+	var g *recGroup
+	if defs != nil {
+		g = &recGroup{defs: defs}
+		restore := ev.saveOverrides(defs)
+		for _, d := range defs {
+			ev.setOverride(d.col.Head.Rel, relation.New(d.col.Head.Rel, d.col.Head.Attrs...))
+		}
+		g.rules, g.err = ev.recursiveRules(defs)
+		restore()
+	}
+	if ev.groups == nil {
+		ev.groups = map[*alt.Collection]*recGroup{}
+	}
+	ev.groups[col] = g
+	return g
 }
 
 // arcRule is one classified disjunct of a group member's body.
@@ -97,6 +141,7 @@ func eachBoundRel(f alt.Formula, guarded bool, visit func(rel string, guarded bo
 // Names are resolved the way enumerateLeaf does: inputs and base
 // relations shadow views.
 func (ev *evaluator) viewDef(rel string) (recDef, bool) {
+	ev.note(rel)
 	if _, ok := ev.overrides[rel]; ok || ev.base[rel] != nil {
 		return recDef{}, false
 	}
@@ -212,12 +257,13 @@ func (ev *evaluator) recursiveRules(group []recDef) ([]arcRule, error) {
 	return rules, nil
 }
 
-// classifyDisjunct decides the round discipline for one disjunct. Delta
-// rotation is only sound when the single recursive occurrence is a plain
-// binding of the disjunct's own scope, joined monotonically: no outer
-// joins (null-extension of the delta differs from null-extension of the
-// total), and no further references through nested scopes or filters.
-// For a Delta rule it also returns the group relation read.
+// classifyDisjunct decides the round discipline for one disjunct, and
+// analyzes and lowers its scope. Delta rotation is only sound when the
+// single recursive occurrence is a plain binding of the disjunct's own
+// scope, joined monotonically: no outer joins (null-extension of the
+// delta differs from null-extension of the total), and no further
+// references through nested scopes or filters. For a Delta rule it also
+// returns the group relation read.
 func (ev *evaluator) classifyDisjunct(f alt.Formula, names map[string]bool) (fixpoint.RuleKind, string) {
 	total, occ := 0, ""
 	eachBoundRel(f, false, func(rel string, _ bool) {
@@ -226,30 +272,26 @@ func (ev *evaluator) classifyDisjunct(f alt.Formula, names map[string]bool) (fix
 			occ = rel
 		}
 	})
-	if total == 0 {
-		return fixpoint.Seed, ""
-	}
-	q, ok := f.(*alt.Quantifier)
-	if !ok || total != 1 {
-		return fixpoint.Naive, ""
-	}
-	var lead *alt.Binding
-	for _, b := range q.Bindings {
-		if b.Sub == nil && b.Rel == occ {
-			lead = b
+	var si *scopeInfo
+	if q, ok := f.(*alt.Quantifier); ok {
+		// The delta drives the round: the lowered scope streams the
+		// occurrence first and probes every other leaf's index from it,
+		// so a round costs what its delta holds and builds no index on it.
+		var lead *alt.Binding
+		for _, b := range q.Bindings {
+			if total == 1 && b.Sub == nil && b.Rel == occ {
+				lead = b
+			}
 		}
+		// An analysis error is left to the execution, which meets it again.
+		si, _ = ev.scopeFor(q, lead)
 	}
-	if lead == nil {
+	switch {
+	case total == 0:
+		return fixpoint.Seed, ""
+	case si == nil || si.lead == nil:
 		return fixpoint.Naive, ""
 	}
-	si, err := ev.scopeInfoFor(q)
-	if err != nil || treeHasOuter(si.tree) {
-		return fixpoint.Naive, ""
-	}
-	// The delta drives the round: the lowered scope streams the occurrence
-	// first and probes every other leaf's index from it, so a round costs
-	// what its delta holds and builds no index on it.
-	si.lead = lead
 	return fixpoint.Delta, occ
 }
 
@@ -259,18 +301,18 @@ func (ev *evaluator) classifyDisjunct(f alt.Formula, names map[string]bool) (fix
 // override slot — to the running totals, except that a linear rule's one
 // occurrence reads the round's delta — so the same lowered scopes serve
 // every variant.
-func (ev *evaluator) evalRecursive(group []recDef, e *env) (map[string]*relation.Relation, error) {
-	defer ev.saveOverrides(group)()
-	rules, err := ev.recursiveRules(group)
-	if err != nil {
-		return nil, err
+func (ev *evaluator) evalRecursive(g *recGroup, e *env) (map[string]*relation.Relation, error) {
+	if g.err != nil {
+		return nil, g.err
 	}
-	totals := make(map[string]*relation.Relation, len(group))
-	for _, d := range group {
+	defer ev.saveOverrides(g.defs)()
+	totals := make(map[string]*relation.Relation, len(g.defs))
+	for _, d := range g.defs {
 		totals[d.col.Head.Rel] = relation.New(d.col.Head.Rel, d.col.Head.Attrs...)
+		ev.setOverride(d.col.Head.Rel, totals[d.col.Head.Rel])
 	}
-	frules := make([]fixpoint.Rule, len(rules))
-	for i, r := range rules {
+	frules := make([]fixpoint.Rule, len(g.rules))
+	for i, r := range g.rules {
 		// A Delta rule reads the group only through its occurrence, so
 		// its scope runs on one execution for the whole fixpoint. Any
 		// other rule may read a total as a static side, which grows
@@ -307,8 +349,8 @@ func (ev *evaluator) evalRecursive(group []recDef, e *env) (map[string]*relation
 			},
 		}
 	}
-	name := groupNames(group)
-	err = fixpoint.Run(totals, frules, fixpoint.Options{
+	name := groupNames(g.defs)
+	err := fixpoint.Run(totals, frules, fixpoint.Options{
 		Name:          "recursive collection " + name,
 		MaxIterations: maxLFPIterations,
 		Check:         ev.check,
@@ -323,23 +365,18 @@ func (ev *evaluator) evalRecursive(group []recDef, e *env) (map[string]*relation
 // explainRecursive renders the fixpoint plan of a recursive group: one
 // rule per disjunct with its round discipline and, for lowered scopes,
 // the per-round delta plan.
-func (ev *evaluator) explainRecursive(group []recDef, b *strings.Builder) error {
-	defer ev.saveOverrides(group)()
-	deltas := make([]string, len(group))
-	for i, d := range group {
-		// Scope compilation resolves the recursive names through the
-		// override slot, exactly as evalRecursive binds them per round.
-		ev.overrides[d.col.Head.Rel] = relation.New(d.col.Head.Rel, d.col.Head.Attrs...)
+func (ev *evaluator) explainRecursive(g *recGroup, b *strings.Builder) error {
+	if g.err != nil {
+		return g.err
+	}
+	deltas := make([]string, len(g.defs))
+	for i, d := range g.defs {
 		deltas[i] = "Δ" + d.col.Head.Rel
 	}
-	rules, err := ev.recursiveRules(group)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(b, "Fixpoint %s (semi-naive, %s per round):\n", groupNames(group), strings.Join(deltas, ", "))
-	for i, r := range rules {
+	fmt.Fprintf(b, "Fixpoint %s (semi-naive, %s per round):\n", groupNames(g.defs), strings.Join(deltas, ", "))
+	for i, r := range g.rules {
 		into := ""
-		if len(group) > 1 {
+		if len(g.defs) > 1 {
 			into = " into " + r.col.Head.Rel
 		}
 		fmt.Fprintf(b, "  rule %d%s [%s]:\n", i+1, into, kindString(r.kind))
@@ -349,7 +386,7 @@ func (ev *evaluator) explainRecursive(group []recDef, b *strings.Builder) error 
 			continue
 		}
 		ev.pushLink(r.link)
-		err := ev.explainScope(q, b, 2)
+		_, err := ev.explainScope(q, b, 2)
 		ev.popLink()
 		if err != nil {
 			return err

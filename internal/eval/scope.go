@@ -45,12 +45,11 @@ type scopeInfo struct {
 	// eqPreds holds all plain equality predicates — the access-pattern
 	// feed for external and abstract relation leaves.
 	eqPreds []*alt.Pred
-	// scope is the scope lowered onto internal/plan (lower.go); nil (with
-	// reason saying why) keeps it on environment enumeration. Lowered
-	// lazily on first production.
-	scope   *arcScope
-	lowered bool
-	reason  string
+	// scope is the scope lowered onto internal/plan (lower.go) when it
+	// was analyzed; nil (with reason saying why) keeps it on environment
+	// enumeration.
+	scope  *arcScope
+	reason string
 	// lead is the recursive occurrence of a Delta rule's scope
 	// (classifyDisjunct): the lowering reads it first, through a handle.
 	lead *alt.Binding
@@ -67,12 +66,43 @@ type scopeInfo struct {
 	fullOn map[*alt.Pred]bool
 }
 
-// scopeInfoFor builds (and caches) the plan for a quantifier under the
-// current link.
+// scopeInfoFor returns the scope of a quantifier under the current link:
+// the prepared one, or one analyzed and lowered now (scopeFor).
 func (ev *evaluator) scopeInfoFor(q *alt.Quantifier) (*scopeInfo, error) {
-	if si, ok := ev.scopeCache[q]; ok {
+	return ev.scopeFor(q, nil)
+}
+
+// scopeFor is scopeInfoFor for the scope of a rule whose recursive
+// occurrence lead, when not nil, its lowering reads first; a scope with
+// outer joins reads no lead (classifyDisjunct). A scope analyzed now is
+// lowered at once, outside the reference, and kept in ev.scopes.
+func (ev *evaluator) scopeFor(q *alt.Quantifier, lead *alt.Binding) (*scopeInfo, error) {
+	if si := ev.prep.scope(q); si != nil {
 		return si, nil
 	}
+	if si, ok := ev.scopes[q]; ok {
+		return si, nil
+	}
+	si, err := ev.analyze(q)
+	if err != nil {
+		return nil, err
+	}
+	if lead != nil && !treeHasOuter(si.tree) {
+		si.lead = lead
+	}
+	if !ev.reference {
+		si.scope, si.reason = ev.lower(si)
+	}
+	if ev.scopes == nil {
+		ev.scopes = map[*alt.Quantifier]*scopeInfo{}
+	}
+	ev.scopes[q] = si
+	return si, nil
+}
+
+// analyze builds the join tree of a quantifier and classifies its body
+// under the current link.
+func (ev *evaluator) analyze(q *alt.Quantifier) (*scopeInfo, error) {
 	link := ev.curLink()
 	si := &scopeInfo{q: q, fullOn: map[*alt.Pred]bool{}}
 
@@ -165,8 +195,6 @@ func (ev *evaluator) scopeInfoFor(q *alt.Quantifier) (*scopeInfo, error) {
 			si.where = append(si.where, p)
 		}
 	}
-
-	ev.scopeCache[q] = si
 	return si, nil
 }
 

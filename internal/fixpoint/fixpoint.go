@@ -8,9 +8,9 @@
 //
 //   - internal/eval runs recursive ARC collections through Run: each
 //     disjunct becomes a rule. A linear disjunct's scope is lowered onto
-//     internal/plan once per execution, with its recursive occurrence as
-//     the first leaf, read through a Handle the rule binds to the delta
-//     each round, so the delta streams and probes the other atoms'
+//     internal/plan once, when the statement is prepared, with its
+//     recursive occurrence as the first leaf, read through a Handle the
+//     rule binds to the delta each round, so the delta streams and probes the other atoms'
 //     indexes; a non-linear one falls back to naive re-derivation per
 //     round. Mutually recursive definitions (a query and catalog views)
 //     form one multi-target Run. Datalog programs arrive the same way,

@@ -29,16 +29,17 @@ import (
 type Expr struct {
 	fn  exprFn
 	str string
+	col int // 1 + the column it copies verbatim (Column), 0 for any other
 }
 
 // Column reads column i of the row.
 func Column(i int, str string) Expr {
-	return Expr{func(t relation.Tuple, _ *runCtx) value.Value { return t[i] }, str}
+	return Expr{func(t relation.Tuple, _ *runCtx) value.Value { return t[i] }, str, i + 1}
 }
 
 // Param reads the value bound to 0-based parameter i.
 func Param(i int, str string) Expr {
-	return Expr{func(_ relation.Tuple, ctx *runCtx) value.Value { return ctx.param(i) }, str}
+	return Expr{fn: func(_ relation.Tuple, ctx *runCtx) value.Value { return ctx.param(i) }, str: str}
 }
 
 // arcOps are the ARC arithmetic operators' kernels.
@@ -53,7 +54,7 @@ func Term(t alt.Term, ref func(*alt.AttrRef) (Expr, bool), agg func(*alt.Agg) (E
 	switch x := t.(type) {
 	case *alt.Const:
 		v := x.Val
-		return Expr{func(relation.Tuple, *runCtx) value.Value { return v }, x.String()}, true
+		return Expr{fn: func(relation.Tuple, *runCtx) value.Value { return v }, str: x.String()}, true
 	case *alt.AttrRef:
 		return ref(x)
 	case *alt.Agg:
@@ -64,7 +65,7 @@ func Term(t alt.Term, ref func(*alt.AttrRef) (Expr, bool), agg func(*alt.Agg) (E
 		l, okL := Term(x.L, ref, agg)
 		r, okR := Term(x.R, ref, agg)
 		str := x.String()
-		return Expr{arith(arcOps[x.Op], str, l.fn, r.fn), str}, okL && okR
+		return Expr{fn: arith(arcOps[x.Op], str, l.fn, r.fn), str: str}, okL && okR
 	}
 	return Expr{}, false
 }
@@ -219,17 +220,46 @@ func Group(in Node, keys []Expr, aggs []Aggregate, conv convention.Conventions) 
 func Project(in Node, exprs []Expr, names []string) Node {
 	fns := make([]exprFn, len(exprs))
 	strs := make([]string, len(exprs))
+	copied := make([]int, len(exprs))
 	for i, x := range exprs {
-		fns[i], strs[i] = x.fn, x.str
+		fns[i], strs[i], copied[i] = x.fn, x.str, x.col-1
 	}
 	n := newProjectNode(in, fns, names)
-	n.exprStrs = strs
+	n.exprStrs, n.copied = strs, copied
 	return n
 }
 
 // NewPlan is a plan over root for Run, reading nparams parameters.
 func NewPlan(root Node, attrs []string, nparams int) *Plan {
 	return &Plan{root: root, attrs: attrs, nparams: nparams}
+}
+
+// DistinctRows reports whether every execution of the plan yields
+// distinct rows of weight 1, from its shape alone: its root projects the
+// rows of γ — through the filters of a HAVING — and copies every grouping
+// key into a column. γ yields each group once with weight 1, and it
+// groups by Hash and Equal, the equivalence exec.Dedup removes duplicates
+// by (NULL keys and NaN, which is NULL, form one group), so two rows that
+// agree on every column agree on the keys and are one group.
+func (p *Plan) DistinctRows() bool {
+	pn, ok := p.root.(*projectNode)
+	if !ok {
+		return false
+	}
+	in := pn.input
+	for f, ok := in.(*filterNode); ok; f, ok = in.(*filterNode) {
+		in = f.input
+	}
+	g, ok := in.(*groupNode)
+	if !ok {
+		return false
+	}
+	for k := range g.keys {
+		if !slices.Contains(pn.copied, k) {
+			return false
+		}
+	}
+	return true
 }
 
 // ExplainAt renders the plan with every line indented depth levels,

@@ -1024,6 +1024,7 @@ type projectNode struct {
 	schema   []ColID
 	srcCols  []int
 	exprStrs []string // when set, EXPLAIN renders each column as name = expression
+	copied   []int    // ARC (Project): the input column each output copies, -1 if computed
 }
 
 func newProjectNode(input Node, exprs []exprFn, names []string) *projectNode {

@@ -62,8 +62,6 @@ type Trace struct {
 	// fporder preserves fixpoint creation order, so renderings that list
 	// every recursive computation are deterministic.
 	fporder []any
-	// kept holds what Keep stored.
-	kept map[any]any
 
 	Rows    int64         // rows returned to the caller
 	Elapsed time.Duration // wall time of the whole execution
@@ -71,7 +69,7 @@ type Trace struct {
 
 // New returns an empty enabled trace.
 func New() *Trace {
-	return &Trace{ops: map[any]*Op{}, fps: map[any]*Fixpoint{}, kept: map[any]any{}}
+	return &Trace{ops: map[any]*Op{}, fps: map[any]*Fixpoint{}}
 }
 
 // Op returns the counter block for key, creating it on first use.
@@ -91,20 +89,6 @@ func (t *Trace) Lookup(key any) *Op {
 		return nil
 	}
 	return t.ops[key]
-}
-
-// Keep stores v under key for the rendering of this execution: an
-// evaluator that compiles its operators while it runs keeps them here, so
-// EXPLAIN ANALYZE renders the very operators whose counters the trace
-// holds.
-func (t *Trace) Keep(key, v any) { t.kept[key] = v }
-
-// Kept returns what Keep stored under key, or nil.
-func (t *Trace) Kept(key any) any {
-	if t == nil {
-		return nil
-	}
-	return t.kept[key]
 }
 
 // Fixpoint returns the round recorder for key, creating it on first
