@@ -584,14 +584,25 @@ func BenchmarkSQLGroupBy(b *testing.B) {
 		sqleval.DB{"R": r})
 }
 
-// BenchmarkSQLInSemiJoin measures a decorrelated IN subquery against the
-// per-row re-evaluation the enumeration path performs.
+// BenchmarkSQLInSemiJoin measures subquery conjuncts against the per-row
+// re-evaluation the enumeration path performs: an uncorrelated IN; an
+// uncorrelated NOT IN over a subquery without NULLs, where every row the
+// membership misses asks the element scope whether x = e is Unknown; a
+// correlated NOT EXISTS; and a correlated EXISTS over a CTE.
 func BenchmarkSQLInSemiJoin(b *testing.B) {
 	rng := workload.Rand(3)
 	r := workload.RandomBinary(rng, "R", "A", "B", 2000, 1000, 50)
 	s := workload.RandomBinary(rng, "S", "B", "C", 2000, 50, 20)
-	benchSQLBoth(b, "select R.A from R where R.B in (select S.B from S where S.C = 3)",
-		sqleval.DB{"R": r, "S": s})
+	db := sqleval.DB{"R": r, "S": s}
+	for _, c := range []struct{ name, src string }{
+		{"in", "select R.A from R where R.B in (select S.B from S where S.C = 3)"},
+		{"not_in", "select R.A from R where R.B not in (select S.B from S where S.C = 3)"},
+		{"not_exists", "select R.A from R where not exists (select 1 from S where S.B = R.B and S.C = 3)"},
+		{"exists_cte", "with X as (select S.B, S.C from S where S.C < 10) " +
+			"select R.A from R where exists (select 1 from X where X.B = R.B and X.C = 3)"},
+	} {
+		b.Run(c.name, func(b *testing.B) { benchSQLBoth(b, c.src, db) })
+	}
 }
 
 // BenchmarkSQLOuterJoin measures the hashed FULL JOIN against the

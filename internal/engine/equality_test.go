@@ -12,7 +12,7 @@ import (
 // TestOnePredicateOneAnswer holds numeric = to one relation beyond 2^53
 // (docs/INVARIANTS.md "= is one equivalence"): every spelling of one
 // predicate — index probe, filter over an expression, bound parameter,
-// hash join, IN semi-join, ARC — returns the same bag over R(A) = {2^53},
+// hash join, IN probe, ARC — returns the same bag over R(A) = {2^53},
 // S(B) = {2^53+1} and F(C) = {2^53 as a float}, and dedup keeps exactly
 // the values = tells apart.
 func TestOnePredicateOneAnswer(t *testing.T) {

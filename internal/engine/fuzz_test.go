@@ -13,7 +13,7 @@ import (
 // plan, exercising the deeper layers too.
 func fuzzDB() *DB {
 	r := relation.New("R", "A", "B").Add(1, 10).Add(2, 20)
-	p := relation.New("P", "s", "t").Add(1, 2).Add(2, 3)
+	p := relation.New("P", "s", "t").Add(1, 2).Add(2, 3).Add(3, nil)
 	return Open(r, p)
 }
 
@@ -26,6 +26,9 @@ func FuzzPrepareSQL(f *testing.F) {
 		"select R.A from R",
 		"select R.A, R.B from R where R.A = $1",
 		"select R.A from R where R.A in (select P.s from P)",
+		"select R.A from R where R.B not in (select P.t from P)",
+		"select R.A from R where exists (select 1 from P where P.s < R.A)",
+		"delete from R r where r.B not in (select P.t from P where P.s < r.A)",
 		"with recursive A (s, t) as (select P.s, P.t from P union select P.s, A.t from P, A where P.t = A.s) select A.s from A",
 		"select count(*) from R group by R.B having count(*) > 1",
 		"select from where", "((((", "select $0 $99999", ";;;",
@@ -103,10 +106,11 @@ func FuzzPrepareDatalog(f *testing.F) {
 	})
 }
 
-// FuzzExecSQL asserts the write path never panics on arbitrary SQL
-// bytes: Prepare classifies the statement, Exec applies DML/DDL through
-// a write set and commits. Each input runs against a fresh DB so
-// accumulated writes never change what a given input exercises.
+// FuzzExecSQL asserts that executing arbitrary SQL bytes never panics:
+// Prepare classifies the statement, Exec applies DML/DDL through a write
+// set and commits, and a query's cursor is drained under a deadline,
+// which cuts a recursion that diverges. Each input runs against a fresh
+// DB so accumulated writes never change what a given input exercises.
 func FuzzExecSQL(f *testing.F) {
 	for _, seed := range []string{
 		"insert into R values (1, 2)",
@@ -116,6 +120,9 @@ func FuzzExecSQL(f *testing.F) {
 		"delete from R",
 		"delete from R where R.A = 1",
 		"delete from R r where r.A in (select P.s from P)",
+		"delete from R r where r.B not in (select P.t from P where P.s < r.A)",
+		"select R.A from R where R.B not in (select P.t from P)",
+		"select R.A from R where exists (select 1 from P where P.s < R.A)",
 		"create table T (X int, Y text)",
 		"begin", "commit", "rollback",
 		"insert into", "delete where", "create table R (A, A)",
@@ -131,11 +138,21 @@ func FuzzExecSQL(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if stmt.Kind() == KindQuery {
+		if stmt.Kind() != KindQuery {
+			_, err = stmt.Exec(context.Background())
+			assertNoPanicError(t, err)
 			return
 		}
-		_, err = stmt.Exec(context.Background())
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		defer cancel()
+		rows, err := stmt.Query(ctx)
 		assertNoPanicError(t, err)
+		if err != nil {
+			return
+		}
+		for rows.Next() {
+		}
+		assertNoPanicError(t, rows.Close())
 	})
 }
 

@@ -58,19 +58,27 @@ func RangeScan(r *relation.Relation, col int, lo, hi value.Value, loIncl, hiIncl
 	}
 }
 
-// Filter streams the rows of in that keep accepts (σ).
+// Filter streams the rows of in that keep accepts (σ). Running the
+// stream again allocates nothing.
 func Filter(in Seq, keep func(relation.Tuple, int) bool) Seq {
-	return func(yield func(relation.Tuple, int) bool) {
-		for t, m := range in {
-			if !keep(t, m) {
-				continue
-			}
-			if !yield(t, m) {
-				return
-			}
-		}
-	}
+	f := &filter{in: in, keep: keep}
+	f.next = f.row
+	return f.run
 }
+
+// filter is a Filter stream's state, held here rather than in closures
+// made per run.
+type filter struct {
+	in                Seq
+	keep, next, yield func(relation.Tuple, int) bool
+}
+
+func (f *filter) run(yield func(relation.Tuple, int) bool) {
+	f.yield = yield
+	f.in(f.next)
+}
+
+func (f *filter) row(t relation.Tuple, m int) bool { return !f.keep(t, m) || f.yield(t, m) }
 
 // Dedup streams the distinct tuples of in with multiplicity 1, in first-
 // occurrence order (the set-semantics reading of the stream). It keeps a

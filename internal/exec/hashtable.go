@@ -44,9 +44,6 @@ func (ht *HashTable) Len() int { return len(ht.rows) }
 // Arity returns the build-side tuple width.
 func (ht *HashTable) Arity() int { return ht.arity }
 
-// Rows returns the build rows in build order (callers must not mutate).
-func (ht *HashTable) Rows() []Row { return ht.rows }
-
 // Candidates calls f with (slot, row) for every build row that may
 // Eq-match vals on the key columns: the rows of vals' hash chain, in build
 // order. With no key columns every row is a candidate (the cross-join
@@ -212,70 +209,104 @@ func OuterHashJoin(left Seq, leftCols []int, b Build, on func(relation.Tuple) bo
 
 // hashJoin is EquiJoin (outer false) and OuterHashJoin (outer true).
 func hashJoin(probe Seq, probeCols []int, b Build, on func(relation.Tuple) bool, op *trace.Op, buildFirst, outer, full bool, leftArity int) Seq {
-	return func(yield func(relation.Tuple, int) bool) {
-		var matched []bool
-		if full {
-			matched = make([]bool, b.(*HashTable).Len())
+	j := &joiner{probe: probe, probeCols: probeCols, b: b, on: on, op: op,
+		buildFirst: buildFirst, outer: outer, full: full, leftArity: leftArity,
+		vals: make([]value.Value, 0, len(probeCols))}
+	// b is an interface, so a callback handed to it is allocated: once per
+	// stream, as is the one handed to probe.
+	j.match, j.next = j.candidate, j.row
+	return j.run
+}
+
+// joiner is a hashJoin stream's state. It lives here rather than in
+// closures made per run, so running the stream again allocates nothing
+// (a full join's matched marks aside).
+type joiner struct {
+	probe                   Seq
+	probeCols               []int
+	b                       Build
+	on                      func(relation.Tuple) bool
+	op                      *trace.Op
+	buildFirst, outer, full bool
+	leftArity               int
+
+	match   func(int, Row) bool            // candidate
+	next    func(relation.Tuple, int) bool // row
+	yield   func(relation.Tuple, int) bool
+	matched []bool
+	vals    []value.Value
+	out, pt relation.Tuple
+	pm      int
+	hit     bool
+	stop    bool
+}
+
+func (j *joiner) run(yield func(relation.Tuple, int) bool) {
+	j.yield, j.stop = yield, false
+	if j.full {
+		j.matched = make([]bool, j.b.(*HashTable).Len())
+	}
+	j.probe(j.next)
+	if !j.full || j.stop {
+		return
+	}
+	for slot, r := range j.b.(*HashTable).rows {
+		if j.matched[slot] {
+			continue
 		}
-		vals := make([]value.Value, 0, len(probeCols))
-		var out, pt relation.Tuple
-		var pm int
-		var hit, stop bool
-		// One callback serves every probe row: b is an interface, so a
-		// closure handed to it is allocated, once per execution here.
-		match := func(slot int, r Row) bool {
-			if !b.EqMatch(r, vals) {
-				return true
-			}
-			if buildFirst {
-				out = concatInto(out, r.Tup, b.Arity(), pt, len(pt))
-			} else {
-				out = concatInto(out, pt, len(pt), r.Tup, b.Arity())
-			}
-			if on != nil && !on(out) {
-				return true
-			}
-			hit = true
-			if full {
-				matched[slot] = true
-			}
-			if !yield(out, pm*r.Mult) {
-				stop = true
-				return false
-			}
-			return true
-		}
-		for pt, pm = range probe {
-			vals = valsAt(pt, probeCols, vals)
-			hit = false
-			b.Candidates(vals, match)
-			if op != nil {
-				if hit {
-					op.ProbeHits++
-				} else {
-					op.ProbeMisses++
-				}
-			}
-			if stop {
-				return
-			}
-			if outer && !hit {
-				out = concatInto(out, pt, len(pt), nil, b.Arity())
-				if !yield(out, pm) {
-					return
-				}
-			}
-		}
-		if full {
-			for slot, r := range b.(*HashTable).rows {
-				if matched[slot] {
-					continue
-				}
-				out = concatInto(out, nil, leftArity, r.Tup, b.Arity())
-				if !yield(out, r.Mult) {
-					return
-				}
-			}
+		j.out = concatInto(j.out, nil, j.leftArity, r.Tup, j.b.Arity())
+		if !yield(j.out, r.Mult) {
+			return
 		}
 	}
+}
+
+// row joins one probe row.
+func (j *joiner) row(pt relation.Tuple, pm int) bool {
+	j.pt, j.pm = pt, pm
+	j.vals = valsAt(pt, j.probeCols, j.vals)
+	j.hit = false
+	j.b.Candidates(j.vals, j.match)
+	if j.op != nil {
+		if j.hit {
+			j.op.ProbeHits++
+		} else {
+			j.op.ProbeMisses++
+		}
+	}
+	if j.stop {
+		return false
+	}
+	if j.outer && !j.hit {
+		j.out = concatInto(j.out, pt, len(pt), nil, j.b.Arity())
+		if !j.yield(j.out, pm) {
+			j.stop = true
+			return false
+		}
+	}
+	return true
+}
+
+// candidate joins the probe row to one build row that may match it.
+func (j *joiner) candidate(slot int, r Row) bool {
+	if !j.b.EqMatch(r, j.vals) {
+		return true
+	}
+	if j.buildFirst {
+		j.out = concatInto(j.out, r.Tup, j.b.Arity(), j.pt, len(j.pt))
+	} else {
+		j.out = concatInto(j.out, j.pt, len(j.pt), r.Tup, j.b.Arity())
+	}
+	if j.on != nil && !j.on(j.out) {
+		return true
+	}
+	j.hit = true
+	if j.full {
+		j.matched[slot] = true
+	}
+	if !j.yield(j.out, j.pm*r.Mult) {
+		j.stop = true
+		return false
+	}
+	return true
 }

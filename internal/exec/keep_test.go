@@ -93,7 +93,7 @@ func TestKeepersCopyWhatTheyKeep(t *testing.T) {
 		{"Collect", Collect},
 		{"Dedup", func(in Seq) []Row { return Collect(Dedup(in)) }},
 		{"Materialize", func(in Seq) []Row { return relRows(Materialize(in, "M", "a", "b")) }},
-		{"BuildHashTable", func(in Seq) []Row { return BuildHashTable(in, []int{0}, 2).Rows() }},
+		{"BuildHashTable", func(in Seq) []Row { return BuildHashTable(in, []int{0}, 2).rows }},
 		{"GroupAggregate", func(in Seq) []Row {
 			return Collect(GroupAggregate(in, []int{0}, aggs, convention.SQL()))
 		}},

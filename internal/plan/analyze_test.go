@@ -70,12 +70,18 @@ func TestGoldenAnalyze(t *testing.T) {
 `,
 		},
 		{
-			// Decorrelated IN: the subquery side is the build input.
+			// IN: each row probes S's index on the membership equality;
+			// the element scope, uncorrelated, runs once, for the row that
+			// misses.
 			"select R.A from R where R.B in (select S.B from S)",
 			`Project [A] (rows=2 time=X)
-  SemiJoin IN (R.B → S.B) (rows=2 time=X)
+  Filter (IN (R.B → S.B)) (rows=2 time=X)
     Scan R (rows=3 time=X)
-    Project [v] (rows=3 time=X)
+    SemiProbe IN (R.B → S.B) by(R.B) (probes=3 matches=2)
+      HashJoin INNER (R.B = S.B) index(S) (rows=2 hits=2 misses=1 time=X)
+        Outer
+        Scan S (rows=2 time=X)
+    UnknownProbe S.B static (probes=1 matches=1)
       Scan S (rows=3 time=X)
 `,
 		},
@@ -245,5 +251,60 @@ func TestJoinAllocatesNothingPerRow(t *testing.T) {
 	t.Logf("%.0f allocations joining 1 000 rows, %.0f joining 4 000", small, big)
 	if big > small {
 		t.Errorf("the join allocates %.0f times over 4 000 rows and %.0f over 1 000: it allocates per row", big, small)
+	}
+}
+
+// TestProbeAllocatesNothingPerRow pins that an existence probe sets its
+// inner scope up once per execution and runs it again for a tested row
+// without allocating — a keyed NOT EXISTS, an EXISTS correlated through
+// an inequality (the tested row joined to S, filtered) and a NOT IN keyed
+// on computed sides — and that its answers, kept by the values of the
+// columns it reads, allocate nothing per row either: over 4 000 outer
+// rows as often as over 1 000, both when every row has its own values
+// and the answers are kept aside (each test a run of the stream), and
+// when the rows repeat 100 values (most tests an answer kept).
+func TestProbeAllocatesNothingPerRow(t *testing.T) {
+	for _, src := range []string{
+		"select R.A from R where not exists (select 1 from S where S.B = R.A and S.C = 1)",
+		"select R.A from R where exists (select 1 from S where S.B < R.A and S.C = 1)",
+		"select R.A from R where R.A + 0 not in (select S.B + 0 from S where S.C = 1)",
+	} {
+		for _, keep := range []bool{false, true} {
+			allocs := func(n int) float64 {
+				r, s := relation.New("R", "A", "I"), relation.New("S", "B", "C")
+				for i := 0; i < n; i++ {
+					if keep {
+						r.Add(i%100, i)
+					} else {
+						r.Add(i, i)
+					}
+				}
+				for i := 0; i < 50; i++ {
+					s.Add(i*7, i%2)
+				}
+				rels := map[string]*relation.Relation{"R": r, "S": s}
+				p, err := CompileSchema(sql.MustParse(src), rels)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, pr := range p.root.(*projectNode).input.(*filterNode).probes {
+					pr.keyed = pr.keyed && keep
+				}
+				drain := func() {
+					seq, errFn := p.StreamOn(rels, nil, nil, nil)
+					for range seq {
+					}
+					if err := errFn(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				drain()
+				return testing.AllocsPerRun(20, drain)
+			}
+			small, big := allocs(1000), allocs(4000)
+			if big > small {
+				t.Errorf("%s (answers kept: %v): %.0f allocations over 4 000 outer rows, %.0f over 1 000: the probe allocates per row", src, keep, big, small)
+			}
+		}
 	}
 }

@@ -115,14 +115,18 @@ func holdsAll(conds []Cond, t relation.Tuple, ctx *runCtx) bool {
 
 // Filter keeps the rows of in on which every condition holds (holdsAll).
 func Filter(in Node, conds []Cond) Node {
-	n := &filterNode{input: in, str: condStr(conds)}
-	for _, c := range conds {
-		if c.probe != nil {
-			n.probes = append(n.probes, c.probe)
-		}
-	}
-	n.pred = func(t relation.Tuple, ctx *runCtx) value.TV {
+	return newFilter(in, conds, func(t relation.Tuple, ctx *runCtx) value.TV {
 		return value.TVFromBool(holdsAll(conds, t, ctx))
+	})
+}
+
+// newFilter keeps the rows of in on which pred, over conds, holds.
+func newFilter(in Node, conds []Cond, pred predFn) *filterNode {
+	n := &filterNode{input: in, pred: pred, str: condStr(conds)}
+	for _, c := range conds {
+		for p := c.probe; p != nil; p = p.rest {
+			n.probes = append(n.probes, p)
+		}
 	}
 	return n
 }
@@ -279,7 +283,7 @@ type Run struct{ ctx runCtx }
 // NewRun starts an execution over rels with bound parameter values. check
 // and tr are StreamOn's.
 func NewRun(rels map[string]*relation.Relation, params []value.Value, check func() error, tr *trace.Trace) *Run {
-	return &Run{runCtx{rels: rels, params: params, check: check, trace: tr, arc: &arcState{}}}
+	return &Run{runCtx{rels: rels, params: params, check: check, trace: tr}}
 }
 
 // Bind points h at rel for the streams that follow.
@@ -294,23 +298,13 @@ func (r *Run) Stream(p *Plan) exec.Seq { return p.root.Run(&r.ctx) }
 // Err is the execution's first error.
 func (r *Run) Err() error { return r.ctx.err }
 
-// arcState is one execution's state of the operators only ARC scopes run.
-type arcState struct {
-	// lookups holds the groups of every grouped lookup probed so far
-	// (Lookup), built by its first probe.
-	lookups map[*lookupNode]*lookupTable
-	// outer is the row an existence probe runs its inner scope from
-	// (Outer), while it runs.
-	outer relation.Tuple
-}
-
 // outerNode yields the row of the running Probe (Outer).
 type outerNode struct{ schema []ColID }
 
 func (n *outerNode) Schema() []ColID { return n.schema }
 
 func (n *outerNode) Run(ctx *runCtx) exec.Seq {
-	return func(yield func(relation.Tuple, int) bool) { yield(ctx.arc.outer, 1) }
+	return func(yield func(relation.Tuple, int) bool) { yield(ctx.outer, 1) }
 }
 
 func (n *outerNode) writeExplain(b *strings.Builder, depth int, _ *trace.Trace) {
@@ -318,53 +312,219 @@ func (n *outerNode) writeExplain(b *strings.Builder, depth int, _ *trace.Trace) 
 	b.WriteString("Outer\n")
 }
 
-// probe is an ∃ (negated, ¬∃) subformula of a scope. Its inner scope
-// begins with the enclosing row (Outer): each test runs it from that row,
-// probing the indexes of its leaves, and stops at the first match.
+// probe is an existence test of the row a condition holds on: an ARC ∃
+// (negated, ¬∃), a SQL [NOT] EXISTS or [NOT] IN. Its inner scope begins
+// with the tested row (Outer), unless nothing in it reads that row.
 type probe struct {
 	inner Node
 	neg   bool
 	label string
+	// keyed: the answer is a function of the tested row's values at by
+	// (none: the probe is static) within one round of an execution, so the
+	// execution keeps it by those values. A SQL probe records the columns
+	// its inner scope reads; an ARC probe is keyed only when static.
+	keyed bool
+	by    []int
+	byStr []string
+	// SQL IN: x reads the left operand off the tested row, inner is the
+	// subquery's scope restricted to x = e, and rest its scope without
+	// that equality, whose rows elem reads e off.
+	x, elem exprFn
+	rest    *probe
 }
 
 // Probe is the existence probe of inner, negated by neg, as a condition
 // on the enclosing row: two-valued, as enumeration tests it. label names
 // the subformula in EXPLAIN.
 func Probe(inner Node, neg bool, label string) Cond {
-	p := &probe{inner: inner, neg: neg, label: label}
+	p := &probe{inner: inner, neg: neg, label: label, keyed: subtreeStatic(inner)}
 	if neg {
 		label = "¬" + label
 	}
 	return Cond{fn: p.holds, str: label, probe: p}
 }
 
+// holds tests the row t: whether the inner scope has a row (negated by
+// neg), or for IN, x = e folded over its elements under 3VL — True when
+// some e equals x, else Unknown when some e is NULL or incomparable with
+// x, or x is NULL and the scope has a row, else False.
 func (p *probe) holds(t relation.Tuple, ctx *runCtx) value.TV {
-	saved := ctx.arc.outer
-	ctx.arc.outer = t
-	found := false
-	for range p.inner.Run(ctx) {
-		found = true
-		break
+	if p.rest == nil {
+		return value.TVFromBool(ctx.probeRun(p).run(t).rows != p.neg)
 	}
-	ctx.arc.outer = saved
-	if ctx.trace != nil {
-		op := ctx.trace.Op(p)
-		if found {
-			op.ProbeHits++
-		} else {
-			op.ProbeMisses++
+	x, tv := p.x(t, ctx), value.False
+	switch {
+	case !x.IsNull() && ctx.probeRun(p).run(t).rows:
+		tv = value.True
+	case ctx.probeRun(p.rest).run(t).unknown(x):
+		tv = value.Unknown
+	}
+	if p.neg {
+		tv = tv.Not()
+	}
+	return tv
+}
+
+// found is what a run of a probe's inner scope saw: a row, a NULL
+// element, the comparability classes (value.Compare) of the others.
+type found struct {
+	rows, nulls bool
+	classes     uint8
+}
+
+// classes maps a value's kind to its comparability class.
+var classes = [...]uint8{value.KindInt: 1, value.KindFloat: 1, value.KindString: 2, value.KindBool: 4}
+
+// unknown reports whether x = e is Unknown for some element e seen.
+func (f found) unknown(x value.Value) bool {
+	return f.rows && (x.IsNull() || f.nulls || f.classes&^classes[x.Kind()] != 0)
+}
+
+// probeRun is one execution's state of a probe, in the runCtx, never on
+// the plan: its inner stream, set up by its first test, and a keyed
+// probe's answers. When a fixpoint handle moves (setHandle) both go.
+type probeRun struct {
+	p     *probe
+	ctx   *runCtx
+	seq   exec.Seq
+	next  func(relation.Tuple, int) bool // see, made once
+	found found
+	// answers[i] is the answer for the values keys[i*len(by):][:len(by)],
+	// whose hash is hashes[i]; slots, open-addressed by hash, hold 1 + i.
+	slots   []int32
+	hashes  []uint64
+	keys    []value.Value
+	answers []found
+}
+
+// probeRun returns the execution's state of p, made by its first test.
+func (c *runCtx) probeRun(p *probe) *probeRun {
+	for _, r := range c.probes {
+		if r.p == p {
+			return r
 		}
 	}
-	return value.TVFromBool(found != p.neg)
+	r := &probeRun{p: p, ctx: c}
+	r.next = r.see
+	c.probes = append(c.probes, r)
+	return r
+}
+
+// forget drops the stream and the answers, which may hold a relation a
+// fixpoint handle no longer points at.
+func (r *probeRun) forget() {
+	r.seq, r.hashes, r.keys, r.answers = nil, r.hashes[:0], r.keys[:0], r.answers[:0]
+	clear(r.slots)
+}
+
+// see records a row of the inner scope and reports whether the run must
+// go on: only an element probe does, until it sees a NULL element.
+func (r *probeRun) see(row relation.Tuple, _ int) bool {
+	r.found.rows = true
+	if r.p.elem == nil {
+		return false
+	}
+	e := r.p.elem(row, r.ctx)
+	r.found.nulls, r.found.classes = r.found.nulls || e.IsNull(), r.found.classes|classes[e.Kind()]
+	return !r.found.nulls && r.ctx.err == nil
+}
+
+// run returns what the inner scope finds from the tested row t: a keyed
+// probe's answer for t's values if it has one, else a run of the inner
+// stream, which allocates nothing once set up.
+func (r *probeRun) run(t relation.Tuple) found {
+	p, ctx := r.p, r.ctx
+	var h uint64
+	slot := -1
+	if p.keyed {
+		if h = t.HashAt(p.by); len(r.slots) == 0 {
+			r.slots = make([]int32, 8)
+		}
+		mask := len(r.slots) - 1
+		for slot = int(h) & mask; r.slots[slot] != 0; slot = (slot + 1) & mask {
+			if i := int(r.slots[slot]) - 1; r.hashes[i] == h && same(r.keys[i*len(p.by):], t, p.by) {
+				r.found = r.answers[i]
+				r.count()
+				return r.found
+			}
+		}
+	}
+	r.found = found{}
+	if r.seq == nil {
+		r.seq = p.inner.Run(ctx)
+	}
+	saved := ctx.outer
+	ctx.outer = t
+	r.seq(r.next)
+	ctx.outer = saved
+	if slot >= 0 {
+		r.keep(slot, h, t)
+	}
+	r.count()
+	return r.found
+}
+
+// keep keeps the answer found for t's values, whose hash is h, in the
+// empty slot its lookup ended at, growing the slots to keep them at most
+// half full.
+func (r *probeRun) keep(slot int, h uint64, t relation.Tuple) {
+	r.hashes, r.answers = append(r.hashes, h), append(r.answers, r.found)
+	for _, c := range r.p.by {
+		r.keys = append(r.keys, t[c])
+	}
+	r.slots[slot] = int32(len(r.answers))
+	if 2*len(r.answers) <= len(r.slots) {
+		return
+	}
+	r.slots = make([]int32, 2*len(r.slots))
+	mask := len(r.slots) - 1
+	for i, h := range r.hashes {
+		s := int(h) & mask
+		for r.slots[s] != 0 {
+			s = (s + 1) & mask
+		}
+		r.slots[s] = int32(i + 1)
+	}
+}
+
+// same reports whether t holds at cols the values keys begins with, each
+// of the same kind: an answer kept for the int 3 does not serve 3.0,
+// whose arithmetic differs.
+func same(keys []value.Value, t relation.Tuple, cols []int) bool {
+	for i, c := range cols {
+		if k := keys[i]; k.Kind() != t[c].Kind() || !k.Equal(t[c]) {
+			return false
+		}
+	}
+	return true
+}
+
+// count records a test in a traced execution.
+func (r *probeRun) count() {
+	if r.ctx.trace == nil {
+		return
+	}
+	op := r.ctx.trace.Op(r.p)
+	if r.found.rows {
+		op.ProbeHits++
+	} else {
+		op.ProbeMisses++
+	}
 }
 
 func (p *probe) writeExplain(b *strings.Builder, depth int, tr *trace.Trace) {
 	indent(b, depth)
-	name := "SemiProbe"
-	if p.neg {
-		name = "AntiProbe"
+	name := map[bool]string{false: "SemiProbe", true: "AntiProbe"}[p.neg]
+	if p.elem != nil {
+		name = "UnknownProbe"
 	}
 	fmt.Fprintf(b, "%s %s", name, p.label)
+	switch {
+	case p.keyed && len(p.by) == 0:
+		b.WriteString(" static")
+	case p.keyed:
+		fmt.Fprintf(b, " by(%s)", strings.Join(p.byStr, ", "))
+	}
 	if tr != nil {
 		if op := tr.Lookup(p); op == nil {
 			b.WriteString(" (never executed)")
@@ -583,15 +743,15 @@ func (n *lookupNode) Run(ctx *runCtx) exec.Seq {
 			if !ctx.poll() {
 				return
 			}
-			tab := ctx.arc.lookups[n]
+			tab := ctx.lookups[n]
 			if tab == nil {
 				if tab = n.build(ctx); ctx.err != nil {
 					return
 				}
-				if ctx.arc.lookups == nil {
-					ctx.arc.lookups = map[*lookupNode]*lookupTable{}
+				if ctx.lookups == nil {
+					ctx.lookups = map[*lookupNode]*lookupTable{}
 				}
-				ctx.arc.lookups[n] = tab
+				ctx.lookups[n] = tab
 				if op != nil {
 					op.BuildRows = int64(len(tab.rows))
 				}

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/relation"
 	"repro/internal/sql"
@@ -10,10 +11,44 @@ import (
 
 // scope is one query level's column-resolution context. parent chains to
 // the enclosing query's scope, mirroring the reference evaluator's
-// correlation frames (inner aliases shadow outer ones).
+// correlation frames (inner aliases shadow outer ones). Its rows hold
+// its columns from off on, after the parent's row when linked (a probe's
+// tested row, Outer): a reference resolves by depth, then maps there,
+// and used, when set, records the columns of that row it reads.
 type scope struct {
 	schema []ColID
 	parent *scope
+	off    int
+	linked bool
+	used   *[]int
+}
+
+// errCorrelated marks a reference out of a scope whose rows do not hold
+// the enclosing row: subscope then lowers again, with the tested row.
+var errCorrelated = fmt.Errorf("%w: correlated reference", ErrNotPlannable)
+
+// column resolves ref to its column in the rows compiled over s.
+func (s *scope) column(ref *sql.ColRef) (int, error) {
+	depth, col, err := s.resolve(ref)
+	if err != nil {
+		return 0, err
+	}
+	at := s
+	for d := depth; d > 0; d-- {
+		if !at.linked {
+			return 0, fmt.Errorf("%w %s", errCorrelated, ref)
+		}
+		at = at.parent
+	}
+	col += at.off
+	// Every row on the way down holds the column at col: its prefix is
+	// its parent's row.
+	for ; depth > 0; depth, s = depth-1, s.parent {
+		if s.used != nil && !slices.Contains(*s.used, col) {
+			*s.used = append(*s.used, col)
+		}
+	}
+	return col, nil
 }
 
 // resolve finds the column a reference denotes, mirroring the reference
@@ -57,8 +92,8 @@ func (s *scope) resolve(ref *sql.ColRef) (depth, col int, err error) {
 	return 0, 0, notPlannable("unknown column %s", ref)
 }
 
-// compileScalar compiles a scalar expression over the scope's own schema;
-// outer (correlated) references and subqueries are not plannable here.
+// compileScalar compiles a scalar expression over the rows of the scope;
+// subqueries are not plannable here.
 func (s *scope) compileScalar(x sql.Expr) (exprFn, error) {
 	switch n := x.(type) {
 	case *sql.Lit:
@@ -70,12 +105,9 @@ func (s *scope) compileScalar(x sql.Expr) (exprFn, error) {
 		i := n.Index - 1
 		return func(_ relation.Tuple, ctx *runCtx) value.Value { return ctx.param(i) }, nil
 	case *sql.ColRef:
-		depth, col, err := s.resolve(n)
+		col, err := s.column(n)
 		if err != nil {
 			return nil, err
-		}
-		if depth != 0 {
-			return nil, notPlannable("correlated reference %s", n)
 		}
 		return func(t relation.Tuple, _ *runCtx) value.Value { return t[col] }, nil
 	case *sql.BinE:
@@ -142,16 +174,7 @@ func compilePredWith(sc scalarCompiler, x sql.Expr) (predFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(t relation.Tuple, ctx *runCtx) value.TV {
-			tv := value.True
-			for _, k := range kids {
-				tv = tv.And(k(t, ctx))
-				if tv == value.False {
-					return value.False
-				}
-			}
-			return tv
-		}, nil
+		return andPreds(kids), nil
 	case *sql.OrE:
 		kids, err := compilePredsWith(sc, n.Kids)
 		if err != nil {
@@ -234,31 +257,4 @@ func andPreds(preds []predFn) predFn {
 		}
 		return tv
 	}
-}
-
-// refsAt classifies where every column reference of x resolves: sets
-// local (depth 0) and outer (depth ≥ 1) flags. An unresolvable or
-// non-scalar expression returns an error.
-func (s *scope) refsAt(x sql.Expr) (local, outer bool, err error) {
-	switch n := x.(type) {
-	case *sql.Lit, *sql.Param:
-		return false, false, nil
-	case *sql.ColRef:
-		depth, _, err := s.resolve(n)
-		if err != nil {
-			return false, false, err
-		}
-		return depth == 0, depth > 0, nil
-	case *sql.BinE:
-		l1, o1, err := s.refsAt(n.L)
-		if err != nil {
-			return false, false, err
-		}
-		l2, o2, err := s.refsAt(n.R)
-		if err != nil {
-			return false, false, err
-		}
-		return l1 || l2, o1 || o2, nil
-	}
-	return false, false, notPlannable("expression %T outside the scalar fragment", x)
 }

@@ -1,7 +1,7 @@
 // Package plan is the tuple-level query planner: it compiles SQL
 // SELECT/UNION blocks (internal/sql) — FROM join trees, WHERE with
-// decorrelatable IN/EXISTS/NOT IN subqueries, GROUP BY / HAVING, DISTINCT
-// — into trees of the streaming physical operators in internal/exec,
+// [NOT] EXISTS and [NOT] IN subqueries, GROUP BY / HAVING, DISTINCT —
+// into trees of the streaming physical operators in internal/exec,
 // instead of the per-row environment enumeration the reference evaluator
 // uses. Every plan renders an EXPLAIN-style string (golden-testable), and
 // the compiled fragment is differentially verified byte-identical against
@@ -10,7 +10,10 @@
 // enumeration, so planning is always semantics-preserving.
 //
 // internal/eval lowers ARC quantifier scopes onto the same operators
-// through the builders of arc.go (see eval.ExplainCollection).
+// through the builders of arc.go (see eval.ExplainCollection). A SQL
+// subquery conjunct and an ARC ∃ are one operator: an existence probe of
+// the row a filter tests (Probe), whose inner scope begins with that row
+// (Outer).
 package plan
 
 import (
@@ -77,8 +80,13 @@ type runCtx struct {
 	// re-executed every round builds nothing: its delta streams and
 	// probes tables built in the first round.
 	builds map[*hashJoinNode]*exec.HashTable
-	// arc is the state of the operators only ARC scopes run (NewRun).
-	arc *arcState
+	// lookups holds every grouped lookup's groups (Lookup), probes every
+	// existence probe's state (probeRun), each made by its first use.
+	lookups map[*lookupNode]*lookupTable
+	probes  []*probeRun
+	// outer is the row an existence probe runs its inner scope from
+	// (Outer), while it runs.
+	outer relation.Tuple
 	// trace, when non-nil, collects per-operator counters and timings for
 	// this execution (EXPLAIN ANALYZE). nil disables every
 	// instrumentation site, so an untraced run pays nothing per row.
@@ -128,12 +136,17 @@ func (c *runCtx) handleRel(h *fixpoint.Handle) *relation.Relation {
 	return c.handles[h]
 }
 
-// setHandle retargets a fixpoint handle for this execution.
+// setHandle retargets a fixpoint handle for this execution. A probe's
+// inner stream set up before, and its answers, may hold the old relation,
+// so the probe forgets them.
 func (c *runCtx) setHandle(h *fixpoint.Handle, rel *relation.Relation) {
 	if c.handles == nil {
 		c.handles = make(map[*fixpoint.Handle]*relation.Relation)
 	}
 	c.handles[h] = rel
+	for _, r := range c.probes {
+		r.forget()
+	}
 }
 
 // traced wraps a node's output stream with row and time accounting when
@@ -320,12 +333,6 @@ func (p *Plan) StreamOn(rels map[string]*relation.Relation, params []value.Value
 	return guard(p.root.Run(ctx), ctx), func() error { return ctx.err }
 }
 
-// run streams the plan root (used when a plan is a subtree of another —
-// derived tables and semi-join build sides share the enclosing ctx).
-func (p *Plan) run(ctx *runCtx) exec.Seq {
-	return p.root.Run(ctx)
-}
-
 // --- Leaves ---------------------------------------------------------------
 
 // scanProbe is one consumed equality conjunct pushed down onto a scan:
@@ -377,7 +384,7 @@ type scanNode struct {
 }
 
 func newScanNode(name string, attrs []string, alias string) *scanNode {
-	n := &scanNode{name: name, alias: alias}
+	n := &scanNode{name: name, alias: alias, schema: make([]ColID, 0, len(attrs))}
 	for _, a := range attrs {
 		n.schema = append(n.schema, ColID{Rel: alias, Col: a})
 	}
@@ -528,16 +535,7 @@ func newDerivedNode(sub *Plan, alias string) *derivedNode {
 func (n *derivedNode) Schema() []ColID { return n.schema }
 
 func (n *derivedNode) Run(ctx *runCtx) exec.Seq {
-	return ctx.traced(n, func(yield func(relation.Tuple, int) bool) {
-		for t, m := range n.sub.run(ctx) {
-			if !ctx.poll() {
-				return
-			}
-			if !yield(t, m) {
-				return
-			}
-		}
-	})
+	return ctx.traced(n, guard(n.sub.root.Run(ctx), ctx))
 }
 
 func (n *derivedNode) writeExplain(b *strings.Builder, depth int, tr *trace.Trace) {
@@ -611,7 +609,7 @@ func newHashJoinNode(kind joinKind, left, right Node) *hashJoinNode {
 	n.buildLeft = kind == joinInner && readsDelta(right) && subtreeStatic(left)
 	build, _, _, _ := n.sides()
 	n.buildStatic = subtreeStatic(build)
-	n.schema = append(append([]ColID(nil), left.Schema()...), right.Schema()...)
+	n.schema = slices.Concat(left.Schema(), right.Schema())
 	return n
 }
 
@@ -736,19 +734,26 @@ func (n *hashJoinNode) writeExplain(b *strings.Builder, depth int, tr *trace.Tra
 
 // guard stops a stream once ctx carries an error, polling the
 // cancellation check as rows pass (the operator pull loop's cancellation
-// point).
+// point). Running the guarded stream again allocates nothing.
 func guard(in exec.Seq, ctx *runCtx) exec.Seq {
-	return func(yield func(relation.Tuple, int) bool) {
-		for t, m := range in {
-			if !ctx.poll() {
-				return
-			}
-			if !yield(t, m) {
-				return
-			}
-		}
-	}
+	g := &guarded{in: in, ctx: ctx}
+	g.next = g.row
+	return g.run
 }
+
+// guarded is a guard stream's state.
+type guarded struct {
+	in          exec.Seq
+	ctx         *runCtx
+	next, yield func(relation.Tuple, int) bool
+}
+
+func (g *guarded) run(yield func(relation.Tuple, int) bool) {
+	g.yield = yield
+	g.in(g.next)
+}
+
+func (g *guarded) row(t relation.Tuple, m int) bool { return g.ctx.poll() && g.yield(t, m) }
 
 // inputs lists a node's input subtrees; ok is false for an operator the
 // walkers below do not know.
@@ -760,8 +765,6 @@ func inputs(n Node) (kids []Node, ok bool) {
 		return []Node{x.sub.root}, true
 	case *hashJoinNode:
 		return []Node{x.left, x.right}, true
-	case *semiJoinNode:
-		return []Node{x.input, x.sub.root}, true
 	case *filterNode:
 		kids := []Node{x.input}
 		for _, p := range x.probes {
@@ -783,14 +786,14 @@ func inputs(n Node) (kids []Node, ok bool) {
 }
 
 // subtreeStatic reports whether a plan subtree's output is fixed for the
-// whole of one execution: scans of base relations, derived tables, and
-// pure operators over them. Anything that reads a fixpoint handle
-// (CTE results and rotating deltas) or that inputs does not know is
+// whole of one execution: scans of base relations, derived tables, CTE
+// results (cteNode.static), and pure operators over them. Anything else
+// (a rotating delta, a probe's row) or that inputs does not know is
 // treated as non-static, which only costs a rebuild. Bound parameters
 // are constant per execution, so they do not break staticness.
 func subtreeStatic(n Node) bool {
-	if _, ok := n.(*cteNode); ok {
-		return false
+	if c, ok := n.(*cteNode); ok {
+		return c.static
 	}
 	kids, ok := inputs(n)
 	if !ok {
@@ -817,167 +820,6 @@ func readsDelta(n Node) bool {
 		}
 	}
 	return false
-}
-
-// semiJoinNode filters the input by a decorrelated subquery: the
-// subquery's correlation columns are materialized into a hash table and
-// each input row probes with its correlated expressions. mode selects
-// EXISTS (at least one strict-Eq candidate), or IN (three-valued
-// membership of inExpr among candidates' in-column — the SQL [NOT] IN
-// NULL semantics fall out of the 3VL fold).
-type semiJoinNode struct {
-	input     Node
-	sub       *Plan
-	subCols   []int // correlation columns of the subquery projection
-	probes    []exprFn
-	probeStrs []string
-	inExpr    exprFn // nil for EXISTS
-	inCol     int    // membership column of the subquery projection
-	inStr     string
-	negated   bool
-}
-
-func (n *semiJoinNode) Schema() []ColID { return n.input.Schema() }
-
-func (n *semiJoinNode) Run(ctx *runCtx) exec.Seq {
-	if n.inExpr != nil && len(n.subCols) == 0 {
-		return ctx.traced(n, n.runUncorrelatedIn(ctx))
-	}
-	return ctx.traced(n, func(yield func(relation.Tuple, int) bool) {
-		ht := exec.BuildHashTable(n.sub.run(ctx), n.subCols, len(n.sub.attrs))
-		if op := ctx.trace.Lookup(n); op != nil {
-			op.BuildRows = int64(ht.Len())
-		}
-		vals := make([]value.Value, len(n.probes))
-		for t, m := range n.input.Run(ctx) {
-			if !ctx.poll() {
-				return
-			}
-			for i, p := range n.probes {
-				vals[i] = p(t, ctx)
-			}
-			if ctx.err != nil {
-				return
-			}
-			var tv value.TV
-			if n.inExpr == nil {
-				// EXISTS: any strict-Eq candidate suffices.
-				tv = value.False
-				ht.Candidates(vals, func(_ int, r exec.Row) bool {
-					if ht.EqMatch(r, vals) {
-						tv = value.True
-						return false
-					}
-					return true
-				})
-			} else {
-				// IN: 3VL OR-fold of (inExpr = candidate) over the
-				// correlated candidates.
-				x := n.inExpr(t, ctx)
-				if ctx.err != nil {
-					return
-				}
-				tv = value.False
-				ht.Candidates(vals, func(_ int, r exec.Row) bool {
-					if !ht.EqMatch(r, vals) {
-						return true
-					}
-					tv = tv.Or(value.Eq.Apply(x, r.Tup[n.inCol]))
-					return tv != value.True
-				})
-			}
-			if n.negated {
-				tv = tv.Not()
-			}
-			if !tv.Holds() {
-				continue
-			}
-			if !yield(t, m) {
-				return
-			}
-		}
-	})
-}
-
-// runUncorrelatedIn hashes the membership column itself — with no
-// correlation keys, the generic path would rescan every subquery row per
-// input row. The 3VL fold collapses to: any strict-Eq match → True; else
-// Unknown when the subquery is non-empty and contains a NULL or the
-// probe is NULL; else False (True only after negation flips).
-func (n *semiJoinNode) runUncorrelatedIn(ctx *runCtx) exec.Seq {
-	return func(yield func(relation.Tuple, int) bool) {
-		ht := exec.BuildHashTable(n.sub.run(ctx), []int{n.inCol}, len(n.sub.attrs))
-		hasNull := false
-		for _, r := range ht.Rows() {
-			if r.Tup[n.inCol].IsNull() {
-				hasNull = true
-				break
-			}
-		}
-		vals := make([]value.Value, 1)
-		for t, m := range n.input.Run(ctx) {
-			if !ctx.poll() {
-				return
-			}
-			vals[0] = n.inExpr(t, ctx)
-			if ctx.err != nil {
-				return
-			}
-			tv := value.False
-			if ht.Len() > 0 {
-				matched := false
-				ht.Candidates(vals, func(_ int, r exec.Row) bool {
-					if ht.EqMatch(r, vals) {
-						matched = true
-						return false
-					}
-					return true
-				})
-				switch {
-				case matched:
-					tv = value.True
-				case hasNull || vals[0].IsNull():
-					tv = value.Unknown
-				}
-			}
-			if n.negated {
-				tv = tv.Not()
-			}
-			if !tv.Holds() {
-				continue
-			}
-			if !yield(t, m) {
-				return
-			}
-		}
-	}
-}
-
-func (n *semiJoinNode) writeExplain(b *strings.Builder, depth int, tr *trace.Trace) {
-	indent(b, depth)
-	op := "SemiJoin"
-	word := "EXISTS"
-	if n.negated {
-		op = "AntiJoin"
-		word = "NOT EXISTS"
-	}
-	if n.inExpr != nil {
-		word = "IN"
-		if n.negated {
-			word = "NOT IN"
-		}
-	}
-	fmt.Fprintf(b, "%s %s", op, word)
-	if n.inStr != "" {
-		fmt.Fprintf(b, " (%s)", n.inStr)
-	}
-	if len(n.probeStrs) > 0 {
-		fmt.Fprintf(b, " corr(%s)", strings.Join(n.probeStrs, ", "))
-	}
-	writeStats(b, tr, n)
-	b.WriteString("\n")
-	n.input.writeExplain(b, depth+1, tr)
-	n.sub.root.writeExplain(b, depth+1, tr)
 }
 
 // --- Tuple-at-a-time operators --------------------------------------------

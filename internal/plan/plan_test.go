@@ -19,7 +19,7 @@ func testDB() map[string]*relation.Relation {
 }
 
 // TestGoldenPlans pins the plan shapes of representative queries: join
-// chains with probe pushdown, decorrelated IN/EXISTS, grouped
+// chains with probe pushdown, IN/EXISTS existence probes, grouped
 // aggregates with HAVING, LEFT/FULL outer joins, and derived tables.
 func TestGoldenPlans(t *testing.T) {
 	cases := []struct{ src, want string }{
@@ -36,19 +36,48 @@ func TestGoldenPlans(t *testing.T) {
 		{
 			"select R.A from R where R.B in (select S.B from S where S.C = R.A)",
 			`Project [A]
-  SemiJoin IN (R.B → S.B) corr(R.A = S.C)
+  Filter (IN (R.B → S.B))
     Scan R
-    Project [k0, v]
-      Scan S
+    SemiProbe IN (R.B → S.B) by(R.A, R.B)
+      HashJoin INNER (S.C = R.A, R.B = S.B) index(S)
+        Outer
+        Scan S
+    UnknownProbe S.B by(R.A)
+      HashJoin INNER (S.C = R.A) index(S)
+        Outer
+        Scan S
 `,
 		},
 		{
 			"select R.A from R where not exists (select 1 from S where S.B = R.B and S.C < 2)",
 			`Project [A]
-  AntiJoin NOT EXISTS corr(R.B = S.B)
+  Filter (NOT EXISTS)
     Scan R
-    Project [k0]
-      RangeScan S C in (-inf, 2)
+    AntiProbe NOT EXISTS by(R.B)
+      HashJoin INNER (S.B = R.B)
+        Outer
+        RangeScan S C in (-inf, 2)
+`,
+		},
+		{
+			// Correlation through an inequality: the inner scope's filter
+			// reads the tested row; an uncorrelated IN's element scope runs
+			// once per execution.
+			"select R.A from R where exists (select 1 from S where S.C < R.A) and R.B not in (select T.C from T)",
+			`Project [A]
+  Filter (EXISTS AND NOT IN (R.B → T.C))
+    Scan R
+    SemiProbe EXISTS by(R.A)
+      Filter (S.C < R.A)
+        CrossJoin INNER
+          Outer
+          Scan S
+    AntiProbe NOT IN (R.B → T.C) by(R.B)
+      HashJoin INNER (R.B = T.C) index(T)
+        Outer
+        Scan T
+    UnknownProbe T.C static
+      Scan T
 `,
 		},
 		{
@@ -176,8 +205,10 @@ func TestNotPlannableFallbacks(t *testing.T) {
 		"select R.A, (select S.C from S where S.B = R.B) from R",
 		// LATERAL derived table.
 		"select x.A, z.B from R as x join lateral (select y.B from S as y where x.A < y.C) as z on true",
-		// Non-equality correlation.
-		"select R.A from R where exists (select 1 from S where S.C < R.A)",
+		// Grouped subquery.
+		"select R.A from R where R.B in (select count(S.C) from S)",
+		// Correlation inside a subquery's FROM.
+		"select R.A from R where exists (select 1 from S join T on S.C = T.C and T.A = R.A)",
 		// Representative-row grouping (item outside keys and aggregates).
 		"select R.B from R group by R.A",
 	} {

@@ -1,7 +1,9 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/convention"
 	"repro/internal/exec"
@@ -14,7 +16,7 @@ import (
 // It reads db for the schema only; the plan runs on any relation map
 // with that schema (ExecuteOn, StreamOn), and on db itself by default.
 // Queries outside the compiled fragment (LATERAL, scalar subqueries,
-// correlation without equality, rep-row grouping, …) return an error
+// grouped subqueries, rep-row grouping, …) return an error
 // wrapping ErrNotPlannable; callers fall back to the reference
 // enumeration evaluator, which also owns user-facing errors for
 // genuinely invalid queries.
@@ -44,8 +46,9 @@ func CompileSchema(q sql.Query, db map[string]*relation.Relation) (*Plan, error)
 type compilerCtx struct {
 	db map[string]*relation.Relation
 	// ctes is the copy-on-write scope of WITH bindings in force; CTE
-	// names shadow database relations.
-	ctes map[string]*cteBinding
+	// names shadow database relations. stepping: a recursive step's.
+	ctes     map[string]*cteBinding
+	stepping bool
 }
 
 func (c *compilerCtx) compileQuery(q sql.Query, outer *scope) (*Plan, error) {
@@ -103,11 +106,10 @@ func (c *compilerCtx) compileSelect(s *sql.Select, outer *scope) (*Plan, error) 
 			rest = append(rest, cj)
 		}
 	}
-	node, err = c.compileWhere(node, rest, outer)
-	if err != nil {
+	fromScope := &scope{schema: node.Schema(), parent: outer}
+	if node, err = c.compileWhere(node, rest, fromScope); err != nil {
 		return nil, err
 	}
-	fromScope := &scope{schema: node.Schema(), parent: outer}
 	attrs := s.OutNames()
 
 	var root Node
@@ -181,17 +183,24 @@ func (c *compilerCtx) compileFrom(refs []sql.TableRef, outer *scope, conjs []sql
 
 // chainJoin combines two FROM subtrees with an inner hash join keyed on
 // every available column-equality conjunct between them (cross join when
-// none applies). Key equality is strict, so consuming a conjunct here is
-// exactly the WHERE filter it came from.
+// none applies).
 func chainJoin(left, right Node, outer *scope, conjs []sql.Expr, consumed []bool) Node {
 	n := newHashJoinNode(joinInner, left, right)
-	combined := &scope{schema: n.schema, parent: outer}
-	nLeft := len(left.Schema())
+	joinKeys(n, &scope{schema: n.schema, parent: outer}, conjs, consumed)
+	return n
+}
+
+// joinKeys keys the inner join n on every column-equality conjunct
+// between its two sides in rows over sc, consuming them. Key equality is
+// strict, so consuming a conjunct here is exactly the WHERE filter it
+// came from.
+func joinKeys(n *hashJoinNode, sc *scope, conjs []sql.Expr, consumed []bool) {
+	nLeft := len(n.left.Schema())
 	for i, cj := range conjs {
 		if consumed[i] {
 			continue
 		}
-		lc, rc, ok := splitEqCols(cj, combined, nLeft)
+		lc, rc, ok := splitEqCols(cj, sc, nLeft)
 		if !ok {
 			continue
 		}
@@ -200,12 +209,11 @@ func chainJoin(left, right Node, outer *scope, conjs []sql.Expr, consumed []bool
 		n.keyStrs = append(n.keyStrs, cj.(*sql.Cmp).String())
 		consumed[i] = true
 	}
-	return n
 }
 
 // splitEqCols matches a conjunct of the form col = col whose sides
-// resolve locally on opposite sides of a two-part schema, returning the
-// combined-schema positions (left first).
+// resolve on opposite sides of rows over combined, the first nLeft
+// columns being the left side, returning their positions (left first).
 func splitEqCols(cj sql.Expr, combined *scope, nLeft int) (lc, rc int, ok bool) {
 	cmp, isCmp := cj.(*sql.Cmp)
 	if !isCmp || cmp.Op != value.Eq {
@@ -216,12 +224,12 @@ func splitEqCols(cj sql.Expr, combined *scope, nLeft int) (lc, rc int, ok bool) 
 	if !lOK || !rOK {
 		return 0, 0, false
 	}
-	ld, lcol, err := combined.resolve(lRef)
-	if err != nil || ld != 0 {
+	lcol, err := combined.column(lRef)
+	if err != nil {
 		return 0, 0, false
 	}
-	rd, rcol, err := combined.resolve(rRef)
-	if err != nil || rd != 0 {
+	rcol, err := combined.column(rRef)
+	if err != nil {
 		return 0, 0, false
 	}
 	if lcol < nLeft && rcol >= nLeft {
@@ -478,47 +486,40 @@ func (c *compilerCtx) compileJoinRef(x *sql.JoinRef, outer *scope) (Node, error)
 	return n, nil
 }
 
-// compileWhere applies the remaining WHERE conjuncts in order: [NOT]
-// EXISTS / [NOT] IN conjuncts decorrelate into semi/anti joins, plain
-// predicates become filters. Order is preserved so per-row evaluation
-// (and short-circuiting) matches the reference evaluator.
-func (c *compilerCtx) compileWhere(node Node, conjs []sql.Expr, outer *scope) (Node, error) {
-	var pending []sql.Expr
-	flush := func(n Node) (Node, error) {
-		if len(pending) == 0 {
-			return n, nil
+// compileWhere keeps the rows of node, which sc resolves, on which the
+// WHERE conjuncts conjs, then extra, hold: one filter of conditions in
+// conjunct order, a [NOT] EXISTS or [NOT] IN conjunct an existence probe
+// of the row (compileProbe).
+func (c *compilerCtx) compileWhere(node Node, conjs []sql.Expr, sc *scope, extra ...Cond) (Node, error) {
+	var conds []Cond
+	for _, cj := range conjs {
+		var cond Cond
+		var err error
+		if sub, x, neg, ok := asSubqueryConjunct(cj); ok {
+			cond, err = c.compileProbe(node.Schema(), sc, sub, x, neg)
+		} else {
+			cond.fn, err = compilePredWith(sc, cj)
+			cond.str = cj.String()
 		}
-		sc := &scope{schema: n.Schema(), parent: outer}
-		preds, err := compilePredsWith(sc, pending)
 		if err != nil {
 			return nil, err
 		}
-		str := ""
-		for i, p := range pending {
-			if i > 0 {
-				str += " AND "
-			}
-			str += p.String()
-		}
-		pending = nil
-		return &filterNode{input: n, pred: andPreds(preds), str: str}, nil
+		conds = append(conds, cond)
 	}
-	for _, cj := range conjs {
-		if sub, inExpr, negated, ok := asSubqueryConjunct(cj); ok {
-			var err error
-			node, err = flush(node)
-			if err != nil {
-				return nil, err
-			}
-			node, err = c.compileSemi(node, outer, sub, inExpr, negated, cj)
-			if err != nil {
-				return nil, err
-			}
-			continue
-		}
-		pending = append(pending, cj)
+	return filterOf(node, append(conds, extra...)), nil
+}
+
+// filterOf keeps the rows of node on which conds, folded as the reference
+// folds AND, hold.
+func filterOf(node Node, conds []Cond) Node {
+	if len(conds) == 0 {
+		return node
 	}
-	return flush(node)
+	preds := make([]predFn, len(conds))
+	for i, cond := range conds {
+		preds[i] = cond.fn
+	}
+	return newFilter(node, conds, andPreds(preds))
 }
 
 // asSubqueryConjunct recognizes [NOT] EXISTS (q) and x [NOT] IN (q)
@@ -539,135 +540,261 @@ func asSubqueryConjunct(cj sql.Expr) (q sql.Query, inExpr sql.Expr, negated, ok 
 	return nil, nil, false, false
 }
 
-// compileSemi decorrelates one subquery conjunct: the inner SELECT's
-// equality-correlated conjuncts become the hash-join key between the
-// outer rows and the materialized inner plan; [NOT] IN additionally folds
-// three-valued membership of the probe expression over the correlated
-// candidates, which reproduces SQL's NULL semantics exactly.
-func (c *compilerCtx) compileSemi(input Node, outer *scope, q sql.Query, inExpr sql.Expr, negated bool, orig sql.Expr) (Node, error) {
-	inner, ok := q.(*sql.Select)
-	if !ok {
-		return nil, notPlannable("subquery %T", q)
+// compileProbe lowers one subquery conjunct of the rows row lays out and
+// sc resolves into an existence probe of the row. [NOT] EXISTS is
+// two-valued; x [NOT] IN folds x = e over the subquery's item e under
+// 3VL, from two scopes: one restricted to x = e, whose row makes it True,
+// and one without, whose NULL or incomparable e makes it Unknown.
+func (c *compilerCtx) compileProbe(row []ColID, sc *scope, q sql.Query, x sql.Expr, neg bool) (Cond, error) {
+	s, ok := q.(*sql.Select)
+	switch {
+	case !ok:
+		return Cond{}, notPlannable("subquery %T", q)
+	case len(s.GroupBy) > 0 || s.Having != nil || sql.HasAggregate(s):
+		return Cond{}, notPlannable("grouped subquery")
+	case x != nil && len(s.Items) != 1:
+		return Cond{}, notPlannable("IN subquery arity %d", len(s.Items))
 	}
-	if len(inner.GroupBy) > 0 || inner.Having != nil || sql.HasAggregate(inner) {
-		return nil, notPlannable("grouped subquery")
+	not := ""
+	if neg {
+		not = "NOT "
 	}
-	inputScope := &scope{schema: input.Schema(), parent: outer}
-	innerConjs := conjuncts(inner.Where)
-	innerConsumed := make([]bool, len(innerConjs))
-	innerNode, err := c.compileFrom(inner.From, inputScope, innerConjs, innerConsumed)
+	inner, elem, by, err := c.subscope(row, sc, s, nil, x != nil)
 	if err != nil {
-		return nil, err
+		return Cond{}, err
 	}
-	innerScope := &scope{schema: innerNode.Schema(), parent: inputScope}
-
-	// Split the inner WHERE into correlation equalities (inner side vs
-	// outer side) and residual inner conjuncts.
-	var corrInner, corrOuter []sql.Expr
-	var residual []sql.Expr
-	for i, cj := range innerConjs {
-		if innerConsumed[i] {
-			continue
-		}
-		if ie, oe, ok, err := splitCorrEq(cj, innerScope); err != nil {
-			return nil, err
-		} else if ok {
-			corrInner = append(corrInner, ie)
-			corrOuter = append(corrOuter, oe)
-			continue
-		}
-		residual = append(residual, cj)
+	if x == nil {
+		p := newProbe(inner, neg, not+"EXISTS", row, by)
+		return Cond{fn: p.holds, str: p.label, probe: p}, nil
 	}
-	filtered, err := c.compileWhere(innerNode, residual, inputScope)
+	xfn, err := sc.compileScalar(x)
 	if err != nil {
-		return nil, err
+		return Cond{}, err
 	}
-
-	n := &semiJoinNode{input: input, negated: negated}
-	// Build the subquery projection: correlation columns, then the IN
-	// membership column.
-	var subExprs []exprFn
-	var subNames []string
-	for i, ie := range corrInner {
-		fn, err := innerScope.compileScalar(ie)
-		if err != nil {
-			return nil, err
-		}
-		subExprs = append(subExprs, fn)
-		subNames = append(subNames, fmt.Sprintf("k%d", i))
-		n.subCols = append(n.subCols, i)
-		ofn, err := inputScope.compileScalar(corrOuter[i])
-		if err != nil {
-			return nil, err
-		}
-		n.probes = append(n.probes, ofn)
-		n.probeStrs = append(n.probeStrs, fmt.Sprintf("%s = %s", corrOuter[i], ie))
+	match, _, mby, err := c.subscope(row, sc, s, x, true)
+	if err != nil {
+		return Cond{}, err
 	}
-	if inExpr != nil {
-		if len(inner.Items) != 1 {
-			return nil, notPlannable("IN subquery arity %d", len(inner.Items))
-		}
-		fn, err := innerScope.compileScalar(inner.Items[0].Expr)
-		if err != nil {
-			return nil, err
-		}
-		subExprs = append(subExprs, fn)
-		subNames = append(subNames, "v")
-		n.inCol = len(n.subCols)
-		xfn, err := inputScope.compileScalar(inExpr)
-		if err != nil {
-			return nil, err
-		}
-		n.inExpr = xfn
-		n.inStr = fmt.Sprintf("%s → %s", inExpr, inner.Items[0].Expr)
-	} else {
-		// EXISTS ignores the inner items, but they must be error-free
-		// per row for the paths to agree; bare literals and column
-		// references are.
-		for _, it := range inner.Items {
-			switch it.Expr.(type) {
-			case *sql.Lit:
-			case *sql.ColRef:
-				if _, err := innerScope.compileScalar(it.Expr); err != nil {
-					return nil, err
-				}
-			default:
-				return nil, notPlannable("EXISTS item %T", it.Expr)
-			}
-		}
-	}
-	n.sub = &Plan{root: newProjectNode(filtered, subExprs, subNames), attrs: subNames}
-	return n, nil
+	e := s.Items[0].Expr
+	p := newProbe(match, neg, fmt.Sprintf("%sIN (%s → %s)", not, x, e), row, mby)
+	p.x, p.rest = xfn, newProbe(inner, false, e.String(), row, by)
+	p.rest.elem = elem
+	return Cond{fn: p.holds, str: p.label, probe: p}, nil
 }
 
-// splitCorrEq matches an equality conjunct with one side reading only the
-// inner (depth-0) schema and the other only the enclosing (depth-1)
-// schema. Sides mixing scopes are not decorrelatable and fail the whole
-// compilation (the fragment requires pure equality correlation).
-func splitCorrEq(cj sql.Expr, inner *scope) (innerSide, outerSide sql.Expr, ok bool, err error) {
+// newProbe is the existence test of inner, whose answer is a function of
+// the columns by of the tested row, which row lays out.
+func newProbe(inner Node, neg bool, label string, row []ColID, by []int) *probe {
+	slices.Sort(by)
+	p := &probe{inner: inner, neg: neg, label: label, keyed: true, by: by}
+	for _, c := range by {
+		p.byStr = append(p.byStr, row[c].String())
+	}
+	return p
+}
+
+// subscope lowers the subquery s of the rows row lays out and sc resolves
+// into a probe's inner scope, restricted to x = e unless x is nil, and
+// compiles its item e. Its rows are its FROM's, unless a reference leaves
+// it: then its first leaf is the tested row (Outer), joined to the FROM
+// on the equalities between a side that reads the tested row alone and
+// one that reads the FROM alone (and x = e when e reads the FROM alone).
+// Every other conjunct is a condition: below the join if it reads the
+// FROM alone.
+func (c *compilerCtx) subscope(row []ColID, sc *scope, s *sql.Select, x sql.Expr, in bool) (Node, exprFn, []int, error) {
+	_, linked := x.(*sql.ColRef) // a column x reads the tested row
+	n, e, by, err := c.lowerSubscope(row, sc, s, x, in, linked)
+	if errors.Is(err, errCorrelated) && !linked {
+		return c.lowerSubscope(row, sc, s, x, in, true)
+	}
+	return n, e, by, err
+}
+
+// joinKey is one key of a subscope's join: l over the tested row, under
+// the scope ls, equals r over the FROM's rows.
+type joinKey struct {
+	l, r sql.Expr
+	ls   *scope
+	str  string
+}
+
+// lowerSubscope is subscope with the tested row (linked) or without, and
+// also returns the columns of the tested row the scope reads.
+func (c *compilerCtx) lowerSubscope(row []ColID, sc *scope, s *sql.Select, x sql.Expr, in, linked bool) (Node, exprFn, []int, error) {
+	conjs := conjuncts(s.Where)
+	consumed := make([]bool, len(conjs))
+	from, err := c.compileFrom(s.From, sc, conjs, consumed)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	var by []int
+	inner := &scope{schema: from.Schema(), parent: sc, linked: linked, used: &by}
+	// x reads the tested row only: the prefix of the inner rows.
+	xs := &scope{parent: sc, linked: linked, used: &by}
+	var e sql.Expr
+	if x != nil {
+		e = s.Items[0].Expr
+	}
+	keyed, chain := false, from
+	if linked {
+		local := &scope{schema: from.Schema(), parent: sc}
+		var conds []Cond
+		var keys []joinKey
+		for i, cj := range conjs {
+			if _, _, _, sub := asSubqueryConjunct(cj); consumed[i] || sub {
+				continue
+			}
+			if pred, err := compilePredWith(local, cj); err == nil {
+				conds, consumed[i] = append(conds, Cond{fn: pred, str: cj.String()}), true
+			} else if l, r, ok := inner.splitKey(cj); ok {
+				keys, consumed[i] = append(keys, joinKey{l, r, inner, cj.String()}), true
+			}
+		}
+		if x != nil {
+			if loc, out, ok := inner.reads(e); ok && loc && !out {
+				keys, keyed = append(keys, joinKey{x, e, xs, fmt.Sprintf("%s = %s", x, e)}), true
+			}
+		}
+		if chain, err = keyJoin(Outer(row), filterOf(from, conds), local, keys); err != nil {
+			return nil, nil, nil, err
+		}
+		inner.off = len(chain.(*hashJoinNode).left.Schema())
+	}
+	var member []Cond
+	if x != nil && !keyed {
+		xf, err := xs.compileScalar(x)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		ef, err := inner.compileScalar(e)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		member = append(member, Cond{fn: func(t relation.Tuple, ctx *runCtx) value.TV {
+			return value.Eq.Apply(xf(t, ctx), ef(t, ctx))
+		}, str: fmt.Sprintf("%s = %s", x, e)})
+	}
+	var where []sql.Expr
+	for i, cj := range conjs {
+		if !consumed[i] {
+			where = append(where, cj)
+		}
+	}
+	if chain, err = c.compileWhere(chain, where, inner, member...); err != nil {
+		return nil, nil, nil, err
+	}
+	// IN reads its item off the rows; EXISTS ignores the items, but they
+	// must be error-free per row for the paths to agree, as bare literals
+	// and column references are.
+	var elem exprFn
+	for _, it := range s.Items {
+		switch it.Expr.(type) {
+		case *sql.Lit, *sql.ColRef:
+		default:
+			if !in {
+				return nil, nil, nil, notPlannable("EXISTS item %T", it.Expr)
+			}
+		}
+		if elem, err = inner.compileScalar(it.Expr); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	return chain, elem, by, nil
+}
+
+// splitKey matches an equality conjunct of the rows over s between a side
+// that reads the enclosing rows alone and one that reads s's own columns
+// alone, returning them in that order.
+func (s *scope) splitKey(cj sql.Expr) (outer, local sql.Expr, ok bool) {
 	cmp, isCmp := cj.(*sql.Cmp)
 	if !isCmp || cmp.Op != value.Eq {
-		// Non-equality conjuncts stay residual; if they are correlated,
-		// residual compilation bails out later.
-		return nil, nil, false, nil
+		return nil, nil, false
 	}
-	lLocal, lOuter, lErr := inner.refsAt(cmp.L)
-	rLocal, rOuter, rErr := inner.refsAt(cmp.R)
-	if lErr != nil || rErr != nil {
-		// Unresolvable or non-scalar sides: leave residual, where the
-		// real compile produces the precise bailout.
-		return nil, nil, false, nil
-	}
-	if lLocal && lOuter || rLocal && rOuter {
-		return nil, nil, false, notPlannable("mixed-scope correlation %s", cmp)
-	}
+	lLoc, lOut, lok := s.reads(cmp.L)
+	rLoc, rOut, rok := s.reads(cmp.R)
 	switch {
-	case lOuter && !rOuter && rLocal:
-		return cmp.R, cmp.L, true, nil
-	case rOuter && !lOuter && lLocal:
-		return cmp.L, cmp.R, true, nil
+	case !lok || !rok:
+		return nil, nil, false
+	case lOut && !lLoc && rLoc && !rOut:
+		return cmp.L, cmp.R, true
+	case rOut && !rLoc && lLoc && !lOut:
+		return cmp.R, cmp.L, true
 	}
-	return nil, nil, false, nil
+	return nil, nil, false
+}
+
+// reads reports whether x, a scalar over the rows of s, reads s's own
+// columns (local) and enclosing ones (outer); ok is false for an
+// expression outside the scalar fragment or a reference s cannot resolve.
+func (s *scope) reads(x sql.Expr) (local, outer, ok bool) {
+	switch n := x.(type) {
+	case *sql.Lit, *sql.Param:
+		return false, false, true
+	case *sql.ColRef:
+		depth, _, err := s.resolve(n)
+		return depth == 0, depth > 0, err == nil
+	case *sql.BinE:
+		l1, o1, ok1 := s.reads(n.L)
+		l2, o2, ok2 := s.reads(n.R)
+		return l1 || l2, o1 || o2, ok1 && ok2
+	}
+	return false, false, false
+}
+
+// keyJoin joins the tested row (left) to the FROM's rows (right, which
+// local resolves) on keys: a key side that is a column is read where it
+// lies, any other is computed into a column appended to its side.
+func keyJoin(left, right Node, local *scope, keys []joinKey) (*hashJoinNode, error) {
+	var lcols, rcols []int
+	var strs []string
+	var lx, rx []Expr
+	for _, k := range keys {
+		lc, err := keyCol(k.l, k.ls, len(left.Schema()), &lx)
+		if err != nil {
+			return nil, err
+		}
+		rc, err := keyCol(k.r, local, len(right.Schema()), &rx)
+		if err != nil {
+			return nil, err
+		}
+		lcols, rcols, strs = append(lcols, lc), append(rcols, rc), append(strs, k.str)
+	}
+	join := newHashJoinNode(joinInner, extend(left, lx), extend(right, rx))
+	join.leftCols, join.rightCols, join.keyStrs = lcols, rcols, strs
+	return join, nil
+}
+
+// keyCol is the column of the rows over sc, width wide, that holds x: the
+// one x reads if it is a column, else one appended to extra computing it.
+func keyCol(x sql.Expr, sc *scope, width int, extra *[]Expr) (int, error) {
+	if ref, ok := x.(*sql.ColRef); ok {
+		return sc.column(ref)
+	}
+	fn, err := sc.compileScalar(x)
+	if err != nil {
+		return 0, err
+	}
+	*extra = append(*extra, Expr{fn: fn, str: x.String()})
+	return width + len(*extra) - 1, nil
+}
+
+// extend appends the columns extra computes to the rows of in.
+func extend(in Node, extra []Expr) Node {
+	if len(extra) == 0 {
+		return in
+	}
+	schema := in.Schema()
+	fns := make([]exprFn, 0, len(schema)+len(extra))
+	for i := range schema {
+		fns = append(fns, Column(i, "").fn)
+	}
+	n := newProjectNode(in, nil, nil)
+	n.schema = slices.Clone(schema)
+	for _, x := range extra {
+		fns, n.schema = append(fns, x.fn), append(n.schema, ColID{Col: x.str})
+	}
+	n.exprs = fns
+	return n
 }
 
 // compileGrouped lowers GROUP BY / HAVING / aggregate items onto a

@@ -37,6 +37,7 @@ type cteBinding struct {
 	attrs  []string
 	handle *fixpoint.Handle
 	delta  bool // true while compiling a recursive step (for EXPLAIN)
+	static bool // one relation per execution: no CTE nested in a recursive step
 }
 
 // withCTE resolves a base-table name against the CTE scope.
@@ -92,7 +93,7 @@ func (c *compilerCtx) compileWith(w *sql.With, outer *scope) (*Plan, error) {
 					return nil, err
 				}
 				n.ctes = append(n.ctes, compiled)
-				c.setCTE(&cteBinding{name: cte.Name, attrs: compiled.attrs, handle: compiled.result})
+				c.setCTE(&cteBinding{name: cte.Name, attrs: compiled.attrs, handle: compiled.result, static: !c.stepping})
 				continue
 			}
 		}
@@ -106,7 +107,7 @@ func (c *compilerCtx) compileWith(w *sql.With, outer *scope) (*Plan, error) {
 		}
 		compiled := &compiledCTE{name: cte.Name, attrs: attrs, plain: sub, result: &fixpoint.Handle{}}
 		n.ctes = append(n.ctes, compiled)
-		c.setCTE(&cteBinding{name: cte.Name, attrs: attrs, handle: compiled.result})
+		c.setCTE(&cteBinding{name: cte.Name, attrs: attrs, handle: compiled.result, static: !c.stepping})
 	}
 	body, err := c.compileQuery(w.Body, outer)
 	if err != nil {
@@ -147,10 +148,11 @@ func (c *compilerCtx) compileRecursiveCTE(cte sql.CTE, baseQ, stepQ sql.Query, a
 		result:   &fixpoint.Handle{},
 		distinct: !all,
 	}
-	savedScope := c.ctes
+	savedScope, stepping := c.ctes, c.stepping
 	c.setCTE(&cteBinding{name: cte.Name, attrs: attrs, handle: out.delta, delta: true})
+	c.stepping = true
 	stepPlan, err := c.compileQuery(stepQ, outer)
-	c.ctes = savedScope
+	c.ctes, c.stepping = savedScope, stepping
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +169,7 @@ func (c *compilerCtx) compileRecursiveCTE(cte sql.CTE, baseQ, stepQ sql.Query, a
 func (x *compiledCTE) materialize(ctx *runCtx) error {
 	if x.plain != nil {
 		rel := relation.New(x.name, x.attrs...)
-		for t, m := range x.plain.run(ctx) {
+		for t, m := range x.plain.root.Run(ctx) {
 			if !ctx.poll() {
 				return ctx.err
 			}
@@ -181,7 +183,7 @@ func (x *compiledCTE) materialize(ctx *runCtx) error {
 	}
 	// drain streams one term's rows into emit.
 	drain := func(term *Plan, emit fixpoint.EmitMult) error {
-		for t, m := range term.run(ctx) {
+		for t, m := range term.root.Run(ctx) {
 			if !ctx.poll() {
 				return ctx.err
 			}
@@ -316,11 +318,12 @@ type cteNode struct {
 	alias  string
 	handle *fixpoint.Handle
 	delta  bool
+	static bool
 	schema []ColID
 }
 
 func newCTENode(bind *cteBinding, alias string) *cteNode {
-	n := &cteNode{name: bind.name, alias: alias, handle: bind.handle, delta: bind.delta}
+	n := &cteNode{name: bind.name, alias: alias, handle: bind.handle, delta: bind.delta, static: bind.static}
 	for _, a := range bind.attrs {
 		n.schema = append(n.schema, ColID{Rel: alias, Col: a})
 	}
