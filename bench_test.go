@@ -125,6 +125,31 @@ func BenchmarkEvalJoin(b *testing.B) {
 	}
 }
 
+// BenchmarkEvalOuterJoin runs ARC's outer joins through eval.Eval: left,
+// a 2 000-row R left-joined to the inner pair S ⋈ T, and full, R full-
+// joined to S.
+func BenchmarkEvalOuterJoin(b *testing.B) {
+	rng := workload.Rand(3)
+	r := workload.RandomBinary(rng, "R", "A", "B", 2000, 1000, 400)
+	s := workload.RandomBinary(rng, "S", "B", "C", 500, 400, 50)
+	u := workload.RandomBinary(rng, "T", "A", "C", 500, 200, 50)
+	cat := eval.NewCatalog().AddRelation(r).AddRelation(s).AddRelation(u)
+	for _, c := range []struct{ name, src string }{
+		{"left", "{Q(a, c) | ∃r ∈ R, s ∈ S, u ∈ T, left(r, inner(s, u)) [Q.a = r.A ∧ Q.c = u.C ∧ r.B = s.B ∧ s.C = u.C]}"},
+		{"full", "{Q(a, c) | ∃r ∈ R, s ∈ S, full(r, s) [Q.a = r.A ∧ Q.c = s.C ∧ r.B = s.B]}"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			col := arc.MustParseCollection(c.src)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := eval.Eval(col, cat, convention.SQL()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEvalGroupBy scales the FIO grouped aggregate (3).
 func BenchmarkEvalGroupBy(b *testing.B) {
 	for _, n := range []int{100, 1000, 5000} {

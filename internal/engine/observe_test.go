@@ -104,6 +104,19 @@ func TestExplainAnalyzeEngine(t *testing.T) {
 		t.Errorf("ARC analyze output lacks fixpoint/total lines:\n%s", atext)
 	}
 
+	// An ARC LEFT join is a keyed LEFT hash join on E's index, its ON
+	// constant pinning the right scan: two rows find no match and are
+	// null-extended.
+	left, err := db.Prepare(LangARC, "{Q(a, b) | ∃e ∈ E, f ∈ E, left(e, f) [Q.a = e.x ∧ Q.b = f.y ∧ e.y = f.x ∧ f.y = 3]}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ltext, err := left.ExplainAnalyze(context.Background())
+	if want := "HashJoin LEFT (e.y = f.x) index(E) (rows=3 hits=1 misses=2 "; err != nil || !strings.Contains(ltext, want) ||
+		!strings.Contains(ltext, "Scan E as f probe(y=3)") {
+		t.Errorf("ARC LEFT join: analyze output lacks %q (%v):\n%s", want, err, ltext)
+	}
+
 	// SQL outside the planner fragment has no operator tree: it renders
 	// the reference evaluator's one step with the planner's reason.
 	fb, err := db.Prepare(LangSQL, "select E.x, L.y from E, lateral (select F.y from E F where F.x = E.y) L")

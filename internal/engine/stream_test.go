@@ -339,10 +339,12 @@ func TestCollectionCursorAllocations(t *testing.T) {
 
 // FuzzCollectionStream decodes bytes into a convention, a statement —
 // one of three_lang's ARC and Datalog spellings (its join, grouped sum and
-// transitive closure) or a generated SQL query translated to ARC — and a
-// small instance of R(A,B), S(B,C), T(A,C), G(A,B) and P(s,t) over NULL,
-// small ints and 1.0, with duplicates, and holds the statement's cursor
-// and QueryAll to eval.EvalReference.
+// transitive closure) or a generated SQL query translated to ARC, from the
+// core grammar under an odd seed and the explicit-join grammar (LEFT and
+// FULL joins) under an even one — and a small instance of R(A,B), S(B,C),
+// T(A,C), G(A,B) and P(s,t) over NULL, small ints and 1.0, with
+// duplicates, and holds the statement's cursor and QueryAll to
+// eval.EvalReference.
 func FuzzCollectionStream(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 1, 0, 3, 2, 1, 0, 1, 2, 1, 0, 2, 2, 0})
 	f.Add([]byte{1, 3, 0, 3, 1, 2, 0, 3, 1, 2, 1, 3, 1, 5, 0, 3, 2, 4, 1})
@@ -350,6 +352,16 @@ func FuzzCollectionStream(f *testing.F) {
 	f.Add([]byte{1, 5, 0, 4, 1, 2, 0, 4, 2, 1, 0, 4, 0, 1, 1, 4, 1, 4, 0})
 	f.Add([]byte{0, 6, 9, 0, 1, 2, 1, 1, 2, 4, 0, 2, 1, 3, 1, 0, 5, 1, 0})
 	f.Add([]byte{2, 6, 77, 0, 0, 1, 0, 1, 3, 1, 0, 2, 1, 1, 1, 2, 1, 2, 0})
+	for conv := range byte(len(streamConventions)) {
+		// Seed 78: T t0 left join S s1 on t0.C = s1.B left join S s2 on
+		// s1.B = s2.C and s2.B = 2 — NULL keys, duplicates, 1.0 against 1.
+		f.Add([]byte{conv, 6, 78, 2, 2, 1, 0, 2, 1, 0, 0, 2, 4, 2, 1, 2, 5, 3, 0,
+			1, 1, 1, 0, 1, 4, 1, 1, 1, 0, 2, 0, 1, 2, 4, 0, 1, 4, 0, 0})
+		// Seed 104: S s0 join S s1 on s0.B = s1.B full join S s2 on
+		// s1.C = s2.B and s2.C = 2.
+		f.Add([]byte{conv, 6, 104, 1, 1, 2, 0, 1, 1, 4, 1, 1, 2, 4, 0, 1, 0, 2, 0,
+			1, 4, 4, 0, 1, 2, 0, 0, 1, 3, 5, 0})
+	}
 	domain := []value.Value{value.Null(), value.Int(0), value.Int(1), value.Float(1), value.Int(2), value.Int(3)}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
@@ -376,6 +388,9 @@ func FuzzCollectionStream(f *testing.F) {
 		switch sh := shape / 2; {
 		case sh == len(shapes):
 			what = qgen.Generate(workload.Rand(int64(seed)))
+			if seed%2 == 0 {
+				what = qgen.GenerateJoins(workload.Rand(int64(seed)))
+			}
 			c, err := sql2arc.TranslateString(what)
 			if err != nil {
 				t.Fatalf("sql2arc rejected %q: %v", what, err)

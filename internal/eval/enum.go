@@ -82,13 +82,13 @@ func (ev *evaluator) enumInner(n *joinNode, base *env, si *scopeInfo, bound map[
 	return envs, nil
 }
 
+// enumLeft enumerates a LEFT node: each left environment extended by the
+// right subtree enumerated from it, where the ON predicates hold, or
+// null-extended when none does.
 func (ev *evaluator) enumLeft(n *joinNode, base *env, si *scopeInfo, bound map[string]bool) ([]*env, error) {
 	lefts, err := ev.enumNode(n.kids[0], base, si, bound)
 	if err != nil {
 		return nil, err
-	}
-	if out, handled, err := ev.enumLeftHashed(n, base, lefts, si, bound); handled || err != nil {
-		return out, err
 	}
 	rightBound := copyBound(bound)
 	for v := range n.kids[0].vars {
@@ -122,81 +122,9 @@ func (ev *evaluator) enumLeft(n *joinNode, base *env, si *scopeInfo, bound map[s
 	return out, nil
 }
 
-// enumLeftHashed joins a LEFT node by enumerating and hashing the right
-// subtree once instead of re-enumerating it per left environment. Sound
-// only when the right subtree enumerates independently of the left
-// bindings — a multi-leaf subtree over plain relation sources (no
-// lateral collection sources, externals, or abstract relations, whose
-// enumeration depends on bound inputs) — and every ON conjunct is a
-// separable equality, hashed as the bucket key and still re-checked per
-// candidate by onHolds (so NULL keys and per-pair evaluation errors keep
-// exact baseline semantics; erroring right keys overflow to every left,
-// as in enumFull). Single-leaf rights keep the per-left path, whose index
-// probes already make them cheap.
-func (ev *evaluator) enumLeftHashed(n *joinNode, base *env, lefts []*env, si *scopeInfo, bound map[string]bool) ([]*env, bool, error) {
-	if ev.reference {
-		return nil, false, nil
-	}
-	leaves, plain := ev.plainSubtree(n.kids[1])
-	if leaves < 2 || !plain || len(lefts) == 0 {
-		return nil, false, nil
-	}
-	eqs := splitFullEqs(n)
-	if len(eqs) == 0 || len(eqs) != len(n.on) {
-		return nil, false, nil
-	}
-	rights, err := ev.enumNode(n.kids[1], base, si, copyBound(bound))
-	if err != nil {
-		return nil, false, err
-	}
-	h := ev.hashRightEnvs(eqs, rights)
-	var out []*env
-	for _, l := range lefts {
-		primary, extra := h.candidatesOf(l)
-		matched := false
-		for _, cands := range [2][]int{primary, extra} {
-			for _, ri := range cands {
-				m := ev.mergeEnvs(base, l, rights[ri], n.kids[1])
-				ok, err := ev.onHolds(n, m)
-				if err != nil {
-					return nil, false, err
-				}
-				if ok {
-					matched = true
-					out = append(out, m)
-				}
-			}
-		}
-		if !matched {
-			ne, err := ev.nullExtend(l, n.kids[1])
-			if err != nil {
-				return nil, false, err
-			}
-			out = append(out, ne)
-		}
-	}
-	return out, true, nil
-}
-
-// plainSubtree counts the leaves of a join subtree and reports whether
-// every leaf ranges over a plain relation source (constant, recursion
-// override, base relation, or view) — the sources whose enumeration
-// never depends on previously bound variables.
-func (ev *evaluator) plainSubtree(n *joinNode) (int, bool) {
-	if n.isLeaf() {
-		b := n.leaf
-		_, isConst := ev.curLink().ConstOfBinding[b]
-		return 1, b.Sub == nil && (isConst || ev.stored(b.Rel)) // a nested collection is lateral
-	}
-	count, plain := 0, true
-	for _, k := range n.kids {
-		c, p := ev.plainSubtree(k)
-		count += c
-		plain = plain && p
-	}
-	return count, plain
-}
-
+// enumFull enumerates a FULL node by the nested loop over both subtrees'
+// environments: the pairs the ON predicates hold on, then each side's
+// environments that matched nothing, null-extended.
 func (ev *evaluator) enumFull(n *joinNode, base *env, si *scopeInfo, bound map[string]bool) ([]*env, error) {
 	lefts, err := ev.enumNode(n.kids[0], base, si, bound)
 	if err != nil {
@@ -206,36 +134,20 @@ func (ev *evaluator) enumFull(n *joinNode, base *env, si *scopeInfo, bound map[s
 	if err != nil {
 		return nil, err
 	}
-	// Separable ON equalities (one side readable from each subtree) hash
-	// the right envs so each left env only visits its key bucket; the
-	// full ON condition is still re-checked per candidate, so NULL keys
-	// keep exact semantics. Empty sides fall through to the nested path,
-	// which then only null-extends. Hashing is only used when every ON
-	// conjunct is an extracted equality: with residual conjuncts, pruning
-	// a pair could also prune a per-pair evaluation error the nested path
-	// would surface.
-	eqs := splitFullEqs(n)
-	h := allRightCandidates(len(rights))
-	if len(eqs) == len(n.on) && len(eqs) > 0 && len(lefts) > 0 && len(rights) > 0 {
-		h = ev.hashRightEnvs(eqs, rights)
-	}
 	matchedR := make([]bool, len(rights))
 	var out []*env
 	for _, l := range lefts {
 		matched := false
-		primary, extra := h.candidatesOf(l)
-		for _, cands := range [2][]int{primary, extra} {
-			for _, ri := range cands {
-				m := ev.mergeEnvs(base, l, rights[ri], n.kids[1])
-				ok, err := ev.onHolds(n, m)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					matched = true
-					matchedR[ri] = true
-					out = append(out, m)
-				}
+		for ri, r := range rights {
+			m := ev.mergeEnvs(base, l, r, n.kids[1])
+			ok, err := ev.onHolds(n, m)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				matched = true
+				matchedR[ri] = true
+				out = append(out, m)
 			}
 		}
 		if !matched {
@@ -257,118 +169,6 @@ func (ev *evaluator) enumFull(n *joinNode, base *env, si *scopeInfo, bound map[s
 		out = append(out, ne)
 	}
 	return out, nil
-}
-
-// rightEnvHash buckets a join node's right-side environments by their
-// separable-equality key terms, shared by enumFull and enumLeftHashed.
-// Rights whose key terms error (the nested path may never evaluate them
-// — an earlier ON conjunct can short-circuit) go to the overflow list,
-// staying candidates for every left so onHolds reproduces baseline
-// behaviour exactly.
-type rightEnvHash struct {
-	ev       *evaluator
-	eqs      []fullEq
-	buckets  map[string][]int
-	overflow []int
-	all      []int
-	kb       []byte
-}
-
-// allRightCandidates is the no-hash baseline: every left visits every
-// right.
-func allRightCandidates(n int) *rightEnvHash {
-	h := &rightEnvHash{all: make([]int, n)}
-	for i := range h.all {
-		h.all[i] = i
-	}
-	return h
-}
-
-// hashRightEnvs builds the bucket+overflow index over rights.
-func (ev *evaluator) hashRightEnvs(eqs []fullEq, rights []*env) *rightEnvHash {
-	h := allRightCandidates(len(rights))
-	h.ev = ev
-	h.eqs = eqs
-	h.buckets = map[string][]int{}
-	for ri, r := range rights {
-		h.kb = h.kb[:0]
-		evaluable := true
-		for _, eq := range eqs {
-			v, err := ev.evalTermAgg(eq.right, r, nil)
-			if err != nil {
-				evaluable = false
-				break
-			}
-			h.kb = v.AppendKey(h.kb)
-			h.kb = append(h.kb, '\x1f')
-		}
-		if evaluable {
-			h.buckets[string(h.kb)] = append(h.buckets[string(h.kb)], ri)
-		} else {
-			h.overflow = append(h.overflow, ri)
-		}
-	}
-	return h
-}
-
-// candidatesOf returns the right indexes a left env must visit: its key
-// bucket plus the overflow, or every right when hashing is off or the
-// left key is unevaluable.
-func (h *rightEnvHash) candidatesOf(l *env) ([]int, []int) {
-	if h.buckets == nil {
-		return h.all, nil
-	}
-	h.kb = h.kb[:0]
-	for _, eq := range h.eqs {
-		v, err := h.ev.evalTermAgg(eq.left, l, nil)
-		if err != nil {
-			return h.all, nil
-		}
-		h.kb = v.AppendKey(h.kb)
-		h.kb = append(h.kb, '\x1f')
-	}
-	return h.buckets[string(h.kb)], h.overflow
-}
-
-// fullEq is one hashable ON equality of a FULL-join node: left is
-// evaluable from the left subtree's envs, right from the right's.
-type fullEq struct {
-	left, right alt.Term
-}
-
-// splitFullEqs extracts the ON equality conjuncts usable as hash keys: a
-// plain equality whose sides read disjoint subtrees (either side may
-// also read outer variables, which both envs carry). Every conjunct is
-// re-checked by onHolds per candidate, so extraction only prunes.
-func splitFullEqs(n *joinNode) []fullEq {
-	var eqs []fullEq
-	for _, f := range n.on {
-		p, ok := f.(*alt.Pred)
-		if !ok || p.Op != value.Eq || alt.ContainsAgg(p.Left) || alt.ContainsAgg(p.Right) {
-			continue
-		}
-		leftVars, rightVars := n.kids[0].vars, n.kids[1].vars
-		switch {
-		case !refersAnySubtreeVar(p.Left, rightVars) && !refersAnySubtreeVar(p.Right, leftVars) &&
-			(refersAnySubtreeVar(p.Left, leftVars) || refersAnySubtreeVar(p.Right, rightVars)):
-			eqs = append(eqs, fullEq{left: p.Left, right: p.Right})
-		case !refersAnySubtreeVar(p.Right, rightVars) && !refersAnySubtreeVar(p.Left, leftVars) &&
-			(refersAnySubtreeVar(p.Right, leftVars) || refersAnySubtreeVar(p.Left, rightVars)):
-			eqs = append(eqs, fullEq{left: p.Right, right: p.Left})
-		}
-	}
-	return eqs
-}
-
-// refersAnySubtreeVar reports whether t references any variable of the
-// given subtree var set.
-func refersAnySubtreeVar(t alt.Term, vars map[string]bool) bool {
-	for _, r := range alt.TermAttrRefs(t, nil) {
-		if vars[r.Var] {
-			return true
-		}
-	}
-	return false
 }
 
 // onHolds evaluates a left/full node's ON predicates in env e.
@@ -450,10 +250,7 @@ func (ev *evaluator) readyNode(n *joinNode, e *env, si *scopeInfo) (bool, error)
 		return true, nil
 	}
 	if ext, ok := ev.cat.externals[b.Rel]; ok {
-		bound, _, err := ev.boundInputs(b, e, si)
-		if err != nil {
-			return false, err
-		}
+		bound := ev.eqInputs(b, e, si, nil)
 		names := map[string]bool{}
 		for k := range bound {
 			names[k] = true
@@ -461,10 +258,7 @@ func (ev *evaluator) readyNode(n *joinNode, e *env, si *scopeInfo) (bool, error)
 		return ext.CanEnumerate(names), nil
 	}
 	if abs, ok := ev.cat.abstract[b.Rel]; ok {
-		bound, _, err := ev.boundInputs(b, e, si)
-		if err != nil {
-			return false, err
-		}
+		bound := ev.eqInputs(b, e, si, nil)
 		for _, a := range abs.Head.Attrs {
 			if _, ok := bound[a]; !ok {
 				return false, nil
@@ -475,49 +269,26 @@ func (ev *evaluator) readyNode(n *joinNode, e *env, si *scopeInfo) (bool, error)
 	return false, fmt.Errorf("unknown relation %q", b.Rel)
 }
 
-// boundInputs derives attribute values for an external/abstract binding
-// from the scope's equality predicates whose other side is evaluable in
-// the current environment — the access-pattern mechanism of Section 2.13.
-func (ev *evaluator) boundInputs(b *alt.Binding, e *env, si *scopeInfo) (map[string]value.Value, []*alt.Pred, error) {
-	return ev.eqInputs(b, e, si, nil)
-}
-
-// probeInputs is boundInputs restricted to predicates that are safe to
-// use as index probes: predicates on a FULL-join node's ON list are
-// excluded (unmatched full-join rows null-extend without any ON
-// re-check, so a probe would drop them), and so are predicates whose
-// other side reads a scope-local variable not yet enumerated on this
-// path — its env value, if present, belongs to a shadowed outer
-// variable of the same name. enumed is that path's enumerated-local set.
-func (ev *evaluator) probeInputs(b *alt.Binding, e *env, si *scopeInfo, enumed map[string]bool) (map[string]value.Value, []*alt.Pred, error) {
-	if enumed == nil {
-		enumed = map[string]bool{}
-	}
-	return ev.eqInputs(b, e, si, enumed)
-}
-
-// eqInputs feeds both boundInputs (enumed == nil: the seed access-pattern
-// behaviour for externals/abstract relations) and probeInputs (enumed !=
-// nil: the probe-safety filters apply).
-func (ev *evaluator) eqInputs(b *alt.Binding, e *env, si *scopeInfo, enumed map[string]bool) (map[string]value.Value, []*alt.Pred, error) {
+// eqInputs derives attribute values for the binding b from the scope's
+// equality predicates whose other side is evaluable in e: the access
+// patterns of external and abstract relations (Section 2.13), with
+// enumed nil, and the index probes of a stored relation's leaf. A probe
+// (enumed, the scope-local variables enumerated on this path) uses no
+// predicate on a FULL-join node's ON list — unmatched full-join rows
+// null-extend without any ON re-check, so a probe would drop them — and
+// none whose other side reads a scope-local variable not enumerated yet:
+// its env value, if present, belongs to a shadowed outer variable of the
+// same name.
+func (ev *evaluator) eqInputs(b *alt.Binding, e *env, si *scopeInfo, enumed map[string]bool) map[string]value.Value {
 	bound := map[string]value.Value{}
-	var used []*alt.Pred
 	for _, p := range si.eqPreds {
-		if enumed != nil && si.fullOn[p] {
+		if h := si.home[p]; enumed != nil && h != nil && h.kind == alt.JoinFull {
 			continue
 		}
-		for _, side := range [2]int{0, 1} {
-			var me, other alt.Term
-			if side == 0 {
-				me, other = p.Left, p.Right
-			} else {
-				me, other = p.Right, p.Left
-			}
+		for _, side := range [2][2]alt.Term{{p.Left, p.Right}, {p.Right, p.Left}} {
+			me, other := side[0], side[1]
 			ref, ok := me.(*alt.AttrRef)
-			if !ok || ref.Var != b.Var {
-				continue
-			}
-			if refersToVar(other, b.Var) {
+			if !ok || ref.Var != b.Var || refersToVar(other, b.Var) {
 				continue
 			}
 			if enumed != nil && ev.readsUnenumeratedLocal(other, si, enumed) {
@@ -528,10 +299,9 @@ func (ev *evaluator) eqInputs(b *alt.Binding, e *env, si *scopeInfo, enumed map[
 				continue // other side not yet evaluable in this order
 			}
 			bound[ref.Attr] = v
-			used = append(used, p)
 		}
 	}
-	return bound, used, nil
+	return bound
 }
 
 // readsUnenumeratedLocal reports whether t references a variable bound by
@@ -637,10 +407,7 @@ func (ev *evaluator) relation(name string) (*relation.Relation, error) {
 // (or ON) stage would reject anyway, since every probe predicate is
 // re-checked there.
 func (ev *evaluator) bindRelation(b *alt.Binding, rel *relation.Relation, e *env, si *scopeInfo, enumed map[string]bool) ([]*env, error) {
-	bound, _, err := ev.probeInputs(b, e, si, enumed)
-	if err != nil {
-		return nil, err
-	}
+	bound := ev.eqInputs(b, e, si, enumed)
 	var probeAttrs []string
 	for a := range bound {
 		if rel.AttrIndex(a) >= 0 {
@@ -705,10 +472,7 @@ func (ev *evaluator) evalView(name string) (*relation.Relation, error) {
 // enumExternal enumerates an external relation leaf through its access
 // pattern (Section 2.13.1).
 func (ev *evaluator) enumExternal(b *alt.Binding, ext External, e *env, si *scopeInfo) ([]*env, error) {
-	bound, _, err := ev.boundInputs(b, e, si)
-	if err != nil {
-		return nil, err
-	}
+	bound := ev.eqInputs(b, e, si, nil)
 	names := map[string]bool{}
 	for k := range bound {
 		names[k] = true
@@ -736,10 +500,7 @@ func (ev *evaluator) enumExternal(b *alt.Binding, ext External, e *env, si *scop
 // use site; the definition's body is then evaluated as a Boolean with the
 // head bound to those values.
 func (ev *evaluator) enumAbstract(b *alt.Binding, abs *alt.Collection, e *env, si *scopeInfo) ([]*env, error) {
-	bound, _, err := ev.boundInputs(b, e, si)
-	if err != nil {
-		return nil, err
-	}
+	bound := ev.eqInputs(b, e, si, nil)
 	vals := make(varVals, len(abs.Head.Attrs))
 	for _, a := range abs.Head.Attrs {
 		v, ok := bound[a]

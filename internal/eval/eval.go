@@ -31,7 +31,7 @@ func Eval(col *alt.Collection, cat *Catalog, conv convention.Conventions) (*rela
 }
 
 // EvalReference is Eval by environment enumeration alone: no quantifier
-// scope is lowered onto internal/plan and no LEFT join is hashed. It is the
+// scope is lowered onto internal/plan, and joins nest loops. It is the
 // baseline the differential tests hold Eval to.
 func EvalReference(col *alt.Collection, cat *Catalog, conv convention.Conventions) (*relation.Relation, error) {
 	link, err := alt.ValidateCollection(col)
@@ -84,7 +84,7 @@ type evaluator struct {
 	check     func() error // optional cancellation poll (fixpoint rounds, tuple loops)
 	polls     int
 	tr        *trace.Trace // optional EXPLAIN ANALYZE record
-	reference bool         // enumeration only (EvalReference): no lowered scopes, no hashed LEFT join
+	reference bool         // enumeration only (EvalReference): no lowered scopes
 }
 
 // pollEvery rate-limits the cancellation check of the tuple loops, as

@@ -15,16 +15,17 @@ import (
 )
 
 // This file lowers quantifier scopes onto internal/plan (plan/arc.go). A
-// scope whose join tree is a flat inner join over stored relations and
-// constants becomes a chain of joins that probe the leaves' indexes with
-// its equalities; its other predicates hold on the complete rows, and a
-// grouped scope streams through γ. Chosen from the shape alone, a γ∅
-// nested collection correlated through equalities becomes a grouped
-// lookup (the count-bug-safe decorrelation) and an ∃/¬∃ subformula an
-// existence probe. A reference to an environment outside the lowered
-// scopes is a plan parameter. Any other scope stays on environment
-// enumeration, and EXPLAIN names the reason; the qgen differentials hold
-// the two paths to one answer.
+// scope's join tree over stored relations and constants becomes a chain of
+// joins that probe the leaves' indexes with its equalities, a LEFT or FULL
+// node a hash join of that kind keyed by its ON equalities; its other
+// predicates hold on the complete rows, and a grouped scope streams
+// through γ. Chosen from the shape alone, a γ∅ nested collection
+// correlated through equalities becomes a grouped lookup (the
+// count-bug-safe decorrelation) and an ∃/¬∃ subformula an existence
+// probe. A reference to an environment outside the lowered scopes is a
+// plan parameter. Any other scope stays on environment enumeration, and
+// EXPLAIN names the reason; the qgen differentials hold the two paths to
+// one answer.
 
 // arcScope is a quantifier scope lowered onto internal/plan.
 type arcScope struct {
@@ -144,7 +145,7 @@ type level struct {
 	si     *scopeInfo
 	outer  *level
 	closed bool         // a decorrelated lookup's scope: nothing in it reads outside
-	leaves []leaf       // in order; a leaf not laid out yet has no binding
+	leaves []leaf       // the bindings laid out so far, in order
 	schema []plan.ColID // the complete row's columns
 }
 
@@ -155,16 +156,15 @@ type leaf struct {
 	start int // its first column
 }
 
-// col finds the attribute attr of the leaf v ranges over: its column, and
-// the leaf's step.
-func (lv *level) col(v, attr string) (col, step int, ok bool) {
-	for i, l := range lv.leaves {
-		if l.b != nil && l.b.Var == v {
+// col finds the column of the attribute attr of the leaf v ranges over.
+func (lv *level) col(v, attr string) (int, bool) {
+	for _, l := range lv.leaves {
+		if l.b.Var == v {
 			j := slices.Index(l.attrs, attr)
-			return l.start + j, i, j >= 0
+			return l.start + j, j >= 0
 		}
 	}
-	return 0, 0, false
+	return 0, false
 }
 
 // lower lowers a scope, or says why it cannot (EXPLAIN shows the reason).
@@ -229,87 +229,39 @@ func headOrder(assigned, head []string) ([]int, bool) {
 // body lowers a scope's join tree and predicates: the chain of its leaves,
 // and the conditions its complete rows must meet — the predicates its
 // joins do not apply, then its existence probes, in order, tested as
-// enumeration tests them. Each relation leaf joins the chain on the
-// equalities between its attributes and the columns before it, and
-// probes its index with those against constants and parameters; such an
-// equality holds on every row the join yields. A nil chain comes with
-// the reason. outer is the scope this one is an existence probe of.
+// enumeration tests them. The leaves are laid out in the tree's order; an
+// inner node chains its kids, and an outer join node joins its two
+// lowered sides (tree.node). A nil chain comes with the reason. outer is
+// the scope this one is an existence probe of.
 func (lw *lowering) body(si *scopeInfo, outer *level) (*level, plan.Node, []plan.Cond, string) {
-	if si.tree.isLeaf() || si.tree.kind != alt.JoinInner || len(si.tree.kids) == 0 {
-		return nil, nil, nil, "join annotation with outer joins"
-	}
-	ev := lw.ev
 	lv := &level{si: si, outer: outer, closed: si.closed}
+	t := &tree{lowering: lw, lv: lv, consumed: map[*alt.Pred]bool{}}
 	var chain plan.Node
-	ncols := 0
 	if outer != nil {
 		lv.closed = lv.closed || outer.closed
-		chain, ncols = plan.Outer(outer.schema), len(outer.schema)
+		chain, t.ncols = plan.Outer(outer.schema), len(outer.schema)
 	}
 	kids := si.tree.kids
 	if i := slices.IndexFunc(kids, func(k *joinNode) bool { return k.leaf != nil && k.leaf == si.lead }); i > 0 {
 		kids = slices.Concat(kids[i:i+1], kids[:i], kids[i+1:])
 	}
-	lv.leaves = make([]leaf, len(kids))
-	consumed := map[*alt.Pred]bool{}
-	for i, kid := range kids {
-		if !kid.isLeaf() {
-			return nil, nil, nil, "nested join annotation"
+	for _, kid := range kids {
+		var reason string
+		if chain, reason = t.node(kid, chain, 0); chain == nil {
+			return nil, nil, nil, reason
 		}
-		b := kid.leaf
-		var node plan.Node
-		if v, isConst := lw.link.ConstOfBinding[b]; isConst {
-			lv.leaves[i] = leaf{b, []string{"val"}, ncols}
-			node = plan.ConstLeaf(b.Var, v)
-		} else if b.Sub != nil {
-			// A lookup's correlation reads only the leaves before it.
-			spec, reason := lw.lookup(b, lv)
-			if spec == nil {
-				return nil, nil, nil, reason
-			}
-			lv.leaves[i] = leaf{b, b.Sub.Head.Attrs, ncols}
-			if chain == nil {
-				chain = plan.Unit()
-			}
-			chain = plan.Lookup(chain, *spec)
-		} else {
-			if !ev.stored(b.Rel) {
-				return nil, nil, nil, fmt.Sprintf("source %s needs access patterns", b.Rel)
-			}
-			attrs, err := ev.sourceAttrs(b)
-			if err != nil {
-				return nil, nil, nil, err.Error()
-			}
-			lv.leaves[i] = leaf{b, attrs, ncols}
-			if b == si.lead {
-				lw.lead, lw.leadOf = &fixpoint.Handle{}, b.Rel
-				node = plan.HandleLeaf(lw.lead, b.Rel, b.Var, attrs)
-			} else {
-				fixed, leftCols, rightCols, keyStrs := lw.keys(lv, i, consumed)
-				lw.addRel(b.Rel)
-				node = plan.ScanLeaf(b.Rel, b.Var, attrs, fixed)
-				if chain != nil {
-					chain, node = plan.Join(chain, node, leftCols, rightCols, keyStrs), nil
-				}
-			}
-		}
-		switch {
-		case node == nil:
-		case chain == nil:
-			chain = node
-		default:
-			chain = plan.Join(chain, node, nil, nil, nil)
-		}
-		ncols += len(lv.leaves[i].attrs)
+	}
+	if chain == nil {
+		return nil, nil, nil, "scope without bindings"
 	}
 	lv.schema = chain.Schema()
 
 	var where []plan.Cond
 	for _, f := range si.where {
-		if p := asPred(f); p != nil && consumed[p] {
+		if p := asPred(f); p != nil && t.consumed[p] {
 			continue
 		}
-		c, ok := plan.Condition(f, lw.ref(lv), nil, lw.twoValued())
+		c, ok := plan.Condition(f, lw.ref(lv, 0), nil, lw.twoValued())
 		if !ok {
 			return nil, nil, nil, fmt.Sprintf("predicate %s outside the term fragment", f)
 		}
@@ -325,51 +277,226 @@ func (lw *lowering) body(si *scopeInfo, outer *level) (*level, plan.Node, []plan
 	return lv, chain, where, ""
 }
 
-// keys finds the equalities of the scope lv lays out between an attribute
-// of leaf i and a constant, a parameter, or a column before it, and
-// consumes them: the first two pin a column of the leaf's scan, the last
-// join it to the chain.
-func (lw *lowering) keys(lv *level, i int, consumed map[*alt.Pred]bool) (fixed []plan.Fixed, leftCols, rightCols []int, keyStrs []string) {
-	l := lv.leaves[i]
-	for _, p := range lv.si.eqPreds {
-		if lv.si.fullOn[p] || consumed[p] {
+// tree is the state of lowering one scope's join tree (body).
+type tree struct {
+	*lowering
+	lv       *level
+	ncols    int // the columns laid out so far
+	consumed map[*alt.Pred]bool
+	// open lists the LEFT nodes whose right side is being lowered, whose
+	// ON equalities that side's joins and scans may apply, as a LEFT join
+	// matches only right rows they hold on. nullable is set on either
+	// side of a FULL node and on the right of a LEFT one.
+	open     []*joinNode
+	nullable bool
+}
+
+// node lowers the join-tree node n after chain, whose rows are the
+// columns [lb, t.ncols) — nil when n's rows begin them — and returns the
+// chain that lays out n's columns too, or nil and the reason. A LEFT node
+// joins chain, extended with its left side, to its right side; a FULL
+// node joins its two sides, each lowered on its own, and chain to that.
+func (t *tree) node(n *joinNode, chain plan.Node, lb int) (plan.Node, string) {
+	switch {
+	case n.isLeaf():
+		return t.leaf(n.leaf, chain, lb)
+	case n.kind == alt.JoinInner:
+		for _, k := range n.kids {
+			var reason string
+			if chain, reason = t.node(k, chain, lb); chain == nil {
+				return nil, reason
+			}
+		}
+		return chain, ""
+	}
+	nullable, open := t.nullable, len(t.open)
+	defer func() { t.nullable, t.open = nullable, t.open[:open] }()
+	left, llb := chain, lb
+	if n.kind == alt.JoinFull {
+		left, llb, t.nullable = nil, t.ncols, true
+	}
+	left, reason := t.node(n.kids[0], left, llb)
+	if left == nil {
+		return nil, reason
+	}
+	mid := t.ncols
+	if t.nullable = true; n.kind == alt.JoinLeft {
+		t.open = append(t.open, n)
+	}
+	right, reason := t.node(n.kids[1], nil, mid)
+	if right == nil {
+		return nil, reason
+	}
+	var eqs []*alt.Pred
+	for _, f := range n.on {
+		if p := asPred(f); p != nil && p.Op == value.Eq {
+			eqs = append(eqs, p)
+		}
+	}
+	_, keys := t.keys(eqs, llb, mid, true, false)
+	var residual []plan.Cond
+	for _, f := range n.on {
+		if p := asPred(f); p != nil && t.consumed[p] {
+			continue
+		}
+		c, ok := plan.Condition(f, t.ref(t.lv, llb), nil, t.twoValued())
+		if !ok {
+			return nil, fmt.Sprintf("%s join condition %s reads outside its operands", strings.ToUpper(n.kind.String()), f)
+		}
+		residual = append(residual, c)
+	}
+	joined := plan.Join(n.kind, left, right, keys, residual)
+	if n.kind == alt.JoinLeft || chain == nil {
+		return joined, ""
+	}
+	_, keys = t.keys(t.usable(), lb, llb, false, false)
+	return plan.Join(alt.JoinInner, chain, joined, keys, nil), ""
+}
+
+// leaf lays out the binding b after chain, as node does.
+func (t *tree) leaf(b *alt.Binding, chain plan.Node, lb int) (plan.Node, string) {
+	ev, lv, start := t.ev, t.lv, t.ncols
+	if b.Sub != nil {
+		if t.nullable {
+			return nil, fmt.Sprintf("lateral source %s on a nullable side", b.Sub.Head.Rel)
+		}
+		// A lookup's correlation reads only the leaves before it.
+		spec, reason := t.lookup(b, lv)
+		if spec == nil {
+			return nil, reason
+		}
+		lv.leaves = append(lv.leaves, leaf{b, b.Sub.Head.Attrs, start})
+		t.ncols += len(b.Sub.Head.Attrs)
+		if chain == nil {
+			chain = plan.Unit()
+		}
+		return plan.Lookup(chain, *spec), ""
+	}
+	v, isConst := t.link.ConstOfBinding[b]
+	attrs := []string{"val"}
+	if !isConst {
+		if !ev.stored(b.Rel) {
+			return nil, fmt.Sprintf("source %s needs access patterns", b.Rel)
+		}
+		var err error
+		if attrs, err = ev.sourceAttrs(b); err != nil {
+			return nil, err.Error()
+		}
+	}
+	lv.leaves = append(lv.leaves, leaf{b, attrs, start})
+	t.ncols += len(attrs)
+	var node plan.Node
+	var keys []plan.JoinKey
+	switch {
+	case isConst:
+		node = plan.ConstLeaf(b.Var, v)
+	case b == lv.si.lead:
+		t.lead, t.leadOf = &fixpoint.Handle{}, b.Rel
+		node = plan.HandleLeaf(t.lead, b.Rel, b.Var, attrs)
+	default:
+		var fixed []plan.Fixed
+		fixed, keys = t.keys(t.usable(), lb, start, false, true)
+		t.addRel(b.Rel)
+		node = plan.ScanLeaf(b.Rel, b.Var, attrs, fixed)
+	}
+	if chain == nil {
+		return node, ""
+	}
+	return plan.Join(alt.JoinInner, chain, node, keys, nil), ""
+}
+
+// usable lists the equalities a join or scan lowered now may apply:
+// WHERE's, and those on the ON list of a LEFT node whose right side it is
+// in (open).
+func (t *tree) usable() []*alt.Pred {
+	var eqs []*alt.Pred
+	for _, p := range t.lv.si.eqPreds {
+		if h := t.lv.si.home[p]; h == nil || slices.Contains(t.open, h) {
+			eqs = append(eqs, p)
+		}
+	}
+	return eqs
+}
+
+// keys consumes the equalities among eqs between the rows [lb, mid) and
+// the rows [mid, t.ncols) after them. One whose sides each read one of
+// them is a key of their join: a column against a column, or any term
+// when computed. With pin, the rows after mid are one scan, and one
+// between an attribute of it and a constant or a parameter pins it.
+func (t *tree) keys(eqs []*alt.Pred, lb, mid int, computed, pin bool) (fixed []plan.Fixed, keys []plan.JoinKey) {
+	for _, p := range eqs {
+		if t.consumed[p] {
 			continue
 		}
 		for _, side := range [2][2]alt.Term{{p.Left, p.Right}, {p.Right, p.Left}} {
-			me, ok := side[0].(*alt.AttrRef)
-			if !ok || me.Var != l.b.Var {
+			me, other := side[0], side[1]
+			if f, ok := t.pin(me, other, mid); pin && ok {
+				fixed = append(fixed, f)
+			} else if x, y, ok := t.key(other, me, lb, mid, computed); ok {
+				keys = append(keys, plan.JoinKey{L: x, R: y, Str: p.String()})
+			} else {
 				continue
 			}
-			r, ok := lw.resolve(me, lv)
-			if !ok || r.pos != i {
-				continue
-			}
-			col := r.col - l.start
-			switch other := side[1].(type) {
-			case *alt.Const:
-				if other.Val.IsNull() {
-					continue
-				}
-				fixed = append(fixed, plan.Fixed{Col: col, Val: other.Val, Param: -1, Str: other.String()})
-			case *alt.AttrRef:
-				src, ok := lw.resolve(other, lv)
-				switch {
-				case !ok || src.pos >= i:
-					continue
-				case src.param >= 0:
-					fixed = append(fixed, plan.Fixed{Col: col, Param: src.param, Str: other.String()})
-				default:
-					leftCols, rightCols = append(leftCols, src.col), append(rightCols, col)
-					keyStrs = append(keyStrs, p.String())
-				}
-			default:
-				continue
-			}
-			consumed[p] = true
+			t.consumed[p] = true
 			break
 		}
 	}
-	return fixed, leftCols, rightCols, keyStrs
+	return fixed, keys
+}
+
+// pin pins the column of the scan laid out at mid that me reads to the
+// constant or parameter other.
+func (t *tree) pin(me, other alt.Term, mid int) (plan.Fixed, bool) {
+	r, ok := me.(*alt.AttrRef)
+	if !ok {
+		return plan.Fixed{}, false
+	}
+	src, ok := t.resolve(r, t.lv)
+	if !ok || src.param >= 0 || src.col < mid {
+		return plan.Fixed{}, false
+	}
+	switch x := other.(type) {
+	case *alt.Const:
+		return plan.Fixed{Col: src.col - mid, Val: x.Val, Param: -1, Str: x.String()}, !x.Val.IsNull()
+	case *alt.AttrRef:
+		if o, ok := t.resolve(x, t.lv); ok && o.param >= 0 {
+			return plan.Fixed{Col: src.col - mid, Param: o.param, Str: x.String()}, true
+		}
+	}
+	return plan.Fixed{}, false
+}
+
+// key compiles l over the rows [lb, mid) and r over the rows [mid,
+// t.ncols) when each reads a column of its own rows and none of the
+// other's: both attribute references unless computed.
+func (t *tree) key(l, r alt.Term, lb, mid int, computed bool) (plan.Expr, plan.Expr, bool) {
+	_, lref := l.(*alt.AttrRef)
+	_, rref := r.(*alt.AttrRef)
+	if !computed && !(lref && rref) || !t.within(l, lb, mid) || !t.within(r, mid, t.ncols) {
+		return plan.Expr{}, plan.Expr{}, false
+	}
+	x, _ := plan.Term(l, t.ref(t.lv, lb), nil)
+	y, _ := plan.Term(r, t.ref(t.lv, mid), nil)
+	return x, y, true
+}
+
+// within reports whether the term x reads a column of the rows [lo, hi)
+// of the scope t lays out, and no other column.
+func (t *tree) within(x alt.Term, lo, hi int) bool {
+	cols := 0
+	for _, r := range alt.TermAttrRefs(x, nil) {
+		src, ok := t.resolve(r, t.lv)
+		switch {
+		case !ok:
+			return false
+		case src.param >= 0:
+		case src.col < lo || src.col >= hi:
+			return false
+		default:
+			cols++
+		}
+	}
+	return cols > 0
 }
 
 // asPred is f as a predicate, or nil.
@@ -385,10 +512,10 @@ func (lw *lowering) addRel(name string) {
 	}
 }
 
-// source is where an attribute reference reads: column col of the row,
-// of the leaf at step pos of its level or (pos -1) of the row of a scope
-// it is a probe of; or (col -1) parameter param.
-type source struct{ col, param, pos int }
+// source is where an attribute reference reads: column col of the row —
+// of its level, whose rows begin with the rows of a scope it is a probe
+// of — or (col -1) parameter param.
+type source struct{ col, param int }
 
 // resolve finds where r reads. Head references, bindings not laid out
 // yet, and references that leave a closed scope are outside the fragment.
@@ -401,14 +528,10 @@ func (lw *lowering) resolve(r *alt.AttrRef, lv *level) (source, bool) {
 	}
 	q := lw.link.BindingQuantifier[res.Binding]
 	for l := lv; l != nil; l = l.outer {
-		if q != l.si.q {
-			continue
+		if q == l.si.q {
+			col, ok := l.col(r.Var, r.Attr)
+			return source{col: col, param: -1}, ok
 		}
-		col, step, ok := l.col(r.Var, r.Attr)
-		if l != lv {
-			step = -1
-		}
-		return source{col: col, param: -1, pos: step}, ok
 	}
 	if lv.closed {
 		return source{}, false
@@ -418,24 +541,24 @@ func (lw *lowering) resolve(r *alt.AttrRef, lv *level) (source, bool) {
 		i = len(lw.params)
 		lw.params = append(lw.params, r)
 	}
-	return source{col: -1, param: i, pos: -1}, true
+	return source{col: -1, param: i}, true
 }
 
-// ref resolves the attribute references of a term over lv's rows for
-// plan.Term.
-func (lw *lowering) ref(lv *level) func(*alt.AttrRef) (plan.Expr, bool) {
+// ref resolves the attribute references of a term over lv's rows from
+// column lb on, for plan.Term.
+func (lw *lowering) ref(lv *level, lb int) func(*alt.AttrRef) (plan.Expr, bool) {
 	return func(r *alt.AttrRef) (plan.Expr, bool) {
 		src, ok := lw.resolve(r, lv)
 		if src.param >= 0 {
 			return plan.Param(src.param, r.String()), ok
 		}
-		return plan.Column(src.col, r.String()), ok
+		return plan.Column(src.col-lb, r.String()), ok && src.col >= lb
 	}
 }
 
 // term lowers a term over lv's rows, aggregates excepted.
 func (lw *lowering) term(t alt.Term, lv *level) (plan.Expr, bool) {
-	return plan.Term(t, lw.ref(lv), nil)
+	return plan.Term(t, lw.ref(lv, 0), nil)
 }
 
 // tailOf is what follows a scope's body: its γ — grouping keys, then
@@ -472,7 +595,7 @@ func (lw *lowering) tail(si *scopeInfo, lv *level) (*tailOf, string) {
 	}
 	// Over the group row [keys..., aggregates...], grouping keys match by
 	// (var, attr) and aggregates by node identity.
-	ref := lw.ref(lv)
+	ref := lw.ref(lv, 0)
 	if grouped {
 		ref = func(x *alt.AttrRef) (plan.Expr, bool) {
 			if i := slices.IndexFunc(q.Grouping.Keys, func(k *alt.AttrRef) bool { return k.Var == x.Var && k.Attr == x.Attr }); i >= 0 {
@@ -481,7 +604,7 @@ func (lw *lowering) tail(si *scopeInfo, lv *level) (*tailOf, string) {
 			if res := lw.link.Refs[x]; res.Kind != alt.RefBinding || lw.link.BindingQuantifier[res.Binding] == q {
 				return plan.Expr{}, false // a local attribute outside the keys needs a representative row
 			}
-			return lw.ref(lv)(x)
+			return lw.ref(lv, 0)(x)
 		}
 	}
 	agg := func(x *alt.Agg) (plan.Expr, bool) {

@@ -218,3 +218,42 @@ func TestExplainRecursiveGolden(t *testing.T) {
 		t.Fatalf("recursive explain mismatch\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// TestRecursionOuterJoinNaive pins a recursive rule whose recursive
+// occurrence lies on a LEFT join's nullable side: its rule re-derives from
+// the totals every round, on a lowered LEFT join. Rotating the delta there
+// would null-extend a P row that matches the total but not the round's
+// delta: here node 1 would gain a spurious (1, NULL).
+func TestRecursionOuterJoinNaive(t *testing.T) {
+	col := arc.MustParseCollection("{A(s, t) | ∃p ∈ P [A.s = p.s ∧ A.t = p.t] ∨ " +
+		"∃p ∈ P, a2 ∈ A, left(p, a2) [A.s = p.s ∧ p.t = a2.s ∧ A.t = a2.t]}")
+	p := relation.New("P", "s", "t")
+	p.Add(1, 2)
+	p.Add(2, 1)
+	p.Add(3, 1)
+	cat := NewCatalog().AddRelation(p)
+	plan, err := ExplainCollection(col, cat, convention.SetLogic(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rule := plan[strings.Index(plan, "rule 2"):]; !strings.HasPrefix(rule, "rule 2 [naive per round]:") ||
+		!strings.Contains(rule, "HashJoin LEFT (p.t = a2.s)") || strings.Contains(rule, "environment enumeration") {
+		t.Fatalf("plan:\n%s", plan)
+	}
+	for _, conv := range []convention.Conventions{convention.SetLogic(), convention.SQL()} {
+		want, err := EvalReference(col, cat, conv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Eval(col, cat, conv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("%v: lowered\n%s\nreference\n%s", conv.Semantics, got, want)
+		}
+		if got.Distinct() != 6 || got.Contains(relation.Tuple{relation.Lift(1), relation.Lift(nil)}) {
+			t.Fatalf("%v: want the 6 pairs over {1, 2, 3} × {1, 2}, no NULL, got\n%s", conv.Semantics, got)
+		}
+	}
+}

@@ -11,13 +11,12 @@ import (
 // annotation: a tree of inner/left/full nodes over binding leaves, with
 // the ON predicates of outer-join nodes attached (Section 2.11).
 type joinNode struct {
-	kind    alt.JoinKind
-	leaf    *alt.Binding // non-nil for leaves
-	kids    []*joinNode
-	parent  *joinNode
-	on      []alt.Formula   // predicates attached to left/full nodes
-	vars    map[string]bool // binding vars under this subtree
-	hasLeaf bool
+	kind   alt.JoinKind
+	leaf   *alt.Binding // non-nil for leaves
+	kids   []*joinNode
+	parent *joinNode
+	on     []alt.Formula   // predicates attached to left/full nodes
+	vars   map[string]bool // binding vars under this subtree
 }
 
 func (n *joinNode) isLeaf() bool { return n.leaf != nil }
@@ -59,11 +58,9 @@ type scopeInfo struct {
 	// group it as corrKeys, and nothing else in it may read outside.
 	closed   bool
 	corrKeys []*alt.AttrRef
-	// fullOn marks eq predicates routed to a FULL-join node's ON list.
-	// Those must not restrict leaf enumeration: a full join's unmatched
-	// rows null-extend on both sides with no ON re-check, so probing by
-	// an ON predicate would silently drop their null-extensions.
-	fullOn map[*alt.Pred]bool
+	// home is the outer join node a predicate is routed to (onTarget), on
+	// whose ON list it is; a WHERE predicate has none.
+	home map[*alt.Pred]*joinNode
 }
 
 // scopeInfoFor returns the scope of a quantifier under the current link:
@@ -104,7 +101,7 @@ func (ev *evaluator) scopeFor(q *alt.Quantifier, lead *alt.Binding) (*scopeInfo,
 // under the current link.
 func (ev *evaluator) analyze(q *alt.Quantifier) (*scopeInfo, error) {
 	link := ev.curLink()
-	si := &scopeInfo{q: q, fullOn: map[*alt.Pred]bool{}}
+	si := &scopeInfo{q: q, home: map[*alt.Pred]*joinNode{}}
 
 	// Collect this quantifier's bindings (incl. synthetic constant-leaf
 	// bindings created by the linker).
@@ -186,10 +183,8 @@ func (ev *evaluator) analyze(q *alt.Quantifier) (*scopeInfo, error) {
 		target := onTarget(si.tree, vars)
 		if target != nil {
 			target.on = append(target.on, p)
-			if target.kind == alt.JoinFull {
-				if pp, ok := p.(*alt.Pred); ok {
-					si.fullOn[pp] = true
-				}
+			if pp, ok := p.(*alt.Pred); ok {
+				si.home[pp] = target
 			}
 		} else {
 			si.where = append(si.where, p)
@@ -234,7 +229,6 @@ func finishJoinTree(n *joinNode, parent *joinNode) {
 	n.vars = map[string]bool{}
 	if n.isLeaf() {
 		n.vars[n.leaf.Var] = true
-		n.hasLeaf = true
 		return
 	}
 	for _, k := range n.kids {

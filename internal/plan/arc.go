@@ -16,9 +16,10 @@ import (
 
 // This file is what internal/eval lowers an ARC quantifier scope onto:
 // builders over this package's operators and expression closures, and the
-// operators only a scope needs. A scope is a left-deep chain of inner
-// joins over its leaves (Join): scans that probe a stored relation's
-// index, a recursive occurrence read through a fixpoint.Handle, constants.
+// operators only a scope needs. A scope is a left-deep chain of joins over
+// its leaves (Join) — inner, or the LEFT and FULL joins of its join
+// annotation: scans that probe a stored relation's index, a recursive
+// occurrence read through a fixpoint.Handle, constants.
 // Its other predicates hold on the complete row (Filter); then come γ
 // (Group) and the head (Project). Two operators nest one scope in
 // another, chosen from the scope's shape alone: the γ∅ grouped lookup
@@ -181,13 +182,35 @@ func Outer(schema []ColID) Node { return &outerNode{schema: schema} }
 // Lookup.
 func Unit() Node { return &valuesNode{row: relation.Tuple{}} }
 
-// Join is the inner join of left and right on leftCols = rightCols, a
-// cross join without keys. Its right side is built; a scan of a stored
-// relation builds nothing and is probed through its index.
-func Join(left, right Node, leftCols, rightCols []int, keyStrs []string) Node {
-	n := newHashJoinNode(joinInner, left, right)
-	n.leftCols, n.rightCols, n.keyStrs = leftCols, rightCols, keyStrs
-	return n
+// joinKinds maps an ARC join annotation's kind to a join's.
+var joinKinds = [...]joinKind{alt.JoinInner: joinInner, alt.JoinLeft: joinLeft, alt.JoinFull: joinFull}
+
+// Join joins left and right on keys, a cross join without keys, as the
+// inner, left or full outer join kind says: a LEFT join null-extends the
+// left rows without a match, a FULL join the right ones too. residual
+// must hold too on the rows left ++ right it pairs. A key side that is
+// not a column is computed for the join (keyJoin), and the joined rows
+// drop it. The right side is built; a scan of a stored relation builds
+// nothing and is probed through its index, except under FULL.
+func Join(kind alt.JoinKind, left, right Node, keys []JoinKey, residual []Cond) Node {
+	n := keyJoin(joinKinds[kind], left, right, keys)
+	nl, nlx := len(left.Schema()), len(n.left.Schema())-len(left.Schema())
+	if len(residual) > 0 {
+		n.residual = func(t relation.Tuple, ctx *runCtx) value.TV { return value.TVFromBool(holdsAll(residual, t, ctx)) }
+		n.residualStr, n.gap = condStr(residual), nlx
+	}
+	if len(n.schema) == nl+len(right.Schema()) {
+		return n
+	}
+	p := newProjectNode(n, nil, nil)
+	p.schema = slices.Concat(left.Schema(), right.Schema())
+	for i := range p.schema {
+		if i >= nl {
+			i += nlx
+		}
+		p.exprs = append(p.exprs, Column(i, "").fn)
+	}
+	return p
 }
 
 // Aggregate is one aggregate column of a Group or a Lookup.

@@ -599,6 +599,9 @@ type hashJoinNode struct {
 	keyStrs     []string
 	residual    predFn
 	residualStr string
+	// gap is the number of computed key columns the left rows end with
+	// (Join), which the residual, over the rows left ++ right, skips.
+	gap         int
 	schema      []ColID
 	buildLeft   bool
 	buildStatic bool
@@ -681,9 +684,19 @@ func (n *hashJoinNode) Run(ctx *runCtx) exec.Seq {
 	}
 	var on func(relation.Tuple) bool
 	if n.residual != nil {
+		var row relation.Tuple
+		nl := len(n.left.Schema()) - n.gap
+		if n.gap > 0 {
+			row = make(relation.Tuple, len(n.schema)-n.gap)
+		}
 		on = func(t relation.Tuple) bool {
 			if ctx.err != nil {
 				return false
+			}
+			if row != nil {
+				copy(row, t[:nl])
+				copy(row[nl:], t[nl+n.gap:])
+				t = row
 			}
 			return n.residual(t, ctx).Holds()
 		}
@@ -730,6 +743,58 @@ func (n *hashJoinNode) writeExplain(b *strings.Builder, depth int, tr *trace.Tra
 	b.WriteString("\n")
 	n.left.writeExplain(b, depth+1, tr)
 	n.right.writeExplain(b, depth+1, tr)
+}
+
+// JoinKey is one key of a join: L over the left rows equals R over the
+// right rows, strictly (NULL matches nothing).
+type JoinKey struct {
+	L, R Expr
+	Str  string
+}
+
+// keyJoin is the join of left and right on keys, in both compilers: a key
+// side that is not a column is computed into a column appended to its
+// side (extend), which the joined rows keep.
+func keyJoin(kind joinKind, left, right Node, keys []JoinKey) *hashJoinNode {
+	var lcols, rcols []int
+	var strs []string
+	var lx, rx []Expr
+	for _, k := range keys {
+		lcols, rcols = append(lcols, keyCol(k.L, len(left.Schema()), &lx)), append(rcols, keyCol(k.R, len(right.Schema()), &rx))
+		strs = append(strs, k.Str)
+	}
+	n := newHashJoinNode(kind, extend(left, lx), extend(right, rx))
+	n.leftCols, n.rightCols, n.keyStrs = lcols, rcols, strs
+	return n
+}
+
+// keyCol is the column of the rows, width wide, that holds x: the one x
+// copies, else one appended to extra computing it.
+func keyCol(x Expr, width int, extra *[]Expr) int {
+	if x.col > 0 {
+		return x.col - 1
+	}
+	*extra = append(*extra, x)
+	return width + len(*extra) - 1
+}
+
+// extend appends the columns extra computes to the rows of in.
+func extend(in Node, extra []Expr) Node {
+	if len(extra) == 0 {
+		return in
+	}
+	schema := in.Schema()
+	fns := make([]exprFn, 0, len(schema)+len(extra))
+	for i := range schema {
+		fns = append(fns, Column(i, "").fn)
+	}
+	n := newProjectNode(in, nil, nil)
+	n.schema = slices.Clone(schema)
+	for _, x := range extra {
+		fns, n.schema = append(fns, x.fn), append(n.schema, ColID{Col: x.str})
+	}
+	n.exprs = fns
+	return n
 }
 
 // guard stops a stream once ctx carries an error, polling the

@@ -655,7 +655,7 @@ func (c *compilerCtx) lowerSubscope(row []ColID, sc *scope, s *sql.Select, x sql
 				keys, keyed = append(keys, joinKey{x, e, xs, fmt.Sprintf("%s = %s", x, e)}), true
 			}
 		}
-		if chain, err = keyJoin(Outer(row), filterOf(from, conds), local, keys); err != nil {
+		if chain, err = joinOn(Outer(row), filterOf(from, conds), local, keys); err != nil {
 			return nil, nil, nil, err
 		}
 		inner.off = len(chain.(*hashJoinNode).left.Schema())
@@ -741,60 +741,33 @@ func (s *scope) reads(x sql.Expr) (local, outer, ok bool) {
 	return false, false, false
 }
 
-// keyJoin joins the tested row (left) to the FROM's rows (right, which
-// local resolves) on keys: a key side that is a column is read where it
-// lies, any other is computed into a column appended to its side.
-func keyJoin(left, right Node, local *scope, keys []joinKey) (*hashJoinNode, error) {
-	var lcols, rcols []int
-	var strs []string
-	var lx, rx []Expr
-	for _, k := range keys {
-		lc, err := keyCol(k.l, k.ls, len(left.Schema()), &lx)
+// joinOn joins the tested row (left) to the FROM's rows (right, which
+// local resolves) on keys (keyJoin).
+func joinOn(left, right Node, local *scope, keys []joinKey) (*hashJoinNode, error) {
+	jks := make([]JoinKey, len(keys))
+	for i, k := range keys {
+		l, err := k.ls.keyExpr(k.l)
 		if err != nil {
 			return nil, err
 		}
-		rc, err := keyCol(k.r, local, len(right.Schema()), &rx)
+		r, err := local.keyExpr(k.r)
 		if err != nil {
 			return nil, err
 		}
-		lcols, rcols, strs = append(lcols, lc), append(rcols, rc), append(strs, k.str)
+		jks[i] = JoinKey{L: l, R: r, Str: k.str}
 	}
-	join := newHashJoinNode(joinInner, extend(left, lx), extend(right, rx))
-	join.leftCols, join.rightCols, join.keyStrs = lcols, rcols, strs
-	return join, nil
+	return keyJoin(joinInner, left, right, jks), nil
 }
 
-// keyCol is the column of the rows over sc, width wide, that holds x: the
-// one x reads if it is a column, else one appended to extra computing it.
-func keyCol(x sql.Expr, sc *scope, width int, extra *[]Expr) (int, error) {
+// keyExpr compiles a key side over the rows of s: the column it reads, or
+// the value it computes.
+func (s *scope) keyExpr(x sql.Expr) (Expr, error) {
 	if ref, ok := x.(*sql.ColRef); ok {
-		return sc.column(ref)
+		c, err := s.column(ref)
+		return Column(c, x.String()), err
 	}
-	fn, err := sc.compileScalar(x)
-	if err != nil {
-		return 0, err
-	}
-	*extra = append(*extra, Expr{fn: fn, str: x.String()})
-	return width + len(*extra) - 1, nil
-}
-
-// extend appends the columns extra computes to the rows of in.
-func extend(in Node, extra []Expr) Node {
-	if len(extra) == 0 {
-		return in
-	}
-	schema := in.Schema()
-	fns := make([]exprFn, 0, len(schema)+len(extra))
-	for i := range schema {
-		fns = append(fns, Column(i, "").fn)
-	}
-	n := newProjectNode(in, nil, nil)
-	n.schema = slices.Clone(schema)
-	for _, x := range extra {
-		fns, n.schema = append(fns, x.fn), append(n.schema, ColID{Col: x.str})
-	}
-	n.exprs = fns
-	return n
+	fn, err := s.compileScalar(x)
+	return Expr{fn: fn, str: x.String()}, err
 }
 
 // compileGrouped lowers GROUP BY / HAVING / aggregate items onto a

@@ -2,6 +2,10 @@ package qgen
 
 import (
 	"errors"
+	"maps"
+	"math/rand"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -118,50 +122,71 @@ func TestPlannerDifferentialRange(t *testing.T) {
 
 // TestScopeCompilerDifferentialARC pins the ARC side of the same
 // property: the quantifier scopes lowered onto internal/plan must agree
-// with the environment enumeration path over the random corpus. (The
-// experiment goldens cover the paper's example corpus; here the two eval
-// paths are compared directly.) Enough trials must lower every scope, or
-// the suite compares enumeration with itself.
+// with the environment enumeration path over the random corpora — the
+// core grammar, and the explicit-join grammar whose translations carry
+// LEFT and FULL join annotations. (The experiment goldens cover the
+// paper's example corpus; here the two eval paths are compared directly.)
+// Enough trials must lower every scope, or the suite compares enumeration
+// with itself; the log counts the queries each reason keeps on
+// enumeration.
 func TestScopeCompilerDifferentialARC(t *testing.T) {
-	rng := workload.Rand(424242)
-	compiledSame, lowered := 0, 0
-	for i := 0; i < 400; i++ {
-		src := Generate(rng)
-		inst := RandomInstance(rng, 10, i%4 == 0)
-		cat := eval.NewCatalog()
-		for _, r := range inst.Relations() {
-			cat.AddRelation(r)
+	reason := regexp.MustCompile(`environment enumeration: (.*)\)`)
+	for _, corpus := range []struct {
+		name  string
+		gen   func(*rand.Rand) string
+		floor int
+	}{{"Generate", Generate, 276}, {"GenerateJoins", GenerateJoins, 389}} {
+		rng := workload.Rand(424242)
+		compiledSame, lowered := 0, 0
+		reasons := map[string]int{}
+		for i := 0; i < 400; i++ {
+			src := corpus.gen(rng)
+			inst := RandomInstance(rng, 10, i%4 == 0)
+			cat := eval.NewCatalog()
+			for _, r := range inst.Relations() {
+				cat.AddRelation(r)
+			}
+			col, err := sql2arc.TranslateString(src)
+			if err != nil {
+				t.Fatalf("%s trial %d: sql2arc rejected %q: %v", corpus.name, i, src, err)
+			}
+			plan, err := eval.ExplainCollection(col, cat, convention.SQL(), nil)
+			if err != nil {
+				t.Fatalf("%s trial %d: explain %q: %v", corpus.name, i, src, err)
+			}
+			seen := map[string]bool{}
+			for _, m := range reason.FindAllStringSubmatch(plan, -1) {
+				if !seen[m[1]] {
+					seen[m[1]] = true
+					reasons[m[1]]++
+				}
+			}
+			if len(seen) == 0 {
+				lowered++
+			}
+			want, errEnum := eval.EvalReference(col, cat, convention.SQL())
+			got, errPlan := eval.Eval(col, cat, convention.SQL())
+			if (errEnum == nil) != (errPlan == nil) {
+				t.Fatalf("%s trial %d: error divergence on %q: enum=%v plan=%v", corpus.name, i, src, errEnum, errPlan)
+			}
+			if errEnum != nil {
+				continue
+			}
+			if got.String() != want.String() {
+				t.Fatalf("%s trial %d: scope-compiler divergence on %q\nenumeration:\n%s\ncompiled:\n%s",
+					corpus.name, i, src, want, got)
+			}
+			compiledSame++
 		}
-		col, err := sql2arc.TranslateString(src)
-		if err != nil {
-			t.Fatalf("trial %d: sql2arc rejected %q: %v", i, src, err)
+		if compiledSame < 300 {
+			t.Fatalf("%s: too few ARC differential trials completed: %d", corpus.name, compiledSame)
 		}
-		plan, err := eval.ExplainCollection(col, cat, convention.SQL(), nil)
-		if err != nil {
-			t.Fatalf("trial %d: explain %q: %v", i, src, err)
+		if lowered < corpus.floor {
+			t.Fatalf("%s: only %d/400 translated queries lowered every scope, want %d", corpus.name, lowered, corpus.floor)
 		}
-		if !strings.Contains(plan, "environment enumeration") {
-			lowered++
+		t.Logf("%s: %d/400 translated queries lowered every scope", corpus.name, lowered)
+		for _, r := range slices.Sorted(maps.Keys(reasons)) {
+			t.Logf("%s: %3d environment enumeration: %s", corpus.name, reasons[r], r)
 		}
-		want, errEnum := eval.EvalReference(col, cat, convention.SQL())
-		got, errPlan := eval.Eval(col, cat, convention.SQL())
-		if (errEnum == nil) != (errPlan == nil) {
-			t.Fatalf("trial %d: error divergence on %q: enum=%v plan=%v", i, src, errEnum, errPlan)
-		}
-		if errEnum != nil {
-			continue
-		}
-		if got.String() != want.String() {
-			t.Fatalf("trial %d: scope-compiler divergence on %q\nenumeration:\n%s\ncompiled:\n%s",
-				i, src, want, got)
-		}
-		compiledSame++
 	}
-	if compiledSame < 300 {
-		t.Fatalf("too few ARC differential trials completed: %d", compiledSame)
-	}
-	if lowered < 276 {
-		t.Fatalf("only %d/400 translated queries lowered every scope", lowered)
-	}
-	t.Logf("%d/400 translated queries lowered every scope", lowered)
 }
