@@ -6,7 +6,7 @@ GO ?= go
 FUZZ_TIME ?= 20s
 ENGINE_FUZZ_TARGETS ?= FuzzPrepareSQL FuzzPrepareARC FuzzPrepareDatalog FuzzExecSQL FuzzExecFactOps FuzzCollectionStream
 
-.PHONY: all build test bench lint arcvet fuzz-smoke arcbench-quick ab loc
+.PHONY: all build test durability bench lint arcvet fuzz-smoke arcbench-quick ab loc
 
 all: lint build test
 
@@ -16,6 +16,14 @@ build:
 test:
 	$(GO) test -race ./...
 	$(GO) test -race -parallel 8 -count=1 ./internal/engine ./internal/relation
+	$(MAKE) durability
+
+# The storage subsystem end to end on real disk, fresh every run
+# (-count=1 defeats the test cache): WAL codec and replay, segment round
+# trips, checkpoint rotation, the crash torture loop, and the SIGKILL
+# subprocess durability proof (CI's disk-backed durability suite).
+durability:
+	$(GO) test -count=1 -run 'WAL|Segment|Manager|Durable|Crash|KillMinus9|Record' ./internal/storage ./internal/engine
 
 # One iteration of every benchmark (including the E01–E21 experiment
 # harness): the CI smoke pass. These are diagnostics, not a gate — use

@@ -331,7 +331,8 @@ func benchThreeLang(b *testing.B, shape int) {
 
 // BenchmarkThreeLangJoin, BenchmarkThreeLangGroup and
 // BenchmarkThreeLangTC: the paper's claim is one relational core under
-// three syntaxes, so one shape should cost one price (ROADMAP item 7).
+// three syntaxes, so one shape should cost one price
+// (engine.TestThreeLanguageParity holds the allocation counts to it).
 func BenchmarkThreeLangJoin(b *testing.B)  { benchThreeLang(b, 0) }
 func BenchmarkThreeLangGroup(b *testing.B) { benchThreeLang(b, 1) }
 func BenchmarkThreeLangTC(b *testing.B)    { benchThreeLang(b, 2) }
@@ -573,7 +574,7 @@ func BenchmarkExecGroupAggregate(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		groups := 0
-		for range exec.GroupAggregate(exec.Scan(r), []int{0}, aggs, convention.SQL()) {
+		for range exec.GroupAggregate(exec.Scan(r), []int{0}, aggs, convention.SQL(), nil) {
 			groups++
 		}
 		if groups == 0 {

@@ -217,7 +217,7 @@ func (ev *evaluator) headStream(col *alt.Collection, e *env, errp *error) exec.S
 		}
 	}
 	if ev.conv.Semantics == convention.Set && !ev.distinctHead(col) {
-		return exec.Dedup(seq)
+		return exec.Dedup(seq, ev.prep.headHint(col))
 	}
 	return seq
 }

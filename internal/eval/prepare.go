@@ -19,7 +19,8 @@ import (
 // environment enumeration, and the recursive groups among them with their
 // rules classified. An execution binds relations, parameters and fixpoint
 // handles to the plans it holds and runs them. It is never written after
-// Prepare, so concurrent executions share it.
+// Prepare but for its size hints, which are atomic, so concurrent
+// executions share it.
 type Prepared struct {
 	col    *alt.Collection
 	link   *alt.Link
@@ -32,6 +33,9 @@ type Prepared struct {
 	sections []recDef
 	// reads names, sorted, the relations whose schema the lowering read.
 	reads []string
+	// heads holds the size hint of the Dedup of each section's head
+	// tuples (headStream); each prepared group holds its totals' hints.
+	heads map[*alt.Collection]*exec.SizeHint
 }
 
 // Prepare analyzes and lowers a validated collection with its link, over
@@ -50,6 +54,15 @@ func Prepare(col *alt.Collection, link *alt.Link, cat *Catalog, conv convention.
 	_ = ev.prepare(p, recDef{col, link}, map[string]bool{})
 	p.scopes, p.groups = ev.scopes, ev.groups
 	p.reads = slices.Sorted(maps.Keys(ev.read))
+	p.heads = make(map[*alt.Collection]*exec.SizeHint, len(p.sections))
+	for _, d := range p.sections {
+		p.heads[d.col] = new(exec.SizeHint)
+	}
+	for _, g := range p.groups {
+		if g != nil {
+			g.hints = make([]exec.SizeHint, len(g.defs))
+		}
+	}
 	return p
 }
 
@@ -114,6 +127,15 @@ func (p *Prepared) group(col *alt.Collection) (g *recGroup, ok bool) {
 	}
 	g, ok = p.groups[col]
 	return g, ok
+}
+
+// headHint is the size hint of col's head Dedup: nil when p is nil or
+// Prepare did not reach col.
+func (p *Prepared) headHint(col *alt.Collection) *exec.SizeHint {
+	if p == nil {
+		return nil
+	}
+	return p.heads[col]
 }
 
 // Relations lists the relations whose schema p was lowered against: every

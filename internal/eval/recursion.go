@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/alt"
+	"repro/internal/exec"
 	"repro/internal/fixpoint"
 	"repro/internal/relation"
 )
@@ -40,11 +41,21 @@ type recDef struct {
 
 // recGroup is the recursive group a collection is computed in
 // (recursiveGroup), with its rules classified (recursiveRules) or err,
-// their refusal.
+// their refusal. A group Prepare found holds a size hint per member's
+// total (hints[i] is defs[i]'s); any other holds none.
 type recGroup struct {
 	defs  []recDef
 	rules []arcRule
 	err   error
+	hints []exec.SizeHint
+}
+
+// hint is the size hint of member i's total, nil when g holds none.
+func (g *recGroup) hint(i int) *exec.SizeHint {
+	if g.hints == nil {
+		return nil
+	}
+	return &g.hints[i]
 }
 
 // groupOf returns the recursive group of col, nil when col is not
@@ -307,9 +318,11 @@ func (ev *evaluator) evalRecursive(g *recGroup, e *env) (map[string]*relation.Re
 	}
 	defer ev.saveOverrides(g.defs)()
 	totals := make(map[string]*relation.Relation, len(g.defs))
-	for _, d := range g.defs {
-		totals[d.col.Head.Rel] = relation.New(d.col.Head.Rel, d.col.Head.Attrs...)
-		ev.setOverride(d.col.Head.Rel, totals[d.col.Head.Rel])
+	for i, d := range g.defs {
+		total := relation.New(d.col.Head.Rel, d.col.Head.Attrs...)
+		total.Reserve(g.hint(i).Size())
+		totals[d.col.Head.Rel] = total
+		ev.setOverride(d.col.Head.Rel, total)
 	}
 	frules := make([]fixpoint.Rule, len(g.rules))
 	for i, r := range g.rules {
@@ -358,6 +371,9 @@ func (ev *evaluator) evalRecursive(g *recGroup, e *env) (map[string]*relation.Re
 	})
 	if err != nil {
 		return nil, err
+	}
+	for i, d := range g.defs {
+		g.hint(i).Record(totals[d.col.Head.Rel].Distinct())
 	}
 	return totals, nil
 }

@@ -74,11 +74,18 @@ type aggState struct {
 // collapses bag weights to 1, and EmptyAggregate picks SUM's value over
 // zero rows. With no key columns the operator emits exactly one group
 // even over empty input (the SQL "group by true" behaviour); keyed
-// grouping over empty input emits nothing.
-func GroupAggregate(in Seq, keyCols []int, aggs []Agg, conv convention.Conventions) Seq {
+// grouping over empty input emits nothing. Keyed grouping presizes its
+// table for hint's size and records in hint the number of groups once its
+// input is consumed.
+func GroupAggregate(in Seq, keyCols []int, aggs []Agg, conv convention.Conventions, hint *SizeHint) Seq {
 	return func(yield func(relation.Tuple, int) bool) {
 		gs := &grouping{keyCols: keyCols, aggs: aggs}
-		if len(keyCols) == 0 {
+		if len(keyCols) > 0 {
+			if n := hint.Size(); n > 0 {
+				gs.groups = make([]*group, 0, n)
+				gs.chains.Reserve(n)
+			}
+		} else {
 			gs.of(relation.Tuple{}, 0)
 		}
 		for t, m := range in {
@@ -95,6 +102,9 @@ func GroupAggregate(in Seq, keyCols []int, aggs []Agg, conv convention.Conventio
 			for i, a := range aggs {
 				g.states[i].observe(a, t, w)
 			}
+		}
+		if len(keyCols) > 0 {
+			hint.Record(len(gs.groups))
 		}
 		for _, g := range gs.groups {
 			out := make(relation.Tuple, 0, len(g.key)+len(aggs))

@@ -82,10 +82,13 @@ func (f *filter) row(t relation.Tuple, m int) bool { return !f.keep(t, m) || f.y
 
 // Dedup streams the distinct tuples of in with multiplicity 1, in first-
 // occurrence order (the set-semantics reading of the stream). It keeps a
-// copy of every tuple it yields to recognise that tuple's duplicates.
-func Dedup(in Seq) Seq {
+// copy of every tuple it yields to recognise that tuple's duplicates. Its
+// set is presized for hint's size, and a stream drained to its end records
+// the number of distinct tuples in hint.
+func Dedup(in Seq, hint *SizeHint) Seq {
 	return func(yield func(relation.Tuple, int) bool) {
 		var seen set[relation.Tuple]
+		seen.reserve(hint.Size())
 		for t := range in {
 			if !seen.add(t, t.Hash(), relation.Tuple.Equal) {
 				continue
@@ -96,16 +99,20 @@ func Dedup(in Seq) Seq {
 				return
 			}
 		}
+		hint.Record(seen.n)
 	}
 }
 
 // set holds distinct items, found by hash and confirmed by equal: an
 // open-addressing table, probed linearly from the top bits of an item's
-// hash, of the numbers of entries kept in blocks of doubling size. No
-// block is ever copied, and the set keeps the items it is given, not
-// copies, so a distinct item costs fewer bytes than a map entry would;
-// an item the caller may overwrite is replaced by a copy (see Dedup).
+// hash, of the numbers of entries kept in blocks. The first len(head)
+// entries are head, the exact block reserve allocates; after it, block k
+// of blocks holds minBlock<<k entries. No block is ever copied, and the
+// set keeps the items it is given, not copies, so a distinct item costs
+// fewer bytes than a map entry would; an item the caller may overwrite is
+// replaced by a copy (see Dedup).
 type set[T any] struct {
+	head   []entry[T]
 	blocks [][]entry[T] // block k holds minBlock<<k entries
 	n      int          // entries in use
 	table  []int32      // 1 + an entry's number, 0 if free; len is a power of two
@@ -119,10 +126,29 @@ type entry[T any] struct {
 
 const minBlock = 8
 
-// at returns entry j: blocks 0..k-1 hold the first minBlock·(2^k - 1).
+// at returns entry j: head holds the first len(head), then blocks 0..k-1
+// the next minBlock·(2^k - 1).
 func (s *set[T]) at(j int) *entry[T] {
+	if j < len(s.head) {
+		return &s.head[j]
+	}
+	j -= len(s.head)
 	k := bits.Len(uint(j/minBlock+1)) - 1
 	return &s.blocks[k][j-minBlock*(1<<k-1)]
+}
+
+// reserve makes an empty set hold n entries without growing: head takes
+// exactly n, and the table is sized to stay at most three quarters full.
+func (s *set[T]) reserve(n int) {
+	if n <= minBlock || s.n > 0 {
+		return
+	}
+	s.head = make([]entry[T], n)
+	size := 16
+	for 4*n > 3*size {
+		size *= 2
+	}
+	s.resize(size)
 }
 
 // add puts x, whose hash is h, into the set unless it holds an item equal
@@ -134,7 +160,7 @@ func (s *set[T]) add(x T, h uint64, equal func(T, T) bool) bool {
 	mask := len(s.table) - 1
 	for i := int(h >> s.shift); ; i = (i + 1) & mask {
 		if s.table[i] == 0 {
-			if s.n == minBlock*(1<<len(s.blocks)-1) {
+			if s.n == len(s.head)+minBlock*(1<<len(s.blocks)-1) {
 				s.blocks = append(s.blocks, make([]entry[T], minBlock<<len(s.blocks)))
 			}
 			*s.at(s.n) = entry[T]{x, h}
@@ -149,8 +175,10 @@ func (s *set[T]) add(x T, h uint64, equal func(T, T) bool) bool {
 }
 
 // grow doubles the table, keeping it at most three quarters full.
-func (s *set[T]) grow() {
-	size := max(16, 2*len(s.table))
+func (s *set[T]) grow() { s.resize(max(16, 2*len(s.table))) }
+
+// resize rebuilds the table at size, a power of two.
+func (s *set[T]) resize(size int) {
 	s.table, s.shift = make([]int32, size), uint(64-bits.TrailingZeros(uint(size)))
 	for j := range s.n {
 		i := int(s.at(j).h >> s.shift)

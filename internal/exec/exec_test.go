@@ -49,7 +49,7 @@ func TestFilter(t *testing.T) {
 
 func TestDedupMatchesMaterialized(t *testing.T) {
 	r := sampleR()
-	got := Materialize(Dedup(Scan(r)), "D", "a", "b")
+	got := Materialize(Dedup(Scan(r), nil), "D", "a", "b")
 	if !got.EqualBag(r.Dedup()) {
 		t.Fatalf("dedup: got\n%s\nwant\n%s", got, r.Dedup())
 	}
@@ -98,7 +98,7 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 	r, s := sampleR(), sampleS()
 	attrs := []string{"a", "b", "b2", "c"}
 	want := rowsToRel(nestedLoopJoin(r, s, []int{1}, []int{0}), "J", attrs...)
-	ht := BuildHashTable(Scan(s), []int{0}, s.Arity())
+	ht := BuildHashTable(Scan(s), []int{0}, s.Arity(), nil)
 	hj := Materialize(EquiJoin(Scan(r), []int{1}, ht, false, nil, nil), "J", attrs...)
 	if !hj.EqualBag(want) {
 		t.Fatalf("hash join: got\n%s\nwant\n%s", hj, want)
@@ -108,7 +108,7 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 func TestGroupAggregate(t *testing.T) {
 	r := sampleR()
 	got := Materialize(
-		GroupAggregate(Scan(r), []int{0}, []Agg{{Func: Sum, Col: 1}, {Func: Count}}, convention.SQL()),
+		GroupAggregate(Scan(r), []int{0}, []Agg{{Func: Sum, Col: 1}, {Func: Count}}, convention.SQL(), nil),
 		"G", "a", "sm", "ct")
 	want := relation.New("G", "a", "sm", "ct").
 		Add(1, 10, 1).Add(2, 40, 2).Add(3, 61, 2)
@@ -117,7 +117,7 @@ func TestGroupAggregate(t *testing.T) {
 	}
 	// Set semantics collapses the duplicate (2,20) row's weight.
 	gotSet := Materialize(
-		GroupAggregate(Scan(r.Dedup()), []int{0}, []Agg{{Func: Sum, Col: 1}, {Func: Count}}, convention.SetLogic()),
+		GroupAggregate(Scan(r.Dedup()), []int{0}, []Agg{{Func: Sum, Col: 1}, {Func: Count}}, convention.SetLogic(), nil),
 		"G", "a", "sm", "ct")
 	wantSet := relation.New("G", "a", "sm", "ct").
 		Add(1, 10, 1).Add(2, 20, 1).Add(3, 61, 2)
@@ -129,16 +129,16 @@ func TestGroupAggregate(t *testing.T) {
 func TestGroupAggregateEmptyInput(t *testing.T) {
 	empty := relation.New("E", "a", "b")
 	// Keyed grouping over zero rows: zero groups.
-	keyed := Collect(GroupAggregate(Scan(empty), []int{0}, []Agg{{Func: Count}}, convention.SQL()))
+	keyed := Collect(GroupAggregate(Scan(empty), []int{0}, []Agg{{Func: Count}}, convention.SQL(), nil))
 	if len(keyed) != 0 {
 		t.Fatalf("keyed γ over empty input: got %d groups, want 0", len(keyed))
 	}
 	// γ∅: exactly one group, COUNT 0, SUM NULL (or 0 under Soufflé).
-	rows := Collect(GroupAggregate(Scan(empty), nil, []Agg{{Func: Count}, {Func: Sum, Col: 1}}, convention.SQL()))
+	rows := Collect(GroupAggregate(Scan(empty), nil, []Agg{{Func: Count}, {Func: Sum, Col: 1}}, convention.SQL(), nil))
 	if len(rows) != 1 || rows[0].Tup[0].AsInt() != 0 || !rows[0].Tup[1].IsNull() {
 		t.Fatalf("γ∅ over empty input under SQL: got %v", rows)
 	}
-	rows = Collect(GroupAggregate(Scan(empty), nil, []Agg{{Func: Sum, Col: 1}}, convention.Souffle()))
+	rows = Collect(GroupAggregate(Scan(empty), nil, []Agg{{Func: Sum, Col: 1}}, convention.Souffle(), nil))
 	if len(rows) != 1 || rows[0].Tup[0].AsInt() != 0 {
 		t.Fatalf("γ∅ over empty input under Soufflé: got %v", rows)
 	}

@@ -89,7 +89,7 @@ func TestDedupSetCollisions(t *testing.T) {
 			}
 		}
 	}
-	if got := Collect(Dedup(in)); len(got) != 3 {
+	if got := Collect(Dedup(in, nil)); len(got) != 3 {
 		t.Fatalf("Dedup kept %v, want 2, 2.5 and 3", got)
 	}
 }

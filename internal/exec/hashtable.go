@@ -23,12 +23,18 @@ type HashTable struct {
 
 // BuildHashTable drains in into a hash table keyed on cols. arity is the
 // tuple width of the build side (needed for null-extension when the input
-// is empty).
-func BuildHashTable(in Seq, cols []int, arity int) *HashTable {
+// is empty). The table is presized for hint's size, and records its row
+// count in hint once in is drained.
+func BuildHashTable(in Seq, cols []int, arity int, hint *SizeHint) *HashTable {
 	ht := &HashTable{cols: slices.Clone(cols), arity: arity}
+	if n := hint.Size(); n > 0 {
+		ht.rows = make([]Row, 0, n)
+		ht.chains.Reserve(n)
+	}
 	for t, m := range in {
 		ht.add(t, m, t.HashAt(cols))
 	}
+	hint.Record(len(ht.rows))
 	return ht
 }
 

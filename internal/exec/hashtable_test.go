@@ -11,7 +11,7 @@ import (
 
 func ht2(t *testing.T, rel *relation.Relation, cols ...int) *HashTable {
 	t.Helper()
-	return BuildHashTable(Scan(rel), cols, rel.Arity())
+	return BuildHashTable(Scan(rel), cols, rel.Arity(), nil)
 }
 
 func TestEquiJoinStrictEquality(t *testing.T) {
@@ -128,7 +128,7 @@ func TestHashTableCrossJoinDegenerate(t *testing.T) {
 func TestCountColSkipsNulls(t *testing.T) {
 	r := relation.New("R", "a", "b").Add(1, 1).Add(1, nil).Add(1, 2)
 	rows := Collect(GroupAggregate(Scan(r), []int{0},
-		[]Agg{{Func: Count}, {Func: CountCol, Col: 1}}, convention.SQL()))
+		[]Agg{{Func: Count}, {Func: CountCol, Col: 1}}, convention.SQL(), nil))
 	if len(rows) != 1 {
 		t.Fatalf("want one group, got %v", rows)
 	}

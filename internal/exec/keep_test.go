@@ -91,14 +91,14 @@ func TestKeepersCopyWhatTheyKeep(t *testing.T) {
 	}
 	keepers := []keeper{
 		{"Collect", Collect},
-		{"Dedup", func(in Seq) []Row { return Collect(Dedup(in)) }},
+		{"Dedup", func(in Seq) []Row { return Collect(Dedup(in, nil)) }},
 		{"Materialize", func(in Seq) []Row { return relRows(Materialize(in, "M", "a", "b")) }},
-		{"BuildHashTable", func(in Seq) []Row { return BuildHashTable(in, []int{0}, 2).rows }},
+		{"BuildHashTable", func(in Seq) []Row { return BuildHashTable(in, []int{0}, 2, nil).rows }},
 		{"GroupAggregate", func(in Seq) []Row {
-			return Collect(GroupAggregate(in, []int{0}, aggs, convention.SQL()))
+			return Collect(GroupAggregate(in, []int{0}, aggs, convention.SQL(), nil))
 		}},
 		{"GroupAggregate/no keys", func(in Seq) []Row {
-			return Collect(GroupAggregate(in, nil, aggs, convention.SQL()))
+			return Collect(GroupAggregate(in, nil, aggs, convention.SQL(), nil))
 		}},
 		{"fixpoint.Run", func(in Seq) []Row {
 			total := relation.New("T", "a", "b")

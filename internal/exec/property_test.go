@@ -32,7 +32,7 @@ func TestStreamingEqualsMaterialized(t *testing.T) {
 
 				// dedup: streaming vs relation.Dedup.
 				check(t, trial, "dedup", conv,
-					Materialize(Dedup(Scan(r)), "D", "a", "b"), r.Dedup())
+					Materialize(Dedup(Scan(r), nil), "D", "a", "b"), r.Dedup())
 
 				// σ: streaming filter vs a manual materialized filter.
 				wantF := relation.New("F", "a", "b")
@@ -50,14 +50,14 @@ func TestStreamingEqualsMaterialized(t *testing.T) {
 				// small non-NULL integers, where Key identity is Eq).
 				attrs := []string{"a", "b", "b2", "c"}
 				wantJ := rowsToRel(nestedLoopJoin(r, s, []int{1}, []int{0}), "J", attrs...)
-				ht := BuildHashTable(Scan(s), []int{0}, s.Arity())
+				ht := BuildHashTable(Scan(s), []int{0}, s.Arity(), nil)
 				check(t, trial, "hash-join", conv,
 					Materialize(EquiJoin(Scan(r), []int{1}, ht, false, nil, nil), "J", attrs...), wantJ)
 
 				// γ: streaming group/aggregate vs a reference fold.
 				check(t, trial, "group-agg", conv,
 					Materialize(GroupAggregate(Scan(r), []int{0},
-						[]Agg{{Func: Count}, {Func: Sum, Col: 1}, {Func: Min, Col: 1}, {Func: Max, Col: 1}}, conv),
+						[]Agg{{Func: Count}, {Func: Sum, Col: 1}, {Func: Min, Col: 1}, {Func: Max, Col: 1}}, conv, nil),
 						"G", "a", "ct", "sm", "mn", "mx"),
 					referenceGroup(r, conv))
 			}

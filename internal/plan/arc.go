@@ -597,6 +597,7 @@ type lookupNode struct {
 	// value without a group and of a NULL one.
 	empty  groupRow
 	schema []ColID
+	hint   exec.SizeHint // the groups
 }
 
 // lookupTable is one execution's groups of a lookupNode: the correlation
@@ -622,7 +623,7 @@ func Lookup(in Node, spec LookupSpec) Node {
 		n.schema = append(n.schema, ColID{Rel: spec.Alias, Col: a})
 	}
 	none := func(func(relation.Tuple, int) bool) {}
-	for g := range exec.GroupAggregate(none, nil, n.execAggs(), spec.Conv) {
+	for g := range exec.GroupAggregate(none, nil, n.execAggs(), spec.Conv, nil) {
 		n.empty = n.rowOf(append(make(relation.Tuple, len(spec.Keys)), g...), &runCtx{})
 	}
 	return n
@@ -691,6 +692,10 @@ func (tab *lookupTable) set(keys relation.Tuple, h uint64, g groupRow, keep bool
 // the inner keys fails the execution; any other stays with its group.
 func (n *lookupNode) build(ctx *runCtx) *lookupTable {
 	tab := &lookupTable{}
+	if size := n.hint.Size(); size > 0 {
+		tab.keys, tab.rows = make([]relation.Tuple, 0, size), make([]groupRow, 0, size)
+		tab.chains.Reserve(size)
+	}
 	nk := len(n.Keys)
 	pre := func(yield func(relation.Tuple, int) bool) {
 		// GroupAggregate copies key values and folds aggregate inputs
@@ -732,7 +737,7 @@ func (n *lookupNode) build(ctx *runCtx) *lookupTable {
 			}
 		}
 	}
-	for g := range exec.GroupAggregate(pre, identity(nk), n.execAggs(), n.Conv) {
+	for g := range exec.GroupAggregate(pre, identity(nk), n.execAggs(), n.Conv, &n.hint) {
 		if ctx.err != nil {
 			break
 		}

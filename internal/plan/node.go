@@ -605,6 +605,7 @@ type hashJoinNode struct {
 	schema      []ColID
 	buildLeft   bool
 	buildStatic bool
+	hint        exec.SizeHint // a hash table build's rows
 }
 
 func newHashJoinNode(kind joinKind, left, right Node) *hashJoinNode {
@@ -640,7 +641,7 @@ func (n *hashJoinNode) indexScan() *scanNode {
 // buildSide returns the join's build side: the scanned relation's index,
 // or a hash table, from the per-execution cache when the build subtree is
 // static. A NULL parameter on the scan's probe empties the scan, so that
-// join builds the empty table.
+// join builds the empty table. A table is presized by the join's hint.
 func (n *hashJoinNode) buildSide(ctx *runCtx) exec.Build {
 	build, _, cols, _ := n.sides()
 	if sn := n.indexScan(); sn != nil {
@@ -655,12 +656,12 @@ func (n *hashJoinNode) buildSide(ctx *runCtx) exec.Build {
 		}
 	}
 	if !n.buildStatic {
-		return exec.BuildHashTable(build.Run(ctx), cols, len(build.Schema()))
+		return exec.BuildHashTable(build.Run(ctx), cols, len(build.Schema()), &n.hint)
 	}
 	if ht := ctx.builds[n]; ht != nil {
 		return ht
 	}
-	ht := exec.BuildHashTable(build.Run(ctx), cols, len(build.Schema()))
+	ht := exec.BuildHashTable(build.Run(ctx), cols, len(build.Schema()), &n.hint)
 	if ctx.builds == nil {
 		ctx.builds = make(map[*hashJoinNode]*exec.HashTable)
 	}
@@ -668,7 +669,20 @@ func (n *hashJoinNode) buildSide(ctx *runCtx) exec.Build {
 	return ht
 }
 
+// Run streams the join. A build side that may change within the execution
+// (it reads a rotating delta, or the row an existence probe tests) is
+// built each time the stream starts, so a stream set up once — a
+// recursive step's, a probe's inner scope — reads what its inputs hold
+// when it runs; any other is built now.
 func (n *hashJoinNode) Run(ctx *runCtx) exec.Seq {
+	if n.buildStatic || n.indexScan() != nil {
+		return n.join(ctx)
+	}
+	return func(yield func(relation.Tuple, int) bool) { n.join(ctx)(yield) }
+}
+
+// join builds the join's build side and streams the join over it.
+func (n *hashJoinNode) join(ctx *runCtx) exec.Seq {
 	var op *trace.Op
 	var b exec.Build
 	if ctx.trace != nil {
@@ -1001,12 +1015,13 @@ func (n *projectNode) writeExplain(b *strings.Builder, depth int, tr *trace.Trac
 // dedupNode collapses duplicates (DISTINCT / UNION set semantics).
 type dedupNode struct {
 	input Node
+	hint  exec.SizeHint // the distinct rows
 }
 
 func (n *dedupNode) Schema() []ColID { return n.input.Schema() }
 
 func (n *dedupNode) Run(ctx *runCtx) exec.Seq {
-	return ctx.traced(n, exec.Dedup(guard(n.input.Run(ctx), ctx)))
+	return ctx.traced(n, exec.Dedup(guard(n.input.Run(ctx), ctx), &n.hint))
 }
 
 func (n *dedupNode) writeExplain(b *strings.Builder, depth int, tr *trace.Trace) {
@@ -1070,6 +1085,7 @@ type groupNode struct {
 	aggs    []aggSpec
 	conv    convention.Conventions
 	schema  []ColID
+	hint    exec.SizeHint // the groups
 }
 
 func (n *groupNode) Schema() []ColID { return n.schema }
@@ -1111,7 +1127,7 @@ func (n *groupNode) Run(ctx *runCtx) exec.Seq {
 	for i, a := range n.aggs {
 		aggs[i] = exec.Agg{Func: a.fn, Col: len(n.keys) + i}
 	}
-	return ctx.traced(n, exec.GroupAggregate(pre, keyCols, aggs, n.conv))
+	return ctx.traced(n, exec.GroupAggregate(pre, keyCols, aggs, n.conv, &n.hint))
 }
 
 func (n *groupNode) writeExplain(b *strings.Builder, depth int, tr *trace.Trace) {

@@ -69,6 +69,8 @@ type compiledCTE struct {
 	// result receives the finished relation; body-side references read it.
 	result   *fixpoint.Handle
 	distinct bool // UNION vs UNION ALL accumulation
+	// hint sizes the relation a plain or UNION CTE materializes into.
+	hint exec.SizeHint
 }
 
 // compileWith lowers a WITH query: CTEs compile in order (each visible
@@ -166,9 +168,13 @@ func (c *compilerCtx) compileRecursiveCTE(cte sql.CTE, baseQ, stepQ sql.Query, a
 // materialize computes one CTE's relation into its result handle. The
 // handle's relation is stored in the runCtx, never on the plan, so
 // concurrent executions of one compiled plan do not share fixpoint state.
+// The step's stream is set up once and run every round: what in it reads
+// the delta reads it as the round runs (cteNode, hashJoinNode.Run), and a
+// probe forgets what it found when the delta moves (setHandle).
 func (x *compiledCTE) materialize(ctx *runCtx) error {
 	if x.plain != nil {
 		rel := relation.New(x.name, x.attrs...)
+		rel.Reserve(x.hint.Size())
 		for t, m := range x.plain.root.Run(ctx) {
 			if !ctx.poll() {
 				return ctx.err
@@ -178,33 +184,26 @@ func (x *compiledCTE) materialize(ctx *runCtx) error {
 		if ctx.err != nil {
 			return ctx.err
 		}
+		x.hint.Record(rel.Distinct())
 		ctx.setHandle(x.result, rel)
 		return nil
 	}
-	// drain streams one term's rows into emit.
-	drain := func(term *Plan, emit fixpoint.EmitMult) error {
-		for t, m := range term.root.Run(ctx) {
-			if !ctx.poll() {
-				return ctx.err
-			}
-			if err := emit(t, m); err != nil {
-				return err
-			}
-		}
-		return ctx.err
-	}
+	d := &drain{ctx: ctx}
+	d.next = d.row
+	var step exec.Seq
 	var onRound func(int, time.Duration)
 	if ctx.trace != nil {
 		onRound = ctx.trace.Fixpoint(x, x.name).Observe
 	}
 	if x.distinct {
 		total := relation.New(x.name, x.attrs...)
+		total.Reserve(x.hint.Size())
 		var emit fixpoint.Emit
 		set := func(t relation.Tuple, _ int) error { return emit(t) } // emit, without multiplicities
 		err := fixpoint.Run(map[string]*relation.Relation{x.name: total}, []fixpoint.Rule{
 			{Target: x.name, Kind: fixpoint.Seed, Eval: func(_ int, _ *relation.Relation, e fixpoint.Emit) error {
 				emit = e
-				return drain(x.base, set)
+				return d.run(x.base.root.Run(ctx), set)
 			}},
 			{Target: x.name, Kind: fixpoint.Delta, Occs: []string{x.name}, Eval: func(occ int, delta *relation.Relation, e fixpoint.Emit) error {
 				if occ < 0 {
@@ -212,7 +211,10 @@ func (x *compiledCTE) materialize(ctx *runCtx) error {
 				}
 				emit = e
 				ctx.setHandle(x.delta, delta)
-				return drain(x.step, set)
+				if step == nil {
+					step = x.step.root.Run(ctx)
+				}
+				return d.run(step, set)
 			}},
 		}, fixpoint.Options{
 			Name:          "recursive CTE " + x.name,
@@ -223,16 +225,20 @@ func (x *compiledCTE) materialize(ctx *runCtx) error {
 		if err != nil {
 			return err
 		}
+		x.hint.Record(total.Distinct())
 		ctx.setHandle(x.result, total)
 		return nil
 	}
 	loop := &fixpoint.CTE{
 		Name:  x.name,
 		Attrs: x.attrs,
-		Base:  func(emit fixpoint.EmitMult) error { return drain(x.base, emit) },
+		Base:  func(emit fixpoint.EmitMult) error { return d.run(x.base.root.Run(ctx), emit) },
 		Step: func(delta *relation.Relation, emit fixpoint.EmitMult) error {
 			ctx.setHandle(x.delta, delta)
-			return drain(x.step, emit)
+			if step == nil {
+				step = x.step.root.Run(ctx)
+			}
+			return d.run(step, emit)
 		},
 		Check:   ctx.check,
 		OnRound: onRound,
@@ -243,6 +249,34 @@ func (x *compiledCTE) materialize(ctx *runCtx) error {
 	}
 	ctx.setHandle(x.result, rel)
 	return nil
+}
+
+// drain streams a recursive CTE's terms into the fixpoint, polling the
+// execution as rows pass. Its callback is made once, so a round allocates
+// nothing to run the step.
+type drain struct {
+	ctx  *runCtx
+	emit fixpoint.EmitMult
+	err  error                          // emit's
+	next func(relation.Tuple, int) bool // row
+}
+
+// run streams seq's rows into emit and returns the first error.
+func (d *drain) run(seq exec.Seq, emit fixpoint.EmitMult) error {
+	d.emit, d.err = emit, nil
+	seq(d.next)
+	if d.err != nil {
+		return d.err
+	}
+	return d.ctx.err
+}
+
+func (d *drain) row(t relation.Tuple, m int) bool {
+	if !d.ctx.poll() {
+		return false
+	}
+	d.err = d.emit(t, m)
+	return d.err == nil
 }
 
 // withNode materializes its CTEs in order, then streams the body.

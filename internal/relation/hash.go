@@ -39,6 +39,15 @@ func (c *Chains) Add(h uint64) {
 	c.spans[h] = sp
 }
 
+// Reserve presizes empty Chains for n slots: the spans map for n hashes
+// and next for n slots. It does nothing to Chains that hold a slot.
+func (c *Chains) Reserve(n int) {
+	if len(c.next) > 0 {
+		return
+	}
+	c.spans, c.next = make(map[uint64]span, n), make([]int32, 0, n)
+}
+
 // Chain captures the chain of h. Slots added later are beyond its last
 // slot and so not part of it, which lets a reader walk a captured chain
 // while a writer adds to the Chains.
@@ -86,8 +95,8 @@ type hashIndex struct {
 
 // buildHashIndex indexes rows on cols.
 func buildHashIndex(rows []row, cols []int) *hashIndex {
-	n := len(rows)
-	ix := &hashIndex{cols: cols, Chains: Chains{spans: make(map[uint64]span, n), next: make([]int32, 0, n)}}
+	ix := &hashIndex{cols: cols}
+	ix.Reserve(len(rows))
 	for i := range rows {
 		ix.Add(rows[i].tup.HashAt(cols))
 	}

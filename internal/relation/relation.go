@@ -250,6 +250,23 @@ func (r *Relation) Admit(t Tuple) bool {
 	return true
 }
 
+// Reserve presizes an empty relation for n distinct tuples: its row array
+// holds n rows before it grows, and its tuple index, built now rather
+// than by the first lookup, holds n. It changes capacity only: the
+// relation's content, iteration order and windows (Since) are those of a
+// relation never reserved. It does nothing to a relation that holds a
+// row, was cloned or is a window.
+func (r *Relation) Reserve(n int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if n <= 1 || len(r.rows) > 0 || r.base != nil || r.window {
+		return
+	}
+	r.rows = make([]row, 0, n)
+	r.index = &hashIndex{cols: allCols(len(r.attrs))}
+	r.index.Reserve(n)
+}
+
 // Mark returns the position Since cuts at: the number of rows r holds.
 func (r *Relation) Mark() int {
 	r.mu.RLock()
