@@ -50,34 +50,114 @@ func startBenchServer(b *testing.B, db *engine.DB) (*server.Server, string) {
 	return srv, ln.Addr().String()
 }
 
-// BenchmarkServerScan ships a prepared 10 000-row range through the
-// client: the Fetch path, 40 batches per op. With -benchmem, allocs/op
-// over 10 000 is the wire's allocations per row.
-func BenchmarkServerScan(b *testing.B) {
-	const n = 10_000
+// scanBenchRows and scanBenchSQL are the range BenchmarkServerScan
+// ships and BenchmarkServerScanInProcess drains: arcbench's scan10k.
+const (
+	scanBenchRows = 10_000
+	scanBenchSQL  = "select R.A, R.B from R where R.A >= $1 and R.A < $2"
+)
+
+func scanBenchDB() *engine.DB {
 	r := relation.New("R", "A", "B")
-	for i := 0; i < n; i++ {
+	for i := 0; i < scanBenchRows; i++ {
 		r.Add(i, i%997)
 	}
-	_, addr := startBenchServer(b, engine.Open(r))
+	return engine.Open(r)
+}
+
+// BenchmarkServerScan ships a prepared 10 000-row range through the
+// client: the Fetch path, 40 batches per op. With -benchmem, allocs/op
+// over 10 000 is the wire's allocations per row. Its ns/op over
+// BenchmarkServerScanInProcess's is the wire's share of a scan (ROADMAP
+// item 10 aims at ≤ 3×).
+func BenchmarkServerScan(b *testing.B) {
+	_, addr := startBenchServer(b, scanBenchDB())
 	c, err := client.Dial(addr)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer c.Close()
-	scan, err := c.Prepare(client.LangSQL, "select R.A, R.B from R where R.A >= $1 and R.A < $2")
+	scan, err := c.Prepare(client.LangSQL, scanBenchSQL)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := scan.QueryAll(value.Int(0), value.Int(n))
+		rows, err := scan.QueryAll(value.Int(0), value.Int(scanBenchRows))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rows) != n {
-			b.Fatalf("rows = %d, want %d", len(rows), n)
+		if len(rows) != scanBenchRows {
+			b.Fatalf("rows = %d, want %d", len(rows), scanBenchRows)
+		}
+	}
+}
+
+// BenchmarkServerScanInProcess drains BenchmarkServerScan's statement
+// through an engine cursor, as an in-process caller reads it: pulled row
+// by row (Next), and pushed (Each).
+func BenchmarkServerScanInProcess(b *testing.B) {
+	scan, err := scanBenchDB().Prepare(engine.LangSQL, scanBenchSQL)
+	if err != nil {
+		b.Fatal(err)
+	}
+	drains := []struct {
+		name  string
+		drain func(*engine.Rows) int
+	}{
+		{"next", func(rows *engine.Rows) (n int) {
+			for rows.Next() {
+				n++
+			}
+			return n
+		}},
+		{"each", func(rows *engine.Rows) (n int) {
+			rows.Each(func([]value.Value) bool { n++; return true })
+			return n
+		}},
+	}
+	for _, d := range drains {
+		b.Run(d.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rows, err := scan.Query(context.Background(), 0, scanBenchRows)
+				if err != nil {
+					b.Fatal(err)
+				}
+				n := d.drain(rows)
+				if err := rows.Close(); err != nil || n != scanBenchRows {
+					b.Fatalf("rows = %d, err %v", n, err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkServerPoint reads one row by key through a prepared
+// statement: Bind, Execute and the first Fetch in one write, one batch
+// back. It is the per-cursor cost of the wire, which a scan spreads over
+// 10 000 rows.
+func BenchmarkServerPoint(b *testing.B) {
+	_, addr := startBenchServer(b, serverBenchDB())
+	c, err := client.Dial(addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	point, err := c.Prepare(client.LangSQL, "select R.A, R.B from R where R.A = $1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows, err := point.QueryAll(value.Int(int64(i % 1000)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rows) != 1 {
+			b.Fatalf("rows = %d, want 1", len(rows))
 		}
 	}
 }

@@ -21,8 +21,9 @@
 // If the walk reaches a dangerous call — parsing (sql/arc/datalog/trc
 // Parse*), plan compilation or execution (plan.Compile/Stream*/
 // Execute*), evaluator entry (sqleval/eval/datalog Eval*), frame
-// handling (server ReadFrame / handle*), or the engine Rows pull (an
-// invocation of the `next` iterator field) — the entry point is
+// handling (server ReadFrame / handle*), or the engine Rows pull or
+// push (an invocation of the `next` iterator field or the `seq` stream
+// field) — the entry point is
 // reported: a panic raised inside that call would escape the process
 // boundary unguarded.
 //
@@ -164,14 +165,27 @@ func dangerCall(pass *arcvetutil.Pass, call *ast.CallExpr) string {
 		}
 		return ""
 	}
-	// The engine Rows pull: invoking the `next` iterator field resumes
-	// the operator coroutine, where a hostile-input panic surfaces.
+	// The engine Rows pull and push: invoking the `next` iterator field
+	// resumes the operator coroutine, and invoking the `seq` stream field
+	// runs the operator tree in place; a hostile-input panic surfaces in
+	// either.
 	if arcvetutil.PkgIs(pass.Pkg, "internal/engine") {
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "next" {
-			if s, ok := pass.TypesInfo.Selections[sel]; ok && s.Kind() == types.FieldVal {
-				if _, isSig := s.Type().Underlying().(*types.Signature); isSig {
-					return "the Rows iterator pull (next field)"
-				}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return ""
+		}
+		var what string
+		switch sel.Sel.Name {
+		case "next":
+			what = "the Rows iterator pull (next field)"
+		case "seq":
+			what = "the Rows stream push (seq field)"
+		default:
+			return ""
+		}
+		if s, ok := pass.TypesInfo.Selections[sel]; ok && s.Kind() == types.FieldVal {
+			if _, isSig := s.Type().Underlying().(*types.Signature); isSig {
+				return what
 			}
 		}
 	}

@@ -41,7 +41,10 @@ func parse(q string) error { return sql.ParseStatement(q) }
 
 // The Rows pull: invoking the next iterator field resumes the operator
 // tree, where hostile-input panics surface.
-type Rows struct{ next func() bool }
+type Rows struct {
+	next func() bool
+	seq  func(yield func() bool)
+}
 
 func (r *Rows) Next() bool { // want "exported engine entry point Next reaches the Rows iterator pull"
 	return r.next()
@@ -51,6 +54,19 @@ func (r *Rows) Next() bool { // want "exported engine entry point Next reaches t
 func (r *Rows) SafeNext() (ok bool) {
 	defer func() { recover() }()
 	return r.next()
+}
+
+// The Rows push: invoking the seq stream field runs the operator tree.
+func (r *Rows) Each(f func() bool) { // want "exported engine entry point Each reaches the Rows stream push"
+	r.seq(f)
+}
+
+// Pushing behind a guard in a helper is compliant.
+func (r *Rows) SafeEach(f func() bool) { r.push(f) }
+
+func (r *Rows) push(f func() bool) {
+	defer func() { recover() }()
+	r.seq(f)
 }
 
 // Methods on unexported receivers are not entry points.

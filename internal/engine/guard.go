@@ -34,5 +34,5 @@ func recoverTo(errp *error, op string) {
 }
 
 // stackNow captures the current goroutine stack for PanicError built
-// outside a deferred recoverTo (the Rows pull path).
+// outside a deferred recoverTo (the Rows pull and push paths).
 func stackNow() []byte { return debug.Stack() }

@@ -12,14 +12,21 @@ import (
 // Rows is a streaming cursor over a statement's result, in the
 // database/sql style: Next advances (expanding bag multiplicities into
 // one step per occurrence), Scan converts the current row into Go
-// values, Close releases the underlying iterator early. A Rows is bound
-// to one goroutine; concurrent sessions each hold their own cursor.
+// values, Close releases the underlying iterator early. Each is the push
+// form: it runs the stream and hands every occurrence to a callback,
+// with no coroutine. A Rows is bound to one goroutine at a time;
+// concurrent sessions each hold their own cursor.
 type Rows struct {
 	cols  []string
-	next  func() (relation.Tuple, int, bool)
-	stop  func()
+	seq   exec.Seq
 	errFn func() error
 	check func() error
+
+	// next and stop pull seq; the first Next creates them, so a cursor
+	// that is only pushed (Each) or closed unread never starts a
+	// coroutine.
+	next func() (relation.Tuple, int, bool)
+	stop func()
 
 	cur    relation.Tuple
 	rem    int // remaining occurrences of cur (bag multiplicity)
@@ -37,8 +44,7 @@ type Rows struct {
 // (if any) once the stream stops; check is the per-advance cancellation
 // poll.
 func newRows(cols []string, seq exec.Seq, errFn func() error, check func() error) *Rows {
-	next, stop := iter.Pull2(seq)
-	return &Rows{cols: cols, next: next, stop: stop, errFn: errFn, check: check}
+	return &Rows{cols: cols, seq: seq, errFn: errFn, check: check}
 }
 
 // relationRows streams an already-materialized result.
@@ -61,10 +67,10 @@ func (r *Rows) Next() bool {
 		r.nrows++
 		return true
 	}
-	// Polled once per pulled row: a cursor advance already pays a
-	// coroutine switch (iter.Pull2), so one uncontended ctx.Err on top
-	// is noise, and it keeps cancellation prompt at the API boundary
-	// even for sources with no internal poll sites.
+	// Polled once per pulled row, as Each polls once per yielded one: an
+	// uncontended ctx.Err costs a few nanoseconds, a fraction of the
+	// coroutine switch a pull pays, and it keeps cancellation prompt at
+	// the API boundary even for sources with no internal poll sites.
 	if r.check != nil {
 		if err := r.check(); err != nil {
 			r.fail(err)
@@ -89,6 +95,9 @@ func (r *Rows) Next() bool {
 // process. The coroutine is already dead after a panic, so the cursor is
 // marked closed without calling stop.
 func (r *Rows) pull() (t relation.Tuple, m int, ok bool) {
+	if r.next == nil {
+		r.next, r.stop = iter.Pull2(r.seq)
+	}
 	defer func() {
 		if p := recover(); p != nil {
 			r.err = &PanicError{Op: "rows", Val: p, Stack: stackNow()}
@@ -99,6 +108,61 @@ func (r *Rows) pull() (t relation.Tuple, m int, ok bool) {
 		}
 	}()
 	return r.next()
+}
+
+// Each pushes the cursor's remaining row occurrences to f, one call per
+// occurrence, and then finishes the cursor as exhaustion or Close does:
+// Err reports the execution error, if any, and the completion hook
+// fires. f returning false stops the stream early, as Close would. The
+// row passed to f belongs to the operator tree and is valid only until
+// f returns ("A plan row lives until its yield returns"); f may suspend
+// (a server runner yields to its Fetch there), but must not call Next,
+// Each or Close on r.
+//
+// The stream runs on the caller's goroutine, with no coroutine switch:
+// cancellation is polled once per yielded row, and a panic inside the
+// operator tree — or inside f — fails the cursor with a *PanicError
+// instead of unwinding the caller. A cursor already advanced by Next
+// pushes the rest of its pull.
+func (r *Rows) Each(f func(row []value.Value) bool) {
+	if r.closed || r.err != nil {
+		return
+	}
+	if r.next != nil {
+		for r.Next() && f(r.cur) {
+		}
+	} else {
+		r.push(f)
+	}
+	if !r.closed {
+		r.finish()
+	}
+}
+
+// push runs the stream into f under the engine's recover backstop. A
+// panic has already unwound the stream, so there is nothing to stop:
+// Each finishes the cursor with the PanicError, as pull does.
+func (r *Rows) push(f func(row []value.Value) bool) {
+	defer func() {
+		if p := recover(); p != nil {
+			r.err = &PanicError{Op: "rows", Val: p, Stack: stackNow()}
+		}
+	}()
+	r.seq(func(t relation.Tuple, m int) bool {
+		if r.check != nil {
+			if err := r.check(); err != nil {
+				r.err = err
+				return false
+			}
+		}
+		for ; m > 0; m-- {
+			r.nrows++
+			if !f(t) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // Row returns the current row without copying it. The slice belongs to
@@ -221,7 +285,9 @@ func (r *Rows) fail(err error) {
 	if !r.closed {
 		r.closed = true
 		r.cur, r.rem = nil, 0
-		r.stop()
+		if r.stop != nil {
+			r.stop()
+		}
 	}
 	r.fireDone()
 }
@@ -232,7 +298,9 @@ func (r *Rows) fail(err error) {
 func (r *Rows) finish() {
 	r.closed = true
 	r.cur, r.rem = nil, 0
-	r.stop()
+	if r.stop != nil {
+		r.stop()
+	}
 	if r.err == nil {
 		r.err = r.errFn()
 	}

@@ -842,8 +842,7 @@ func (s *Stmt) ExplainAnalyze(ctx context.Context, args ...any) (text string, er
 	if err != nil {
 		return "", err
 	}
-	for rows.Next() {
-	}
+	rows.Each(func([]value.Value) bool { return true })
 	if err := rows.Close(); err != nil {
 		return "", err
 	}

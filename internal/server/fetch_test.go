@@ -113,6 +113,36 @@ func TestFetchCostsPerBatch(t *testing.T) {
 	}
 }
 
+// pointReadAllocs is what one prepared 1-row read costs over the wire,
+// client and server together: Bind, Execute and a one-row Fetch. Before
+// a session drove its cursors on a reused runner it was 47: each cursor
+// started its own pull coroutine.
+const pointReadAllocs = 35
+
+// TestPointReadAllocations pins the per-cursor cost of the wire at
+// pointReadAllocs. A cursor that starts a coroutine of its own again, or
+// any other allocation per cursor or per Fetch, fails it.
+func TestPointReadAllocations(t *testing.T) {
+	_, addr := startServer(t, testDB(), server.Options{})
+	c := dial(t, addr)
+	point, err := c.Prepare(client.LangSQL, "select R.A, R.B from R where R.A = $1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func() {
+		rows, err := point.QueryAll(value.Int(3))
+		if err != nil || len(rows) != 1 {
+			t.Fatalf("point read: %v, %v", rows, err)
+		}
+	}
+	read() // the session's runner is made here, once
+	if got := testing.AllocsPerRun(100, read); got > pointReadAllocs {
+		t.Fatalf("a prepared point read allocates %.0f times over the wire, want ≤ %d", got, pointReadAllocs)
+	} else {
+		t.Logf("a prepared point read allocates %.0f times over the wire", got)
+	}
+}
+
 // TestFetchedRowsOutliveTheCursor pins the client's ownership contract:
 // a row from the first batch is unchanged after every later batch has
 // been read through the same connection buffer, and after the cursor is

@@ -56,6 +56,53 @@ func FuzzServerFrames(f *testing.F) {
 	frame(&ok, server.FrameFetch, e.Bytes())
 	f.Add(ok.Bytes())
 
+	// Two cursors fetched a row at a time, so each suspends mid-stream
+	// in its own runner, then one closed and the other rebound while
+	// suspended, then both run again; the torn copy ends the session with
+	// both suspended.
+	var runners bytes.Buffer
+	frame(&runners, server.FrameHello, helloPayload())
+	e = server.Enc{}
+	e.U32(1)
+	e.U8(server.WireLangSQL)
+	e.Str("q")
+	e.Str("select R.A from R")
+	frame(&runners, server.FramePrepare, e.Bytes())
+	open := func(cur uint32) {
+		e = server.Enc{}
+		e.U32(cur)
+		e.U32(1)
+		e.U32(0)
+		frame(&runners, server.FrameBind, e.Bytes())
+		e = server.Enc{}
+		e.U32(cur)
+		frame(&runners, server.FrameExecute, e.Bytes())
+	}
+	fetch := func(cur, maxRows uint32) {
+		e = server.Enc{}
+		e.U32(cur)
+		e.U32(maxRows)
+		frame(&runners, server.FrameFetch, e.Bytes())
+	}
+	open(7)
+	open(8)
+	fetch(7, 1)
+	fetch(8, 1)
+	torn := len(runners.Bytes())
+	fetch(7, 1)
+	e = server.Enc{}
+	e.U8(1)
+	e.U32(7)
+	frame(&runners, server.FrameClose, e.Bytes())
+	fetch(8, 1)
+	open(8) // rebinds the suspended cursor
+	fetch(8, 1)
+	open(7)
+	fetch(7, 0)
+	fetch(8, 0)
+	f.Add(runners.Bytes())
+	f.Add(runners.Bytes()[:torn])
+
 	var tx bytes.Buffer
 	frame(&tx, server.FrameHello, helloPayload())
 	frame(&tx, server.FrameBegin, nil)

@@ -3,9 +3,10 @@ package server
 // An internal test: it reaches into session to plant a cursor whose
 // engine Rows panics mid-stream — the one failure valid inputs can
 // never produce (the fuzzers enforce that) but whose wire behavior the
-// protocol promises: the panic is recovered inside Rows.pull as a
-// *engine.PanicError, the Fetch answers an INTERNAL Error frame, the
-// cursor closes, and the session survives.
+// protocol promises: the panic is recovered inside Rows.Each, which the
+// session's runner pushes the stream through, as a *engine.PanicError;
+// the Fetch answers an INTERNAL Error frame, the cursor closes, and the
+// session survives.
 
 import (
 	"bufio"
@@ -38,6 +39,7 @@ func TestFetchPanicSurfacesAsInternalErrorFrame(t *testing.T) {
 		cursors: map[uint32]*cursor{},
 		greeted: true,
 	}
+	defer sess.stopRunners() // the session's end, which serveConn would run
 	rows := engine.NewPanicRowsForTest([]string{"A"}, 1, "operator bug")
 	sess.cursors[7] = &cursor{rows: rows, cols: []string{"A"}}
 

@@ -213,13 +213,16 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // cursor is one open result stream: the bound portal (statement + args)
-// and, once Execute ran, the engine cursor it streams from. elapsed
-// accumulates Execute plus every Fetch pull, so the latency histogram
-// reflects real execution time even for lazily-streamed plans.
+// and, once Execute ran, the engine cursor it streams from. run is the
+// runner suspended in its stream between Fetches, nil before the first
+// Fetch and once the stream ended. elapsed accumulates Execute plus
+// every Fetch, so the latency histogram reflects real execution time
+// even for lazily-streamed plans.
 type cursor struct {
 	stmt    *engine.Stmt
 	args    []any
 	rows    *engine.Rows
+	run     *runner
 	cols    []string
 	elapsed time.Duration
 }
@@ -251,8 +254,12 @@ type session struct {
 	// instead of leaving the client waiting forever.
 	werr error
 	// in holds the frame being handled (ReadFrameInto) and out the Rows
-	// payload handleFetch encodes into; both are reused frame to frame.
+	// payload a runner encodes into; both are reused frame to frame.
 	in, out []byte
+	// idle are the runners no cursor holds, reused cursor to cursor; a
+	// Fetch takes a new one only while every runner is suspended in
+	// another cursor's stream, so at most MaxCursors exist.
+	idle []*runner
 }
 
 // serveConn runs one session to completion. The deferred recover is the
@@ -283,6 +290,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		stopWatch()
 		sess.closeAllCursors()
+		sess.stopRunners()
 		sess.eng.Close() // roll back any transaction the client abandoned
 		conn.Close()
 		s.mu.Lock()
@@ -555,8 +563,8 @@ func (sess *session) handleBind(payload []byte) error {
 		sess.stmtError(CodeBind, fmt.Errorf("session holds %d cursors (limit %d); close some", len(sess.cursors), sess.srv.opts.MaxCursors))
 		return nil
 	}
-	if rebind && old.rows != nil {
-		old.rows.Close()
+	if rebind {
+		sess.closeRows(old)
 	}
 	sess.cursors[curID] = &cursor{stmt: stmt, args: args, cols: stmt.Columns()}
 	var e Enc
@@ -624,10 +632,11 @@ const retainBytes = 2 * softBatchBytes
 // u32 ncols, u32 nrows.
 const rowsHeader = 13
 
-// handleFetch encodes each row straight from the cursor into the
-// session's payload buffer behind a Rows header, then patches the
-// header's done and nrows once the batch is known: a row is encoded
-// once and never copied on the server.
+// handleFetch resumes the cursor's runner once, which encodes each row
+// inside the stream's yield straight into the session's payload buffer
+// behind a Rows header, then patches the header's done and nrows once
+// the batch is known: a row is encoded once and never copied on the
+// server.
 func (sess *session) handleFetch(payload []byte) error {
 	d := NewDec(payload)
 	curID := d.U32()
@@ -648,19 +657,8 @@ func (sess *session) handleFetch(payload []byte) error {
 	e.U8(0) // done, patched below
 	e.U32(uint32(len(cur.cols)))
 	e.U32(0) // nrows, patched below
-	n := 0
-	done := false
 	start := time.Now()
-	for n < maxRows && len(e.b)-rowsHeader < softBatchBytes {
-		if !cur.rows.Next() {
-			done = true
-			break
-		}
-		for _, v := range cur.rows.Row() {
-			e.Val(v)
-		}
-		n++
-	}
+	e, n, done := sess.fill(cur, e.b, maxRows)
 	cur.elapsed += time.Since(start)
 	if cap(e.b) <= retainBytes {
 		sess.out = e.b[:0]
@@ -869,21 +867,27 @@ func (sess *session) handleRollback(payload []byte) error {
 }
 
 // finishCursor closes and forgets a cursor, recording its accumulated
-// execution time (Execute + Fetch pulls) in the latency histogram.
+// execution time (Execute + Fetches) in the latency histogram.
 func (sess *session) finishCursor(id uint32, cur *cursor) {
+	sess.closeRows(cur)
+	delete(sess.cursors, id)
+	sess.srv.metrics.ObserveQuery(cur.elapsed)
+}
+
+// closeRows releases a cursor's engine rows: a stream suspended in a
+// runner is unwound first, which finishes the rows from inside, so the
+// Close after it only reports.
+func (sess *session) closeRows(cur *cursor) {
+	sess.abort(cur)
 	if cur.rows != nil {
 		cur.rows.Close()
 	}
-	delete(sess.cursors, id)
-	sess.srv.metrics.ObserveQuery(cur.elapsed)
 }
 
 // closeAllCursors releases every open cursor when the session ends
 // (abandoned mid-stream, so no latency observation).
 func (sess *session) closeAllCursors() {
 	for _, cur := range sess.cursors {
-		if cur.rows != nil {
-			cur.rows.Close()
-		}
+		sess.closeRows(cur)
 	}
 }
