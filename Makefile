@@ -15,7 +15,7 @@ build:
 
 test:
 	$(GO) test -race ./...
-	$(GO) test -race -parallel 8 -count=1 ./internal/engine ./internal/relation ./internal/server
+	$(GO) test -race -parallel 8 -count=1 ./internal/engine ./internal/relation ./internal/server ./internal/server/client
 	$(MAKE) durability
 
 # The storage subsystem end to end on real disk, fresh every run

@@ -162,6 +162,32 @@ func BenchmarkServerPoint(b *testing.B) {
 	}
 }
 
+// BenchmarkServerPointAdhoc reads BenchmarkServerPoint's row through
+// Conn.Query, as one-shot text: Prepare, Bind, Execute, the first Fetch
+// and the statement's Close in one write. The text is the same each
+// time, so the server's Prepare is a statement-cache hit; ns/op against
+// BenchmarkServerPoint's is what an ad-hoc read costs over a prepared
+// one.
+func BenchmarkServerPointAdhoc(b *testing.B) {
+	_, addr := startBenchServer(b, serverBenchDB())
+	c, err := client.Dial(addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows, _, err := c.Query(client.LangSQL, "select R.A, R.B from R where R.A = 7")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rows) != 1 {
+			b.Fatalf("rows = %d, want 1", len(rows))
+		}
+	}
+}
+
 // BenchmarkServerThroughput measures end-to-end wire-protocol throughput:
 // N concurrent client sessions each cycling a point lookup, a hash join,
 // and a recursive transitive closure through prepared statements over

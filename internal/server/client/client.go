@@ -1,8 +1,12 @@
 // Package client is the Go client for the arcserve wire protocol: it
 // dials a server, prepares statements in any of the three languages, and
-// streams results through a Rows-style cursor. Queries pipeline the
-// Bind+Execute+first-Fetch frames in one write, so a simple point query
-// costs a single round trip after Prepare.
+// streams results through a Rows-style cursor. The server answers
+// pipelined frames strictly in order, so the client writes a request's
+// frames in one flush and reads their replies back in order: a prepared
+// query (Bind+Execute+first Fetch) is one round trip, and so is an
+// ad-hoc Conn.Query (Prepare, then those three, then Close of the
+// statement) or Conn.Exec (Prepare+Exec+Close). A result larger than
+// one batch costs one more round trip per further batch.
 //
 // A result costs per batch, not per row: a Conn reads every frame into
 // one reused buffer, and each Rows batch decodes into a single value
@@ -49,6 +53,11 @@ func Dial(addr string) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
+	return handshake(nc)
+}
+
+// handshake performs the Hello exchange over nc, closing it on failure.
+func handshake(nc net.Conn) (*Conn, error) {
 	c := &Conn{conn: nc, r: bufio.NewReader(nc), w: bufio.NewWriter(nc)}
 	var e server.Enc
 	e.U32(server.ProtocolVersion)
@@ -71,15 +80,15 @@ func (c *Conn) fatal(err error) error {
 	return err
 }
 
-// send writes a frame into the buffered writer (no flush).
-func (c *Conn) send(typ byte, payload []byte) error {
+// send writes a frame into the buffered writer (no flush). A failure is
+// connection-fatal, so the next recv reports it.
+func (c *Conn) send(typ byte, payload []byte) {
 	if c.lastErr != nil {
-		return c.lastErr
+		return
 	}
 	if err := server.WriteFrame(c.w, typ, payload); err != nil {
-		return c.fatal(err)
+		c.fatal(err)
 	}
-	return nil
 }
 
 // recv flushes pending writes and reads one response frame, decoding
@@ -112,10 +121,14 @@ func (c *Conn) recv(want byte) ([]byte, error) {
 }
 
 // roundTrip sends one frame and decodes the matching response.
-func (c *Conn) roundTrip(typ byte, payloadB []byte, want byte, into func(*server.Dec) error) error {
-	if err := c.send(typ, payloadB); err != nil {
-		return err
-	}
+func (c *Conn) roundTrip(typ byte, payload []byte, want byte, into func(*server.Dec) error) error {
+	c.send(typ, payload)
+	return c.recvInto(want, into)
+}
+
+// recvInto reads one response and decodes its body with into (nil
+// ignores the body).
+func (c *Conn) recvInto(want byte, into func(*server.Dec) error) error {
 	body, err := c.recv(want)
 	if err != nil {
 		return err
@@ -194,17 +207,34 @@ func (c *Conn) PrepareDatalog(src, pred string) (*Stmt, error) {
 }
 
 func (c *Conn) prepare(lang Lang, src, pred string) (*Stmt, error) {
+	s := c.sendPrepare(lang, src, pred)
+	if err := s.recvPrepare(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// sendPrepare writes a Prepare frame under a new statement id (no
+// flush) and returns the handle its reply fills in.
+func (c *Conn) sendPrepare(lang Lang, src, pred string) *Stmt {
 	c.nextID++
-	id := c.nextID
+	s := &Stmt{conn: c, id: c.nextID}
 	var e server.Enc
-	e.U32(id)
+	e.U32(s.id)
 	e.U8(byte(lang))
 	e.Str(pred)
 	e.Str(src)
-	s := &Stmt{conn: c, id: id}
-	err := c.roundTrip(server.FramePrepare, e.Bytes(), server.FramePrepareOK, func(d *server.Dec) error {
-		if got := d.U32(); d.Err() == nil && got != id {
-			return c.fatal(fmt.Errorf("client: PrepareOK for statement %d, want %d", got, id))
+	c.send(server.FramePrepare, e.Bytes())
+	return s
+}
+
+// recvPrepare reads s's PrepareOK: its kind, parameter count and
+// columns.
+func (s *Stmt) recvPrepare() error {
+	c := s.conn
+	return c.recvInto(server.FramePrepareOK, func(d *server.Dec) error {
+		if got := d.U32(); d.Err() == nil && got != s.id {
+			return c.fatal(fmt.Errorf("client: PrepareOK for statement %d, want %d", got, s.id))
 		}
 		s.kind = Kind(d.U8())
 		s.nparams = int(d.U32())
@@ -218,10 +248,6 @@ func (c *Conn) prepare(lang Lang, src, pred string) (*Stmt, error) {
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // Columns returns the statement's output column names.
@@ -237,14 +263,25 @@ func (s *Stmt) Kind() Kind { return s.kind }
 // Exec runs a DML/DDL statement (or SQL-level transaction control) on
 // the server. Queries are rejected with WRONG_KIND — use Query.
 func (s *Stmt) Exec(args ...value.Value) (Result, error) {
+	s.sendExec(args)
+	return s.recvExec()
+}
+
+// sendExec writes an Exec frame for s (no flush).
+func (s *Stmt) sendExec(args []value.Value) {
 	var e server.Enc
 	e.U32(s.id)
 	e.U32(uint32(len(args)))
 	for _, a := range args {
 		e.Val(a)
 	}
+	s.conn.send(server.FrameExec, e.Bytes())
+}
+
+// recvExec reads the reply to sendExec.
+func (s *Stmt) recvExec() (Result, error) {
 	var res Result
-	err := s.conn.roundTrip(server.FrameExec, e.Bytes(), server.FrameExecOK, func(d *server.Dec) error {
+	err := s.conn.recvInto(server.FrameExecOK, func(d *server.Dec) error {
 		res.RowsAffected = int64(d.U64())
 		res.Generation = d.U64()
 		return nil
@@ -270,12 +307,26 @@ func (s *Stmt) ExplainAnalyze(args ...value.Value) (string, error) {
 	return text, err
 }
 
-// Close drops the server-side handle.
+// Close drops the server-side handle. A cursor already bound to the
+// statement keeps streaming: it holds the statement, not its handle.
 func (s *Stmt) Close() error {
+	s.conn.sendClose(closeStmt, s.id)
+	return s.conn.recvInto(server.FrameCloseOK, nil)
+}
+
+// The Close frame's kind byte.
+const (
+	closeStmt   = 0
+	closeCursor = 1
+)
+
+// sendClose writes a Close frame for a statement or cursor id (no
+// flush).
+func (c *Conn) sendClose(kind byte, id uint32) {
 	var e server.Enc
-	e.U8(0)
-	e.U32(s.id)
-	return s.conn.roundTrip(server.FrameClose, e.Bytes(), server.FrameCloseOK, nil)
+	e.U8(kind)
+	e.U32(id)
+	c.send(server.FrameClose, e.Bytes())
 }
 
 // Rows streams a query result in fetch-sized batches.
@@ -335,40 +386,42 @@ func decodeBatch(body []byte) (batch, error) {
 // as Bind+Execute+Fetch in one write, then the three responses read back
 // in order.
 func (s *Stmt) Query(args ...value.Value) (*Rows, error) {
+	return s.recvQuery(s.sendQuery(args))
+}
+
+// sendQuery writes Bind+Execute+first-Fetch for a new cursor over s (no
+// flush) and returns the cursor's id.
+func (s *Stmt) sendQuery(args []value.Value) uint32 {
 	c := s.conn
 	c.nextID++
 	curID := c.nextID
-	var bindP server.Enc
-	bindP.U32(curID)
-	bindP.U32(s.id)
-	bindP.U32(uint32(len(args)))
+	var e server.Enc
+	e.U32(curID)
+	e.U32(s.id)
+	e.U32(uint32(len(args)))
 	for _, a := range args {
-		bindP.Val(a)
+		e.Val(a)
 	}
-	var execP server.Enc
-	execP.U32(curID)
-	var fetchP server.Enc
-	fetchP.U32(curID)
-	fetchP.U32(0) // server default batch size
-	if err := c.send(server.FrameBind, bindP.Bytes()); err != nil {
-		return nil, err
-	}
-	if err := c.send(server.FrameExecute, execP.Bytes()); err != nil {
-		return nil, err
-	}
-	if err := c.send(server.FrameFetch, fetchP.Bytes()); err != nil {
-		return nil, err
-	}
+	c.send(server.FrameBind, e.Bytes())
+	e = server.Enc{}
+	e.U32(curID)
+	c.send(server.FrameExecute, e.Bytes())
+	c.sendFetch(curID)
+	return curID
+}
+
+// recvQuery reads the three replies sendQuery pipelined for cursor
+// curID and returns the cursor holding its first batch. A failed Bind or
+// Execute is followed by unknown-cursor errors for the frames behind it;
+// those are read too, so the session stays in sync.
+func (s *Stmt) recvQuery(curID uint32) (*Rows, error) {
+	c := s.conn
 	if _, err := c.recv(server.FrameBindOK); err != nil {
-		// The pipelined Execute and Fetch behind the failed Bind answer
-		// with unknown-cursor errors; drain both to stay in sync.
 		_, _ = c.recv(server.FrameExecuteOK)
 		_, _ = c.recv(server.FrameRows)
 		return nil, fmt.Errorf("bind: %w", err)
 	}
 	if _, err := c.recv(server.FrameExecuteOK); err != nil {
-		// The pipelined Fetch behind the failed Execute answers with an
-		// unknown-cursor error; drain it so the session stays in sync.
 		_, _ = c.recv(server.FrameRows)
 		return nil, err
 	}
@@ -377,6 +430,15 @@ func (s *Stmt) Query(args ...value.Value) (*Rows, error) {
 		return nil, err
 	}
 	return r, nil
+}
+
+// sendFetch writes a Fetch frame for the server's default batch size
+// (no flush).
+func (c *Conn) sendFetch(curID uint32) {
+	var e server.Enc
+	e.U32(curID)
+	e.U32(0)
+	c.send(server.FrameFetch, e.Bytes())
 }
 
 // readBatch consumes one Rows frame as the current batch. A frame that
@@ -407,13 +469,7 @@ func (r *Rows) fetch() bool {
 	if r.done || r.closed || r.err != nil {
 		return false
 	}
-	var e server.Enc
-	e.U32(r.cursorID)
-	e.U32(0)
-	if err := r.conn.send(server.FrameFetch, e.Bytes()); err != nil {
-		r.err = err
-		return false
-	}
+	r.conn.sendFetch(r.cursorID)
 	return r.readBatch() == nil
 }
 
@@ -463,10 +519,8 @@ func (r *Rows) Close() error {
 	if r.done || r.err != nil {
 		return nil
 	}
-	var e server.Enc
-	e.U8(1)
-	e.U32(r.cursorID)
-	return r.conn.roundTrip(server.FrameClose, e.Bytes(), server.FrameCloseOK, nil)
+	r.conn.sendClose(closeCursor, r.cursorID)
+	return r.conn.recvInto(server.FrameCloseOK, nil)
 }
 
 // QueryAll is the convenience bulk form.
@@ -475,15 +529,20 @@ func (s *Stmt) QueryAll(args ...value.Value) ([][]value.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Batches are kept whole and cut into rows once the total is known,
-	// so the result is allocated once, at its final size.
-	batches := []batch{rows.batch}
-	total := rows.batch.nrows
-	for rows.fetch() {
-		batches = append(batches, rows.batch)
-		total += rows.batch.nrows
+	return rows.all()
+}
+
+// all drains the cursor from its current batch on and closes it.
+// Batches are kept whole and cut into rows once the total is known, so
+// the result is allocated once, at its final size.
+func (r *Rows) all() ([][]value.Value, error) {
+	batches := []batch{r.batch}
+	total := r.batch.nrows
+	for r.fetch() {
+		batches = append(batches, r.batch)
+		total += r.batch.nrows
 	}
-	if err := rows.Err(); err != nil {
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	var out [][]value.Value
@@ -495,20 +554,26 @@ func (s *Stmt) QueryAll(args ...value.Value) ([][]value.Value, error) {
 			out = append(out, batches[i].row(j))
 		}
 	}
-	return out, rows.Close()
+	return out, r.Close()
 }
 
-// Exec is the one-shot write convenience: Prepare, Exec, Close. The
-// statement is closed whether or not Exec succeeds, so failures do not
-// pile handles up against the server's per-session limit.
+// Exec is the one-shot write convenience: Prepare, Exec and Close of the
+// statement in one write, then their three replies read in order — one
+// round trip. The statement is closed whether or not Exec succeeds, so
+// failures do not pile handles up against the server's per-session
+// limit. A failed Prepare makes the Exec behind it answer UNKNOWN_STMT;
+// the first error is the one returned.
 func (c *Conn) Exec(lang Lang, src string, args ...value.Value) (Result, error) {
-	s, err := c.Prepare(lang, src)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := s.Exec(args...)
-	cerr := s.Close()
-	if err != nil {
+	s := c.sendPrepare(lang, src, "")
+	s.sendExec(args)
+	c.sendClose(closeStmt, s.id)
+	perr := s.recvPrepare()
+	res, err := s.recvExec()
+	cerr := c.recvInto(server.FrameCloseOK, nil)
+	switch {
+	case perr != nil:
+		return Result{}, perr
+	case err != nil:
 		return Result{}, err
 	}
 	return res, cerr
@@ -545,17 +610,29 @@ func (c *Conn) Rollback() error {
 	return c.roundTrip(server.FrameRollback, nil, server.FrameRollbackOK, nil)
 }
 
-// Query is the one-shot convenience: Prepare, Query, drain, Close. As
-// with Exec, the statement is closed on every path.
+// Query is the one-shot convenience: Prepare, Bind, Execute, the first
+// Fetch and Close of the statement in one write, then their five replies
+// read in order — one round trip when the result fits one batch, and one
+// more per further batch. The statement is closed on every path; its
+// cursor goes on streaming after the Close, since it holds the statement
+// itself. A failed Prepare makes the frames behind it answer
+// UNKNOWN_STMT and UNKNOWN_CURSOR; the first error is the one returned.
 func (c *Conn) Query(lang Lang, src string, args ...value.Value) ([][]value.Value, []string, error) {
-	s, err := c.Prepare(lang, src)
+	s := c.sendPrepare(lang, src, "")
+	curID := s.sendQuery(args)
+	c.sendClose(closeStmt, s.id)
+	perr := s.recvPrepare()
+	rows, err := s.recvQuery(curID)
+	cerr := c.recvInto(server.FrameCloseOK, nil)
+	switch {
+	case perr != nil:
+		return nil, nil, perr
+	case err != nil:
+		return nil, nil, err
+	}
+	out, err := rows.all()
 	if err != nil {
 		return nil, nil, err
 	}
-	rows, err := s.QueryAll(args...)
-	cerr := s.Close()
-	if err != nil {
-		return nil, nil, err
-	}
-	return rows, s.cols, cerr
+	return out, s.cols, cerr
 }

@@ -290,6 +290,39 @@ func TestSuspendedCursorClosedOrRebound(t *testing.T) {
 	}
 }
 
+// TestCursorOutlivesClosedStatement: closing a statement's handle drops
+// its name only. A cursor bound to it before the Close goes on streaming
+// the rest of its rows, while a new Bind on the handle answers
+// UNKNOWN_STMT. The client's ad-hoc Query pipelines the Close right
+// behind the first Fetch and relies on this.
+func TestCursorOutlivesClosedStatement(t *testing.T) {
+	h := newHarness(t, runnerDB())
+	want := h.inProcess(scanSQL)
+	h.prepare(1, scanSQL)
+	h.open(1, 1)
+	first, done := h.fetch(1, 10)
+	if done {
+		t.Fatal("a 100-row scan was done after 10 rows")
+	}
+	var e Enc
+	e.U8(0)
+	e.U32(1)
+	h.expect(FrameClose, e.Bytes(), FrameCloseOK)
+	if _, ok := h.sess.stmts[1]; ok {
+		t.Fatal("statement 1 is still named after its Close")
+	}
+	rest, _ := h.drain(1, 0)
+	sameRows(t, "scan across the statement's Close", append(first, rest...), want)
+	e = Enc{}
+	e.U32(2)
+	e.U32(1)
+	e.U32(0)
+	d := NewDec(h.expect(FrameBind, e.Bytes(), FrameError))
+	if code := d.Str(); code != CodeUnknownStmt {
+		t.Fatalf("Bind on the closed statement answered %s, want %s", code, CodeUnknownStmt)
+	}
+}
+
 // TestPanicAfterFirstBatch: a stream that panics after 300 rows ships
 // its first 256-row batch, answers INTERNAL on the next Fetch, and the
 // session — its runner too — goes on serving.

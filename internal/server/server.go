@@ -590,8 +590,10 @@ func (sess *session) handleExecute(payload []byte) error {
 	}
 	// A fetch cursor only makes sense over a statement that returns
 	// rows: Execute of a DML/DDL portal is a structured kind error, not
-	// a protocol mismatch. (Send an Exec frame instead.)
+	// a protocol mismatch. (Send an Exec frame instead.) The cursor Bind
+	// made can never run, so it is dropped; it holds no rows yet.
 	if k := cur.stmt.Kind(); !k.ReturnsRows() {
+		delete(sess.cursors, curID)
 		sess.stmtError(CodeWrongKind, fmt.Errorf("statement is %s, which returns no rows; use an Exec frame", k))
 		return nil
 	}

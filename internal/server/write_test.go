@@ -96,6 +96,30 @@ func TestWireExecAndKinds(t *testing.T) {
 	}
 }
 
+// TestWrongKindExecuteReleasesCursor: Execute of a DML statement answers
+// WRONG_KIND and releases the cursor Bind made for it, so Stmt.Query on
+// a write, however often, never fills the session's cursor cap.
+func TestWrongKindExecuteReleasesCursor(t *testing.T) {
+	_, addr := startServer(t, testDB(), server.Options{MaxCursors: 2})
+	c := dial(t, addr)
+	ins, err := c.Prepare(client.LangSQL, "insert into R values ($1, $2)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := c.Prepare(client.LangSQL, "select R.A from R where R.A = $1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 5 {
+		_, err := ins.Query(value.Int(int64(7+i)), value.Int(70))
+		wireCode(t, err, server.CodeWrongKind)
+		rows, err := sel.QueryAll(value.Int(1))
+		if err != nil || len(rows) != 1 {
+			t.Fatalf("select after %d DML Queries: %d rows, %v; want 1 row", i+1, len(rows), err)
+		}
+	}
+}
+
 // TestWireUpdate pins the UPDATE round trip on the wire: PrepareOK
 // reports DML, Exec rewrites matched rows in place, and the new values
 // are visible to a follow-up query on the same connection.
