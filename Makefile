@@ -65,6 +65,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzValueIdentity$$' -fuzztime $(FUZZ_TIME) ./internal/value
 	$(GO) test -run '^$$' -fuzz '^FuzzRelationOps$$' -fuzztime $(FUZZ_TIME) ./internal/relation
 	$(GO) test -run '^$$' -fuzz '^FuzzJoinBuildSources$$' -fuzztime $(FUZZ_TIME) ./internal/plan
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZ_TIME) ./internal/storage
 
 # The repository benchmark's smoke pass (BENCHMARK.json runs the full
 # one): every workload for a moment, every reply checked against its

@@ -12,7 +12,7 @@
 //	snapimmut     committed snapshots are immutable; mutate WriteSet clones only
 //	hookreentry   commit hooks / barrier callbacks must not re-enter the store
 //	boundaryguard engine/server entry points need a recover-to-PanicError guard
-//	cancelpoll    row-pull and fixpoint-round loops must poll for cancellation
+//	cancelpoll    row-pull loops must poll, fixpoint rounds Options.Check
 //	errcmp        wrapped sentinel errors require errors.Is, not ==
 //
 // Each analyzer's package doc states the invariant, why violating it is

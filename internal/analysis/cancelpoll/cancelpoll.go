@@ -5,12 +5,12 @@
 //
 // A prepared statement's context must be able to stop it: the engine's
 // contract (PR 4) is that operator pull loops poll runCtx.poll (which
-// rate-limits the real ctx.Err check to every 64 rows) and fixpoint
-// round loops poll Options.Check / CTE.Check before every round. A loop
-// that pulls rows or runs rounds without a poll site turns a cancelled
-// query — or a hostile unbounded recursion — into a goroutine the
-// server cannot reclaim until the loop happens to finish, defeating
-// graceful shutdown and per-query timeouts.
+// rate-limits the real ctx.Err check to every 64 rows) and the fixpoint
+// round loop polls Options.Check before every round. A loop that pulls
+// rows or runs rounds without a poll site turns a cancelled query — or a
+// hostile unbounded recursion — into a goroutine the server cannot
+// reclaim until the loop happens to finish, defeating graceful shutdown
+// and per-query timeouts.
 //
 // Mechanically, in internal/plan and internal/eval: every `for … range`
 // over an exec.Seq must call .poll() in its body or in an enclosing
@@ -93,7 +93,7 @@ func (c *checker) loop(stmt ast.Node, body *ast.BlockStmt, polledAbove bool) {
 			c.sup.Report(stmt.Pos(), "row-pull loop over an exec.Seq never calls poll; a cancelled context cannot stop this stream — poll in the loop body")
 		}
 		if c.isFixpoint && c.invokesRoundCallback(body) {
-			c.sup.Report(stmt.Pos(), "fixpoint round loop never polls Options.Check/CTE.Check; cancellation cannot stop the iteration — check before each round")
+			c.sup.Report(stmt.Pos(), "fixpoint round loop never polls Options.Check; cancellation cannot stop the iteration — check before each round")
 		}
 	}
 	c.walk(body, polled)

@@ -2,16 +2,10 @@ package fixpoint
 
 type Rule struct{ Eval func() int }
 
-type CTE struct {
-	Step  func() int
-	Base  func() int
-	Check func() error
-}
-
 type Options struct{ Check func() error }
 
 func run(rules []Rule, opt Options) {
-	for _, r := range rules { // want "fixpoint round loop never polls Options.Check/CTE.Check"
+	for _, r := range rules { // want "fixpoint round loop never polls Options.Check"
 		r.Eval()
 	}
 	for { // polls before each round: compliant
@@ -26,26 +20,6 @@ func run(rules []Rule, opt Options) {
 			return
 		}
 	}
-}
-
-func runCTE(c CTE) {
-	total := c.Base()
-	for { // want "fixpoint round loop never polls Options.Check/CTE.Check"
-		d := c.Step()
-		if d == 0 {
-			break
-		}
-		total += d
-	}
-	for {
-		if c.Check() != nil {
-			return
-		}
-		if c.Step() == 0 {
-			return
-		}
-	}
-	_ = total
 }
 
 // Loops with no rule or term invocation are out of scope.

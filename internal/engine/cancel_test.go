@@ -88,28 +88,32 @@ func TestCancelBeforeQuery(t *testing.T) {
 	}
 }
 
-// TestCancelDuringFixpointRounds pins that a recursive CTE's working-
-// table loop polls cancellation between rounds: with a tiny poll budget
-// the execution must abort with the budget error instead of running the
-// recursion to completion.
+// TestCancelDuringFixpointRounds pins that a recursive CTE's round loop
+// polls cancellation between rounds, under UNION and under UNION ALL:
+// with a tiny poll budget the execution must abort with the budget error
+// instead of running the recursion to completion.
 func TestCancelDuringFixpointRounds(t *testing.T) {
 	db := Open(chain(200))
-	stmt, err := db.Prepare(LangSQL, `with recursive tc(s, t) as (
-		select P.s, P.t from P union select tc.s, P.t from tc, P where tc.t = P.s
-	) select tc.s, tc.t from tc`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := stmt.QueryAll(newBudgetCtx(5)); !errors.Is(err, errBudget) {
-		t.Fatalf("QueryAll = %v, want the poll-budget error", err)
-	}
-	// Sanity: with no budget pressure the same statement completes.
-	rel, err := stmt.QueryAll(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel.Distinct() != 200*201/2 {
-		t.Fatalf("TC size %d", rel.Distinct())
+	for _, mode := range []string{"union", "union all"} {
+		stmt, err := db.Prepare(LangSQL, `with recursive tc(s, t) as (
+			select P.s, P.t from P `+mode+` select tc.s, P.t from tc, P where tc.t = P.s
+		) select tc.s, tc.t from tc`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := stmt.QueryAll(newBudgetCtx(5)); !errors.Is(err, errBudget) {
+			t.Fatalf("%s: QueryAll = %v, want the poll-budget error", mode, err)
+		}
+		// Sanity: with no budget pressure the same statement completes;
+		// over a chain every pair has one path, so UNION ALL derives the
+		// same rows once each.
+		rel, err := stmt.QueryAll(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rel.Distinct() != 200*201/2 || rel.Card() != 200*201/2 {
+			t.Fatalf("%s: TC size %d, card %d", mode, rel.Distinct(), rel.Card())
+		}
 	}
 }
 

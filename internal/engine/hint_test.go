@@ -70,6 +70,10 @@ func hintQueries() []hintQuery {
 		{"closure", LangARC, "{A(s, t) | ∃k ∈ K, p ∈ P [A.s = p.s ∧ A.t = p.t ∧ p.s = k.v] ∨ " +
 			"∃a2 ∈ A, p ∈ P [A.s = a2.s ∧ a2.t = p.s ∧ A.t = p.t]}", keys(0), keys(190)},
 		{"closure", LangDatalog, "A(x,y) :- K(x), P(x,y). A(x,y) :- A(x,z), P(z,y).", keys(0), keys(190)},
+		// Six A values share each B, and each node has two edges: the
+		// walk's rows carry multiplicities of 6 and up.
+		{"bag walk", LangSQL, "with recursive W (n, d) as (select R.B, 1 from R union all " +
+			"select R.B, W.d + 1 from W, R where W.n = R.A and W.d < $1) select W.n, W.d from W", []any{4}, []any{1}},
 		{"distinct join", LangSQL, "select distinct R.A from R, S where R.B = S.B and S.C = $1", []any{0}, []any{3}},
 		{"distinct join", LangARC, "{Q(A) | ∃r ∈ R, s ∈ S, k ∈ K [Q.A = r.A ∧ r.B = s.B ∧ s.C = k.v]}", keys(0), keys(3)},
 		{"distinct join", LangDatalog, "Q(a) :- R(a,b), S(b,c), K(c).", keys(0), keys(3)},
@@ -117,6 +121,9 @@ func TestSizeHintsChangeCapacityOnly(t *testing.T) {
 		}
 		if h.want[true].Card() <= 2*h.want[false].Card() {
 			t.Fatalf("%s %s: %d rows large, %d small: too close to tell", q.lang, q.name, h.want[true].Card(), h.want[false].Card())
+		}
+		if q.name == "bag walk" && h.want[false].Card() == h.want[false].Distinct() {
+			t.Fatalf("%s %s: no row repeats", q.lang, q.name)
 		}
 		stmts = append(stmts, h)
 	}

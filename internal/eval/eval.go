@@ -15,10 +15,6 @@ import (
 	"repro/internal/value"
 )
 
-// maxLFPIterations bounds least-fixed-point recursion (Section 2.9); a
-// monotone program over a finite instance converges long before this.
-const maxLFPIterations = 100000
-
 // Eval validates, links, and evaluates an ARC collection against a
 // catalog under the given conventions, returning the result relation: it
 // is Prepare and one execution of what it prepared.

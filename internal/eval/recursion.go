@@ -336,8 +336,6 @@ func (ev *evaluator) evalRecursive(g *recGroup, e *env) (map[string]*relation.Re
 			occs = []string{r.occ}
 			runs = map[*arcScope]*scopeRun{}
 		}
-		var cur fixpoint.Emit
-		emitT := func(t relation.Tuple, _ int) error { return cur(t) } // cur, without weights
 		frules[i] = fixpoint.Rule{
 			Target: r.col.Head.Rel,
 			Kind:   r.kind,
@@ -352,9 +350,8 @@ func (ev *evaluator) evalRecursive(g *recGroup, e *env) (map[string]*relation.Re
 				ev.pushLink(r.link)
 				defer ev.popLink()
 				// One rule's head tuples for this variant; the fixpoint
-				// accumulates sets, so bag weights are dropped.
-				cur = emit
-				err := ev.headTuples(r.col, r.f, e, runs, emitT)
+				// runs set rounds, so it drops their weights.
+				err := ev.headTuples(r.col, r.f, e, runs, emit)
 				if err != nil {
 					return fmt.Errorf("%s: %w", r.col.Head.Rel, err)
 				}
@@ -364,10 +361,9 @@ func (ev *evaluator) evalRecursive(g *recGroup, e *env) (map[string]*relation.Re
 	}
 	name := groupNames(g.defs)
 	err := fixpoint.Run(totals, frules, fixpoint.Options{
-		Name:          "recursive collection " + name,
-		MaxIterations: maxLFPIterations,
-		Check:         ev.check,
-		OnRound:       ev.roundObserver(name),
+		Name:    "recursive collection " + name,
+		Check:   ev.check,
+		OnRound: ev.roundObserver(name),
 	})
 	if err != nil {
 		return nil, err

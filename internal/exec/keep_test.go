@@ -100,45 +100,30 @@ func TestKeepersCopyWhatTheyKeep(t *testing.T) {
 		{"GroupAggregate/no keys", func(in Seq) []Row {
 			return Collect(GroupAggregate(in, nil, aggs, convention.SQL(), nil))
 		}},
-		{"fixpoint.Run", func(in Seq) []Row {
+	}
+	// A fixpoint keeps what its rules emit: under set rounds in the total
+	// (Admit), under bag rounds in the round's output, whose rows then
+	// move into the total.
+	for _, bag := range []bool{false, true} {
+		keepers = append(keepers, keeper{fmt.Sprintf("fixpoint.Run, Bag %v", bag), func(in Seq) []Row {
 			total := relation.New("T", "a", "b")
 			err := fixpoint.Run(map[string]*relation.Relation{"T": total}, []fixpoint.Rule{{
 				Target: "T",
 				Eval: func(_ int, _ *relation.Relation, emit fixpoint.Emit) error {
-					for t := range in {
-						if err := emit(t); err != nil {
+					for t, m := range in {
+						if err := emit(t, m); err != nil {
 							return err
 						}
 					}
 					return nil
 				},
-			}}, fixpoint.Options{Name: "keep"})
+			}}, fixpoint.Options{Name: "keep", Bag: bag})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return relRows(total)
-		}},
+		}})
 	}
-	keepers = append(keepers, keeper{"CTE.Run", func(in Seq) []Row {
-		loop := &fixpoint.CTE{
-			Name:  "C",
-			Attrs: []string{"a", "b"},
-			Base: func(emit fixpoint.EmitMult) error {
-				for t, m := range in {
-					if err := emit(t, m); err != nil {
-						return err
-					}
-				}
-				return nil
-			},
-			Step: func(*relation.Relation, fixpoint.EmitMult) error { return nil },
-		}
-		out, err := loop.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return relRows(out)
-	}})
 	for _, k := range keepers {
 		want := render(k.drain(fresh(keepRows)))
 		if got := render(k.drain(poisoned(keepRows))); got != want {

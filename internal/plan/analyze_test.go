@@ -32,7 +32,15 @@ func analyzedDB() map[string]*relation.Relation {
 	e.Add(1, 2)
 	e.Add(2, 3)
 	e.Add(3, 4)
-	return map[string]*relation.Relation{"R": r, "S": s, "E": e}
+	// D is a diamond, 1→{2,3}→4→5: a walk reaches 4 and 5 from 1 along
+	// two paths each.
+	d := relation.New("D", "x", "y")
+	d.Add(1, 2)
+	d.Add(1, 3)
+	d.Add(2, 4)
+	d.Add(3, 4)
+	d.Add(4, 5)
+	return map[string]*relation.Relation{"R": r, "S": s, "E": e, "D": d}
 }
 
 // runAnalyzed compiles src, drains one traced execution, and returns the
@@ -104,6 +112,26 @@ func TestGoldenAnalyze(t *testing.T) {
   Body:
     Project [x, y] (rows=6 time=X)
       CteScan tc (rows=6 time=X)
+`,
+		},
+		{
+			// UNION ALL over the diamond keeps one row per path: base 5
+			// edges, then (1,4) twice, (2,5) and (3,5), then (1,5) twice,
+			// and the empty round. A round's delta counts multiplicities.
+			"with recursive w(x, y) as (select D.x, D.y from D union all select w.x, D.y from w, D where w.y = D.x) select w.x, w.y from w",
+			`With
+  RecursiveCTE w [x, y] UNION ALL (rounds=4 deltas=[5 4 2 0])
+    Base:
+      Project [x, y] (rows=5 time=X)
+        Scan D (rows=5 time=X)
+    Step (Δw per round):
+      Project [x, y] (rows=5 time=X)
+        HashJoin INNER (w.y = D.x) index(D) (rows=5 hits=5 misses=4 time=X)
+          CteScan Δw (rows=9 time=X)
+          Scan D (rows=5 time=X)
+  Body:
+    Project [x, y] (rows=9 time=X)
+      CteScan w (rows=9 time=X)
 `,
 		},
 	}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -18,17 +19,16 @@ import (
 // compiled ONCE into an exec tree whose self-reference is a cteNode
 // reading a fixpoint.Handle, which the loop retargets to the rotating
 // delta each round — the plan-side realization of semi-naive recursion
-// over streaming operators. Under UNION the loop is fixpoint.Run's, the
-// base term a Seed rule and the step a Delta rule with one occurrence,
-// as an ARC or Datalog rule runs; UNION ALL, which keeps multiplicities,
-// runs fixpoint.CTE's working-table loop. The delta drives each round: a
-// hash join of the delta with a static side streams the delta into the
-// static side — a stored relation's own index, or a table built once per
-// execution — on whichever side of the join the query names the delta
-// (hashJoinNode). Queries outside the planner fragment fall back
-// (ErrNotPlannable) to the reference evaluator's independent
-// naive-iteration loop, which the recursive differential corpus verifies
-// byte-identical.
+// over streaming operators. The loop is fixpoint.Run's, the base term a
+// Seed rule and the step a Delta rule with one occurrence, as an ARC or
+// Datalog rule runs: UNION runs set rounds, and UNION ALL, which keeps
+// multiplicities, bag rounds. The delta drives each round: a hash join of
+// the delta with a static side streams the delta into the static side —
+// a stored relation's own index, or a table built once per execution —
+// on whichever side of the join the query names the delta (hashJoinNode).
+// Queries outside the planner fragment fall back (ErrNotPlannable) to the
+// reference evaluator's independent naive-iteration loop, which the
+// recursive differential corpus verifies byte-identical.
 
 // cteBinding is the compile-time view of a CTE name: its schema plus the
 // runtime handle its references read from.
@@ -69,7 +69,7 @@ type compiledCTE struct {
 	// result receives the finished relation; body-side references read it.
 	result   *fixpoint.Handle
 	distinct bool // UNION vs UNION ALL accumulation
-	// hint sizes the relation a plain or UNION CTE materializes into.
+	// hint sizes the relation a CTE materializes into.
 	hint exec.SizeHint
 }
 
@@ -195,59 +195,36 @@ func (x *compiledCTE) materialize(ctx *runCtx) error {
 	if ctx.trace != nil {
 		onRound = ctx.trace.Fixpoint(x, x.name).Observe
 	}
-	if x.distinct {
-		total := relation.New(x.name, x.attrs...)
-		total.Reserve(x.hint.Size())
-		var emit fixpoint.Emit
-		set := func(t relation.Tuple, _ int) error { return emit(t) } // emit, without multiplicities
-		err := fixpoint.Run(map[string]*relation.Relation{x.name: total}, []fixpoint.Rule{
-			{Target: x.name, Kind: fixpoint.Seed, Eval: func(_ int, _ *relation.Relation, e fixpoint.Emit) error {
-				emit = e
-				return d.run(x.base.root.Run(ctx), set)
-			}},
-			{Target: x.name, Kind: fixpoint.Delta, Occs: []string{x.name}, Eval: func(occ int, delta *relation.Relation, e fixpoint.Emit) error {
-				if occ < 0 {
-					return nil // the step reads only the working table, empty before round 1
-				}
-				emit = e
-				ctx.setHandle(x.delta, delta)
-				if step == nil {
-					step = x.step.root.Run(ctx)
-				}
-				return d.run(step, set)
-			}},
-		}, fixpoint.Options{
-			Name:          "recursive CTE " + x.name,
-			MaxIterations: fixpoint.DefaultMaxCTEIterations,
-			Check:         ctx.check,
-			OnRound:       onRound,
-		})
-		if err != nil {
-			return err
-		}
-		x.hint.Record(total.Distinct())
-		ctx.setHandle(x.result, total)
-		return nil
-	}
-	loop := &fixpoint.CTE{
-		Name:  x.name,
-		Attrs: x.attrs,
-		Base:  func(emit fixpoint.EmitMult) error { return d.run(x.base.root.Run(ctx), emit) },
-		Step: func(delta *relation.Relation, emit fixpoint.EmitMult) error {
+	total := relation.New(x.name, x.attrs...)
+	total.Reserve(x.hint.Size())
+	err := fixpoint.Run(map[string]*relation.Relation{x.name: total}, []fixpoint.Rule{
+		{Target: x.name, Kind: fixpoint.Seed, Eval: func(_ int, _ *relation.Relation, emit fixpoint.Emit) error {
+			return d.run(x.base.root.Run(ctx), emit)
+		}},
+		{Target: x.name, Kind: fixpoint.Delta, Occs: []string{x.name}, Eval: func(occ int, delta *relation.Relation, emit fixpoint.Emit) error {
+			if occ < 0 {
+				return nil // the step reads only the working table, empty before round 1
+			}
 			ctx.setHandle(x.delta, delta)
 			if step == nil {
 				step = x.step.root.Run(ctx)
 			}
 			return d.run(step, emit)
-		},
+		}},
+	}, fixpoint.Options{
+		Name:    "recursive CTE " + x.name,
+		Bag:     !x.distinct,
 		Check:   ctx.check,
 		OnRound: onRound,
-	}
-	rel, err := loop.Run()
+	})
 	if err != nil {
+		if !x.distinct && errors.Is(err, fixpoint.ErrIterationCap) {
+			err = fmt.Errorf("%w (UNION ALL recursion needs a bounded step)", err)
+		}
 		return err
 	}
-	ctx.setHandle(x.result, rel)
+	x.hint.Record(total.Distinct())
+	ctx.setHandle(x.result, total)
 	return nil
 }
 
@@ -256,13 +233,13 @@ func (x *compiledCTE) materialize(ctx *runCtx) error {
 // nothing to run the step.
 type drain struct {
 	ctx  *runCtx
-	emit fixpoint.EmitMult
+	emit fixpoint.Emit
 	err  error                          // emit's
 	next func(relation.Tuple, int) bool // row
 }
 
 // run streams seq's rows into emit and returns the first error.
-func (d *drain) run(seq exec.Seq, emit fixpoint.EmitMult) error {
+func (d *drain) run(seq exec.Seq, emit fixpoint.Emit) error {
 	d.emit, d.err = emit, nil
 	seq(d.next)
 	if d.err != nil {

@@ -32,11 +32,14 @@ func runPlan(q sql.Query, db sqleval.DB) (*relation.Relation, error) {
 // to recursion: randomized WITH RECURSIVE queries (transitive closure,
 // same-generation, depth-bounded walks; UNION and UNION ALL) evaluated
 // through the fixpoint-engine plan path and the independent
-// naive-iteration reference must return byte-identical relations.
+// naive-iteration reference must return byte-identical relations. The
+// UNION ALL queries, which accumulate bags, are counted and held to a
+// floor, so that the corpus keeps exercising bag rounds.
 func TestRecursiveCTEDifferential(t *testing.T) {
 	const trials = 400
+	const unionAllFloor = 62 // what the generator draws from this seed
 	rng := rand.New(rand.NewSource(77))
-	planned := 0
+	planned, unionAll := 0, 0
 	for i := 0; i < trials; i++ {
 		schema := RandomInstance(rng, 15+rng.Intn(15), i%4 == 0)
 		src := GenerateRecursive(rng)
@@ -54,12 +57,18 @@ func TestRecursiveCTEDifferential(t *testing.T) {
 			t.Fatalf("reference failed where planner succeeded: %v\n%s", refErr, src)
 		}
 		planned++
+		if strings.Contains(src, " union all ") {
+			unionAll++
+		}
 		if ref.String() != pl.String() {
 			t.Fatalf("plan vs reference diverge on\n%s\nreference:\n%s\nplanned:\n%s", src, ref, pl)
 		}
 	}
 	if planned != trials {
 		t.Fatalf("planned %d/%d recursive queries", planned, trials)
+	}
+	if unionAll < unionAllFloor {
+		t.Fatalf("%d/%d UNION ALL queries, want at least %d", unionAll, trials, unionAllFloor)
 	}
 }
 
@@ -123,22 +132,25 @@ func TestRecursiveCTETerminationGuards(t *testing.T) {
 		select w.s, E.t from w, E where w.t = E.s
 	) select w.s, w.t from w`)
 
-	savedEngine := fixpoint.DefaultMaxCTEIterations
+	savedEngine := fixpoint.MaxIterations
 	savedRef := sqleval.MaxRecursiveIterations
-	fixpoint.DefaultMaxCTEIterations = 40
+	fixpoint.MaxIterations = 40
 	sqleval.MaxRecursiveIterations = 40
 	defer func() {
-		fixpoint.DefaultMaxCTEIterations = savedEngine
+		fixpoint.MaxIterations = savedEngine
 		sqleval.MaxRecursiveIterations = savedRef
 	}()
 
+	hint := "(UNION ALL recursion needs a bounded step)"
 	if _, err := runPlan(q, db); !errors.Is(err, fixpoint.ErrIterationCap) {
 		t.Fatalf("plan path: got %v, want ErrIterationCap", err)
+	} else if !strings.HasSuffix(err.Error(), hint) {
+		t.Fatalf("plan path error %q does not end in %q", err, hint)
 	}
 	if _, err := sqleval.Eval(q, db); err == nil {
 		t.Fatal("reference path: cyclic UNION ALL must error, not loop")
-	} else if want := "did not converge"; !strings.Contains(err.Error(), want) {
-		t.Fatalf("reference path error %q does not mention %q", err, want)
+	} else if want := "did not converge"; !strings.Contains(err.Error(), want) || !strings.HasSuffix(err.Error(), hint) {
+		t.Fatalf("reference path error %q does not mention %q and end in %q", err, want, hint)
 	}
 
 	// The same shape under UNION terminates: set accumulation saturates.

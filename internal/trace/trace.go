@@ -39,7 +39,7 @@ type Fixpoint struct {
 }
 
 // Observe appends one round. It is the callback target for
-// fixpoint.Options.OnRound / fixpoint.CTE.OnRound.
+// fixpoint.Options.OnRound.
 func (f *Fixpoint) Observe(delta int, elapsed time.Duration) {
 	f.Rounds = append(f.Rounds, Round{Delta: delta, Nanos: elapsed.Nanoseconds()})
 }
