@@ -66,12 +66,13 @@ func scanBenchDB() *engine.DB {
 }
 
 // BenchmarkServerScan ships a prepared 10 000-row range through the
-// client: the Fetch path, 40 batches per op. With -benchmem, allocs/op
-// over 10 000 is the wire's allocations per row. Its ns/op over
-// BenchmarkServerScanInProcess's is the wire's share of a scan (ROADMAP
-// item 10 aims at ≤ 3×).
+// client: the Fetch path, one batch per op under the default byte bound
+// (40 under a 256-row FetchRows), reported as batches/op. With
+// -benchmem, allocs/op over 10 000 is the wire's allocations per row. Its
+// ns/op over BenchmarkServerScanInProcess's is the wire's share of a
+// scan (ROADMAP item 10 aims at ≤ 3×).
 func BenchmarkServerScan(b *testing.B) {
-	_, addr := startBenchServer(b, scanBenchDB())
+	srv, addr := startBenchServer(b, scanBenchDB())
 	c, err := client.Dial(addr)
 	if err != nil {
 		b.Fatal(err)
@@ -83,6 +84,7 @@ func BenchmarkServerScan(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	before := srv.Snapshot().FetchBatches
 	for i := 0; i < b.N; i++ {
 		rows, err := scan.QueryAll(value.Int(0), value.Int(scanBenchRows))
 		if err != nil {
@@ -92,6 +94,7 @@ func BenchmarkServerScan(b *testing.B) {
 			b.Fatalf("rows = %d, want %d", len(rows), scanBenchRows)
 		}
 	}
+	b.ReportMetric(float64(srv.Snapshot().FetchBatches-before)/float64(b.N), "batches/op")
 }
 
 // BenchmarkServerScanInProcess drains BenchmarkServerScan's statement
@@ -131,6 +134,39 @@ func BenchmarkServerScanInProcess(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// groupBenchRows and groupBenchSQL are arcbench's group997: 100 000 rows
+// of R in 997 groups of R.B.
+const (
+	groupBenchRows = 100_000
+	groupBenchSQL  = "select R.B, count(*) as n from R group by R.B"
+)
+
+// BenchmarkGroupInProcess drains a prepared γ over column keys, which
+// reads its input rows in place, through an engine cursor pushed with
+// Each: the in-process share of arcbench's group997.
+func BenchmarkGroupInProcess(b *testing.B) {
+	r := relation.New("R", "A", "B")
+	for i := 0; i < groupBenchRows; i++ {
+		r.Add(i, i%997)
+	}
+	group, err := engine.Open(r).Prepare(engine.LangSQL, groupBenchSQL)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rows, err := group.Query(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		rows.Each(func([]value.Value) bool { n++; return true })
+		if err := rows.Close(); err != nil || n != 997 {
+			b.Fatalf("groups = %d, err %v", n, err)
+		}
 	}
 }
 

@@ -29,7 +29,7 @@ func newFlags(c *config) *flag.FlagSet {
 	fs.StringVar(&c.metrics, "metrics", "", "HTTP metrics address (empty = off)")
 	fs.StringVar(&c.slowLog, "slow-log", "", "slow-query log file, JSON lines (\"-\" = stderr, empty = off)")
 	fs.DurationVar(&c.slowMs, "slow-threshold", 100*time.Millisecond, "statements at least this slow are logged (with -slow-log)")
-	fs.IntVar(&c.fetch, "fetch", 0, "default Fetch batch size (0 = server default)")
+	fs.IntVar(&c.fetch, "fetch", 0, "default Fetch batch size in rows (0 = batches end at the 256 KiB byte bound)")
 	fs.BoolVar(&c.verbose, "v", false, "log connection-level diagnostics")
 	fs.StringVar(&c.walDir, "wal-dir", "", "durable storage directory (empty = in-memory only)")
 	fs.BoolVar(&c.fsync, "fsync", false, "fsync every WAL append before acknowledging the commit (with -wal-dir)")

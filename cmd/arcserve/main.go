@@ -26,7 +26,8 @@
 //	                     line ("-" = stderr, "" = off)
 //	-slow-threshold d    statements at least this slow are logged
 //	                     (default 100ms)
-//	-fetch N             default Fetch batch size (rows)
+//	-fetch N             default Fetch batch size in rows (0 = no row
+//	                     cap: a batch ends at 256 KiB of encoded rows)
 //	-v                   log connection-level diagnostics
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener closes,

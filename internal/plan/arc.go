@@ -226,20 +226,17 @@ var arcAggs = [...]struct {
 // AggregateOf is a over the values of arg.
 func AggregateOf(a *alt.Agg, arg Expr) Aggregate {
 	f := arcAggs[a.Func]
-	return Aggregate{aggSpec{fn: f.fn, arg: arg.fn, name: a.Func.String(), str: a.String(), numeric: f.numeric}}
+	return Aggregate{aggSpec{fn: f.fn, arg: arg.fn, col: arg.col, name: a.Func.String(), str: a.String(), numeric: f.numeric}}
 }
 
 // Group is γ over in: one row [keys..., aggregates...] per group, one
 // group over no rows without keys.
 func Group(in Node, keys []Expr, aggs []Aggregate, conv convention.Conventions) Node {
-	g := &groupNode{input: in, conv: conv}
-	for _, k := range keys {
-		g.keys = append(g.keys, k.fn)
-		g.keyStrs = append(g.keyStrs, k.str)
-	}
+	g := &groupNode{input: in, keys: slices.Clone(keys), conv: conv}
 	for _, a := range aggs {
 		g.aggs = append(g.aggs, a.spec)
 	}
+	g.layout()
 	return g
 }
 

@@ -47,6 +47,12 @@ func streamed(t *testing.T, db map[string]*relation.Relation, src string, params
 	if err != nil {
 		t.Fatalf("compile %q: %v", src, err)
 	}
+	return rendered(t, p, db, src, params)
+}
+
+// rendered is streamed for the compiled plan p of src.
+func rendered(t *testing.T, p *Plan, db map[string]*relation.Relation, src string, params []value.Value) string {
+	t.Helper()
 	var b strings.Builder
 	seq, errFn := p.StreamOn(db, params[:p.NumParams()], nil, nil)
 	for tup, m := range seq {

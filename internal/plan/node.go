@@ -1069,29 +1069,93 @@ func (n *unionNode) writeExplain(b *strings.Builder, depth int, tr *trace.Trace)
 type aggSpec struct {
 	fn      exec.AggFunc
 	arg     exprFn // nil for count(*)
+	col     int    // 1 + the input column arg copies verbatim, 0 for any other
 	name    string // surface aggregate name, for error messages
 	str     string // rendered form, for EXPLAIN and post-group matching
 	numeric bool   // sum/avg: non-null inputs must be numeric
 }
 
-// groupNode is γ: it projects each input row to [keys..., agg args...],
-// streams through exec.GroupAggregate, and emits [keys..., agg values...]
-// per group. Grouping with no keys emits exactly one group even over
-// empty input (implicit grouping).
+// groupNode is γ: it streams its input through exec.GroupAggregate and
+// emits [keys..., agg values...] per group. Grouping with no keys emits
+// exactly one group even over empty input (implicit grouping). When
+// every key and every aggregate argument copies a column of the input,
+// γ reads those columns of the input rows in place; otherwise it
+// projects each input row to [keys..., agg args...] first.
 type groupNode struct {
-	input   Node
-	keys    []exprFn
-	keyStrs []string
-	aggs    []aggSpec
-	conv    convention.Conventions
-	schema  []ColID
-	hint    exec.SizeHint // the groups
+	input  Node
+	keys   []Expr
+	aggs   []aggSpec
+	conv   convention.Conventions
+	schema []ColID
+	hint   exec.SizeHint // the groups
+
+	// What GroupAggregate groups by and folds: columns of the input rows
+	// when inPlace, of the projected rows otherwise (layout sets them).
+	inPlace bool
+	keyCols []int
+	gaggs   []exec.Agg
+}
+
+// layout chooses how γ reads its input, once its keys and aggregates
+// are known.
+func (n *groupNode) layout() {
+	n.inPlace = !slices.ContainsFunc(n.keys, func(k Expr) bool { return k.col == 0 }) &&
+		!slices.ContainsFunc(n.aggs, func(a aggSpec) bool { return a.arg != nil && a.col == 0 })
+	n.keyCols, n.gaggs = identity(len(n.keys)), make([]exec.Agg, len(n.aggs))
+	for i, a := range n.aggs {
+		n.gaggs[i] = exec.Agg{Func: a.fn, Col: len(n.keys) + i}
+	}
+	if !n.inPlace {
+		return
+	}
+	for i, k := range n.keys {
+		n.keyCols[i] = k.col - 1
+	}
+	for i, a := range n.aggs {
+		n.gaggs[i].Col = a.col - 1 // count(*) reads none: -1
+	}
 }
 
 func (n *groupNode) Schema() []ColID { return n.schema }
 
 func (n *groupNode) Run(ctx *runCtx) exec.Seq {
-	pre := func(yield func(relation.Tuple, int) bool) {
+	var in exec.Seq
+	if n.inPlace {
+		in = n.checked(ctx)
+	} else {
+		in = n.projected(ctx)
+	}
+	return ctx.traced(n, exec.GroupAggregate(in, n.keyCols, n.gaggs, n.conv, &n.hint))
+}
+
+// checked is the input rows as they are, failing the execution on a
+// non-numeric input of a sum or avg.
+func (n *groupNode) checked(ctx *runCtx) exec.Seq {
+	in := guard(n.input.Run(ctx), ctx)
+	if !slices.ContainsFunc(n.aggs, func(a aggSpec) bool { return a.numeric }) {
+		return in
+	}
+	return func(yield func(relation.Tuple, int) bool) {
+		for t, m := range in {
+			for i, a := range n.aggs {
+				if !a.numeric {
+					continue
+				}
+				if v := t[n.gaggs[i].Col]; !v.IsNull() && !v.IsNumeric() {
+					ctx.fail(fmt.Errorf("%s over non-numeric value %v", a.name, v))
+					return
+				}
+			}
+			if !yield(t, m) {
+				return
+			}
+		}
+	}
+}
+
+// projected is each input row projected to [keys..., agg args...].
+func (n *groupNode) projected(ctx *runCtx) exec.Seq {
+	return func(yield func(relation.Tuple, int) bool) {
 		// GroupAggregate copies key values and folds aggregate inputs
 		// immediately, so the projection scratch tuple is reusable.
 		scratch := make(relation.Tuple, 0, len(n.keys)+len(n.aggs))
@@ -1101,7 +1165,7 @@ func (n *groupNode) Run(ctx *runCtx) exec.Seq {
 			}
 			out := scratch[:0]
 			for _, k := range n.keys {
-				out = append(out, k(t, ctx))
+				out = append(out, k.fn(t, ctx))
 			}
 			for _, a := range n.aggs {
 				if a.arg == nil {
@@ -1122,22 +1186,20 @@ func (n *groupNode) Run(ctx *runCtx) exec.Seq {
 			}
 		}
 	}
-	keyCols := identity(len(n.keys))
-	aggs := make([]exec.Agg, len(n.aggs))
-	for i, a := range n.aggs {
-		aggs[i] = exec.Agg{Func: a.fn, Col: len(n.keys) + i}
-	}
-	return ctx.traced(n, exec.GroupAggregate(pre, keyCols, aggs, n.conv, &n.hint))
 }
 
 func (n *groupNode) writeExplain(b *strings.Builder, depth int, tr *trace.Trace) {
 	indent(b, depth)
+	keyStrs := make([]string, len(n.keys))
+	for i, k := range n.keys {
+		keyStrs[i] = k.str
+	}
 	aggStrs := make([]string, len(n.aggs))
 	for i, a := range n.aggs {
 		aggStrs[i] = a.str
 	}
 	fmt.Fprintf(b, "GroupAggregate keys=[%s] aggs=[%s]",
-		strings.Join(n.keyStrs, ", "), strings.Join(aggStrs, ", "))
+		strings.Join(keyStrs, ", "), strings.Join(aggStrs, ", "))
 	writeStats(b, tr, n)
 	b.WriteString("\n")
 	n.input.writeExplain(b, depth+1, tr)

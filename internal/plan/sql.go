@@ -759,8 +759,9 @@ func joinOn(left, right Node, local *scope, keys []joinKey) (*hashJoinNode, erro
 	return keyJoin(joinInner, left, right, jks), nil
 }
 
-// keyExpr compiles a key side over the rows of s: the column it reads, or
-// the value it computes.
+// keyExpr compiles a join key side, a grouping key or an aggregate
+// argument over the rows of s: the column it reads, which its operator
+// may read in place, or the value it computes.
 func (s *scope) keyExpr(x sql.Expr) (Expr, error) {
 	if ref, ok := x.(*sql.ColRef); ok {
 		c, err := s.column(ref)
@@ -777,12 +778,11 @@ func (s *scope) keyExpr(x sql.Expr) (Expr, error) {
 func (c *compilerCtx) compileGrouped(s *sql.Select, input Node, fromScope *scope, attrs []string) (Node, error) {
 	g := &groupNode{input: input, conv: convention.SQL()}
 	for _, k := range s.GroupBy {
-		fn, err := fromScope.compileScalar(k)
+		x, err := fromScope.keyExpr(k)
 		if err != nil {
 			return nil, err
 		}
-		g.keys = append(g.keys, fn)
-		g.keyStrs = append(g.keyStrs, k.String())
+		g.keys = append(g.keys, x)
 	}
 	pg := &postGroup{node: g}
 	for _, it := range s.Items {
@@ -795,6 +795,7 @@ func (c *compilerCtx) compileGrouped(s *sql.Select, input Node, fromScope *scope
 			return nil, err
 		}
 	}
+	g.layout()
 	var root Node = g
 	if s.Having != nil {
 		pred, err := compilePredWith(pg, s.Having)
@@ -899,11 +900,11 @@ func (pg *postGroup) addAgg(n *sql.FuncE, fromScope *scope) error {
 		}
 	}
 	if !n.Star {
-		arg, err := fromScope.compileScalar(n.Arg)
+		arg, err := fromScope.keyExpr(n.Arg)
 		if err != nil {
 			return err
 		}
-		spec.arg = arg
+		spec.arg, spec.col = arg.fn, arg.col
 	}
 	pg.aggIdx[str] = len(pg.node.aggs)
 	pg.node.aggs = append(pg.node.aggs, spec)
@@ -914,8 +915,8 @@ func (pg *postGroup) addAgg(n *sql.FuncE, fromScope *scope) error {
 // [keys..., agg values...].
 func (pg *postGroup) compileScalar(x sql.Expr) (exprFn, error) {
 	str := x.String()
-	for i, ks := range pg.node.keyStrs {
-		if str == ks {
+	for i, k := range pg.node.keys {
+		if str == k.str {
 			col := i
 			return func(t relation.Tuple, _ *runCtx) value.Value { return t[col] }, nil
 		}

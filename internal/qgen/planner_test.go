@@ -71,6 +71,45 @@ func TestPlannerDifferentialSQL(t *testing.T) {
 	}
 }
 
+// TestPlannerDifferentialGroupColumns holds γ over column keys and
+// column arguments, which reads its input rows in place, to the
+// reference: NULL keys (S.C is NULL on the instances with NULLs), bag
+// weights (the instances repeat rows), count(distinct …), implicit
+// grouping and a join below γ, each on 40 random instances.
+func TestPlannerDifferentialGroupColumns(t *testing.T) {
+	rng := workload.Rand(20261018)
+	queries := []string{
+		"select S.C, count(*) n, count(S.B) c, sum(S.B) sm from S group by S.C",
+		"select S.B, count(distinct S.C) d, count(S.C) c, min(S.C) mn, max(S.C) mx from S group by S.B",
+		"select R.A, R.B, count(*) n from R group by R.A, R.B",
+		"select T.C, T.A, sum(T.A) sm, count(distinct T.A) d from T group by T.A, T.C having count(*) >= 2",
+		"select s.C, count(distinct r.A) d, sum(r.A) sm from R r, S s where r.B = s.B group by s.C",
+		"select count(*) n, count(distinct S.C) d, sum(S.C) sm from S",
+	}
+	for i := 0; i < 40; i++ {
+		inst := RandomInstance(rng, 12, i%2 == 0)
+		db := sqleval.DB{}
+		for _, r := range inst.Relations() {
+			db[r.Name()] = r
+		}
+		for _, src := range queries {
+			q := sql.MustParse(src)
+			want, err := sqleval.Eval(q, db)
+			if err != nil {
+				t.Fatalf("instance %d: enumeration rejected %q: %v", i, src, err)
+			}
+			got, err := runPlan(q, db)
+			if err != nil {
+				t.Fatalf("instance %d: planner path failed on %q: %v", i, src, err)
+			}
+			if got.String() != want.String() {
+				t.Fatalf("instance %d: planner divergence on %q\nenumeration:\n%s\nplanner:\n%s",
+					i, src, want, got)
+			}
+		}
+	}
+}
+
 // TestPlannerDifferentialRange pins the RangeScan lowering: over the
 // range-heavy corpus (BETWEEN, one- and two-sided bounds, flipped
 // literal sides, NULL-laden instances) the planner path must return

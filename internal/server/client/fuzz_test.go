@@ -1,6 +1,7 @@
 package client
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -26,6 +27,15 @@ func rowsPayload(cursorID uint32, done bool, ncols, nrows uint32, vals ...value.
 	return e.Bytes()
 }
 
+// manyRows is a done Rows payload of n rows [i, "s<i>"].
+func manyRows(n int) []byte {
+	vals := make([]value.Value, 0, 2*n)
+	for i := range n {
+		vals = append(vals, value.Int(int64(i)), value.Str(fmt.Sprintf("s%d", i)))
+	}
+	return rowsPayload(1, true, 2, uint32(n), vals...)
+}
+
 // FuzzClientRows feeds arbitrary Rows payloads to the client's batch
 // decoder, the codec a server (or anything posing as one) controls. Each
 // payload decodes into rows or an error: never a panic, and never a
@@ -41,6 +51,7 @@ func FuzzClientRows(f *testing.F) {
 	f.Add(rowsPayload(1, true, 1, 2, value.Int(1)))               // one value short
 	f.Add(rowsPayload(1, true, 1, 1, value.Int(1), value.Int(2))) // trailing bytes
 	f.Add([]byte{0, 0, 0, 1, 1, 0, 0})                            // truncated header
+	f.Add(manyRows(5000))                                         // what a batch ended by bytes alone carries
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		// What a rejected payload allocated is invisible in the result, so

@@ -6,8 +6,11 @@ package client
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,15 +21,42 @@ import (
 )
 
 // countingConn counts the Write calls made on a net.Conn: one per
-// flush, so one per round trip.
+// flush, so one per round trip. It also follows the frames it reads and
+// counts the Rows frames among them, with the largest Rows payload.
 type countingConn struct {
 	net.Conn
 	writes int
+
+	rowsFrames, maxRows int
+	hdr                 []byte // the header of the frame being read, so far
+	left                int    // payload bytes of that frame still to come
 }
 
 func (c *countingConn) Write(p []byte) (int, error) {
 	c.writes++
 	return c.Conn.Write(p)
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	for b := p[:n]; len(b) > 0; {
+		if c.left > 0 {
+			k := min(c.left, len(b))
+			c.left, b = c.left-k, b[k:]
+			continue
+		}
+		k := min(5-len(c.hdr), len(b))
+		c.hdr, b = append(c.hdr, b[:k]...), b[k:]
+		if len(c.hdr) == 5 {
+			c.left = int(binary.BigEndian.Uint32(c.hdr[1:]))
+			if c.hdr[0] == server.FrameRows {
+				c.rowsFrames++
+				c.maxRows = max(c.maxRows, c.left)
+			}
+			c.hdr = c.hdr[:0]
+		}
+	}
+	return n, err
 }
 
 // pipelineDB holds R(A, B) with A = 1..5 and B = 10·A, and S(T), one
@@ -70,9 +100,21 @@ func dialCounting(t *testing.T, db *engine.DB, opts server.Options) (*Conn, *cou
 
 const pointSQL = "select R.A, R.B from R where R.A = $1"
 
+// scanDB holds Big(A, S): n rows with A = i and S a string of width
+// bytes.
+func scanDB(n, width int) *engine.DB {
+	r := relation.New("Big", "A", "S")
+	for i := range n {
+		s := fmt.Sprintf("%d", i)
+		r.Add(i, s+strings.Repeat("x", width-len(s)))
+	}
+	return engine.Open(r)
+}
+
 // TestRoundTripsPerCall pins the writes each call makes, one per round
-// trip: an ad-hoc query or write is one, like a prepared query, and a
-// result of several batches costs one more per further batch.
+// trip: an ad-hoc query or write is one, like a prepared query, and so
+// is a 10 000-row result, which fits one batch. A result of several
+// batches costs one more per further batch.
 func TestRoundTripsPerCall(t *testing.T) {
 	c, cc := dialCounting(t, pipelineDB(), server.Options{})
 	writes := func(what string, want int, call func() error) {
@@ -117,6 +159,72 @@ func TestRoundTripsPerCall(t *testing.T) {
 		}
 		return err
 	})
+
+	// 10 000 rows of an int and a 4-byte string: 180 000 bytes, one batch.
+	c, cc = dialCounting(t, scanDB(10_000, 4), server.Options{})
+	scan, err := c.Prepare(LangSQL, "select Big.A, Big.S from Big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes("Stmt.QueryAll, 10 000 rows", 1, func() error {
+		rows, err := scan.QueryAll()
+		if err == nil && len(rows) != 10_000 {
+			t.Errorf("Stmt.QueryAll: %d rows, want 10 000", len(rows))
+		}
+		return err
+	})
+}
+
+// TestWideResultSplitsByBytes: a result larger than the server's 256 KiB
+// batch bound (2 000 rows of an int and a 200-byte string, 428 000 bytes
+// encoded) still arrives in several batches, each Rows frame within
+// MaxFrame, read by Rows.Next and by Stmt.QueryAll alike.
+func TestWideResultSplitsByBytes(t *testing.T) {
+	const n, width = 2000, 200
+	c, cc := dialCounting(t, scanDB(n, width), server.Options{})
+	scan, err := c.Prepare(LangSQL, "select Big.A, Big.S from Big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(how string, i int, row []value.Value) {
+		t.Helper()
+		if len(row) != 2 || row[0].AsInt() != int64(i) || len(row[1].AsString()) != width ||
+			!strings.HasPrefix(row[1].AsString(), fmt.Sprint(i)) {
+			t.Fatalf("%s: row %d = %.40v", how, i, row)
+		}
+	}
+	frames := func(how string) {
+		t.Helper()
+		if cc.rowsFrames < 2 || cc.maxRows > server.MaxFrame {
+			t.Fatalf("%s: %d Rows frames, the largest %d bytes; want ≥ 2, each ≤ %d",
+				how, cc.rowsFrames, cc.maxRows, server.MaxFrame)
+		}
+		t.Logf("%s: %d Rows frames, the largest %d bytes", how, cc.rowsFrames, cc.maxRows)
+		cc.rowsFrames, cc.maxRows = 0, 0
+	}
+
+	cc.rowsFrames, cc.maxRows = 0, 0
+	rows, err := scan.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	for ; rows.Next(); i++ {
+		check("Rows.Next", i, rows.Values())
+	}
+	if err := rows.Close(); err != nil || i != n {
+		t.Fatalf("Rows.Next: %d rows, err %v", i, err)
+	}
+	frames("Rows.Next")
+
+	all, err := scan.QueryAll()
+	if err != nil || len(all) != n {
+		t.Fatalf("Stmt.QueryAll: %d rows, err %v", len(all), err)
+	}
+	for i, row := range all {
+		check("Stmt.QueryAll", i, row)
+	}
+	frames("Stmt.QueryAll")
 }
 
 // TestPipelinedFailuresStayInSync runs each failing ad-hoc call ten

@@ -13,8 +13,8 @@ import (
 	"repro/internal/value"
 )
 
-// scanRows is the size of the range the fetch tests ship: 40 batches at
-// the default FetchRows of 256.
+// scanRows is the size of the range the fetch tests ship: 40 batches
+// under FetchRows 256, one under the default byte bound.
 const scanRows = 10_000
 
 // scanSQL ships a string per row, which the client decodes into a
@@ -59,36 +59,15 @@ func checkScan(t *testing.T, rows [][]value.Value) {
 // (the plan's projection writes every row into one tuple), and through
 // client.Stmt.QueryAll at most 16 per Fetch batch more. Both ends run in
 // this process, so AllocsPerRun counts the server's encoding and the
-// client's decoding together.
+// client's decoding together. Under FetchRows 256 the range takes 40
+// batches; by default its 180 000 bytes fit under the byte bound, so it
+// takes one, and allocates less in all.
 func TestFetchCostsPerBatch(t *testing.T) {
 	db := scanDB()
-	srv, addr := startServer(t, db, server.Options{})
-	c := dial(t, addr)
-	wire, err := c.Prepare(client.LangSQL, intScanSQL)
-	if err != nil {
-		t.Fatal(err)
-	}
 	local, err := db.Prepare(engine.LangSQL, intScanSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := value.Int(0), value.Int(scanRows)
-
-	before := srv.Snapshot().FetchBatches
-	rows, err := wire.QueryAll(lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != scanRows || rows[scanRows-1][1].AsInt() != 10*(scanRows-1) {
-		t.Fatalf("int scan: %d rows, last %v", len(rows), rows[len(rows)-1])
-	}
-	batches := srv.Snapshot().FetchBatches - before
-
-	overWire := testing.AllocsPerRun(5, func() {
-		if _, err := wire.QueryAll(lo, hi); err != nil {
-			t.Fatal(err)
-		}
-	})
 	inProcess := testing.AllocsPerRun(5, func() {
 		rows, err := local.Query(context.Background(), 0, scanRows)
 		if err != nil {
@@ -103,13 +82,44 @@ func TestFetchCostsPerBatch(t *testing.T) {
 			t.Fatalf("in-process drain: %d rows, err %v", n, err)
 		}
 	})
-	t.Logf("%.0f allocations over the wire, %.0f in process, %d batches", overWire, inProcess, batches)
 	if inProcess > 64 {
 		t.Fatalf("draining %d rows in process allocates %.0f times; want ≤ 64, none per row", scanRows, inProcess)
 	}
-	if extra := overWire - inProcess; extra > float64(16*batches) {
-		t.Fatalf("the wire adds %.0f allocations over %d batches (%.0f over the wire, %.0f in process); want ≤ 16 per batch",
-			extra, batches, overWire, inProcess)
+	overWire := func(opts server.Options, wantBatches uint64) float64 {
+		t.Helper()
+		srv, addr := startServer(t, db, opts)
+		wire, err := dial(t, addr).Prepare(client.LangSQL, intScanSQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := value.Int(0), value.Int(scanRows)
+		before := srv.Snapshot().FetchBatches
+		rows, err := wire.QueryAll(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != scanRows || rows[scanRows-1][1].AsInt() != 10*(scanRows-1) {
+			t.Fatalf("int scan: %d rows, last %v", len(rows), rows[len(rows)-1])
+		}
+		if batches := srv.Snapshot().FetchBatches - before; batches != wantBatches {
+			t.Fatalf("FetchRows %d: the scan took %d batches, want %d", opts.FetchRows, batches, wantBatches)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := wire.QueryAll(lo, hi); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("FetchRows %d: %.0f allocations over the wire, %.0f in process, %d batches",
+			opts.FetchRows, allocs, inProcess, wantBatches)
+		if extra := allocs - inProcess; extra > float64(16*wantBatches) {
+			t.Fatalf("FetchRows %d: the wire adds %.0f allocations over %d batches (%.0f over the wire, %.0f in process); want ≤ 16 per batch",
+				opts.FetchRows, extra, wantBatches, allocs, inProcess)
+		}
+		return allocs
+	}
+	capped := overWire(server.Options{FetchRows: 256}, scanRows/256+1)
+	if byBytes := overWire(server.Options{}, 1); byBytes >= capped {
+		t.Fatalf("one batch allocates %.0f times, 40 batches %.0f; want fewer", byBytes, capped)
 	}
 }
 
@@ -146,9 +156,9 @@ func TestPointReadAllocations(t *testing.T) {
 // TestFetchedRowsOutliveTheCursor pins the client's ownership contract:
 // a row from the first batch is unchanged after every later batch has
 // been read through the same connection buffer, and after the cursor is
-// closed.
+// closed. FetchRows 256 makes the range 40 batches.
 func TestFetchedRowsOutliveTheCursor(t *testing.T) {
-	_, addr := startServer(t, scanDB(), server.Options{})
+	_, addr := startServer(t, scanDB(), server.Options{FetchRows: 256})
 	c := dial(t, addr)
 	stmt, err := c.Prepare(client.LangSQL, scanSQL)
 	if err != nil {

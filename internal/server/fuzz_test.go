@@ -103,6 +103,53 @@ func FuzzServerFrames(f *testing.F) {
 	f.Add(runners.Bytes())
 	f.Add(runners.Bytes()[:torn])
 
+	// Fetches that ask for 0 rows, so the byte bound ends each batch: a
+	// 1 000-row result in one batch, then a 360 000-byte one whose cursor
+	// is closed after its first batch, rebound, and rebound again between
+	// its two batches.
+	var wide bytes.Buffer
+	frame(&wide, server.FrameHello, helloPayload())
+	prepare := func(stmt uint32, src string) {
+		e = server.Enc{}
+		e.U32(stmt)
+		e.U8(server.WireLangSQL)
+		e.Str("q")
+		e.Str(src)
+		frame(&wide, server.FramePrepare, e.Bytes())
+	}
+	bind := func(cur, stmt uint32) {
+		e = server.Enc{}
+		e.U32(cur)
+		e.U32(stmt)
+		e.U32(0)
+		frame(&wide, server.FrameBind, e.Bytes())
+		e = server.Enc{}
+		e.U32(cur)
+		frame(&wide, server.FrameExecute, e.Bytes())
+	}
+	fetchAll := func(cur uint32) {
+		e = server.Enc{}
+		e.U32(cur)
+		e.U32(0)
+		frame(&wide, server.FrameFetch, e.Bytes())
+	}
+	prepare(1, "select Big1.X from Big1")
+	bind(7, 1)
+	fetchAll(7)
+	prepare(2, "select Big1.X, Big2.Y from Big1, Big2 where Big2.Y < 20")
+	bind(8, 2)
+	fetchAll(8)
+	e = server.Enc{}
+	e.U8(1)
+	e.U32(8)
+	frame(&wide, server.FrameClose, e.Bytes())
+	bind(8, 2)
+	fetchAll(8)
+	bind(8, 2) // rebinds the cursor suspended after its first batch
+	fetchAll(8)
+	fetchAll(8)
+	f.Add(wide.Bytes())
+
 	var tx bytes.Buffer
 	frame(&tx, server.FrameHello, helloPayload())
 	frame(&tx, server.FrameBegin, nil)

@@ -325,9 +325,11 @@ func TestCursorOutlivesClosedStatement(t *testing.T) {
 
 // TestPanicAfterFirstBatch: a stream that panics after 300 rows ships
 // its first 256-row batch, answers INTERNAL on the next Fetch, and the
-// session — its runner too — goes on serving.
+// session — its runner too — goes on serving. FetchRows ends the first
+// batch before the panic; by bytes alone the first Fetch would reach it.
 func TestPanicAfterFirstBatch(t *testing.T) {
 	h := newHarness(t, runnerDB())
+	h.sess.srv.opts.FetchRows = 256
 	h.sess.cursors[7] = &cursor{rows: engine.NewPanicRowsForTest([]string{"A"}, 300, "operator bug"), cols: []string{"A"}}
 	rows, done := h.fetch(7, 0)
 	if len(rows) != 256 || done || rows[255][0].AsInt() != 255 {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -17,8 +18,10 @@ import (
 
 // Options tune a Server. The zero value is usable.
 type Options struct {
-	// FetchRows is the row-batch size used when a Fetch frame asks for 0
-	// rows. Defaults to 256.
+	// FetchRows caps the rows of a batch when a Fetch frame asks for 0.
+	// Zero, the default, caps none: the batch ends once it holds
+	// softBatchBytes (256 KiB) of encoded rows, so a result under that
+	// size travels as one Rows frame.
 	FetchRows int
 	// MaxStmts and MaxCursors cap what one session may hold open —
 	// the resource defense against a hostile client preparing
@@ -54,9 +57,6 @@ type Server struct {
 
 // New builds a server over db.
 func New(db *engine.DB, opts Options) *Server {
-	if opts.FetchRows <= 0 {
-		opts.FetchRows = 256
-	}
 	if opts.MaxStmts <= 0 {
 		opts.MaxStmts = 256
 	}
@@ -621,8 +621,9 @@ func (sess *session) handleExecute(payload []byte) error {
 	return nil
 }
 
-// softBatchBytes bounds an encoded row batch well under MaxFrame so one
-// batch of wide string rows never overflows the frame limit.
+// softBatchBytes ends an encoded row batch, and is the only bound of a
+// Fetch that caps no rows. It is well under MaxFrame so one batch of wide
+// string rows never overflows the frame limit.
 const softBatchBytes = 256 << 10
 
 // retainBytes caps a buffer a connection keeps between frames: one that
@@ -653,6 +654,9 @@ func (sess *session) handleFetch(payload []byte) error {
 	}
 	if maxRows <= 0 {
 		maxRows = sess.srv.opts.FetchRows
+	}
+	if maxRows <= 0 {
+		maxRows = math.MaxInt32 // what nrows can count: the byte bound ends the batch
 	}
 	e := Enc{b: sess.out[:0]}
 	e.U32(curID)
