@@ -4,6 +4,10 @@ GO ?= go
 
 # Fuzz-smoke knobs (same as CI's fuzz-smoke job).
 FUZZ_TIME ?= 20s
+# Minimizing a new interesting input may take 60 s by default, which
+# stalls a 20 s window after its first seconds (the fuzzer reports
+# "0/sec" from then on); 200 runs per input keep it fuzzing throughout.
+FUZZ_FLAGS = -fuzztime $(FUZZ_TIME) -fuzzminimizetime 200x
 ENGINE_FUZZ_TARGETS ?= FuzzPrepareSQL FuzzPrepareARC FuzzPrepareDatalog FuzzExecSQL FuzzExecFactOps FuzzCollectionStream
 
 .PHONY: all build test durability bench lint arcvet fuzz-smoke arcbench-quick ab loc
@@ -57,15 +61,15 @@ arcvet:
 fuzz-smoke:
 	@for t in $(ENGINE_FUZZ_TARGETS); do \
 		echo "== $$t"; \
-		$(GO) test -run '^$$' -fuzz "^$${t}\$$" -fuzztime $(FUZZ_TIME) ./internal/engine || exit 1; \
+		$(GO) test -run '^$$' -fuzz "^$${t}\$$" $(FUZZ_FLAGS) ./internal/engine || exit 1; \
 	done
-	$(GO) test -run '^$$' -fuzz '^FuzzServerFrames$$' -fuzztime $(FUZZ_TIME) ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzClientRows$$' -fuzztime $(FUZZ_TIME) ./internal/server/client
-	$(GO) test -run '^$$' -fuzz '^FuzzOrderedKey$$' -fuzztime $(FUZZ_TIME) ./internal/value
-	$(GO) test -run '^$$' -fuzz '^FuzzValueIdentity$$' -fuzztime $(FUZZ_TIME) ./internal/value
-	$(GO) test -run '^$$' -fuzz '^FuzzRelationOps$$' -fuzztime $(FUZZ_TIME) ./internal/relation
-	$(GO) test -run '^$$' -fuzz '^FuzzJoinBuildSources$$' -fuzztime $(FUZZ_TIME) ./internal/plan
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZ_TIME) ./internal/storage
+	$(GO) test -run '^$$' -fuzz '^FuzzServerFrames$$' $(FUZZ_FLAGS) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzClientRows$$' $(FUZZ_FLAGS) ./internal/server/client
+	$(GO) test -run '^$$' -fuzz '^FuzzOrderedKey$$' $(FUZZ_FLAGS) ./internal/value
+	$(GO) test -run '^$$' -fuzz '^FuzzValueIdentity$$' $(FUZZ_FLAGS) ./internal/value
+	$(GO) test -run '^$$' -fuzz '^FuzzRelationOps$$' $(FUZZ_FLAGS) ./internal/relation
+	$(GO) test -run '^$$' -fuzz '^FuzzJoinBuildSources$$' $(FUZZ_FLAGS) ./internal/plan
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' $(FUZZ_FLAGS) ./internal/storage
 
 # The repository benchmark's smoke pass (BENCHMARK.json runs the full
 # one): every workload for a moment, every reply checked against its

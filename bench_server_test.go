@@ -157,6 +157,7 @@ func BenchmarkGroupInProcess(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rows, err := group.Query(context.Background())
 		if err != nil {

@@ -98,6 +98,7 @@ func BenchmarkSQL2ARC(b *testing.B) {
 		(select R2.id, count(S.d) as ct from R R2 left join S on R2.id = S.id group by R2.id) as X
 		where R.q = X.ct and R.id = X.id`)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sql2arc.Translate(q); err != nil {
 			b.Fatal(err)
@@ -141,6 +142,7 @@ func BenchmarkEvalOuterJoin(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			col := arc.MustParseCollection(c.src)
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := eval.Eval(col, cat, convention.SQL()); err != nil {
 					b.Fatal(err)
@@ -395,6 +397,7 @@ func BenchmarkConcurrentSessions(b *testing.B) {
 	ctx := context.Background()
 	b.SetParallelism(2) // ≥ 8 sessions on a 4-core runner
 	b.ReportAllocs()
+	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
@@ -423,6 +426,7 @@ func BenchmarkInsertThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
+		b.ResetTimer()
 		rows := 0
 		for i := 0; i < b.N; i++ {
 			if _, err := stmt.Exec(ctx, i, i); err != nil {
@@ -572,6 +576,7 @@ func BenchmarkExecGroupAggregate(b *testing.B) {
 	r := workload.RandomBinary(rng, "R", "a", "b", 10000, 200, 1000)
 	aggs := []exec.Agg{{Func: exec.Count}, {Func: exec.Sum, Col: 1}}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		groups := 0
 		for range exec.GroupAggregate(exec.Scan(r), []int{0}, aggs, convention.SQL(), nil) {
@@ -648,6 +653,7 @@ func BenchmarkSQLEval(b *testing.B) {
 	db := sqleval.DB{"R": r}
 	q := sql.MustParse("select R.A, sum(R.B) sm, count(R.B) c from R group by R.A having sum(R.B) > 100")
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sqleval.Eval(q, db); err != nil {
 			b.Fatal(err)
@@ -659,6 +665,7 @@ func BenchmarkSQLEval(b *testing.B) {
 func BenchmarkValidator(b *testing.B) {
 	col := relpat.MultiAggHella()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Validate(col); err != nil {
 			b.Fatal(err)
@@ -670,6 +677,7 @@ func BenchmarkValidator(b *testing.B) {
 func BenchmarkHigraph(b *testing.B) {
 	col := relpat.UniqueSet()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g, err := core.HigraphOf(col)
 		if err != nil {
@@ -686,6 +694,7 @@ func BenchmarkHigraph(b *testing.B) {
 func BenchmarkCanonicalForm(b *testing.B) {
 	col := relpat.UniqueSet()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if pattern.Canonical(col) == "" {
 			b.Fatal("empty canonical form")
@@ -709,6 +718,7 @@ func BenchmarkDatalogFixpoint(b *testing.B) {
 	prog := datalog.MustParse("A(x,y) :- P(x,y). A(x,y) :- P(x,z), A(z,y).")
 	p := workload.Chain(30)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := datalog.EvalPredicate(prog, datalog.EDB{"P": p}, "A"); err != nil {
 			b.Fatal(err)

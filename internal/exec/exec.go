@@ -94,7 +94,7 @@ func Dedup(in Seq, hint *SizeHint) Seq {
 				continue
 			}
 			// The set holds t, which in may overwrite once yield returns.
-			seen.at(seen.n - 1).x = t.Clone()
+			*seen.at(seen.n - 1) = t.Clone()
 			if !yield(t, 1) {
 				return
 			}
@@ -103,32 +103,24 @@ func Dedup(in Seq, hint *SizeHint) Seq {
 	}
 }
 
-// set holds distinct items, found by hash and confirmed by equal: an
-// open-addressing table, probed linearly from the top bits of an item's
-// hash, of the numbers of entries kept in blocks. The first len(head)
-// entries are head, the exact block reserve allocates; after it, block k
-// of blocks holds minBlock<<k entries. No block is ever copied, and the
-// set keeps the items it is given, not copies, so a distinct item costs
-// fewer bytes than a map entry would; an item the caller may overwrite is
-// replaced by a copy (see Dedup).
+// set holds distinct items, found by hash through a relation.Chains and
+// confirmed by equal. Item j is slot j of the Chains; the first len(head)
+// items are head, the exact block reserve allocates, and after it block k
+// of blocks holds minBlock<<k items. No block is ever copied, and the set
+// keeps the items it is given, not copies; an item the caller may
+// overwrite is replaced by a copy (see Dedup).
 type set[T any] struct {
-	head   []entry[T]
-	blocks [][]entry[T] // block k holds minBlock<<k entries
-	n      int          // entries in use
-	table  []int32      // 1 + an entry's number, 0 if free; len is a power of two
-	shift  uint         // 64 - log2(len(table))
-}
-
-type entry[T any] struct {
-	x T
-	h uint64
+	head   []T
+	blocks [][]T // block k holds minBlock<<k items
+	n      int   // items held
+	chains relation.Chains
 }
 
 const minBlock = 8
 
-// at returns entry j: head holds the first len(head), then blocks 0..k-1
+// at returns item j: head holds the first len(head), then blocks 0..k-1
 // the next minBlock·(2^k - 1).
-func (s *set[T]) at(j int) *entry[T] {
+func (s *set[T]) at(j int) *T {
 	if j < len(s.head) {
 		return &s.head[j]
 	}
@@ -137,56 +129,31 @@ func (s *set[T]) at(j int) *entry[T] {
 	return &s.blocks[k][j-minBlock*(1<<k-1)]
 }
 
-// reserve makes an empty set hold n entries without growing: head takes
-// exactly n, and the table is sized to stay at most three quarters full.
+// reserve makes an empty set hold n items without growing.
 func (s *set[T]) reserve(n int) {
 	if n <= minBlock || s.n > 0 {
 		return
 	}
-	s.head = make([]entry[T], n)
-	size := 16
-	for 4*n > 3*size {
-		size *= 2
-	}
-	s.resize(size)
+	s.head = make([]T, n)
+	s.chains.Reserve(n)
 }
 
 // add puts x, whose hash is h, into the set unless it holds an item equal
 // to x, and reports whether it did.
 func (s *set[T]) add(x T, h uint64, equal func(T, T) bool) bool {
-	if 4*(s.n+1) > 3*len(s.table) {
-		s.grow()
-	}
-	mask := len(s.table) - 1
-	for i := int(h >> s.shift); ; i = (i + 1) & mask {
-		if s.table[i] == 0 {
-			if s.n == len(s.head)+minBlock*(1<<len(s.blocks)-1) {
-				s.blocks = append(s.blocks, make([]entry[T], minBlock<<len(s.blocks)))
-			}
-			*s.at(s.n) = entry[T]{x, h}
-			s.n++
-			s.table[i] = int32(s.n)
-			return true
-		}
-		if e := s.at(int(s.table[i]) - 1); e.h == h && equal(e.x, x) {
+	ch := s.chains.Chain(h)
+	for j := ch.First(); j >= 0; j = ch.Next(j) {
+		if equal(*s.at(j), x) {
 			return false
 		}
 	}
-}
-
-// grow doubles the table, keeping it at most three quarters full.
-func (s *set[T]) grow() { s.resize(max(16, 2*len(s.table))) }
-
-// resize rebuilds the table at size, a power of two.
-func (s *set[T]) resize(size int) {
-	s.table, s.shift = make([]int32, size), uint(64-bits.TrailingZeros(uint(size)))
-	for j := range s.n {
-		i := int(s.at(j).h >> s.shift)
-		for s.table[i] != 0 {
-			i = (i + 1) & (size - 1)
-		}
-		s.table[i] = int32(j) + 1
+	if s.n == len(s.head)+minBlock*(1<<len(s.blocks)-1) {
+		s.blocks = append(s.blocks, make([]T, minBlock<<len(s.blocks)))
 	}
+	*s.at(s.n) = x
+	s.n++
+	s.chains.Add(h)
+	return true
 }
 
 // Materialize drains in into a fresh relation with the given name and

@@ -43,7 +43,7 @@ func TestSetReserveMatchesMap(t *testing.T) {
 			t.Fatalf("n=%d: %d entries, want %d", n, s.n, len(order))
 		}
 		for j, x := range order {
-			if got := s.at(j).x; got != x {
+			if got := *s.at(j); got != x {
 				t.Fatalf("n=%d: entry %d is %d, want %d", n, j, got, x)
 			}
 		}

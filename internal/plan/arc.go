@@ -410,9 +410,8 @@ type probeRun struct {
 	next  func(relation.Tuple, int) bool // see, made once
 	found found
 	// answers[i] is the answer for the values keys[i*len(by):][:len(by)],
-	// whose hash is hashes[i]; slots, open-addressed by hash, hold 1 + i.
-	slots   []int32
-	hashes  []uint64
+	// chained by their hash as slot i.
+	chains  relation.Chains
 	keys    []value.Value
 	answers []found
 }
@@ -433,8 +432,7 @@ func (c *runCtx) probeRun(p *probe) *probeRun {
 // forget drops the stream and the answers, which may hold a relation a
 // fixpoint handle no longer points at.
 func (r *probeRun) forget() {
-	r.seq, r.hashes, r.keys, r.answers = nil, r.hashes[:0], r.keys[:0], r.answers[:0]
-	clear(r.slots)
+	r.seq, r.chains, r.keys, r.answers = nil, relation.Chains{}, r.keys[:0], r.answers[:0]
 }
 
 // see records a row of the inner scope and reports whether the run must
@@ -455,14 +453,11 @@ func (r *probeRun) see(row relation.Tuple, _ int) bool {
 func (r *probeRun) run(t relation.Tuple) found {
 	p, ctx := r.p, r.ctx
 	var h uint64
-	slot := -1
 	if p.keyed {
-		if h = t.HashAt(p.by); len(r.slots) == 0 {
-			r.slots = make([]int32, 8)
-		}
-		mask := len(r.slots) - 1
-		for slot = int(h) & mask; r.slots[slot] != 0; slot = (slot + 1) & mask {
-			if i := int(r.slots[slot]) - 1; r.hashes[i] == h && same(r.keys[i*len(p.by):], t, p.by) {
+		h = t.HashAt(p.by)
+		ch := r.chains.Chain(h)
+		for i := ch.First(); i >= 0; i = ch.Next(i) {
+			if same(r.keys[i*len(p.by):], t, p.by) {
 				r.found = r.answers[i]
 				r.count()
 				return r.found
@@ -477,34 +472,15 @@ func (r *probeRun) run(t relation.Tuple) found {
 	ctx.outer = t
 	r.seq(r.next)
 	ctx.outer = saved
-	if slot >= 0 {
-		r.keep(slot, h, t)
+	if p.keyed {
+		r.answers = append(r.answers, r.found)
+		for _, c := range p.by {
+			r.keys = append(r.keys, t[c])
+		}
+		r.chains.Add(h)
 	}
 	r.count()
 	return r.found
-}
-
-// keep keeps the answer found for t's values, whose hash is h, in the
-// empty slot its lookup ended at, growing the slots to keep them at most
-// half full.
-func (r *probeRun) keep(slot int, h uint64, t relation.Tuple) {
-	r.hashes, r.answers = append(r.hashes, h), append(r.answers, r.found)
-	for _, c := range r.p.by {
-		r.keys = append(r.keys, t[c])
-	}
-	r.slots[slot] = int32(len(r.answers))
-	if 2*len(r.answers) <= len(r.slots) {
-		return
-	}
-	r.slots = make([]int32, 2*len(r.slots))
-	mask := len(r.slots) - 1
-	for i, h := range r.hashes {
-		s := int(h) & mask
-		for r.slots[s] != 0 {
-			s = (s + 1) & mask
-		}
-		r.slots[s] = int32(i + 1)
-	}
 }
 
 // same reports whether t holds at cols the values keys begins with, each

@@ -1,74 +1,127 @@
 package relation
 
 import (
-	"maps"
+	"math/bits"
 	"slices"
 )
 
 // Chains indexes slots 0, 1, 2, … by a 64-bit hash (value.Tuple.Hash or
 // HashAt): the slots added under one hash are chained through next in the
-// order they were added, and spans maps the hash to the two ends of its
-// chain. Unequal keys may share a hash, so whoever walks a chain confirms
-// each slot with Equal — a collision costs one compare, never a wrong
-// match. The zero Chains is empty and ready to use.
+// order they were added. Unequal keys may share a hash, so whoever walks
+// a chain confirms each slot with Equal — a collision costs one compare,
+// never a wrong match. The zero Chains is empty and ready to use.
+//
+// It is the one hash table of the serving path. hashes and lasts hold
+// each distinct hash and its chain's last slot; index holds 1 + a hash's
+// number there, at or after the entry its top bits name (open addressing,
+// linear probing), and is a power of two at most three quarters full.
 type Chains struct {
-	spans map[uint64]span
-	// next[s] is the slot after s in its chain, and is meaningful only
-	// while s is not the chain's last slot. It has one element per slot.
+	index  []int32
+	shift  uint // 64 - log2(len(index))
+	hashes []uint64
+	lasts  []int32
+	// next[s] is the slot after s in its chain, or for the chain's last
+	// slot its first: a chain is a ring, so a head needs no first slot.
 	next []int32
 }
 
-type span struct{ first, last int32 }
+const minIndex = 8 // the least length of an index and of what grow makes
 
 // Add chains the next slot — the number of slots added so far — under h.
-// The only element of next it writes is the one of the chain's current
+// The only element of next it rewrites is the one of the chain's current
 // last slot, which no chain captured earlier reads.
 func (c *Chains) Add(h uint64) {
 	slot := int32(len(c.next))
-	c.next = append(c.next, 0)
-	if c.spans == nil {
-		c.spans = make(map[uint64]span)
-	}
-	sp, ok := c.spans[h]
-	if ok {
-		c.next[sp.last] = slot
-		sp.last = slot
-	} else {
-		sp = span{slot, slot}
-	}
-	c.spans[h] = sp
-}
-
-// Reserve presizes empty Chains for n slots: the spans map for n hashes
-// and next for n slots. It does nothing to Chains that hold a slot.
-func (c *Chains) Reserve(n int) {
-	if len(c.next) > 0 {
+	c.fit(len(c.hashes) + 1)
+	i, j := c.find(h)
+	if j >= 0 {
+		last := c.lasts[j]
+		c.next = append(grow(c.next), c.next[last])
+		c.next[last], c.lasts[j] = slot, slot
 		return
 	}
-	c.spans, c.next = make(map[uint64]span, n), make([]int32, 0, n)
+	c.next = append(grow(c.next), slot)
+	c.hashes, c.lasts = append(grow(c.hashes), h), append(grow(c.lasts), slot)
+	c.index[i] = int32(len(c.hashes))
+}
+
+// grow returns s with room for one more element: doubled if it is full,
+// where append would grow a large slice by about a quarter and so copy it
+// more often.
+func grow[T any](s []T) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	g := make([]T, len(s), max(minIndex, 2*len(s)))
+	copy(g, s)
+	return g
+}
+
+// fit rebuilds index, if n heads would fill more than three quarters of
+// it, at the least power of two they fill no more of.
+func (c *Chains) fit(n int) {
+	if 4*n <= 3*len(c.index) {
+		return
+	}
+	size := minIndex
+	for 4*n > 3*size {
+		size *= 2
+	}
+	c.index, c.shift = make([]int32, size), uint(64-bits.TrailingZeros(uint(size)))
+	for j, h := range c.hashes {
+		i, _ := c.find(h)
+		c.index[i] = int32(j + 1)
+	}
+}
+
+// find returns where h is or would be in index, and its head, or -1 if it
+// has none. The index must have a free entry.
+func (c *Chains) find(h uint64) (i, j int) {
+	mask := len(c.index) - 1
+	for i = int(h >> c.shift); ; i = (i + 1) & mask {
+		e := c.index[i]
+		if e == 0 {
+			return i, -1
+		}
+		if c.hashes[e-1] == h {
+			return i, int(e - 1)
+		}
+	}
+}
+
+// Reserve presizes empty Chains for n slots under as many hashes. It does
+// nothing to Chains that hold a slot.
+func (c *Chains) Reserve(n int) {
+	if n <= 0 || len(c.next) > 0 {
+		return
+	}
+	c.hashes, c.lasts, c.next = make([]uint64, 0, n), make([]int32, 0, n), make([]int32, 0, n)
+	c.fit(n)
 }
 
 // Chain captures the chain of h. Slots added later are beyond its last
 // slot and so not part of it, which lets a reader walk a captured chain
 // while a writer adds to the Chains.
 func (c *Chains) Chain(h uint64) Chain {
-	sp, ok := c.spans[h]
-	if !ok {
-		return Chain{span: span{first: -1}}
+	if len(c.hashes) > 0 {
+		if _, j := c.find(h); j >= 0 {
+			last := c.lasts[j]
+			return Chain{first: c.next[last], last: last, next: c.next}
+		}
 	}
-	return Chain{span: sp, next: c.next}
+	return Chain{first: -1}
 }
 
 // clone returns a copy the caller may add to.
 func (c *Chains) clone() Chains {
-	return Chains{spans: maps.Clone(c.spans), next: slices.Clone(c.next)}
+	return Chains{slices.Clone(c.index), c.shift, slices.Clone(c.hashes), slices.Clone(c.lasts), slices.Clone(c.next)}
 }
 
 // Chain is the run of slots under one hash as captured at one moment. It
 // is walked with for s := c.First(); s >= 0; s = c.Next(s).
 type Chain struct {
-	span
-	next []int32
+	first, last int32
+	next        []int32
 }
 
 // First returns the chain's first slot, negative when it is empty.
@@ -86,8 +139,10 @@ func (c Chain) Next(s int) int {
 // the hash of their values at cols. The index over all columns is the
 // segment's tuple index, which finds a stored tuple; the others serve
 // Probe. An index stays with its segment across commits, so its size is
-// resident memory: one map entry of 16 bytes (the hash and its span) per
-// distinct key and four bytes per row.
+// resident memory: per distinct key a 12-byte head and 1⅓ to 2⅔ int32s
+// of index, and four bytes per row. At 100 000 distinct keys that is 26.5
+// bytes a key built presized and 31.5 grown an Add at a time
+// (TestIndexBytesPerKey pins the two together).
 type hashIndex struct {
 	cols []int
 	Chains

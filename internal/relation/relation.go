@@ -651,7 +651,7 @@ func (r *Relation) probeHashed(cols []int, vals Tuple, h uint64, f func(Tuple, i
 	// every slot of the chain is covered by the view's rows header.
 	r.mu.RLock()
 	v, ix := r.viewLocked(), r.deltaIndexLocked(sig)
-	delta := Chain{span: span{first: -1}}
+	delta := Chain{first: -1}
 	if ix != nil {
 		delta = ix.Chain(h)
 	}
