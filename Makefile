@@ -57,19 +57,28 @@ arcvet:
 	$(GO) vet -vettool=bin/arcvet ./...
 
 # Run every fuzz target briefly — the CI smoke pass that keeps the
-# corpora exercised on every PR without paying for a long campaign.
+# corpora exercised on every PR without paying for a long campaign. Each
+# target's output follows its run, and a last table lists every target's
+# final exec count, so a target that stalled shows as a small number.
+FUZZ_TARGETS = $(foreach t,$(ENGINE_FUZZ_TARGETS),./internal/engine:$(t)) \
+	./internal/server:FuzzServerFrames ./internal/server/client:FuzzClientRows \
+	./internal/value:FuzzOrderedKey ./internal/value:FuzzValueIdentity \
+	./internal/relation:FuzzRelationOps ./internal/plan:FuzzJoinBuildSources \
+	./internal/storage:FuzzDecodeRecord
+
 fuzz-smoke:
-	@for t in $(ENGINE_FUZZ_TARGETS); do \
-		echo "== $$t"; \
-		$(GO) test -run '^$$' -fuzz "^$${t}\$$" $(FUZZ_FLAGS) ./internal/engine || exit 1; \
-	done
-	$(GO) test -run '^$$' -fuzz '^FuzzServerFrames$$' $(FUZZ_FLAGS) ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzClientRows$$' $(FUZZ_FLAGS) ./internal/server/client
-	$(GO) test -run '^$$' -fuzz '^FuzzOrderedKey$$' $(FUZZ_FLAGS) ./internal/value
-	$(GO) test -run '^$$' -fuzz '^FuzzValueIdentity$$' $(FUZZ_FLAGS) ./internal/value
-	$(GO) test -run '^$$' -fuzz '^FuzzRelationOps$$' $(FUZZ_FLAGS) ./internal/relation
-	$(GO) test -run '^$$' -fuzz '^FuzzJoinBuildSources$$' $(FUZZ_FLAGS) ./internal/plan
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' $(FUZZ_FLAGS) ./internal/storage
+	@log=$$(mktemp) && counts=$$(mktemp) && \
+	for pt in $(FUZZ_TARGETS); do \
+		pkg=$${pt%%:*}; t=$${pt#*:}; \
+		echo "== $$t ($$pkg)"; \
+		if ! $(GO) test -run '^$$' -fuzz "^$${t}\$$" $(FUZZ_FLAGS) $$pkg >$$log 2>&1; then \
+			cat $$log; rm -f $$log $$counts; exit 1; \
+		fi; \
+		cat $$log; \
+		execs=$$(grep -o 'execs: [0-9]*' $$log | tail -n 1 | cut -d' ' -f2); \
+		printf '%-24s %12s\n' "$$t" "$${execs:-none}" >>$$counts; \
+	done; \
+	echo "== final exec counts"; cat $$counts; rm -f $$log $$counts
 
 # The repository benchmark's smoke pass (BENCHMARK.json runs the full
 # one): every workload for a moment, every reply checked against its

@@ -10,13 +10,25 @@ import (
 
 // TestGroupSumOverStringFails: a γ over column keys fails a sum over a
 // string with the message every evaluator gives, in SQL and in ARC, and
-// both statements run on the planner's γ.
+// both statements run on the planner's γ — over a relation never cloned,
+// and over a version whose string is in its delta, above a base.
 func TestGroupSumOverStringFails(t *testing.T) {
 	g := relation.New("G", "A", "B")
 	g.Add(1, 2)
 	g.Add(1, "x")
 	g.Add(2, 3)
-	db := Open(g)
+	v := relation.New("G", "A", "B")
+	v.Add(1, 2)
+	v.Add(2, 3)
+	v = v.Clone()
+	v.Add(1, "x")
+	for _, db := range []*DB{Open(g), Open(v)} {
+		sumOverStringFails(t, db)
+	}
+}
+
+func sumOverStringFails(t *testing.T, db *DB) {
+	t.Helper()
 	for _, q := range []struct {
 		lang      Lang
 		src, want string

@@ -57,13 +57,13 @@ type Agg struct {
 	Col  int
 }
 
-// aggState accumulates one aggregate over one group.
+// aggState accumulates one aggregate over one group: count is the
+// weight of the non-NULL inputs it folded (of every row for Count), and
+// acc the sum, minimum or maximum so far, as the function is.
 type aggState struct {
-	sum      value.Value
-	min, max value.Value
+	acc      value.Value
 	count    int
 	distinct *set[value.Value] // CountDistinct's values
-	haveAny  bool
 }
 
 // GroupAggregate is γ: it partitions in by the values at keyCols and
@@ -76,108 +76,174 @@ type aggState struct {
 // even over empty input (the SQL "group by true" behaviour); keyed
 // grouping over empty input emits nothing. Keyed grouping presizes its
 // table for hint's size and records in hint the number of groups once its
-// input is consumed.
+// input is consumed. The output tuples are cut from one array, so each is
+// a tuple of its own that a consumer may keep.
 func GroupAggregate(in Seq, keyCols []int, aggs []Agg, conv convention.Conventions, hint *SizeHint) Seq {
 	return func(yield func(relation.Tuple, int) bool) {
-		gs := &grouping{keyCols: keyCols, aggs: aggs}
-		if len(keyCols) > 0 {
-			if n := hint.Size(); n > 0 {
-				gs.groups = make([]*group, 0, n)
-				gs.chains.Reserve(n)
-			}
+		gs := newGrouping(keyCols, aggs, conv)
+		if len(keyCols) == 0 {
+			gs.add(nil)
 		} else {
-			gs.of(relation.Tuple{}, 0)
+			n := hint.Size()
+			gs.reserve(n)
+			gs.chains.Reserve(n)
 		}
 		for t, m := range in {
-			w := m
-			if conv.Semantics == convention.Set {
-				w = 1
-			}
-			var g *group
-			if len(keyCols) == 0 {
-				g = gs.groups[0]
-			} else {
+			g := 0
+			if len(keyCols) > 0 {
 				g = gs.of(t, t.HashAt(keyCols))
 			}
-			for i, a := range aggs {
-				g.states[i].observe(a, t, w)
-			}
+			gs.observe(g, t, m)
 		}
 		if len(keyCols) > 0 {
-			hint.Record(len(gs.groups))
+			hint.Record(gs.n)
 		}
-		for _, g := range gs.groups {
-			out := make(relation.Tuple, 0, len(g.key)+len(aggs))
-			out = append(out, g.key...)
-			for i, a := range aggs {
-				out = append(out, g.states[i].result(a, conv))
-			}
-			if !yield(out, 1) {
-				return
-			}
-		}
+		gs.emit(yield)
 	}
 }
 
-// grouping is γ's table of groups, in first-occurrence order and chained
-// by the hash of their keys.
+// Numbered is γ over keyCols for rows whose groups come numbered
+// (relation.Numbering): rows share a number exactly when their keys are
+// Equal, and a row's group is read through its number rather than found
+// by hashing its key. Its output is GroupAggregate's over the same rows,
+// observed in the same order: groups in the order of their first rows,
+// each keyed by its first row's values. A number no row carries is no
+// group.
+type Numbered struct {
+	gs grouping
+	// pos[num] is 1 + the number of the group num names, 0 before its
+	// first row.
+	pos []int32
+}
+
+// NewNumbered returns an empty Numbered for rows numbered below groups.
+func NewNumbered(groups int, keyCols []int, aggs []Agg, conv convention.Conventions) *Numbered {
+	nb := &Numbered{gs: newGrouping(keyCols, aggs, conv), pos: make([]int32, groups)}
+	nb.gs.reserve(groups)
+	return nb
+}
+
+// Observe folds in the row t, of multiplicity m, whose group's number is
+// num.
+func (nb *Numbered) Observe(t relation.Tuple, m, num int) {
+	g := int(nb.pos[num]) - 1
+	if g < 0 {
+		g = nb.gs.add(t)
+		nb.pos[num] = int32(g + 1)
+	}
+	nb.gs.observe(g, t, m)
+}
+
+// Emit records the number of groups in hint and yields one output tuple
+// per group, as GroupAggregate does.
+func (nb *Numbered) Emit(yield func(relation.Tuple, int) bool, hint *SizeHint) {
+	hint.Record(nb.gs.n)
+	nb.gs.emit(yield)
+}
+
+// grouping is γ's table of groups, numbered in first-occurrence order:
+// group g's key is keys[g·len(keyCols):], its states are
+// states[g·len(aggs):], and slot g of chains, which only the hashing path
+// fills, is its key's hash.
 type grouping struct {
 	keyCols []int
 	aggs    []Agg
-	groups  []*group
-	chains  relation.Chains // slot i is groups[i]
+	conv    convention.Conventions
+	keys    []value.Value
+	states  []aggState
+	n       int
+	chains  relation.Chains
 }
 
-type group struct {
-	key    relation.Tuple
-	states []aggState
+func newGrouping(keyCols []int, aggs []Agg, conv convention.Conventions) grouping {
+	return grouping{keyCols: keyCols, aggs: aggs, conv: conv}
 }
 
-// of returns the group of the input row t, whose key hash is h, starting
-// one if no group's key is Equal to t's values at keyCols.
-func (gs *grouping) of(t relation.Tuple, h uint64) *group {
-	ch := gs.chains.Chain(h)
-	for s := ch.First(); s >= 0; s = ch.Next(s) {
-		if g := gs.groups[s]; t.EqualAt(gs.keyCols, g.key) {
+// reserve sizes the table for n groups.
+func (gs *grouping) reserve(n int) {
+	if n > 0 {
+		gs.keys = make([]value.Value, 0, n*len(gs.keyCols))
+		gs.states = make([]aggState, 0, n*len(gs.aggs))
+	}
+}
+
+// of returns the number of the group of the input row t, whose key hash
+// is h, starting one if no group's key is Equal to t's values at keyCols.
+func (gs *grouping) of(t relation.Tuple, h uint64) int {
+	nk := len(gs.keyCols)
+	ch, p := gs.chains.Find(h)
+	for g := ch.First(); g >= 0; g = ch.Next(g) {
+		if t.EqualAt(gs.keyCols, gs.keys[g*nk:]) {
 			return g
 		}
 	}
-	// The input may be a scratch tuple: the key is copied out of it.
-	key := make(relation.Tuple, len(gs.keyCols))
-	for j, c := range gs.keyCols {
-		key[j] = t[c]
-	}
-	states := make([]aggState, len(gs.aggs))
-	for i := range states {
-		if gs.aggs[i].Func == CountDistinct {
-			states[i].distinct = &set[value.Value]{}
-		}
-	}
-	g := &group{key: key, states: states}
-	gs.groups = append(gs.groups, g)
-	gs.chains.Add(h)
-	return g
+	gs.chains.AddAt(h, p)
+	return gs.add(t)
 }
 
-// observe folds one weighted input row into the state, maintaining only
-// what the aggregate function needs.
-func (st *aggState) observe(a Agg, t relation.Tuple, w int) {
-	if a.Func == Count {
-		st.count += w
-		st.haveAny = true
-		return
+// add starts a group keyed by t's values at keyCols and returns its
+// number. The input may be a scratch tuple: the key is copied out of it.
+func (gs *grouping) add(t relation.Tuple) int {
+	for _, c := range gs.keyCols {
+		gs.keys = append(gs.keys, t[c])
 	}
+	for _, a := range gs.aggs {
+		st := aggState{}
+		if a.Func == CountDistinct {
+			st.distinct = &set[value.Value]{}
+		}
+		gs.states = append(gs.states, st)
+	}
+	gs.n++
+	return gs.n - 1
+}
+
+// observe folds the input row t, of multiplicity m, into group g.
+func (gs *grouping) observe(g int, t relation.Tuple, m int) {
+	if gs.conv.Semantics == convention.Set {
+		m = 1
+	}
+	states := gs.states[g*len(gs.aggs):]
+	for i, a := range gs.aggs {
+		if a.Func == Count {
+			states[i].count += m // count(*) reads no column
+		} else {
+			states[i].observe(a, t, m)
+		}
+	}
+}
+
+// emit yields every group's output tuple, in group order, each cut from
+// one array.
+func (gs *grouping) emit(yield func(relation.Tuple, int) bool) {
+	nk, na := len(gs.keyCols), len(gs.aggs)
+	w := nk + na
+	rows := make([]value.Value, gs.n*w)
+	for g := 0; g < gs.n; g++ {
+		out := rows[g*w : (g+1)*w : (g+1)*w]
+		copy(out, gs.keys[g*nk:(g+1)*nk])
+		for i, a := range gs.aggs {
+			out[nk+i] = gs.states[g*na+i].result(a, gs.conv)
+		}
+		if !yield(out, 1) {
+			return
+		}
+	}
+}
+
+// observe folds one weighted input row into the state of an aggregate
+// that reads a column (every one but Count), maintaining only what the
+// aggregate function needs.
+func (st *aggState) observe(a Agg, t relation.Tuple, w int) {
 	v := t[a.Col]
 	if v.IsNull() {
 		return // SQL aggregates ignore NULL inputs
 	}
+	first := st.count == 0
 	st.count += w
 	switch a.Func {
-	case CountCol:
-		st.haveAny = true
 	case CountDistinct:
 		st.distinct.add(v, v.Hash(), value.Value.Equal)
-		st.haveAny = true
 	case Sum, Avg:
 		contrib := v
 		if w > 1 {
@@ -185,31 +251,18 @@ func (st *aggState) observe(a Agg, t relation.Tuple, w int) {
 				contrib = c
 			}
 		}
-		if !st.haveAny {
-			st.sum = contrib
-			st.haveAny = true
-			return
-		}
-		if s, ok := value.Add(st.sum, contrib); ok {
-			st.sum = s
+		if first {
+			st.acc = contrib
+		} else if s, ok := value.Add(st.acc, contrib); ok {
+			st.acc = s
 		}
 	case Min:
-		if !st.haveAny {
-			st.min = v
-			st.haveAny = true
-			return
-		}
-		if c, ok := v.Compare(st.min); ok && c < 0 {
-			st.min = v
+		if c, ok := v.Compare(st.acc); first || ok && c < 0 {
+			st.acc = v
 		}
 	case Max:
-		if !st.haveAny {
-			st.max = v
-			st.haveAny = true
-			return
-		}
-		if c, ok := v.Compare(st.max); ok && c > 0 {
-			st.max = v
+		if c, ok := v.Compare(st.acc); first || ok && c > 0 {
+			st.acc = v
 		}
 	}
 }
@@ -221,30 +274,16 @@ func (st *aggState) result(a Agg, conv convention.Conventions) value.Value {
 		return value.Int(int64(st.count))
 	case CountDistinct:
 		return value.Int(int64(st.distinct.n))
-	case Sum:
-		if !st.haveAny {
-			if conv.EmptyAggregate == convention.ZeroOnEmpty {
-				return value.Int(0)
-			}
-			return value.Null()
-		}
-		return st.sum
-	case Avg:
-		if !st.haveAny {
-			return value.Null()
-		}
-		v, _ := value.Div(value.Float(st.sum.AsFloat()), value.Int(int64(st.count)))
-		return v
-	case Min:
-		if !st.haveAny {
-			return value.Null()
-		}
-		return st.min
-	case Max:
-		if !st.haveAny {
-			return value.Null()
-		}
-		return st.max
 	}
-	return value.Null()
+	if st.count == 0 {
+		if a.Func == Sum && conv.EmptyAggregate == convention.ZeroOnEmpty {
+			return value.Int(0)
+		}
+		return value.Null()
+	}
+	if a.Func == Avg {
+		v, _ := value.Div(value.Float(st.acc.AsFloat()), value.Int(int64(st.count)))
+		return v
+	}
+	return st.acc
 }

@@ -141,7 +141,7 @@ func (s *set[T]) reserve(n int) {
 // add puts x, whose hash is h, into the set unless it holds an item equal
 // to x, and reports whether it did.
 func (s *set[T]) add(x T, h uint64, equal func(T, T) bool) bool {
-	ch := s.chains.Chain(h)
+	ch, p := s.chains.Find(h)
 	for j := ch.First(); j >= 0; j = ch.Next(j) {
 		if equal(*s.at(j), x) {
 			return false
@@ -152,7 +152,7 @@ func (s *set[T]) add(x T, h uint64, equal func(T, T) bool) bool {
 	}
 	*s.at(s.n) = x
 	s.n++
-	s.chains.Add(h)
+	s.chains.AddAt(h, p)
 	return true
 }
 

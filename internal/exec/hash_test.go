@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/convention"
 	"repro/internal/relation"
 	"repro/internal/value"
 )
@@ -46,7 +47,7 @@ func TestHashTableCollisions(t *testing.T) {
 }
 
 func TestGroupAggregateCollisions(t *testing.T) {
-	gs := &grouping{keyCols: []int{1}, aggs: []Agg{{Func: Count}}}
+	gs := newGrouping([]int{1}, []Agg{{Func: Count}}, convention.Conventions{})
 	for _, c := range []struct {
 		key   value.Value
 		group int
@@ -54,13 +55,12 @@ func TestGroupAggregateCollisions(t *testing.T) {
 		{value.Int(2), 0}, {value.Int(3), 1}, {value.Float(2), 0}, {value.Null(), 2},
 		{value.Str("2"), 3}, {value.Null(), 2}, {value.Int(3), 1},
 	} {
-		g := gs.of(relation.Tuple{value.Str("x"), c.key}, collided)
-		if g != gs.groups[c.group] {
-			t.Fatalf("key %v (%v) joined the wrong group; groups %v", c.key, c.key.Kind(), gs.groups)
+		if g := gs.of(relation.Tuple{value.Str("x"), c.key}, collided); g != c.group {
+			t.Fatalf("key %v (%v) joined group %d, want %d; group keys %v", c.key, c.key.Kind(), g, c.group, gs.keys)
 		}
 	}
-	if len(gs.groups) != 4 {
-		t.Fatalf("%d groups, want 4", len(gs.groups))
+	if gs.n != 4 || len(gs.keys) != 4 {
+		t.Fatalf("%d groups with %d key values, want 4 and 4", gs.n, len(gs.keys))
 	}
 }
 

@@ -579,6 +579,19 @@ type lookupTable struct {
 	keys   []relation.Tuple
 	rows   []groupRow
 	chains relation.Chains // slot i is keys[i] and rows[i]
+	// slab is what the groups' head tuples are cut from.
+	slab []value.Value
+}
+
+// cut returns a tuple of width w cut from the table's slab, which it
+// replaces, with one of twice the length, when too little of it is left.
+func (tab *lookupTable) cut(w int) relation.Tuple {
+	if len(tab.slab) < w {
+		tab.slab = make([]value.Value, max(2*cap(tab.slab), w))
+	}
+	row := tab.slab[:w:w]
+	tab.slab = tab.slab[w:]
+	return row
 }
 
 // Lookup extends each row of in with the row of the nested collection its
@@ -597,7 +610,7 @@ func Lookup(in Node, spec LookupSpec) Node {
 	}
 	none := func(func(relation.Tuple, int) bool) {}
 	for g := range exec.GroupAggregate(none, nil, n.execAggs(), spec.Conv, nil) {
-		n.empty = n.rowOf(append(make(relation.Tuple, len(spec.Keys)), g...), &runCtx{})
+		n.empty = n.rowOf(append(make(relation.Tuple, len(spec.Keys)), g...), &runCtx{}, &lookupTable{})
 	}
 	return n
 }
@@ -614,14 +627,15 @@ func (n *lookupNode) execAggs() []exec.Agg {
 	return aggs
 }
 
-// rowOf turns the group row g into the collection's head tuple.
-func (n *lookupNode) rowOf(g relation.Tuple, ctx *runCtx) groupRow {
+// rowOf turns the group row g into the collection's head tuple, which it
+// cuts from tab.
+func (n *lookupNode) rowOf(g relation.Tuple, ctx *runCtx, tab *lookupTable) groupRow {
 	if !holdsAll(n.Having, g, ctx) {
 		err := ctx.err
 		ctx.err = nil
 		return groupRow{err: err}
 	}
-	row := make(relation.Tuple, len(n.Head))
+	row := tab.cut(len(n.Head))
 	for i, h := range n.Head {
 		row[i] = h.fn(g, ctx)
 	}
@@ -651,14 +665,17 @@ func (tab *lookupTable) slot(vals relation.Tuple, h uint64) int {
 // set stores g for the group keys, whose hash is h, unless its group has
 // a row already and keep is set.
 func (tab *lookupTable) set(keys relation.Tuple, h uint64, g groupRow, keep bool) {
-	if s := tab.slot(keys, h); s >= 0 {
-		if !keep {
-			tab.rows[s] = g
+	ch, p := tab.chains.Find(h)
+	for s := ch.First(); s >= 0; s = ch.Next(s) {
+		if tab.keys[s].Equal(keys) {
+			if !keep {
+				tab.rows[s] = g
+			}
+			return
 		}
-		return
 	}
 	tab.keys, tab.rows = append(tab.keys, keys), append(tab.rows, g)
-	tab.chains.Add(h)
+	tab.chains.AddAt(h, p)
 }
 
 // build runs the inner scope once into its groups. An error evaluating
@@ -668,6 +685,7 @@ func (n *lookupNode) build(ctx *runCtx) *lookupTable {
 	if size := n.hint.Size(); size > 0 {
 		tab.keys, tab.rows = make([]relation.Tuple, 0, size), make([]groupRow, 0, size)
 		tab.chains.Reserve(size)
+		tab.slab = make([]value.Value, size*len(n.Head))
 	}
 	nk := len(n.Keys)
 	pre := func(yield func(relation.Tuple, int) bool) {
@@ -717,7 +735,7 @@ func (n *lookupNode) build(ctx *runCtx) *lookupTable {
 		// γ has consumed its whole input by now: a key already present is
 		// a group one of whose tuples failed, and that error stands.
 		if keys := g[:nk:nk]; admits(keys) {
-			tab.set(keys, keys.Hash(), n.rowOf(g, ctx), true)
+			tab.set(keys, keys.Hash(), n.rowOf(g, ctx, tab), true)
 		}
 	}
 	return tab

@@ -1,10 +1,15 @@
 package plan
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
+	"repro/internal/convention"
+	"repro/internal/exec"
 	"repro/internal/relation"
 	"repro/internal/sql"
+	"repro/internal/trace"
 	"repro/internal/value"
 )
 
@@ -116,5 +121,243 @@ func TestGroupInPlaceSumOverString(t *testing.T) {
 			t.Fatalf("%s: in place %v, projected %v; want one error", src, inPlace, projected)
 		}
 		t.Logf("%s: %v", src, inPlace)
+	}
+}
+
+// passNode streams its input as it is: a γ over one is not over a plain
+// scan.
+type passNode struct{ in Node }
+
+func (n passNode) Schema() []ColID          { return n.in.Schema() }
+func (n passNode) Run(ctx *runCtx) exec.Seq { return n.in.Run(ctx) }
+func (n passNode) writeExplain(b *strings.Builder, depth int, tr *trace.Trace) {
+	n.in.writeExplain(b, depth, tr)
+}
+
+// hashed makes every γ of p over a plain scan read the scan through a
+// passNode, so that it finds each row's group by hashing, as a γ over any
+// other input does, rather than reading the relation's group numbers. It
+// returns the scans it wrapped.
+func hashed(p *Plan) []*scanNode {
+	var scans []*scanNode
+	for _, g := range groupNodes(p.root) {
+		if sn, ok := g.input.(*scanNode); ok {
+			g.input = passNode{sn}
+			scans = append(scans, sn)
+		}
+	}
+	return scans
+}
+
+// numberedTestDB holds N(A, B, C), never cloned, and V, a version of it
+// that is a base with dead rows under a delta: every key kind (NULL, 2
+// and 2.0, strings), rows of weight 2 and 3, a key whose only base rows
+// are dead and that reappears in the delta, one whose only base rows are
+// dead and that does not, and a base tuple inserted again, which moves
+// to the delta. Bad and BadV hold a string no sum can add, BadV's in its
+// delta.
+func numberedTestDB() map[string]*relation.Relation {
+	null, i, f, s := value.Null(), value.Int, value.Float, value.Str
+	rows := []relation.Tuple{
+		{i(2), s("a"), i(10)}, {f(2), s("a"), i(20)}, {i(3), null, i(5)}, {null, s("b"), i(7)},
+		{i(2), s("b"), null}, {null, null, f(1.5)}, {i(4), s("a"), i(1)}, {i(5), s("c"), i(2)},
+		{s("2"), s("a"), i(3)}, {f(3), s("b"), i(4)}, {i(6), s("d"), i(8)}, {i(6), s("d"), i(9)},
+	}
+	n := relation.New("N", "A", "B", "C")
+	for k, t := range rows {
+		n.InsertMult(t, 1+k%3)
+	}
+	v := relation.New("V", "A", "B", "C")
+	for k, t := range rows {
+		v.InsertMult(t, 1+k%3)
+	}
+	_ = v.Clone() // v is now a base and an empty delta
+	v.RemoveKeys([]relation.Tuple{rows[6], rows[7], rows[10], rows[11]})
+	for _, t := range []relation.Tuple{
+		{i(4), s("z"), i(11)},   // key 4: its only base row is dead
+		{f(6), s("d"), i(12)},   // key 6 as 6.0, after its base rows died
+		{i(7), null, i(13)},     // a new key
+		{null, s("e"), null},    // the NULL key, in base and delta
+		{f(2), s("a"), i(20)},   // a base tuple again: it moves to the delta
+		{i(3), null, f(0.25)},   // a base key, a new tuple
+		{s("2"), s("x"), i(14)}, // the string key "2"
+	} {
+		v.InsertMult(t, 2)
+	}
+	bad := relation.New("Bad", "A", "B")
+	bad.Add(1, 2)
+	bad.Add(1, "x")
+	bad.Add(2, 3)
+	badV := relation.New("BadV", "A", "B")
+	badV.Add(1, 2)
+	badV.Add(2, 3)
+	_ = badV.Clone()
+	badV.Add(1, "x")
+	return map[string]*relation.Relation{"N": n, "V": v, "Bad": bad, "BadV": badV}
+}
+
+// TestNumberedGroupMatchesHashed holds the γ that reads a relation's group
+// numbers to the γ that hashes each row, over a relation never cloned and
+// over a base with dead rows under a delta: the same rows, kinds (2 or
+// 2.0, as the group's first row has it), multiplicities and order, under
+// bag and set semantics, for every aggregate function and for one and two
+// key columns; the same Scan row counts when traced; the same error for a
+// sum or avg over a string; and the same stop, early, on cancellation.
+func TestNumberedGroupMatchesHashed(t *testing.T) {
+	db := numberedTestDB()
+	compile := func(src string) *Plan {
+		p, err := CompileSchema(sql.MustParse(src), db)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		return p
+	}
+	for _, rel := range []string{"N", "V"} {
+		for _, q := range []string{
+			"select X.A, count(*) n from X group by X.A",
+			"select X.B, X.A, count(*) n, sum(X.C) s from X group by X.A, X.B",
+			"select X.A, sum(X.C) s, avg(X.C) a, min(X.C) mn, max(X.C) mx, count(X.C) c, count(distinct X.C) d from X group by X.A",
+			"select X.B, min(X.A) mn, max(X.A) mx, count(distinct X.A) d from X group by X.B",
+			"select X.A, count(*) n from X group by X.A having count(*) >= 2",
+		} {
+			src := strings.ReplaceAll(q, "X.", rel+".")
+			src = strings.ReplaceAll(src, "from X", "from "+rel)
+			for _, set := range []bool{false, true} {
+				num, hash := compile(src), compile(src)
+				scans := hashed(hash)
+				if len(scans) != 1 {
+					t.Fatalf("%s: γ does not read a plain scan:\n%s", src, num.Explain())
+				}
+				if set {
+					for _, p := range []*Plan{num, hash} {
+						groupNodes(p.root)[0].conv.Semantics = convention.Set
+					}
+				}
+				got, want := rendered(t, num, db, src, nil), rendered(t, hash, db, src, nil)
+				if got != want {
+					t.Errorf("%s (set %v):\n%s\nnumbered\n%s\nhashed\n%s", src, set, db[rel], got, want)
+				}
+				trNum, trHash := trace.New(), trace.New()
+				for _, run := range []struct {
+					p  *Plan
+					tr *trace.Trace
+				}{{num, trNum}, {hash, trHash}} {
+					seq, errFn := run.p.StreamOn(db, nil, nil, run.tr)
+					for range seq {
+					}
+					if err := errFn(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				numScan := groupNodes(num.root)[0].input
+				if a, b := trNum.Lookup(numScan), trHash.Lookup(scans[0]); a == nil || b == nil || a.Rows != b.Rows {
+					t.Errorf("%s: traced Scan %+v numbered, %+v hashed", src, a, b)
+				}
+			}
+		}
+	}
+	for _, rel := range []string{"Bad", "BadV"} {
+		for _, q := range []string{"select X.A, sum(X.B) s from X group by X.A", "select X.A, count(*) n, avg(X.B) a from X group by X.A"} {
+			src := strings.ReplaceAll(strings.ReplaceAll(q, "X.", rel+"."), "from X", "from "+rel)
+			num, hash := compile(src), compile(src)
+			hashed(hash)
+			_, errNum := num.ExecuteOn(db, nil, nil)
+			_, errHash := hash.ExecuteOn(db, nil, nil)
+			if errNum == nil || errHash == nil || errNum.Error() != errHash.Error() {
+				t.Errorf("%s: numbered %v, hashed %v; want one error", src, errNum, errHash)
+			}
+		}
+	}
+	// Cancellation: the check fails at its second poll, so both stop after
+	// 2·pollEvery rows of 1 000 with the check's error.
+	big := relation.New("Big", "A", "B")
+	for i := 0; i < 1000; i++ {
+		big.Add(i%7, i)
+	}
+	db["Big"] = big
+	stop := errors.New("cancelled")
+	src := "select Big.A, count(*) n from Big group by Big.A"
+	num, hash := compile(src), compile(src)
+	scans := hashed(hash)
+	var scanned [2]int64
+	for k, p := range []*Plan{num, hash} {
+		polls := 0
+		check := func() error {
+			if polls++; polls == 2 {
+				return stop
+			}
+			return nil
+		}
+		tr := trace.New()
+		seq, errFn := p.StreamOn(db, nil, check, tr)
+		for range seq {
+		}
+		if err := errFn(); err != stop {
+			t.Fatalf("%s: %v, want the check's error", src, err)
+		}
+		scan := groupNodes(p.root)[0].input
+		if k == 1 {
+			scan = scans[0]
+		}
+		scanned[k] = tr.Lookup(scan).Rows
+	}
+	if scanned[0] != scanned[1] || scanned[0] >= 1000 {
+		t.Errorf("cancelled after %d rows numbered, %d hashed; want the same early stop", scanned[0], scanned[1])
+	}
+}
+
+// TestNumberedGroupWhileInserting runs the numbered γ on a relation while
+// another goroutine inserts into it (run it under -race): every execution
+// reads one version — distinct keys, counts that add up to no fewer rows
+// than the last execution read — and a Clone taken meanwhile groups as the
+// hashing γ groups it.
+func TestNumberedGroupWhileInserting(t *testing.T) {
+	r := relation.New("R", "A", "B")
+	for i := 0; i < 500; i++ {
+		r.Add(i%13, i)
+	}
+	src := "select R.A, count(*) n from R group by R.A"
+	num, err := CompileSchema(sql.MustParse(src), map[string]*relation.Relation{"R": r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, _ := CompileSchema(sql.MustParse(src), map[string]*relation.Relation{"R": r})
+	hashed(hash)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 500; i < 3000; i++ {
+			r.Add(i%17, i)
+			if i%2 == 0 {
+				r.Add(i%17, 0) // a duplicate now and then: a count bump
+			}
+		}
+	}()
+	last := 0
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		res, err := num.ExecuteOn(map[string]*relation.Relation{"R": r}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		res.Each(func(tup relation.Tuple, m int) {
+			if m != 1 {
+				t.Errorf("key %v yielded %d times", tup[0], m)
+			}
+			total += int(tup[1].AsInt())
+		})
+		if total < last {
+			t.Fatalf("an execution read %d rows after one read %d", total, last)
+		}
+		last = total
+		c := map[string]*relation.Relation{"R": r.Clone()}
+		if got, want := rendered(t, num, c, src, nil), rendered(t, hash, c, src, nil); got != want {
+			t.Fatalf("a clone groups as\n%s\nnumbered, and as\n%s\nhashed", got, want)
+		}
 	}
 }

@@ -1119,6 +1119,17 @@ func (n *groupNode) layout() {
 func (n *groupNode) Schema() []ColID { return n.schema }
 
 func (n *groupNode) Run(ctx *runCtx) exec.Seq {
+	if sn, ok := n.input.(*scanNode); ok && n.inPlace && len(n.keyCols) > 0 && len(sn.probes) == 0 && sn.rng == nil {
+		rel := sn.rel(ctx)
+		if rel == nil {
+			return ctx.traced(n, emptySeq)
+		}
+		var op *trace.Op
+		if ctx.trace != nil {
+			op = ctx.trace.Op(sn)
+		}
+		return ctx.traced(n, n.numbered(ctx, rel, op))
+	}
 	var in exec.Seq
 	if n.inPlace {
 		in = n.checked(ctx)
@@ -1137,18 +1148,74 @@ func (n *groupNode) checked(ctx *runCtx) exec.Seq {
 	}
 	return func(yield func(relation.Tuple, int) bool) {
 		for t, m := range in {
-			for i, a := range n.aggs {
-				if !a.numeric {
-					continue
-				}
-				if v := t[n.gaggs[i].Col]; !v.IsNull() && !v.IsNumeric() {
-					ctx.fail(fmt.Errorf("%s over non-numeric value %v", a.name, v))
-					return
-				}
-			}
-			if !yield(t, m) {
+			if !n.numericOK(t, ctx) || !yield(t, m) {
 				return
 			}
+		}
+	}
+}
+
+// numericOK reports whether every sum and avg input of the row t is NULL
+// or numeric, failing the execution if one is not.
+func (n *groupNode) numericOK(t relation.Tuple, ctx *runCtx) bool {
+	for i, a := range n.aggs {
+		if !a.numeric {
+			continue
+		}
+		if v := t[n.gaggs[i].Col]; !v.IsNull() && !v.IsNumeric() {
+			ctx.fail(fmt.Errorf("%s over non-numeric value %v", a.name, v))
+			return false
+		}
+	}
+	return true
+}
+
+// numbered is γ over a plain scan of the stored relation rel, read with
+// the group numbers rel keeps on the key columns (relation.Numbering):
+// each row's group is an array read, where the hashing path hashes the
+// row and probes a table. It streams what the hashing path would — the
+// same groups, rows and order — polling and checking each row as checked
+// does and, when op is not nil, counting and timing the scan's rows in
+// it as the scan's own Run would.
+func (n *groupNode) numbered(ctx *runCtx, rel *relation.Relation, op *trace.Op) exec.Seq {
+	numeric := slices.ContainsFunc(n.aggs, func(a aggSpec) bool { return a.numeric })
+	return func(yield func(relation.Tuple, int) bool) {
+		nb := rel.Numbering(n.keyCols)
+		gs := exec.NewNumbered(nb.Groups(), n.keyCols, n.gaggs, n.conv)
+		scan := nb.EachWhile
+		if op != nil {
+			scan = tracedNumbered(op, scan)
+		}
+		scan(func(t relation.Tuple, m, g int) bool {
+			if !ctx.poll() || numeric && !n.numericOK(t, ctx) {
+				return false
+			}
+			gs.Observe(t, m, g)
+			return true
+		})
+		gs.Emit(yield, &n.hint)
+	}
+}
+
+// numberedScan is relation.Numbering's EachWhile: a scan whose rows come
+// with their group numbers.
+type numberedScan = func(f func(t relation.Tuple, m, g int) bool)
+
+// tracedNumbered is runCtx.traced for a numbered scan: op counts its rows
+// and their time, less the time spent in its consumer.
+func tracedNumbered(op *trace.Op, in numberedScan) numberedScan {
+	return func(f func(relation.Tuple, int, int) bool) {
+		start := time.Now()
+		var downstream time.Duration
+		in(func(t relation.Tuple, m, g int) bool {
+			op.Rows++
+			ys := time.Now()
+			ok := f(t, m, g)
+			downstream += time.Since(ys)
+			return ok
+		})
+		if d := time.Since(start) - downstream; d > 0 {
+			op.Nanos += d.Nanoseconds()
 		}
 	}
 }

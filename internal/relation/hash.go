@@ -31,18 +31,42 @@ const minIndex = 8 // the least length of an index and of what grow makes
 // The only element of next it rewrites is the one of the chain's current
 // last slot, which no chain captured earlier reads.
 func (c *Chains) Add(h uint64) {
-	slot := int32(len(c.next))
 	c.fit(len(c.hashes) + 1)
 	i, j := c.find(h)
-	if j >= 0 {
-		last := c.lasts[j]
+	c.AddAt(h, Pos{i, j})
+}
+
+// Pos is where Find left a hash: its entry in the index, and its head or
+// -1 if it has none.
+type Pos struct{ i, j int }
+
+// Find captures the chain of h, as Chain does, and returns where it left
+// h, so that a caller who finds no match in the chain adds under h with
+// AddAt without probing the index again: one probe for a find-or-add. It
+// first makes the index room for one more head, which may rebuild it, so
+// it is for Chains that no other goroutine reads.
+func (c *Chains) Find(h uint64) (Chain, Pos) {
+	c.fit(len(c.hashes) + 1)
+	i, j := c.find(h)
+	if j < 0 {
+		return Chain{first: -1}, Pos{i, j}
+	}
+	last := c.lasts[j]
+	return Chain{first: c.next[last], last: last, next: c.next}, Pos{i, j}
+}
+
+// AddAt is Add for h, which Find left at p, with nothing added since.
+func (c *Chains) AddAt(h uint64, p Pos) {
+	slot := int32(len(c.next))
+	if p.j >= 0 {
+		last := c.lasts[p.j]
 		c.next = append(grow(c.next), c.next[last])
-		c.next[last], c.lasts[j] = slot, slot
+		c.next[last], c.lasts[p.j] = slot, slot
 		return
 	}
 	c.next = append(grow(c.next), slot)
 	c.hashes, c.lasts = append(grow(c.hashes), h), append(grow(c.lasts), slot)
-	c.index[i] = int32(len(c.hashes))
+	c.index[p.i] = int32(len(c.hashes))
 }
 
 // grow returns s with room for one more element: doubled if it is full,
@@ -99,6 +123,19 @@ func (c *Chains) Reserve(n int) {
 	c.fit(n)
 }
 
+// trim gives back what Reserve set aside for heads the slots did not
+// need: when they share fewer than a quarter as many hashes as were
+// reserved, the heads move to arrays of their own size and the index is
+// refitted to them.
+func (c *Chains) trim() {
+	n := len(c.hashes)
+	if 4*n >= cap(c.hashes) {
+		return
+	}
+	c.hashes, c.lasts, c.index = slices.Clone(c.hashes), slices.Clone(c.lasts), nil
+	c.fit(n)
+}
+
 // Chain captures the chain of h. Slots added later are beyond its last
 // slot and so not part of it, which lets a reader walk a captured chain
 // while a writer adds to the Chains.
@@ -142,19 +179,24 @@ func (c Chain) Next(s int) int {
 // resident memory: per distinct key a 12-byte head and 1⅓ to 2⅔ int32s
 // of index, and four bytes per row. At 100 000 distinct keys that is 26.5
 // bytes a key built presized and 31.5 grown an Add at a time
-// (TestIndexBytesPerKey pins the two together).
+// (TestIndexBytesPerKey pins the two together). A built index whose rows
+// share few keys keeps heads for those keys only, not one per row
+// (buildHashIndex; TestLowCardinalityIndexBytes).
 type hashIndex struct {
 	cols []int
 	Chains
 }
 
-// buildHashIndex indexes rows on cols.
+// buildHashIndex indexes rows on cols. It reserves a head per row, and
+// trims the heads to the distinct hashes once they are known, so an index
+// on a column of few values holds little more than its four bytes a row.
 func buildHashIndex(rows []row, cols []int) *hashIndex {
 	ix := &hashIndex{cols: cols}
 	ix.Reserve(len(rows))
 	for i := range rows {
 		ix.Add(rows[i].tup.HashAt(cols))
 	}
+	ix.trim()
 	return ix
 }
 

@@ -155,11 +155,13 @@ func rowsOf(read func(func(Tuple, int) bool)) model {
 }
 
 // FuzzRelationOps decodes bytes into a sequence of insert, InsertOwned,
-// Admit, RemoveKeys, Clone, Probe, RangeProbe, Mult and Mark/Since calls
-// over a small value domain, and after every step compares the relation
-// — and every earlier version a Clone left behind — against a naive
-// model: a slice of distinct tuples compared with Equal. A window Since
-// cuts must hold the model's rows past the mark, in order.
+// Admit, RemoveKeys, Clone, Probe, RangeProbe, Numbering, Mult and
+// Mark/Since calls over a small value domain, and after every step
+// compares the relation — and every earlier version a Clone left behind —
+// against a naive model: a slice of distinct tuples compared with Equal.
+// A window Since cuts must hold the model's rows past the mark, in order,
+// and a Numbering must give two rows one number iff they are Equal on
+// its columns.
 func FuzzRelationOps(f *testing.F) {
 	f.Add([]byte{0, 3, 4, 0, 4, 3, 1, 2, 2, 5, 3, 4, 0, 9, 11, 6, 2, 3})
 	f.Add([]byte{0, 1, 1, 0, 2, 1, 0, 3, 1, 3, 0, 0, 4, 1, 3, 0, 5, 1, 3, 0, 6, 2, 1, 3, 0, 2, 5, 1, 4, 3, 4, 2})
@@ -171,6 +173,10 @@ func FuzzRelationOps(f *testing.F) {
 	// removal, which drops the mark; a new mark, admissions, a window and
 	// a Clone, after which no window is cut.
 	f.Add([]byte{9, 8, 1, 2, 8, 2, 1, 0, 1, 2, 1, 8, 1, 2, 9, 8, 3, 4, 9, 2, 0, 1, 2, 9, 9, 8, 5, 6, 8, 6, 5, 9, 3, 1, 8, 7, 7, 9})
+	// Numberings (op 7) of a relation never cloned, then inserts that
+	// extend them, a Clone, removals of base rows, a base tuple inserted
+	// again and a key whose base rows died, numbered on both key columns.
+	f.Add([]byte{0, 1, 2, 0, 2, 1, 0, 3, 3, 7, 0, 7, 2, 0, 4, 1, 1, 7, 1, 3, 0, 2, 1, 1, 4, 1, 7, 0, 7, 3, 0, 5, 3, 7, 2, 0, 1, 2, 7, 1, 7, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -272,6 +278,31 @@ func FuzzRelationOps(f *testing.F) {
 				}
 				if err := sameRows(rowsOf(func(f func(Tuple, int) bool) { r.RangeProbe(col, lo, hi, loIncl, hiIncl, f) }), want); err != nil {
 					t.Fatalf("step %d: RangeProbe(%d, %v, %v, %v, %v): %v", step, col, lo, hi, loIncl, hiIncl, err)
+				}
+			case 7:
+				// Numbering: a scan of the model's rows, in which two rows
+				// share a number iff they are Equal on the columns.
+				cols := colSets[next()%len(colSets)]
+				nb := r.Numbering(cols)
+				var nums []int
+				got := rowsOf(func(f func(Tuple, int) bool) {
+					nb.EachWhile(func(t Tuple, m, g int) bool {
+						nums = append(nums, g)
+						return f(t, m)
+					})
+				})
+				if err := sameRows(got, md); err != nil {
+					t.Fatalf("step %d: Numbering(%v): %v", step, cols, err)
+				}
+				for i := range got {
+					if nums[i] < 0 || nums[i] >= nb.Groups() {
+						t.Fatalf("step %d: Numbering(%v) numbers %v %d of %d", step, cols, got[i].t, nums[i], nb.Groups())
+					}
+					for j := range i {
+						if same := sameAt(got[i].t, got[j].t, cols); same != (nums[i] == nums[j]) {
+							t.Fatalf("step %d: Numbering(%v) numbers %v %d and %v %d", step, cols, got[i].t, nums[i], got[j].t, nums[j])
+						}
+					}
 				}
 			case 8:
 				tp := tuple()

@@ -65,8 +65,8 @@ func (rw *row) count() int { return int(atomic.LoadInt64(&rw.mult)) }
 // and lazily built indexes. A Relation embeds one as its delta and
 // mutates it under mu; a base segment is frozen at construction — its
 // rows and tuple index never change again, and mu guards only the lazy
-// builds of hashIdx and ordIdx entries, each of which is immutable once
-// built.
+// builds of hashIdx, nums and ordIdx entries, each of which is immutable
+// once built.
 type segment struct {
 	mu   sync.RWMutex
 	rows []row
@@ -88,6 +88,10 @@ type segment struct {
 	// (see ordered.go). Each is immutable and covers a prefix of rows; a
 	// probe that finds one behind extends it by a merge.
 	ordIdx map[int][]int
+	// nums caches the group numberings γ reads (number.go): column-set
+	// signature -> numbering. Kept as hashIdx is: built lazily under the
+	// write lock and, in a delta, extended by every new distinct tuple.
+	nums map[string]*numbering
 }
 
 // Relation is a multiset of tuples over a fixed attribute list. The zero
@@ -314,6 +318,9 @@ func (r *Relation) appendLocked(stored Tuple, mult int64, h uint64) {
 	for _, ix := range r.hashIdx {
 		ix.Add(stored.HashAt(ix.cols))
 	}
+	for _, nb := range r.nums {
+		nb.add(r.rows, stored)
+	}
 }
 
 // slot finds the row of s holding t, whose hash is h, through the tuple
@@ -416,7 +423,7 @@ func (r *Relation) removeDeltaLocked(drop []bool) int {
 		}
 		kept = append(kept, r.rows[i])
 	}
-	r.rows, r.index, r.hashIdx, r.ordIdx = kept, nil, nil, nil
+	r.rows, r.index, r.hashIdx, r.ordIdx, r.nums = kept, nil, nil, nil, nil
 	return removed
 }
 

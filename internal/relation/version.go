@@ -137,14 +137,17 @@ func foldBudget(n int) int {
 }
 
 // Clone returns an independent copy: no later mutation of either relation
-// shows in the other. It copies the delta only. A source that was never
-// cloned first hands its arrays and indexes, as they are, to a new base
-// segment both sides then share, in O(1); a source whose delta and dead
-// set have outgrown the fold budget of its base is first folded into a
-// fresh base, O(rows), which a budget's worth of clones then share the
-// cost of. Either way the source is re-based under its lock — its
-// representation changes, its content and iteration order do not, and a
-// reader holding a view captured earlier keeps what it captured.
+// shows in the other. It copies the delta only, and of the delta's
+// indexes all but its group numberings, which the copy builds again if a
+// γ asks for one (a delta is at most a fold budget of rows). A source
+// that was never cloned first hands its arrays and indexes, as they are,
+// to a new base segment both sides then share, in O(1); a source whose
+// delta and dead set have outgrown the fold budget of its base is first
+// folded into a fresh base, O(rows), which a budget's worth of clones
+// then share the cost of. Either way the source is re-based under its
+// lock — its representation changes, its content and iteration order do
+// not, and a reader holding a view captured earlier keeps what it
+// captured.
 func (r *Relation) Clone() *Relation {
 	out := &Relation{name: r.name, attrs: r.attrs, pos: r.pos}
 	r.mu.Lock()
@@ -174,21 +177,21 @@ func (r *Relation) Clone() *Relation {
 // r's content in r's iteration order. The caller holds mu for writing.
 func (r *Relation) rebaseLocked(base *segment) {
 	r.base, r.dead = base, nil
-	r.rows, r.index, r.hashIdx, r.ordIdx = nil, nil, nil, nil
+	r.rows, r.index, r.hashIdx, r.ordIdx, r.nums = nil, nil, nil, nil, nil
 }
 
 // handOffLocked freezes the delta of a relation without a base into a
-// segment: the arrays and every index built so far change hands as they
-// are. The caller holds mu for writing and re-bases r at once, so nothing
-// writes through the old fields again.
+// segment: the arrays and every index and numbering built so far change
+// hands as they are. The caller holds mu for writing and re-bases r at
+// once, so nothing writes through the old fields again.
 func (r *Relation) handOffLocked() *segment {
-	return &segment{rows: r.rows, index: r.tupleIndexLocked(), hashIdx: r.hashIdx, ordIdx: r.ordIdx}
+	return &segment{rows: r.rows, index: r.tupleIndexLocked(), hashIdx: r.hashIdx, ordIdx: r.ordIdx, nums: r.nums}
 }
 
 // foldLocked builds the segment holding r's live base rows followed by
 // its delta rows, and its tuple index. Tuples are shared with the old
-// base; the other indexes are not carried over and rebuild lazily. The
-// caller holds mu.
+// base; the other indexes and the numberings are not carried over and
+// rebuild lazily. The caller holds mu.
 func (r *Relation) foldLocked() *segment {
 	old, live := r.base, len(r.base.rows)-r.dead.count()
 	rows := make([]row, 0, live+len(r.rows))
