@@ -147,12 +147,23 @@ const (
 // BenchmarkGroupInProcess drains a prepared γ over column keys, which
 // reads its input rows in place, through an engine cursor pushed with
 // Each: the in-process share of arcbench's group997.
-func BenchmarkGroupInProcess(b *testing.B) {
+func BenchmarkGroupInProcess(b *testing.B) { benchGroup(b, groupBenchSQL) }
+
+// BenchmarkGroupSumInProcess is BenchmarkGroupInProcess with sum and avg
+// beside count(*): aggregates that read every row's tuple and check its
+// input is numeric.
+func BenchmarkGroupSumInProcess(b *testing.B) {
+	benchGroup(b, "select R.B, count(*) as n, sum(R.A) as s, avg(R.A) as a from R group by R.B")
+}
+
+// benchGroup drains the prepared γ src over groupBenchRows rows of R in
+// 997 groups of R.B.
+func benchGroup(b *testing.B, src string) {
 	r := relation.New("R", "A", "B")
 	for i := 0; i < groupBenchRows; i++ {
 		r.Add(i, i%997)
 	}
-	group, err := engine.Open(r).Prepare(engine.LangSQL, groupBenchSQL)
+	group, err := engine.Open(r).Prepare(engine.LangSQL, src)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -13,8 +13,9 @@
 // and per-query timeouts.
 //
 // Mechanically, in internal/plan and internal/eval: every `for … range`
-// over an exec.Seq must call .poll() in its body or in an enclosing
-// loop's body (eval's compiled scopes poll evaluator.poll per tuple they
+// over an exec.Seq, and every loop whose header reads a
+// relation.NumberedRun (γ folding a numbered scan run by run, stretch by
+// stretch), must call .poll() in its body or in an enclosing loop's body (eval's compiled scopes poll evaluator.poll per tuple they
 // extend, so the build loop of a grouped lookup and the inner loop of an
 // existence filter are covered by the enumeration they run on; the γ
 // loop over exec.GroupAggregate's groups is the range this rule sees). In
@@ -41,7 +42,7 @@ import (
 
 var Analyzer = &arcvetutil.Analyzer{
 	Name: "cancelpoll",
-	Doc:  "flags row-pull loops (plan, eval) and fixpoint round loops that never poll runCtx.poll / evaluator.poll / Options.Check for cancellation",
+	Doc:  "flags row-pull and numbered-run loops (plan, eval) and fixpoint round loops that never poll runCtx.poll / evaluator.poll / Options.Check for cancellation",
 	Run:  run,
 }
 
@@ -92,6 +93,9 @@ func (c *checker) loop(stmt ast.Node, body *ast.BlockStmt, polledAbove bool) {
 		if rng, ok := stmt.(*ast.RangeStmt); ok && c.isPlan && c.isSeqRange(rng) {
 			c.sup.Report(stmt.Pos(), "row-pull loop over an exec.Seq never calls poll; a cancelled context cannot stop this stream — poll in the loop body")
 		}
+		if c.isPlan && c.isRunLoop(stmt) {
+			c.sup.Report(stmt.Pos(), "loop over a relation.Numbering run never calls poll; a cancelled context cannot stop this fold — poll in the loop body")
+		}
 		if c.isFixpoint && c.invokesRoundCallback(body) {
 			c.sup.Report(stmt.Pos(), "fixpoint round loop never polls Options.Check; cancellation cannot stop the iteration — check before each round")
 		}
@@ -133,6 +137,53 @@ func (c *checker) isSeqRange(rng *ast.RangeStmt) bool {
 		return false
 	}
 	return named.Obj().Name() == "Seq" && arcvetutil.PkgIs(named.Obj().Pkg(), "internal/exec")
+}
+
+// isRunLoop reports whether the header of a for or range loop — its
+// init, condition and post statements, or what it ranges over — reads a
+// relation.NumberedRun: a loop over a numbering's runs or over the slots
+// of one.
+func (c *checker) isRunLoop(stmt ast.Node) bool {
+	var header []ast.Node
+	switch s := stmt.(type) {
+	case *ast.ForStmt:
+		header = []ast.Node{s.Init, s.Cond, s.Post}
+	case *ast.RangeStmt:
+		header = []ast.Node{s.X}
+	}
+	found := false
+	for _, h := range header {
+		if h == nil || found {
+			continue
+		}
+		ast.Inspect(h, func(n ast.Node) bool {
+			if e, ok := n.(ast.Expr); ok && !found && isNumberedRun(c.pass.TypesInfo.TypeOf(e)) {
+				found = true
+			}
+			return !found
+		})
+	}
+	return found
+}
+
+// isNumberedRun reports whether t is relation.NumberedRun, or a pointer
+// to, array or slice of it.
+func isNumberedRun(t types.Type) bool {
+	for t != nil {
+		switch u := t.(type) {
+		case *types.Pointer:
+			t = u.Elem()
+		case *types.Array:
+			t = u.Elem()
+		case *types.Slice:
+			t = u.Elem()
+		case *types.Named:
+			return u.Obj().Name() == "NumberedRun" && arcvetutil.PkgIs(u.Obj().Pkg(), "internal/relation")
+		default:
+			return false
+		}
+	}
+	return false
 }
 
 // invokesRoundCallback reports whether body directly invokes a

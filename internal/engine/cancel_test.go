@@ -162,7 +162,9 @@ func TestCancelARCAndDatalogFixpoints(t *testing.T) {
 // TestCancelNonRecursiveScopes pins the per-tuple poll of internal/eval
 // where no fixpoint round would poll for it: the build loop of a grouped
 // lookup, the inner loop of an existence filter with nothing to probe by,
-// a plain compiled join, and a scope left on environment enumeration.
+// a plain compiled join, a scope left on environment enumeration, and a
+// copy of a stored relation, whose head projection passes its scan's rows
+// through.
 func TestCancelNonRecursiveScopes(t *testing.T) {
 	r := relation.New("R", "A", "B")
 	for i := 0; i < 5000; i++ {
@@ -175,10 +177,15 @@ func TestCancelNonRecursiveScopes(t *testing.T) {
 		"Q(a) :- R(a,0), !R(_,a).",
 		"Q(a) :- R(a,b), R(b,_).",
 		"Q(a,m) :- R(a,0), m = max a2 : {R(a2,_), a2 < a}.",
+		"Q(a,b) :- R(a,b).",
 	} {
 		if _, err := db.QueryAll(newBudgetCtx(3), LangDatalog, src); !errors.Is(err, errBudget) {
 			t.Fatalf("QueryAll(%q) = %v, want the poll-budget error", src, err)
 		}
+	}
+	const arcCopy = "{Q(A, B) | ∃r ∈ R [Q.A = r.A ∧ Q.B = r.B]}"
+	if _, err := db.QueryAll(newBudgetCtx(3), LangARC, arcCopy); !errors.Is(err, errBudget) {
+		t.Fatalf("QueryAll(%q) = %v, want the poll-budget error", arcCopy, err)
 	}
 }
 

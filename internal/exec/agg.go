@@ -106,7 +106,7 @@ func GroupAggregate(in Seq, keyCols []int, aggs []Agg, conv convention.Conventio
 // (relation.Numbering): rows share a number exactly when their keys are
 // Equal, and a row's group is read through its number rather than found
 // by hashing its key. Its output is GroupAggregate's over the same rows,
-// observed in the same order: groups in the order of their first rows,
+// folded in the same order: groups in the order of their first rows,
 // each keyed by its first row's values. A number no row carries is no
 // group.
 type Numbered struct {
@@ -116,6 +116,11 @@ type Numbered struct {
 	pos []int32
 }
 
+// foldBlock is how many slots Fold reads a run's groups for at a time:
+// the rows between two of a plan's polls, so a polled fold reads one
+// block per stretch, into arrays small enough to live on the stack.
+const foldBlock = 64
+
 // NewNumbered returns an empty Numbered for rows numbered below groups.
 func NewNumbered(groups int, keyCols []int, aggs []Agg, conv convention.Conventions) *Numbered {
 	nb := &Numbered{gs: newGrouping(keyCols, aggs, conv), pos: make([]int32, groups)}
@@ -123,15 +128,78 @@ func NewNumbered(groups int, keyCols []int, aggs []Agg, conv convention.Conventi
 	return nb
 }
 
-// Observe folds in the row t, of multiplicity m, whose group's number is
-// num.
-func (nb *Numbered) Observe(t relation.Tuple, m, num int) {
-	g := int(nb.pos[num]) - 1
-	if g < 0 {
-		g = nb.gs.add(t)
-		nb.pos[num] = int32(g + 1)
+// Fold folds in the live slots lo ≤ s < hi of r, in order. It reads them
+// in place, a block of slots at a time: first each slot's group, starting
+// the groups that begin there, and multiplicity, then the block once per
+// aggregate — count(*) reads the multiplicities alone, not the tuples.
+// It stops at the first live slot whose sum or avg input is neither NULL
+// nor numeric and returns it, after which nb's groups are not to be
+// emitted; it returns -1 when there is none.
+func (nb *Numbered) Fold(r *relation.NumberedRun, lo, hi int) int {
+	set := nb.gs.conv.Semantics == convention.Set
+	na := len(nb.gs.aggs)
+	// The groups (-1 for a dead slot) and multiplicities of a block.
+	var groups [foldBlock]int32
+	var mults [foldBlock]int
+	for ; lo < hi; lo += foldBlock {
+		n := min(foldBlock, hi-lo)
+		gs, ms := groups[:n], mults[:n]
+		r.Nums(lo, gs)
+		for k, num := range gs {
+			if num < 0 {
+				continue
+			}
+			g := nb.pos[num] - 1
+			if g < 0 {
+				g = int32(nb.gs.add(r.Tuple(lo + k)))
+				nb.pos[num] = g + 1
+			}
+			gs[k] = g
+		}
+		if set {
+			for k := range ms {
+				ms[k] = 1
+			}
+		} else {
+			r.Mults(lo, ms)
+		}
+		// The aggregates fold the block's slots below bad: all of them,
+		// until a sum or avg meets a non-numeric input.
+		bad := n
+		for i, a := range nb.gs.aggs {
+			states := nb.gs.states[i:]
+			switch a.Func {
+			case Count:
+				for k, g := range gs {
+					if g >= 0 {
+						states[int(g)*na].count += ms[k]
+					}
+				}
+			case Sum, Avg:
+				for k, g := range gs[:bad] {
+					if g < 0 {
+						continue
+					}
+					t := r.Tuple(lo + k)
+					if v := t[a.Col]; !v.IsNull() && !v.IsNumeric() {
+						bad = k
+						break
+					}
+					states[int(g)*na].observe(a, t, ms[k])
+				}
+			default:
+				for k, g := range gs[:bad] {
+					if g >= 0 {
+						states[int(g)*na].observe(a, r.Tuple(lo+k), ms[k])
+					}
+				}
+			}
+		}
+		if bad < n {
+			return lo + bad
+		}
 	}
-	nb.gs.observe(g, t, m)
+	return -1
 }
 
 // Emit records the number of groups in hint and yields one output tuple

@@ -312,8 +312,15 @@ func (r *Run) Bind(h *fixpoint.Handle, rel *relation.Relation) { r.ctx.setHandle
 // Stream streams p's rows. A yielded row is valid until yield returns.
 // The root of an ARC scope's plan is its head's projection, which polls
 // the execution's check and stops at its first error, so nothing wraps
-// it.
-func (r *Run) Stream(p *Plan) exec.Seq { return p.root.Run(&r.ctx) }
+// it, unless it passes its input's rows through (a copy such as
+// Q(a,b) :- R(a,b) over a scan): then guard polls in its place.
+func (r *Run) Stream(p *Plan) exec.Seq {
+	s := p.root.Run(&r.ctx)
+	if pn, ok := p.root.(*projectNode); ok && pn.passesThrough(&r.ctx) {
+		return guard(s, &r.ctx)
+	}
+	return s
+}
 
 // Err is the execution's first error.
 func (r *Run) Err() error { return r.ctx.err }

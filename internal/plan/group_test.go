@@ -2,6 +2,8 @@ package plan
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -188,12 +190,58 @@ func numberedTestDB() map[string]*relation.Relation {
 	bad.Add(1, 2)
 	bad.Add(1, "x")
 	bad.Add(2, 3)
+	// BadW holds its string in the delta, past dead base slots and past
+	// the first stretches between two polls.
+	badW := stretched("BadW")
+	badW.Add(5, "x", 0)
 	badV := relation.New("BadV", "A", "B")
 	badV.Add(1, 2)
 	badV.Add(2, 3)
 	_ = badV.Clone()
 	badV.Add(1, "x")
-	return map[string]*relation.Relation{"N": n, "V": v, "Bad": bad, "BadV": badV}
+	badC := relation.New("BadC", "A", "B", "C")
+	badC.Add(1, 2, 3)
+	badC.Add(1, 4, "y")
+	badC.Add(1, "x", 5)
+	return map[string]*relation.Relation{"N": n, "V": v, "W": stretched("W"), "Bad": bad, "BadV": badV, "BadW": badW, "BadC": badC}
+}
+
+// stretched is a relation name(A, B, C) of 700 base rows under a delta of
+// 120, long enough for the numbered γ to fold it in many stretches
+// between two polls and in many blocks: dead base slots fall on the
+// first and last slot of the base run and on either side of stretch and
+// block boundaries (multiples of 64: 63/64, 127/128, 255/256), keys are
+// ints, their float equals, strings and NULL, and a base tuple inserted
+// again moves to the delta.
+func stretched(name string) *relation.Relation {
+	null, i, f, s := value.Null(), value.Int, value.Float, value.Str
+	key := func(k int) value.Value {
+		switch k % 11 {
+		case 3:
+			return f(float64(k % 13))
+		case 7:
+			return s(string(rune('a' + k%5)))
+		case 9:
+			return null
+		}
+		return i(int64(k % 13))
+	}
+	row := func(k int) relation.Tuple { return relation.Tuple{key(k), i(int64(k % 4)), i(int64(k))} }
+	w := relation.New(name, "A", "B", "C")
+	for k := 0; k < 700; k++ {
+		w.InsertMult(row(k), 1+k%3)
+	}
+	_ = w.Clone() // w is now a base and an empty delta
+	var dead []relation.Tuple
+	for _, k := range []int{0, 1, 62, 63, 64, 65, 127, 128, 254, 255, 256, 257, 511, 512, 640, 699} {
+		dead = append(dead, row(k))
+	}
+	w.RemoveKeys(dead)
+	for k := 700; k < 820; k++ {
+		w.InsertMult(row(k), 2)
+	}
+	w.InsertMult(row(300), 1) // a base tuple again
+	return w
 }
 
 // TestNumberedGroupMatchesHashed holds the γ that reads a relation's group
@@ -212,7 +260,8 @@ func TestNumberedGroupMatchesHashed(t *testing.T) {
 		}
 		return p
 	}
-	for _, rel := range []string{"N", "V"} {
+	funcs := map[exec.AggFunc]bool{}
+	for _, rel := range []string{"N", "V", "W"} {
 		for _, q := range []string{
 			"select X.A, count(*) n from X group by X.A",
 			"select X.B, X.A, count(*) n, sum(X.C) s from X group by X.A, X.B",
@@ -233,9 +282,17 @@ func TestNumberedGroupMatchesHashed(t *testing.T) {
 						groupNodes(p.root)[0].conv.Semantics = convention.Set
 					}
 				}
+				for _, a := range groupNodes(num.root)[0].gaggs {
+					funcs[a.Func] = true
+				}
 				got, want := rendered(t, num, db, src, nil), rendered(t, hash, db, src, nil)
 				if got != want {
 					t.Errorf("%s (set %v):\n%s\nnumbered\n%s\nhashed\n%s", src, set, db[rel], got, want)
+				}
+				// With a check, the numbered γ folds a stretch between two
+				// polls at a time.
+				if got, want := polledRendering(t, num, db), polledRendering(t, hash, db); got != want {
+					t.Errorf("%s (set %v, polled):\nnumbered\n%s\nhashed\n%s", src, set, got, want)
 				}
 				trNum, trHash := trace.New(), trace.New()
 				for _, run := range []struct {
@@ -256,53 +313,125 @@ func TestNumberedGroupMatchesHashed(t *testing.T) {
 			}
 		}
 	}
-	for _, rel := range []string{"Bad", "BadV"} {
-		for _, q := range []string{"select X.A, sum(X.B) s from X group by X.A", "select X.A, count(*) n, avg(X.B) a from X group by X.A"} {
-			src := strings.ReplaceAll(strings.ReplaceAll(q, "X.", rel+"."), "from X", "from "+rel)
-			num, hash := compile(src), compile(src)
-			hashed(hash)
-			_, errNum := num.ExecuteOn(db, nil, nil)
-			_, errHash := hash.ExecuteOn(db, nil, nil)
-			if errNum == nil || errHash == nil || errNum.Error() != errHash.Error() {
-				t.Errorf("%s: numbered %v, hashed %v; want one error", src, errNum, errHash)
-			}
+	for f := exec.Count; f <= exec.CountCol; f++ {
+		if !funcs[f] {
+			t.Errorf("no query folds %v", f)
 		}
 	}
-	// Cancellation: the check fails at its second poll, so both stop after
-	// 2·pollEvery rows of 1 000 with the check's error.
+	const sumB, avgB = "select X.A, sum(X.B) s from X group by X.A", "select X.A, count(*) n, avg(X.B) a from X group by X.A"
+	for _, c := range [][2]string{
+		{"Bad", sumB}, {"Bad", avgB}, {"BadV", sumB}, {"BadV", avgB}, {"BadW", sumB}, {"BadW", avgB},
+		// The avg meets its string a row before the sum meets its own.
+		{"BadC", "select X.A, sum(X.B) s, avg(X.C) a from X group by X.A"},
+	} {
+		rel, q := c[0], c[1]
+		src := strings.ReplaceAll(strings.ReplaceAll(q, "X.", rel+"."), "from X", "from "+rel)
+		num, hash := compile(src), compile(src)
+		scans := hashed(hash)
+		_, errNum := num.ExecuteOn(db, nil, nil)
+		_, errHash := hash.ExecuteOn(db, nil, nil)
+		if errNum == nil || errHash == nil || errNum.Error() != errHash.Error() {
+			t.Errorf("%s: numbered %v, hashed %v; want one error", src, errNum, errHash)
+		}
+		// Traced and polled, both fail at the same row.
+		var rows [2]int64
+		for k, p := range []*Plan{num, hash} {
+			tr := trace.New()
+			seq, errFn := p.StreamOn(db, nil, func() error { return nil }, tr)
+			for range seq {
+			}
+			if errFn() == nil {
+				t.Fatalf("%s: no error", src)
+			}
+			scan := groupNodes(p.root)[0].input
+			if k == 1 {
+				scan = scans[0]
+			}
+			rows[k] = tr.Lookup(scan).Rows
+		}
+		if rows[0] != rows[1] {
+			t.Errorf("%s: failed after %d rows numbered, %d hashed", src, rows[0], rows[1])
+		}
+	}
+}
+
+// polledRendering is rendered with a cancellation check that never fails.
+func polledRendering(t *testing.T, p *Plan, db map[string]*relation.Relation) string {
+	t.Helper()
+	var b strings.Builder
+	seq, errFn := p.StreamOn(db, nil, func() error { return nil }, nil)
+	for tup, m := range seq {
+		for _, v := range tup {
+			fmt.Fprintf(&b, "%v:%v ", v.Kind(), v)
+		}
+		fmt.Fprintf(&b, "×%d\n", m)
+	}
+	if err := errFn(); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestNumberedGroupCancelsAtTheSameRow: a check that fails at its second
+// poll stops the numbered γ and the hashing γ at the same row, traced or
+// not, over a relation never cloned and over one with dead base slots
+// under a delta, also when rows polled before γ began leave the count
+// between two polls part-way (the execution polls a shared count). The
+// rows are counted through the check: the execution's poll count at
+// each call, and where it ends.
+func TestNumberedGroupCancelsAtTheSameRow(t *testing.T) {
 	big := relation.New("Big", "A", "B")
 	for i := 0; i < 1000; i++ {
 		big.Add(i%7, i)
 	}
-	db["Big"] = big
+	db := map[string]*relation.Relation{"Big": big, "W": stretched("W")}
 	stop := errors.New("cancelled")
-	src := "select Big.A, count(*) n from Big group by Big.A"
-	num, hash := compile(src), compile(src)
-	scans := hashed(hash)
-	var scanned [2]int64
-	for k, p := range []*Plan{num, hash} {
-		polls := 0
-		check := func() error {
-			if polls++; polls == 2 {
-				return stop
+	for _, rel := range []string{"Big", "W"} {
+		src := "select " + rel + ".A, count(*) n from " + rel + " group by " + rel + ".A"
+		for _, traced := range []bool{false, true} {
+			for _, before := range []uint{0, 37, 63} {
+				num, err := CompileSchema(sql.MustParse(src), db)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hash, _ := CompileSchema(sql.MustParse(src), db)
+				scans := hashed(hash)
+				var seen [2][]uint
+				var ended [2]uint
+				var scanned [2]int64
+				for k, p := range []*Plan{num, hash} {
+					ctx := &runCtx{rels: db, checkCnt: before}
+					ctx.check = func() error {
+						if seen[k] = append(seen[k], ctx.checkCnt); len(seen[k]) == 2 {
+							return stop
+						}
+						return nil
+					}
+					if traced {
+						ctx.trace = trace.New()
+					}
+					for range guard(p.root.Run(ctx), ctx) {
+					}
+					if ctx.err != stop {
+						t.Fatalf("%s: %v, want the check's error", src, ctx.err)
+					}
+					ended[k] = ctx.checkCnt
+					if traced {
+						scan := groupNodes(p.root)[0].input
+						if k == 1 {
+							scan = scans[0]
+						}
+						scanned[k] = ctx.trace.Lookup(scan).Rows
+					}
+				}
+				if !slices.Equal(seen[0], seen[1]) || ended[0] != ended[1] {
+					t.Errorf("%s (traced %v, %d polls before): checked at %v, ended at %d numbered; at %v, %d hashed", src, traced, before, seen[0], ended[0], seen[1], ended[1])
+				}
+				if want := int64(2*pollEvery - before); scanned[0] != scanned[1] || traced && scanned[0] != want {
+					t.Errorf("%s (%d polls before): cancelled after %d rows numbered, %d hashed; want %d", src, before, scanned[0], scanned[1], want)
+				}
 			}
-			return nil
 		}
-		tr := trace.New()
-		seq, errFn := p.StreamOn(db, nil, check, tr)
-		for range seq {
-		}
-		if err := errFn(); err != stop {
-			t.Fatalf("%s: %v, want the check's error", src, err)
-		}
-		scan := groupNodes(p.root)[0].input
-		if k == 1 {
-			scan = scans[0]
-		}
-		scanned[k] = tr.Lookup(scan).Rows
-	}
-	if scanned[0] != scanned[1] || scanned[0] >= 1000 {
-		t.Errorf("cancelled after %d rows numbered, %d hashed; want the same early stop", scanned[0], scanned[1])
 	}
 }
 

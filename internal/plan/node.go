@@ -19,6 +19,7 @@ package plan
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"time"
@@ -120,6 +121,23 @@ func (c *runCtx) poll() bool {
 		}
 	}
 	return true
+}
+
+// unpolled returns how many more rows poll lets pass before the row at
+// which it next calls the check.
+func (c *runCtx) unpolled() int {
+	if c.check == nil {
+		return math.MaxInt
+	}
+	return pollEvery - 1 - int(c.checkCnt%pollEvery)
+}
+
+// pass counts n rows, no more than unpolled allows, as n calls of poll
+// would count them.
+func (c *runCtx) pass(n int) {
+	if c.check != nil {
+		c.checkCnt += uint(n)
+	}
 }
 
 // param returns the bound value of 0-based parameter i.
@@ -958,10 +976,55 @@ func newProjectNode(input Node, exprs []exprFn, names []string) *projectNode {
 
 func (n *projectNode) Schema() []ColID { return n.schema }
 
+// Run streams the projection. One whose outputs are the columns of the
+// rows its input yields, in order, passes those rows on as they are.
 func (n *projectNode) Run(ctx *runCtx) exec.Seq {
+	if n.passesThrough(ctx) {
+		return ctx.traced(n, n.input.Run(ctx))
+	}
 	p := &projection{n: n, ctx: ctx, in: n.input.Run(ctx)}
 	p.next = p.row
 	return ctx.traced(n, p.run)
+}
+
+// passesThrough reports whether n outputs exactly the columns of the rows
+// its input yields in this execution, in order: the width compared is
+// the rows' own (rowWidth), not only the input's schema.
+func (n *projectNode) passesThrough(ctx *runCtx) bool {
+	cols := n.srcCols
+	if cols == nil {
+		cols = n.copied
+	}
+	if len(cols) == 0 || len(cols) != rowWidth(n.input, ctx) {
+		return false
+	}
+	for i, c := range cols {
+		if c != i {
+			return false
+		}
+	}
+	return true
+}
+
+// rowWidth returns the width of the rows n yields in this execution, or -1
+// for an operator whose rows it does not know the width of.
+func rowWidth(n Node, ctx *runCtx) int {
+	switch x := n.(type) {
+	case *scanNode:
+		// A scan yields the stored tuples of the relation it finds.
+		if r := ctx.rels[x.name]; r != nil {
+			return r.Arity()
+		}
+	case *filterNode:
+		return rowWidth(x.input, ctx)
+	case *dedupNode:
+		return rowWidth(x.input, ctx)
+	case *projectNode:
+		return len(x.exprs)
+	case *groupNode:
+		return len(x.keys) + len(x.aggs)
+	}
+	return -1
 }
 
 // projection is one execution of a projectNode. Its state lives here, not
@@ -1172,51 +1235,66 @@ func (n *groupNode) numericOK(t relation.Tuple, ctx *runCtx) bool {
 
 // numbered is γ over a plain scan of the stored relation rel, read with
 // the group numbers rel keeps on the key columns (relation.Numbering):
-// each row's group is an array read, where the hashing path hashes the
-// row and probes a table. It streams what the hashing path would — the
-// same groups, rows and order — polling and checking each row as checked
-// does and, when op is not nil, counting and timing the scan's rows in
-// it as the scan's own Run would.
+// it folds each run of rows in place, a stretch between two polls at a
+// time, where the hashing path hashes every row and probes a table. It
+// streams what the hashing path would — the same groups, rows and order —
+// polling at the rows guard polls at and failing at the row checked fails
+// at, and, when op is not nil, counting the scan's rows in op and timing
+// them as the scan's own Run would: less building the numbering and
+// folding the rows.
 func (n *groupNode) numbered(ctx *runCtx, rel *relation.Relation, op *trace.Op) exec.Seq {
-	numeric := slices.ContainsFunc(n.aggs, func(a aggSpec) bool { return a.numeric })
 	return func(yield func(relation.Tuple, int) bool) {
 		nb := rel.Numbering(n.keyCols)
 		gs := exec.NewNumbered(nb.Groups(), n.keyCols, n.gaggs, n.conv)
-		scan := nb.EachWhile
+		var start time.Time
+		var folding time.Duration
 		if op != nil {
-			scan = tracedNumbered(op, scan)
+			start = time.Now()
 		}
-		scan(func(t relation.Tuple, m, g int) bool {
-			if !ctx.poll() || numeric && !n.numericOK(t, ctx) {
-				return false
+		rows := 0 // the rows the scan yielded
+	runs:
+		for _, run := range nb.Runs() {
+			for lo, end := 0, run.Len(); lo < end; {
+				if run.Dead(lo) {
+					lo++
+					continue
+				}
+				// The row at lo is polled; the ones after it, up to the
+				// next that poll checks at, pass it unchecked.
+				rows++
+				if !ctx.poll() {
+					break runs
+				}
+				hi, passed := run.Skip(lo+1, ctx.unpolled())
+				var fs time.Time
+				if op != nil {
+					fs = time.Now()
+				}
+				bad := gs.Fold(&run, lo, hi)
+				if op != nil {
+					folding += time.Since(fs)
+				}
+				if bad >= 0 {
+					n.numericOK(run.Tuple(bad), ctx) // fails with bad's error
+					for s := lo + 1; s <= bad; s++ {
+						if !run.Dead(s) {
+							rows++ // the scan yielded the rows through bad
+						}
+					}
+					break runs
+				}
+				ctx.pass(passed)
+				rows += passed
+				lo = hi
 			}
-			gs.Observe(t, m, g)
-			return true
-		})
-		gs.Emit(yield, &n.hint)
-	}
-}
-
-// numberedScan is relation.Numbering's EachWhile: a scan whose rows come
-// with their group numbers.
-type numberedScan = func(f func(t relation.Tuple, m, g int) bool)
-
-// tracedNumbered is runCtx.traced for a numbered scan: op counts its rows
-// and their time, less the time spent in its consumer.
-func tracedNumbered(op *trace.Op, in numberedScan) numberedScan {
-	return func(f func(relation.Tuple, int, int) bool) {
-		start := time.Now()
-		var downstream time.Duration
-		in(func(t relation.Tuple, m, g int) bool {
-			op.Rows++
-			ys := time.Now()
-			ok := f(t, m, g)
-			downstream += time.Since(ys)
-			return ok
-		})
-		if d := time.Since(start) - downstream; d > 0 {
-			op.Nanos += d.Nanoseconds()
 		}
+		if op != nil {
+			op.Rows += int64(rows)
+			if d := time.Since(start) - folding; d > 0 {
+				op.Nanos += d.Nanoseconds()
+			}
+		}
+		gs.Emit(yield, &n.hint)
 	}
 }
 

@@ -43,8 +43,9 @@ type Pos struct{ i, j int }
 // Find captures the chain of h, as Chain does, and returns where it left
 // h, so that a caller who finds no match in the chain adds under h with
 // AddAt without probing the index again: one probe for a find-or-add. It
-// first makes the index room for one more head, which may rebuild it, so
-// it is for Chains that no other goroutine reads.
+// first makes the index room for one more head, which may rebuild it, as
+// Add does: so no other goroutine may read the Chains meanwhile, unless
+// under a lock the caller holds for writing (a relation's tuple index).
 func (c *Chains) Find(h uint64) (Chain, Pos) {
 	c.fit(len(c.hashes) + 1)
 	i, j := c.find(h)

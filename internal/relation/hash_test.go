@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/value"
@@ -280,17 +281,45 @@ func FuzzRelationOps(f *testing.F) {
 					t.Fatalf("step %d: RangeProbe(%d, %v, %v, %v, %v): %v", step, col, lo, hi, loIncl, hiIncl, err)
 				}
 			case 7:
-				// Numbering: a scan of the model's rows, in which two rows
-				// share a number iff they are Equal on the columns.
+				// Numbering: its runs' live slots are a scan of the model's
+				// rows in the relation's iteration order, in which two rows
+				// share a number iff they are Equal on the columns; Skip
+				// counts live slots as a walk of Dead does.
 				cols := colSets[next()%len(colSets)]
 				nb := r.Numbering(cols)
 				var nums []int
-				got := rowsOf(func(f func(Tuple, int) bool) {
-					nb.EachWhile(func(t Tuple, m, g int) bool {
-						nums = append(nums, g)
-						return f(t, m)
-					})
-				})
+				var got model
+				skip := next() % 4
+				for _, run := range nb.Runs() {
+					ns, ms := make([]int32, run.Len()), make([]int, run.Len())
+					run.Nums(0, ns)
+					run.Mults(0, ms)
+					for s := 0; s < run.Len(); s++ {
+						hi, live := s, 0
+						for ; hi < run.Len() && live < skip; hi++ {
+							if !run.Dead(hi) {
+								live++
+							}
+						}
+						if h, l := run.Skip(s, skip); h != hi || l != live {
+							t.Fatalf("step %d: Skip(%d, %d) = %d, %d, want %d, %d", step, s, skip, h, l, hi, live)
+						}
+						part := make([]int32, min(skip, run.Len()-s))
+						if run.Nums(s, part); !slices.Equal(part, ns[s:s+len(part)]) {
+							t.Fatalf("step %d: Nums from %d read %v, from 0 %v", step, s, part, ns[s:s+len(part)])
+						}
+						if run.Dead(s) != (ns[s] < 0) {
+							t.Fatalf("step %d: slot %d dead %v, numbered %d", step, s, run.Dead(s), ns[s])
+						}
+						if !run.Dead(s) {
+							got = append(got, modelRow{run.Tuple(s), ms[s]})
+							nums = append(nums, int(ns[s]))
+						}
+					}
+				}
+				if err := sameOrder(got, rowsOf(r.EachWhile)); err != nil {
+					t.Fatalf("step %d: Numbering(%v) runs against the relation: %v", step, cols, err)
+				}
 				if err := sameRows(got, md); err != nil {
 					t.Fatalf("step %d: Numbering(%v): %v", step, cols, err)
 				}

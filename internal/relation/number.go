@@ -101,14 +101,82 @@ func (s *segment) numberingFor(sig []byte, cols []int) *numbering {
 // the rows whose values on the columns are Equal to its own (so 2 and 2.0
 // share one, and so do two NULLs). Numbers are below Groups; a number may
 // have no row, the number of a group whose rows were all removed.
+//
+// The rows are two runs, read in place from the arrays the relation
+// keeps: the base run and then the delta run, in iteration order (see
+// Runs).
 type Numbering struct {
-	v view
-	// base numbers v's base rows, nil without a base.
-	base *numbering
-	// of numbers v's delta rows in the delta's own numbering, and dmap, when
-	// it is not nil, maps that numbering onto the view's.
-	of, dmap []int32
-	groups   int
+	runs   [2]NumberedRun
+	groups int
+}
+
+// NumberedRun is one run of a Numbering's slots, which it reads in place:
+// slot s of it holds the tuple Tuple(s) unless Dead(s), and Nums and
+// Mults read the slots' group numbers and multiplicities a stretch at a
+// time. It holds what the relation's arrays held when the Numbering was
+// taken (docs/INVARIANTS.md, "A numbering's runs are captured"), so a
+// reader may walk it while the relation takes more rows.
+type NumberedRun struct {
+	rows []row
+	of   []int32
+	// dead retires base slots; the delta run has none.
+	dead *deadSet
+	// dmap, when it is not nil, maps the delta's own numbering onto the
+	// Numbering's.
+	dmap []int32
+}
+
+// Len returns the number of slots in the run, dead ones included.
+func (r *NumberedRun) Len() int { return len(r.rows) }
+
+// Dead reports whether slot s holds no row of the held version.
+func (r *NumberedRun) Dead(s int) bool { return r.dead.has(s) }
+
+// Tuple returns slot s's tuple, which the caller must not modify.
+func (r *NumberedRun) Tuple(s int) Tuple { return r.rows[s].tup }
+
+// Nums writes the group numbers of the slots from lo on into dst, one
+// per element, and -1 for a dead slot.
+func (r *NumberedRun) Nums(lo int, dst []int32) {
+	of := r.of[lo : lo+len(dst)]
+	if r.dmap == nil {
+		copy(dst, of)
+	} else {
+		for k, g := range of {
+			dst[k] = r.dmap[g]
+		}
+	}
+	if r.dead != nil {
+		for k := range dst {
+			if r.dead.has(lo + k) {
+				dst[k] = -1
+			}
+		}
+	}
+}
+
+// Mults writes the multiplicities of the slots from lo on into dst, one
+// per element.
+func (r *NumberedRun) Mults(lo int, dst []int) {
+	rows := r.rows[lo : lo+len(dst)]
+	for k := range rows {
+		dst[k] = rows[k].count()
+	}
+}
+
+// Skip returns the least slot hi after lo such that lo ≤ s < hi holds n
+// live slots, or Len if fewer are left, and how many live slots that is.
+func (r *NumberedRun) Skip(lo, n int) (hi, live int) {
+	if r.dead == nil {
+		hi = lo + min(n, len(r.rows)-lo)
+		return hi, hi - lo
+	}
+	for hi = lo; hi < len(r.rows) && live < n; hi++ {
+		if !r.dead.has(hi) {
+			live++
+		}
+	}
+	return hi, live
 }
 
 // Numbering returns the Numbering of r on cols. It numbers r's rows the
@@ -119,69 +187,53 @@ type Numbering struct {
 func (r *Relation) Numbering(cols []int) *Numbering {
 	var buf sigBuf
 	sig := appendSig(buf[:0], cols)
-	// The delta's numbers and first slots are captured with the view, under
-	// one lock: both are only ever appended to, and hold exactly the
+	// The delta's rows, numbers and first slots are captured under one
+	// lock: all three are only ever appended to, and hold exactly the
 	// view's rows.
 	nb := &Numbering{}
 	var firsts []int32
 	r.mu.RLock()
-	nb.v = r.viewLocked()
+	v := r.viewLocked()
 	dn := r.nums[string(sig)]
 	if dn != nil {
-		nb.of, firsts = dn.of, dn.firsts
+		nb.runs[1].of, firsts = dn.of, dn.firsts
 	}
 	r.mu.RUnlock()
-	if dn == nil && len(nb.v.rows) > 0 {
+	if dn == nil && len(v.rows) > 0 {
 		r.mu.Lock()
 		dn = r.numberingForLocked(sig, cols)
-		nb.v, nb.of, firsts = r.viewLocked(), dn.of, dn.firsts
+		v, nb.runs[1].of, firsts = r.viewLocked(), dn.of, dn.firsts
 		r.mu.Unlock()
 	}
-	if nb.v.base == nil {
+	nb.runs[1].rows = v.rows
+	if v.base == nil {
 		nb.groups = len(firsts)
 		return nb
 	}
-	nb.base = nb.v.base.numberingFor(sig, cols)
-	nb.groups = len(nb.base.firsts)
+	base := v.base.numberingFor(sig, cols)
+	nb.runs[0] = NumberedRun{rows: v.base.rows, of: base.of, dead: v.dead}
+	nb.groups = len(base.firsts)
 	if len(firsts) == 0 {
 		return nb
 	}
-	nb.dmap = make([]int32, len(firsts))
+	dmap := make([]int32, len(firsts))
 	for d, s := range firsts {
-		t := nb.v.rows[s].tup
-		g := nb.base.group(nb.v.base.rows, t, t.HashAt(cols))
+		t := v.rows[s].tup
+		g := base.group(v.base.rows, t, t.HashAt(cols))
 		if g < 0 {
 			g = nb.groups
 			nb.groups++
 		}
-		nb.dmap[d] = int32(g)
+		dmap[d] = int32(g)
 	}
+	nb.runs[1].dmap = dmap
 	return nb
 }
 
 // Groups returns the bound on the held version's group numbers.
 func (nb *Numbering) Groups() int { return nb.groups }
 
-// EachWhile calls f for each distinct tuple of the held version, in
-// iteration order, with its multiplicity and its group's number, stopping
-// when f returns false.
-func (nb *Numbering) EachWhile(f func(t Tuple, m, g int) bool) {
-	v := nb.v
-	if v.base != nil {
-		of := nb.base.of
-		for i := range v.base.rows {
-			if rw := &v.base.rows[i]; !v.dead.has(i) && !f(rw.tup, rw.count(), int(of[i])) {
-				return
-			}
-		}
-	}
-	for i := range v.rows {
-		g := nb.of[i]
-		if nb.dmap != nil {
-			g = nb.dmap[g]
-		}
-		if !f(v.rows[i].tup, v.rows[i].count(), int(g)) {
-			return
-		}
-	}
-}
+// Runs returns the held version's rows as two runs, base then delta,
+// either of which may be empty: their live slots, in order, are the
+// relation's iteration order.
+func (nb *Numbering) Runs() [2]NumberedRun { return nb.runs }

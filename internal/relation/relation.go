@@ -213,7 +213,8 @@ func (r *Relation) insert(t Tuple, n int, owned bool) {
 func (r *Relation) insertHashed(t Tuple, h uint64, n int, owned bool) {
 	r.mu.Lock()
 	r.ownRowsLocked()
-	if i, ok := r.deltaSlotLocked(t, h); ok {
+	i, at, ok := r.deltaFindLocked(t, h)
+	if ok {
 		// Atomic: unlocked readers may be reading this row's count from
 		// an earlier view of the rows slice.
 		atomic.AddInt64(&r.rows[i].mult, int64(n))
@@ -228,7 +229,7 @@ func (r *Relation) insertHashed(t Tuple, h uint64, n int, owned bool) {
 	} else if !owned {
 		stored = t.Clone()
 	}
-	r.appendLocked(stored, mult, h)
+	r.appendLocked(stored, mult, h, at)
 	r.mu.Unlock()
 }
 
@@ -243,14 +244,15 @@ func (r *Relation) Admit(t Tuple) bool {
 	h := t.Hash()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.deltaSlotLocked(t, h); ok {
+	_, at, ok := r.deltaFindLocked(t, h)
+	if ok {
 		return false
 	}
 	if _, ok := r.baseSlotLocked(t, h); ok {
 		return false
 	}
 	r.ownRowsLocked()
-	r.appendLocked(t.Clone(), 1, h)
+	r.appendLocked(t.Clone(), 1, h, at)
 	return true
 }
 
@@ -306,14 +308,15 @@ func (r *Relation) ownRowsLocked() {
 	}
 }
 
-// appendLocked adds the new distinct delta row stored, whose hash is h,
-// and maintains every index built so far incrementally instead of
-// dropping it. (Sorted indexes fall behind and are extended by the next
-// RangeProbe.) The caller holds mu for writing.
-func (r *Relation) appendLocked(stored Tuple, mult int64, h uint64) {
+// appendLocked adds the new distinct delta row stored, whose hash is h
+// and which deltaFindLocked left at at, and maintains every index built
+// so far incrementally instead of dropping it. (Sorted indexes fall
+// behind and are extended by the next RangeProbe.) The caller holds mu
+// for writing.
+func (r *Relation) appendLocked(stored Tuple, mult int64, h uint64, at Pos) {
 	r.rows = append(r.rows, row{tup: stored, mult: mult})
 	if r.index != nil {
-		r.index.Add(h)
+		r.index.AddAt(h, at)
 	}
 	for _, ix := range r.hashIdx {
 		ix.Add(stored.HashAt(ix.cols))
@@ -345,6 +348,27 @@ func (r *Relation) deltaSlotLocked(t Tuple, h uint64) (int, bool) {
 		r.tupleIndexLocked()
 	}
 	return r.segment.slot(t, h)
+}
+
+// deltaFindLocked is deltaSlotLocked for a writer that adds t to the
+// delta if it is not there: on a miss it also returns where the tuple
+// index, if the delta has one, left h, for appendLocked to add at with no
+// second probe. The caller holds mu for writing.
+func (r *Relation) deltaFindLocked(t Tuple, h uint64) (int, Pos, bool) {
+	if r.indexDue() {
+		r.tupleIndexLocked()
+	}
+	if r.index == nil {
+		i, ok := r.segment.slot(t, h)
+		return i, Pos{}, ok
+	}
+	ch, at := r.index.Find(h)
+	for s := ch.First(); s >= 0; s = ch.Next(s) {
+		if r.rows[s].tup.Equal(t) {
+			return s, at, true
+		}
+	}
+	return 0, at, false
 }
 
 // tupleIndexLocked returns the delta's tuple index, building it if it is

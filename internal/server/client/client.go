@@ -373,9 +373,7 @@ func decodeBatch(body []byte) (batch, error) {
 	}
 	b.ncols, b.nrows = int(ncols), int(nrows)
 	b.vals = make([]value.Value, b.ncols*b.nrows)
-	for i := 0; i < len(b.vals) && d.Err() == nil; i++ {
-		b.vals[i] = d.Val()
-	}
+	d.Vals(b.vals)
 	if err := d.Done(); err != nil {
 		return batch{}, err
 	}

@@ -36,6 +36,39 @@ func manyRows(n int) []byte {
 	return rowsPayload(1, true, 2, uint32(n), vals...)
 }
 
+// checkBulkDecode fails unless Dec.Vals, which decodeBatch decodes a
+// batch's values with, and a loop of Dec.Val over the same values accept
+// and reject payload alike, with one error, and yield equal values up to
+// where they stop.
+func checkBulkDecode(t *testing.T, payload []byte) {
+	t.Helper()
+	const header = 13 // u32 cursor, u8 done, u32 ncols, u32 nrows
+	if len(payload) < header {
+		return
+	}
+	h := server.NewDec(payload[5:header])
+	n := min(uint64(h.U32())*uint64(h.U32()), uint64(len(payload)))
+	one, bulk := server.NewDec(payload[header:]), server.NewDec(payload[header:])
+	byOne, byBulk := make([]value.Value, n), make([]value.Value, n)
+	for i := range byOne {
+		if byOne[i] = one.Val(); one.Err() != nil {
+			byOne[i] = value.Value{}
+			break
+		}
+	}
+	bulk.Vals(byBulk)
+	errOne, errBulk := one.Done(), bulk.Done()
+	if fmt.Sprint(errOne) != fmt.Sprint(errBulk) {
+		t.Fatalf("a Val per value: %v; Vals: %v", errOne, errBulk)
+	}
+	for i := range byOne {
+		a, b := byOne[i], byBulk[i]
+		if a.Kind() != b.Kind() || !a.IsNull() && !a.Equal(b) {
+			t.Fatalf("value %d: %v (%v) by Val, %v (%v) by Vals", i, a, a.Kind(), b, b.Kind())
+		}
+	}
+}
+
 // FuzzClientRows feeds arbitrary Rows payloads to the client's batch
 // decoder, the codec a server (or anything posing as one) controls. Each
 // payload decodes into rows or an error: never a panic, and never a
@@ -74,6 +107,7 @@ func FuzzClientRows(f *testing.F) {
 		if limit := uint64(24*len(payload) + 4096); grew > limit {
 			t.Fatalf("decoding a %d-byte payload allocated %d bytes (limit %d)", len(payload), grew, limit)
 		}
+		checkBulkDecode(t, payload)
 		if err != nil {
 			return
 		}
@@ -91,4 +125,21 @@ func FuzzClientRows(f *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkDecodeBatch decodes one Rows payload of 10 000 rows of two
+// ints, what a 10 000-row scan of R(A, B) sends as one batch.
+func BenchmarkDecodeBatch(b *testing.B) {
+	vals := make([]value.Value, 0, 20_000)
+	for i := range 10_000 {
+		vals = append(vals, value.Int(int64(i)), value.Int(int64(3*i)))
+	}
+	payload := rowsPayload(1, true, 2, 10_000, vals...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := decodeBatch(payload); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

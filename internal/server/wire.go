@@ -299,24 +299,70 @@ func (d *Dec) Str() string {
 	return s
 }
 
-// val decodes one value.
+// Val decodes one value: Vals for a single one.
 func (d *Dec) Val() value.Value {
-	switch k := d.U8(); k {
-	case 0:
-		return value.Null()
-	case 1:
-		return value.Int(int64(d.U64()))
-	case 2:
-		return value.Float(math.Float64frombits(d.U64()))
-	case 3:
-		return value.Str(d.Str())
-	case 4:
-		return value.Bool(d.U8() != 0)
-	default:
-		d.fail("unknown value kind 0x%02x", k)
-		return value.Value{}
-	}
+	var v [1]value.Value
+	d.Vals(v[:])
+	return v[0]
 }
+
+// Vals decodes len(dst) values into dst, in one loop over the payload
+// with one bounds check per value, and fails as Val would at the first
+// value that does not decode; the values after it are left as they were.
+func (d *Dec) Vals(dst []value.Value) {
+	if d.err != nil {
+		return
+	}
+	b, pos := d.b, d.pos
+	for i := range dst {
+		if pos >= len(b) {
+			d.pos = pos
+			d.need(1)
+			return
+		}
+		k := b[pos]
+		pos++
+		if int(k) >= len(valSizes) {
+			d.pos = pos
+			d.fail("unknown value kind 0x%02x", k)
+			return
+		}
+		if n := valSizes[k]; len(b)-pos < n {
+			d.pos = pos
+			d.need(n)
+			return
+		}
+		switch k {
+		case 0:
+			dst[i] = value.Null()
+		case 1:
+			dst[i] = value.Int(int64(binary.BigEndian.Uint64(b[pos:])))
+			pos += 8
+		case 2:
+			dst[i] = value.Float(math.Float64frombits(binary.BigEndian.Uint64(b[pos:])))
+			pos += 8
+		case 3:
+			n := binary.BigEndian.Uint32(b[pos:])
+			pos += 4
+			if uint64(n) > uint64(len(b)-pos) {
+				d.pos = pos
+				d.fail("string of %d bytes overruns payload", n)
+				return
+			}
+			dst[i] = value.Str(string(b[pos : pos+int(n)]))
+			pos += int(n)
+		case 4:
+			dst[i] = value.Bool(b[pos] != 0)
+			pos++
+		}
+	}
+	d.pos = pos
+}
+
+// valSizes[k] is how many bytes follow the kind byte of a value of kind k
+// before anything of variable length: none for NULL, an int's or a
+// float's eight, a string's length, a bool's byte.
+var valSizes = [...]int{0, 8, 8, 4, 1}
 
 // NewDec wraps a payload for decoding.
 func NewDec(b []byte) Dec { return Dec{b: b} }
