@@ -172,33 +172,43 @@ func BenchmarkEvalGroupBy(b *testing.B) {
 }
 
 // BenchmarkFOIvsFIO is the ablation of experiments E03 and E04: the same
-// grouped aggregate evaluated through the FIO single-scope plan (3) vs the
-// FOI per-outer-tuple plan (7). FOI re-evaluates the inner collection per
-// outer tuple — quadratic where FIO is linear; the crossover shape is the
-// point, not the constants.
+// grouped aggregate as the FIO single-scope plan (3), the FOI
+// per-outer-tuple plan (7) and the Datalog aggregate, which translates to
+// FOI — each a prepared statement under set semantics, drained through a
+// cursor. FOI and FIO are equal there, and the FOI scope runs as the FIO
+// γ (EXPLAIN's "FOI as FIO"), so the three should cost one price.
 func BenchmarkFOIvsFIO(b *testing.B) {
 	for _, n := range []int{50, 200} {
 		rng := workload.Rand(3)
-		r := workload.RandomBinary(rng, "R", "A", "B", n, n/5, 50)
-		cat := eval.NewCatalog().AddRelation(r)
-		fio := arc.MustParseCollection(
-			"{Q(A, sm) | ∃r ∈ R, γ r.A [Q.A = r.A ∧ Q.sm = sum(r.B)]}")
-		foi := arc.MustParseCollection(
-			"{Q(A, sm) | ∃r ∈ R, x ∈ {X(sm) | ∃r2 ∈ R, γ ∅ [r2.A = r.A ∧ X.sm = sum(r2.B)]} [Q.A = r.A ∧ Q.sm = x.sm]}")
-		b.Run(fmt.Sprintf("FIO/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := eval.Eval(fio, cat, convention.SQLDistinct()); err != nil {
-					b.Fatal(err)
-				}
+		db := engine.Open(workload.RandomBinary(rng, "R", "A", "B", n, n/5, 50)).SetConventions(convention.SQLDistinct())
+		for _, c := range []struct {
+			name string
+			lang engine.Lang
+			src  string
+		}{
+			{"FIO", engine.LangARC, "{Q(A, sm) | ∃r ∈ R, γ r.A [Q.A = r.A ∧ Q.sm = sum(r.B)]}"},
+			{"FOI", engine.LangARC, "{Q(A, sm) | ∃r ∈ R, x ∈ {X(sm) | ∃r2 ∈ R, γ ∅ [r2.A = r.A ∧ X.sm = sum(r2.B)]} [Q.A = r.A ∧ Q.sm = x.sm]}"},
+			{"datalog", engine.LangDatalog, "Q(a,sm) :- R(a,_), sm = sum b : {R(a,b)}."},
+		} {
+			stmt, err := db.Prepare(c.lang, c.src)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-		b.Run(fmt.Sprintf("FOI/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := eval.Eval(foi, cat, convention.SQLDistinct()); err != nil {
-					b.Fatal(err)
+			b.Run(fmt.Sprintf("%s/n=%d", c.name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					rows, err := stmt.Query(context.Background())
+					if err != nil {
+						b.Fatal(err)
+					}
+					rows.Each(func([]value.Value) bool { return true })
+					if err := rows.Close(); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -408,6 +418,57 @@ func BenchmarkConcurrentSessions(b *testing.B) {
 			}
 			i++
 		}
+	})
+}
+
+// BenchmarkParallelProbe drains arcbench's join1000 — J1 ⋈ J2 on 1 000
+// rows each, J2 probed through its index — serially and from GOMAXPROCS
+// goroutines at once (RunParallel) on one prepared statement. The
+// relations a DB opens with are frozen bases, whose indexes a probe reads
+// without the relation's lock; a probe that took it would bounce its
+// cache line between the sessions, and the parallel drain would cost
+// no less per op than the serial one.
+func BenchmarkParallelProbe(b *testing.B) {
+	rng := workload.Rand(1)
+	j1, j2 := relation.New("J1", "X", "V"), relation.New("J2", "Y", "W")
+	for i, p := range rng.Perm(1000) {
+		j1.Add(i, 1000+p)
+		j2.Add(p, 2000+i)
+	}
+	stmt, err := engine.Open(j1, j2).Prepare(engine.LangSQL, "select J1.V, J2.W from J1, J2 where J1.X = J2.Y")
+	if err != nil {
+		b.Fatal(err)
+	}
+	drain := func() error {
+		rows, err := stmt.Query(context.Background())
+		if err != nil {
+			return err
+		}
+		n := 0
+		rows.Each(func([]value.Value) bool { n++; return true })
+		if err := rows.Close(); err != nil || n != 1000 {
+			return fmt.Errorf("rows = %d, err %v", n, err)
+		}
+		return nil
+	}
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := drain(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if err := drain(); err != nil {
+					b.Error(err) // b.Fatal must not run on a RunParallel worker
+					return
+				}
+			}
+		})
 	})
 }
 

@@ -403,11 +403,11 @@ func (db *DB) QueryAll(ctx context.Context, lang Lang, src string, args ...any) 
 // layers share. Contexts that can never be cancelled poll nothing. A poll
 // is a non-blocking receive on the Done channel and asks Err only after
 // it closed: Err takes the context's lock, which a poll per row would pay
-// on every row, where Done, once made, is a lock-free load. (The closure
-// holds the context alone, as a method value of Err did, so a query pays
-// no more bytes for its poll.) A context whose Done is not one channel
-// from call to call (which context.Context rules out, but a test double
-// counting polls does) is asked Err on every poll.
+// on every row. The closure receives on the channel it captured, not on
+// a fresh Done, so a poll is one receive and no call (the capture costs
+// a query 8 bytes). A context whose Done is not one channel from call to
+// call (which context.Context rules out, but a test double counting polls
+// does) is asked Err on every poll.
 func checkFromCtx(ctx context.Context) func() error {
 	if ctx == nil {
 		return nil
@@ -421,7 +421,7 @@ func checkFromCtx(ctx context.Context) func() error {
 	}
 	return func() error {
 		select {
-		case <-ctx.Done():
+		case <-done:
 			return ctx.Err()
 		default:
 			return nil

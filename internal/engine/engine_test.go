@@ -322,21 +322,29 @@ Fixpoint R (semi-naive, ΔR per round):
 		t.Errorf("analyze output is not the explained plan:\n%s", text)
 	}
 
-	// An aggregate is a grouped lookup and a negated atom an anti probe:
-	// neither scope enumerates environments. Under ANALYZE the lookup
+	// An aggregate over the relation it is correlated with is one γ (the
+	// FOI scope runs as FIO under set semantics), an aggregate over
+	// another relation a grouped lookup, and a negated atom an anti
+	// probe: no scope enumerates environments. Under ANALYZE the lookup
 	// reports its groups (the NULL key has none), probes and misses, the
-	// filter its probes and matches.
+	// filter its probes and matches. The γ's NULL-keyed group folds no
+	// row, as the lookup's NULL key reads the empty group: (NULL, 0).
 	db = Open(
 		relation.New("G", "A", "B").Add(1, 10).Add(1, 20).Add(2, 5).Add(nil, 7),
 		relation.New("R", "A", "B").Add(1, 10).Add(2, 20).Add(3, 30),
 		relation.New("S", "B", "C").Add(10, 0).Add(20, 1).Add(30, 0))
 	for _, tc := range []struct{ src, explain, analyze string }{
-		{"Q(a,sm) :- G(a,_), sm = sum b : {G(a,b)}.", `scope ∃t1 ∈ G, x4 ∈ {Xagg3(res) | ∃t2 ∈ G, γ ∅ [t2.A = t1.A ∧ Xagg3.res = sum(t2.B)]}:
+		{"Q(a,sm) :- G(a,_), sm = sum b : {G(a,b)}.", `scope ∃t1 ∈ G, x4 ∈ {Xagg3(res) | ∃t2 ∈ G, γ ∅ [t2.A = t1.A ∧ Xagg3.res = sum(t2.B)]} (FOI as FIO: set semantics):
+  Project [x1 = t1.A, x2 = x4.res]
+    GroupAggregate keys=[t1.A] aggs=[sum(t1.B)] null-keyed=empty
+      Scan G as t1
+`, "GroupAggregate keys=[t1.A] aggs=[sum(t1.B)] null-keyed=empty (rows=3 "},
+		{"Q(a,sm) :- R(a,_), sm = sum b : {G(a,b)}.", `scope ∃t1 ∈ R, x4 ∈ {Xagg3(res) | ∃t2 ∈ G, γ ∅ [t2.A = t1.A ∧ Xagg3.res = sum(t2.B)]}:
   Project [x1 = t1.A, x2 = x4.res]
     GroupLookup Xagg3 [x4] keys(t2.A = t1.A) aggs=[sum(t2.B)] empty={0}
-      Scan G as t1
+      Scan R as t1
       Scan G as t2
-`, "empty={0} (groups=2 probes=4 misses=1)"},
+`, "empty={0} (groups=2 probes=3 misses=1)"},
 		{"Q(a) :- R(a,b), !S(b,0).", `scope ∃t1 ∈ R:
   Project [x1 = t1.A]
     Filter (¬∃t2 ∈ S)
@@ -357,6 +365,11 @@ Fixpoint R (semi-naive, ΔR per round):
 		if text, err := stmt.ExplainAnalyze(context.Background()); err != nil || !strings.Contains(text, tc.analyze) {
 			t.Errorf("%s: analyze output lacks %q (%v):\n%s", tc.src, tc.analyze, err, text)
 		}
+	}
+	rel, err := db.QueryAll(context.Background(), LangDatalog, "Q(a,sm) :- G(a,_), sm = sum b : {G(a,b)}.")
+	sums := relation.New("Q", "x1", "x2").Add(1, 30).Add(2, 5).Add(nil, 0)
+	if err != nil || !rel.EqualBag(sums) {
+		t.Errorf("grouped sum over G (%v):\n%s\nwant:\n%s", err, rel, sums)
 	}
 }
 
@@ -393,10 +406,9 @@ func TestThreeLanguageAgreement(t *testing.T) {
 // statement's EXPLAIN has a scope on environment enumeration, the three
 // spellings of a shape return equal bags, the ARC join and grouped sum
 // and the Datalog join — which run the plans lowered at Prepare, as SQL
-// does — allocate within 10% of SQL's, the Datalog grouped sum — a
-// correlated γ∅ collection per group, 34× the ARC spelling's
-// allocations when it enumerated — stays within 2× of the ARC one, and
-// the SQL closure, whose recursive step streams as the ARC delta rule's
+// does — allocate within 10% of SQL's, the Datalog grouped sum — a FOI
+// aggregate over G, which runs as the ARC spelling's γ — within 10% of
+// the ARC one, and the SQL closure, whose recursive step streams as the ARC delta rule's
 // does, allocates within 10% of the ARC closure. The closures are counted
 // through a drained cursor, as a client reads them: QueryAll copies a SQL
 // result into a relation of its own, tuple by tuple, where ARC's hands
@@ -451,8 +463,8 @@ func TestThreeLanguageParity(t *testing.T) {
 			t.Errorf("%s allocates %.0f times per run, %s %.0f: more than 1.10×", name, a, sqlName, s)
 		}
 	}
-	if d, a := allocs["datalog_group"], allocs["arc_group"]; d > 2*a {
-		t.Errorf("datalog_group allocates %.0f times per run, arc_group %.0f: more than 2×", d, a)
+	if d, a := allocs["datalog_group"], allocs["arc_group"]; d > 1.10*a {
+		t.Errorf("datalog_group allocates %.0f times per run, arc_group %.0f: more than 1.10×", d, a)
 	}
 	if q, a := cursor["sql_tc"], cursor["arc_tc"]; q > 1.10*a {
 		t.Errorf("sql_tc allocates %.0f times per cursor, arc_tc %.0f: more than 1.10×", q, a)

@@ -20,7 +20,11 @@ type env struct {
 	weight int
 }
 
-func newEnv() *env { return &env{weight: 1} }
+// rootEnv binds nothing. No env is written once made (extend copies), so
+// every evaluation starts from this one.
+var rootEnv = &env{weight: 1}
+
+func newEnv() *env { return rootEnv }
 
 // extend returns a copy of e with var v bound to vals at weight e.weight*w.
 func (e *env) extend(v string, vals varVals, w int) *env {

@@ -62,6 +62,7 @@ type evaluator struct {
 	base      map[string]*relation.Relation // the database instance; read-only
 	conv      convention.Conventions
 	links     []*alt.Link
+	linkBuf   [2]*alt.Link                  // links' first array: a collection's link and a view's
 	overrides map[string]*relation.Relation // inputs, and a recursive group's relations while it runs
 	viewCache map[string]*relation.Relation
 	// prep is the collection an execution runs (nil at Prepare and for
@@ -112,6 +113,7 @@ func (ev *evaluator) roundObserver(name string) func(delta int, elapsed time.Dur
 // base relations of the same name). Its maps are made on first write.
 func newEvaluator(cat *Catalog, conv convention.Conventions, base, inputs map[string]*relation.Relation) *evaluator {
 	ev := &evaluator{cat: cat, base: base, conv: conv}
+	ev.links = ev.linkBuf[:0]
 	if base == nil {
 		ev.base = cat.base
 	}

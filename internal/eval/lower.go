@@ -45,6 +45,8 @@ type arcScope struct {
 	// distinct is the plan's DistinctRows: a set needs no Dedup of the
 	// head tuples it streams (distinctHead).
 	distinct bool
+	// note names a rewrite the lowering made (asFIO), for EXPLAIN.
+	note string
 }
 
 // scopeRun is one execution of a lowered scope: its plan set up to
@@ -80,13 +82,16 @@ func (ev *evaluator) runScope(sc *arcScope, e *env, runs map[*arcScope]*scopeRun
 			}
 			params = append(params, v)
 		}
-		rels := make(map[string]*relation.Relation, len(sc.rels))
-		for _, name := range sc.rels {
-			rel, err := ev.relation(name)
-			if err != nil {
-				return err
+		rels := ev.base // read-only, as the plan reads it, when it holds them all
+		if slices.ContainsFunc(sc.rels, func(name string) bool { _, o := ev.overrides[name]; return o || ev.base[name] == nil }) {
+			rels = make(map[string]*relation.Relation, len(sc.rels))
+			for _, name := range sc.rels {
+				rel, err := ev.relation(name)
+				if err != nil {
+					return err
+				}
+				rels[name] = rel
 			}
-			rels[name] = rel
 		}
 		sr = &scopeRun{run: plan.NewRun(rels, params, ev.check, ev.tr)}
 		sr.seq, sr.yield = sr.run.Stream(sc.plan), sr.row
@@ -170,22 +175,14 @@ func (lv *level) col(v, attr string) (int, bool) {
 // lower lowers a scope, or says why it cannot (EXPLAIN shows the reason).
 func (ev *evaluator) lower(si *scopeInfo) (*arcScope, string) {
 	lw := &lowering{ev: ev, link: ev.curLink()}
-	lv, chain, where, reason := lw.body(si, nil)
+	chain, t := lw.asFIO(si)
+	note := foiAsFIO
 	if chain == nil {
-		return nil, reason
-	}
-	t, reason := lw.tail(si, lv)
-	if t == nil {
-		return nil, reason
-	}
-	if len(where) > 0 {
-		chain = plan.Filter(chain, where)
-	}
-	if si.q.Grouping != nil {
-		chain = plan.Group(chain, t.keys, t.aggs, ev.conv)
-		if len(t.having) > 0 {
-			chain = plan.Filter(chain, t.having)
+		var reason string
+		if chain, t, reason = lw.scope(si); chain == nil {
+			return nil, reason
 		}
+		note = ""
 	}
 	// Project the collection's head in order when the scope assigns each
 	// of its attributes once, so its rows are head tuples.
@@ -207,7 +204,30 @@ func (ev *evaluator) lower(si *scopeInfo) (*arcScope, string) {
 		lead:     lw.lead,
 		leadRel:  lw.leadOf,
 		distinct: p.DistinctRows(),
+		note:     note,
 	}, ""
+}
+
+// scope lowers a scope as its shape reads: its body, then its γ, if any.
+func (lw *lowering) scope(si *scopeInfo) (plan.Node, *tailOf, string) {
+	lv, chain, where, reason := lw.body(si, nil)
+	if chain == nil {
+		return nil, nil, reason
+	}
+	t, reason := lw.tail(si, lv)
+	if t == nil {
+		return nil, nil, reason
+	}
+	if len(where) > 0 {
+		chain = plan.Filter(chain, where)
+	}
+	if si.q.Grouping != nil {
+		chain = plan.Group(chain, t.keys, t.aggs, lw.ev.conv)
+		if len(t.having) > 0 {
+			chain = plan.Filter(chain, t.having)
+		}
+	}
+	return chain, t, ""
 }
 
 // headOrder maps each head attribute to the position of the one producer
@@ -808,7 +828,11 @@ func (ev *evaluator) explainScope(q *alt.Quantifier, b *strings.Builder, depth i
 		return si, err
 	}
 	pad := strings.Repeat("  ", depth)
-	fmt.Fprintf(b, "%sscope %s:\n", pad, quantHeader(q))
+	fmt.Fprintf(b, "%sscope %s", pad, quantHeader(q))
+	if sc := si.scope; sc != nil && sc.note != "" {
+		fmt.Fprintf(b, " (%s)", sc.note)
+	}
+	b.WriteString(":\n")
 	if sc := si.scope; sc != nil {
 		b.WriteString(sc.plan.ExplainAt(depth+1, ev.tr))
 	} else {

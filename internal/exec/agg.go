@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/convention"
 	"repro/internal/relation"
@@ -79,8 +80,21 @@ type aggState struct {
 // input is consumed. The output tuples are cut from one array, so each is
 // a tuple of its own that a consumer may keep.
 func GroupAggregate(in Seq, keyCols []int, aggs []Agg, conv convention.Conventions, hint *SizeHint) Seq {
+	return groupAggregate(in, keyCols, aggs, conv, hint, false)
+}
+
+// GroupAggregateNullEmpty is GroupAggregate, except that a group whose
+// key holds a NULL folds no row: it is emitted, keyed by its first row,
+// with every aggregate's value over no rows — what a γ∅ lookup correlated
+// on those keys reads for a NULL value, which matches no group. None of
+// its rows is read past its key, so none can fail an aggregate.
+func GroupAggregateNullEmpty(in Seq, keyCols []int, aggs []Agg, conv convention.Conventions, hint *SizeHint) Seq {
+	return groupAggregate(in, keyCols, aggs, conv, hint, true)
+}
+
+func groupAggregate(in Seq, keyCols []int, aggs []Agg, conv convention.Conventions, hint *SizeHint, nullEmpty bool) Seq {
 	return func(yield func(relation.Tuple, int) bool) {
-		gs := newGrouping(keyCols, aggs, conv)
+		gs := hashed{grouping: newGrouping(keyCols, aggs, conv)}
 		if len(keyCols) == 0 {
 			gs.add(nil)
 		} else {
@@ -91,7 +105,9 @@ func GroupAggregate(in Seq, keyCols []int, aggs []Agg, conv convention.Conventio
 		for t, m := range in {
 			g := 0
 			if len(keyCols) > 0 {
-				g = gs.of(t, t.HashAt(keyCols))
+				if g = gs.of(t, t.HashAt(keyCols)); nullEmpty && gs.nullKeyed(g) {
+					continue
+				}
 			}
 			gs.observe(g, t, m)
 		}
@@ -108,12 +124,15 @@ func GroupAggregate(in Seq, keyCols []int, aggs []Agg, conv convention.Conventio
 // by hashing its key. Its output is GroupAggregate's over the same rows,
 // folded in the same order: groups in the order of their first rows,
 // each keyed by its first row's values. A number no row carries is no
-// group.
+// group. With nullEmpty, its output is GroupAggregateNullEmpty's.
 type Numbered struct {
 	gs grouping
 	// pos[num] is 1 + the number of the group num names, 0 before its
-	// first row.
+	// first row, and −(1 + the number) for a group that folds no row (a
+	// NULL-keyed one under nullEmpty).
 	pos []int32
+	// nullEmpty: a group whose key holds a NULL folds no row.
+	nullEmpty bool
 }
 
 // foldBlock is how many slots Fold reads a run's groups for at a time:
@@ -121,9 +140,11 @@ type Numbered struct {
 // block per stretch, into arrays small enough to live on the stack.
 const foldBlock = 64
 
-// NewNumbered returns an empty Numbered for rows numbered below groups.
-func NewNumbered(groups int, keyCols []int, aggs []Agg, conv convention.Conventions) *Numbered {
-	nb := &Numbered{gs: newGrouping(keyCols, aggs, conv), pos: make([]int32, groups)}
+// NewNumbered returns an empty Numbered for rows numbered below groups;
+// with nullEmpty, a group whose key holds a NULL folds no row, as in
+// GroupAggregateNullEmpty.
+func NewNumbered(groups int, keyCols []int, aggs []Agg, conv convention.Conventions, nullEmpty bool) *Numbered {
+	nb := &Numbered{gs: newGrouping(keyCols, aggs, conv), pos: make([]int32, groups), nullEmpty: nullEmpty}
 	nb.gs.reserve(groups)
 	return nb
 }
@@ -149,12 +170,15 @@ func (nb *Numbered) Fold(r *relation.NumberedRun, lo, hi int) int {
 			if num < 0 {
 				continue
 			}
-			g := nb.pos[num] - 1
-			if g < 0 {
-				g = int32(nb.gs.add(r.Tuple(lo + k)))
-				nb.pos[num] = g + 1
+			p := nb.pos[num]
+			if p == 0 {
+				g := nb.gs.add(r.Tuple(lo + k))
+				if p = int32(g) + 1; nb.nullEmpty && nb.gs.nullKeyed(g) {
+					p = -p
+				}
+				nb.pos[num] = p
 			}
-			gs[k] = g
+			gs[k] = max(p, 0) - 1 // a group that folds no row: as a dead slot
 		}
 		if set {
 			for k := range ms {
@@ -210,9 +234,8 @@ func (nb *Numbered) Emit(yield func(relation.Tuple, int) bool, hint *SizeHint) {
 }
 
 // grouping is γ's table of groups, numbered in first-occurrence order:
-// group g's key is keys[g·len(keyCols):], its states are
-// states[g·len(aggs):], and slot g of chains, which only the hashing path
-// fills, is its key's hash.
+// group g's key is keys[g·len(keyCols):] and its states are
+// states[g·len(aggs):].
 type grouping struct {
 	keyCols []int
 	aggs    []Agg
@@ -220,7 +243,13 @@ type grouping struct {
 	keys    []value.Value
 	states  []aggState
 	n       int
-	chains  relation.Chains
+}
+
+// hashed is the hashing path's grouping: slot g of chains is group g's
+// key hash.
+type hashed struct {
+	grouping
+	chains relation.Chains
 }
 
 func newGrouping(keyCols []int, aggs []Agg, conv convention.Conventions) grouping {
@@ -237,7 +266,7 @@ func (gs *grouping) reserve(n int) {
 
 // of returns the number of the group of the input row t, whose key hash
 // is h, starting one if no group's key is Equal to t's values at keyCols.
-func (gs *grouping) of(t relation.Tuple, h uint64) int {
+func (gs *hashed) of(t relation.Tuple, h uint64) int {
 	nk := len(gs.keyCols)
 	ch, p := gs.chains.Find(h)
 	for g := ch.First(); g >= 0; g = ch.Next(g) {
@@ -264,6 +293,12 @@ func (gs *grouping) add(t relation.Tuple) int {
 	}
 	gs.n++
 	return gs.n - 1
+}
+
+// nullKeyed reports whether group g's key holds a NULL.
+func (gs *grouping) nullKeyed(g int) bool {
+	nk := len(gs.keyCols)
+	return slices.ContainsFunc(gs.keys[g*nk:(g+1)*nk], value.Value.IsNull)
 }
 
 // observe folds the input row t, of multiplicity m, into group g.

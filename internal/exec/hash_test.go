@@ -47,7 +47,7 @@ func TestHashTableCollisions(t *testing.T) {
 }
 
 func TestGroupAggregateCollisions(t *testing.T) {
-	gs := newGrouping([]int{1}, []Agg{{Func: Count}}, convention.Conventions{})
+	gs := hashed{grouping: newGrouping([]int{1}, []Agg{{Func: Count}}, convention.Conventions{})}
 	for _, c := range []struct {
 		key   value.Value
 		group int

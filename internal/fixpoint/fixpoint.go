@@ -133,8 +133,10 @@ type Options struct {
 // and where the running round's derivations go.
 type target struct {
 	total *relation.Relation
-	// mark is where the running set round started in total.
-	mark int
+	// mark is where the running set round started in total, and window
+	// the delta a set round hands on: the rows past it, re-cut each round.
+	mark   int
+	window *relation.Relation
 	// out is the running bag round's output.
 	out *relation.Relation
 }
@@ -184,8 +186,9 @@ func Run(totals map[string]*relation.Relation, rules []Rule, opt Options) error 
 		}
 	}
 	// delta is refilled once a round is over, for the targets that gained
-	// any tuple: no rule reads the old one any more. A bag round's rows
-	// move into the total without a copy: its stored tuples are immutable.
+	// any tuple: no rule reads the old one any more, so a set round's
+	// window is re-cut in place. A bag round's rows move into the total
+	// without a copy: its stored tuples are immutable.
 	delta := make(map[string]*relation.Relation, len(totals))
 	end := func() {
 		clear(delta)
@@ -195,7 +198,12 @@ func Run(totals map[string]*relation.Relation, rules []Rule, opt Options) error 
 				delta[name] = tg.out
 				tg.out.Each(func(t relation.Tuple, m int) { tg.total.InsertOwned(t, m) })
 			case !opt.Bag && tg.total.Mark() > tg.mark:
-				delta[name] = tg.total.Since(tg.mark)
+				if tg.window == nil {
+					tg.window = tg.total.Since(tg.mark)
+				} else {
+					tg.total.Recut(tg.window, tg.mark)
+				}
+				delta[name] = tg.window
 			}
 		}
 	}

@@ -229,10 +229,30 @@ func AggregateOf(a *alt.Agg, arg Expr) Aggregate {
 	return Aggregate{aggSpec{fn: f.fn, arg: arg.fn, col: arg.col, name: a.Func.String(), str: a.String(), numeric: f.numeric}}
 }
 
+// RowCount counts rows, as count(*) does: count over a term that is never
+// NULL, which str renders.
+func RowCount(str string) Aggregate {
+	return Aggregate{aggSpec{fn: exec.Count, name: "count", str: str}}
+}
+
 // Group is γ over in: one row [keys..., aggregates...] per group, one
 // group over no rows without keys.
 func Group(in Node, keys []Expr, aggs []Aggregate, conv convention.Conventions) Node {
-	g := &groupNode{input: in, keys: slices.Clone(keys), conv: conv}
+	return newGroup(in, keys, aggs, conv, false)
+}
+
+// GroupNullEmpty is Group, except that a group whose key holds a NULL
+// folds no row and yields every aggregate over no rows
+// (exec.GroupAggregateNullEmpty): its row is the one a γ∅ Lookup
+// correlated on the keys reads for a NULL value, before its aggregate
+// predicates and head. It is what a FOI aggregate over the relation it
+// is correlated with lowers to under set semantics.
+func GroupNullEmpty(in Node, keys []Expr, aggs []Aggregate, conv convention.Conventions) Node {
+	return newGroup(in, keys, aggs, conv, true)
+}
+
+func newGroup(in Node, keys []Expr, aggs []Aggregate, conv convention.Conventions, nullEmpty bool) *groupNode {
+	g := &groupNode{input: in, keys: slices.Clone(keys), conv: conv, nullEmpty: nullEmpty}
 	for _, a := range aggs {
 		g.aggs = append(g.aggs, a.spec)
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/alt"
 	"repro/internal/convention"
 	"repro/internal/exec"
 	"repro/internal/relation"
@@ -248,8 +249,8 @@ func stretched(name string) *relation.Relation {
 // numbers to the γ that hashes each row, over a relation never cloned and
 // over a base with dead rows under a delta: the same rows, kinds (2 or
 // 2.0, as the group's first row has it), multiplicities and order, under
-// bag and set semantics, for every aggregate function and for one and two
-// key columns; the same Scan row counts when traced; the same error for a
+// bag and set semantics and with NULL-keyed groups empty, for every
+// aggregate function and for one and two key columns; the same Scan row counts when traced; the same error for a
 // sum or avg over a string; and the same stop, early, on cancellation.
 func TestNumberedGroupMatchesHashed(t *testing.T) {
 	db := numberedTestDB()
@@ -271,16 +272,21 @@ func TestNumberedGroupMatchesHashed(t *testing.T) {
 		} {
 			src := strings.ReplaceAll(q, "X.", rel+".")
 			src = strings.ReplaceAll(src, "from X", "from "+rel)
-			for _, set := range []bool{false, true} {
+			// Bags, sets, and sets with NULL-keyed groups empty
+			// (GroupNullEmpty).
+			for mode := 0; mode < 3; mode++ {
+				set := mode > 0
 				num, hash := compile(src), compile(src)
 				scans := hashed(hash)
 				if len(scans) != 1 {
 					t.Fatalf("%s: γ does not read a plain scan:\n%s", src, num.Explain())
 				}
-				if set {
-					for _, p := range []*Plan{num, hash} {
-						groupNodes(p.root)[0].conv.Semantics = convention.Set
+				for _, p := range []*Plan{num, hash} {
+					g := groupNodes(p.root)[0]
+					if set {
+						g.conv.Semantics = convention.Set
 					}
+					g.nullEmpty = mode == 2
 				}
 				for _, a := range groupNodes(num.root)[0].gaggs {
 					funcs[a.Func] = true
@@ -351,6 +357,57 @@ func TestNumberedGroupMatchesHashed(t *testing.T) {
 		}
 		if rows[0] != rows[1] {
 			t.Errorf("%s: failed after %d rows numbered, %d hashed", src, rows[0], rows[1])
+		}
+	}
+}
+
+// TestGroupNullEmpty pins GroupNullEmpty's one difference from Group on
+// both of γ's paths: a group whose key holds a NULL is still a group,
+// keyed by its first row, but folds no row — every aggregate reads as
+// over no rows, under the conventions' empty sum — and so a string in
+// its rows fails no sum.
+func TestGroupNullEmpty(t *testing.T) {
+	null, i, s := value.Null(), value.Int, value.Str
+	g := relation.New("G", "A", "B", "C")
+	for _, r := range []relation.Tuple{
+		{i(1), i(1), i(10)}, {null, i(1), i(7)}, {i(1), i(1), i(20)}, {i(2), null, s("x")}, {i(2), i(1), i(5)}, {null, null, i(3)},
+	} {
+		g.Insert(r)
+	}
+	db := map[string]*relation.Relation{"G": g}
+	col := func(c int, str string) Expr { return Column(c, str) }
+	keys := []Expr{col(0, "g.A"), col(1, "g.B")}
+	aggs := []Aggregate{RowCount("count(1)"), AggregateOf(alt.Sum(alt.Ref("g", "C")), col(2, "g.C")),
+		AggregateOf(alt.Max(alt.Ref("g", "C")), col(2, "g.C"))}
+	for _, conv := range []convention.Conventions{convention.Souffle(), convention.SetLogic()} {
+		empty := "NULL"
+		if conv.EmptyAggregate == convention.ZeroOnEmpty {
+			empty = "0"
+		}
+		want := "1 1 2 30 20 ×1\nNULL 1 0 " + empty + " NULL ×1\n2 NULL 0 " + empty + " NULL ×1\n2 1 1 5 5 ×1\nNULL NULL 0 " + empty + " NULL ×1\n"
+		for _, path := range []string{"numbered", "hashed", "projected"} {
+			root := GroupNullEmpty(ScanLeaf("G", "g", []string{"A", "B", "C"}, nil), keys, aggs, conv)
+			p := NewPlan(root, []string{"A", "B", "n", "s", "m"}, 0)
+			switch path {
+			case "hashed":
+				hashed(p)
+			case "projected":
+				projectAll(p)
+			}
+			var b strings.Builder
+			seq, errFn := p.StreamOn(db, nil, nil, nil)
+			for tup, m := range seq {
+				for _, v := range tup {
+					fmt.Fprintf(&b, "%v ", v)
+				}
+				fmt.Fprintf(&b, "×%d\n", m)
+			}
+			if err := errFn(); err != nil || b.String() != want {
+				t.Errorf("under %s (%s, %v):\n%s\nwant\n%s", conv, path, err, b.String(), want)
+			}
+			if ex := p.Explain(); !strings.Contains(ex, "GroupAggregate keys=[g.A, g.B] aggs=[count(1), sum(g.C), max(g.C)] null-keyed=empty") {
+				t.Errorf("EXPLAIN does not name the NULL-keyed groups empty:\n%s", ex)
+			}
 		}
 	}
 }

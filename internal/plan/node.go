@@ -1157,6 +1157,9 @@ type groupNode struct {
 	inPlace bool
 	keyCols []int
 	gaggs   []exec.Agg
+	// nullEmpty: a group whose key holds a NULL folds no row
+	// (GroupNullEmpty).
+	nullEmpty bool
 }
 
 // layout chooses how γ reads its input, once its keys and aggregates
@@ -1199,6 +1202,9 @@ func (n *groupNode) Run(ctx *runCtx) exec.Seq {
 	} else {
 		in = n.projected(ctx)
 	}
+	if n.nullEmpty {
+		return ctx.traced(n, exec.GroupAggregateNullEmpty(in, n.keyCols, n.gaggs, n.conv, &n.hint))
+	}
 	return ctx.traced(n, exec.GroupAggregate(in, n.keyCols, n.gaggs, n.conv, &n.hint))
 }
 
@@ -1211,11 +1217,18 @@ func (n *groupNode) checked(ctx *runCtx) exec.Seq {
 	}
 	return func(yield func(relation.Tuple, int) bool) {
 		for t, m := range in {
-			if !n.numericOK(t, ctx) || !yield(t, m) {
+			if !n.nullKeyed(t, n.keyCols) && !n.numericOK(t, ctx) || !yield(t, m) {
 				return
 			}
 		}
 	}
+}
+
+// nullKeyed reports whether γ folds nothing of the row t, whose key is at
+// cols: under nullEmpty, a row whose key holds a NULL, none of whose
+// aggregate inputs is read.
+func (n *groupNode) nullKeyed(t relation.Tuple, cols []int) bool {
+	return n.nullEmpty && slices.ContainsFunc(cols, func(c int) bool { return t[c].IsNull() })
 }
 
 // numericOK reports whether every sum and avg input of the row t is NULL
@@ -1245,7 +1258,7 @@ func (n *groupNode) numericOK(t relation.Tuple, ctx *runCtx) bool {
 func (n *groupNode) numbered(ctx *runCtx, rel *relation.Relation, op *trace.Op) exec.Seq {
 	return func(yield func(relation.Tuple, int) bool) {
 		nb := rel.Numbering(n.keyCols)
-		gs := exec.NewNumbered(nb.Groups(), n.keyCols, n.gaggs, n.conv)
+		gs := exec.NewNumbered(nb.Groups(), n.keyCols, n.gaggs, n.conv, n.nullEmpty)
 		var start time.Time
 		var folding time.Duration
 		if op != nil {
@@ -1312,8 +1325,9 @@ func (n *groupNode) projected(ctx *runCtx) exec.Seq {
 			for _, k := range n.keys {
 				out = append(out, k.fn(t, ctx))
 			}
+			skip := n.nullKeyed(out, n.keyCols)
 			for _, a := range n.aggs {
-				if a.arg == nil {
+				if a.arg == nil || skip {
 					out = append(out, value.Null())
 					continue
 				}
@@ -1345,6 +1359,9 @@ func (n *groupNode) writeExplain(b *strings.Builder, depth int, tr *trace.Trace)
 	}
 	fmt.Fprintf(b, "GroupAggregate keys=[%s] aggs=[%s]",
 		strings.Join(keyStrs, ", "), strings.Join(aggStrs, ", "))
+	if n.nullEmpty {
+		b.WriteString(" null-keyed=empty")
+	}
 	writeStats(b, tr, n)
 	b.WriteString("\n")
 	n.input.writeExplain(b, depth+1, tr)

@@ -35,7 +35,10 @@ func TestIdentityProjectPassesRowsThrough(t *testing.T) {
 		{"select R.A, R.B from R where R.A = 1", true},
 		{"select R.A, R.B from R where R.A >= 1 and R.A < 3", true},
 		{"select R.A, R.B from R where R.A + 1 > R.B", true},
-		{"select R.A, count(*) n from R group by R.A", false}, // a grouped select list records no source columns
+		{"select R.A, count(*) n from R group by R.A", true}, // γ's columns, in order
+		{"select R.A, count(*) n from R group by R.A having count(*) > 1", true},
+		{"select count(*) n, R.A from R group by R.A", false},
+		{"select R.A, count(*) + 0 n from R group by R.A", false},
 		{"select R.B, R.A from R", false},
 		{"select R.A from R", false},
 		{"select R.A, R.A from R", false},

@@ -805,14 +805,39 @@ func (c *compilerCtx) compileGrouped(s *sql.Select, input Node, fromScope *scope
 		root = &filterNode{input: root, pred: pred, str: s.Having.String()}
 	}
 	exprs := make([]exprFn, len(s.Items))
+	srcCols := make([]int, len(s.Items))
 	for i, it := range s.Items {
 		fn, err := pg.compileScalar(it.Expr)
 		if err != nil {
 			return nil, err
 		}
 		exprs[i] = fn
+		if srcCols != nil {
+			if srcCols[i] = pg.column(it.Expr); srcCols[i] < 0 {
+				srcCols = nil
+			}
+		}
 	}
-	return newProjectNode(root, exprs, attrs), nil
+	pn := newProjectNode(root, exprs, attrs)
+	// A list of γ's columns records them, so one that names each in
+	// order passes γ's rows through.
+	pn.srcCols = srcCols
+	return pn, nil
+}
+
+// column returns the column of the post-group tuple the expression x
+// reads as it is — a grouping key or an aggregate — or -1.
+func (pg *postGroup) column(x sql.Expr) int {
+	str := x.String()
+	if i := slices.IndexFunc(pg.node.keys, func(k Expr) bool { return k.str == str }); i >= 0 {
+		return i
+	}
+	if i, ok := pg.aggIdx[str]; ok {
+		if _, agg := x.(*sql.FuncE); agg {
+			return len(pg.node.keys) + i
+		}
+	}
+	return -1
 }
 
 // postGroup compiles expressions over a groupNode's output schema:

@@ -437,3 +437,116 @@ func (g *gen) subquery(corr string) string {
 	}
 	return fmt.Sprintf("select 1 from %s %s where %s", tables[ti].name, alias, cond)
 }
+
+// FOIQuery is one generated FOI aggregate (GenerateFOI) and whether its
+// shape is the one the ARC lowering runs as the FIO γ under set
+// semantics (eval's asFIO): an aggregate over the relation it is
+// correlated with, whose head and conditions read only its keys and
+// aggregates.
+type FOIQuery struct {
+	Src   string
+	AsFIO bool
+}
+
+// GenerateFOI produces one random ARC collection in the FOI pattern of
+// Fig 5c / query (7) over FOIInstance's U(A,B,C) and V(A,B,C):
+//
+//	{Q(…) | ∃t ∈ U, x ∈ {X(…) | ∃s ∈ U|V, γ ∅ [s.k = t.k … ∧ X.v = f(…) …]} [Q.… = t.k|x.v … ∧ φ]}
+//
+// correlated on A, B or both, with one or two of count(*) (count over a
+// constant), count, countdistinct, sum, avg, min and max over a column
+// of s. Now and then the inner scope ranges over V, the head copies only
+// some keys or a column outside them, or a condition reads x (NOT NULL,
+// a comparison, an equality with a key) or t alone — the shapes around
+// the rewritten one that must keep their plans.
+func GenerateFOI(rng *rand.Rand) FOIQuery {
+	pick := func(xs ...string) string { return xs[rng.Intn(len(xs))] }
+	keys := [][]string{{"A"}, {"B"}, {"A", "B"}}[rng.Intn(3)]
+	asFIO := true
+	inner := "U"
+	if rng.Intn(6) == 0 {
+		inner, asFIO = "V", false
+	}
+	var conj, heads, assigns []string
+	for _, k := range keys {
+		if rng.Intn(2) == 0 {
+			conj = append(conj, fmt.Sprintf("s.%[1]s = t.%[1]s", k))
+		} else {
+			conj = append(conj, fmt.Sprintf("t.%[1]s = s.%[1]s", k))
+		}
+	}
+	var aggs []string
+	for i := 0; i < 1+rng.Intn(2); i++ {
+		v := fmt.Sprintf("v%d", i)
+		aggs = append(aggs, v)
+		f := pick("count", "countdistinct", "sum", "avg", "min", "max")
+		arg := "s." + pick("C", "C", "A", "B")
+		if f == "count" && rng.Intn(2) == 0 {
+			arg = "1"
+		}
+		conj = append(conj, fmt.Sprintf("X.%s = %s(%s)", v, f, arg))
+	}
+	// The head: every key (or, now and then, one less or a column
+	// outside them) and every aggregate.
+	for i, k := range keys {
+		if i == 0 && len(keys) > 1 && rng.Intn(5) == 0 {
+			continue
+		}
+		heads, assigns = append(heads, k), append(assigns, fmt.Sprintf("Q.%[1]s = t.%[1]s", k))
+	}
+	if rng.Intn(8) == 0 {
+		heads, assigns, asFIO = append(heads, "C"), append(assigns, "Q.C = t.C"), false
+	}
+	for _, v := range aggs {
+		heads, assigns = append(heads, v), append(assigns, fmt.Sprintf("Q.%[1]s = x.%[1]s", v))
+	}
+	switch rng.Intn(8) {
+	case 0:
+		assigns = append(assigns, "x.v0 is not null")
+	case 1:
+		assigns = append(assigns, fmt.Sprintf("x.v0 %s %d", pick("<", ">=", "<>"), rng.Intn(6)))
+	case 2:
+		assigns = append(assigns, fmt.Sprintf("t.%s = x.v0", keys[0]))
+	case 3:
+		assigns, asFIO = append(assigns, fmt.Sprintf("t.%s %s %d", keys[0], pick("=", ">"), rng.Intn(3))), false
+	}
+	return FOIQuery{
+		Src: fmt.Sprintf("{Q(%s) | ∃t ∈ U, x ∈ {X(%s) | ∃s ∈ %s, γ ∅ [%s]} [%s]}",
+			strings.Join(heads, ", "), strings.Join(aggs, ", "), inner, strings.Join(conj, " ∧ "), strings.Join(assigns, " ∧ ")),
+		AsFIO: asFIO,
+	}
+}
+
+// FOIInstance generates U(A,B,C) and V(A,B,C) over small domains: NULL
+// and float-typed keys (1.0 beside 1), NULLs in C, duplicate rows. With
+// bad 1 it adds a row whose C is a string and whose A and B are NULL, so
+// no lookup ever aggregates it; with bad 2 one whose A and B are not, so
+// a sum or avg over C fails.
+func FOIInstance(rng *rand.Rand, bad int) []*relation.Relation {
+	val := func(dom int, nulls bool) any {
+		switch n := rng.Intn(dom + 2); {
+		case n == dom && nulls:
+			return nil
+		case n == dom+1:
+			return float64(rng.Intn(dom))
+		default:
+			return rng.Intn(dom)
+		}
+	}
+	var rels []*relation.Relation
+	for _, name := range []string{"U", "V"} {
+		r := relation.New(name, "A", "B", "C")
+		for n := 3 + rng.Intn(10); n > 0; n-- {
+			t := relation.Tuple{relation.Lift(val(4, true)), relation.Lift(val(3, true)), relation.Lift(val(6, true))}
+			r.InsertMult(t, 1+rng.Intn(2))
+		}
+		rels = append(rels, r)
+	}
+	switch bad {
+	case 1:
+		rels[0].Insert(relation.Tuple{relation.Lift(nil), relation.Lift(nil), relation.Lift("x")})
+	case 2:
+		rels[0].Insert(relation.Tuple{relation.Lift(rng.Intn(4)), relation.Lift(rng.Intn(3)), relation.Lift("x")})
+	}
+	return rels
+}

@@ -243,16 +243,17 @@ func (r *Relation) Admit(t Tuple) bool {
 	}
 	h := t.Hash()
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	_, at, ok := r.deltaFindLocked(t, h)
-	if ok {
-		return false
+	if !ok {
+		_, ok = r.baseSlotLocked(t, h)
 	}
-	if _, ok := r.baseSlotLocked(t, h); ok {
+	if ok {
+		r.mu.Unlock()
 		return false
 	}
 	r.ownRowsLocked()
 	r.appendLocked(t.Clone(), 1, h, at)
+	r.mu.Unlock()
 	return true
 }
 
@@ -298,6 +299,27 @@ func (r *Relation) Since(mark int) *Relation {
 	return &Relation{name: r.name, attrs: r.attrs, pos: r.pos, window: true, segment: segment{rows: r.rows[mark:n:n]}}
 }
 
+// Recut makes w, a window Since cut from r, the window Since(mark) would
+// return now, and drops every index w built: a fixpoint re-cuts one
+// window per relation each round rather than allocating a new one. A
+// view captured from w before keeps what it captured; nothing else taken
+// from w before — a Prober, an index — may be read after. Since's terms
+// hold.
+func (r *Relation) Recut(w *Relation, mark int) {
+	r.mu.RLock()
+	if r.base != nil {
+		r.mu.RUnlock()
+		panic(fmt.Sprintf("relation %s: Recut on a cloned relation", r.name))
+	}
+	n := len(r.rows)
+	rows := r.rows[mark:n:n]
+	r.mu.RUnlock()
+	w.mu.Lock()
+	w.base, w.dead, w.window = nil, nil, true
+	w.rows, w.index, w.hashIdx, w.ordIdx, w.nums = rows, nil, nil, nil, nil
+	w.mu.Unlock()
+}
+
 // ownRowsLocked gives a window its own copy of its rows before anything
 // writes into them or freezes them, so a window's writes never reach the
 // relation it was cut from. Row slots do not move, so every index stays
@@ -318,11 +340,16 @@ func (r *Relation) appendLocked(stored Tuple, mult int64, h uint64, at Pos) {
 	if r.index != nil {
 		r.index.AddAt(h, at)
 	}
-	for _, ix := range r.hashIdx {
-		ix.Add(stored.HashAt(ix.cols))
+	// A range over an empty map still starts an iterator.
+	if len(r.hashIdx) > 0 {
+		for _, ix := range r.hashIdx {
+			ix.Add(stored.HashAt(ix.cols))
+		}
 	}
-	for _, nb := range r.nums {
-		nb.add(r.rows, stored)
+	if len(r.nums) > 0 {
+		for _, nb := range r.nums {
+			nb.add(r.rows, stored)
+		}
 	}
 }
 

@@ -198,7 +198,9 @@ func NewStore(rels ...*Relation) *Store { return NewStoreAt(1, rels...) }
 // NewStoreAt builds a store whose initial snapshot carries the given
 // generation — the recovery path, where a store reopened from a
 // checkpoint plus WAL replay must keep numbering commits where the
-// previous incarnation stopped.
+// previous incarnation stopped. Each relation is re-based onto a frozen
+// base first (freeze), so the sessions that share it probe its indexes
+// without its lock.
 func NewStoreAt(gen uint64, rels ...*Relation) *Store {
 	snap := &Snapshot{
 		gen:    gen,
@@ -206,6 +208,7 @@ func NewStoreAt(gen uint64, rels ...*Relation) *Store {
 		relVer: make(map[string]uint64, len(rels)),
 	}
 	for _, r := range rels {
+		r.freeze()
 		snap.rels[r.Name()] = r
 		snap.relVer[r.Name()] = gen
 	}

@@ -173,6 +173,20 @@ func (r *Relation) Clone() *Relation {
 	return out
 }
 
+// freeze re-bases a relation that was never cloned onto its own rows, the
+// O(1) hand-off Clone makes: content and iteration order stay, and its
+// indexes, now a base's, are immutable, so a Prober probes them without
+// taking r's lock (a delta's index grows under it). It does nothing to a
+// relation that holds no row or was cloned.
+func (r *Relation) freeze() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.base == nil && len(r.rows) > 0 {
+		r.ownRowsLocked()
+		r.rebaseLocked(r.handOffLocked())
+	}
+}
+
 // rebaseLocked makes r an empty delta over base, which must hold exactly
 // r's content in r's iteration order. The caller holds mu for writing.
 func (r *Relation) rebaseLocked(base *segment) {

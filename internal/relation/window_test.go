@@ -181,3 +181,35 @@ func TestWindowWritesNeverReachTotal(t *testing.T) {
 		t.Fatalf("after a bump in the total: the clone's count %d, the total's %d; want 1 and 2", c.Mult(tup(4, 4)), total.Mult(tup(4, 4)))
 	}
 }
+
+// TestRecutWindow: a window re-cut onto the rows its total gained since a
+// later mark is the window Since would cut there — its rows, and lookups
+// and probes over them alone, whatever it indexed or was written into
+// before — and leaves the total as it was.
+func TestRecutWindow(t *testing.T) {
+	total, w := windowRows(50)
+	if !w.Contains(tup(3, 3)) || len(probeAll(w, []int{1}, []value.Value{value.Int(3)})) != 7 {
+		t.Fatal("the first window does not answer over its rows")
+	}
+	w.InsertMult(tup(3, 3), 1) // a write: the window copies its rows
+	for round, lo := range []int{50, 80} {
+		mark := total.Mark()
+		for i := lo; i < lo+30; i++ {
+			total.Admit(tup(i, i%7))
+		}
+		total.Recut(w, mark)
+		want := total.Since(mark)
+		if w.Distinct() != 30 || !w.EqualBag(want) {
+			t.Fatalf("round %d: re-cut window %v, want %v", round, w.Tuples(), want.Tuples())
+		}
+		if w.Contains(tup(3, 3)) || !w.Contains(tup(lo, lo%7)) || w.Mult(tup(lo+29, (lo+29)%7)) != 1 {
+			t.Fatalf("round %d: lookups read rows outside the window", round)
+		}
+		if got := probeAll(w, []int{1}, []value.Value{value.Int(3)}); len(got) != len(probeAll(want, []int{1}, []value.Value{value.Int(3)})) {
+			t.Fatalf("round %d: probe found %v", round, got)
+		}
+	}
+	if total.Distinct() != 110 || total.Mult(tup(3, 3)) != 1 {
+		t.Fatalf("the total changed: %d distinct, Mult(3, 3) = %d", total.Distinct(), total.Mult(tup(3, 3)))
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -329,9 +330,12 @@ func TestAnalyzeOverWire(t *testing.T) {
 		}
 	}
 	// An aggregate and a negated atom analyze as operators of the scope
-	// around them, with their own counters.
+	// around them, with their own counters: an aggregate over the
+	// relation it is correlated with as one γ whose NULL-keyed group
+	// folds no row.
 	for _, ddl := range []string{
 		"create table G (A, B)", "insert into G values (1, 10)", "insert into G values (1, 20)", "insert into G values (2, 5)",
+		"insert into G values (null, 7)",
 		"create table S (B, C)", "insert into S values (10, 0)", "insert into S values (20, 1)",
 	} {
 		if _, err := c.Exec(client.LangSQL, ddl); err != nil {
@@ -339,7 +343,7 @@ func TestAnalyzeOverWire(t *testing.T) {
 		}
 	}
 	for src, wants := range map[string][]string{
-		"Q(a,sm) :- G(a,_), sm = sum b : {G(a,b)}.": {"GroupLookup Xagg3 [x4] keys(t2.A = t1.A) aggs=[sum(t2.B)] empty={0} (groups=2 probes=3 misses=0)", "Total: rows=2"},
+		"Q(a,sm) :- G(a,_), sm = sum b : {G(a,b)}.": {"(FOI as FIO: set semantics):", "GroupAggregate keys=[t1.A] aggs=[sum(t1.B)] null-keyed=empty (rows=3 ", "Scan G as t1 (rows=4 ", "Total: rows=3"},
 		"Q(a) :- R(a,b), !S(b,0).":                  {"AntiProbe ∃t2 ∈ S (probes=5 matches=1)", "Total: rows=4"},
 	} {
 		dl, err := c.Prepare(client.LangDatalog, src)
@@ -354,6 +358,13 @@ func TestAnalyzeOverWire(t *testing.T) {
 				t.Fatalf("%s: analyze output lacks %q or enumerates:\n%s", src, want, text)
 			}
 		}
+	}
+	sums, _, err := c.Query(client.LangDatalog, "Q(a,sm) :- G(a,_), sm = sum b : {G(a,b)}.")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(sums, func(r []value.Value) bool { return r[0].IsNull() && r[1].Equal(value.Int(0)) }) || len(sums) != 3 {
+		t.Fatalf("grouped sum over G = %v, want (NULL, 0) among 3 rows", sums)
 	}
 	// SQL outside the planner fragment renders the reference evaluator's
 	// one step instead of failing.
