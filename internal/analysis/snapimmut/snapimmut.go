@@ -17,9 +17,9 @@
 // The analyzer performs an intra-function taint walk: values produced
 // by the snapshot accessors above (directly, through local variables,
 // map indexing, or range) are snapshot-derived, and a call to a
-// mutating Relation method (Insert, InsertMult, InsertOwned,
-// RemoveKeys, Add, UnionAll) on a derived value is reported. Deriving a
-// fresh relation (Clone, Dedup, Project, Rename) clears the taint.
+// mutating Relation method (Insert, InsertMult, RemoveKeys, Add,
+// UnionAll) on a derived value is reported. Deriving a fresh relation
+// (Clone, Dedup, Project, Rename) clears the taint.
 //
 // internal/relation itself is exempt: it implements the store and owns
 // the cloning discipline. Elsewhere, a deliberate mutation (e.g. a
@@ -44,12 +44,11 @@ var Analyzer = &arcvetutil.Analyzer{
 // mutating methods of *relation.Relation: calling any of these on a
 // published relation is the race.
 var mutators = map[string]bool{
-	"Insert":      true,
-	"InsertMult":  true,
-	"InsertOwned": true,
-	"RemoveKeys":  true,
-	"Add":         true,
-	"UnionAll":    true,
+	"Insert":     true,
+	"InsertMult": true,
+	"RemoveKeys": true,
+	"Add":        true,
+	"UnionAll":   true,
 }
 
 // sources are the accessors whose results are snapshot-derived.

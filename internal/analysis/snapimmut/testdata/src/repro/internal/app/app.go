@@ -23,7 +23,7 @@ func writeSetViews(ws *relation.WriteSet) {
 	base := ws.Base()
 	base.Relation("edge").UnionAll(nil) // want "UnionAll mutates a relation reached from a committed snapshot"
 	r := ws.Relation("edge")
-	r.InsertOwned(nil) // want "InsertOwned mutates a relation reached from a committed snapshot"
+	r.InsertMult(nil) // want "InsertMult mutates a relation reached from a committed snapshot"
 }
 
 func good(st *relation.Store) {

@@ -12,7 +12,6 @@ type Relation struct{ rows []Tuple }
 
 func (r *Relation) Insert(t Tuple)               {}
 func (r *Relation) InsertMult(ts []Tuple)        {}
-func (r *Relation) InsertOwned(t Tuple)          {}
 func (r *Relation) RemoveKeys(ks []Tuple)        {}
 func (r *Relation) Add(t Tuple)                  {}
 func (r *Relation) UnionAll(o *Relation)         {}

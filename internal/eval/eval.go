@@ -178,9 +178,12 @@ func (ev *evaluator) cacheView(name string, rel *relation.Relation) {
 }
 
 // evalOnce evaluates a collection body once, producing its relation: it
-// collects headStream.
+// collects headStream into a relation presized by col's head hint, which
+// it records the distinct tuples of.
 func (ev *evaluator) evalOnce(col *alt.Collection, e *env) (*relation.Relation, error) {
 	out := relation.New(col.Head.Rel, col.Head.Attrs...)
+	hint := ev.prep.headHint(col)
+	out.Reserve(hint.Size())
 	var err error
 	for t, weight := range ev.headStream(col, e, &err) {
 		out.InsertMult(t, weight)
@@ -188,6 +191,7 @@ func (ev *evaluator) evalOnce(col *alt.Collection, e *env) (*relation.Relation, 
 	if err != nil {
 		return nil, err
 	}
+	hint.Record(out.Distinct())
 	return out, nil
 }
 

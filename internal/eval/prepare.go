@@ -33,8 +33,9 @@ type Prepared struct {
 	sections []recDef
 	// reads names, sorted, the relations whose schema the lowering read.
 	reads []string
-	// heads holds the size hint of the Dedup of each section's head
-	// tuples (headStream); each prepared group holds its totals' hints.
+	// heads holds the size hint of each section's head: the distinct
+	// tuples its Dedup (headStream) and the relation evalOnce collects
+	// them into reached; each prepared group holds its totals' hints.
 	heads map[*alt.Collection]*exec.SizeHint
 }
 
@@ -129,8 +130,8 @@ func (p *Prepared) group(col *alt.Collection) (g *recGroup, ok bool) {
 	return g, ok
 }
 
-// headHint is the size hint of col's head Dedup: nil when p is nil or
-// Prepare did not reach col.
+// headHint is the size hint of col's head: nil when p is nil or Prepare
+// did not reach col.
 func (p *Prepared) headHint(col *alt.Collection) *exec.SizeHint {
 	if p == nil {
 		return nil

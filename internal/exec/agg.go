@@ -64,7 +64,7 @@ type Agg struct {
 type aggState struct {
 	acc      value.Value
 	count    int
-	distinct *set[value.Value] // CountDistinct's values
+	distinct *set // CountDistinct's values, one a set item
 }
 
 // GroupAggregate is γ: it partitions in by the values at keyCols and
@@ -287,7 +287,7 @@ func (gs *grouping) add(t relation.Tuple) int {
 	for _, a := range gs.aggs {
 		st := aggState{}
 		if a.Func == CountDistinct {
-			st.distinct = &set[value.Value]{}
+			st.distinct = &set{w: 1}
 		}
 		gs.states = append(gs.states, st)
 	}
@@ -346,7 +346,7 @@ func (st *aggState) observe(a Agg, t relation.Tuple, w int) {
 	st.count += w
 	switch a.Func {
 	case CountDistinct:
-		st.distinct.add(v, v.Hash(), value.Value.Equal)
+		st.distinct.add(t[a.Col:a.Col+1], v.Hash())
 	case Sum, Avg:
 		contrib := v
 		if w > 1 {

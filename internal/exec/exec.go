@@ -81,20 +81,21 @@ func (f *filter) run(yield func(relation.Tuple, int) bool) {
 func (f *filter) row(t relation.Tuple, m int) bool { return !f.keep(t, m) || f.yield(t, m) }
 
 // Dedup streams the distinct tuples of in with multiplicity 1, in first-
-// occurrence order (the set-semantics reading of the stream). It keeps a
-// copy of every tuple it yields to recognise that tuple's duplicates. Its
-// set is presized for hint's size, and a stream drained to its end records
-// the number of distinct tuples in hint.
+// occurrence order (the set-semantics reading of the stream). It copies
+// the values of every tuple it yields into its set, to recognise that
+// tuple's duplicates. Its set is presized for hint's size, and a stream
+// drained to its end records the number of distinct tuples in hint.
 func Dedup(in Seq, hint *SizeHint) Seq {
 	return func(yield func(relation.Tuple, int) bool) {
-		var seen set[relation.Tuple]
-		seen.reserve(hint.Size())
+		var seen set
 		for t := range in {
-			if !seen.add(t, t.Hash(), relation.Tuple.Equal) {
+			if seen.n == 0 {
+				seen.w = len(t)
+				seen.reserve(hint.Size())
+			}
+			if !seen.add(t, t.Hash()) {
 				continue
 			}
-			// The set holds t, which in may overwrite once yield returns.
-			*seen.at(seen.n - 1) = t.Clone()
 			if !yield(t, 1) {
 				return
 			}
@@ -103,54 +104,58 @@ func Dedup(in Seq, hint *SizeHint) Seq {
 	}
 }
 
-// set holds distinct items, found by hash through a relation.Chains and
-// confirmed by equal. Item j is slot j of the Chains; the first len(head)
-// items are head, the exact block reserve allocates, and after it block k
-// of blocks holds minBlock<<k items. No block is ever copied, and the set
-// keeps the items it is given, not copies; an item the caller may
-// overwrite is replaced by a copy (see Dedup).
-type set[T any] struct {
-	head   []T
-	blocks [][]T // block k holds minBlock<<k items
-	n      int   // items held
+// set holds distinct tuples of w values each, found by hash through a
+// relation.Chains and confirmed by Equal. Item j is slot j of the Chains.
+// The set copies the values of each tuple it takes into its blocks, w
+// values an item: the first heads items are head, the exact block
+// reserve allocates, and after it block k of blocks holds minBlock<<k
+// items. No block is ever copied.
+type set struct {
+	w      int
+	head   []value.Value
+	heads  int             // items head holds
+	blocks [][]value.Value // block k holds minBlock<<k items
+	n      int             // items held
 	chains relation.Chains
 }
 
 const minBlock = 8
 
-// at returns item j: head holds the first len(head), then blocks 0..k-1
-// the next minBlock·(2^k - 1).
-func (s *set[T]) at(j int) *T {
-	if j < len(s.head) {
-		return &s.head[j]
+// at returns item j: head holds the first heads, then blocks 0..k-1 the
+// next minBlock·(2^k - 1). Its capacity ends with it.
+func (s *set) at(j int) relation.Tuple {
+	w := s.w
+	if j < s.heads {
+		return s.head[j*w : j*w+w : j*w+w]
 	}
-	j -= len(s.head)
+	j -= s.heads
 	k := bits.Len(uint(j/minBlock+1)) - 1
-	return &s.blocks[k][j-minBlock*(1<<k-1)]
+	i := (j - minBlock*(1<<k-1)) * w
+	return s.blocks[k][i : i+w : i+w]
 }
 
 // reserve makes an empty set hold n items without growing.
-func (s *set[T]) reserve(n int) {
+func (s *set) reserve(n int) {
 	if n <= minBlock || s.n > 0 {
 		return
 	}
-	s.head = make([]T, n)
+	s.head, s.heads = make([]value.Value, n*s.w), n
 	s.chains.Reserve(n)
 }
 
-// add puts x, whose hash is h, into the set unless it holds an item equal
-// to x, and reports whether it did.
-func (s *set[T]) add(x T, h uint64, equal func(T, T) bool) bool {
+// add puts a copy of t's values, whose hash is h, into the set unless it
+// holds an item Equal to t, and reports whether it did.
+func (s *set) add(t relation.Tuple, h uint64) bool {
 	ch, p := s.chains.Find(h)
 	for j := ch.First(); j >= 0; j = ch.Next(j) {
-		if equal(*s.at(j), x) {
+		if s.at(j).Equal(t) {
 			return false
 		}
 	}
-	if s.n == len(s.head)+minBlock*(1<<len(s.blocks)-1) {
-		s.blocks = append(s.blocks, make([]T, minBlock<<len(s.blocks)))
+	if s.n == s.heads+minBlock*(1<<len(s.blocks)-1) {
+		s.blocks = append(s.blocks, make([]value.Value, s.w*minBlock<<len(s.blocks)))
 	}
-	*s.at(s.n) = x
+	copy(s.at(s.n), t)
 	s.n++
 	s.chains.AddAt(h, p)
 	return true

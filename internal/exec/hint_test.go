@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/convention"
+	"repro/internal/relation"
+	"repro/internal/value"
 	"repro/internal/workload"
 )
 
@@ -21,17 +23,17 @@ func TestSetReserveMatchesMap(t *testing.T) {
 		if bits.OnesCount(uint(n)) == 1 {
 			n++
 		}
-		var s set[int]
+		s := set{w: 1}
 		s.reserve(n)
-		if len(s.head) != n {
-			t.Fatalf("reserve(%d) made a first block of %d", n, len(s.head))
+		if s.heads != n || len(s.head) != n {
+			t.Fatalf("reserve(%d) made a first block of %d items, %d values", n, s.heads, len(s.head))
 		}
 		seen := map[int]bool{}
 		var order []int
 		for i := 0; i < 4*n; i++ {
 			x := rng.Intn(3 * n)
 			h := uint64(x%(n/2+1)) * 0x9e3779b97f4a7c15 // collisions: about two items a hash
-			if got, want := s.add(x, h, func(a, b int) bool { return a == b }), !seen[x]; got != want {
+			if got, want := s.add(relation.Tuple{value.Int(int64(x))}, h), !seen[x]; got != want {
 				t.Fatalf("n=%d: add(%d) = %v, want %v", n, x, got, want)
 			}
 			if !seen[x] {
@@ -43,7 +45,7 @@ func TestSetReserveMatchesMap(t *testing.T) {
 			t.Fatalf("n=%d: %d entries, want %d", n, s.n, len(order))
 		}
 		for j, x := range order {
-			if got := *s.at(j); got != x {
+			if got := s.at(j)[0].AsInt(); got != int64(x) {
 				t.Fatalf("n=%d: entry %d is %d, want %d", n, j, got, x)
 			}
 		}

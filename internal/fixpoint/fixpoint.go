@@ -187,8 +187,8 @@ func Run(totals map[string]*relation.Relation, rules []Rule, opt Options) error 
 	}
 	// delta is refilled once a round is over, for the targets that gained
 	// any tuple: no rule reads the old one any more, so a set round's
-	// window is re-cut in place. A bag round's rows move into the total
-	// without a copy: its stored tuples are immutable.
+	// window is re-cut in place. A bag round's rows are added to the
+	// total.
 	delta := make(map[string]*relation.Relation, len(totals))
 	end := func() {
 		clear(delta)
@@ -196,7 +196,7 @@ func Run(totals map[string]*relation.Relation, rules []Rule, opt Options) error 
 			switch {
 			case opt.Bag && tg.out.Distinct() > 0:
 				delta[name] = tg.out
-				tg.out.Each(func(t relation.Tuple, m int) { tg.total.InsertOwned(t, m) })
+				tg.out.Each(func(t relation.Tuple, m int) { tg.total.InsertMult(t, m) })
 			case !opt.Bag && tg.total.Mark() > tg.mark:
 				if tg.window == nil {
 					tg.window = tg.total.Since(tg.mark)

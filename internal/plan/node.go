@@ -274,12 +274,22 @@ func (p *Plan) ExecuteWith(params []value.Value, check func() error) (*relation.
 // "result", like the reference evaluator's output). The point-lookup
 // shape — a pure column projection directly over a (probed) scan — runs
 // on a dedicated loop with no operator composition, so a prepared point
-// query costs little more than the hash probe itself.
+// query costs little more than the hash probe itself. A WITH whose body
+// streams one CTE's rows as they are hands that CTE's relation over,
+// renamed, instead of copying it.
 func (p *Plan) ExecuteOn(rels map[string]*relation.Relation, params []value.Value, check func() error) (*relation.Relation, error) {
 	ctx := &runCtx{rels: rels, params: params, check: check}
-	if pn, ok := p.root.(*projectNode); ok && pn.srcCols != nil {
-		if sn, ok := pn.input.(*scanNode); ok && sn.rng == nil {
-			return p.executePoint(ctx, pn, sn)
+	switch root := p.root.(type) {
+	case *projectNode:
+		if sn, ok := root.input.(*scanNode); ok && root.srcCols != nil && sn.rng == nil {
+			return p.executePoint(ctx, root, sn)
+		}
+	case *withNode:
+		if cn := root.passedThrough(ctx); cn != nil {
+			if err := root.materialize(ctx); err != nil {
+				return nil, err
+			}
+			return ctx.handleRel(cn.handle).Rename("result", p.attrs), nil
 		}
 	}
 	out := relation.New("result", p.attrs...)
@@ -296,19 +306,19 @@ func (p *Plan) ExecuteOn(rels map[string]*relation.Relation, params []value.Valu
 }
 
 // executePoint is the fast path for Project(columns) over Scan: probe,
-// project, insert — one loop, fresh tuples handed to the result with
-// ownership (no re-clone).
+// project, insert — one loop, each row projected into one reused scratch
+// tuple whose values the result copies.
 func (p *Plan) executePoint(ctx *runCtx, pn *projectNode, sn *scanNode) (*relation.Relation, error) {
 	out := relation.New("result", p.attrs...)
+	row := make(relation.Tuple, len(pn.srcCols))
 	emit := func(t relation.Tuple, m int) bool {
 		if !ctx.poll() {
 			return false
 		}
-		row := make(relation.Tuple, len(pn.srcCols))
 		for i, c := range pn.srcCols {
 			row[i] = t[c]
 		}
-		out.InsertOwned(row, m)
+		out.InsertMult(row, m)
 		return true
 	}
 	rel := sn.rel(ctx)
@@ -1015,6 +1025,9 @@ func rowWidth(n Node, ctx *runCtx) int {
 		if r := ctx.rels[x.name]; r != nil {
 			return r.Arity()
 		}
+	case *cteNode:
+		// So does a CTE scan, of the relation its query materialized.
+		return len(x.schema)
 	case *filterNode:
 		return rowWidth(x.input, ctx)
 	case *dedupNode:

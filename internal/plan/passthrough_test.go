@@ -22,9 +22,10 @@ func forceProjection(n Node) {
 // TestIdentityProjectPassesRowsThrough pins which Project passes its
 // input's rows on as they are — exactly the input's columns, in order,
 // as wide as the rows the input yields — and that it streams what the
-// same Project computing its outputs streams. A Project that reorders or
-// drops a column, or reads a join, still projects, and so does one
-// compiled against R(A, B) and run on an R that has grown a column.
+// same Project computing its outputs streams, over a CTE scan too. A
+// Project that reorders or drops a column, or reads a join, still
+// projects, and so does one compiled against R(A, B) and run on an R
+// that has grown a column.
 func TestIdentityProjectPassesRowsThrough(t *testing.T) {
 	db := groupTestDB()
 	cases := []struct {
@@ -44,13 +45,19 @@ func TestIdentityProjectPassesRowsThrough(t *testing.T) {
 		{"select R.A, R.A from R", false},
 		{"select R.A + 0, R.B from R", false},
 		{"select r.A, r.B, s.B, s.C from R r, S s where r.B = s.B", false},
+		{"with recursive tc(s, t) as (select R.A, R.B from R union select tc.s, R.B from tc, R where tc.t = R.A) select tc.s, tc.t from tc", true},
+		{"with recursive tc(s, t) as (select R.A, R.B from R union select tc.s, R.B from tc, R where tc.t = R.A) select tc.t, tc.s from tc", false},
 	}
 	for _, c := range cases {
 		p, err := Compile(sql.MustParse(c.src), db)
 		if err != nil {
 			t.Fatalf("%s: %v", c.src, err)
 		}
-		pn, ok := p.root.(*projectNode)
+		root := p.root
+		if w, ok := root.(*withNode); ok {
+			root = w.body
+		}
+		pn, ok := root.(*projectNode)
 		if !ok {
 			t.Fatalf("%s: no Project at the root:\n%s", c.src, p.Explain())
 		}

@@ -266,11 +266,9 @@ func (n *withNode) Schema() []ColID { return n.body.Schema() }
 
 func (n *withNode) Run(ctx *runCtx) exec.Seq {
 	return func(yield func(relation.Tuple, int) bool) {
-		for _, cte := range n.ctes {
-			if err := cte.materialize(ctx); err != nil {
-				ctx.fail(err)
-				return
-			}
+		if err := n.materialize(ctx); err != nil {
+			ctx.fail(err)
+			return
 		}
 		for t, m := range n.body.Run(ctx) {
 			if !ctx.poll() {
@@ -281,6 +279,29 @@ func (n *withNode) Run(ctx *runCtx) exec.Seq {
 			}
 		}
 	}
+}
+
+// materialize materializes n's CTEs in order.
+func (n *withNode) materialize(ctx *runCtx) error {
+	for _, cte := range n.ctes {
+		if err := cte.materialize(ctx); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// passedThrough returns the CTE scan whose rows n's body streams as they
+// are, or nil when the body computes its rows.
+func (n *withNode) passedThrough(ctx *runCtx) *cteNode {
+	pn, ok := n.body.(*projectNode)
+	if !ok {
+		return nil
+	}
+	if cn, ok := pn.input.(*cteNode); ok && pn.passesThrough(ctx) {
+		return cn
+	}
+	return nil
 }
 
 func (n *withNode) writeExplain(b *strings.Builder, depth int, tr *trace.Trace) {

@@ -230,3 +230,30 @@ func TestLowCardinalityIndexBytes(t *testing.T) {
 		t.Fatalf("index on %d rows of 997 values holds %d bytes, more than the bound %d", n, bytes, bound)
 	}
 }
+
+// TestRowBytes pins what a relation's rows take without their indexes:
+// 100 000 two-column rows, inserted one at a time. A slot is its two
+// values and its count, 40 bytes, plus what the arrays' growth leaves
+// unused.
+func TestRowBytes(t *testing.T) {
+	const n = 100_000
+	const bound = 52 * n
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	r := New("R", "A", "B")
+	for i := 0; i < n; i++ {
+		r.Insert(Tuple{value.Int(int64(i)), value.Int(int64(i % 997))})
+	}
+	r.index, r.hashIdx = nil, nil
+	bytes := int64(heap()) - int64(before)
+	runtime.KeepAlive(r)
+	t.Logf("rows of %d two-column tuples: %d bytes, %.1f a row", n, bytes, float64(bytes)/n)
+	if bytes > bound {
+		t.Fatalf("rows of %d tuples hold %d bytes, more than the bound %d", n, bytes, bound)
+	}
+}

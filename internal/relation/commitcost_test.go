@@ -13,7 +13,7 @@ import (
 func commitStore(rows int) *Store {
 	r := New("R", "a", "b")
 	for i := 0; i < rows; i++ {
-		r.InsertOwned(Tuple{value.Int(int64(i)), value.Int(int64(i % 97))}, 1)
+		r.Insert(Tuple{value.Int(int64(i)), value.Int(int64(i % 97))})
 	}
 	return NewStore(r)
 }

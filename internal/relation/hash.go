@@ -191,11 +191,11 @@ type hashIndex struct {
 // buildHashIndex indexes rows on cols. It reserves a head per row, and
 // trims the heads to the distinct hashes once they are known, so an index
 // on a column of few values holds little more than its four bytes a row.
-func buildHashIndex(rows []row, cols []int) *hashIndex {
+func buildHashIndex(rows slots, cols []int) *hashIndex {
 	ix := &hashIndex{cols: cols}
-	ix.Reserve(len(rows))
-	for i := range rows {
-		ix.Add(rows[i].tup.HashAt(cols))
+	ix.Reserve(rows.len())
+	for i := range rows.len() {
+		ix.Add(rows.tup(i).HashAt(cols))
 	}
 	ix.trim()
 	return ix
@@ -209,10 +209,10 @@ func (ix *hashIndex) clone() *hashIndex {
 // find returns the slot of the row whose values at ix.cols equal vals,
 // whose hash is h: the first such row of the chain, which for the tuple
 // index is the only one.
-func (ix *hashIndex) find(rows []row, vals Tuple, h uint64) (int, bool) {
+func (ix *hashIndex) find(rows slots, vals Tuple, h uint64) (int, bool) {
 	ch := ix.Chain(h)
 	for s := ch.First(); s >= 0; s = ch.Next(s) {
-		if rows[s].tup.EqualAt(ix.cols, vals) {
+		if rows.tup(s).EqualAt(ix.cols, vals) {
 			return s, true
 		}
 	}

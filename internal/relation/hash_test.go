@@ -26,9 +26,9 @@ func TestHashCollisionsNeverMergeOrSplit(t *testing.T) {
 	r.Insert(tup(0, "z"))
 	indexed(r)
 	two, twoF, three := tup(2, "x"), tup(2.0, "x"), tup(3, "y")
-	r.insertHashed(two, h, 1, false)
-	r.insertHashed(three, h, 1, false)
-	r.insertHashed(twoF, h, 2, false)
+	r.insertHashed(two, h, 1)
+	r.insertHashed(three, h, 1)
+	r.insertHashed(twoF, h, 2)
 	check := func(r *Relation, what string, distinct, mTwo, mThree int) {
 		t.Helper()
 		if r.Distinct() != distinct {
@@ -54,7 +54,7 @@ func TestHashCollisionsNeverMergeOrSplit(t *testing.T) {
 	c := r.Clone()
 	c.Insert(tup(5, "v"))
 	indexed(c)
-	c.insertHashed(three, h, 1, false) // retires the base row, re-adds it to the delta
+	c.insertHashed(three, h, 1) // retires the base row, re-adds it to the delta
 	check(c, "clone", 4, 3, 2)
 	check(r, "source", 3, 3, 1)
 }
@@ -145,6 +145,12 @@ func sameOrder(got, want model) error {
 	return nil
 }
 
+// identical reports whether a and b hold the same values of the same
+// kinds, column by column: 2 and 2.0 are Equal, not identical.
+func identical(a, b Tuple) bool {
+	return slices.EqualFunc(a, b, func(x, y value.Value) bool { return x.Kind() == y.Kind() && x.Equal(y) })
+}
+
 // rowsOf collects what a reader yields.
 func rowsOf(read func(func(Tuple, int) bool)) model {
 	var md model
@@ -155,14 +161,19 @@ func rowsOf(read func(func(Tuple, int) bool)) model {
 	return md
 }
 
-// FuzzRelationOps decodes bytes into a sequence of insert, InsertOwned,
-// Admit, RemoveKeys, Clone, Probe, RangeProbe, Numbering, Mult and
-// Mark/Since calls over a small value domain, and after every step
-// compares the relation — and every earlier version a Clone left behind —
-// against a naive model: a slice of distinct tuples compared with Equal.
-// A window Since cuts must hold the model's rows past the mark, in order,
-// and a Numbering must give two rows one number iff they are Equal on
-// its columns.
+// FuzzRelationOps decodes bytes into a sequence of insert (of a fresh
+// tuple, or of a scratch tuple overwritten at once), Admit, RemoveKeys,
+// Clone, Probe, RangeProbe, Numbering, Mult, Mark/Since/Recut and hold
+// calls over a small value domain, and after every step compares the
+// relation — and every earlier version a Clone or a written window left
+// behind — against a naive model: a slice of distinct tuples compared
+// with Equal. A window Since cuts must hold the model's rows past the
+// mark, in order, and a Numbering must give two rows one number iff they
+// are Equal on its columns. A hold keeps tuples read through Each, Probe,
+// RangeProbe or a Numbering, of the relation or of its window, across
+// every later step, each of which must leave their values as they were
+// read, and appends to one of them, which must change nothing any
+// relation holds.
 func FuzzRelationOps(f *testing.F) {
 	f.Add([]byte{0, 3, 4, 0, 4, 3, 1, 2, 2, 5, 3, 4, 0, 9, 11, 6, 2, 3})
 	f.Add([]byte{0, 1, 1, 0, 2, 1, 0, 3, 1, 3, 0, 0, 4, 1, 3, 0, 5, 1, 3, 0, 6, 2, 1, 3, 0, 2, 5, 1, 4, 3, 4, 2})
@@ -178,6 +189,19 @@ func FuzzRelationOps(f *testing.F) {
 	// extend them, a Clone, removals of base rows, a base tuple inserted
 	// again and a key whose base rows died, numbered on both key columns.
 	f.Add([]byte{0, 1, 2, 0, 2, 1, 0, 3, 3, 7, 0, 7, 2, 0, 4, 1, 1, 7, 1, 3, 0, 2, 1, 1, 4, 1, 7, 0, 7, 3, 0, 5, 3, 7, 2, 0, 1, 2, 7, 1, 7, 0})
+	// Holds (op 10) from each reader, carried across growth, a Clone of
+	// either side, removals, scratch inserts (op 1), a window and its
+	// re-cut, a write into the window, and a fold.
+	f.Add([]byte{0, 1, 2, 0, 0, 2, 3, 0, 0, 3, 4, 0, 10, 0, 0, 2, 10, 0, 1, 1, 3, 1, 10, 0, 2, 2, 0, 1, 0,
+		1, 5, 6, 0, 1, 6, 7, 0, 10, 0, 3, 0, 1, 3, 0, 10, 0, 0, 1, 2, 0, 1, 2, 10, 1, 0, 2, 0,
+		9, 8, 8, 9, 8, 9, 10, 9, 10, 1, 0, 2, 8, 11, 12, 9, 10, 1, 1, 0, 1, 9, 8, 13, 14, 9, 0, 0,
+		3, 1, 0, 2, 4, 0, 0, 5, 6, 0, 3, 0, 0, 7, 8, 0, 3, 1, 0, 9, 1, 0, 3, 0, 10, 0, 0, 5, 10, 0, 3, 0})
+	// A window cut while its relation's arrays have room past it, a write
+	// into the window, then a row the relation appends into that room.
+	f.Add([]byte{0, 1, 1, 0, 9, 0, 2, 2, 0, 0, 3, 3, 0, 9, 0, 6, 6, 0, 7, 7, 0})
+	// A Clone of a delta with room past its end, a write into the source
+	// kept behind, then a write into the copy that goes on.
+	f.Add([]byte{0, 1, 1, 0, 3, 1, 1, 0, 2, 2, 0, 0, 3, 3, 0, 0, 5, 5, 0, 3, 1, 0, 6, 6, 0, 7, 7, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -197,18 +221,34 @@ func FuzzRelationOps(f *testing.F) {
 			md model
 		}
 		var old []version
+		checkOld := func(when string) {
+			for i, v := range old {
+				if err := sameRows(rowsOf(v.r.EachWhile), v.md); err != nil {
+					t.Fatalf("%s: version %d left by a Clone or a window: %v", when, i, err)
+				}
+			}
+		}
+		type held struct{ t, want Tuple }
+		var holds []held
 		mark := -1 // the last Mark taken, while a window cut at it is defined
+		var win *Relation
+		var winMd model // win's rows as cut; r's later writes reach only their counts
+		scratch := make(Tuple, 2)
 		for step := 0; len(data) > 0 && step < 256; step++ {
-			op := next() % 10
+			op := next() % 11
 			switch op {
 			case 0:
 				tp, n := tuple(), 1+next()%3
 				r.InsertMult(tp, n)
 				md = md.insert(tp, n)
 			case 1:
-				tp, n := tuple(), 1+next()%3
-				r.InsertOwned(tp.Clone(), n)
-				md = md.insert(tp, n)
+				// The relation copies what it takes: the caller's tuple
+				// is its own again once InsertMult returns.
+				n := 1 + next()%3
+				scratch[0], scratch[1] = val(), val()
+				r.InsertMult(scratch, n)
+				md = md.insert(scratch, n)
+				scratch[0], scratch[1] = val(), val()
 			case 2:
 				ts := make([]Tuple, 1+next()%3)
 				for i := range ts {
@@ -233,6 +273,13 @@ func FuzzRelationOps(f *testing.F) {
 					old[len(old)-1].r = c
 				} else {
 					r = c
+				}
+				// The side kept may take one more write, before the
+				// other takes any: the two share what the source held.
+				if kept := &old[len(old)-1]; next()%3 == 0 {
+					tp := tuple()
+					kept.r.InsertMult(tp, 1)
+					kept.md = kept.md.insert(tp, 1)
 				}
 			case 4:
 				cols := colSets[next()%len(colSets)]
@@ -349,12 +396,75 @@ func FuzzRelationOps(f *testing.F) {
 					continue
 				}
 				if mark >= 0 {
-					if err := sameOrder(rowsOf(r.Since(mark).EachWhile), md[mark:]); err != nil {
+					if win == nil {
+						win = r.Since(mark)
+					} else {
+						r.Recut(win, mark)
+					}
+					winMd = md[mark:].clone()
+					if err := sameOrder(rowsOf(win.EachWhile), winMd); err != nil {
 						t.Fatalf("step %d: Since(%d): %v", step, mark, err)
+					}
+					// A write into the window reaches neither r nor the
+					// rows r appends later; the window is kept as a
+					// version of its own.
+					if next()%3 == 0 {
+						tp := tuple()
+						win.InsertMult(tp, 1)
+						old, win = append(old, version{win, md[mark:].clone().insert(tp, 1)}), nil
 					}
 				}
 				if mark = r.Mark(); mark != len(md) {
 					t.Fatalf("step %d: Mark() = %d, want %d", step, mark, len(md))
+				}
+			case 10:
+				src := r
+				if win != nil && next()%2 == 0 {
+					src = win
+				}
+				var got []Tuple
+				keep := func(t Tuple, _ int) bool {
+					got = append(got, t)
+					return len(got) < 3
+				}
+				switch next() % 4 {
+				case 0:
+					src.EachWhile(keep)
+				case 1:
+					src.Probe([]int{next() % 2}, []value.Value{val()}, keep)
+				case 2:
+					if lo := val(); !lo.IsNull() {
+						src.RangeProbe(next()%2, lo, value.Null(), true, false, keep)
+					}
+				default:
+					for _, run := range src.Numbering(colSets[next()%len(colSets)]).Runs() {
+						for s := 0; s < run.Len() && len(got) < 3; s++ {
+							if !run.Dead(s) {
+								got = append(got, run.Tuple(s))
+							}
+						}
+					}
+				}
+				for _, tp := range got {
+					holds = append(holds, held{tp, tp.Clone()})
+				}
+				if len(holds) == 0 {
+					continue
+				}
+				h := holds[next()%len(holds)]
+				if grown := append(h.t, val(), val()); len(grown) != len(h.want)+2 {
+					t.Fatalf("step %d: appended to %v, got %v", step, h.want, grown)
+				}
+				checkOld(fmt.Sprintf("step %d: after an append to a held tuple", step))
+				if win != nil {
+					got := rowsOf(win.EachWhile)
+					same := len(got) == len(winMd)
+					for i := 0; same && i < len(got); i++ {
+						same = identical(got[i].t, winMd[i].t)
+					}
+					if !same {
+						t.Fatalf("step %d: after an append to a held tuple the window holds %v, cut as %v", step, got, winMd)
+					}
 				}
 			default:
 				tp, want := tuple(), 0
@@ -371,11 +481,12 @@ func FuzzRelationOps(f *testing.F) {
 			if r.Distinct() != len(md) {
 				t.Fatalf("step %d: Distinct %d, want %d", step, r.Distinct(), len(md))
 			}
-		}
-		for i, v := range old {
-			if err := sameRows(rowsOf(v.r.EachWhile), v.md); err != nil {
-				t.Fatalf("version %d left by a Clone: %v", i, err)
+			for i, h := range holds {
+				if !identical(h.t, h.want) {
+					t.Fatalf("step %d (op %d): held tuple %d reads %v, read as %v", step, op, i, h.t, h.want)
+				}
 			}
 		}
+		checkOld("at the end")
 	})
 }

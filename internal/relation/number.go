@@ -20,21 +20,21 @@ type numbering struct {
 }
 
 // buildNumbering numbers rows on cols.
-func buildNumbering(rows []row, cols []int) *numbering {
-	nb := &numbering{cols: cols, of: make([]int32, 0, len(rows))}
-	for i := range rows {
-		nb.add(rows, rows[i].tup)
+func buildNumbering(rows slots, cols []int) *numbering {
+	nb := &numbering{cols: cols, of: make([]int32, 0, rows.len())}
+	for i := range rows.len() {
+		nb.add(rows, rows.tup(i))
 	}
 	return nb
 }
 
 // add numbers the slot after the last one numbered, which holds t; rows
 // holds every slot numbered before it.
-func (nb *numbering) add(rows []row, t Tuple) {
+func (nb *numbering) add(rows slots, t Tuple) {
 	h := t.HashAt(nb.cols)
 	ch, p := nb.groups.Find(h)
 	for g := ch.First(); g >= 0; g = ch.Next(g) {
-		if sameAt(rows[nb.firsts[g]].tup, t, nb.cols) {
+		if sameAt(rows.tup(int(nb.firsts[g])), t, nb.cols) {
 			nb.of = append(nb.of, int32(g))
 			return
 		}
@@ -46,10 +46,10 @@ func (nb *numbering) add(rows []row, t Tuple) {
 
 // group returns the number of the group whose values at cols are Equal to
 // t's, whose hash there is h, or -1.
-func (nb *numbering) group(rows []row, t Tuple, h uint64) int {
+func (nb *numbering) group(rows slots, t Tuple, h uint64) int {
 	ch := nb.groups.Chain(h)
 	for g := ch.First(); g >= 0; g = ch.Next(g) {
-		if sameAt(rows[nb.firsts[g]].tup, t, nb.cols) {
+		if sameAt(rows.tup(int(nb.firsts[g])), t, nb.cols) {
 			return g
 		}
 	}
@@ -117,7 +117,7 @@ type Numbering struct {
 // taken (docs/INVARIANTS.md, "A numbering's runs are captured"), so a
 // reader may walk it while the relation takes more rows.
 type NumberedRun struct {
-	rows []row
+	rows slots
 	of   []int32
 	// dead retires base slots; the delta run has none.
 	dead *deadSet
@@ -127,13 +127,13 @@ type NumberedRun struct {
 }
 
 // Len returns the number of slots in the run, dead ones included.
-func (r *NumberedRun) Len() int { return len(r.rows) }
+func (r *NumberedRun) Len() int { return r.rows.len() }
 
 // Dead reports whether slot s holds no row of the held version.
 func (r *NumberedRun) Dead(s int) bool { return r.dead.has(s) }
 
 // Tuple returns slot s's tuple, which the caller must not modify.
-func (r *NumberedRun) Tuple(s int) Tuple { return r.rows[s].tup }
+func (r *NumberedRun) Tuple(s int) Tuple { return r.rows.tup(s) }
 
 // Nums writes the group numbers of the slots from lo on into dst, one
 // per element, and -1 for a dead slot.
@@ -158,9 +158,8 @@ func (r *NumberedRun) Nums(lo int, dst []int32) {
 // Mults writes the multiplicities of the slots from lo on into dst, one
 // per element.
 func (r *NumberedRun) Mults(lo int, dst []int) {
-	rows := r.rows[lo : lo+len(dst)]
-	for k := range rows {
-		dst[k] = rows[k].count()
+	for k := range dst {
+		dst[k] = r.rows.count(lo + k)
 	}
 }
 
@@ -168,10 +167,10 @@ func (r *NumberedRun) Mults(lo int, dst []int) {
 // live slots, or Len if fewer are left, and how many live slots that is.
 func (r *NumberedRun) Skip(lo, n int) (hi, live int) {
 	if r.dead == nil {
-		hi = lo + min(n, len(r.rows)-lo)
+		hi = lo + min(n, r.rows.len()-lo)
 		return hi, hi - lo
 	}
-	for hi = lo; hi < len(r.rows) && live < n; hi++ {
+	for hi = lo; hi < r.rows.len() && live < n; hi++ {
 		if !r.dead.has(hi) {
 			live++
 		}
@@ -199,7 +198,7 @@ func (r *Relation) Numbering(cols []int) *Numbering {
 		nb.runs[1].of, firsts = dn.of, dn.firsts
 	}
 	r.mu.RUnlock()
-	if dn == nil && len(v.rows) > 0 {
+	if dn == nil && v.rows.len() > 0 {
 		r.mu.Lock()
 		dn = r.numberingForLocked(sig, cols)
 		v, nb.runs[1].of, firsts = r.viewLocked(), dn.of, dn.firsts
@@ -218,7 +217,7 @@ func (r *Relation) Numbering(cols []int) *Numbering {
 	}
 	dmap := make([]int32, len(firsts))
 	for d, s := range firsts {
-		t := v.rows[s].tup
+		t := v.rows.tup(int(s))
 		g := base.group(v.base.rows, t, t.HashAt(cols))
 		if g < 0 {
 			g = nb.groups

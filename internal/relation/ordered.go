@@ -36,19 +36,19 @@ func ordClass(v value.Value) int {
 // which costs an insert-then-range-probe loop O(rows) per round instead
 // of a full sort. The caller must hold the write lock.
 func (s *segment) orderedForLocked(col int) []int {
-	old := s.ordIdx[col]
-	if len(old) == len(s.rows) {
+	old, n := s.ordIdx[col], s.rows.len()
+	if len(old) == n {
 		return old
 	}
-	less := func(a, b int) bool { return s.rows[a].tup[col].Less(s.rows[b].tup[col]) }
-	fresh := make([]int, len(s.rows)-len(old))
+	less := func(a, b int) bool { return s.rows.at(a, col).Less(s.rows.at(b, col)) }
+	fresh := make([]int, n-len(old))
 	for i := range fresh {
 		fresh[i] = len(old) + i
 	}
 	sort.SliceStable(fresh, func(i, j int) bool { return less(fresh[i], fresh[j]) })
 	ix := fresh
 	if len(old) > 0 {
-		ix = make([]int, 0, len(s.rows))
+		ix = make([]int, 0, n)
 		for len(old) > 0 && len(fresh) > 0 {
 			if less(fresh[0], old[0]) {
 				ix, fresh = append(ix, fresh[0]), fresh[1:]
@@ -70,7 +70,7 @@ func (s *segment) orderedFor(col int) []int {
 	s.mu.RLock()
 	ix := s.ordIdx[col]
 	s.mu.RUnlock()
-	if len(ix) == len(s.rows) {
+	if len(ix) == s.rows.len() {
 		return ix
 	}
 	s.mu.Lock()
@@ -107,7 +107,7 @@ func (r *Relation) RangeProbe(col int, lo, hi value.Value, loIncl, hiIncl bool, 
 	v := r.viewLocked()
 	ix := r.ordIdx[col]
 	r.mu.RUnlock()
-	if len(ix) != len(v.rows) {
+	if len(ix) != v.rows.len() {
 		r.mu.Lock()
 		v = r.viewLocked()
 		ix = r.orderedForLocked(col)
@@ -144,9 +144,9 @@ func (r *Relation) RangeProbe(col int, lo, hi value.Value, loIncl, hiIncl bool, 
 		return c < 0
 	}
 	// cut narrows a sorted index over rows to the slots inside the range.
-	cut := func(rows []row, ix []int) []int {
-		start := sort.Search(len(ix), func(i int) bool { return !beforeLo(rows[ix[i]].tup[col]) })
-		end := start + sort.Search(len(ix)-start, func(i int) bool { return !withinHi(rows[ix[start+i]].tup[col]) })
+	cut := func(rows slots, ix []int) []int {
+		start := sort.Search(len(ix), func(i int) bool { return !beforeLo(rows.at(ix[i], col)) })
+		end := start + sort.Search(len(ix)-start, func(i int) bool { return !withinHi(rows.at(ix[start+i], col)) })
 		return ix[start:end]
 	}
 	delta := cut(v.rows, ix)
@@ -157,17 +157,18 @@ func (r *Relation) RangeProbe(col int, lo, hi value.Value, loIncl, hiIncl bool, 
 	// Stable merge of the base's run, past the dead set, with the delta's:
 	// on a tie the base row goes first, as in iteration order.
 	for len(base) > 0 || len(delta) > 0 {
-		var rw *row
+		var rows slots
+		var s int
 		switch {
 		case len(base) > 0 && v.dead.has(base[0]):
 			base = base[1:]
 			continue
-		case len(delta) == 0 || len(base) > 0 && !v.rows[delta[0]].tup[col].Less(v.base.rows[base[0]].tup[col]):
-			rw, base = &v.base.rows[base[0]], base[1:]
+		case len(delta) == 0 || len(base) > 0 && !v.rows.at(delta[0], col).Less(v.base.rows.at(base[0], col)):
+			rows, s, base = v.base.rows, base[0], base[1:]
 		default:
-			rw, delta = &v.rows[delta[0]], delta[1:]
+			rows, s, delta = v.rows, delta[0], delta[1:]
 		}
-		if !f(rw.tup, rw.count()) {
+		if !f(rows.tup(s), rows.count(s)) {
 			return
 		}
 	}

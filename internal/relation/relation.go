@@ -14,9 +14,17 @@
 // any number of versions), an immutable dead set retiring some of the
 // base's slots, and a private mutable delta — all a relation that was
 // never cloned consists of. Clone shares the base and copies only the
-// delta (see version.go), so a version costs what it changed. Nothing a
-// mutation does writes into memory another version, or a view captured
-// earlier, can reach.
+// delta's counts (see version.go), so a version costs what it changed.
+// Nothing a mutation does writes into memory another version, or a view
+// captured earlier, can reach.
+//
+// A segment keeps its distinct tuples in two arrays, not one object per
+// tuple: slot s's values at vals[s·a : s·a+a] for arity a, its count at
+// mults[s] (slots). A stored value is never written again, and a tuple
+// handed out (Each, Probe, RangeProbe, Tuples, NumberedRun.Tuple) is its
+// slot's values with the capacity capped at the slot's end, so an append
+// through it copies: the tuple reads its values for as long as it is
+// held, whatever the relation does meanwhile.
 //
 // Concurrency contract: a Relation is safe for concurrent use. Readers
 // (Probe, Each, Mult, …) capture a view — base, dead set, delta rows —
@@ -49,17 +57,53 @@ import (
 // It is value.Tuple, whose Hash and Equal are a stored tuple's identity.
 type Tuple = value.Tuple
 
-// row is one stored distinct tuple. mult is accessed atomically: readers
-// iterate captured views of the rows slice without holding the relation
-// lock, while a writer may bump the count of an existing delta row in
-// place. (Rows of a frozen segment are never bumped; see insert.)
-type row struct {
-	tup  Tuple
-	mult int64
+// slots is a segment's run of distinct tuples: slot s holds the values
+// vals[s·arity : s·arity+arity] and the multiplicity mults[s]. Both
+// arrays are only appended to, so a captured slots reads the slots it
+// held then, past whatever is appended since. A count is accessed
+// atomically: readers iterate captured views without holding the
+// relation lock, while a writer may bump the count of an existing delta
+// slot in place. (Slots of a frozen segment are never bumped; see
+// insertHashed.)
+type slots struct {
+	vals  []value.Value
+	mults []int64
+	arity int
 }
 
-// count loads the row's multiplicity.
-func (rw *row) count() int { return int(atomic.LoadInt64(&rw.mult)) }
+// len returns the number of slots.
+func (s slots) len() int { return len(s.mults) }
+
+// tup returns slot i's tuple, capped at the slot's end so that an append
+// through it can never reach slot i+1.
+func (s slots) tup(i int) Tuple {
+	lo, hi := i*s.arity, i*s.arity+s.arity
+	return s.vals[lo:hi:hi]
+}
+
+// at returns slot i's value at column c.
+func (s slots) at(i, c int) value.Value { return s.vals[i*s.arity+c] }
+
+// count loads slot i's multiplicity.
+func (s slots) count(i int) int { return int(atomic.LoadInt64(&s.mults[i])) }
+
+// push appends a slot holding a copy of t's values with multiplicity m.
+func (s *slots) push(t Tuple, m int64) {
+	s.vals = append(s.vals, t...)
+	s.mults = append(s.mults, m)
+}
+
+// window returns slots lo through hi-1, capped at hi: an append to the
+// window copies both arrays rather than writing past hi.
+func (s slots) window(lo, hi int) slots {
+	a := s.arity
+	return slots{vals: s.vals[lo*a : hi*a : hi*a], mults: s.mults[lo:hi:hi], arity: a}
+}
+
+// fresh returns no slots of s's arity, in new arrays with room for n.
+func (s slots) fresh(n int) slots {
+	return slots{vals: make([]value.Value, 0, n*s.arity), mults: make([]int64, 0, n), arity: s.arity}
+}
 
 // segment is a slot-addressed run of distinct tuples with its tuple index
 // and lazily built indexes. A Relation embeds one as its delta and
@@ -69,7 +113,7 @@ func (rw *row) count() int { return int(atomic.LoadInt64(&rw.mult)) }
 // once built.
 type segment struct {
 	mu   sync.RWMutex
-	rows []row
+	rows slots
 	// index is the tuple index, the hash index over all columns: it finds
 	// the slot of a stored tuple, and serves Probe on all columns. A base
 	// segment always has one. A delta builds it lazily, like every other
@@ -131,10 +175,15 @@ const smallAttrs = 8
 // positions, the distinct-tuple index) are created lazily, so tiny
 // result relations — the per-query common case — stay allocation-light.
 func New(name string, attrs ...string) *Relation {
-	r := &Relation{
-		name:  name,
-		attrs: append([]string(nil), attrs...),
-	}
+	r := &Relation{}
+	r.rows.arity = len(attrs)
+	r.label(name, append([]string(nil), attrs...))
+	return r
+}
+
+// label names r and its attributes, which it keeps.
+func (r *Relation) label(name string, attrs []string) {
+	r.name, r.attrs, r.pos = name, attrs, nil
 	if len(attrs) > smallAttrs {
 		r.pos = make(map[string]int, len(attrs))
 		for i, a := range attrs {
@@ -143,7 +192,7 @@ func New(name string, attrs ...string) *Relation {
 			}
 			r.pos[a] = i
 		}
-		return r
+		return
 	}
 	for i, a := range attrs {
 		for j := 0; j < i; j++ {
@@ -152,7 +201,6 @@ func New(name string, attrs ...string) *Relation {
 			}
 		}
 	}
-	return r
 }
 
 // Name returns the relation name.
@@ -183,26 +231,17 @@ func (r *Relation) Arity() int { return len(r.attrs) }
 // Insert adds one occurrence of t.
 func (r *Relation) Insert(t Tuple) { r.InsertMult(t, 1) }
 
-// InsertMult adds n occurrences of t. n must be positive. The tuple is
-// copied; see InsertOwned for the transfer-of-ownership variant.
-func (r *Relation) InsertMult(t Tuple, n int) { r.insert(t, n, false) }
-
-// InsertOwned adds n occurrences of t, taking ownership of the tuple's
-// backing array — the caller must not reuse or mutate it afterwards.
-// The allocation-free sibling of InsertMult for producers that build a
-// fresh tuple per row (the plan layer's projections).
-func (r *Relation) InsertOwned(t Tuple, n int) { r.insert(t, n, true) }
-
-// insert is the shared insertion path: the tuple's identity is its Hash,
-// confirmed by Equal.
-func (r *Relation) insert(t Tuple, n int, owned bool) {
+// InsertMult adds n occurrences of t. n must be positive. The tuple's
+// values are copied into r, so the caller may reuse it. The tuple's
+// identity is its Hash, confirmed by Equal.
+func (r *Relation) InsertMult(t Tuple, n int) {
 	if len(t) != len(r.attrs) {
 		panic(fmt.Sprintf("relation %s: tuple arity %d, want %d", r.name, len(t), len(r.attrs)))
 	}
 	if n <= 0 {
 		panic("InsertMult: non-positive multiplicity")
 	}
-	r.insertHashed(t, t.Hash(), n, owned)
+	r.insertHashed(t, t.Hash(), n)
 }
 
 // insertHashed inserts t, whose hash is h. A duplicate of a delta row
@@ -210,30 +249,27 @@ func (r *Relation) insert(t Tuple, n int, owned bool) {
 // slot and re-adds the summed count to the delta (the base is shared, its
 // counts are frozen), which moves the tuple to the end of the iteration
 // order.
-func (r *Relation) insertHashed(t Tuple, h uint64, n int, owned bool) {
+func (r *Relation) insertHashed(t Tuple, h uint64, n int) {
 	r.mu.Lock()
 	r.ownRowsLocked()
 	i, at, ok := r.deltaFindLocked(t, h)
 	if ok {
-		// Atomic: unlocked readers may be reading this row's count from
-		// an earlier view of the rows slice.
-		atomic.AddInt64(&r.rows[i].mult, int64(n))
+		// Atomic: unlocked readers may be reading this slot's count from
+		// an earlier view of the counts.
+		atomic.AddInt64(&r.rows.mults[i], int64(n))
 		r.mu.Unlock()
 		return
 	}
-	stored, mult := t, int64(n)
+	mult := int64(n)
 	if slot, ok := r.baseSlotLocked(t, h); ok {
-		r.dead = r.dead.with(len(r.base.rows), slot)
-		stored = r.base.rows[slot].tup
-		mult += int64(r.base.rows[slot].count())
-	} else if !owned {
-		stored = t.Clone()
+		r.dead = r.dead.with(r.base.rows.len(), slot)
+		mult += int64(r.base.rows.count(slot))
 	}
-	r.appendLocked(stored, mult, h, at)
+	r.appendLocked(t, mult, h, at)
 	r.mu.Unlock()
 }
 
-// Admit adds a copy of t with multiplicity 1 unless r holds a tuple Equal
+// Admit adds t's values with multiplicity 1 unless r holds a tuple Equal
 // to it, and reports whether it did: t is hashed once and looked up once,
 // and the caller may reuse it. It is how a fixpoint's total takes a
 // derived tuple, which Since then hands on to the next round.
@@ -252,24 +288,24 @@ func (r *Relation) Admit(t Tuple) bool {
 		return false
 	}
 	r.ownRowsLocked()
-	r.appendLocked(t.Clone(), 1, h, at)
+	r.appendLocked(t, 1, h, at)
 	r.mu.Unlock()
 	return true
 }
 
-// Reserve presizes an empty relation for n distinct tuples: its row array
-// holds n rows before it grows, and its tuple index, built now rather
-// than by the first lookup, holds n. It changes capacity only: the
+// Reserve presizes an empty relation for n distinct tuples: its value and
+// count arrays hold n slots before they grow, and its tuple index, built
+// now rather than by the first lookup, holds n. It changes capacity only: the
 // relation's content, iteration order and windows (Since) are those of a
 // relation never reserved. It does nothing to a relation that holds a
 // row, was cloned or is a window.
 func (r *Relation) Reserve(n int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if n <= 1 || len(r.rows) > 0 || r.base != nil || r.window {
+	if n <= 1 || r.rows.len() > 0 || r.base != nil || r.window {
 		return
 	}
-	r.rows = make([]row, 0, n)
+	r.rows = r.rows.fresh(n)
 	r.index = &hashIndex{cols: allCols(len(r.attrs))}
 	r.index.Reserve(n)
 }
@@ -278,12 +314,12 @@ func (r *Relation) Reserve(n int) {
 func (r *Relation) Mark() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.rows)
+	return r.rows.len()
 }
 
 // Since returns a window onto the rows r gained since Mark returned mark:
-// a relation over them, in order, that shares r's row array and stores
-// none of them again. It builds its own indexes lazily, as any relation
+// a relation over them, in order, that shares r's value and count arrays
+// and stores none of them again. It builds its own indexes lazily, as any relation
 // does. Rows r gains later are past its end and never show in it; a
 // multiplicity bump of one of its rows in r does, as in a captured scan.
 // A write into the window copies its rows first, so it never reaches r.
@@ -295,8 +331,7 @@ func (r *Relation) Since(mark int) *Relation {
 	if r.base != nil {
 		panic(fmt.Sprintf("relation %s: Since on a cloned relation", r.name))
 	}
-	n := len(r.rows)
-	return &Relation{name: r.name, attrs: r.attrs, pos: r.pos, window: true, segment: segment{rows: r.rows[mark:n:n]}}
+	return &Relation{name: r.name, attrs: r.attrs, pos: r.pos, window: true, segment: segment{rows: r.rows.window(mark, r.rows.len())}}
 }
 
 // Recut makes w, a window Since cut from r, the window Since(mark) would
@@ -311,8 +346,7 @@ func (r *Relation) Recut(w *Relation, mark int) {
 		r.mu.RUnlock()
 		panic(fmt.Sprintf("relation %s: Recut on a cloned relation", r.name))
 	}
-	n := len(r.rows)
-	rows := r.rows[mark:n:n]
+	rows := r.rows.window(mark, r.rows.len())
 	r.mu.RUnlock()
 	w.mu.Lock()
 	w.base, w.dead, w.window = nil, nil, true
@@ -320,35 +354,36 @@ func (r *Relation) Recut(w *Relation, mark int) {
 	w.mu.Unlock()
 }
 
-// ownRowsLocked gives a window its own copy of its rows before anything
-// writes into them or freezes them, so a window's writes never reach the
-// relation it was cut from. Row slots do not move, so every index stays
-// valid. The caller holds mu for writing.
+// ownRowsLocked gives a window its own copy of its counts before anything
+// bumps them or freezes them, so a window's writes never reach the
+// relation it was cut from. Its values it keeps sharing: the window's
+// are capped at its end, so its first append copies them. Slots do not
+// move, so every index stays valid. The caller holds mu for writing.
 func (r *Relation) ownRowsLocked() {
 	if r.window {
-		r.rows, r.window = slices.Clone(r.rows), false
+		r.rows.mults, r.window = slices.Clone(r.rows.mults), false
 	}
 }
 
-// appendLocked adds the new distinct delta row stored, whose hash is h
-// and which deltaFindLocked left at at, and maintains every index built
-// so far incrementally instead of dropping it. (Sorted indexes fall
-// behind and are extended by the next RangeProbe.) The caller holds mu
-// for writing.
-func (r *Relation) appendLocked(stored Tuple, mult int64, h uint64, at Pos) {
-	r.rows = append(r.rows, row{tup: stored, mult: mult})
+// appendLocked adds a delta slot holding a copy of t's values, a new
+// distinct tuple whose hash is h and which deltaFindLocked left at at,
+// and maintains every index built so far incrementally instead of
+// dropping it. (Sorted indexes fall behind and are extended by the next
+// RangeProbe.) The caller holds mu for writing.
+func (r *Relation) appendLocked(t Tuple, mult int64, h uint64, at Pos) {
+	r.rows.push(t, mult)
 	if r.index != nil {
 		r.index.AddAt(h, at)
 	}
 	// A range over an empty map still starts an iterator.
 	if len(r.hashIdx) > 0 {
 		for _, ix := range r.hashIdx {
-			ix.Add(stored.HashAt(ix.cols))
+			ix.Add(t.HashAt(ix.cols))
 		}
 	}
 	if len(r.nums) > 0 {
 		for _, nb := range r.nums {
-			nb.add(r.rows, stored)
+			nb.add(r.rows, t)
 		}
 	}
 }
@@ -359,14 +394,14 @@ func (r *Relation) appendLocked(stored Tuple, mult int64, h uint64, at Pos) {
 // a base segment.
 func (s *segment) slot(t Tuple, h uint64) (int, bool) {
 	if s.index == nil {
-		return 0, len(s.rows) == 1 && s.rows[0].tup.Equal(t)
+		return 0, s.rows.len() == 1 && s.rows.tup(0).Equal(t)
 	}
 	return s.index.find(s.rows, t, h)
 }
 
 // indexDue reports whether a lookup in the delta must first build its
 // tuple index. The caller holds mu.
-func (r *Relation) indexDue() bool { return r.index == nil && len(r.rows) > 1 }
+func (r *Relation) indexDue() bool { return r.index == nil && r.rows.len() > 1 }
 
 // deltaSlotLocked is slot in the delta, building its tuple index if the
 // lookup needs it. The caller holds mu for writing.
@@ -391,7 +426,7 @@ func (r *Relation) deltaFindLocked(t Tuple, h uint64) (int, Pos, bool) {
 	}
 	ch, at := r.index.Find(h)
 	for s := ch.First(); s >= 0; s = ch.Next(s) {
-		if r.rows[s].tup.Equal(t) {
+		if r.rows.tup(s).Equal(t) {
 			return s, at, true
 		}
 	}
@@ -441,7 +476,7 @@ func (r *Relation) RemoveKeys(tuples []Tuple) int {
 		}
 		if i, ok := r.deltaSlotLocked(t, h); ok {
 			if drop == nil {
-				drop = make([]bool, len(r.rows))
+				drop = make([]bool, r.rows.len())
 			}
 			drop[i] = true
 		}
@@ -451,9 +486,9 @@ func (r *Relation) RemoveKeys(tuples []Tuple) int {
 		slices.Sort(retire)
 		retire = slices.Compact(retire)
 		for _, slot := range retire {
-			removed += r.base.rows[slot].count()
+			removed += r.base.rows.count(slot)
 		}
-		r.dead = r.dead.with(len(r.base.rows), retire...)
+		r.dead = r.dead.with(r.base.rows.len(), retire...)
 	}
 	if drop != nil {
 		removed += r.removeDeltaLocked(drop)
@@ -463,16 +498,17 @@ func (r *Relation) RemoveKeys(tuples []Tuple) int {
 
 // removeDeltaLocked is RemoveKeys' delta half: it drops the delta rows
 // drop marks and returns how many occurrences they held. The surviving
-// rows' indexes are built again by the lookups that need them.
+// rows move to fresh arrays, and their indexes are built again by the
+// lookups that need them.
 func (r *Relation) removeDeltaLocked(drop []bool) int {
-	removed := 0
-	kept := make([]row, 0, len(r.rows))
-	for i := range r.rows {
+	removed, n := 0, r.rows.len()
+	kept := r.rows.fresh(n)
+	for i := range n {
 		if drop[i] {
-			removed += r.rows[i].count()
+			removed += r.rows.count(i)
 			continue
 		}
-		kept = append(kept, r.rows[i])
+		kept.push(r.rows.tup(i), int64(r.rows.count(i)))
 	}
 	r.rows, r.index, r.hashIdx, r.ordIdx, r.nums = kept, nil, nil, nil, nil
 	return removed
@@ -556,10 +592,10 @@ func (r *Relation) multHashed(t Tuple, h uint64) int {
 // caller holds mu.
 func (r *Relation) multLocked(t Tuple, h uint64) int {
 	if i, ok := r.segment.slot(t, h); ok {
-		return r.rows[i].count()
+		return r.rows.count(i)
 	}
 	if slot, ok := r.baseSlotLocked(t, h); ok {
-		return r.base.rows[slot].count()
+		return r.base.rows.count(slot)
 	}
 	return 0
 }
@@ -714,7 +750,7 @@ func (r *Relation) probeHashed(cols []int, vals Tuple, h uint64, f func(Tuple, i
 		delta = ix.Chain(h)
 	}
 	r.mu.RUnlock()
-	if ix == nil && len(v.rows) > 0 {
+	if ix == nil && v.rows.len() > 0 {
 		r.mu.Lock()
 		v = r.viewLocked()
 		delta = r.buildDeltaIndexLocked(sig, cols).Chain(h)
@@ -752,7 +788,7 @@ func (r *Relation) Prober(cols []int) *Prober {
 	r.mu.RLock()
 	p := &Prober{r: r, cols: cols, v: r.viewLocked(), delta: r.deltaIndexLocked(sig)}
 	r.mu.RUnlock()
-	if p.delta == nil && len(p.v.rows) > 0 {
+	if p.delta == nil && p.v.rows.len() > 0 {
 		r.mu.Lock()
 		p.v, p.delta = r.viewLocked(), r.buildDeltaIndexLocked(sig, cols)
 		r.mu.Unlock()
@@ -784,9 +820,9 @@ func (p *Prober) Probe(vals []value.Value, f func(Tuple, int) bool) {
 // whose values at cols are Equal to vals, reporting false once f stops it.
 // A chain lists its slots in the order they were added, so a slot past
 // rows, added after rows was captured, ends the walk.
-func walk(rows []row, dead *deadSet, ch Chain, cols []int, vals Tuple, f func(Tuple, int) bool) bool {
-	for s := ch.First(); s >= 0 && s < len(rows); s = ch.Next(s) {
-		if rw := &rows[s]; !dead.has(s) && rw.tup.EqualAt(cols, vals) && !f(rw.tup, rw.count()) {
+func walk(rows slots, dead *deadSet, ch Chain, cols []int, vals Tuple, f func(Tuple, int) bool) bool {
+	for s := ch.First(); s >= 0 && s < rows.len(); s = ch.Next(s) {
+		if t := rows.tup(s); !dead.has(s) && t.EqualAt(cols, vals) && !f(t, rows.count(s)) {
 			return false
 		}
 	}
@@ -819,13 +855,19 @@ func (r *Relation) UnionAll(o *Relation) {
 }
 
 // Rename returns a copy with a new name and (optionally) new attribute
-// names; pass nil attrs to keep them.
+// names; pass nil attrs to keep them. It is a Clone under the new names,
+// so it stores no tuple again.
 func (r *Relation) Rename(name string, attrs []string) *Relation {
 	if attrs == nil {
-		attrs = r.attrs
+		out := r.Clone()
+		out.name = name
+		return out
 	}
-	out := New(name, attrs...)
-	r.Each(func(t Tuple, m int) { out.InsertMult(t, m) })
+	if len(attrs) != len(r.attrs) {
+		panic(fmt.Sprintf("Rename: relation %s has %d attributes, not %d", r.name, len(r.attrs), len(attrs)))
+	}
+	out := r.Clone()
+	out.label(name, append([]string(nil), attrs...))
 	return out
 }
 
@@ -851,13 +893,19 @@ func (r *Relation) Project(attrs ...string) *Relation {
 	return out
 }
 
+// shownRow is one (tuple, multiplicity) pair of a printed relation.
+type shownRow struct {
+	tup  Tuple
+	mult int
+}
+
 // sortedRows returns (tuple, mult) pairs sorted by key, for canonical
 // comparison and printing. Multiplicities are loaded once, so the result
 // is a consistent-enough snapshot for display.
-func (r *Relation) sortedRows() []row {
+func (r *Relation) sortedRows() []shownRow {
 	v := r.view()
-	rs := make([]row, 0, v.distinct())
-	v.each(func(t Tuple, m int) { rs = append(rs, row{tup: t, mult: int64(m)}) })
+	rs := make([]shownRow, 0, v.distinct())
+	v.each(func(t Tuple, m int) { rs = append(rs, shownRow{tup: t, mult: m}) })
 	sort.Slice(rs, func(i, j int) bool {
 		a, b := rs[i].tup, rs[j].tup
 		for k := 0; k < len(a) && k < len(b); k++ {

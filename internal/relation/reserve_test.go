@@ -77,25 +77,25 @@ func TestReserveChangesCapacityOnly(t *testing.T) {
 func TestReserveOnlyPresizesEmpty(t *testing.T) {
 	r := New("T", "x").Add(1)
 	r.Reserve(50)
-	if cap(r.rows) >= 50 {
+	if cap(r.rows.mults) >= 50 {
 		t.Fatal("Reserve presized a relation that holds a row")
 	}
 	c := r.Clone()
 	c.RemoveKeys([]Tuple{tup(1)})
 	c.Reserve(50)
-	if c.index != nil || cap(c.rows) >= 50 {
+	if c.index != nil || cap(c.rows.mults) >= 50 {
 		t.Fatal("Reserve presized a clone")
 	}
 	w := New("T", "x")
 	w.Reserve(50)
-	if cap(w.rows) != 50 || w.index == nil {
-		t.Fatalf("an empty relation: capacity %d, index %v", cap(w.rows), w.index != nil)
+	if cap(w.rows.mults) != 50 || cap(w.rows.vals) != 50 || w.index == nil {
+		t.Fatalf("an empty relation: capacity %d counts and %d values, index %v", cap(w.rows.mults), cap(w.rows.vals), w.index != nil)
 	}
 	m := w.Mark()
 	w.Admit(tup(1))
 	win := w.Since(m)
 	win.Reserve(50)
-	if cap(win.rows) != 1 {
+	if cap(win.rows.mults) != 1 {
 		t.Fatal("Reserve presized a window")
 	}
 }

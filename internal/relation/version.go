@@ -75,7 +75,7 @@ func (d *deadSet) with(size int, slots ...int) *deadSet {
 type view struct {
 	base *segment
 	dead *deadSet
-	rows []row
+	rows slots
 }
 
 // viewLocked captures the current view. The caller holds mu.
@@ -92,9 +92,9 @@ func (r *Relation) view() view {
 // distinct is the number of distinct tuples the view holds.
 func (v view) distinct() int {
 	if v.base == nil {
-		return len(v.rows)
+		return v.rows.len()
 	}
-	return len(v.base.rows) - v.dead.count() + len(v.rows)
+	return v.base.rows.len() - v.dead.count() + v.rows.len()
 }
 
 // each calls f once per distinct tuple of the view with its multiplicity,
@@ -106,14 +106,15 @@ func (v view) each(f func(Tuple, int)) {
 // eachWhile is each, stopping early when f returns false.
 func (v view) eachWhile(f func(Tuple, int) bool) {
 	if v.base != nil {
-		for i := range v.base.rows {
-			if rw := &v.base.rows[i]; !v.dead.has(i) && !f(rw.tup, rw.count()) {
+		rows := v.base.rows
+		for i := range rows.len() {
+			if !v.dead.has(i) && !f(rows.tup(i), rows.count(i)) {
 				return
 			}
 		}
 	}
-	for i := range v.rows {
-		if !f(v.rows[i].tup, v.rows[i].count()) {
+	for i := range v.rows.len() {
+		if !f(v.rows.tup(i), v.rows.count(i)) {
 			return
 		}
 	}
@@ -137,9 +138,12 @@ func foldBudget(n int) int {
 }
 
 // Clone returns an independent copy: no later mutation of either relation
-// shows in the other. It copies the delta only, and of the delta's
-// indexes all but its group numberings, which the copy builds again if a
-// γ asks for one (a delta is at most a fold budget of rows). A source
+// shows in the other. Of the delta it copies the counts and shares the
+// values — nothing writes a stored value again, and r's are capped at
+// their end, so an append to r copies them while the copy appends into
+// the room past their end — and of the delta's indexes it copies all but
+// its group numberings, which the copy builds again if a γ asks for one
+// (a delta is at most a fold budget of rows). A source
 // that was never cloned first hands its arrays and indexes, as they are,
 // to a new base segment both sides then share, in O(1); a source whose
 // delta and dead set have outgrown the fold budget of its base is first
@@ -155,11 +159,18 @@ func (r *Relation) Clone() *Relation {
 	if r.base == nil {
 		r.ownRowsLocked()
 		r.rebaseLocked(r.handOffLocked())
-	} else if len(r.rows)+r.dead.count() > foldBudget(len(r.base.rows)) {
+	} else if r.rows.len()+r.dead.count() > foldBudget(r.base.rows.len()) {
 		r.rebaseLocked(r.foldLocked())
 	}
 	out.base, out.dead = r.base, r.dead
-	out.rows = slices.Clone(r.rows)
+	// The copy takes the values' spare capacity and r keeps them capped,
+	// so a chain of commits, each cloning the last and appending, appends
+	// in place; whichever of the two appends first past the other's end
+	// copies.
+	out.rows = r.rows
+	out.rows.mults = slices.Clone(r.rows.mults)
+	n := len(r.rows.vals)
+	r.rows.vals = r.rows.vals[:n:n]
 	if r.index != nil {
 		out.index = r.index.clone()
 	}
@@ -181,7 +192,7 @@ func (r *Relation) Clone() *Relation {
 func (r *Relation) freeze() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.base == nil && len(r.rows) > 0 {
+	if r.base == nil && r.rows.len() > 0 {
 		r.ownRowsLocked()
 		r.rebaseLocked(r.handOffLocked())
 	}
@@ -191,7 +202,7 @@ func (r *Relation) freeze() {
 // r's content in r's iteration order. The caller holds mu for writing.
 func (r *Relation) rebaseLocked(base *segment) {
 	r.base, r.dead = base, nil
-	r.rows, r.index, r.hashIdx, r.ordIdx, r.nums = nil, nil, nil, nil, nil
+	r.rows, r.index, r.hashIdx, r.ordIdx, r.nums = r.rows.fresh(0), nil, nil, nil, nil
 }
 
 // handOffLocked freezes the delta of a relation without a base into a
@@ -203,17 +214,18 @@ func (r *Relation) handOffLocked() *segment {
 }
 
 // foldLocked builds the segment holding r's live base rows followed by
-// its delta rows, and its tuple index. Tuples are shared with the old
-// base; the other indexes and the numberings are not carried over and
-// rebuild lazily. The caller holds mu.
+// its delta rows, in fresh arrays, and its tuple index. The other indexes
+// and the numberings are not carried over and rebuild lazily. The caller
+// holds mu.
 func (r *Relation) foldLocked() *segment {
-	old, live := r.base, len(r.base.rows)-r.dead.count()
-	rows := make([]row, 0, live+len(r.rows))
-	for i := range old.rows {
+	old := r.base.rows
+	rows := old.fresh(old.len() - r.dead.count() + r.rows.len())
+	for i := range old.len() {
 		if !r.dead.has(i) {
-			rows = append(rows, old.rows[i])
+			rows.push(old.tup(i), int64(old.count(i)))
 		}
 	}
-	rows = append(rows, r.rows...)
+	rows.vals = append(rows.vals, r.rows.vals...)
+	rows.mults = append(rows.mults, r.rows.mults...)
 	return &segment{rows: rows, index: buildHashIndex(rows, allCols(len(r.attrs)))}
 }

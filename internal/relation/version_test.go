@@ -232,7 +232,7 @@ func (h *history) freshKey() vKey {
 // residents lists the tuples of r that live in its base and in its delta.
 func residents(r *Relation) (base, delta []vKey) {
 	v := r.view()
-	n := len(v.rows)
+	n := v.rows.len()
 	v.each(func(t Tuple, _ int) { base = append(base, keyOf(t)) })
 	return base[:len(base)-n], base[len(base)-n:]
 }

@@ -97,7 +97,7 @@ func TestLazyTupleIndexFirstBuildIsShared(t *testing.T) {
 // TestWindowReadsWhileTotalAdmits: one goroutine scans and probes a window
 // — its first probe builds the window's own index — while another admits
 // new tuples into the total, which appends past the window's end of the
-// row array they share and regrows it. Under -race this pins that the two
+// value and count arrays they share and regrows them. Under -race this pins that the two
 // never touch the same memory, and the window sees exactly its own rows.
 func TestWindowReadsWhileTotalAdmits(t *testing.T) {
 	const n, more = 256, 2048
